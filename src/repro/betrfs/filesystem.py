@@ -10,7 +10,7 @@ syscall interface workloads drive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 from repro.betrfs.northbound import BetrFSNorthbound
 from repro.betrfs.versions import VERSIONS, BetrFSFeatures
@@ -24,7 +24,8 @@ from repro.model.costs import CostModel
 from repro.model.profiles import COMMODITY_SSD, DeviceProfile
 from repro.obs import scope_for_mount
 from repro.storage.ext4sim import Ext4Southbound
-from repro.storage.sfl import SimpleFileLayer
+from repro.storage.filelayer import Southbound
+from repro.storage.sfl import SUPERBLOCK_SIZE, SimpleFileLayer
 from repro.vfs.vfs import VFS
 
 MIB = 1024 * 1024
@@ -56,10 +57,21 @@ class MountOptions:
 
 
 class BetrFS:
-    """One mounted simulated BetrFS instance."""
+    """One mounted simulated BetrFS instance.
+
+    The only mount assembler: ``volumes`` SFL slots are carved from
+    the device, each with its own southbound, Bε-tree environment and
+    northbound, and :meth:`_route` decides what the VFS sits on.  One
+    volume (every Table 3 variant) spans the whole device and is wired
+    straight into the VFS; ``repro.shard`` overrides :meth:`_route`
+    with its router over several.
+    """
 
     def __init__(
-        self, features: BetrFSFeatures, opts: Optional[MountOptions] = None
+        self,
+        features: BetrFSFeatures,
+        opts: Optional[MountOptions] = None,
+        volumes: int = 1,
     ) -> None:
         self.features = features
         self.opts = opts or MountOptions()
@@ -88,34 +100,60 @@ class BetrFS:
                 if not hasattr(self.config, attr):
                     raise AttributeError(f"unknown BeTreeConfig field {attr!r}")
                 setattr(self.config, attr, value)
+        #: Bytes of device each volume slot owns (slot i starts at
+        #: ``i * volume_bytes``).
+        self.volume_bytes = self.opts.profile.capacity // volumes
+        data_size = self.opts.data_size
         if features.use_sfl:
-            self.storage = SimpleFileLayer(
-                self.device,
+            fixed = SUPERBLOCK_SIZE + self.opts.log_size + self.opts.meta_size
+            if self.volume_bytes <= fixed:
+                raise ValueError(
+                    f"{volumes} volume slots of {self.volume_bytes} bytes "
+                    f"cannot hold the {fixed}-byte fixed regions"
+                )
+            data_size = min(data_size, self.volume_bytes - fixed)
+        self.storages: List[Southbound] = []
+        envs: List[KVEnv] = []
+        backends: List[BetrFSNorthbound] = []
+        for i in range(volumes):
+            if features.use_sfl:
+                storage: Southbound = SimpleFileLayer(
+                    self.device,
+                    self.costs,
+                    log_size=self.opts.log_size,
+                    meta_size=self.opts.meta_size,
+                    base=i * self.volume_bytes,
+                    capacity=(i + 1) * self.volume_bytes,
+                )
+            else:
+                storage = Ext4Southbound(self.device, self.costs)
+            self.storages.append(storage)
+            self.obs.register_object(
+                "storage.southbound" if volumes == 1
+                else f"storage.southbound.{i}",
+                storage,
+                layer="storage",
+            )
+            # Only volume 0 reports to obs: per-env instrumentation uses
+            # fixed metric names, and an unobserved env pays nothing.
+            env = KVEnv(
+                storage,
+                self.clock,
                 self.costs,
+                self.alloc,
+                self.config,
                 log_size=self.opts.log_size,
                 meta_size=self.opts.meta_size,
+                data_size=data_size,
+                # The v0.6 log engine (part of the SFL consolidation,
+                # §3.1) elides full data pages from the log; the v0.4
+                # engine logged everything.
+                log_page_values=not features.use_sfl,
+                obs=self.obs if i == 0 else None,
             )
-        else:
-            self.storage = Ext4Southbound(self.device, self.costs)
-        self.obs.register_object(
-            "storage.southbound", self.storage, layer="storage"
-        )
-        self.env = KVEnv(
-            self.storage,
-            self.clock,
-            self.costs,
-            self.alloc,
-            self.config,
-            log_size=self.opts.log_size,
-            meta_size=self.opts.meta_size,
-            data_size=self.opts.data_size,
-            # The v0.6 log engine (part of the SFL consolidation, §3.1)
-            # elides full data pages from the log; the v0.4 engine
-            # logged everything.
-            log_page_values=not features.use_sfl,
-            obs=self.obs,
-        )
-        self.backend = BetrFSNorthbound(self.env, features)
+            envs.append(env)
+            backends.append(BetrFSNorthbound(env, features))
+        self.env, self.backend = self._route(envs, backends)
         self.vfs = VFS(
             self.backend,
             self.clock,
@@ -125,15 +163,20 @@ class BetrFS:
             obs=self.obs,
         )
 
+    def _route(self, envs: List[KVEnv], backends: List[BetrFSNorthbound]):
+        """Mount the lone volume directly, no router in between: returns
+        the ``(env, backend)`` pair the VFS sits on."""
+        (env,), (backend,) = envs, backends
+        #: The one southbound (a multi-volume mount has only ``storages``).
+        self.storage = env.storage
+        return env, backend
+
     # ------------------------------------------------------------------
     def sync(self) -> None:
         self.vfs.sync()
 
     def drop_caches(self) -> None:
         self.vfs.drop_caches()
-
-    def elapsed(self, since: float = 0.0) -> float:
-        return self.clock.now - since
 
     def io_summary(self) -> str:
         s = self.device.stats
@@ -144,12 +187,17 @@ class BetrFS:
         )
 
 
-def make_betrfs(
-    version: str = "BetrFS v0.6", opts: Optional[MountOptions] = None
-) -> BetrFS:
-    """Build a simulated BetrFS mount for a named Table 3 variant."""
+def variant(version: str) -> BetrFSFeatures:
+    """Feature flags of a named Table 3 variant."""
     if version not in VERSIONS:
         raise KeyError(
             f"unknown BetrFS version {version!r}; choose from {list(VERSIONS)}"
         )
-    return BetrFS(VERSIONS[version], opts)
+    return VERSIONS[version]
+
+
+def make_betrfs(
+    version: str = "BetrFS v0.6", opts: Optional[MountOptions] = None
+) -> BetrFS:
+    """Build a simulated BetrFS mount for a named Table 3 variant."""
+    return BetrFS(variant(version), opts)

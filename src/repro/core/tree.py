@@ -776,7 +776,14 @@ class BeTree:
                 self._load_node(node.children[idx])
                 if self.cfg.tree_readahead and idx + 1 <= hi_idx:
                     self._issue_leaf_readahead(node, idx + 1)
-            self._scan(node.children[idx], start, end, pending + relevant, results, limit)
+            # Clip to the child's own key range: ``pending`` carries
+            # this node's buffered messages for *every* child in the
+            # scan, and a leaf overlays whatever falls in the range it
+            # is handed — a sibling's key would be emitted once per leaf.
+            lo, hi = node.child_range(idx)
+            lo = start if lo is None or lo < start else lo
+            hi = end if hi is None or hi > end else hi
+            self._scan(node.children[idx], lo, hi, pending + relevant, results, limit)
 
     def _scan_leaf(
         self,

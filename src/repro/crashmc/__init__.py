@@ -14,15 +14,15 @@ Pieces:
 * :mod:`repro.crashmc.schedule` — bounded B3-style plan enumeration
   (exhaustive subsets up to k records, seeded sampling beyond);
 * :mod:`repro.crashmc.oracle` — the logical contract: synced data
-  must read back, unsynced ops only as an atomic prefix;
+  must read back, unsynced ops only as an atomic prefix (per shard,
+  on a multi-volume stack);
 * :mod:`repro.crashmc.workload` — deterministic KV renditions of the
   paper's tokubench/mailserver shapes, with explicit WAL pushes to
   populate the at-risk epoch;
 * :mod:`repro.crashmc.explore` — :class:`CrashExplorer`: budget-split
   crash points, reboot + fsck + oracle per case, ``crashmc.*``
-  metrics;
-* :mod:`repro.crashmc.shardmc` — the sharded (two-volume) stack and
-  the per-shard prefix oracle behind the ``xshard_rename`` workload;
+  metrics; the one stack class, carved per workload from ``CARVES``
+  (``xshard_rename`` runs on two volumes behind the shard router);
 * :mod:`repro.crashmc.shrink` — 1-minimal reduction of failing plans
   and JSON repro files (``python -m repro.crashmc.shrink repro.json``
   replays one).
@@ -34,7 +34,6 @@ from repro.crashmc.explore import CrashExplorer, TortureSummary, run_case
 from repro.crashmc.oracle import Op, Oracle
 from repro.crashmc.plan import CrashPlan
 from repro.crashmc.schedule import enumerate_plans, media_plans
-from repro.crashmc.shardmc import ShardOracle, ShardedStack
 from repro.crashmc.shrink import (
     load_repro,
     replay_repro,
@@ -49,8 +48,6 @@ __all__ = [
     "CrashPlan",
     "Op",
     "Oracle",
-    "ShardOracle",
-    "ShardedStack",
     "TortureSummary",
     "WORKLOADS",
     "enumerate_plans",

@@ -35,9 +35,9 @@ rules).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.check.fsck import fsck_device
+from repro.check.fsck import fsck_volumes
 from repro.core.config import BeTreeConfig
 from repro.core.env import KVEnv
 from repro.crashmc.oracle import Op, Oracle
@@ -50,6 +50,8 @@ from repro.kmem.allocator import KernelAllocator
 from repro.model.costs import CostModel
 from repro.model.profiles import COMMODITY_SSD
 from repro.obs import scope_for_mount
+from repro.shard.env import ShardedEnv
+from repro.shard.map import ShardMap
 from repro.storage.sfl import SUPERBLOCK_SIZE, ImageLayout, SimpleFileLayer
 
 MIB = 1 << 20
@@ -101,34 +103,87 @@ class Failure:
         }
 
 
+#: WAL region of every explorer volume.
+LOG_SIZE = 8 * MIB
+
+
+@dataclass(frozen=True)
+class Carve:
+    """Volume count and SFL carve sizes of one workload's stack."""
+
+    volumes: int = 1
+    #: Bytes per volume slot (default: the one volume spans the device).
+    volume_bytes: int = COMMODITY_SSD.capacity
+    meta_size: int = 64 * MIB
+    data_size: int = 256 * MIB
+    #: Leading ``data.db`` bytes the media-fault sweep may damage.
+    media_data: int = 4 * MIB
+
+
+#: Workloads that run on something other than the default carve.  The
+#: explorer and :func:`repro.crashmc.shrink.replay_repro` both build
+#: their stack/oracle pair from this table (via :func:`stack_for`), so
+#: a repro file replays on what its workload was explored on.
+CARVES: Dict[str, Carve] = {
+    "xshard_rename": Carve(
+        volumes=2,
+        volume_bytes=256 * MIB,
+        meta_size=32 * MIB,
+        data_size=64 * MIB,
+        media_data=2 * MIB,
+    ),
+}
+
+
 class _Stack:
-    """One live workload stack on a volatile-cache device."""
+    """One live workload stack on a volatile-cache device.
 
-    LOG_SIZE = 8 * MIB
-    META_SIZE = 64 * MIB
-    DATA_SIZE = 256 * MIB
+    ``carve.volumes`` SFL slots, each under its own :class:`KVEnv`.
+    One volume is driven directly; several sit behind the real
+    :class:`~repro.shard.env.ShardedEnv` router, are fsck'd per volume,
+    and reboot through per-volume log replay plus
+    :meth:`~repro.shard.env.ShardedEnv.resolve_intents`.
+    """
 
-    def __init__(self) -> None:
+    def __init__(self, carve: Optional[Carve] = None) -> None:
+        self.carve = carve = carve or Carve()
         self.clock = SimClock()
         self.device = BlockDevice(self.clock, COMMODITY_SSD, volatile_cache=True)
+        self.map = ShardMap.create(carve.volumes, "hash")
+        self.envs = self._volumes(self.device, KVEnv)
+        #: Every volume layout carved from ``self.device``; the order
+        #: recorder spans these.
+        self.layouts: List[ImageLayout] = [env.storage.layout for env in self.envs]
+        self.layout: ImageLayout = self.layouts[0]
+        self.env = (
+            self.envs[0] if carve.volumes == 1 else ShardedEnv(self.envs, self.map)
+        )
+
+    def _volumes(self, device: BlockDevice, make) -> List[KVEnv]:
+        """One environment per volume slot of ``device``: fresh
+        (``make=KVEnv``) or recovered (``make=KVEnv.open``)."""
+        carve = self.carve
         costs = CostModel()
-        storage = SimpleFileLayer(
-            self.device, costs, log_size=self.LOG_SIZE, meta_size=self.META_SIZE
-        )
-        self.layout: ImageLayout = storage.layout
-        #: Every volume layout carved from ``self.device`` (multi-volume
-        #: stacks append one per shard); the order recorder spans these.
-        self.layouts: List[ImageLayout] = [storage.layout]
-        self.env = KVEnv(
-            storage,
-            self.clock,
-            costs,
-            KernelAllocator(self.clock, costs),
-            explorer_config(),
-            log_size=self.LOG_SIZE,
-            meta_size=self.META_SIZE,
-            data_size=self.DATA_SIZE,
-        )
+        return [
+            make(
+                SimpleFileLayer(
+                    device,
+                    costs,
+                    log_size=LOG_SIZE,
+                    meta_size=carve.meta_size,
+                    base=i * carve.volume_bytes,
+                    capacity=(i + 1) * carve.volume_bytes,
+                ),
+                device.clock,
+                costs,
+                KernelAllocator(device.clock, costs),
+                explorer_config(),
+                log_size=LOG_SIZE,
+                meta_size=carve.meta_size,
+                data_size=carve.data_size,
+            )
+            for i in range(carve.volumes)
+        ]
 
     def apply(self, op: Op) -> None:
         env = self.env
@@ -145,54 +200,61 @@ class _Stack:
         elif op.kind == "checkpoint":
             env.checkpoint()
         elif op.kind == "wflush":
-            # Push the WAL buffer to the device with NO barrier: these
+            # Push the WAL buffers to the device with NO barrier: these
             # writes sit in the open epoch, at the mercy of the plan.
-            env.wal.flush(durable=False)
+            for volume in self.envs:
+                volume.wal.flush(durable=False)
+        elif op.kind == "xrename":  # the router's primitive (volumes > 1)
+            env.xrename(op.tree, op.key, op.end)
         else:  # pragma: no cover - workload bug
             raise ValueError(f"unknown op kind {op.kind!r}")
 
-    # -- reboot hooks (overridden by multi-volume stacks) --------------
-    def fsck_image(self, image: BlockDevice):
-        """Offline-check one crash image of this stack's layout."""
-        return fsck_device(
-            image, log_size=self.LOG_SIZE, meta_size=self.META_SIZE
+    # -- reboot hooks --------------------------------------------------
+    def fsck_errors(self, image: BlockDevice) -> List[str]:
+        """Offline-check every volume of one crash image."""
+        carve = self.carve
+        reports = fsck_volumes(
+            image,
+            carve.volumes,
+            LOG_SIZE,
+            carve.meta_size,
+            volume_bytes=carve.volume_bytes,
         )
+        return [
+            f"vol{i}: {error}"
+            for i, report in enumerate(reports)
+            for error in report.errors
+        ]
 
     def reboot(self, image: BlockDevice):
-        """Recover a full environment from the image; returns its
-        ``get`` callable for the oracle to probe."""
-        costs = CostModel()
-        env = KVEnv.open(
-            SimpleFileLayer(
-                image, costs, log_size=self.LOG_SIZE, meta_size=self.META_SIZE
-            ),
-            image.clock,
-            costs,
-            KernelAllocator(image.clock, costs),
-            explorer_config(),
-            log_size=self.LOG_SIZE,
-            meta_size=self.META_SIZE,
-            data_size=self.DATA_SIZE,
-        )
-        return env.get
+        """Recover every volume from the image; returns the ``get``
+        callable for the oracle to probe."""
+        envs = self._volumes(image, KVEnv.open)
+        if len(envs) == 1:
+            return envs[0].get
+        senv = ShardedEnv(envs, self.map)
+        senv.resolve_intents()
+        return senv.get
 
     def media_regions(self) -> List[tuple]:
         """(base, size) regions the media-fault sweep may damage."""
-        layout = self.layout
+        carve = self.carve
         return [
-            (layout.base, SUPERBLOCK_SIZE),
-            (layout.log_base, self.LOG_SIZE),
-            (layout.meta_base, self.META_SIZE),
-            (layout.data_base, min(self.DATA_SIZE, 4 * MIB)),
+            region
+            for layout in self.layouts
+            for region in (
+                (layout.base, SUPERBLOCK_SIZE),
+                (layout.log_base, LOG_SIZE),
+                (layout.meta_base, carve.meta_size),
+                (layout.data_base, carve.media_data),
+            )
         ]
 
 
-#: Per-workload overrides for the stack/oracle a workload runs on.
-#: Defaults (single-volume :class:`_Stack`, prefix :class:`Oracle`)
-#: apply when a workload has no entry; :mod:`repro.crashmc.shardmc`
-#: registers the multi-volume pair for the cross-shard workloads.
-STACK_FACTORIES: Dict[str, Callable[[], "_Stack"]] = {}
-ORACLE_FACTORIES: Dict[str, Callable[[], Oracle]] = {}
+def stack_for(workload: str) -> Tuple[_Stack, Oracle]:
+    """A fresh stack and its oracle, carved as ``workload`` requires."""
+    stack = _Stack(CARVES.get(workload))
+    return stack, Oracle(smap=stack.map)
 
 
 def run_case(stack: _Stack, oracle: Oracle, plan: CrashPlan) -> CaseResult:
@@ -204,16 +266,14 @@ def run_case(stack: _Stack, oracle: Oracle, plan: CrashPlan) -> CaseResult:
             return CaseResult(DETECTED, stage, detail)
         return CaseResult(VIOLATION, stage, detail)
 
+    # Plan/device misuse (ValueError here) is a caller bug, not a verdict.
+    image = stack.device.crash_image(plan)
     try:
-        image = stack.device.crash_image(plan)
-    except ValueError:
-        raise  # plan/device misuse is a caller bug, not a verdict
-    try:
-        report = stack.fsck_image(image)
+        errors = stack.fsck_errors(image)
     except Exception as exc:  # fsck itself choked on the image
         return caught("exception", f"fsck raised {exc!r}")
-    if not report.ok:
-        return caught("fsck", "; ".join(report.errors[:3]))
+    if errors:
+        return caught("fsck", "; ".join(errors[:3]))
     try:
         verdict = oracle.check(stack.reboot(image))
     except Exception as exc:
@@ -434,15 +494,13 @@ class CrashExplorer:
     def _run_workload(self, name: str, budget: int) -> WorkloadReport:
         ops = WORKLOADS[name](self.seed)
         report = WorkloadReport(name=name, ops=len(ops))
-        stack_factory = STACK_FACTORIES.get(name, _Stack)
-        oracle_factory = ORACLE_FACTORIES.get(name, Oracle)
 
         media_quota = budget // self.MEDIA_SHARE
         plan_budget = budget - media_quota
 
         # Pass 1: count candidate plans per crash point.
         counts = self._crash_points(
-            self._observe(stack_factory()), name, ops, visit=None
+            self._observe(stack_for(name)[0]), name, ops, visit=None
         )
         report.points = len(counts)
         report.plans_enumerated = sum(counts)
@@ -454,8 +512,8 @@ class CrashExplorer:
         media_quota = budget - sum(quotas)  # plan-space shortfall -> media
 
         # Pass 2: re-run and explore each point's quota.
-        stack = self._observe(stack_factory())
-        oracle = oracle_factory()
+        stack, oracle = stack_for(name)
+        self._observe(stack)
         point_iter = iter(quotas)
 
         def visit(i: int, op: Op, epoch: Optional[int], plans: List[CrashPlan]):

@@ -19,14 +19,24 @@ would be a false "lost synced data" alarm.
 Implicit durability (background WAL flushes, log-full checkpoints) is
 covered for free: those only ever make a *longer* prefix durable, and
 any prefix is an accepted answer.
+
+On a sharded stack each volume has its own WAL, so a crash may persist
+a *different* prefix of the pending ops on every shard: the acceptable
+set is the product of per-shard prefixes (over one shard, exactly the
+prefix list above).  A cross-shard ``xrename`` whose intent record made
+the coordinator's durable prefix is rolled forward by recovery, so its
+whole effect appears or none of it does, and its internal syncs
+acknowledge the pending ops of the volumes it touched.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.messages import value_bytes
+from repro.shard.map import ShardMap
 
 #: Logical op kinds the oracle understands.  ``wflush`` pushes the WAL
 #: buffer to the device without a barrier (creates unflushed device
@@ -37,6 +47,10 @@ KINDS = (
     "insert", "delete", "range_delete", "patch", "sync", "checkpoint",
     "wflush", "xrename",
 )
+
+
+#: Op kinds with no mutation and no per-shard durability position.
+_UNGATED = ("sync", "checkpoint", "wflush")
 
 
 @dataclass(frozen=True)
@@ -51,7 +65,7 @@ class Op:
     offset: int = 0  # patch byte offset
 
     def describe(self) -> str:
-        if self.kind in ("sync", "checkpoint", "wflush"):
+        if self.kind in _UNGATED:
             return self.kind
         if self.kind == "range_delete":
             return f"range_delete(t{self.tree}, {self.key!r}..{self.end!r})"
@@ -113,6 +127,11 @@ class Oracle:
     pending: List[Op] = field(default_factory=list)
     #: Every (tree, key) any op ever touched — the probe set.
     touched: Dict[Tuple[int, bytes], None] = field(default_factory=dict)
+    #: Key routing of the stack under test (default: one volume).
+    #: Soundness over several shards leans on the workload keeping
+    #: different shards' pending key sets disjoint (fresh destination
+    #: uids), so per-shard prefixes commute.
+    smap: ShardMap = field(default_factory=lambda: ShardMap.create(1, "hash"))
 
     def begin(self, op: Op) -> None:
         """The op's mutation is now in flight (call before executing)."""
@@ -129,11 +148,33 @@ class Oracle:
 
     def commit(self, op: Op) -> None:
         """The op returned.  A durability op acknowledges everything
-        begun before it (itself included)."""
+        begun before it (itself included); a cross-shard ``xrename``
+        acknowledges what was begun on the two volumes its internal
+        syncs hit (intent sync on the source, apply sync on the
+        destination)."""
         if op.kind in ("sync", "checkpoint"):
-            for pend in self.pending:
+            acked = set(range(self.smap.shards))
+        elif op.kind == "xrename":
+            acked = {
+                self.smap.owner_of_key(op.key),
+                self.smap.owner_of_key(op.end),
+            }
+        else:
+            return
+        keep: List[Op] = []
+        for pend in self.pending:
+            if pend.kind in _UNGATED or self._shard_of(pend) in acked:
                 _apply(self.synced, pend)
-            self.pending.clear()
+            else:
+                keep.append(pend)
+        self.pending = keep
+
+    def _shard_of(self, op: Op) -> int:
+        """The WAL an op's durability rides on.  ``xrename`` gates on
+        its *coordinator* (the source shard): the whole batch becomes
+        certain exactly when the intent record enters the source WAL's
+        durable prefix."""
+        return self.smap.owner_of_key(op.key)
 
     def current(self) -> Dict[Tuple[int, bytes], bytes]:
         """The fully-applied model (synced + all pending mutations)."""
@@ -144,13 +185,26 @@ class Oracle:
 
     # ------------------------------------------------------------------
     def models(self) -> List[Dict[Tuple[int, bytes], bytes]]:
-        """Every acceptable recovered state: the synced model plus each
-        prefix of the pending ops."""
-        out = [dict(self.synced)]
-        model = dict(self.synced)
-        for op in self.pending:
-            _apply(model, op)
-            out.append(dict(model))
+        """Every acceptable recovered state: the synced model plus, for
+        each shard independently, the first *k* of that shard's pending
+        mutations (applied in global begin order)."""
+        by_shard: Dict[int, List[int]] = {}
+        for i, op in enumerate(self.pending):
+            if op.kind not in _UNGATED:
+                by_shard.setdefault(self._shard_of(op), []).append(i)
+        out: List[Dict[Tuple[int, bytes], bytes]] = []
+        for prefixes in itertools.product(
+            *(
+                [ids[:k] for k in range(len(ids) + 1)]
+                for _shard, ids in sorted(by_shard.items())
+            )
+        ):
+            applied = set().union(*prefixes)
+            model = dict(self.synced)
+            for i, op in enumerate(self.pending):
+                if i in applied:
+                    _apply(model, op)
+            out.append(model)
         return out
 
     def check(

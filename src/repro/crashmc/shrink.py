@@ -117,8 +117,7 @@ def replay_repro(repro: Dict[str, Any]):
     inside it), materializes the plan's crash image, and returns the
     :class:`~repro.crashmc.explore.CaseResult`.
     """
-    from repro.crashmc.explore import _Stack, run_case
-    from repro.crashmc.oracle import Oracle
+    from repro.crashmc.explore import run_case, stack_for
     from repro.crashmc.workload import WORKLOADS
 
     workload = repro["workload"]
@@ -130,8 +129,7 @@ def replay_repro(repro: Dict[str, Any]):
         raise ValueError(f"op_index {op_index} out of range 0..{len(ops) - 1}")
     plan = CrashPlan.from_dict(repro["plan"])
 
-    stack = _Stack()
-    oracle = Oracle()
+    stack, oracle = stack_for(workload)
     for op in ops[:op_index]:
         oracle.begin(op)
         stack.apply(op)
@@ -139,8 +137,7 @@ def replay_repro(repro: Dict[str, Any]):
     crash_op = ops[op_index]
     oracle.begin(crash_op)
     stack.apply(crash_op)
-    result = run_case(stack, oracle, plan)
-    return result
+    return run_case(stack, oracle, plan)
 
 
 def main(argv: Optional[list] = None) -> int:

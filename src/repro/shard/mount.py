@@ -1,42 +1,33 @@
-"""Assembly of a sharded BetrFS mount: N volumes, one namespace.
+"""A sharded BetrFS mount: N volumes, one namespace.
 
-``make_sharded_betrfs("BetrFS v0.6", shards=8)`` carves the device
-into N equal volume slots, builds an independent SFL + Bε-tree
-environment + northbound in each, and wires one shared VFS over the
-:class:`~repro.shard.backend.ShardedBackend` router.  Everything the
-volumes share — the clock, the device, the allocator, the tree
-geometry — is shared deliberately: volume I/O from different sessions
-interleaves on one device timeline, which is exactly the overlap the
-scale-out benchmarks measure.
+``make_sharded_betrfs("BetrFS v0.6", shards=8)`` is the ordinary
+:class:`~repro.betrfs.filesystem.BetrFS` assembly asked for N volume
+slots instead of one, with the VFS mounted on the
+:class:`~repro.shard.backend.ShardedBackend` router over them.
+Everything the volumes share — the clock, the device, the allocator,
+the tree geometry — is shared deliberately: volume I/O from different
+sessions interleaves on one device timeline, which is exactly the
+overlap the scale-out benchmarks measure.
 
-With ``shards=1`` the construction collapses to the unsharded
-:class:`~repro.betrfs.filesystem.BetrFS` wiring step for step (same
-charge sequence, same on-device layout), which the shard-invariant
-tests pin as bit-identical.
+With ``shards=1`` this is the unsharded mount plus a router over its
+one volume (same charge sequence, same on-device layout), which the
+shard-invariant tests pin as bit-identical to the direct wiring.
+Per-volume offline fsck lives with the walk itself:
+:func:`repro.check.fsck.fsck_volumes`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.betrfs.filesystem import MountOptions
-from repro.betrfs.northbound import BetrFSNorthbound
-from repro.betrfs.versions import VERSIONS, BetrFSFeatures
-from repro.core.config import BeTreeConfig
-from repro.core.env import KVEnv
-from repro.device.block import BlockDevice
-from repro.device.clock import SimClock
-from repro.kmem.allocator import KernelAllocator
-from repro.kmem.coop import CooperativeAllocator
-from repro.obs import scope_for_mount
+from repro.betrfs.filesystem import BetrFS, MountOptions, variant
+from repro.betrfs.versions import BetrFSFeatures
 from repro.shard.backend import ShardedBackend
 from repro.shard.env import ShardedEnv
 from repro.shard.map import ShardMap
-from repro.storage.sfl import SUPERBLOCK_SIZE, SimpleFileLayer
-from repro.vfs.vfs import VFS
 
 
-class ShardedBetrFS:
+class ShardedBetrFS(BetrFS):
     """One mounted namespace over N independent Bε-tree volumes."""
 
     def __init__(
@@ -51,126 +42,33 @@ class ShardedBetrFS:
                 "sharding carves SFL volume slots; the ext4-backed "
                 "variants cannot be sharded"
             )
-        self.features = features
-        self.opts = opts or MountOptions()
-        self.name = features.name
         self.shards = shards
         self.shard_map = ShardMap.create(shards, mode)
-        self.clock = SimClock()
-        self.costs = self.opts.costs
-        self.obs = scope_for_mount(self.name, self.clock)
-        self.device = BlockDevice(self.clock, self.opts.profile, obs=self.obs)
-        if features.coop_memory:
-            self.alloc: KernelAllocator = CooperativeAllocator(
-                self.clock, self.costs, obs=self.obs
-            )
-        else:
-            self.alloc = KernelAllocator(self.clock, self.costs, obs=self.obs)
-        self.config = BeTreeConfig(
-            page_sharing=features.page_sharing,
-            lazy_apply_on_query=features.lazy_apply_on_query,
-            tree_readahead=features.use_sfl,
-        ).scaled(self.opts.scale)
-        if self.opts.tree_cache_bytes is not None:
-            self.config.cache_bytes = self.opts.tree_cache_bytes
-        if self.opts.config_tweaks:
-            for attr, value in self.opts.config_tweaks.items():
-                if not hasattr(self.config, attr):
-                    raise AttributeError(f"unknown BeTreeConfig field {attr!r}")
-                setattr(self.config, attr, value)
-        self.volume_bytes = self.opts.profile.capacity // shards
-        fixed = SUPERBLOCK_SIZE + self.opts.log_size + self.opts.meta_size
-        data_region = self.volume_bytes - fixed
-        if data_region <= 0:
-            raise ValueError(
-                f"{shards} volume slots of {self.volume_bytes} bytes "
-                f"cannot hold the {fixed}-byte fixed regions"
-            )
-        data_size = min(self.opts.data_size, data_region)
-        self.storages: List[SimpleFileLayer] = []
-        envs: List[KVEnv] = []
-        backends: List[BetrFSNorthbound] = []
+        super().__init__(features, opts, volumes=shards)
+        gauge = self.obs.registry.gauge
         for i in range(shards):
-            storage = SimpleFileLayer(
-                self.device,
-                self.costs,
-                log_size=self.opts.log_size,
-                meta_size=self.opts.meta_size,
-                base=i * self.volume_bytes,
-                capacity=(i + 1) * self.volume_bytes,
-            )
-            self.storages.append(storage)
-            self.obs.register_object(
-                "storage.southbound" if shards == 1
-                else f"storage.southbound.{i}",
-                storage,
-                layer="storage",
-            )
-            # Only volume 0 reports to obs: per-env instrumentation uses
-            # fixed metric names, and an unobserved env pays nothing.
-            env = KVEnv(
-                storage,
-                self.clock,
-                self.costs,
-                self.alloc,
-                self.config,
-                log_size=self.opts.log_size,
-                meta_size=self.opts.meta_size,
-                data_size=data_size,
-                log_page_values=not features.use_sfl,
-                obs=self.obs if i == 0 else None,
-            )
-            envs.append(env)
-            backends.append(BetrFSNorthbound(env, features))
-        self.env = ShardedEnv(envs, self.shard_map)
-        self.backend = ShardedBackend(backends, self.env)
-        self.vfs = VFS(
-            self.backend,
-            self.clock,
-            self.costs,
-            page_cache_bytes=self.opts.page_cache_bytes,
-            dirty_limit_bytes=self.opts.dirty_limit_bytes,
-            obs=self.obs,
-        )
-        for i in range(shards):
-            self.obs.registry.gauge(
+            gauge(
                 f"shard.load.{i:02d}",
                 layer="shard",
                 fn=lambda i=i: self.backend.loads[i],
             )
-        self.obs.registry.gauge(
-            "shard.imbalance", layer="shard", fn=self.load_imbalance
-        )
-        self.obs.registry.gauge(
+        gauge("shard.imbalance", layer="shard", fn=self.load_imbalance)
+        gauge(
             "shard.cross_renames",
             layer="shard",
             fn=lambda: self.backend.cross_renames,
         )
 
-    # ------------------------------------------------------------------
+    def _route(self, envs, backends):
+        env = ShardedEnv(envs, self.shard_map)
+        return env, ShardedBackend(backends, env)
+
     def load_imbalance(self) -> float:
         """max/mean of per-shard routed operations (1.0 = balanced)."""
         total = sum(self.backend.loads)
         if total == 0:
             return 1.0
         return max(self.backend.loads) * self.shards / total
-
-    def sync(self) -> None:
-        self.vfs.sync()
-
-    def drop_caches(self) -> None:
-        self.vfs.drop_caches()
-
-    def elapsed(self, since: float = 0.0) -> float:
-        return self.clock.now - since
-
-    def io_summary(self) -> str:
-        s = self.device.stats
-        return (
-            f"{self.name} x{self.shards}: {s.reads} reads "
-            f"({s.bytes_read >> 20} MiB), {s.writes} writes "
-            f"({s.bytes_written >> 20} MiB), {s.flushes} flushes"
-        )
 
 
 def make_sharded_betrfs(
@@ -180,12 +78,4 @@ def make_sharded_betrfs(
     mode: str = "hash",
 ) -> ShardedBetrFS:
     """Build a sharded mount of a named Table 3 variant."""
-    if version not in VERSIONS:
-        raise KeyError(
-            f"unknown BetrFS version {version!r}; choose from {list(VERSIONS)}"
-        )
-    return ShardedBetrFS(VERSIONS[version], opts, shards=shards, mode=mode)
-
-
-# Per-volume offline fsck lives with the walk itself:
-# :func:`repro.check.fsck.fsck_volumes`.
+    return ShardedBetrFS(variant(version), opts, shards=shards, mode=mode)

@@ -48,15 +48,9 @@ _SESSION_STRIDE = 0x9E3779B97F4A7C15
 
 
 def _folder_key(folder: int) -> str:
+    """The folder's lock, on every mount: a folder's messages share one
+    parent directory and so one shard, which the key need not name."""
     return f"folder:{folder:02d}"
-
-
-def _shard_folder_key(shard: int, folder: int) -> str:
-    """Shard-namespaced folder lock (sharded mounts only).  A separate
-    builder — not a parameter on :func:`_folder_key` — so the static
-    concurrency analyzer sees two precise lock classes (``folder:`` and
-    ``shard:``) instead of one mixed, wildcard-matching return."""
-    return f"shard:{shard}:folder:{folder:02d}"
 
 
 def _make_script(
@@ -103,58 +97,6 @@ def _make_script(
     return script
 
 
-def _make_sharded_script(
-    vfs, smap, state: MailState, rng: random.Random, n_ops: int
-) -> Callable[[SessionContext], Generator[Blocked, None, None]]:
-    """The same client mix under shard-namespaced folder locks.
-
-    Every message of a folder shares one parent directory, so a folder
-    routes to exactly one shard under either partitioning mode and the
-    lock key can carry it.  Sorted acquisition order still holds — the
-    ``shard:`` prefix sorts lexicographically like any other key."""
-
-    def folder_lock(f: int) -> str:
-        return _shard_folder_key(smap.owner_of_entry(_msg_path(f, 0)), f)
-
-    def script(ctx: SessionContext) -> Generator[Blocked, None, None]:
-        for op in mail_mix(state, rng, n_ops):
-            kind = op[0]
-            if kind == "read":
-                _, f, msg = op
-                key = folder_lock(f)
-                yield from ctx.acquire(key)
-                yield from ctx.run(vfs.read, _msg_path(f, msg), 0, MSG_BYTES)
-                ctx.release(key)
-            elif kind == "mark":
-                _, f, msg = op
-                path = _msg_path(f, msg)
-                key = folder_lock(f)
-                yield from ctx.acquire(key)
-                yield from ctx.run(vfs.write, path, 0, b"Status: RO\r\n")
-                yield from ctx.run(vfs.fsync, path)
-                ctx.release(key)
-            elif kind == "move":
-                _, f, msg, g, new_id = op
-                keys = sorted({folder_lock(f), folder_lock(g)})
-                for key in keys:
-                    yield from ctx.acquire(key)
-                yield from ctx.run(
-                    vfs.rename, _msg_path(f, msg), _msg_path(g, new_id)
-                )
-                state.folders[g].append(new_id)
-                for key in reversed(keys):
-                    ctx.release(key)
-            else:
-                _, f, msg = op
-                key = folder_lock(f)
-                yield from ctx.acquire(key)
-                yield from ctx.run(vfs.unlink, _msg_path(f, msg))
-                ctx.release(key)
-            ctx.op_done()
-
-    return script
-
-
 def mailserver_mt(
     mount,
     scale: WorkloadScale,
@@ -178,15 +120,11 @@ def mailserver_mt(
     smap = getattr(mount, "shard_map", None)
     for sid in range(sessions):
         rng = random.Random(seed + sid * _SESSION_STRIDE)
-        if smap is None:
-            script = _make_script(mount.vfs, state, rng, ops_per_session)
-            affinity = None
-        else:
-            script = _make_sharded_script(
-                mount.vfs, smap, state, rng, ops_per_session
-            )
-            # The mailbox is shared; a session's affinity is the shard
-            # of the folder its stream opens with (pure accounting).
+        script = _make_script(mount.vfs, state, rng, ops_per_session)
+        # The mailbox is shared; on a sharded mount a session's affinity
+        # is the shard of the folder its stream opens with (accounting).
+        affinity = None
+        if smap is not None:
             affinity = smap.owner_of_entry(_msg_path(sid % len(folders), 0))
         sched.spawn(f"user{sid:03d}", script, affinity=affinity)
     sched.run()

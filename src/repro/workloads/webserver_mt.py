@@ -21,12 +21,10 @@ seed, same sessions: the op streams, the interleaving, and therefore
 the device image are byte-identical across runs (pinned by
 ``tests/test_webserver_mt.py``).
 
-On a sharded mount the log lock key is shard-namespaced
-(``shard:{s}:weblog:{d:02d}``) and each session is spawned with its
-home vhost's shard as affinity.  As in the mailserver, the sharded
-key builder is a separate function so the static concurrency
-analyzer keeps ``weblog:`` and ``shard:`` as distinct precise lock
-classes.
+The log lock key is ``weblog:{d:02d}`` on every mount: a vhost's log
+lives on exactly one shard, so naming the shard in the key would add
+nothing.  On a sharded mount each session is spawned with its home
+vhost's shard as affinity (accounting only).
 """
 
 from __future__ import annotations
@@ -56,10 +54,6 @@ def _log_path(vhost: int) -> str:
 
 def _log_key(vhost: int) -> str:
     return f"weblog:{vhost:02d}"
-
-
-def _shard_log_key(shard: int, vhost: int) -> str:
-    return f"shard:{shard}:weblog:{vhost:02d}"
 
 
 def session_rng(seed: int, sid: int) -> random.Random:
@@ -96,7 +90,7 @@ def _make_script(
     rng: random.Random,
     n_ops: int,
 ) -> Callable[[SessionContext], Generator[Blocked, None, None]]:
-    """One client on an unsharded mount (``weblog:`` lock class)."""
+    """One client: GETs, and log appends under the vhost's log lock."""
 
     def script(ctx: SessionContext) -> Generator[Blocked, None, None]:
         for _ in range(n_ops):
@@ -107,39 +101,6 @@ def _make_script(
             else:  # log append + fsync under the vhost's log lock
                 line = b"GET /doc%04d 200\n" % rng.randrange(docs)
                 key = _log_key(home)
-                yield from ctx.acquire(key)
-                offset = log_sizes[home]
-                log_sizes[home] = offset + len(line)
-                yield from ctx.run(vfs.write, _log_path(home), offset, line)
-                yield from ctx.run(vfs.fsync, _log_path(home))
-                ctx.release(key)
-            ctx.op_done()
-
-    return script
-
-
-def _make_sharded_script(
-    vfs,
-    smap,
-    home: int,
-    vhosts: int,
-    docs: int,
-    log_sizes: Dict[int, int],
-    rng: random.Random,
-    n_ops: int,
-) -> Callable[[SessionContext], Generator[Blocked, None, None]]:
-    """The same client mix under shard-namespaced log locks."""
-    shard = smap.owner_of_entry(_log_path(home))
-
-    def script(ctx: SessionContext) -> Generator[Blocked, None, None]:
-        for _ in range(n_ops):
-            if rng.random() < 0.90:  # GET
-                v = home if rng.random() < 0.70 else rng.randrange(vhosts)
-                doc = rng.randrange(docs)
-                yield from ctx.run(vfs.read, _doc_path(v, doc), 0, DOC_BYTES)
-            else:
-                line = b"GET /doc%04d 200\n" % rng.randrange(docs)
-                key = _shard_log_key(shard, home)
                 yield from ctx.acquire(key)
                 offset = log_sizes[home]
                 log_sizes[home] = offset + len(line)
@@ -170,16 +131,11 @@ def webserver_mt(
     for sid in range(sessions):
         rng = session_rng(seed, sid)
         home = sid % vhosts
-        if smap is None:
-            script = _make_script(
-                mount.vfs, home, vhosts, docs, log_sizes, rng, ops_per_session
-            )
-            affinity = None
-        else:
-            script = _make_sharded_script(
-                mount.vfs, smap, home, vhosts, docs, log_sizes, rng,
-                ops_per_session,
-            )
+        script = _make_script(
+            mount.vfs, home, vhosts, docs, log_sizes, rng, ops_per_session
+        )
+        affinity = None
+        if smap is not None:
             affinity = smap.owner_of_entry(_log_path(home))
         sched.spawn(f"client{sid:03d}", script, affinity=affinity)
     sched.run()

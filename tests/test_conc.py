@@ -200,17 +200,17 @@ class TestRealTree:
         assert report.reachable >= 10
 
     def test_real_lock_graph_is_the_sorted_folder_loop(self):
-        """src/repro holds the per-folder mail locks (plain and
-        shard-namespaced) plus the single-held weblog locks, and every
-        nested acquire follows the sorted-loop discipline."""
+        """src/repro holds the per-folder mail locks plus the
+        single-held weblog locks, and every nested acquire follows the
+        sorted-loop discipline."""
         graph = _real_report().lock_graph
         assert "folder:" in graph.nodes
         folder_edges = [
             e for e in graph.edges if e.src == "folder:" and e.dst == "folder:"
         ]
         assert folder_edges and all(e.ordered for e in folder_edges)
-        # The sharded workloads register their f-string lock classes.
-        assert "shard:" in graph.nodes
+        # The same classes on every mount: no shard-qualified keys.
+        assert "shard:" not in graph.nodes
         assert "weblog:" in graph.nodes
         assert all(e.ordered for e in graph.edges), [
             (e.src, e.dst) for e in graph.edges if not e.ordered

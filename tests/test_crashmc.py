@@ -21,7 +21,15 @@ from repro.crashmc import (
     save_repro,
     shrink_plan,
 )
-from repro.crashmc.explore import CLEAN, DETECTED, VIOLATION, _Stack
+from repro.crashmc.explore import (
+    CLEAN,
+    DETECTED,
+    VIOLATION,
+    CaseResult,
+    _Stack,
+)
+from repro.crashmc.oracle import KINDS
+from repro.crashmc.workload import WORKLOADS
 from repro.device.block import BlockDevice, CacheRecord, MediaError
 from repro.device.clock import SimClock
 from repro.model.profiles import COMMODITY_SSD
@@ -372,6 +380,21 @@ class TestReproFiles:
         save_repro(path, repro_dict("tokubench", 0, 0, CrashPlan()))
         repro = load_repro(path)
         result = replay_repro(repro)
+        assert result.status == CLEAN, (result.stage, result.detail)
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_replays_on_the_stack_the_workload_was_explored_on(
+        self, tmp_path, workload
+    ):
+        """Every workload's repro file replays — crashed inside an op
+        of its most specific kind (``xrename`` on the two-volume
+        ``xshard_rename`` stack) — instead of dying in ``apply``."""
+        kinds = [op.kind for op in WORKLOADS[workload](3)]
+        op_index = kinds.index(max(set(kinds), key=KINDS.index))
+        path = str(tmp_path / "repro.json")
+        save_repro(path, repro_dict(workload, 3, op_index, CrashPlan()))
+        result = replay_repro(load_repro(path))
+        assert isinstance(result, CaseResult)
         assert result.status == CLEAN, (result.stage, result.detail)
 
     def test_load_rejects_unknown_version(self, tmp_path):

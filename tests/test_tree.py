@@ -136,6 +136,21 @@ class TestRangeOperations:
         assert b"k06" not in rows
         assert rows[b"k07"] == b"resurrected"
 
+    def test_range_query_over_leaf_boundary_with_buffered_inserts(self):
+        """Inserts still buffered in an ancestor belong to exactly one
+        leaf of a multi-leaf scan: no key may come back twice."""
+        env = fresh_env()
+        for i in range(0, 600, 2):
+            env.insert(META, b"k%04d" % i, b"v" * 40)
+        for i in range(1, 600, 50):
+            env.insert(META, b"k%04d" % i, b"new")
+        root = env.meta._load_node(env.meta.root_id)
+        assert isinstance(root, InternalNode) and len(root.children) >= 2
+        assert root.buffer, "the late inserts must still be unflushed"
+        keys = [k for k, _ in env.range_query(META, b"", b"\xff")]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(keys) == 300 + 12
+
     def test_seek(self):
         env = fresh_env()
         env.insert(META, b"b", b"1")

@@ -107,6 +107,33 @@ class TestNamespace:
         assert kinds == {"file": "FILE", "sub": "DIR"}
 
 
+    def test_cold_readdir_plus_has_no_repeated_name(self):
+        """A cold directory scan crossing leaf boundaries, with creates
+        still buffered above the leaves, lists every name once."""
+        fs = make_betrfs(
+            "BetrFS v0.6",
+            MountOptions(
+                config_tweaks={
+                    "node_size": 8192,
+                    "basement_size": 2048,
+                    "buffer_size": 4096,
+                    "fanout": 4,
+                }
+            ),
+        )
+        v = fs.vfs
+        v.mkdir("/d")
+        for i in range(0, 400, 2):
+            v.create(f"/d/f{i:03d}")
+        v.sync()
+        for i in range(1, 400, 40):
+            v.create(f"/d/f{i:03d}")
+        v.sync()
+        fs.drop_caches()
+        names = [name for name, _ in v.readdir_plus("/d")]
+        assert len(names) == len(set(names)) == 210
+
+
 class TestDataPath:
     def test_write_read_roundtrip(self, v):
         v.create("/f")
