@@ -1,25 +1,35 @@
 """Machine-checked guardrails for the simulation (`repro.check`).
 
-Three legs, each defending a different class of silent corruption:
+Eight tools in three families, each defending a different class of
+silent corruption:
 
-* :mod:`repro.check.lint` — a custom AST lint (``python -m repro.check
-  lint``) enforcing simulation-purity rules: no wall-clock or global
-  ``random`` state outside the harness allowlist, no iteration-order
-  nondeterminism in serialization paths, ``bytes`` keys at the
-  ``core.keys`` API boundary, no mutable default arguments, and no raw
-  :class:`~repro.device.block.BlockDevice` / FTL call sites outside the
-  cost-charging layers.
-* :mod:`repro.check.sanitize` — opt-in runtime sanitizers
-  (``BeTreeConfig.sanitize``), zero-cost when off: Bε-tree structural
-  invariants on every flush/split/write-back, clock/cost accounting,
-  allocator double-free and extent overlap, FTL↔store divergence, and
-  cache pin/dirty-eviction discipline.
-* :mod:`repro.check.fsck` — an offline crash-image checker
-  (``python -m repro.harness fsck <image>``) walking superblock →
+* **Static, over the source tree** (``python -m repro.check
+  {lint,arch,costflow,conc,durflow}``).  :mod:`~repro.check.lint` is
+  the per-file simulation-purity lint (no wall clock or global RNG, no
+  iteration-order dependence in serialization paths, ``bytes`` keys,
+  no mutable defaults, no bare ``assert``, no raw device I/O outside
+  the charging layers); a bare ``lint`` run also composes the four
+  whole-program analyses: :mod:`~repro.check.arch` (layer manifest,
+  import cycles), :mod:`~repro.check.costflow` (every byte moved is
+  charged), :mod:`~repro.check.conc` (the scheduler's lock, yield,
+  signal and purity discipline) and :mod:`~repro.check.durflow`
+  (write-ahead, barrier order, intent protocol, durable recovery
+  reads).  They state rules only: :mod:`~repro.check.flow` parses the
+  tree once into the typed ``Program`` they share, walks function
+  bodies, and owns how an analysis finishes (waivers via
+  :mod:`~repro.check.waivers`, reports, graph files, the CLI shell).
+* **At run time, as pure observers.**  :mod:`~repro.check.sanitize`
+  (opt-in ``BeTreeConfig.sanitize``, zero-cost when off: tree, cost,
+  allocator, FTL and cache invariants) and :mod:`~repro.check.order`
+  (the (effect, barrier) recorder behind ``harness torture
+  --verify-order-graph``, durflow's runtime backstop).
+* **Offline, over a crash image.**  :mod:`~repro.check.fsck`
+  (``python -m repro.harness fsck <image>``) walks superblock →
   checkpoint → nodes → WAL → FTL state.
 
-All sanitizer failures raise typed :class:`~repro.check.errors.InvariantError`
-subclasses so they survive ``python -O``.
+All failures raise typed :class:`~repro.check.errors.CheckError`
+subclasses (:mod:`~repro.check.errors`, a leaf the whole stack may
+import) so they survive ``python -O``.
 """
 
 from repro.check.errors import (

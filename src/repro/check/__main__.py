@@ -11,13 +11,15 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
+from repro.check import lint
+
 _USAGE = (
     "usage: python -m repro.check {lint,arch,costflow,conc,durflow} [options]\n"
     "  lint      purity lint + arch + costflow + conc + durflow (--format json, --graph-out P)\n"
-    "  arch      layer-manifest / import-cycle analysis only\n"
+    "  arch      layer-manifest / import-cycle analysis only (--graph-out P)\n"
     "  costflow  must-charge byte-flow analysis only\n"
-    "  conc      static concurrency analysis only (--graph-out P, --baseline F)\n"
-    "  durflow   static durability-ordering analysis only (--graph-out P, --baseline F)"
+    "  conc      static concurrency analysis only (--graph-out P)\n"
+    "  durflow   static durability-ordering analysis only (--graph-out P)"
 )
 
 
@@ -26,30 +28,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(_USAGE, file=sys.stderr)
         return 0 if argv else 2
-    command, rest = argv[0], argv[1:]
-    if command == "lint":
-        from repro.check import lint
-
-        return lint.main(rest)
-    if command == "arch":
-        from repro.check import arch
-
-        return arch.main(rest)
-    if command == "costflow":
-        from repro.check import costflow
-
-        return costflow.main(rest)
-    if command == "conc":
-        from repro.check import conc
-
-        return conc.main(rest)
-    if command == "durflow":
-        from repro.check import durflow
-
-        return durflow.main(rest)
-    print(f"repro.check: unknown command {command!r}", file=sys.stderr)
-    print(_USAGE, file=sys.stderr)
-    return 2
+    command = {"lint": lint, **lint.ANALYSES}.get(argv[0])
+    if command is None:
+        print(f"repro.check: unknown command {argv[0]!r}", file=sys.stderr)
+        print(_USAGE, file=sys.stderr)
+        return 2
+    return command.main(argv[1:])
 
 
 if __name__ == "__main__":

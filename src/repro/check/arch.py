@@ -32,13 +32,11 @@ cluster per layer) so CI can diff it across commits.
 from __future__ import annotations
 
 import ast
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.check.lint import Violation, _walk_repo, repo_root
-from repro.check.waivers import WaiverSet, scan_waivers
+from repro.check import flow
+from repro.check.flow import write_graph  # re-export: arch.write_graph(report, prefix)
 
 #: Rule identifiers this analysis can emit.
 RULES = ("layer-violation", "import-cycle", "unclassified-module", "unused-waiver")
@@ -96,17 +94,25 @@ class ImportEdge:
 
 
 @dataclass
-class ArchReport:
+class ArchReport(flow.Report):
     """Import graph + layer assignment + findings."""
+
+    TOOL, NOUN, WHY = "arch", "architecture", "the edge is sound"
+    ABOUT = "Layer-DAG architecture check for the repro codebase"
+    GRAPH = "import_graph"
 
     modules: Dict[str, str] = field(default_factory=dict)  # module -> layer
     edges: List[ImportEdge] = field(default_factory=list)
-    violations: List[Violation] = field(default_factory=list)
-    waivers: List[str] = field(default_factory=list)  # used, rendered
+
+    def stats(self) -> Dict[str, int]:
+        return {"modules": len(self.modules), "edges": len(self.edges)}
+
+    def summary(self) -> str:
+        return f"{len(self.modules)} modules, {len(self.edges)} edges"
 
     @property
-    def ok(self) -> bool:
-        return not self.violations
+    def import_graph(self) -> "ArchReport":
+        return self  # the report *is* the graph: to_dict() + to_dot()
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
@@ -114,11 +120,7 @@ class ArchReport:
             "layers": [name for name, _ in LAYER_MANIFEST],
             "modules": dict(sorted(self.modules.items())),
             "edges": [e.to_dict() for e in self.edges],
-            "violations": [
-                {"path": v.path, "line": v.line, "rule": v.rule, "message": v.message}
-                for v in self.violations
-            ],
-            "waivers": list(self.waivers),
+            **super().to_dict(),
         }
 
     def to_dot(self) -> str:
@@ -207,9 +209,8 @@ def manifest_packages(
 
 def discovered_packages(root: Optional[str] = None) -> List[str]:
     """Top-level packages actually present under ``src/repro``."""
-    root = root or repo_root()
     found = set()
-    for _full, rel in _walk_repo(root):
+    for _full, rel in flow.walk_tree(root or flow.repo_root()):
         if "/" in rel:
             found.add(rel.split("/")[0])
     return sorted(found)
@@ -282,14 +283,6 @@ class _ImportCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _module_name(rel: str, package: str) -> str:
-    """Dotted module name of ``rel`` (path relative to the package dir)."""
-    parts = rel[: -len(".py")].split("/")
-    if parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join([package] + parts) if parts else package
-
-
 # ----------------------------------------------------------------------
 # Analysis
 # ----------------------------------------------------------------------
@@ -297,43 +290,36 @@ def analyze(
     root: Optional[str] = None,
     manifest: Sequence[Tuple[str, Sequence[str]]] = LAYER_MANIFEST,
     package: str = "repro",
+    program: Optional[flow.Program] = None,
 ) -> ArchReport:
     """Run the architecture analysis over one tree."""
-    root = root or repo_root()
+    program = program or flow.load_program(root, package)
+    package = program.package
     report = ArchReport()
-    waivers = WaiverSet(tool="arch")
+    findings = flow.Findings()
+    waivers = program.waivers("arch")
     ranked: Dict[str, Tuple[int, str]] = {}
+    known_modules = {src.module for src in program.files}
 
-    files: List[Tuple[str, str, str]] = []  # (full, path-for-report, module)
-    known_modules = set()
-    for full, rel in _walk_repo(root):
-        module = _module_name(rel, package)
-        files.append((full, full, module))
-        known_modules.add(module)
-
-    # Pass 1: classify modules, collect waivers and raw imports.
+    # Pass 1: classify modules, collect raw imports.
     raw_imports: List[Tuple[str, str, str, int, bool]] = []
-    for full, path, module in files:
+    for src in program.files:
+        module, path = src.module, src.path
         cls = classify(module, manifest)
         if cls is None:
-            report.violations.append(
-                Violation(
-                    path,
-                    1,
-                    "unclassified-module",
-                    f"module {module} matches no layer-manifest prefix; "
-                    "assign it a layer in repro.check.arch.LAYER_MANIFEST",
-                )
+            findings.add(
+                path,
+                1,
+                "unclassified-module",
+                f"module {module} matches no layer-manifest prefix; "
+                "assign it a layer in repro.check.arch.LAYER_MANIFEST",
             )
             report.modules[module] = "(unclassified)"
         else:
             ranked[module] = cls
             report.modules[module] = cls[1]
-        with open(full, "rb") as fh:
-            source = fh.read()
-        scan_waivers(path, source, "arch", waivers)
         collector = _ImportCollector(module, package)
-        collector.visit(ast.parse(source, filename=full))
+        collector.visit(src.tree)
         for target, line, local in collector.raw:
             raw_imports.append((module, target, path, line, local))
         for base, names, line, local in collector.raw_from:
@@ -366,7 +352,8 @@ def analyze(
         report.edges.append(ImportEdge(src, dst, path, line, local))
     report.edges.sort(key=lambda e: (e.src, e.line, e.dst))
 
-    # Pass 3: layer check (waivers consume findings edge-by-edge).
+    # Pass 3: layer check (waivers consume findings edge-by-edge, so a
+    # waived edge is also out of the cycle graph below).
     for edge in report.edges:
         src_cls = ranked.get(edge.src)
         dst_cls = ranked.get(edge.dst)
@@ -379,155 +366,41 @@ def analyze(
             edge.waived_reason = waiver.reason
             continue
         direction = "upward" if src_cls[0] > dst_cls[0] else "sideways"
-        report.violations.append(
-            Violation(
-                edge.path,
-                edge.line,
-                "layer-violation",
-                f"{edge.src} (layer {src_cls[1]!r}) imports {edge.dst} "
-                f"(layer {dst_cls[1]!r}): {direction} edge breaks the "
-                "declared DAG — route through a lower layer or add "
-                "'# arch: allow[reason]'",
-            )
+        findings.add(
+            edge.path,
+            edge.line,
+            "layer-violation",
+            f"{edge.src} (layer {src_cls[1]!r}) imports {edge.dst} "
+            f"(layer {dst_cls[1]!r}): {direction} edge breaks the "
+            "declared DAG — route through a lower layer or add "
+            "'# arch: allow[reason]'",
         )
 
-    # Pass 4: cycles over the unwaived graph (Tarjan SCC).  A waiver on
-    # *any* in-cycle edge breaks that edge out of the graph; the SCCs
-    # are recomputed until no waiver applies, then survivors report.
-    while True:
-        consumed_any = False
-        sccs = _cycles(report.edges, known_modules)
-        for scc in sccs:
-            for edge in report.edges:
-                if (
-                    edge.waived_reason is None
-                    and edge.src in scc
-                    and edge.dst in scc
-                ):
-                    waiver = waivers.consume(edge.path, edge.line)
-                    if waiver is not None:
-                        edge.waived_reason = waiver.reason
-                        consumed_any = True
-        if not consumed_any:
-            break
-    for scc in _cycles(report.edges, known_modules):
+    # Pass 4: cycles over the unwaived graph.
+    for scc in flow.unwaived_cycles(known_modules, report.edges, waivers):
         path, line = _edge_location(report.edges, scc)
-        report.violations.append(
-            Violation(
-                path,
-                line,
-                "import-cycle",
-                "import cycle: " + " -> ".join(_cycle_path(report.edges, scc)),
-            )
+        findings.add(
+            path,
+            line,
+            "import-cycle",
+            "import cycle: " + " -> ".join(_cycle_path(report.edges, scc)),
         )
 
-    # Pass 5: waiver hygiene.
-    for waiver in waivers.empty_reason():
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                "arch waiver has an empty justification — say *why* the "
-                "edge is sound",
-            )
-        )
-    for waiver in waivers.unused():
-        if not waiver.reason.strip():
-            continue  # already reported above
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                f"arch waiver allow[{waiver.reason}] suppresses nothing — "
-                "delete it (dead waivers mask future violations)",
-            )
-        )
-    report.waivers = [w.render() for w in waivers.used()]
-    report.violations.sort(key=lambda v: (v.path, v.line, v.rule))
+    report.finish(findings, waivers)
     return report
 
 
-def _cycles(
-    edges: Iterable[ImportEdge], modules: Iterable[str]
-) -> List[List[str]]:
-    """Non-trivial SCCs of the unwaived import graph (Tarjan)."""
-    graph: Dict[str, List[str]] = {m: [] for m in modules}
-    for e in edges:
-        if e.waived_reason is None:
-            graph[e.src].append(e.dst)
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Dict[str, bool] = {}
-    stack: List[str] = []
-    sccs: List[List[str]] = []
-    counter = [0]
-
-    def strongconnect(v: str) -> None:
-        # Iterative Tarjan: recursion depth would scale with module count.
-        work = [(v, iter(graph[v]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack[v] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(graph[w])))
-                    advanced = True
-                    break
-                elif on_stack.get(w):
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc.append(w)
-                    if w == node:
-                        break
-                if len(scc) > 1:
-                    sccs.append(sorted(scc))
-
-    for v in sorted(graph):
-        if v not in index:
-            strongconnect(v)
-    return sorted(sccs)
-
-
 def _cycle_path(edges: Iterable[ImportEdge], scc: List[str]) -> List[str]:
-    """An actual module cycle inside ``scc`` (BFS back to the anchor)."""
+    """An actual module cycle inside ``scc``: a shortest path from its
+    first module, through at least one edge, back to itself."""
     in_scc = set(scc)
     graph: Dict[str, List[str]] = {m: [] for m in scc}
     for e in edges:
         if e.waived_reason is None and e.src in in_scc and e.dst in in_scc:
             graph[e.src].append(e.dst)
     anchor = min(scc)
-    # Shortest path anchor -> anchor through at least one edge.
-    frontier = [[anchor]]
-    seen = set()
-    while frontier:
-        path = frontier.pop(0)
-        for nxt in sorted(graph[path[-1]]):
-            if nxt == anchor:
-                return path + [anchor]
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(path + [nxt])
-    return scc + [anchor]  # disconnected only if waivers cut the SCC
+    back = flow.reach(graph[anchor], lambda m: graph[m])
+    return [anchor, *reversed(flow.chain(back, anchor))]
 
 
 def _edge_location(
@@ -544,51 +417,9 @@ def _edge_location(
     return best if best is not None else ("<unknown>", 0)
 
 
-def write_graph(report: ArchReport, prefix: str) -> List[str]:
-    """Write ``prefix.json`` + ``prefix.dot``; returns the paths."""
-    json_path, dot_path = f"{prefix}.json", f"{prefix}.dot"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(dot_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_dot())
-    return [json_path, dot_path]
-
-
-# ----------------------------------------------------------------------
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point used by ``python -m repro.check arch``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.check arch",
-        description="Layer-DAG architecture check for the repro codebase",
-    )
-    parser.add_argument("--graph-out", help="write PREFIX.json + PREFIX.dot")
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    args = parser.parse_args(argv)
-    report = analyze()
-    if args.graph_out:
-        for path in write_graph(report, args.graph_out):
-            print(f"wrote {path}")
-    if args.fmt == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.ok else 1
-    for rendered in report.waivers:
-        print(f"waived: {rendered}")
-    for violation in report.violations:
-        print(violation.render())
-    if report.violations:
-        print(f"{len(report.violations)} architecture violation(s)")
-        return 1
-    print(
-        f"repro.check arch: clean "
-        f"({len(report.modules)} modules, {len(report.edges)} edges, "
-        f"{len(report.waivers)} waiver(s))"
-    )
-    return 0
+    return flow.run_cli(ArchReport, analyze, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

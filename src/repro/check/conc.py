@@ -49,14 +49,12 @@ machinery and hygiene rules (``unused-waiver``) as arch/costflow.
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.check import costflow
-from repro.check.arch import LAYER_MANIFEST, _module_name, classify
-from repro.check.lint import Violation, _walk_repo, repo_root
-from repro.check.waivers import WaiverSet, scan_waivers
+from repro.check import flow
+from repro.check.arch import LAYER_MANIFEST, classify
+from repro.check.waivers import WaiverSet
 
 #: Every rule this analyzer can report.
 RULES = (
@@ -139,7 +137,7 @@ class LockEdge:
     line: int
     func: str  # "module:qualname" of the acquire site
     chain: str = ""  # caller -> callee evidence for summarized sites
-    waived: bool = False
+    waived_reason: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -252,18 +250,25 @@ class LockGraph:
 # Report
 # ======================================================================
 @dataclass
-class ConcReport:
-    violations: List[Violation] = field(default_factory=list)
-    waivers: List[str] = field(default_factory=list)
+class ConcReport(flow.Report):
+    TOOL, NOUN, WHY = "conc", "concurrency", "the discipline exception is sound"
+    ABOUT = "Whole-program static concurrency analysis"
+    GRAPH = "lock_graph"
+
     lock_graph: LockGraph = field(default_factory=LockGraph)
     functions: int = 0
     acquire_sites: int = 0
     signal_sites: int = 0
     reachable: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    def stats(self) -> Dict[str, int]:
+        return {
+            "acquire_sites": self.acquire_sites,
+            "lock_classes": len(self.lock_graph.nodes),
+            "lock_edges": len(self.lock_graph.edges),
+            "signal_sites": self.signal_sites,
+            "reachable_from_session": self.reachable,
+        }
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -273,12 +278,16 @@ class ConcReport:
             "signal_sites": self.signal_sites,
             "reachable_from_session": self.reachable,
             "lock_graph": self.lock_graph.to_dict(),
-            "violations": [
-                {"path": v.path, "line": v.line, "rule": v.rule, "message": v.message}
-                for v in self.violations
-            ],
-            "waivers": list(self.waivers),
+            **super().to_dict(),
         }
+
+    def summary(self) -> str:
+        graph = self.lock_graph
+        return (
+            f"{self.functions} functions, {self.acquire_sites} acquire "
+            f"site(s), {len(graph.nodes)} lock class(es), "
+            f"{len(graph.edges)} edge(s), {self.signal_sites} signal fire(s)"
+        )
 
 
 # ======================================================================
@@ -305,6 +314,16 @@ class _State:
         out.vars = dict(self.vars)
         return out
 
+    def merge(self, other: "_State") -> "_State":
+        out = _State()
+        out.crit = max(self.crit, other.crit)
+        for cls in set(self.held) | set(other.held):
+            n = max(self.held.get(cls, 0), other.held.get(cls, 0))
+            if n:
+                out.held[cls] = n
+        out.vars = {k: v for k, v in self.vars.items() if other.vars.get(k) == v}
+        return out
+
     def held_classes(self) -> List[Tuple[str, bool]]:
         return [cls for cls, n in self.held.items() if n > 0]
 
@@ -321,13 +340,12 @@ class _Summary:
 class _FuncCtx:
     """Per-function bookkeeping while interpreting one body."""
 
-    def __init__(self, finfo: costflow.FuncInfo, qual: str, node: ast.AST) -> None:
+    def __init__(self, finfo: flow.FuncInfo, qual: str, node: ast.AST) -> None:
         self.finfo = finfo
         self.qual = qual  # display qualname (includes <locals> nesting)
-        self.node = node
         self.acquires: Set[Tuple[str, bool]] = set()
         self.suspends = False
-        self.exit_states: List[Tuple[_State, int]] = []
+        self.exits: List[Tuple[_State, int]] = []
         self.ctx_names = _context_params(node)
 
     @property
@@ -353,42 +371,39 @@ def _context_params(node: ast.AST) -> Set[str]:
     return names
 
 
-class _LockAnalyzer:
-    """Structural abstract interpreter over every function body."""
+class _LockAnalyzer(flow.Walker):
+    """Lock/yield interpretation of every function body.
+
+    Idealisations: a loop may run zero times (the shared default), and
+    exception paths are exempt from ``lock-leak`` — handler bodies are
+    scanned for findings but their exit states are discarded."""
 
     def __init__(
         self,
-        program: costflow.Program,
+        program: flow.Program,
         graph: LockGraph,
-        findings: "_Findings",
+        findings: flow.Findings,
     ) -> None:
+        super().__init__()
         self.program = program
         self.graph = graph
         self.findings = findings
-        self.summaries: Dict[str, _Summary] = {}
-        self._in_progress: Set[str] = set()
         self.acquire_sites = 0
 
     # -- driver ---------------------------------------------------------
-    def run(self, finfo: costflow.FuncInfo) -> _Summary:
-        return self._exec_function(finfo.key, finfo.qualname, finfo.node, finfo)
+    def run(self, finfo: flow.FuncInfo) -> _Summary:
+        return self.summary(finfo.key, finfo.qualname, finfo.node, finfo)
 
-    def _exec_function(
-        self, key: str, qual: str, node: ast.AST, finfo: costflow.FuncInfo
+    def recursion_summary(self) -> _Summary:
+        return _Summary(suspends=True)  # recursion: empty fixpoint
+
+    def summarize(
+        self, key: str, qual: str, node: ast.AST, finfo: flow.FuncInfo
     ) -> _Summary:
-        if key in self.summaries:
-            return self.summaries[key]
-        if key in self._in_progress:
-            return _Summary(suspends=True)  # recursion: empty fixpoint
-        self._in_progress.add(key)
         fc = _FuncCtx(finfo, qual, node)
-        state = _State()
-        out = self._exec_block(list(getattr(node, "body", [])), state, fc)
-        body = getattr(node, "body", [])
-        if out is not None and body:
-            fc.exit_states.append((out, body[-1].lineno))
+        exits = self.walk_body(node.body, _State(), fc)
         summary = _Summary(acquires=set(fc.acquires), suspends=fc.suspends)
-        for st, line in fc.exit_states:
+        for st, line in exits:
             leaked = sorted(p for (p, _x), n in st.held.items() if n > 0)
             if leaked:
                 self.findings.add(
@@ -402,35 +417,14 @@ class _LockAnalyzer:
             for cls, n in st.held.items():
                 if n > summary.net.get(cls, 0):
                     summary.net[cls] = n
-        self.summaries[key] = summary
-        self._in_progress.discard(key)
         return summary
 
-    # -- statement dispatch ---------------------------------------------
-    def _exec_block(
-        self, stmts: List[ast.stmt], state: _State, fc: _FuncCtx
-    ) -> Optional[_State]:
-        cur: Optional[_State] = state
-        for stmt in stmts:
-            if cur is None:
-                break
-            cur = self._exec_stmt(stmt, cur, fc)
-        return cur
-
-    def _exec_stmt(
-        self, stmt: ast.stmt, cur: _State, fc: _FuncCtx
-    ) -> Optional[_State]:
-        if isinstance(stmt, ast.Return):
+    # -- statements -----------------------------------------------------
+    def transfer(self, stmt: ast.stmt, cur: _State, fc: _FuncCtx) -> None:
+        if isinstance(stmt, (ast.Return, ast.Expr)):
             if stmt.value is not None:
                 self._effect_of_expr(stmt.value, cur, fc)
-            fc.exit_states.append((cur, stmt.lineno))
-            return None
-        if isinstance(stmt, ast.Raise):
-            return None  # exception exits are exempt from lock-leak
-        if isinstance(stmt, ast.Expr):
-            self._effect_of_expr(stmt.value, cur, fc)
-            return cur
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             value = stmt.value
             if value is not None:
                 self._effect_of_expr(value, cur, fc)
@@ -439,54 +433,21 @@ class _LockAnalyzer:
                 target = stmt.targets[0]
             elif isinstance(stmt, ast.AnnAssign):
                 target = stmt.target
-            if (
-                value is not None
-                and target is not None
-                and isinstance(target, ast.Name)
-            ):
+            if value is not None and isinstance(target, ast.Name):
                 bound = self._classify_binding(value, cur, fc)
                 if bound is not None:
                     cur.vars[target.id] = bound
                 else:
                     cur.vars.pop(target.id, None)
-            return cur
-        if isinstance(stmt, ast.If):
-            then = self._exec_block(stmt.body, cur.copy(), fc)
-            other = self._exec_block(stmt.orelse, cur.copy(), fc)
-            if then is None:
-                return other
-            if other is None:
-                return then
-            return self._merge(then, other)
-        if isinstance(stmt, ast.For):
-            return self._exec_for(stmt, cur, fc)
-        if isinstance(stmt, ast.While):
-            out = self._exec_block(stmt.body, cur.copy(), fc)
-            return cur if out is None else self._merge(cur, out)
-        if isinstance(stmt, ast.Try):
-            body_out = self._exec_block(stmt.body, cur.copy(), fc)
-            for handler in stmt.handlers:
-                # Exception paths: scanned for findings, states discarded.
-                self._exec_block(handler.body, cur.copy(), fc)
-            if stmt.orelse and body_out is not None:
-                body_out = self._exec_block(stmt.orelse, body_out, fc)
-            if stmt.finalbody:
-                base = body_out if body_out is not None else cur.copy()
-                fin = self._exec_block(stmt.finalbody, base, fc)
-                return None if body_out is None else fin
-            return body_out
-        if isinstance(stmt, ast.With):
-            return self._exec_block(stmt.body, cur, fc)
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # Nested defs (workload script factories) run deferred with
             # fresh state; analyze them as functions in their own right.
             nested_qual = f"{fc.qual}.<locals>.{stmt.name}"
             nested_key = f"{fc.finfo.module}:{nested_qual}"
-            self._exec_function(nested_key, nested_qual, stmt, fc.finfo)
-            return cur
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            return None
-        return cur
+            self.summary(nested_key, nested_qual, stmt, fc.finfo)
+
+    def join_handlers(self, out: Optional[_State], handled: list):
+        return out  # exception paths are exempt from lock-leak
 
     # -- expression effects ---------------------------------------------
     def _effect_of_expr(self, expr: ast.expr, state: _State, fc: _FuncCtx) -> None:
@@ -604,15 +565,9 @@ class _LockAnalyzer:
     def _apply_helper(
         self, call: ast.Call, state: _State, fc: _FuncCtx, line: int
     ) -> bool:
-        env = self.program._param_env(fc.finfo)
-        try:
-            callees = self.program.resolve_call(call, fc.finfo, env)
-        except KeyError:
-            callees = []
-        if not callees:
-            return False
+        callees = self._callees(call, fc)
         for callee in callees:
-            summary = self._exec_function(
+            summary = self.summary(
                 callee.key, callee.qualname, callee.node, callee
             )
             if summary.suspends:
@@ -626,7 +581,14 @@ class _LockAnalyzer:
             for cls, n in summary.net.items():
                 state.held[cls] = min(_MANY, state.held.get(cls, 0) + n)
             fc.acquires |= summary.acquires
-        return True
+        return bool(callees)
+
+    def _callees(self, call: ast.Call, fc: _FuncCtx) -> List[flow.FuncInfo]:
+        env = self.program.param_env(fc.finfo)
+        try:
+            return self.program.resolve_call(call, fc.finfo, env)
+        except KeyError:
+            return []
 
     # -- key/list classification ----------------------------------------
     def _key_class(
@@ -661,13 +623,8 @@ class _LockAnalyzer:
                 return next(iter(bound[1]))
             return UNKNOWN
         if isinstance(expr, ast.Call) and depth < 3:
-            env = self.program._param_env(fc.finfo)
-            try:
-                callees = self.program.resolve_call(expr, fc.finfo, env)
-            except KeyError:
-                callees = []
             classes = set()
-            for callee in callees:
+            for callee in self._callees(expr, fc):
                 for sub in ast.walk(callee.node):
                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         if sub is not callee.node:
@@ -740,85 +697,48 @@ class _LockAnalyzer:
         return None
 
     # -- control flow helpers --------------------------------------------
-    def _exec_for(self, node: ast.For, cur: _State, fc: _FuncCtx) -> Optional[_State]:
+    def exec_for(self, node: ast.For, cur: _State, fc: _FuncCtx) -> Optional[_State]:
         lst = self._keylist(node.iter, cur, fc)
         entry = cur.copy()
         body_state = cur.copy()
         if lst is not None and isinstance(node.target, ast.Name):
             body_state.vars[node.target.id] = ("loopkey", lst[0], lst[1])
-        out = self._exec_block(node.body, body_state, fc)
+        out = self.exec_block(node.body, body_state, fc)
         if node.orelse:
-            self._exec_block(node.orelse, (out or entry).copy(), fc)
-        if out is None:
-            return entry
-        if lst is not None:
-            # A recognized key sequence is assumed to drain fully: a
-            # net-acquiring loop leaves MANY held, a net-releasing loop
-            # leaves none (the canonical acquire-all/release-all shape).
-            post = entry
-            for cls in set(entry.held) | set(out.held):
-                before = entry.held.get(cls, 0)
-                after = out.held.get(cls, 0)
-                if after > before:
-                    post.held[cls] = _MANY
-                elif after < before:
-                    post.held[cls] = 0
-            post.crit = max(entry.crit, out.crit)
-            return post
-        return self._merge(entry, out)
-
-    def _merge(self, a: _State, b: _State) -> _State:
-        out = _State()
-        out.crit = max(a.crit, b.crit)
-        for cls in set(a.held) | set(b.held):
-            n = max(a.held.get(cls, 0), b.held.get(cls, 0))
-            if n:
-                out.held[cls] = n
-        out.vars = {k: v for k, v in a.vars.items() if b.vars.get(k) == v}
-        return out
-
-
-# ======================================================================
-# Findings accumulator (dedupe + deferred waiver application)
-# ======================================================================
-class _Findings:
-    def __init__(self) -> None:
-        self.items: List[Tuple[str, int, str, str]] = []
-        self._seen: Set[Tuple[str, int, str]] = set()
-
-    def add(self, path: str, line: int, rule: str, message: str) -> None:
-        key = (path, line, rule)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.items.append((path, line, rule, message))
+            self.exec_block(node.orelse, (out or entry).copy(), fc)
+        if out is None or lst is None:
+            return self.loop_exit(entry, out)
+        # A recognized key sequence is assumed to drain fully: a
+        # net-acquiring loop leaves MANY held, a net-releasing loop
+        # leaves none (the canonical acquire-all/release-all shape).
+        post = entry
+        for cls in set(entry.held) | set(out.held):
+            before = entry.held.get(cls, 0)
+            after = out.held.get(cls, 0)
+            if after > before:
+                post.held[cls] = _MANY
+            elif after < before:
+                post.held[cls] = 0
+        post.crit = max(entry.crit, out.crit)
+        return post
 
 
 # ======================================================================
 # Lock-cycle detection
 # ======================================================================
-def _lock_cycles(graph: LockGraph, waivers: WaiverSet, findings: _Findings) -> None:
+def _lock_cycles(
+    graph: LockGraph, waivers: WaiverSet, findings: flow.Findings
+) -> None:
     """Report every cycle of the may-hold-while-acquiring relation that
-    is not fully covered by the sorted-key discipline.  A waiver on any
-    in-cycle edge breaks that edge out of the graph (arch-style loop)."""
-    while True:
-        consumed = False
-        for scc in _sccs(graph):
-            for edge in graph.edges:
-                if edge.waived or edge.ordered:
-                    continue
-                if edge.src in scc and edge.dst in scc:
-                    waiver = waivers.consume(edge.path, edge.line)
-                    if waiver is not None:
-                        edge.waived = True
-                        consumed = True
-        if not consumed:
-            break
-    for scc in _sccs(graph):
+    is not fully covered by the sorted-key discipline."""
+    sccs = flow.unwaived_cycles(
+        graph.nodes, graph.edges, waivers, lambda edge: not edge.ordered
+    )
+    for scc in sccs:
         in_cycle = [
             e
             for e in graph.edges
-            if not e.waived and e.src in scc and e.dst in scc
+            if e.waived_reason is None and e.src in scc and e.dst in scc
         ]
         unordered = [e for e in in_cycle if not e.ordered]
         if not unordered:
@@ -837,80 +757,14 @@ def _lock_cycles(graph: LockGraph, waivers: WaiverSet, findings: _Findings) -> N
         )
 
 
-def _sccs(graph: LockGraph) -> List[List[str]]:
-    """SCCs with a cycle: size > 1, or a single node with a self-edge."""
-    succ: Dict[str, List[str]] = {p: [] for p in graph.nodes}
-    self_loops: Set[str] = set()
-    for e in graph.edges:
-        if e.waived:
-            continue
-        if e.src == e.dst:
-            self_loops.add(e.src)
-        else:
-            succ.setdefault(e.src, []).append(e.dst)
-            succ.setdefault(e.dst, [])
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Dict[str, bool] = {}
-    stack: List[str] = []
-    sccs: List[List[str]] = []
-    counter = [0]
-
-    def strongconnect(v: str) -> None:
-        work = [(v, iter(succ[v]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack[v] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                elif on_stack.get(w):
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc.append(w)
-                    if w == node:
-                        break
-                if len(scc) > 1:
-                    sccs.append(sorted(scc))
-
-    for v in sorted(succ):
-        if v not in index:
-            strongconnect(v)
-    covered = {p for scc in sccs for p in scc}
-    for p in sorted(self_loops - covered):
-        sccs.append([p])
-    return sorted(sccs)
-
-
 # ======================================================================
 # Signal-placement pass
 # ======================================================================
 def _signal_pass(
-    program: costflow.Program,
-    trees: Dict[str, ast.AST],
+    program: flow.Program,
     manifest: Sequence[Tuple[str, Sequence[str]]],
     signal_layers: Dict[str, str],
-    findings: _Findings,
+    findings: flow.Findings,
 ) -> int:
     layer_rank = {layer: rank for rank, (layer, _p) in enumerate(manifest)}
     sites = 0
@@ -918,7 +772,7 @@ def _signal_pass(
         mod = program.modules[name]
         ranked = classify(name, manifest)
         mod_rank = ranked[0] if ranked is not None else None
-        for func_node in _all_function_nodes(trees[name]):
+        for func_node in _all_function_nodes(mod.tree):
             signal_names = _signal_locals(func_node)
             sites += _scan_signal_fires(
                 func_node,
@@ -967,11 +821,11 @@ def _is_signal_receiver(recv: ast.expr, signal_names: Set[str]) -> bool:
 def _scan_signal_fires(
     func_node: ast.AST,
     signal_names: Set[str],
-    mod: costflow.ModuleInfo,
+    mod: flow.ModuleInfo,
     mod_rank: Optional[int],
     layer_rank: Dict[str, int],
     signal_layers: Dict[str, str],
-    findings: _Findings,
+    findings: flow.Findings,
 ) -> int:
     sites = 0
 
@@ -1056,19 +910,13 @@ def _scan_signal_fires(
 # Session-purity pass
 # ======================================================================
 def _purity_pass(
-    program: costflow.Program,
-    findings: _Findings,
+    program: flow.Program,
+    findings: flow.Findings,
     state_classes: FrozenSet[str],
     sinks: FrozenSet[Tuple[str, str]],
     entries: Sequence[Tuple[str, str]],
 ) -> int:
-    # Populate call edges (reuses costflow's typed-or-nothing walker).
-    for func in program.functions.values():
-        walker = costflow._BodyWalker(program, func, ())
-        for stmt in getattr(func.node, "body", []):
-            walker.visit(stmt)
-
-    def class_method(func: costflow.FuncInfo) -> Optional[Tuple[str, str]]:
+    def class_method(func: flow.FuncInfo) -> Optional[Tuple[str, str]]:
         if func.class_key is None:
             return None
         cls = program.classes.get(func.class_key)
@@ -1077,44 +925,17 @@ def _purity_pass(
         return (cls.name, func.qualname.rsplit(".", 1)[-1])
 
     roots = [
-        f
-        for f in program.functions.values()
-        if class_method(f) in set(entries)
+        f.key for f in program.functions.values() if class_method(f) in entries
     ]
-    parent: Dict[str, Optional[str]] = {}
-    queue = []
-    for root in sorted(roots, key=lambda f: f.key):
-        if root.key not in parent:
-            parent[root.key] = None
-            queue.append(root.key)
-    while queue:
-        key = queue.pop(0)
-        func = program.functions.get(key)
-        if func is None:
-            continue
-        for callee in sorted(func.calls):
-            if callee not in parent:
-                parent[callee] = key
-                queue.append(callee)
-
-    def chain(key: str) -> str:
-        parts = []
-        cur: Optional[str] = key
-        while cur is not None:
-            parts.append(cur)
-            cur = parent.get(cur)
-        return " -> ".join(reversed(parts))
-
+    parent = flow.reach(roots, lambda key: program.functions[key].calls)
     for key in sorted(parent):
-        func = program.functions.get(key)
-        if func is None:
-            continue
+        func = program.functions[key]
         cm = class_method(func)
         if cm is not None and cm in sinks:
             continue
         if func.qualname == "__init__" or func.qualname.endswith(".__init__"):
             continue  # constructing state is not mutating shared state
-        env = program._param_env(func)
+        env = program.param_env(func)
         for sub in ast.walk(func.node):
             target = None
             if isinstance(sub, ast.Assign) and sub.targets:
@@ -1123,7 +944,7 @@ def _purity_pass(
                 target = sub.target
             if not isinstance(target, ast.Attribute):
                 continue
-            direct, _elems = program._eval(target.value, func, env)
+            direct, _elems = program.eval(target.value, func, env)
             hit = sorted(
                 program.classes[k].name
                 for k in direct
@@ -1131,13 +952,14 @@ def _purity_pass(
                 and program.classes[k].name in state_classes
             )
             if hit:
+                chain = " -> ".join(reversed(flow.chain(parent, key)))
                 findings.add(
                     func.path,
                     sub.lineno,
                     "conc-impure",
                     f"{func.key} mutates {hit[0]}.{target.attr} but is "
                     "reachable from a session "
-                    f"(chain: {chain(key)}) and is not in the conc sink "
+                    f"(chain: {chain}) and is not in the conc sink "
                     "set — route the mutation through a sink or add "
                     "'# conc: allow[reason]'",
                 )
@@ -1155,164 +977,39 @@ def analyze(
     state_classes: FrozenSet[str] = STATE_CLASS_NAMES,
     sinks: FrozenSet[Tuple[str, str]] = SINK_METHODS,
     entries: Sequence[Tuple[str, str]] = ENTRY_METHODS,
+    program: Optional[flow.Program] = None,
 ) -> ConcReport:
-    root = root or repo_root()
+    program = program or flow.load_program(root, package)
     layers = dict(SIGNAL_LAYERS if signal_layers is None else signal_layers)
-    program = costflow.Program(package)
-    waivers = WaiverSet(tool="conc")
-    trees: Dict[str, ast.AST] = {}
-    for full, rel in _walk_repo(root):
-        with open(full, "rb") as fh:
-            source = fh.read()
-        module = _module_name(rel, package)
-        tree = ast.parse(source, filename=full)
-        trees[module] = tree
-        program.index_module(module, full, tree)
-        scan_waivers(full, source, "conc", waivers)
-    program.link_hierarchy()
-    program.type_attributes()
-
+    waivers = program.waivers("conc")
     report = ConcReport()
     report.functions = len(program.functions)
-    findings = _Findings()
+    findings = flow.Findings()
 
     # Pass 1+2: lock graph + yield discipline (one interpretation).
     analyzer = _LockAnalyzer(program, report.lock_graph, findings)
-    for func in sorted(program.functions.values(), key=lambda f: (f.path, f.line)):
+    for func in program.functions_in_order():
         analyzer.run(func)
     report.acquire_sites = analyzer.acquire_sites
 
     # Pass 3: signal placement.
-    report.signal_sites = _signal_pass(program, trees, manifest, layers, findings)
+    report.signal_sites = _signal_pass(program, manifest, layers, findings)
 
     # Pass 4: session purity.
     report.reachable = _purity_pass(
         program, findings, state_classes, sinks, entries
     )
 
-    # Lock-order cycles (waiver-aware, arch-style edge breaking).
+    # Lock-order cycles (waivers break in-cycle edges out of the graph).
     _lock_cycles(report.lock_graph, waivers, findings)
 
-    # Waivers apply to every remaining finding by (path, line).
-    for path, line, rule, message in findings.items:
-        if rule != "lock-cycle":  # cycle waivers consumed edge-wise above
-            waiver = waivers.consume(path, line)
-            if waiver is not None:
-                continue
-        report.violations.append(Violation(path, line, rule, message))
-
-    # Waiver hygiene.
-    for waiver in waivers.empty_reason():
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                "conc waiver has an empty justification — say *why* the "
-                "discipline exception is sound",
-            )
-        )
-    for waiver in waivers.unused():
-        if not waiver.reason.strip():
-            continue
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                f"conc waiver allow[{waiver.reason}] suppresses nothing — "
-                "delete it (dead waivers mask future violations)",
-            )
-        )
-    report.waivers = [w.render() for w in waivers.used()]
-    report.violations.sort(key=lambda v: (v.path, v.line, v.rule))
+    report.finish(findings, waivers)
     return report
 
 
-def write_graph(report: ConcReport, prefix: str) -> List[str]:
-    """Write ``prefix.json`` + ``prefix.dot``; returns the paths."""
-    json_path, dot_path = f"{prefix}.json", f"{prefix}.dot"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.lock_graph.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(dot_path, "w", encoding="utf-8") as fh:
-        fh.write(report.lock_graph.to_dot())
-    return [json_path, dot_path]
-
-
-def load_baseline(path: str) -> Set[Tuple[str, str]]:
-    """Committed-baseline entries as ``(rule, path)`` pairs.
-
-    Baseline paths are repo-relative and matched as path suffixes, and
-    line numbers are not part of the key — so a committed baseline
-    survives checkouts at other prefixes and unrelated edits above the
-    finding."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return {(f["rule"], f["path"]) for f in data.get("findings", [])}
-
-
-def _is_baselined(v: Violation, known: Set[Tuple[str, str]]) -> bool:
-    return any(
-        rule == v.rule and (v.path == bpath or v.path.endswith("/" + bpath))
-        for rule, bpath in known
-    )
-
-
-# ----------------------------------------------------------------------
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point used by ``python -m repro.check conc``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.check conc",
-        description="Whole-program static concurrency analysis",
-    )
-    parser.add_argument("--graph-out", help="write PREFIX.json + PREFIX.dot")
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--baseline",
-        help="JSON baseline of known findings; fail only on new ones",
-    )
-    args = parser.parse_args(argv)
-    report = analyze()
-    if args.graph_out:
-        for path in write_graph(report, args.graph_out):
-            print(f"wrote {path}")
-    known: Set[Tuple[str, str]] = set()
-    if args.baseline:
-        try:
-            known = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"repro.check conc: bad baseline: {exc}")
-            return 2
-    fresh = [v for v in report.violations if not _is_baselined(v, known)]
-    baselined = len(report.violations) - len(fresh)
-    if args.fmt == "json":
-        payload = report.to_dict()
-        payload["new_violations"] = len(fresh)
-        payload["baselined"] = baselined
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if fresh else 0
-    for rendered in report.waivers:
-        print(f"waived: {rendered}")
-    for violation in fresh:
-        print(violation.render())
-    if fresh:
-        print(f"{len(fresh)} concurrency violation(s)")
-        return 1
-    graph = report.lock_graph
-    suffix = f", {baselined} baselined" if baselined else ""
-    print(
-        f"repro.check conc: clean "
-        f"({report.functions} functions, {report.acquire_sites} acquire "
-        f"site(s), {len(graph.nodes)} lock class(es), "
-        f"{len(graph.edges)} edge(s), {report.signal_sites} signal "
-        f"fire(s), {len(report.waivers)} waiver(s){suffix})"
-    )
-    return 0
+    return flow.run_cli(ConcReport, analyze, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

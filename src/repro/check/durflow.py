@@ -36,10 +36,10 @@ Four rule families:
   (``unflushed`` / ``epoch_records`` / ``sealed_epochs``) — recovery
   must observe only bytes that survive a crash.
 
-The analysis reuses :mod:`repro.check.costflow`'s typed call graph
+The analysis runs on :mod:`repro.check.flow`'s typed call graph
 (module-qualified functions, annotation-driven receiver resolution,
-virtual dispatch over the class hierarchy) and the abstract-
-interpretation style of :mod:`repro.check.conc`: each function body
+virtual dispatch over the class hierarchy) and its body walker, which
+:mod:`repro.check.conc` shares: each function body
 is interpreted once over a small must/may state (``logged``,
 ``barriered``, ``nodes_dirty``, pending effect kinds, protocol
 phase), and callees contribute memoized summaries (must-barrier,
@@ -57,15 +57,11 @@ arch/costflow/conc.
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.check import costflow
-from repro.check.arch import _module_name
+from repro.check import costflow, flow
 from repro.check.costflow import _is_exempt
-from repro.check.lint import Violation, _walk_repo, repo_root
-from repro.check.waivers import WaiverSet, scan_waivers
 
 #: Every rule this analyzer can report.
 RULES = (
@@ -215,9 +211,11 @@ class OrderGraph:
 # Report
 # ======================================================================
 @dataclass
-class DurflowReport:
-    violations: List[Violation] = field(default_factory=list)
-    waivers: List[str] = field(default_factory=list)
+class DurflowReport(flow.Report):
+    TOOL, NOUN, WHY = "durflow", "durability", "the ordering exception is sound"
+    ABOUT = "Whole-program static durability-ordering analysis"
+    GRAPH = "order_graph"
+
     order_graph: OrderGraph = field(default_factory=OrderGraph)
     functions: int = 0
     effect_sites: int = 0
@@ -226,9 +224,14 @@ class DurflowReport:
     coordinators: int = 0
     recovery_reachable: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    def stats(self) -> Dict[str, int]:
+        return {
+            "effect_sites": self.effect_sites,
+            "barrier_sites": self.barrier_sites,
+            "order_edges": len(self.order_graph.edges),
+            "entries_checked": self.entries_checked,
+            "coordinators": self.coordinators,
+        }
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -240,27 +243,17 @@ class DurflowReport:
             "coordinators": self.coordinators,
             "recovery_reachable": self.recovery_reachable,
             "order_graph": self.order_graph.to_dict(),
-            "violations": [
-                {"path": v.path, "line": v.line, "rule": v.rule, "message": v.message}
-                for v in self.violations
-            ],
-            "waivers": list(self.waivers),
+            **super().to_dict(),
         }
 
-
-class _Findings:
-    """Finding accumulator deduplicated on (path, line, rule)."""
-
-    def __init__(self) -> None:
-        self.items: List[Tuple[str, int, str, str]] = []
-        self._seen: Set[Tuple[str, int, str]] = set()
-
-    def add(self, path: str, line: int, rule: str, message: str) -> None:
-        key = (path, line, rule)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.items.append((path, line, rule, message))
+    def summary(self) -> str:
+        return (
+            f"{self.functions} functions, {self.effect_sites} durable-"
+            f"effect site(s), {self.barrier_sites} barrier site(s), "
+            f"{len(self.order_graph.edges)} order edge(s), "
+            f"{self.entries_checked} durability entr(y/ies), "
+            f"{self.coordinators} coordinator(s)"
+        )
 
 
 # ======================================================================
@@ -291,8 +284,8 @@ class _State:
         self.phase = 0
         #: may: applied batch not yet synced
         self.apply_dirty = False
-        #: local type environment (costflow _eval shape)
-        self.vars: Dict[str, tuple] = {}
+        #: local type environment (``flow.Program.eval`` shape)
+        self.vars: Dict[str, flow.Typed] = {}
 
     def copy(self) -> "_State":
         new = _State()
@@ -362,23 +355,18 @@ class _FuncCtx:
 
     def __init__(self, func, exempt: bool, recovery: bool) -> None:
         self.func = func
-        args = func.node.args if hasattr(func.node, "args") else None
-        names: Set[str] = set()
-        if args is not None:
+        args = func.node.args
+        self.param_names = {
+            a.arg
             for a in (
-                list(getattr(args, "posonlyargs", []))
-                + list(args.args)
-                + list(args.kwonlyargs)
-            ):
-                names.add(a.arg)
-            if args.vararg is not None:
-                names.add(args.vararg.arg)
-            if args.kwarg is not None:
-                names.add(args.kwarg.arg)
-        self.param_names = names
+                *args.posonlyargs, *args.args, *args.kwonlyargs,
+                args.vararg, args.kwarg,
+            )
+            if a is not None
+        }
         self.exempt = exempt
         self.recovery = recovery
-        self.exits: List[_State] = []
+        self.exits: List[Tuple[_State, int]] = []
         self.loop_sorted: List[bool] = []
         self.barrier_kinds: Set[str] = set()
         self.exposed_sb_write = False
@@ -453,17 +441,22 @@ def _subclass_names(program, roots: Sequence[str]) -> Set[str]:
 # ======================================================================
 # The interpreter
 # ======================================================================
-class _Analyzer:
-    """Interprets every function once; memoizes summaries."""
+class _Analyzer(flow.Walker):
+    """Interprets every function once; memoizes summaries.
+
+    Idealisations: loops are assumed to run at least one iteration
+    (:meth:`loop_exit`), and a handler that falls through joins the
+    ``try`` body's state (the shared default)."""
 
     def __init__(
         self,
-        program,
+        program: flow.Program,
         report: DurflowReport,
-        findings: _Findings,
+        findings: flow.Findings,
         exempt: Sequence[str],
         recovery: Set[str],
     ) -> None:
+        super().__init__()
         self.program = program
         self.report = report
         self.graph = report.order_graph
@@ -471,8 +464,6 @@ class _Analyzer:
         self.exempt = exempt
         self.recovery = recovery
         self.volatile_sites: Dict[str, List[Tuple[int, str]]] = {}
-        self._summaries: Dict[str, _Summary] = {}
-        self._active: Set[str] = set()
         self.wal_names = _subclass_names(program, WAL_ROOTS)
         self.tree_names = _subclass_names(program, TREE_ROOTS)
         self.south_names = _subclass_names(program, SOUTH_ROOTS)
@@ -481,24 +472,19 @@ class _Analyzer:
         self.env_names = _subclass_names(program, ENV_ROOTS)
 
     # -- summaries -------------------------------------------------------
-    def summary(self, func) -> _Summary:
-        if func.key in self._summaries:
-            return self._summaries[func.key]
-        if func.key in self._active:
-            return _Summary()  # recursion -> neutral summary
-        self._active.add(func.key)
+    def recursion_summary(self) -> _Summary:
+        return _Summary()  # recursion -> neutral summary
+
+    def summarize(self, key: str, func: flow.FuncInfo) -> _Summary:
         ctx = _FuncCtx(
             func,
             exempt=_is_exempt(func.module, self.exempt),
-            recovery=func.key in self.recovery,
+            recovery=key in self.recovery,
         )
         state = _State()
-        state.vars = dict(self.program._param_env(func))
-        out = self._exec_block(list(getattr(func.node, "body", [])), state, ctx)
-        if out is not None:
-            ctx.exits.append(out)
+        state.vars = dict(self.program.param_env(func))
+        exits = [e for e, _line in self.walk_body(func.node.body, state, ctx)]
         summary = _Summary()
-        exits = ctx.exits
         # all-paths-raise bodies (abstract methods) pass vacuously
         summary.must_barrier = all(e.barriered for e in exits)
         summary.barrier_kinds = set(ctx.barrier_kinds)
@@ -508,11 +494,9 @@ class _Analyzer:
         summary.exit_sb_dirty = any(e.sb_dirty for e in exits)
         summary.exposed_sb_write = ctx.exposed_sb_write
         self._check_entry(func, ctx, summary)
-        self._check_coord_exit(func, ctx)
+        self._check_coord_exit(func, exits, ctx)
         if ctx.is_coord:
             self.report.coordinators += 1
-        self._summaries[func.key] = summary
-        self._active.discard(func.key)
         return summary
 
     def _check_entry(self, func, ctx: _FuncCtx, summary: _Summary) -> None:
@@ -533,11 +517,13 @@ class _Analyzer:
                 "order the flush/sync before the acknowledgement",
             )
 
-    def _check_coord_exit(self, func, ctx: _FuncCtx) -> None:
+    def _check_coord_exit(
+        self, func, exits: List[_State], ctx: _FuncCtx
+    ) -> None:
         """Rule 3: coordinator exit obligations."""
         if ctx.exempt:
             return
-        for e in ctx.exits:
+        for e in exits:
             if e.coord and e.phase < 2:
                 self.findings.add(
                     func.path,
@@ -548,7 +534,7 @@ class _Analyzer:
                     "writing the intent",
                 )
                 break
-        for e in ctx.exits:
+        for e in exits:
             if e.coord and e.apply_dirty:
                 self.findings.add(
                     func.path,
@@ -561,149 +547,78 @@ class _Analyzer:
                 break
 
     # -- statements ------------------------------------------------------
-    def _exec_block(
-        self, stmts: List[ast.stmt], state: _State, ctx: _FuncCtx
-    ) -> Optional[_State]:
-        for stmt in stmts:
-            state = self._exec_stmt(stmt, state, ctx)
-            if state is None:
-                return None
-        return state
-
-    def _exec_stmt(
-        self, stmt: ast.stmt, state: _State, ctx: _FuncCtx
-    ) -> Optional[_State]:
+    def transfer(self, stmt: ast.stmt, state: _State, ctx: _FuncCtx) -> None:
         if isinstance(
             stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         ):
-            return state
+            return  # nested defs are not this path
         if isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 self._eval_calls(stmt.value, state, ctx)
-            ctx.exits.append(state)
-            return None
-        if isinstance(stmt, ast.Raise):
+        elif isinstance(stmt, ast.Raise):
             if stmt.exc is not None:
                 self._eval_calls(stmt.exc, state, ctx)
-            return None
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            return None
-        if isinstance(stmt, ast.If):
-            return self._exec_if(stmt, state, ctx)
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            return self._exec_for(stmt, state, ctx)
-        if isinstance(stmt, ast.While):
+        elif isinstance(stmt, (ast.If, ast.While)):
             self._eval_calls(stmt.test, state, ctx)
-            ctx.loop_sorted.append(True)  # whiles are not fan-out loops
-            out = self._exec_block(stmt.body, state.copy(), ctx)
-            ctx.loop_sorted.pop()
-            # loops are assumed to run >= 1 iteration (fan-out shape);
-            # a body that always breaks falls back to the pre-loop state
-            return out if out is not None else state
-        if isinstance(stmt, ast.Try):
-            return self._exec_try(stmt, state, ctx)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 self._eval_calls(item.context_expr, state, ctx)
-                if isinstance(item.optional_vars, ast.Name):
-                    t = self.program._eval(item.context_expr, ctx.func, state.vars)
-                    if t[0] or t[1]:
-                        state.vars[item.optional_vars.id] = t
-            return self._exec_block(stmt.body, state, ctx)
-        if isinstance(stmt, ast.Assign):
-            self._eval_calls(stmt.value, state, ctx)
-            t = self.program._eval(stmt.value, ctx.func, state.vars)
-            if t[0] or t[1]:
-                for tgt in stmt.targets:
-                    if isinstance(tgt, ast.Name):
-                        state.vars[tgt.id] = t
-            return state
-        if isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._eval_calls(stmt.value, state, ctx)
-            if isinstance(stmt.target, ast.Name):
-                mod = self.program.modules.get(ctx.func.module)
-                if mod is not None:
-                    t = self.program.ann_types(mod, stmt.annotation)
-                    if t[0] or t[1]:
-                        state.vars[stmt.target.id] = t
-            return state
-        # Expr, AugAssign, Assert, Delete, Match, ... : interpret any
-        # calls inside, with no control-flow refinement.
-        self._eval_calls(stmt, state, ctx)
-        return state
+            self.program.bind(stmt, ctx.func, state.vars)
+        else:
+            # Assign, AnnAssign, Expr, AugAssign, Assert, Delete, ... :
+            # interpret any calls inside, then let an assignment refine
+            # the local types.
+            self._eval_calls(stmt, state, ctx)
+            self.program.bind(stmt, ctx.func, state.vars)
 
-    def _exec_if(
+    def exec_if(
         self, stmt: ast.If, state: _State, ctx: _FuncCtx
     ) -> Optional[_State]:
-        self._eval_calls(stmt.test, state, ctx)
+        then, other = self.fork_if(stmt, state, ctx)
+        merged = self.join(then, other)
         # Gate idiom: `if log:` on a bare parameter carries a caller
         # contract — the caller either wants logging (and gets it) or
         # explicitly opted out; the opt-out is checked at call sites
         # via the constant-log=False rule.  The merged state therefore
         # keeps `logged` from whichever branch establishes it.
-        gate = (
-            isinstance(stmt.test, ast.Name)
+        if (
+            merged is not None
+            and isinstance(stmt.test, ast.Name)
             and stmt.test.id in ctx.param_names
-        )
-        then = self._exec_block(stmt.body, state.copy(), ctx)
-        if stmt.orelse:
-            other = self._exec_block(stmt.orelse, state.copy(), ctx)
-        else:
-            other = state
-        if then is None and other is None:
-            return None
-        if then is None:
-            merged = other
-        elif other is None:
-            merged = then
-        else:
-            merged = then.merge(other)
-        if gate:
-            merged.logged = (then.logged if then is not None else False) or (
-                other.logged if other is not None else False
-            )
+        ):
+            merged.logged = any(b is not None and b.logged for b in (then, other))
         return merged
 
-    def _exec_for(
+    def exec_for(
         self, stmt, state: _State, ctx: _FuncCtx
     ) -> Optional[_State]:
         self._eval_calls(stmt.iter, state, ctx)
         body_state = state.copy()
-        _, elems = self.program._eval(stmt.iter, ctx.func, state.vars)
-        if elems and isinstance(stmt.target, ast.Name):
-            body_state.vars[stmt.target.id] = (elems, costflow._EMPTY)
+        self.program.bind(stmt, ctx.func, body_state.vars)
         is_sorted = (
             isinstance(stmt.iter, ast.Call)
             and isinstance(stmt.iter.func, ast.Name)
             and stmt.iter.func.id == "sorted"
         )
         ctx.loop_sorted.append(is_sorted)
-        out = self._exec_block(stmt.body, body_state, ctx)
+        out = self.exec_block(stmt.body, body_state, ctx)
         ctx.loop_sorted.pop()
         if stmt.orelse and out is not None:
-            out = self._exec_block(stmt.orelse, out, ctx)
-        return out if out is not None else state
+            out = self.exec_block(stmt.orelse, out, ctx)
+        return self.loop_exit(state, out)
 
-    def _exec_try(
-        self, stmt: ast.Try, state: _State, ctx: _FuncCtx
+    def exec_while(
+        self, stmt: ast.While, state: _State, ctx: _FuncCtx
     ) -> Optional[_State]:
-        body_out = self._exec_block(stmt.body, state.copy(), ctx)
-        if stmt.orelse and body_out is not None:
-            body_out = self._exec_block(stmt.orelse, body_out, ctx)
-        outs = [body_out]
-        for handler in stmt.handlers:
-            outs.append(self._exec_block(handler.body, state.copy(), ctx))
-        live = [o for o in outs if o is not None]
-        merged: Optional[_State] = None
-        for o in live:
-            merged = o if merged is None else merged.merge(o)
-        if stmt.finalbody:
-            if merged is None:
-                self._exec_block(stmt.finalbody, state.copy(), ctx)
-                return None
-            merged = self._exec_block(stmt.finalbody, merged, ctx)
-        return merged
+        ctx.loop_sorted.append(True)  # whiles are not fan-out loops
+        out = super().exec_while(stmt, state, ctx)
+        ctx.loop_sorted.pop()
+        return out
+
+    def loop_exit(self, entry: _State, out: Optional[_State]) -> _State:
+        # loops are assumed to run >= 1 iteration (fan-out shape); a
+        # body that always breaks falls back to the pre-loop state
+        return out if out is not None else entry
 
     # -- calls -----------------------------------------------------------
     def _eval_calls(self, node: ast.AST, state: _State, ctx: _FuncCtx) -> None:
@@ -733,7 +648,7 @@ class _Analyzer:
             return
         callees = self.program.resolve_call(call, ctx.func, state.vars)
         cands = [
-            self.summary(c) for c in callees if c.key != ctx.func.key
+            self.summary(c.key, c) for c in callees if c.key != ctx.func.key
         ]
         if not cands:
             return
@@ -1003,10 +918,10 @@ class _Analyzer:
 # ======================================================================
 # Rule 4: recovery reachability
 # ======================================================================
-def _recovery_set(program, package: str) -> Dict[str, Optional[str]]:
-    """BFS the call graph from the recovery entry points; returns
-    ``{reachable function key: parent key}`` (entries map to None)."""
-    fsck_mod = f"{package}.check.fsck"
+def _recovery_set(program: flow.Program) -> Dict[str, Optional[str]]:
+    """The call-graph closure of the recovery entry points, as a
+    ``{reachable function key: parent key}`` map (entries map to None)."""
+    fsck_mod = f"{program.package}.check.fsck"
     entries: List[str] = []
     for func in program.functions.values():
         name = func.qualname.split(".")[-1]
@@ -1014,28 +929,7 @@ def _recovery_set(program, package: str) -> Dict[str, Optional[str]]:
             entries.append(func.key)
         elif func.module == fsck_mod and name.startswith("fsck"):
             entries.append(func.key)
-    parent: Dict[str, Optional[str]] = {k: None for k in sorted(entries)}
-    work = sorted(entries)
-    while work:
-        key = work.pop()
-        func = program.functions.get(key)
-        if func is None:
-            continue
-        for callee in sorted(func.calls):
-            if callee not in parent and callee in program.functions:
-                parent[callee] = key
-                work.append(callee)
-    return parent
-
-
-def _chain(program, parent: Dict[str, Optional[str]], key: str) -> str:
-    names: List[str] = []
-    cur: Optional[str] = key
-    while cur is not None and len(names) < 12:
-        func = program.functions.get(cur)
-        names.append(func.qualname if func is not None else cur)
-        cur = parent.get(cur)
-    return " <- ".join(names)
+    return flow.reach(entries, lambda key: program.functions[key].calls)
 
 
 # ======================================================================
@@ -1045,171 +939,50 @@ def analyze(
     root: Optional[str] = None,
     package: str = "repro",
     exempt: Sequence[str] = EXEMPT_MODULES,
+    program: Optional[flow.Program] = None,
 ) -> DurflowReport:
-    root = root or repo_root()
-    program = costflow.Program(package)
-    waivers = WaiverSet(tool="durflow")
-    for full, rel in _walk_repo(root):
-        with open(full, "rb") as fh:
-            source = fh.read()
-        module = _module_name(rel, package)
-        program.index_module(module, full, ast.parse(source, filename=full))
-        scan_waivers(full, source, "durflow", waivers)
-    program.link_hierarchy()
-    program.type_attributes()
-
-    # Populate func.calls (the reachability graph) with costflow's
-    # walker — same typed resolution the interpreter uses.
-    for func in program.functions.values():
-        walker = costflow._BodyWalker(program, func, exempt)
-        for stmt in getattr(func.node, "body", []):
-            walker.visit(stmt)
-
+    program = program or flow.load_program(root, package)
+    package = program.package
+    waivers = program.waivers("durflow")
     report = DurflowReport()
     report.functions = len(program.functions)
-    findings = _Findings()
+    findings = flow.Findings()
 
-    recovery = _recovery_set(program, package)
+    recovery = _recovery_set(program)
     report.recovery_reachable = len(recovery)
     analyzer = _Analyzer(program, report, findings, exempt, set(recovery))
-    for func in sorted(
-        program.functions.values(), key=lambda f: (f.path, f.line)
-    ):
-        analyzer.summary(func)
+    for func in program.functions_in_order():
+        analyzer.summary(func.key, func)
 
     # Rule 4 findings.  The device layer itself (which implements the
     # volatile cache) and crashmc (which deliberately inspects it to
     # build crash images) are structural exceptions.
     rule4_exempt = (f"{package}.crashmc", f"{package}.device")
     for key in sorted(recovery):
-        func = program.functions.get(key)
-        if func is None or _is_exempt(func.module, rule4_exempt):
+        func = program.functions[key]
+        if _is_exempt(func.module, rule4_exempt):
             continue
         for line, rendered in analyzer.volatile_sites.get(key, []):
+            chain = " <- ".join(
+                program.functions[k].qualname
+                for k in flow.chain(recovery, key)[:12]
+            )
             findings.add(
                 func.path,
                 line,
                 "recovery-reads-durable",
                 f"{rendered} reads volatile-epoch device state on a "
-                f"recovery path ({_chain(program, recovery, key)}) — "
+                f"recovery path ({chain}) — "
                 "recovery must observe only durable bytes",
             )
 
-    # Waivers apply to every finding by (path, line).
-    for path, line, rule, message in findings.items:
-        if waivers.consume(path, line) is not None:
-            continue
-        report.violations.append(Violation(path, line, rule, message))
-
-    # Waiver hygiene.
-    for waiver in waivers.empty_reason():
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                "durflow waiver has an empty justification — say *why* "
-                "the ordering exception is sound",
-            )
-        )
-    for waiver in waivers.unused():
-        if not waiver.reason.strip():
-            continue
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                f"durflow waiver allow[{waiver.reason}] suppresses "
-                "nothing — delete it (dead waivers mask future "
-                "violations)",
-            )
-        )
-    report.waivers = [w.render() for w in waivers.used()]
-    report.violations.sort(key=lambda v: (v.path, v.line, v.rule))
+    report.finish(findings, waivers)
     return report
-
-
-def write_graph(report: DurflowReport, prefix: str) -> List[str]:
-    """Write ``prefix.json`` + ``prefix.dot``; returns the paths."""
-    json_path, dot_path = f"{prefix}.json", f"{prefix}.dot"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.order_graph.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(dot_path, "w", encoding="utf-8") as fh:
-        fh.write(report.order_graph.to_dot())
-    return [json_path, dot_path]
-
-
-def load_baseline(path: str) -> Set[Tuple[str, str]]:
-    """Committed-baseline entries as ``(rule, path)`` pairs; paths are
-    repo-relative and matched as suffixes (see conc)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return {(f["rule"], f["path"]) for f in data.get("findings", [])}
-
-
-def _is_baselined(v: Violation, known: Set[Tuple[str, str]]) -> bool:
-    return any(
-        rule == v.rule and (v.path == bpath or v.path.endswith("/" + bpath))
-        for rule, bpath in known
-    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point used by ``python -m repro.check durflow``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.check durflow",
-        description="Whole-program static durability-ordering analysis",
-    )
-    parser.add_argument("--graph-out", help="write PREFIX.json + PREFIX.dot")
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--baseline",
-        help="JSON baseline of known findings; fail only on new ones",
-    )
-    args = parser.parse_args(argv)
-    report = analyze()
-    if args.graph_out:
-        for path in write_graph(report, args.graph_out):
-            print(f"wrote {path}")
-    known: Set[Tuple[str, str]] = set()
-    if args.baseline:
-        try:
-            known = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"repro.check durflow: bad baseline: {exc}")
-            return 2
-    fresh = [v for v in report.violations if not _is_baselined(v, known)]
-    baselined = len(report.violations) - len(fresh)
-    if args.fmt == "json":
-        payload = report.to_dict()
-        payload["new_violations"] = len(fresh)
-        payload["baselined"] = baselined
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if fresh else 0
-    for rendered in report.waivers:
-        print(f"waived: {rendered}")
-    for violation in fresh:
-        print(violation.render())
-    if fresh:
-        print(f"{len(fresh)} durability violation(s)")
-        return 1
-    graph = report.order_graph
-    suffix = f", {baselined} baselined" if baselined else ""
-    print(
-        f"repro.check durflow: clean "
-        f"({report.functions} functions, {report.effect_sites} durable-"
-        f"effect site(s), {report.barrier_sites} barrier site(s), "
-        f"{len(graph.edges)} order edge(s), {report.entries_checked} "
-        f"durability entr(y/ies), {report.coordinators} coordinator(s), "
-        f"{len(report.waivers)} waiver(s){suffix})"
-    )
-    return 0
+    return flow.run_cli(DurflowReport, analyze, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -34,20 +34,25 @@ test suite cannot see:
   typed :class:`~repro.check.errors.CheckError` subclass instead.
 
 ``python -m repro.check lint`` (exit 0 = clean) additionally runs the
-whole-program analyses — :mod:`repro.check.arch` (layer manifest +
-import cycles) and :mod:`repro.check.costflow` (must-charge
-reachability) — and merges their findings; ``--format json`` emits a
-machine-readable report and ``--graph-out PREFIX`` archives the import
-graph for CI.
+whole-program analyses in :data:`ANALYSES` over one shared
+:class:`~repro.check.flow.Program` and merges their findings;
+``--format json`` emits a machine-readable report and ``--graph-out
+PREFIX`` archives the import graph for CI.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import os
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from repro.check import arch, conc, costflow, durflow, flow
+from repro.check.flow import Violation, repo_root
+
+#: The whole-program analyses a bare ``lint`` run composes after the
+#: purity lint, in run order; ``python -m repro.check <name>`` runs one
+#: alone.
+ANALYSES = {"arch": arch, "costflow": costflow, "conc": conc, "durflow": durflow}
 
 #: All rule identifiers, in reporting order.
 RULES = (
@@ -147,19 +152,6 @@ _DEVICE_LAYER_FILES = {"workloads/aging.py", "harness/ftl.py"}
 DEFAULT_ALLOWLIST: Set[Tuple[str, str]] = {
     ("obs/prof.py", "wall-clock"),
 }
-
-
-@dataclass
-class Violation:
-    """One lint finding."""
-
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
 def _attr_chain_root(node: ast.expr) -> Optional[str]:
@@ -364,59 +356,37 @@ class _Linter(ast.NodeVisitor):
 
 
 # ----------------------------------------------------------------------
-def repo_root() -> str:
-    """The ``src/repro`` package directory this lint defends."""
-    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def lint_file(
-    path: str,
-    relpath: Optional[str] = None,
-    serialization_path: Optional[bool] = None,
-) -> List[Violation]:
-    """Lint one file.
-
-    ``relpath`` is the path relative to the ``repro`` package, used for
-    the per-layer rules; explicit standalone files (fixtures) get the
-    strictest profile: every rule applies.
-    """
-    if relpath is None:
-        relpath = os.path.basename(path)
-        if serialization_path is None:
-            serialization_path = True  # standalone file: strictest profile
-    if serialization_path is None:
-        serialization_path = relpath in SERIALIZATION_PATHS
-    with open(path, "rb") as fh:
-        source = fh.read()
-    tree = ast.parse(source, filename=path)
-    linter = _Linter(path, relpath.replace(os.sep, "/"), serialization_path)
-    linter.visit(tree)
+def _lint_source(src: flow.SourceFile, serialization_path: bool) -> List[Violation]:
+    # ``src.rel`` (relative to the package) keys the per-layer rules.
+    linter = _Linter(src.path, src.rel, serialization_path)
+    linter.visit(src.tree)
     linter.violations.sort(key=lambda v: (v.line, v.rule))
     return linter.violations
 
 
-def _walk_repo(root: str) -> Iterable[Tuple[str, str]]:
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for name in sorted(filenames):
-            if name.endswith(".py"):
-                full = os.path.join(dirpath, name)
-                rel = os.path.relpath(full, root).replace(os.sep, "/")
-                yield full, rel
+def lint_file(path: str) -> List[Violation]:
+    """Lint one standalone file (a fixture) under the strictest
+    profile: no per-layer allowance, and every rule applies."""
+    return _lint_source(flow.read_source(path, os.path.basename(path)), True)
+
+
+def _lint_sources(
+    files: Sequence[flow.SourceFile], use_allowlist: bool
+) -> List[Violation]:
+    violations: List[Violation] = []
+    for src in files:
+        found = _lint_source(src, src.rel in SERIALIZATION_PATHS)
+        if use_allowlist:
+            found = [v for v in found if (src.rel, v.rule) not in DEFAULT_ALLOWLIST]
+        violations.extend(found)
+    return violations
 
 
 def lint_repo(
     root: Optional[str] = None, use_allowlist: bool = True
 ) -> List[Violation]:
     """Lint every module under ``src/repro`` (or ``root``)."""
-    root = root or repo_root()
-    violations: List[Violation] = []
-    for full, rel in _walk_repo(root):
-        found = lint_file(full, relpath=rel)
-        if use_allowlist:
-            found = [v for v in found if (rel, v.rule) not in DEFAULT_ALLOWLIST]
-        violations.extend(found)
-    return violations
+    return _lint_sources(flow.load_sources(root or repo_root()), use_allowlist)
 
 
 def lint_paths(
@@ -435,15 +405,12 @@ def lint_paths(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point used by ``python -m repro.check lint``.
 
-    A bare ``lint`` run composes five passes over ``src/repro``: the
-    per-file purity lint, the :mod:`repro.check.arch` layer/import
-    analysis, the :mod:`repro.check.costflow` must-charge analysis,
-    the :mod:`repro.check.conc` static concurrency analysis, and the
-    :mod:`repro.check.durflow` durability-ordering analysis.  Explicit
-    ``paths`` run only the per-file lint (the whole-program analyses
-    need the whole program).  The summary line carries a per-pass
-    finding count and the exit code is nonzero on any finding from
-    any pass.
+    A bare ``lint`` run parses ``src/repro`` once and composes the
+    per-file purity lint with every analysis in :data:`ANALYSES`.
+    Explicit ``paths`` run only the per-file lint (the whole-program
+    analyses need the whole program).  The summary line carries a
+    per-pass finding count and the exit code is nonzero on any finding
+    from any pass.
     """
     import argparse
 
@@ -473,102 +440,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="PREFIX",
         help="write the arch import graph to PREFIX.json + PREFIX.dot",
     )
-    parser.add_argument(
-        "--no-analyses",
-        action="store_true",
-        help="skip the whole-program arch/costflow passes (AST lint only)",
-    )
     args = parser.parse_args(argv)
 
-    passes: Optional[dict] = None
+    waivers: List[str] = []
+    payload: Dict[str, object] = {}
+    per_pass = ""
     if args.paths:
         violations = lint_paths(args.paths, use_allowlist=not args.no_allowlist)
-        waivers: List[str] = []
-        extra: dict = {}
     else:
-        violations = lint_repo(use_allowlist=not args.no_allowlist)
-        waivers = []
-        extra = {}
-        if not args.no_analyses:
-            passes = {"lint": len(violations)}
-            from repro.check import arch  # arch: allow[CLI composes the analyses; lazy import keeps module load acyclic]
-            from repro.check import costflow  # arch: allow[CLI composes the analyses; lazy import keeps module load acyclic]
-
-            arch_report = arch.analyze()
-            passes["arch"] = len(arch_report.violations)
-            violations.extend(arch_report.violations)
-            waivers.extend(arch_report.waivers)
-            extra["arch"] = {
-                "modules": len(arch_report.modules),
-                "edges": len(arch_report.edges),
-            }
-            if args.graph_out:
-                extra["graph_files"] = arch.write_graph(
-                    arch_report, args.graph_out
-                )
-            cost_report = costflow.analyze()
-            passes["costflow"] = len(cost_report.violations)
-            violations.extend(cost_report.violations)
-            waivers.extend(cost_report.waivers)
-            extra["costflow"] = {
-                "functions": cost_report.functions,
-                "call_edges": cost_report.call_edges,
-                "charging_functions": cost_report.charging_functions,
-                "sources_checked": cost_report.sources_checked,
-            }
-            from repro.check import conc  # arch: allow[CLI composes the analyses; lazy import keeps module load acyclic]
-
-            conc_report = conc.analyze()
-            passes["conc"] = len(conc_report.violations)
-            violations.extend(conc_report.violations)
-            waivers.extend(conc_report.waivers)
-            extra["conc"] = {
-                "acquire_sites": conc_report.acquire_sites,
-                "lock_classes": len(conc_report.lock_graph.nodes),
-                "lock_edges": len(conc_report.lock_graph.edges),
-                "signal_sites": conc_report.signal_sites,
-                "reachable_from_session": conc_report.reachable,
-            }
-            from repro.check import durflow  # arch: allow[CLI composes the analyses; lazy import keeps module load acyclic]
-
-            dur_report = durflow.analyze()
-            passes["durflow"] = len(dur_report.violations)
-            violations.extend(dur_report.violations)
-            waivers.extend(dur_report.waivers)
-            extra["durflow"] = {
-                "effect_sites": dur_report.effect_sites,
-                "barrier_sites": dur_report.barrier_sites,
-                "order_edges": len(dur_report.order_graph.edges),
-                "entries_checked": dur_report.entries_checked,
-                "coordinators": dur_report.coordinators,
-            }
+        program = flow.load_program()
+        violations = _lint_sources(program.files, not args.no_allowlist)
+        passes = {"lint": len(violations)}
+        for name, analysis in ANALYSES.items():
+            report = analysis.analyze(program=program)
+            passes[name] = len(report.violations)
+            violations.extend(report.violations)
+            waivers.extend(report.waivers)
+            payload[name] = report.stats()
+            if analysis is arch and args.graph_out:
+                payload["graph_files"] = arch.write_graph(report, args.graph_out)
+        payload["passes"] = passes
+        per_pass = " (" + " ".join(f"{k}={n}" for k, n in passes.items()) + ")"
 
     violations.sort(key=lambda v: (v.path, v.line, v.rule))
-    per_pass = (
-        " (" + " ".join(f"{k}={passes[k]}" for k in passes) + ")"
-        if passes is not None
-        else ""
+    payload.update(
+        ok=not violations,
+        violations=[v.to_dict() for v in violations],
+        waivers=waivers,
     )
-    if args.fmt == "json":
-        payload = {
-            "ok": not violations,
-            "violations": [
-                {"path": v.path, "line": v.line, "rule": v.rule, "message": v.message}
-                for v in violations
-            ],
-            "waivers": waivers,
-        }
-        if passes is not None:
-            payload["passes"] = passes
-        payload.update(extra)
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if violations else 0
-    for rendered in waivers:
-        print(f"waived: {rendered}")
-    for violation in violations:
-        print(violation.render())
-    if violations:
-        print(f"{len(violations)} violation(s){per_pass}")
-        return 1
-    print(f"repro.check lint: clean{per_pass}")
-    return 0
+    return flow.emit(
+        args.fmt,
+        payload,
+        waivers,
+        violations,
+        f"violation(s){per_pass}",
+        f"repro.check lint: clean{per_pass}",
+    )

@@ -184,10 +184,6 @@ class ShardedEnv:
         for env in self.envs:
             env.checkpoint()
 
-    def wal_flush(self, durable: bool = False) -> None:
-        for env in self.envs:
-            env.wal.flush(durable=durable)
-
     # ------------------------------------------------------------------
     # Two-phase cross-shard protocol
     # ------------------------------------------------------------------

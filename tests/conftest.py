@@ -1,7 +1,10 @@
 """Shared fixtures for the test suite."""
 
+import functools
+
 import pytest
 
+from repro.check import flow
 from repro.core.config import BeTreeConfig
 from repro.core.env import KVEnv
 from repro.device.block import BlockDevice
@@ -12,6 +15,16 @@ from repro.model.profiles import COMMODITY_SSD, NULL_DEVICE
 from repro.storage.sfl import SimpleFileLayer
 
 MIB = 1 << 20
+
+
+@functools.lru_cache(maxsize=None)
+def real_program() -> flow.Program:
+    """The real ``src/repro`` tree, parsed and indexed once per session.
+
+    Analyses only read a ``Program`` (``tests/test_flow.py`` proves a
+    shared one gives the reports a private one does), so the real-tree
+    self-tests of arch/costflow/conc/durflow all analyze this one."""
+    return flow.load_program()
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.check import arch, costflow, lint
+from tests.conftest import real_program
 
 ARCH_TREE = os.path.join(os.path.dirname(__file__), "fixtures", "arch", "tree")
 FLOW_TREE = os.path.join(
@@ -124,11 +125,11 @@ class TestArchFixtures:
 
 class TestArchRealTree:
     def test_real_tree_is_clean(self):
-        report = arch.analyze()
+        report = arch.analyze(program=real_program())
         assert report.ok, "\n".join(v.render() for v in report.violations)
 
     def test_every_real_waiver_is_used_and_justified(self):
-        report = arch.analyze()
+        report = arch.analyze(program=real_program())
         for rendered in report.waivers:
             reason = rendered.split("allow[", 1)[1].rstrip("]")
             assert reason.strip(), rendered
@@ -141,7 +142,7 @@ class TestArchRealTree:
     def test_known_edges_present(self):
         """Spot-check the graph is real: core sits above storage, the
         harness sits above everything it drives."""
-        report = arch.analyze()
+        report = arch.analyze(program=real_program())
         edges = {(e.src, e.dst) for e in report.edges}
         assert ("repro.core.tree", "repro.core.serialize") in edges
         assert ("repro.core.env", "repro.core.wal") in edges
@@ -198,13 +199,13 @@ class TestCostflowFixtures:
 
 class TestCostflowRealTree:
     def test_real_tree_is_clean(self):
-        report = costflow.analyze()
+        report = costflow.analyze(program=real_program())
         assert report.ok, "\n".join(v.render() for v in report.violations)
 
     def test_analysis_actually_sees_the_program(self):
         """Guard against a silently degenerate analysis: the call graph
         and the sink/source sets must stay populated."""
-        report = costflow.analyze()
+        report = costflow.analyze(program=real_program())
         assert report.functions > 500
         assert report.call_edges > 800
         assert report.charging_functions > 100

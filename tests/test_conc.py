@@ -35,6 +35,7 @@ from repro.harness.mt import run_mt
 from repro.sched import Scheduler
 from repro.workloads.mailserver_mt import _folder_key
 from repro.workloads.scale import SMOKE_SCALE
+from tests.conftest import real_program
 
 CONC_TREE = os.path.join(os.path.dirname(__file__), "fixtures", "conc", "tree")
 
@@ -64,7 +65,7 @@ def _fixture_report():
 
 def _real_report():
     if "real" not in _CACHE:
-        _CACHE["real"] = conc.analyze()
+        _CACHE["real"] = conc.analyze(program=real_program())
     return _CACHE["real"]
 
 
@@ -311,7 +312,7 @@ class TestStaticGraphCoversRuntime:
 
 
 # ======================================================================
-# CLI: conc subcommand, graph artifacts, baseline diffing
+# CLI: conc subcommand, graph artifacts
 # ======================================================================
 class TestConcCLI:
     def test_clean_run_exit_zero(self, capsys):
@@ -324,7 +325,6 @@ class TestConcCLI:
         assert conc.main(["--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["violations"] == []
-        assert payload["new_violations"] == 0
         assert payload["lock_graph"]["nodes"]
         assert payload["functions"] > 500
 
@@ -335,42 +335,6 @@ class TestConcCLI:
         assert "folder:" in {node["class"] for node in data["nodes"]}
         dot = (tmp_path / "lock-graph.dot").read_text()
         assert dot.startswith("digraph") and "folder:" in dot
-
-    def test_empty_baseline_passes_clean_tree(self, capsys):
-        baseline = os.path.join(os.path.dirname(__file__), os.pardir,
-                                "conc-baseline.json")
-        assert conc.main(["--baseline", baseline]) == 0
-
-    def test_bad_baseline_is_a_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "broken.json"
-        bad.write_text("{not json")
-        assert conc.main(["--baseline", str(bad)]) == 2
-
-    def test_baseline_suffix_matching(self, tmp_path):
-        """Baselined findings are keyed (rule, repo-relative path) so a
-        committed baseline survives other checkout prefixes; line
-        numbers deliberately don't participate."""
-        report = _fixture_report()
-        [leak] = [v for v in report.violations if v.rule == "lock-leak"]
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps({
-            "findings": [
-                {"rule": "lock-leak",
-                 "path": "fixtures/conc/tree/scripts/bad_lock_leak.py"},
-            ],
-        }))
-        known = conc.load_baseline(str(baseline))
-        assert conc._is_baselined(leak, known)
-        others = [v for v in report.violations if v is not leak]
-        assert not any(conc._is_baselined(v, known) for v in others)
-
-    def test_committed_baseline_is_empty(self):
-        """The repo ships with zero known findings; anything conc
-        reports in CI is new by definition."""
-        path = os.path.join(os.path.dirname(__file__), os.pardir,
-                            "conc-baseline.json")
-        data = json.loads(open(path, encoding="utf-8").read())
-        assert data["findings"] == []
 
 
 # ======================================================================

@@ -29,6 +29,7 @@ from repro.check.order import OrderLog, OrderRecorder, layout_spans
 from repro.crashmc.explore import _Stack
 from repro.crashmc.workload import WORKLOADS
 from repro.harness.mt import device_sha256
+from tests.conftest import real_program
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 DUR_TREE = os.path.join(FIXTURES, "durflow", "tree")
@@ -44,7 +45,7 @@ def _fixture_report():
 
 def _real_report():
     if "real" not in _CACHE:
-        _CACHE["real"] = durflow.analyze()
+        _CACHE["real"] = durflow.analyze(program=real_program())
     return _CACHE["real"]
 
 
@@ -279,7 +280,7 @@ class TestOrderRecorder:
 
 
 # ======================================================================
-# CLI: durflow subcommand, graph artifacts, baseline diffing
+# CLI: durflow subcommand, graph artifacts
 # ======================================================================
 class TestDurflowCLI:
     def test_clean_run_exit_zero(self, capsys):
@@ -292,7 +293,6 @@ class TestDurflowCLI:
         assert durflow.main(["--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["violations"] == []
-        assert payload["new_violations"] == 0
         assert payload["order_graph"]["edges"]
         assert payload["functions"] > 500
 
@@ -304,39 +304,6 @@ class TestDurflowCLI:
         assert "log-sync" in data["barriers"]
         dot = (tmp_path / "order-graph.dot").read_text()
         assert dot.startswith("digraph") and "wal-write" in dot
-
-    def test_empty_baseline_passes_clean_tree(self, capsys):
-        baseline = os.path.join(os.path.dirname(__file__), os.pardir,
-                                "durflow-baseline.json")
-        assert durflow.main(["--baseline", baseline]) == 0
-
-    def test_bad_baseline_is_a_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "broken.json"
-        bad.write_text("{not json")
-        assert durflow.main(["--baseline", str(bad)]) == 2
-
-    def test_baseline_suffix_matching(self, tmp_path):
-        report = _fixture_report()
-        [peek] = [
-            v for v in report.violations if v.rule == "recovery-reads-durable"
-        ]
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps({
-            "findings": [
-                {"rule": "recovery-reads-durable",
-                 "path": "fixtures/durflow/tree/bad_recovery_peek.py"},
-            ],
-        }))
-        known = durflow.load_baseline(str(baseline))
-        assert durflow._is_baselined(peek, known)
-        others = [v for v in report.violations if v is not peek]
-        assert not any(durflow._is_baselined(v, known) for v in others)
-
-    def test_committed_baseline_is_empty(self):
-        path = os.path.join(os.path.dirname(__file__), os.pardir,
-                            "durflow-baseline.json")
-        data = json.loads(open(path, encoding="utf-8").read())
-        assert data["findings"] == []
 
 
 # ======================================================================

@@ -1,0 +1,158 @@
+"""Tests for ``repro.check.flow``: the floor under the whole-program
+analyses.
+
+* ``lint`` parses every source file exactly once, however many
+  analyses it composes;
+* an analysis handed a shared ``Program`` reports exactly what it
+  reports when it builds its own — on the real tree and on every
+  fixture tree — so sharing is an optimisation, never a semantic;
+* the one SCC routine (it replaced three private copies that were
+  only ever tested through their callers).
+"""
+
+import ast
+import collections
+import os
+
+import pytest
+
+from repro.check import arch, conc, costflow, durflow, flow, lint
+from tests.conftest import real_program
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+#: tree name -> (root, package, per-analysis keyword arguments).  Each
+#: fixture tree gets its own analysis' fixture configuration; the other
+#: three analyses run over it with their defaults (whatever they
+#: report, shared and standalone must agree).
+TREES = {
+    "real": (None, "repro", {}),
+    "arch": (
+        os.path.join(FIXTURES, "arch", "tree"),
+        "fixpkg",
+        {
+            arch: {
+                "manifest": (
+                    ("root", ("fixpkg",)),
+                    ("high", ("fixpkg.high",)),
+                    ("mid", ("fixpkg.cyc_a", "fixpkg.cyc_b", "fixpkg.unused")),
+                    ("low", ("fixpkg.low",)),
+                )
+            }
+        },
+    ),
+    "costflow": (
+        os.path.join(FIXTURES, "costflow", "tree"),
+        "flowpkg",
+        {costflow: {"exempt": ()}},
+    ),
+    "conc": (
+        os.path.join(FIXTURES, "conc", "tree"),
+        "concpkg",
+        {
+            conc: {
+                "manifest": (
+                    ("scripts", ("concpkg.scripts",)),
+                    ("engine", ("concpkg.engine",)),
+                ),
+                "signal_layers": {"tree_io": "engine", "fsync": "scripts"},
+            }
+        },
+    ),
+    "durflow": (os.path.join(FIXTURES, "durflow", "tree"), "durpkg", {}),
+}
+
+
+def _snapshot(report):
+    """Everything a report says, graphs included."""
+    out = {"report": report.to_dict()}
+    for name in ("lock_graph", "order_graph"):
+        graph = getattr(report, name, None)
+        if graph is not None:
+            out[name] = (graph.to_dict(), graph.to_dot())
+    if isinstance(report, arch.ArchReport):
+        out["dot"] = report.to_dot()
+    return out
+
+
+class TestParseOnce:
+    def test_lint_parses_each_source_file_once(self, monkeypatch, capsys):
+        """Five passes, one parse: the composed run may call
+        ``ast.parse`` at most once per (non-empty) source file."""
+        expected = collections.Counter()
+        for full, _rel in flow.walk_tree(flow.repo_root()):
+            with open(full, "rb") as fh:
+                expected[fh.read()] += 1
+        del expected[b""]  # empty __init__ files are indistinguishable
+        parsed = collections.Counter()
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            if isinstance(source, bytes) and source:
+                parsed[source] += 1
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert lint.main([]) == 0
+        capsys.readouterr()
+        assert len(parsed) > 100  # the wrapper really saw the tree
+        assert parsed == expected
+
+
+class TestSharedProgramEquivalence:
+    @pytest.mark.parametrize("tree", sorted(TREES))
+    def test_shared_program_reports_equal_standalone(self, tree):
+        root, package, overrides = TREES[tree]
+        # The real tree's shared Program is the one the other test
+        # modules have been (or will be) analyzing all session.
+        shared = real_program() if root is None else flow.load_program(root, package)
+        for name, analysis in lint.ANALYSES.items():
+            kwargs = overrides.get(analysis, {})
+            alone = analysis.analyze(root=root, package=package, **kwargs)
+            together = analysis.analyze(program=shared, **kwargs)
+            assert _snapshot(together) == _snapshot(alone), name
+            if name == tree:
+                # A degenerate (empty) report would agree trivially.
+                assert alone.violations, name
+
+
+class TestSccs:
+    @staticmethod
+    def _run(graph):
+        return flow.sccs(graph, lambda n: graph[n])
+
+    def test_dag_is_all_singletons_callees_first(self):
+        graph = {"a": ["b", "c"], "b": ["c"], "c": []}
+        assert self._run(graph) == [["c"], ["b"], ["a"]]
+        assert flow.cycles(graph, lambda n: graph[n]) == []
+
+    def test_two_components_and_a_bridge(self):
+        graph = {
+            "a": ["b"], "b": ["a", "c"],  # {a, b} -> {c, d}
+            "c": ["d"], "d": ["c"],
+            "e": [],
+        }
+        assert self._run(graph) == [["c", "d"], ["a", "b"], ["e"]]
+        assert flow.cycles(graph, lambda n: graph[n]) == [["a", "b"], ["c", "d"]]
+
+    def test_self_loop_is_a_cycle_of_one(self):
+        graph = {"a": ["a"], "b": []}
+        assert self._run(graph) == [["a"], ["b"]]
+        assert flow.cycles(graph, lambda n: graph[n]) == [["a"]]
+
+    def test_order_is_independent_of_insertion_order(self):
+        edges = [("x", "y"), ("y", "z"), ("z", "x"), ("z", "w"), ("q", "x")]
+        runs = []
+        for ordering in (edges, edges[::-1]):
+            graph = {}
+            for src, dst in ordering:
+                graph.setdefault(dst, [])
+                graph.setdefault(src, []).append(dst)
+            runs.append(self._run(graph))
+        assert runs[0] == runs[1] == [["w"], ["x", "y", "z"], ["q"]]
+
+    def test_deep_chain_does_not_recurse(self):
+        n = 5000  # far past the interpreter's recursion limit
+        graph = {f"n{i:05d}": [f"n{i + 1:05d}"] for i in range(n)}
+        graph[f"n{n:05d}"] = []
+        assert len(self._run(graph)) == n + 1
