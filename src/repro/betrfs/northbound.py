@@ -26,6 +26,7 @@ from repro.core.keys import (
     meta_key,
     prefix_range,
     prefix_successor,
+    rebase_data_key,
 )
 from repro.core.messages import PageFrame, value_bytes
 from repro.core.wal import OP_INSERT
@@ -146,9 +147,7 @@ class BetrFSNorthbound(FileSystemBackend):
             lo, hi = file_blocks_range(src)
             blocks = self.env.range_query(DATA, lo, hi)
             for key, value in blocks:
-                block_no = key[len(src.encode()) + 1 :]
-                new_key = dst.encode() + b"\x00" + block_no
-                self.env.insert(DATA, new_key, value)
+                self.env.insert(DATA, rebase_data_key(key, dst), value)
             self.env.range_delete(DATA, lo, hi)
 
     def _rename_tree(self, src: str, dst: str) -> None:
@@ -164,10 +163,7 @@ class BetrFSNorthbound(FileSystemBackend):
             if child_stat.kind is FileKind.FILE and child_stat.size > 0:
                 b_lo, b_hi = file_blocks_range(child)
                 for bkey, bval in self.env.range_query(DATA, b_lo, b_hi):
-                    block_no = bkey[len(child.encode()) + 1 :]
-                    self.env.insert(
-                        DATA, new_path.encode() + b"\x00" + block_no, bval
-                    )
+                    self.env.insert(DATA, rebase_data_key(bkey, new_path), bval)
                 self.env.range_delete(DATA, b_lo, b_hi)
         if src_stat is not None:
             self.env.insert(META, meta_key(dst), src_stat.pack())

@@ -47,6 +47,7 @@ from repro.core.checkpoint import (
     _trim,
     read_slot_stamp,
 )
+from repro.core.keys import in_range, intersect
 from repro.core.node import InternalNode, LeafNode
 from repro.core.serialize import ChecksumError, decode_node, verify_crc
 from repro.core.wal import WriteAheadLog
@@ -346,11 +347,7 @@ def _walk_tree(
         _check_node_shape(name, node, lo, hi, sb, report)
         if isinstance(node, InternalNode):
             for idx, child in enumerate(node.children):
-                c_lo, c_hi = node.child_range(idx)
-                if lo is not None and (c_lo is None or c_lo < lo):
-                    c_lo = lo
-                if hi is not None and (c_hi is None or c_hi > hi):
-                    c_hi = hi
+                c_lo, c_hi = intersect(*node.child_range(idx), lo, hi)
                 stack.append((child, c_lo, c_hi, node.height - 1))
     unreachable = sorted(set(blockman.table) - visited)
     if unreachable:
@@ -358,14 +355,6 @@ def _walk_tree(
             f"{name}: {len(unreachable)} table extent(s) unreachable from "
             f"the root (nodes are never dropped): {unreachable[:8]}"
         )
-
-
-def _in_range(key: bytes, lo: Optional[bytes], hi: Optional[bytes]) -> bool:
-    if lo is not None and key < lo:
-        return False
-    if hi is not None and key >= hi:
-        return False
-    return True
 
 
 def _check_node_shape(
@@ -398,7 +387,7 @@ def _check_node_shape(
                         "out of order"
                     )
                 for key in (basement.keys[0], basement.keys[-1]):
-                    if not _in_range(key, lo, hi):
+                    if not in_range(key, lo, hi):
                         report.error(
                             f"{name}: node {nid} key {key!r} outside its "
                             f"routing range [{lo!r}, {hi!r})"
@@ -417,7 +406,7 @@ def _check_node_shape(
                 )
                 break
         for pivot in node.pivots:
-            if not _in_range(pivot, lo, hi):
+            if not in_range(pivot, lo, hi):
                 report.error(
                     f"{name}: node {nid} pivot {pivot!r} outside its "
                     f"routing range [{lo!r}, {hi!r})"

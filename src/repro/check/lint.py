@@ -32,6 +32,10 @@ test suite cannot see:
   so an invariant guarded by ``assert`` is an invariant that silently
   stops being checked.  Use :func:`repro.check.errors.require` or a
   typed :class:`~repro.check.errors.CheckError` subclass instead.
+* ``message-ladder`` — no ``isinstance(x, <Message subclass>)`` outside
+  ``core/messages.py`` (the one owner of what each kind does) and
+  ``core/serialize.py`` (the on-disk format): ask the message
+  (``transition`` / ``affects`` / ``touches`` / ``clip`` ...) instead.
 
 ``python -m repro.check lint`` (exit 0 = clean) additionally runs the
 whole-program analyses in :data:`ANALYSES` over one shared
@@ -63,6 +67,7 @@ RULES = (
     "mutable-default",
     "raw-device-io",
     "bare-assert",
+    "message-ladder",
 )
 
 #: Wall-clock functions of the ``time`` module.
@@ -117,7 +122,6 @@ _BYTES_KEY_METHODS = {
     "range_delete",
     "range_query",
     "empty_range",
-    "seek",
 }
 #: Free functions from ``repro.core.keys`` that take ``bytes``.
 _BYTES_KEY_FUNCS = {
@@ -129,6 +133,10 @@ _BYTES_KEY_FUNCS = {
     "ranges_overlap",
     "range_covers",
 }
+
+#: Concrete message kinds, and the two modules that may branch on them.
+_MESSAGE_KINDS = {"PointMessage", "Insert", "InsertByRef", "Delete", "Patch", "RangeDelete"}
+_MESSAGE_KIND_OWNERS = {"core/messages.py", "core/serialize.py"}
 
 #: Raw-I/O methods per receiver kind.
 _DEVICE_IO_METHODS = {"read", "write", "submit_read", "submit_write", "flush", "discard"}
@@ -152,15 +160,6 @@ _DEVICE_LAYER_FILES = {"workloads/aging.py", "harness/ftl.py"}
 DEFAULT_ALLOWLIST: Set[Tuple[str, str]] = {
     ("obs/prof.py", "wall-clock"),
 }
-
-
-def _attr_chain_root(node: ast.expr) -> Optional[str]:
-    """Name at the root of an attribute chain (``a.b.c`` -> ``a``)."""
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 class _Linter(ast.NodeVisitor):
@@ -227,7 +226,23 @@ class _Linter(ast.NodeVisitor):
                 )
         self._check_str_key(node)
         self._check_raw_device_io(node)
+        self._check_message_ladder(node)
         self.generic_visit(node)
+
+    # ------------------------------------------------------------------
+    def _check_message_ladder(self, node: ast.Call) -> None:
+        is_test = isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+        if not is_test or len(node.args) != 2 or self.relpath in _MESSAGE_KIND_OWNERS:
+            return
+        kinds = node.args[1]
+        for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+            if isinstance(kind, ast.Name) and kind.id in _MESSAGE_KINDS:
+                self._flag(
+                    node,
+                    "message-ladder",
+                    f"isinstance(..., {kind.id}) re-derives message semantics: "
+                    "core/messages.py is their only owner — call the message",
+                )
 
     # ------------------------------------------------------------------
     def _check_str_key(self, node: ast.Call) -> None:

@@ -257,17 +257,10 @@ class SanitizerSuite:
     ) -> None:
         """Every key held by ``node`` must lie in its routing range
         ``[lo, hi)`` (the range its parent assigns it)."""
+        from repro.core.keys import in_range
         from repro.core.node import InternalNode, LeafNode
 
         nid = node.node_id
-
-        def _in(key: bytes) -> bool:
-            if lo is not None and key < lo:
-                return False
-            if hi is not None and key >= hi:
-                return False
-            return True
-
         if isinstance(node, LeafNode):
             for basement in node.basements:
                 if not basement.loaded:
@@ -278,7 +271,7 @@ class SanitizerSuite:
                     else []
                 ):
                     require(
-                        _in(key),
+                        in_range(key, lo, hi),
                         "leaf key outside its routing range",
                         TreeInvariantError,
                         (nid, key, lo, hi),
@@ -286,25 +279,21 @@ class SanitizerSuite:
         elif isinstance(node, InternalNode):
             for pivot in node.pivots:
                 require(
-                    _in(pivot),
+                    in_range(pivot, lo, hi),
                     "pivot outside the node's routing range",
                     TreeInvariantError,
                     (nid, pivot, lo, hi),
                 )
             for key in node.point_index:
                 require(
-                    _in(key),
+                    in_range(key, lo, hi),
                     "buffered point message outside the routing range",
                     TreeInvariantError,
                     (nid, key, lo, hi),
                 )
             for rng in node.range_msgs:
-                overlap = not (
-                    (hi is not None and rng.start >= hi)
-                    or (lo is not None and rng.end <= lo)
-                )
                 require(
-                    overlap,
+                    rng.touches(lo, hi),
                     "buffered range message outside the routing range",
                     TreeInvariantError,
                     (nid, rng.start, rng.end, lo, hi),

@@ -74,9 +74,6 @@ class WaiverSet:
     def unused(self) -> List[Waiver]:
         return [w for w in self.all() if not w.used]
 
-    def empty_reason(self) -> List[Waiver]:
-        return [w for w in self.all() if not w.reason.strip()]
-
 
 def scan_waivers(path: str, source: bytes, tool: str, into: WaiverSet) -> None:
     """Collect every ``# tool: allow[...]`` comment of ``source``.

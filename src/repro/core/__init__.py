@@ -17,7 +17,6 @@ engine BetrFS is built on (ported from TokuDB in the paper):
 """
 
 from repro.core.config import BeTreeConfig
-from repro.core.cursor import Cursor
 from repro.core.env import KVEnv
 from repro.core.messages import (
     Delete,
@@ -31,7 +30,6 @@ from repro.core.tree import BeTree
 
 __all__ = [
     "BeTreeConfig",
-    "Cursor",
     "BeTree",
     "KVEnv",
     "Insert",

@@ -45,6 +45,11 @@ def data_key_path(key: bytes) -> str:
     return key[:-5].decode("utf-8")
 
 
+def rebase_data_key(key: bytes, path: str) -> bytes:
+    """The data-index key of the same block under ``path`` (rename)."""
+    return path.encode("utf-8") + key[-5:]
+
+
 def prefix_successor(prefix: bytes) -> bytes:
     """The smallest key greater than every key having ``prefix``.
 
@@ -82,15 +87,6 @@ def dir_subtree_range(path: str) -> Tuple[bytes, bytes]:
     return prefix_range(dir_children_prefix(path))
 
 
-def dir_immediate_range(path: str) -> Tuple[bytes, bytes]:
-    """Meta-index range over which a readdir of ``path`` scans.
-
-    This is the full subtree range; readdir filters to direct children
-    (full-path keys interleave descendants with children).
-    """
-    return prefix_range(dir_children_prefix(path))
-
-
 def is_direct_child(parent: str, path: str) -> bool:
     """True if ``path`` is an immediate child of directory ``parent``."""
     prefix = parent if parent.endswith("/") else parent + "/"
@@ -122,13 +118,24 @@ def common_prefix_of(keys: List[bytes]) -> bytes:
     return common_prefix(lo, hi)
 
 
-def in_range(key: bytes, start: bytes, end: Optional[bytes]) -> bool:
-    """True if ``key`` is in the half-open range [start, end)."""
-    if key < start:
-        return False
-    if end is not None and key >= end:
-        return False
-    return True
+def in_range(key: bytes, lo: Optional[bytes], hi: Optional[bytes]) -> bool:
+    """True if ``key`` is in the half-open range [lo, hi); a ``None``
+    bound is unbounded (the outermost child ranges of a node)."""
+    return (lo is None or lo <= key) and (hi is None or key < hi)
+
+
+def intersect(
+    lo: Optional[bytes],
+    hi: Optional[bytes],
+    lo2: Optional[bytes],
+    hi2: Optional[bytes],
+) -> Tuple[Optional[bytes], Optional[bytes]]:
+    """``[lo, hi)`` narrowed to ``[lo2, hi2)`` (``None`` = unbounded)."""
+    if lo2 is not None and (lo is None or lo < lo2):
+        lo = lo2
+    if hi2 is not None and (hi is None or hi > hi2):
+        hi = hi2
+    return lo, hi
 
 
 def ranges_overlap(

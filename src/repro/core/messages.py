@@ -18,12 +18,23 @@ Point messages:
 Range messages:
 
 * :class:`RangeDelete` — remove every key in ``[start, end)``.
+
+This module is the only owner of what a message *does*: the value
+transition (:meth:`Message.transition`), which keys it touches
+(:meth:`~Message.affects` / :meth:`~Message.touches` /
+:meth:`~Message.within`), how it divides at a pivot
+(:meth:`~Message.split_at` / :meth:`~Message.route`) and the page frame
+it carries.  Nodes, the tree, PacMan and the checkers only call these
+(DESIGN.md, "Message semantics", has the kind-by-kind table).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from typing import Optional, Union
+from typing import List, Optional, Tuple, Union
+
+from repro.core.keys import in_range
 
 _frame_ids = itertools.count(1)
 
@@ -82,6 +93,11 @@ def value_len(value: Optional[Value]) -> int:
     return len(value)
 
 
+#: What a leaf (or a query's view of one) holds for a key: the value
+#: and the MSN of the message that wrote it; ``None`` = key absent.
+Pair = Optional[Tuple[Value, int]]
+
+
 class Message:
     """Base class for all messages."""
 
@@ -95,6 +111,71 @@ class Message:
     def nbytes(self) -> int:
         """Approximate in-memory/serialized size of this message."""
         raise NotImplementedError
+
+    # -- what the message does to one key it affects -------------------
+    def apply_to(self, old: Optional[Value]) -> Optional[Value]:
+        """The value this message leaves where ``old`` was (``None`` on
+        either side = no pair).  Pure: takes no frame reference."""
+        raise NotImplementedError
+
+    def is_stale(self, pair: Pair) -> bool:
+        """The one MSN rule: a message at or below the MSN of the pair
+        it targets is a no-op — the pair was written by a newer message
+        that moved down early (apply-on-query), or by this one."""
+        return pair is not None and self.msn <= pair[1]
+
+    def transition(self, pair: Pair) -> Pair:
+        """``pair`` after this message.  Folding a key's messages over
+        its pair in MSN order reconstructs its value (§2.1); flush-to-
+        leaf, point query and range scan are three callers of this."""
+        if self.is_stale(pair):
+            return pair
+        value = self.apply_to(None if pair is None else pair[0])
+        return None if value is None else (value, self.msn)
+
+    # -- which keys the message touches (``None`` bound = unbounded) ---
+    def affects(self, key: bytes) -> bool:
+        """True if applying this message can change ``key``."""
+        raise NotImplementedError
+
+    def touches(self, lo: Optional[bytes], hi: Optional[bytes]) -> bool:
+        """True if some key this message affects lies in ``[lo, hi)``."""
+        raise NotImplementedError
+
+    def within(self, lo: Optional[bytes], hi: Optional[bytes]) -> bool:
+        """True if every key this message affects lies in ``[lo, hi)``."""
+        raise NotImplementedError
+
+    def route(self, pivots: List[bytes]) -> range:
+        """Indices of the children of ``pivots`` this message touches."""
+        raise NotImplementedError
+
+    def clip(
+        self, lo: Optional[bytes], hi: Optional[bytes]
+    ) -> Optional["Message"]:
+        """The part of this message that lies within ``[lo, hi)``:
+        itself, ``None``, or a narrower copy with the same MSN."""
+        raise NotImplementedError
+
+    def split_at(
+        self, pivot: bytes
+    ) -> Tuple[Optional["Message"], Optional["Message"]]:
+        """``(left, right)``: the parts below and at-or-above ``pivot``
+        (one is ``None`` unless the message straddles it)."""
+        return self.clip(None, pivot), self.clip(pivot, None)
+
+    # -- the page frame it carries (§6) --------------------------------
+    def carried_frame(self) -> Optional[PageFrame]:
+        """The page frame that moves down the tree with this message
+        instead of being copied, if any."""
+        return None
+
+    def retain(self) -> None:
+        """Take, for whoever stores the value, one more of the counted
+        frame references this message holds (none unless by-ref)."""
+
+    def release(self) -> None:
+        """Drop the counted frame reference this message holds."""
 
 
 class PointMessage(Message):
@@ -112,6 +193,23 @@ class PointMessage(Message):
     def nbytes(self) -> int:
         return self.HEADER + len(self.key)
 
+    def affects(self, key: bytes) -> bool:
+        return key == self.key
+
+    def touches(self, lo: Optional[bytes], hi: Optional[bytes]) -> bool:
+        return in_range(self.key, lo, hi)
+
+    within = touches
+
+    def route(self, pivots: List[bytes]) -> range:
+        idx = bisect.bisect_right(pivots, self.key)
+        return range(idx, idx + 1)
+
+    def clip(
+        self, lo: Optional[bytes], hi: Optional[bytes]
+    ) -> Optional[Message]:
+        return self if in_range(self.key, lo, hi) else None
+
 
 class Insert(PointMessage):
     """Blind write of a full value."""
@@ -126,6 +224,12 @@ class Insert(PointMessage):
     def nbytes(self) -> int:
         return self.HEADER + len(self.key) + value_len(self.value)
 
+    def apply_to(self, old: Optional[Value]) -> Optional[Value]:
+        return self.value
+
+    def carried_frame(self) -> Optional[PageFrame]:
+        return self.value if isinstance(self.value, PageFrame) else None
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"Insert({self.key!r}, {value_len(self.value)}B, msn={self.msn})"
 
@@ -133,8 +237,8 @@ class Insert(PointMessage):
 class InsertByRef(PointMessage):
     """Zero-copy insert of a page frame (paper §6, insertByRef).
 
-    The frame travels down the tree by reference; ``deref`` recovers
-    the bytes when the node is finally serialized.
+    The frame travels down the tree by reference; its bytes are
+    copied only when the node is finally serialized.
     """
 
     __slots__ = ("frame",)
@@ -150,15 +254,24 @@ class InsertByRef(PointMessage):
     def value(self) -> PageFrame:
         return self.frame
 
-    def deref(self) -> bytes:
-        return self.frame.data
-
     def nbytes(self) -> int:
         # The frame itself is not copied into the buffer; only the key
         # and the reference are.  For *on-disk* sizing the frame bytes
         # count (see serialize.py); buffer memory accounting counts the
         # data too because the frame is pinned while referenced.
         return self.HEADER + len(self.key) + len(self.frame)
+
+    def apply_to(self, old: Optional[Value]) -> Optional[Value]:
+        return self.frame
+
+    def carried_frame(self) -> Optional[PageFrame]:
+        return self.frame
+
+    def retain(self) -> None:
+        self.frame.get()
+
+    def release(self) -> None:
+        self.frame.put()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"InsertByRef({self.key!r}, frame#{self.frame.frame_id}, msn={self.msn})"
@@ -169,6 +282,9 @@ class Delete(PointMessage):
 
     __slots__ = ()
     kind = "delete"
+
+    def apply_to(self, old: Optional[Value]) -> Optional[Value]:
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Delete({self.key!r}, msn={self.msn})"
@@ -223,14 +339,43 @@ class RangeDelete(Message):
     def nbytes(self) -> int:
         return self.HEADER + len(self.start) + len(self.end)
 
-    def covers_key(self, key: bytes) -> bool:
+    def apply_to(self, old: Optional[Value]) -> Optional[Value]:
+        return None
+
+    def affects(self, key: bytes) -> bool:
         return self.start <= key < self.end
 
+    def touches(self, lo: Optional[bytes], hi: Optional[bytes]) -> bool:
+        return (hi is None or self.start < hi) and (lo is None or lo < self.end)
+
+    def within(self, lo: Optional[bytes], hi: Optional[bytes]) -> bool:
+        return (lo is None or lo <= self.start) and (hi is None or self.end <= hi)
+
+    covers_key = affects
+    overlaps = touches
+
     def covers_range(self, start: bytes, end: bytes) -> bool:
+        """True if every key of ``[start, end)`` is deleted by this."""
         return self.start <= start and end <= self.end
 
-    def overlaps(self, start: bytes, end: bytes) -> bool:
-        return self.start < end and start < self.end
+    def route(self, pivots: List[bytes]) -> range:
+        return range(
+            bisect.bisect_right(pivots, self.start),
+            bisect.bisect_left(pivots, self.end) + 1,
+        )
+
+    def clip(
+        self, lo: Optional[bytes], hi: Optional[bytes]
+    ) -> Optional[Message]:
+        if self.within(lo, hi):
+            return self
+        if not self.touches(lo, hi):
+            return None
+        return RangeDelete(
+            self.start if lo is None else max(lo, self.start),
+            self.end if hi is None else min(hi, self.end),
+            self.msn,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RangeDelete([{self.start!r}, {self.end!r}), msn={self.msn})"
@@ -238,5 +383,4 @@ class RangeDelete(Message):
 
 def release_message(msg: Message) -> None:
     """Drop any page-frame reference held by a message."""
-    if isinstance(msg, InsertByRef):
-        msg.frame.put()
+    msg.release()

@@ -16,12 +16,8 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.check.errors import TreeInvariantError, require
 from repro.core.messages import (
-    Delete,
-    Insert,
-    InsertByRef,
     Message,
     PageFrame,
-    Patch,
     PointMessage,
     RangeDelete,
     Value,
@@ -144,27 +140,19 @@ class BasementNode:
         return removed
 
     def apply(self, msg: PointMessage) -> bool:
-        """Apply one point message; returns False if it was stale.
-
-        A message older than the pair it targets is a no-op (the pair
-        was produced by a newer message moved down early).
-        """
+        """Apply one point message; returns False if it was stale."""
         present, old, pair_msn = self.get_with_msn(msg.key)
-        if present and msg.msn <= pair_msn:
+        pair = (old, pair_msn) if present else None
+        if msg.is_stale(pair):
             return False
-        if isinstance(msg, Insert):
-            self.set(msg.key, msg.value, msg.msn)
-        elif isinstance(msg, InsertByRef):
+        new = msg.transition(pair)
+        if new is None:
+            self.remove(msg.key)
+        else:
             # The basement takes its own reference; the message's
             # reference is released by the caller (release_message).
-            msg.frame.get()
-            self.set(msg.key, msg.frame, msg.msn)
-        elif isinstance(msg, Delete):
-            self.remove(msg.key)
-        elif isinstance(msg, Patch):
-            self.set(msg.key, msg.apply_to(old), msg.msn)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"cannot apply {msg!r}")
+            msg.retain()
+            self.set(msg.key, new[0], new[1])
         return True
 
     def first_key(self) -> Optional[bytes]:
@@ -376,10 +364,10 @@ class InternalNode(Node):
             self.msn_max = msg.msn
 
     def _index_add(self, msg: Message) -> None:
-        if isinstance(msg, RangeDelete):
+        if msg.is_range:
             self.range_msgs.append(msg)
         else:
-            key = msg.key  # type: ignore[attr-defined]
+            key = msg.key
             if key not in self.point_index:
                 self._sorted_keys = None
             self.point_index.setdefault(key, []).append(msg)
@@ -400,14 +388,6 @@ class InternalNode(Node):
         i = bisect.bisect_left(keys, lo) if lo is not None else 0
         j = bisect.bisect_left(keys, hi) if hi is not None else len(keys)
         return keys[i:j]
-
-    def take_buffer(self) -> List[Message]:
-        msgs = self.buffer
-        self.buffer = []
-        self.buffer_bytes = 0
-        self.point_index = {}
-        self.range_msgs = []
-        return msgs
 
     def set_buffer(self, msgs: List[Message]) -> None:
         self.buffer = msgs
@@ -435,49 +415,17 @@ class InternalNode(Node):
                 out.append(rng)
         return out
 
-    def pending_bytes_for_child(self, idx: int) -> int:
-        """Bytes of buffered messages routed to child ``idx``."""
-        lo, hi = self.child_range(idx)
-        total = 0
-        for msg in self.buffer:
-            if self._routes_to(msg, lo, hi):
-                total += msg.nbytes()
-        return total
-
-    @staticmethod
-    def _routes_to(msg: Message, lo: Optional[bytes], hi: Optional[bytes]) -> bool:
-        if isinstance(msg, RangeDelete):
-            if hi is not None and msg.start >= hi:
-                return False
-            if lo is not None and msg.end <= lo:
-                return False
-            return True
-        key = msg.key  # type: ignore[attr-defined]
-        if lo is not None and key < lo:
-            return False
-        if hi is not None and key >= hi:
-            return False
-        return True
-
     def messages_for_child(self, idx: int) -> List[Message]:
         lo, hi = self.child_range(idx)
-        return [m for m in self.buffer if self._routes_to(m, lo, hi)]
+        return [m for m in self.buffer if m.touches(lo, hi)]
 
     def fattest_child(self) -> int:
         """Child with the most pending buffered bytes (one pass)."""
-        import bisect as _bisect
-
         totals = [0] * len(self.children)
         for msg in self.buffer:
-            if isinstance(msg, RangeDelete):
-                lo = _bisect.bisect_right(self.pivots, msg.start)
-                hi = _bisect.bisect_right(self.pivots, msg.end)
-                share = msg.nbytes()
-                for i in range(lo, min(hi + 1, len(totals))):
-                    totals[i] += share
-            else:
-                idx = _bisect.bisect_right(self.pivots, msg.key)  # type: ignore[attr-defined]
-                totals[idx] += msg.nbytes()
+            share = msg.nbytes()
+            for i in msg.route(self.pivots):
+                totals[i] += share
         return max(range(len(totals)), key=totals.__getitem__)
 
     def add_child(self, pivot: bytes, child_id: int, after_idx: int) -> None:
@@ -496,22 +444,8 @@ class InternalNode(Node):
         del self.children[mid:]
         # Partition buffered messages.  Range messages spanning the
         # pivot are duplicated with clipped ranges.
-        left_msgs: List[Message] = []
-        right_msgs: List[Message] = []
-        for msg in self.buffer:
-            if isinstance(msg, RangeDelete):
-                if msg.end <= pivot:
-                    left_msgs.append(msg)
-                elif msg.start >= pivot:
-                    right_msgs.append(msg)
-                else:
-                    left_msgs.append(RangeDelete(msg.start, pivot, msg.msn))
-                    right_msgs.append(RangeDelete(pivot, msg.end, msg.msn))
-            elif msg.key < pivot:  # type: ignore[attr-defined]
-                left_msgs.append(msg)
-            else:
-                right_msgs.append(msg)
-        self.set_buffer(left_msgs)
-        right.set_buffer(right_msgs)
+        halves = [msg.split_at(pivot) for msg in self.buffer]
+        self.set_buffer([lt for lt, _ in halves if lt is not None])
+        right.set_buffer([rt for _, rt in halves if rt is not None])
         right.msn_max = self.msn_max
         return right, pivot

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.core.messages import Message, RangeDelete, release_message
-from repro.check.errors import require
 
 
 @dataclass
@@ -51,7 +50,7 @@ def compact(
     """
     stats.runs += 1
     n = len(messages)
-    range_idxs = [i for i, m in enumerate(messages) if isinstance(m, RangeDelete)]
+    range_idxs = [i for i, m in enumerate(messages) if m.is_range]
     if not range_idxs:
         return messages, 0
 
@@ -63,7 +62,6 @@ def compact(
         if dead[ri]:
             continue
         rng = messages[ri]
-        require(isinstance(rng, RangeDelete), "range index points at a non-RangeDelete message")
         merged_start, merged_end = rng.start, rng.end
         for j in range(n):
             if j == ri or dead[j]:
@@ -73,25 +71,22 @@ def compact(
             if other.msn > rng.msn:
                 # Newer than the range delete: cannot be gobbled.
                 continue
-            if isinstance(other, RangeDelete):
-                if merged_start <= other.start and other.end <= merged_end:
-                    dead[j] = True
+            if other.within(merged_start, merged_end):
+                dead[j] = True
+                if other.is_range:
                     stats.dropped_ranges += 1
-                elif other.start < merged_end and merged_start < other.end:
-                    # Overlapping: safe to merge only if nothing newer
-                    # than `other` but older than `rng` targets the
-                    # region `other` covers alone.  Check it.
-                    comparisons += _count_between(messages, other, rng)
-                    if not _intervening(messages, other, rng, dead):
-                        merged_start = min(merged_start, other.start)
-                        merged_end = max(merged_end, other.end)
-                        dead[j] = True
-                        stats.merged_ranges += 1
-            else:
-                key = other.key  # type: ignore[attr-defined]
-                if merged_start <= key < merged_end:
-                    dead[j] = True
+                else:
                     stats.dropped_points += 1
+            elif other.touches(merged_start, merged_end):
+                # An overlapping older range delete: safe to merge only
+                # if nothing newer than `other` but older than `rng`
+                # targets the region `other` covers alone.  Check it.
+                comparisons += _count_between(messages, other, rng)
+                if not _intervening(messages, other, rng, dead):
+                    merged_start = min(merged_start, other.start)
+                    merged_end = max(merged_end, other.end)
+                    dead[j] = True
+                    stats.merged_ranges += 1
         if merged_start != rng.start or merged_end != rng.end:
             messages[ri] = RangeDelete(merged_start, merged_end, rng.msn)
 
@@ -122,14 +117,7 @@ def _intervening(
     for i, m in enumerate(messages):
         if dead[i] or not (older.msn < m.msn < newer.msn):
             continue
-        if isinstance(m, RangeDelete):
-            if m.start < older.end and older.start < m.end:
-                if not newer.covers_range(
-                    max(m.start, older.start), min(m.end, older.end)
-                ):
-                    return True
-        else:
-            key = m.key  # type: ignore[attr-defined]
-            if older.start <= key < older.end and not newer.covers_key(key):
-                return True
+        part = m.clip(older.start, older.end)
+        if part is not None and not part.within(newer.start, newer.end):
+            return True
     return False

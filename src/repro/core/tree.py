@@ -32,6 +32,7 @@ from repro.core.messages import (
     InsertByRef,
     Message,
     PageFrame,
+    Pair,
     Patch,
     PointMessage,
     RangeDelete,
@@ -40,6 +41,7 @@ from repro.core.messages import (
     value_len,
 )
 from repro.check.errors import TreeInvariantError, require
+from repro.core.keys import in_range, intersect
 from repro.core.node import BasementNode, InternalNode, LeafNode, Node
 import zlib as _zlib
 
@@ -202,11 +204,9 @@ class BeTree:
             path.append(node)
             idx = node.child_index_for(key)
             child_id = node.children[idx]
-            lo, hi = node.child_range(idx)
-            if lo is not None and (bound_lo is None or lo > bound_lo):
-                bound_lo = lo
-            if hi is not None and (bound_hi is None or hi < bound_hi):
-                bound_hi = hi
+            bound_lo, bound_hi = intersect(
+                bound_lo, bound_hi, *node.child_range(idx)
+            )
             parent_of_leaf = (node, idx) if node.height == 1 else None
             node = self._load_node(
                 child_id, for_key=key, allow_partial=not seq_hint
@@ -232,15 +232,14 @@ class BeTree:
         self.clock.cpu(
             self.costs.key_compare * (1 + math.log2(len(basement) + 1))
         )
-        value = self._apply_pending(base if present else None, pending, base_msn)
+        value = self._apply_pending((base, base_msn) if present else None, pending)
 
-        affected = any(self._affects_key(m, key) for m in pending)
         if path:
             if not self.cfg.lazy_apply_on_query:
                 self._apply_on_query_eager(
                     path, leaf, basement, bound_lo, bound_hi
                 )
-            elif affected:
+            elif pending:
                 self._apply_on_query_lazy(path, leaf, key)
         return value
 
@@ -260,13 +259,6 @@ class BeTree:
     def empty_range(self, start: bytes, end: bytes) -> bool:
         """True if no live keys exist in [start, end)."""
         return not self.range_query(start, end, limit=1)
-
-    def seek(
-        self, start: bytes, end: bytes
-    ) -> Optional[Tuple[bytes, Value]]:
-        """First live pair with ``start <= key < end`` (cursor seek)."""
-        rows = self.range_query(start, end, limit=1)
-        return rows[0] if rows else None
 
     # ==================================================================
     # Root ingestion and flushing
@@ -385,18 +377,9 @@ class BeTree:
         reference and only headers/keys are copied.
         """
         for msg in msgs:
-            if self.cfg.page_sharing and isinstance(msg, (InsertByRef,)):
-                self.clock.cpu(
-                    self.costs.memcpy(PointMessage.HEADER + len(msg.key))
-                )
-            elif (
-                self.cfg.page_sharing
-                and isinstance(msg, Insert)
-                and isinstance(msg.value, PageFrame)
-            ):
-                self.clock.cpu(
-                    self.costs.memcpy(PointMessage.HEADER + len(msg.key))
-                )
+            frame = msg.carried_frame() if self.cfg.page_sharing else None
+            if frame is not None:
+                self.clock.cpu(self.costs.memcpy(msg.nbytes() - len(frame)))
             else:
                 # The copying path re-serializes the complete message
                 # (key + value) into the next level's buffer (§2.3:
@@ -415,7 +398,7 @@ class BeTree:
     ) -> None:
         self._ensure_fully_loaded(leaf)
         for msg in sorted(msgs, key=lambda m: m.msn):
-            if isinstance(msg, RangeDelete):
+            if msg.is_range:
                 # Per-pair MSNs make this safe against out-of-order
                 # arrival: only pairs older than the range delete die.
                 removed = leaf.apply_range_delete(msg)
@@ -534,40 +517,19 @@ class BeTree:
             * (1 + math.log2(len(node.range_msgs) + 1) + matches)
         )
 
-    @staticmethod
-    def _affects_key(msg: Message, key: bytes) -> bool:
-        if isinstance(msg, RangeDelete):
-            return msg.covers_key(key)
-        return msg.key == key  # type: ignore[attr-defined]
-
     def _apply_pending(
-        self,
-        base: Optional[Value],
-        pending: List[Message],
-        base_msn: int,
+        self, pair: Pair, pending: List[Message]
     ) -> Optional[Value]:
-        """Materialize the queried value from base + pending messages.
-
-        ``base_msn`` is the MSN of the pair the leaf currently holds;
-        pending messages at or below it are stale copies of work that
-        already reached the leaf.
-        """
-        value = base
+        """Materialize the queried value: fold the pending messages, in
+        MSN order, over the pair the leaf currently holds.  Stale ones
+        are copies of work that already reached the leaf; they are not
+        charged."""
         for msg in sorted(pending, key=lambda m: m.msn):
-            if msg.msn <= base_msn:
+            if msg.is_stale(pair):
                 continue
             self.clock.cpu(self.costs.message_apply)
-            if isinstance(msg, RangeDelete):
-                value = None
-            elif isinstance(msg, Insert):
-                value = msg.value
-            elif isinstance(msg, InsertByRef):
-                value = msg.frame
-            elif isinstance(msg, Delete):
-                value = None
-            elif isinstance(msg, Patch):
-                value = msg.apply_to(value)
-        return value
+            pair = msg.transition(pair)
+        return None if pair is None else pair[0]
 
     def _basement_range(
         self, leaf: LeafNode, idx: int
@@ -617,11 +579,7 @@ class BeTree:
             lo, hi = bound_lo, bound_hi  # the whole leaf
         else:
             idx = leaf.basements.index(basement)
-            lo, hi = self._basement_range(leaf, idx)
-            if bound_lo is not None and (lo is None or lo < bound_lo):
-                lo = bound_lo
-            if bound_hi is not None and (hi is None or hi > bound_hi):
-                hi = bound_hi
+            lo, hi = intersect(*self._basement_range(leaf, idx), bound_lo, bound_hi)
         to_move: List[Message] = []
         charged_only = 0
         for node in path:
@@ -640,7 +598,7 @@ class BeTree:
             for msg in node.range_msgs:
                 self.stats.aoq_examined += 1
                 self.clock.cpu(self.costs.range_check)
-                if self._range_overlaps(msg, lo, hi):
+                if msg.touches(lo, hi):
                     relevant.append(msg)
             if not relevant:
                 continue
@@ -648,12 +606,7 @@ class BeTree:
                 # Move messages into the leaf ("flush").  A range
                 # message extending beyond the leaf's bounds still owes
                 # deletions to sibling leaves and must stay.
-                movable = [
-                    m
-                    for m in relevant
-                    if not isinstance(m, RangeDelete)
-                    or self._range_within(m, lo, hi)
-                ]
+                movable = [m for m in relevant if m.within(lo, hi)]
                 charged_only += len(relevant) - len(movable)
                 if movable:
                     node.remove_messages(movable, release=False)
@@ -679,7 +632,7 @@ class BeTree:
         this query's key."""
         to_move: List[Message] = []
         for node in path:
-            relevant = [m for m in node.buffer if self._affects_key(m, key)]
+            relevant = [m for m in node.buffer if m.affects(key)]
             if not relevant:
                 continue
             if leaf.dirty:
@@ -695,34 +648,6 @@ class BeTree:
         if to_move:
             self._apply_to_leaf(leaf, to_move, None)
             self.stats.aoq_moved += len(to_move)
-
-    @staticmethod
-    def _key_in(key: bytes, lo: Optional[bytes], hi: Optional[bytes]) -> bool:
-        if lo is not None and key < lo:
-            return False
-        if hi is not None and key >= hi:
-            return False
-        return True
-
-    @staticmethod
-    def _range_overlaps(
-        msg: RangeDelete, lo: Optional[bytes], hi: Optional[bytes]
-    ) -> bool:
-        if lo is not None and msg.end <= lo:
-            return False
-        if hi is not None and msg.start >= hi:
-            return False
-        return True
-
-    @staticmethod
-    def _range_within(
-        msg: RangeDelete, lo: Optional[bytes], hi: Optional[bytes]
-    ) -> bool:
-        if lo is not None and msg.start < lo:
-            return False
-        if hi is not None and msg.end > hi:
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # Range scan
@@ -759,7 +684,7 @@ class BeTree:
         n_ranges = len(node.range_msgs)
         matches = 0
         for msg in node.range_msgs:
-            if msg.overlaps(start, end):
+            if msg.touches(start, end):
                 relevant.append(msg)
                 matches += 1
         self.clock.cpu(
@@ -780,9 +705,7 @@ class BeTree:
             # this node's buffered messages for *every* child in the
             # scan, and a leaf overlays whatever falls in the range it
             # is handed — a sibling's key would be emitted once per leaf.
-            lo, hi = node.child_range(idx)
-            lo = start if lo is None or lo < start else lo
-            hi = end if hi is None or hi > end else hi
+            lo, hi = intersect(start, end, *node.child_range(idx))
             self._scan(node.children[idx], lo, hi, pending + relevant, results, limit)
 
     def _scan_leaf(
@@ -846,31 +769,24 @@ class BeTree:
         start: bytes,
         end: bytes,
     ) -> None:
+        """Fold ``pending``, in MSN order, over the leaf's ``view``
+        (key -> pair) of ``[start, end)``."""
         for msg in sorted(pending, key=lambda m: m.msn):
             self.clock.cpu(self.costs.message_apply)
-            if isinstance(msg, RangeDelete):
-                doomed = [
-                    k
-                    for k, (_v, m) in view.items()
-                    if m < msg.msn and msg.covers_key(k) and start <= k < end
-                ]
-                for k in doomed:
-                    del view[k]
-            elif isinstance(msg, (Insert, InsertByRef)):
-                if start <= msg.key < end:
-                    old = view.get(msg.key)
-                    if old is None or old[1] < msg.msn:
-                        view[msg.key] = (msg.value, msg.msn)
-            elif isinstance(msg, Delete):
-                old = view.get(msg.key)
-                if old is not None and old[1] < msg.msn:
-                    del view[msg.key]
-            elif isinstance(msg, Patch):
-                old = view.get(msg.key)
-                if old is None:
-                    view[msg.key] = (msg.apply_to(None), msg.msn)
-                elif old[1] < msg.msn:
-                    view[msg.key] = (msg.apply_to(old[0]), msg.msn)
+            if msg.is_range:
+                keys = [k for k in view if msg.affects(k) and in_range(k, start, end)]
+            elif msg.kind in ("patch", "delete") or msg.touches(start, end):
+                # PR 12 finding 1, kept bit-for-bit by the refactor: a
+                # buffered patch/delete is overlaid on *every* leaf.
+                keys = [msg.key]
+            else:
+                keys = []
+            for k in keys:
+                new = msg.transition(view.get(k))
+                if new is None:
+                    view.pop(k, None)
+                else:
+                    view[k] = new
 
     # ==================================================================
     # Node I/O

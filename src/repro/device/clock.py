@@ -37,10 +37,6 @@ class SimClock:
             self.io_wait += deadline - self.now
             self.now = deadline
 
-    def elapsed_since(self, start: float) -> float:
-        """Seconds of simulated time since ``start``."""
-        return self.now - start
-
     def reset(self) -> None:
         """Rewind the clock to zero (new experiment)."""
         self.now = 0.0

@@ -39,7 +39,7 @@ import cProfile
 import os
 import pstats
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Stopwatch",
@@ -304,14 +304,3 @@ class WallProfiler:
                 f"[{row['layer']}]"
             )
         return "\n".join(lines)
-
-
-def profile_call(
-    fn: Callable[[], Any],
-    manifest: Optional[Sequence[Tuple[str, Sequence[str]]]] = None,
-) -> Tuple[Any, WallProfiler]:
-    """Run ``fn()`` under a fresh :class:`WallProfiler`; return both."""
-    prof = WallProfiler(manifest=manifest)
-    with prof:
-        result = fn()
-    return result, prof

@@ -25,7 +25,12 @@ from typing import List, Optional, Tuple
 
 from repro.betrfs.northbound import BetrFSNorthbound
 from repro.core.env import DATA, META
-from repro.core.keys import dir_subtree_range, file_blocks_range, meta_key
+from repro.core.keys import (
+    dir_subtree_range,
+    file_blocks_range,
+    meta_key,
+    rebase_data_key,
+)
 from repro.core.messages import PageFrame, value_bytes
 from repro.shard.env import Delete, Insert, ShardedEnv
 from repro.vfs.inode import FileKind, Stat
@@ -148,18 +153,11 @@ class ShardedBackend(FileSystemBackend):
         deletes: List[Delete] = [(source, META, meta_key(src))]
         if stat.size > 0:
             lo, hi = file_blocks_range(src)
-            cut = len(src.encode()) + 1
             for key, value in self.senv.envs[source].range_query(
                 DATA, lo, hi
             ):
-                block_no = key[cut:]
                 inserts.append(
-                    (
-                        dest,
-                        DATA,
-                        dst.encode() + b"\x00" + block_no,
-                        value_bytes(value),
-                    )
+                    (dest, DATA, rebase_data_key(key, dst), value_bytes(value))
                 )
                 deletes.append((source, DATA, key))
         self.senv.two_phase(source, inserts, deletes)
@@ -188,13 +186,12 @@ class ShardedBackend(FileSystemBackend):
                 child_stat = Stat.unpack(packed)
                 if child_stat.kind is FileKind.FILE and child_stat.size > 0:
                     b_lo, b_hi = file_blocks_range(child)
-                    cut = len(child.encode()) + 1
                     for bkey, bval in env.range_query(DATA, b_lo, b_hi):
                         inserts.append(
                             (
                                 new_owner,
                                 DATA,
-                                new_path.encode() + b"\x00" + bkey[cut:],
+                                rebase_data_key(bkey, new_path),
                                 value_bytes(bval),
                             )
                         )

@@ -2,26 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.workloads.trees import GREP_NEEDLE, TreeSpec
 
 PAGE = 4096
-
-
-def _walk(vfs, root: str) -> List[str]:
-    """Depth-first traversal returning full paths (dirs and files)."""
-    out: List[str] = []
-    stack = [root]
-    while stack:
-        d = stack.pop()
-        prefix = d if d.endswith("/") else d + "/"
-        for name, st in vfs.readdir_plus(d):
-            path = prefix + name
-            out.append(path)
-            if st.kind.name == "DIR":
-                stack.append(path)
-    return out
 
 
 def grep_tree(mount, root: str) -> float:

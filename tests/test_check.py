@@ -53,6 +53,7 @@ class TestLint:
             ("bad_mutable_default.py", "mutable-default"),
             ("bad_raw_device_io.py", "raw-device-io"),
             ("bad_bare_assert.py", "bare-assert"),
+            ("bad_message_ladder.py", "message-ladder"),
         ],
     )
     def test_each_rule_fires_on_its_fixture(self, fixture, rule):

@@ -13,6 +13,7 @@ from repro.core.messages import (
     value_bytes,
     value_len,
 )
+from repro.core.node import BasementNode, InternalNode
 
 
 class TestPageFrame:
@@ -91,3 +92,111 @@ class TestSizes:
     def test_range_delete_nbytes(self):
         rd = RangeDelete(b"aa", b"bb")
         assert rd.nbytes() == RangeDelete.HEADER + 4
+
+
+# ----------------------------------------------------------------------
+# What each kind *does*: the one value transition and the one set of
+# key-range predicates every consumer (flush-to-leaf, point query, range
+# scan, routing, PacMan, the checkers) calls.
+# ----------------------------------------------------------------------
+OLD, STALE = (b"abcdef", 3), (b"abcdef", 9)  # pair MSN below / above msn=5
+
+
+class TestValueTransition:
+    @pytest.mark.parametrize(
+        "make,on_absent,on_present",
+        [
+            (lambda: Insert(b"k", b"new", 5), (b"new", 5), (b"new", 5)),
+            (lambda: Delete(b"k", 5), None, None),
+            (lambda: Patch(b"k", 2, b"ZZ", 5), (b"\x00\x00ZZ", 5), (b"abZZef", 5)),
+            (lambda: RangeDelete(b"a", b"z", 5), None, None),
+        ],
+    )
+    def test_absent_present_stale(self, make, on_absent, on_present):
+        msg = make()
+        assert msg.transition(None) == on_absent
+        assert msg.transition(OLD) == on_present
+        assert not msg.is_stale(None) and not msg.is_stale(OLD)
+        # At or below the pair's MSN the message is a no-op.
+        assert msg.is_stale(STALE) and msg.transition(STALE) is STALE
+        assert msg.is_stale((b"x", 5)) and msg.transition((b"x", 5)) == (b"x", 5)
+
+    def test_patch_on_a_deleted_key_starts_from_zeros(self):
+        pair = Delete(b"k", 4).transition(OLD)
+        assert pair is None
+        assert Patch(b"k", 1, b"Q", 5).transition(pair) == (b"\x00Q", 5)
+
+    def test_insert_by_ref_transition_is_pure(self):
+        frame = PageFrame(b"p" * 4096)
+        msg = InsertByRef(b"k", frame, 5)
+        assert msg.transition(OLD) == (frame, 5)
+        assert msg.transition(STALE) is STALE
+        assert frame.refs == 2  # the query path takes no reference
+
+    def test_basement_takes_exactly_one_reference_for_by_ref(self):
+        frame = PageFrame(b"p" * 4096)
+        msg = InsertByRef(b"k", frame, 5)
+        basement = BasementNode()
+        assert basement.apply(msg)
+        assert frame.refs == 3  # creator + message + basement
+        assert not basement.apply(msg)  # now stale: no second reference
+        assert frame.refs == 3
+        release_message(msg)
+        assert frame.refs == 2
+        # A copied page (Insert of a frame) hands its one reference over.
+        copy = PageFrame(b"c" * 4096)
+        basement.apply(Insert(b"c", copy, 6))
+        assert copy.refs == 1
+        assert Insert(b"c", copy, 6).carried_frame() is copy
+        assert msg.carried_frame() is frame
+        assert Insert(b"c", b"bytes", 6).carried_frame() is None
+
+
+class TestKeyRangePredicates:
+    PIVOTS = [b"g", b"p"]  # children: [None, g) [g, p) [p, None)
+
+    def test_point_message(self):
+        msg = Delete(b"g", 1)
+        assert msg.affects(b"g") and not msg.affects(b"h")
+        assert msg.touches(b"g", b"p") and msg.within(b"g", b"p")
+        assert not msg.touches(None, b"g") and msg.touches(None, None)
+        assert list(msg.route(self.PIVOTS)) == [1]  # a pivot routes right
+        assert msg.split_at(b"g") == (None, msg)
+        assert msg.split_at(b"h") == (msg, None)
+
+    @pytest.mark.parametrize(
+        "start,end,left,right",
+        [
+            (b"c", b"k", (b"c", b"g"), (b"g", b"k")),  # straddles the pivot
+            (b"c", b"g", (b"c", b"g"), None),  # abuts it from the left
+            (b"g", b"k", None, (b"g", b"k")),  # abuts it from the right
+            (b"a", b"c", (b"a", b"c"), None),  # misses it
+        ],
+    )
+    def test_range_delete_split_at_pivot(self, start, end, left, right):
+        msg = RangeDelete(start, end, 7)
+        halves = msg.split_at(b"g")
+        for half, want, (lo, hi) in zip(halves, (left, right), ((None, b"g"), (b"g", None))):
+            assert msg.touches(lo, hi) == (want is not None)
+            assert msg.within(lo, hi) == (want == (start, end))
+            if want is None:
+                assert half is None
+            else:
+                assert (half.start, half.end, half.msn) == (*want, 7)
+                assert (half is msg) == (want == (start, end))
+
+    def test_range_delete_routes_to_exactly_the_children_it_touches(self):
+        for start, end, want in [
+            (b"a", b"c", [0]),
+            (b"c", b"g", [0]),  # end is exclusive: child [g, p) is untouched
+            (b"c", b"h", [0, 1]),
+            (b"g", b"p", [1]),
+            (b"e", b"r", [0, 1, 2]),
+            (b"p", b"z", [2]),
+        ]:
+            msg = RangeDelete(start, end, 1)
+            assert list(msg.route(self.PIVOTS)) == want
+            node = InternalNode(1, height=1)
+            node.pivots, node.children = list(self.PIVOTS), [10, 11, 12]
+            node.enqueue(msg)
+            assert [i for i in range(3) if msg in node.messages_for_child(i)] == want

@@ -151,14 +151,6 @@ class TestRangeOperations:
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert len(keys) == 300 + 12
 
-    def test_seek(self):
-        env = fresh_env()
-        env.insert(META, b"b", b"1")
-        env.insert(META, b"d", b"2")
-        assert env.meta.seek(b"a", b"z")[0] == b"b"
-        assert env.meta.seek(b"c", b"z")[0] == b"d"
-        assert env.meta.seek(b"e", b"z") is None
-
     def test_empty_range(self):
         env = fresh_env()
         env.insert(META, b"m", b"v")
