@@ -21,11 +21,10 @@ Range messages:
 
 This module is the only owner of what a message *does*: the value
 transition (:meth:`Message.transition`), which keys it touches
-(:meth:`~Message.affects` / :meth:`~Message.touches` /
-:meth:`~Message.within`), how it divides at a pivot
-(:meth:`~Message.split_at` / :meth:`~Message.route`) and the page frame
-it carries.  Nodes, the tree, PacMan and the checkers only call these
-(DESIGN.md, "Message semantics", has the kind-by-kind table).
+(``affects`` / ``touches`` / ``within``), how it divides (``clip`` /
+``split_at`` / ``route``) and the page frame it carries.  Nodes, the
+tree, PacMan and the checkers only call these (DESIGN.md, "Message
+semantics", has the kind-by-kind table).
 """
 
 from __future__ import annotations
@@ -104,6 +103,10 @@ class Message:
     __slots__ = ("msn",)
     kind = "?"
     is_range = False
+    #: True if :meth:`apply_to` ignores the old value.  A blind write
+    #: may reach a leaf ahead of older messages still buffered above it
+    #: (they are stale against its pair); a read-modify-write may not.
+    blind = True
 
     def __init__(self, msn: int = 0) -> None:
         self.msn = msn
@@ -300,6 +303,7 @@ class Patch(PointMessage):
 
     __slots__ = ("offset", "data")
     kind = "patch"
+    blind = False
 
     def __init__(self, key: bytes, offset: int, data: bytes, msn: int = 0) -> None:
         super().__init__(key, msn)

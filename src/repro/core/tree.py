@@ -41,7 +41,7 @@ from repro.core.messages import (
     value_len,
 )
 from repro.check.errors import TreeInvariantError, require
-from repro.core.keys import in_range, intersect
+from repro.core.keys import intersect
 from repro.core.node import BasementNode, InternalNode, LeafNode, Node
 import zlib as _zlib
 
@@ -305,12 +305,10 @@ class BeTree:
             guard += 1
             if guard > 65536:  # pragma: no cover - safety valve
                 raise RuntimeError("flush did not converge")
-            before = node.buffer_bytes
-            self._flush_one_batch(node)
-            if node.buffer_bytes >= before:
+            if not self._flush_one_batch(node):
                 break  # nothing routable (single stuck message)
 
-    def _flush_one_batch(self, node: InternalNode) -> None:
+    def _flush_one_batch(self, node: InternalNode) -> bool:
         # Critical section (reentrancy audit, repro.sched): between the
         # buffer drain and the child application/split the tree is
         # inconsistent; no session switch may observe it.
@@ -319,14 +317,15 @@ class BeTree:
             tracer = self._tracer
             if tracer is not None and tracer.enabled:
                 with tracer.span("tree.flush_batch", "tree") as sp:
-                    self._flush_one_batch_impl(node)
+                    flushed = self._flush_one_batch_impl(node)
                     sp.args["tree"] = self.file_name
-            else:
-                self._flush_one_batch_impl(node)
+                return flushed
+            return self._flush_one_batch_impl(node)
         finally:
             self.env.exit_critical()
 
-    def _flush_one_batch_impl(self, node: InternalNode) -> None:
+    def _flush_one_batch_impl(self, node: InternalNode) -> bool:
+        """Flush the fattest child's batch; False if nothing routed."""
         self.stats.flushes += 1
         self.clock.cpu(self.costs.flush_overhead)
         idx = node.fattest_child()
@@ -334,7 +333,7 @@ class BeTree:
         self.clock.cpu(self.costs.key_compare * len(node.buffer))
         msgs = node.messages_for_child(idx)
         if not msgs:
-            return
+            return False
         original = list(msgs)
         if self.cfg.pacman:
             # PacMan runs over the flushed child's buffer partition
@@ -348,6 +347,23 @@ class BeTree:
         # Dropped messages were already released by PacMan; survivors
         # move down by reference.
         node.remove_messages(original, release=False)
+        # A range message reaching past this child still owes its
+        # deletions to the siblings: those parts stay buffered here.
+        lo, hi = node.child_range(idx)
+        owed: List[Optional[Message]] = []
+        for m in original:
+            if m.is_range and not m.within(lo, hi):
+                if lo is not None:
+                    owed.append(m.clip(None, lo))
+                if hi is not None:
+                    owed.append(m.clip(hi, None))
+        if owed:
+            node.set_buffer(
+                sorted(
+                    node.buffer + [part for part in owed if part is not None],
+                    key=lambda m: m.msn,
+                )
+            )
         node.dirty = True
         self._charge_message_move(msgs)
         self.stats.messages_flushed += len(msgs)
@@ -368,6 +384,7 @@ class BeTree:
                 self._split_internal_child(node, idx, child)
         if self.san is not None:
             self.san.on_flush(self, node, idx, child)
+        return True
 
     def _charge_message_move(self, msgs: List[Message]) -> None:
         """CPU cost of moving messages one level down.
@@ -618,12 +635,37 @@ class BeTree:
             # Apply once, across all path nodes, in MSN order — patches
             # are not commutative, so per-node application would be
             # incorrect.
+            to_move += self._taken_along(to_move, path, lo, hi)
             self._apply_to_leaf(leaf, to_move, None)
             self.stats.aoq_moved += len(to_move)
         for _ in range(charged_only):
             # Materialized-view work: CPU is spent, tree state unchanged.
             self.clock.cpu(self.costs.message_apply)
             self.stats.aoq_applied += 1
+
+    @staticmethod
+    def _taken_along(
+        moving: List[Message],
+        path: List[InternalNode],
+        lo: Optional[bytes],
+        hi: Optional[bytes],
+    ) -> List[Message]:
+        """The parts, within ``[lo, hi)``, of the range messages still
+        buffered on ``path`` that a message in ``moving`` depends on.
+        A blind write may reach the leaf ahead of an older range delete
+        that stays above it (the delete is stale against its pair); a
+        patch would patch the value the delete was to remove, so it
+        takes a clipped copy of the delete along."""
+        patches = [m for m in moving if not m.blind]
+        if not patches:
+            return []
+        return [
+            r.clip(lo, hi)
+            for node in path
+            for r in node.range_msgs
+            if r.touches(lo, hi)
+            and any(r.msn < p.msn and r.affects(p.key) for p in patches)
+        ]
 
     def _apply_on_query_lazy(
         self, path: List[InternalNode], leaf: LeafNode, key: bytes
@@ -646,6 +688,7 @@ class BeTree:
                     self.clock.cpu(self.costs.message_apply)
                     self.stats.aoq_applied += 1
         if to_move:
+            to_move += self._taken_along(to_move, path, key, key + b"\x00")
             self._apply_to_leaf(leaf, to_move, None)
             self.stats.aoq_moved += len(to_move)
 
@@ -729,7 +772,12 @@ class BeTree:
         while True:
             view = self._materialize_leaf_view(leaf, start, end, cap)
             candidates = len(view)
-            self._overlay_pending(view, pending, start, end)
+            # A full window stops short of ``end``: a message past its
+            # last pair waits for a wider one, or its key would come
+            # back ahead of the pairs the window left out.
+            full = cap is not None and candidates >= cap
+            hi = max(view) + b"\x00" if full else end
+            self._overlay_pending(view, pending, start, hi)
             if (
                 cap is None
                 or len(view) >= (limit or 0)
@@ -773,14 +821,13 @@ class BeTree:
         (key -> pair) of ``[start, end)``."""
         for msg in sorted(pending, key=lambda m: m.msn):
             self.clock.cpu(self.costs.message_apply)
+            # Clipped to the leaf's range: ``pending`` holds messages
+            # for every leaf of the scan, and a blind write overlaid
+            # outside its own leaf would come back once per leaf.
             if msg.is_range:
-                keys = [k for k in view if msg.affects(k) and in_range(k, start, end)]
-            elif msg.kind in ("patch", "delete") or msg.touches(start, end):
-                # PR 12 finding 1, kept bit-for-bit by the refactor: a
-                # buffered patch/delete is overlaid on *every* leaf.
-                keys = [msg.key]
+                keys = [k for k in view if msg.affects(k)]
             else:
-                keys = []
+                keys = [msg.key] if msg.touches(start, end) else []
             for k in keys:
                 new = msg.transition(view.get(k))
                 if new is None:

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.env import DATA, META
@@ -151,6 +151,26 @@ class TestRangeOperations:
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert len(keys) == 300 + 12
 
+    def test_flushed_range_delete_still_reaches_sibling_leaves(self):
+        """A range delete spanning several children is flushed to one
+        child at a time; the parts it still owes the siblings stay
+        buffered instead of being dropped with the batch."""
+        env = fresh_env(node_size=1024, basement_size=256, buffer_size=512)
+        for i in range(61):
+            env.insert(META, b"key%02d" % i, b"val")
+        root = env.meta._load_node(env.meta.root_id)
+        assert isinstance(root, InternalNode) and len(root.children) >= 3
+        env.range_delete(META, b"key05", b"key55")
+        for i in range(100):  # all routed right of the range: flushes it
+            env.insert(META, b"zz%03d" % i, b"x" * 30)
+        assert env.meta.stats.flushes > 0
+        keys = [k for k, _ in env.range_query(META, b"", b"\xff")]
+        assert [k for k in keys if k < b"zz"] == (
+            [b"key%02d" % i for i in range(5)]
+            + [b"key%02d" % i for i in range(55, 61)]
+        )
+        assert env.get(META, b"key30") is None
+
     def test_empty_range(self):
         env = fresh_env()
         env.insert(META, b"m", b"v")
@@ -241,10 +261,8 @@ op_strategy = st.lists(
 )
 
 
-@settings(max_examples=25, deadline=None)
-@given(op_strategy, st.booleans(), st.booleans())
-def test_tree_matches_model(op_list, lazy, page_sharing):
-    env = fresh_env(lazy_apply_on_query=lazy, page_sharing=page_sharing)
+def _apply_ops(env, op_list):
+    """Drive ``env`` with ``op_list``; returns the dict model of META."""
     model = {}
     for n, (op, x, y) in enumerate(op_list):
         k = b"key%02d" % x
@@ -269,7 +287,92 @@ def test_tree_matches_model(op_list, lazy, page_sharing):
             if len(base) < end:
                 base = base + b"\x00" * (end - len(base))
             model[k] = base[: y % 8] + b"PP" + base[end:]
-    rows = dict(env.range_query(META, b"", b"\xff" * 8))
-    assert rows == model
+    return model
+
+
+query_strategy = st.lists(
+    st.tuples(st.integers(0, 61), st.integers(0, 61), st.integers(1, 5)),
+    max_size=6,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(op_strategy, st.booleans(), st.booleans(), query_strategy)
+# One blind patch buffered in the root above >= 2 leaves: the scan must
+# emit key30 once, not once per leaf it visits.
+@example(
+    [("insert", x, 0) for x in range(61)] + [("patch", 30, 0)],
+    True,
+    True,
+    [(0, 61, 5)],
+)
+def test_tree_matches_model(op_list, lazy, page_sharing, queries):
+    # Leaves of ~1 KiB, so 61 small keys span several of them while the
+    # 4 KiB root buffer keeps the late messages pending.
+    env = fresh_env(
+        node_size=1024,
+        basement_size=256,
+        lazy_apply_on_query=lazy,
+        page_sharing=page_sharing,
+    )
+    model = _apply_ops(env, op_list)
+    ordered = sorted(model)
+    rows = env.range_query(META, b"", b"\xff" * 8)
+    assert [k for k, _ in rows] == ordered  # each live key exactly once
+    assert dict(rows) == model
+    for x, y, limit in queries:
+        lo, hi = sorted((x, y))
+        klo, khi = b"key%02d" % lo, b"key%02d" % hi
+        want = [(k, model[k]) for k in ordered if klo <= k < khi]
+        assert env.range_query(META, klo, khi) == want
+        assert env.range_query(META, klo, khi, limit=limit) == want[:limit]
     for k, v in model.items():
         assert env.get(META, k) == v
+
+
+@settings(max_examples=25, deadline=None)
+@given(op_strategy, query_strategy, st.booleans())
+# Apply-on-query must not move the patch into the leaf ahead of the
+# older range delete that stays buffered (it spans two leaves).
+@example([("range_delete", 0, 60), ("patch", 1, 0)], [], True)
+@example([("range_delete", 0, 60), ("patch", 1, 0)], [], False)
+# A limit=1 scan whose candidate window is eaten by the range delete
+# must not answer with the buffered insert that lies past the window.
+@example([("range_delete", 0, 27)], [(0, 37, 1)], True)
+def test_buffered_and_flushed_trees_agree(op_list, queries, lazy):
+    """Differential: the same ops on a tree that never flushes (every
+    message answered from a buffer: query fold and scan overlay, then
+    moved by apply-on-query) and on one that flushes every message to
+    its leaf (basement apply) give equal ``get`` and ``range_query``
+    answers, before and after the queries' own side effects."""
+
+    def grown(buffer_size):
+        env = fresh_env(
+            node_size=1024,
+            basement_size=256,
+            buffer_size=buffer_size,
+            lazy_apply_on_query=lazy,
+        )
+        for x in range(61):  # several leaves under an internal root
+            env.insert(META, b"key%02d" % x, b"seed")
+        _apply_ops(env, op_list)
+        return env
+
+    buffered, flushed = grown(1 << 30), grown(0)
+    root = flushed.meta._load_node(flushed.meta.root_id)
+    assert isinstance(root, InternalNode) and not root.buffer
+    assert buffered.meta.stats.flushes == 0
+    for x, y, limit in [(0, 61, 3), *queries]:
+        lo, hi = sorted((x, y))
+        klo, khi = b"key%02d" % lo, b"key%02d" % hi
+        for kwargs in ({}, {"limit": limit}):
+            assert buffered.range_query(META, klo, khi, **kwargs) == (
+                flushed.range_query(META, klo, khi, **kwargs)
+            )
+    for _ in range(2):  # the second pass sees what the first one moved
+        for x in range(61):
+            k = b"key%02d" % x
+            assert buffered.get(META, k) == flushed.get(META, k)
+    assert buffered.range_query(META, b"", b"\xff") == (
+        flushed.range_query(META, b"", b"\xff")
+    )
