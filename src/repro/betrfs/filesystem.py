@@ -162,6 +162,8 @@ class BetrFS:
             dirty_limit_bytes=self.opts.dirty_limit_bytes,
             obs=self.obs,
         )
+        if envs[0].san is not None:
+            envs[0].san.watch_pagecache(self.vfs.pages)
 
     def _route(self, envs: List[KVEnv], backends: List[BetrFSNorthbound]):
         """Mount the lone volume directly, no router in between: returns

@@ -33,7 +33,11 @@ What each leg guards:
   mapped).
 * **Cache** — pin/unpin balance, no aliased cache entries (two node
   objects under one id), no victim evicted dirty or pinned, no pin
-  leaks on absent nodes.
+  leaks on absent nodes; the node cache's byte ledger equals the
+  summed node sizes and its leaf/internal LRUs partition the cached
+  ids by kind (checked at every ``evict_to_fit``); the page cache's
+  per-file index holds exactly the cached pages and ``dirty_bytes``
+  counts exactly the dirty ones (:meth:`SanitizerSuite.watch_pagecache`).
 
 Cheap local checks run at their hook site; whole-structure scans
 (block tables, FTL divergence, cached-node walk) run at checkpoint via
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
+from repro.vfs.pagecache import PAGE_SIZE
 from repro.check.errors import (
     AllocInvariantError,
     CacheInvariantError,
@@ -82,6 +87,8 @@ class SanitizerSuite:
         self._live_bufs: Set[int] = set()
         #: Shadow pin counts (cache balance).
         self._pins: Dict[int, int] = {}
+        #: The mount's page cache, once :meth:`watch_pagecache` is told.
+        self._pagecache = None
         self.check_config()
 
     # ------------------------------------------------------------------
@@ -94,6 +101,11 @@ class SanitizerSuite:
         device = getattr(self.env.storage, "device", None)
         if device is not None:
             device.san = self
+
+    def watch_pagecache(self, pages) -> None:
+        """Attach to the page cache of the mount above this environment."""
+        pages.san = self
+        self._pagecache = pages
 
     # ------------------------------------------------------------------
     # Configuration (epsilon geometry)
@@ -536,8 +548,59 @@ class SanitizerSuite:
             node.node_id,
         )
 
+    @staticmethod
+    def check_cache_ledger(cache) -> None:
+        """The node cache's books against a full recount.  Only a node
+        handed out since the last fit may differ from its recorded
+        size, so right after a fit the ledger is ``memory_used()``."""
+        sizes = {**cache._leaves, **cache._internals}
+        leaves = {nid for nid, (node, _o) in cache._nodes.items() if node.is_leaf}
+        require(
+            set(cache._leaves) == leaves and set(sizes) == set(cache._nodes),
+            "node-cache LRU lists disagree with the cached nodes' kinds",
+            CacheInvariantError,
+            sorted(set(cache._leaves) ^ leaves),
+        )
+        stale = [
+            nid
+            for nid, (node, _o) in cache._nodes.items()
+            if nid not in cache._touched and sizes[nid] != node.nbytes()
+        ]
+        require(
+            not stale and cache._used == sum(sizes.values()),
+            "node-cache byte ledger drifted from the summed node sizes",
+            CacheInvariantError,
+            (stale, cache._used, sum(sizes.values())),
+        )
+
+    @staticmethod
+    def check_pagecache(pages) -> None:
+        """The page cache's per-file index and dirty counter against
+        a scan of every cached page."""
+        indexed = {
+            (path, idx): page
+            for path, file_pages in pages._files.items()
+            for idx, page in file_pages.items()
+        }
+        require(
+            indexed == dict(pages._pages) and all(pages._files.values()),
+            "page-cache per-file index disagrees with the cached pages",
+            CacheInvariantError,
+            sorted(set(indexed) ^ set(pages._pages)),
+        )
+        dirty = sum(page.dirty for page in pages._pages.values())
+        require(
+            pages.dirty_bytes == PAGE_SIZE * dirty,
+            "page-cache dirty_bytes drifted from the dirty page count",
+            CacheInvariantError,
+            (pages.dirty_bytes, dirty),
+        )
+
     def check_cache(self) -> None:
         cache = self.env.cache
+        self.check_cache_ledger(cache)
+        if self._pagecache is not None:
+            self.check_pagecache(self._pagecache)
         for node_id in cache._pins:
             require(
                 node_id in cache._nodes,

@@ -674,7 +674,7 @@ class BeTree:
         this query's key."""
         to_move: List[Message] = []
         for node in path:
-            relevant = [m for m in node.buffer if m.affects(key)]
+            relevant = node.pending_for_key(key)
             if not relevant:
                 continue
             if leaf.dirty:

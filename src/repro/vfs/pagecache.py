@@ -46,12 +46,17 @@ class PageCache:
         self.budget = budget_bytes
         self.dirty_limit = dirty_limit_bytes
         self._pages: "OrderedDict[Tuple[str, int], CachedPage]" = OrderedDict()
+        #: The same pages by file (path -> idx -> page), so per-file
+        #: operations never walk the other files' pages.
+        self._files: Dict[str, Dict[int, CachedPage]] = {}
         self.dirty_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.cow_copies = 0
         self.cow_elided = 0
+        #: Optional sanitizer suite (pure observer; see repro.check).
+        self.san = None
 
     # ------------------------------------------------------------------
     def lookup(self, path: str, idx: int) -> Optional[CachedPage]:
@@ -69,9 +74,10 @@ class PageCache:
         page = CachedPage(frame=frame, dirty=False)
         old = self._pages.get((path, idx))
         if old is not None and old.dirty:
-            self.dirty_bytes -= len(old.frame)
+            self.dirty_bytes -= PAGE_SIZE
         self._pages[(path, idx)] = page
         self._pages.move_to_end((path, idx))
+        self._files.setdefault(path, {})[idx] = page
         return page
 
     def write(self, path: str, idx: int, offset: int, data: bytes) -> CachedPage:
@@ -88,6 +94,7 @@ class PageCache:
             frame = PageFrame(b"\x00" * PAGE_SIZE)
             page = CachedPage(frame=frame)
             self._pages[key] = page
+            self._files.setdefault(path, {})[idx] = page
         elif page.writeback_shared:
             # The frame is referenced by the file system.  If those
             # references are gone, reuse the frame; otherwise CoW.
@@ -128,20 +135,20 @@ class PageCache:
     def dirty_pages(
         self, path: Optional[str] = None
     ) -> List[Tuple[str, int, CachedPage]]:
-        out = []
-        for (p, idx), page in self._pages.items():
-            if page.dirty and (path is None or p == path):
-                out.append((p, idx, page))
-        return out
+        """Dirty pages of one file (in no particular order), or of
+        every file, least recently used first."""
+        if path is not None:
+            pages = self._files.get(path, {})
+            return [(path, idx, pg) for idx, pg in pages.items() if pg.dirty]
+        return [(p, idx, pg) for (p, idx), pg in self._pages.items() if pg.dirty]
 
     def over_dirty_limit(self) -> bool:
         return self.dirty_bytes >= self.dirty_limit
 
     def drop_file(self, path: str) -> None:
         """Invalidate every cached page of ``path`` (unlink/truncate)."""
-        doomed = [k for k in self._pages if k[0] == path]
-        for k in doomed:
-            page = self._pages.pop(k)
+        for idx, page in self._files.pop(path, {}).items():
+            del self._pages[(path, idx)]
             if page.dirty:
                 self.dirty_bytes -= PAGE_SIZE
             page.frame.put()
@@ -151,26 +158,35 @@ class PageCache:
         for page in self._pages.values():
             page.frame.put()
         self._pages.clear()
+        self._files.clear()
         self.dirty_bytes = 0
 
     def evict_to_fit(self) -> List[Tuple[str, int, CachedPage]]:
         """Evict clean LRU pages; returns dirty pages that must be
         written back first (caller writes them, then calls again)."""
+        if self.san is not None:
+            self.san.check_pagecache(self)
         need_writeback: List[Tuple[str, int, CachedPage]] = []
-        used = len(self._pages) * PAGE_SIZE
-        if used <= self.budget:
+        excess = len(self._pages) - self.budget // PAGE_SIZE
+        if excess <= 0:
             return need_writeback
-        for key in list(self._pages.keys()):
-            if used <= self.budget:
-                break
-            page = self._pages[key]
+        # Walk the LRU only as far as the budget needs.
+        victims: List[Tuple[str, int]] = []
+        for key, page in self._pages.items():
             if page.dirty:
                 need_writeback.append((key[0], key[1], page))
                 continue
-            self._pages.pop(key)
-            page.frame.put()
-            used -= PAGE_SIZE
-            self.evictions += 1
+            victims.append(key)
+            if len(victims) == excess:
+                break
+        for key in victims:
+            del self._pages[key]
+            path, idx = key
+            pages = self._files[path]
+            pages.pop(idx).frame.put()
+            if not pages:
+                del self._files[path]
+        self.evictions += len(victims)
         return need_writeback
 
     def cached_bytes(self) -> int:

@@ -342,18 +342,21 @@ class VFS:
                 )
                 dirty.dirty = False
                 dirty.pinned_log_section = None
-        prefix_pages = [
-            (p, i)
-            for (p, i), page in self.pages
-            if page.dirty and (p == src or p.startswith(src_prefix))
-        ]
-        if prefix_pages:
+        # Only a directory has anything cached below its name (a
+        # file's own dirty pages went out with writeback(path=src)),
+        # and only a directory brings children to names below ``dst``,
+        # where lookups may have cached their absence.
+        is_dir = inode.stat.kind is FileKind.DIR
+        if is_dir and any(
+            page.dirty and p.startswith(src_prefix) for (p, _i), page in self.pages
+        ):
             self.writeback()
         self.backend.rename(src, dst, inode.stat)
         self.pages.drop_file(src)
-        self.dcache.invalidate_tree(src)
+        drop = self.dcache.invalidate_tree if is_dir else self.dcache.invalidate
+        drop(src)
         self.dcache.insert_negative(src)
-        self.dcache.invalidate(dst)
+        drop(dst)
         self._bump_children(self._parent_of(src), -1)
         self._bump_children(self._parent_of(dst), +1)
 

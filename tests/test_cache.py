@@ -1,13 +1,23 @@
 """Tests for the node cache, page cache and dentry cache."""
 
+import random
+
+import pytest
+
 from repro.core.cache import NodeCache
+from repro.core.config import BeTreeConfig
+from repro.core.env import DATA, META
 from repro.core.messages import PageFrame
 from repro.core.node import InternalNode, LeafNode
+from repro.device.block import BlockDevice
 from repro.device.clock import SimClock
+from repro.harness.mt import device_sha256
 from repro.model.costs import CostModel
+from repro.model.profiles import COMMODITY_SSD
 from repro.vfs.dcache import DentryCache
 from repro.vfs.inode import FileKind, Stat, VInode
 from repro.vfs.pagecache import PAGE_SIZE, PageCache
+from tests.conftest import build_env
 
 
 def leaf_with(node_id, nbytes):
@@ -67,6 +77,181 @@ class TestNodeCache:
         cache.put(a, "o1")
         cache.put(b, "o2")
         assert [(o, n.node_id) for o, n in cache.dirty_nodes()] == [("o1", 1)]
+
+
+class ReferenceCache(NodeCache):
+    """``evict_to_fit`` as it was before the cache kept books: re-sum
+    every node, rebuild both id lists, walk leaves then internals."""
+
+    def evict_to_fit(self, writer, on_evict=None):
+        if not self._nodes:
+            return
+        used = self.memory_used()
+        if used <= self.budget:
+            return
+        leaf_ids = [nid for nid, (n, _o) in self._nodes.items() if n.is_leaf]
+        internal_ids = [nid for nid, (n, _o) in self._nodes.items() if not n.is_leaf]
+        for node_id in leaf_ids + internal_ids:
+            if used <= self.budget:
+                break
+            if self.pinned(node_id):
+                continue
+            node, owner = self._nodes[node_id]
+            if node.dirty:
+                writer(owner, node)
+                self.dirty_evictions += 1
+            used -= node.nbytes()
+            self.remove(node_id)
+            self.evictions += 1
+            if on_evict is not None:
+                on_evict(owner, node)
+
+
+def recorded_bytes(cache):
+    return sum(cache._leaves.values()) + sum(cache._internals.values())
+
+
+def spy_on_fits(cache, log):
+    """Record every victim as ``(node_id, was_dirty)`` and, after each
+    fit of the real cache, hold its ledger to the from-scratch recount."""
+    fit = cache.evict_to_fit
+
+    def spied(writer, on_evict):
+        written = set()
+
+        def write(owner, node):
+            written.add(node.node_id)
+            writer(owner, node)
+
+        def evict(owner, node):
+            log.append((node.node_id, node.node_id in written))
+            on_evict(owner, node)
+
+        fit(write, evict)
+        if type(cache) is NodeCache:
+            assert cache._used == cache.memory_used() == recorded_bytes(cache)
+            assert not cache._touched
+
+    cache.evict_to_fit = spied
+
+
+def drop_node_cache(env):
+    """What the northbound's drop_caches does to the tree."""
+    env.checkpoint()
+    for owner, node in list(env.cache.all_nodes()):
+        owner.release_node_memory(node)
+    env.cache.clear()
+
+
+class TestNodeCacheLedger:
+    def envs(self, monkeypatch, sanitize):
+        cfg = BeTreeConfig()
+        cfg.node_size = 16384
+        cfg.basement_size = 1024
+        cfg.buffer_size = 4096
+        cfg.fanout = 4
+        cfg.cache_bytes = 96 * 1024
+        cfg.sanitize = sanitize
+        out = []
+        for cache_cls in (NodeCache, ReferenceCache):
+            monkeypatch.setattr("repro.core.env.NodeCache", cache_cls)
+            device = BlockDevice(SimClock(), COMMODITY_SSD)
+            env = build_env(device, cfg)
+            assert type(env.cache) is cache_cls
+            log = []
+            spy_on_fits(env.cache, log)
+            out.append((env, device, log))
+        return out
+
+    @pytest.mark.parametrize("seed,sanitize", [(1, False), (2, False), (3, True)])
+    def test_ledger_and_victims_match_the_rescanning_reference(
+        self, monkeypatch, seed, sanitize
+    ):
+        """Every tree mutation kind, partial loads, checkpoints and
+        direct remove/clear: same victims in the same order, ledger
+        exact after every op."""
+        (env, device, log), (ref, ref_device, ref_log) = self.envs(
+            monkeypatch, sanitize
+        )
+        rng = random.Random(seed)
+
+        def key():
+            return b"k%05d" % rng.randrange(4000)
+
+        for step in range(3000):
+            roll = rng.random()
+            tree = rng.choice((META, DATA))
+            if roll < 0.55:
+                args = ("insert", tree, key(), bytes([step % 251]) * rng.randrange(8, 700))
+            elif roll < 0.65:
+                args = ("patch", tree, key(), rng.randrange(8), b"pp")
+            elif roll < 0.72:
+                args = ("delete", tree, key())
+            elif roll < 0.76:
+                lo = key()
+                args = ("range_delete", tree, lo, lo + b"\xff" * rng.randrange(1, 3))
+            elif roll < 0.92:
+                args = ("get", tree, key())
+            elif roll < 0.97:
+                lo = key()
+                args = ("range_query", tree, lo, lo[:4] + b"\xff")
+            elif roll < 0.985:
+                args = ("checkpoint",)
+            elif roll < 0.995:
+                args = ("remove",)
+            else:
+                args = ("drop",)
+            if args[0] == "drop":
+                drop_node_cache(env)
+                drop_node_cache(ref)
+                assert env.cache._used == 0 and not env.cache._leaves
+            elif args[0] == "remove":
+                # Only a clean, on-disk node can be forgotten safely.
+                env.checkpoint()
+                ref.checkpoint()
+                victim = rng.choice(sorted(env.cache._nodes) or [0])
+                env.cache.remove(victim)
+                ref.cache.remove(victim)
+                env.cache.remove(victim)  # absent: a no-op
+                assert env.cache._used == recorded_bytes(env.cache)
+            else:
+                got = getattr(env, args[0])(*args[1:])
+                assert got == getattr(ref, args[0])(*args[1:])
+            assert log == ref_log, f"victims diverged at step {step}: {args}"
+            assert list(env.cache._nodes) == list(ref.cache._nodes)
+        stats = env.data.stats
+        assert len(log) > 100 and any(dirty for _n, dirty in log)
+        assert any(env.cache._internals) and stats.leaf_splits and stats.root_splits
+        assert stats.partial_leaf_loads
+        assert env.clock.now == ref.clock.now
+        assert device_sha256(device) == device_sha256(ref_device)
+
+    def test_a_fit_measures_only_the_nodes_handed_out(self, monkeypatch):
+        """The cost of a fit follows the work since the last one, not
+        the size of the cache (ROADMAP 1(b): a count, not a timing)."""
+        cache = NodeCache(1 << 30)
+        for node_id in range(1, 201):
+            cache.put(leaf_with(node_id, 100), owner=None)
+        cache.evict_to_fit(lambda o, n: None)
+        calls = []
+        real = LeafNode.nbytes
+        monkeypatch.setattr(
+            LeafNode, "nbytes", lambda self: calls.append(self.node_id) or real(self)
+        )
+        cache.evict_to_fit(lambda o, n: None)
+        assert calls == []
+        cache.get(77)
+        cache.evict_to_fit(lambda o, n: None)
+        assert calls == [77]
+
+    def test_put_replacing_a_leaf_by_an_internal_node_moves_lists(self):
+        cache = NodeCache(1 << 20)
+        cache.put(leaf_with(1, 50), owner=None)
+        cache.evict_to_fit(lambda o, n: None)
+        cache.put(InternalNode(1, height=1), owner=None)
+        cache.evict_to_fit(lambda o, n: None)
+        assert list(cache._internals) == [1] and not cache._leaves
+        assert cache._used == cache.memory_used()
 
 
 class TestPageCache:

@@ -14,6 +14,7 @@ from repro.check.errors import (
 )
 from repro.check.fsck import fsck_device, load_image, save_image
 from repro.core.env import DATA, META
+from repro.core.messages import Insert
 from tests.test_env import LAYOUT, make_env, reopen, small_cfg
 
 MIB = 1 << 20
@@ -147,6 +148,54 @@ class TestSanitizers:
         env.insert(META, b"k", b"v")
         with pytest.raises(CacheInvariantError):
             env.cache.unpin(999999)
+
+    @pytest.mark.parametrize("sanitize", [True, False])
+    def test_cache_sanitizer_rejects_a_leaf_grown_behind_the_ledger(self, sanitize):
+        """A node changed without being handed out (perfbench's kernels
+        do it to cached leaves) leaves the byte ledger stale: a typed
+        error under the sanitizer, and neither a crash nor an assert
+        without it."""
+        env, _device = make_env(small_cfg(sanitize=sanitize))
+        for i in range(300):
+            env.insert(DATA, b"d%04d" % i, b"x" * 200)
+        leaf = next(
+            n
+            for n, _owner in env.cache._nodes.values()
+            if n.is_leaf and n.node_id != env.meta.root_id
+        )
+        leaf.apply(Insert(b"zzzz", b"y" * 500, 1 << 40), env.config.basement_size)
+        if sanitize:
+            with pytest.raises(CacheInvariantError, match="ledger"):
+                env.get(META, b"nothing")
+        else:
+            env.get(META, b"nothing")
+            env.cache.clear()
+            assert env.cache._used == 0
+
+    def test_cache_sanitizer_rejects_a_node_on_the_wrong_lru(self):
+        env, _device = make_env(small_cfg(sanitize=True))
+        for i in range(300):
+            env.insert(DATA, b"d%04d" % i, b"x" * 200)
+        env.san.check_cache()
+        node_id = next(iter(env.cache._leaves))
+        del env.cache._leaves[node_id]
+        env.cache._internals[node_id] = None
+        with pytest.raises(CacheInvariantError, match="LRU"):
+            env.san.check_cache()
+
+    def test_mount_puts_its_page_cache_under_the_sanitizer(self):
+        from repro.betrfs.filesystem import MountOptions, make_betrfs
+
+        fs = make_betrfs(
+            "BetrFS v0.6", MountOptions(config_tweaks={"sanitize": True})
+        )
+        assert fs.vfs.pages.san is fs.env.san
+        fs.vfs.create("/f")
+        fs.vfs.write("/f", 0, b"x" * 9000)
+        fs.env.san.check_all()
+        fs.vfs.pages.dirty_bytes -= 4096
+        with pytest.raises(CacheInvariantError, match="dirty_bytes"):
+            fs.vfs.read("/f", 0, 10)
 
     def test_alloc_sanitizer_rejects_double_free(self):
         env, _device = make_env(small_cfg(sanitize=True))

@@ -9,6 +9,7 @@
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,3 +259,79 @@ def test_vfs_matches_model_filesystem(op_list, version):
     root_names = set(v.readdir("/"))
     expected = {p[1:] for p in files} | {d[1:] for d in dirs if d != "/"}
     assert root_names == expected
+
+
+# ----------------------------------------------------------------------
+# Page cache vs brute-force scans of its own page map
+# ----------------------------------------------------------------------
+from repro.check.errors import CacheInvariantError  # noqa: E402
+from repro.check.sanitize import SanitizerSuite  # noqa: E402
+from repro.core.messages import PageFrame  # noqa: E402
+from repro.vfs.pagecache import PAGE_SIZE, PageCache  # noqa: E402
+
+pagecache_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["write"] * 4
+            + ["insert_clean", "mark_clean", "lookup", "fit", "fit", "drop_file", "drop_all"]
+        ),
+        st.integers(0, 5),
+        st.integers(0, 7),
+    ),
+    max_size=120,
+)
+
+
+def scan_fit(pc):
+    """What ``evict_to_fit`` must do, by the walk over every key it
+    used to make: ``(need_writeback, victims)``."""
+    need, victims = [], []
+    used = len(pc._pages) * PAGE_SIZE
+    for key in list(pc._pages):
+        if used <= pc.budget:
+            break
+        if pc._pages[key].dirty:
+            need.append((key[0], key[1], pc._pages[key]))
+            continue
+        victims.append(key)
+        used -= PAGE_SIZE
+    return need, victims
+
+
+@settings(max_examples=60, deadline=None)
+@given(pagecache_ops)
+def test_pagecache_index_matches_scans_of_the_page_map(op_list):
+    pc = PageCache(SimClock(), CostModel(), 12 * PAGE_SIZE, 6 * PAGE_SIZE)
+    check = SanitizerSuite.check_pagecache
+    for op, f, idx in op_list:
+        path = f"/f{f}"
+        if op == "write":
+            pc.write(path, idx, idx, b"w" * (f + 1))
+        elif op == "insert_clean":
+            pc.insert_clean(path, idx, PageFrame(bytes(PAGE_SIZE)))
+        elif op == "mark_clean":
+            pc.mark_clean(path, idx, shared=bool(f % 2))
+        elif op == "lookup":
+            pc.lookup(path, idx)
+        elif op == "drop_file":
+            pc.drop_file(path)
+            assert not any(p == path for p, _i in pc._pages)
+        elif op == "drop_all":
+            pc.drop_all()
+            assert not pc._pages and pc.dirty_bytes == 0
+        else:
+            need, victims = scan_fit(pc)
+            before, evictions = list(pc._pages), pc.evictions
+            assert pc.evict_to_fit() == need
+            assert list(pc._pages) == [k for k in before if k not in victims]
+            assert pc.evictions == evictions + len(victims)
+        check(pc)
+        by_scan = [(p, i, pg) for (p, i), pg in pc._pages.items() if pg.dirty]
+        assert pc.dirty_pages() == by_scan
+        mine = [t for t in by_scan if t[0] == path]
+        assert sorted(pc.dirty_pages(path), key=lambda t: t[1]) == sorted(
+            mine, key=lambda t: t[1]
+        )
+    pc._files["/ghost"] = {}
+    with pytest.raises(CacheInvariantError):
+        check(pc)

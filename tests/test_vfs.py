@@ -4,6 +4,7 @@ import pytest
 
 from repro.betrfs import make_betrfs
 from repro.betrfs.filesystem import MountOptions
+from repro.vfs.pagecache import CachedPage
 from repro.vfs.vfs import FSError
 
 PAGE = 4096
@@ -17,6 +18,31 @@ def fs():
 @pytest.fixture
 def v(fs):
     return fs.vfs
+
+
+def count_dirty_reads(fs, files, pages_each):
+    """Fill the page cache with ``files`` written files, sync, dirty
+    ``/f007`` again, and return a reader of how many times any cached
+    page's ``dirty`` bit has been examined since (a count, not a
+    timing: the same on every machine)."""
+    v = fs.vfs
+    for i in range(files):
+        v.create(f"/f{i:03d}")
+        v.write(f"/f{i:03d}", 0, (b"%d" % (i % 10)) * (pages_each * PAGE))
+    v.sync()
+    v.write("/f007", 0, b"7" * (pages_each * PAGE))
+    assert len(v.pages._pages) == files * pages_each
+    seen = [0]
+
+    class Probe(CachedPage):
+        def __getattribute__(self, name):
+            if name == "dirty":
+                seen[0] += 1
+            return super().__getattribute__(name)
+
+    for page in v.pages._pages.values():
+        page.__class__ = Probe
+    return lambda: seen[0]
 
 
 class TestNamespace:
@@ -91,6 +117,31 @@ class TestNamespace:
         v.rename("/src", "/dst")
         assert not v.exists("/src")
         assert v.read("/dst/deep/f", 0, 5000) == b"x" * 5000
+
+    def test_rename_directory_onto_a_name_with_cached_absences(self, v):
+        """Lookups below a name cache their ENOENT; a directory renamed
+        to that name (or to one a renamed-away file had) brings real
+        children there, so the stale absences must go with it."""
+        assert not v.exists("/new/x")
+        v.create("/file")
+        assert not v.exists("/file/x")
+        v.rename("/file", "/elsewhere")
+        for dst in ("/new", "/file"):
+            v.mkdir("/d")
+            v.create("/d/x")
+            v.rename("/d", dst)
+            assert v.exists(dst + "/x")
+            assert not v.exists("/d/x")
+
+    def test_rename_of_a_file_scans_no_other_file(self, fs, v, monkeypatch):
+        """A regular file has nothing cached below it: its rename reads
+        the dirty bit of its own pages only and never walks the dcache."""
+        reads = count_dirty_reads(fs, files=300, pages_each=2)
+        monkeypatch.delattr(type(v.dcache), "invalidate_tree")
+        v.rename("/f007", "/g")
+        assert reads() <= 3 * 2  # write-back scan, mark_clean, drop_file
+        assert v.read("/g", 0, 4) == b"7777"
+        assert not v.exists("/f007")
 
     def test_readdir_sorted_complete(self, v):
         v.mkdir("/d")
@@ -191,6 +242,14 @@ class TestDataPath:
 
 
 class TestWriteBackAndSharing:
+    def test_fsync_examines_only_the_files_own_pages(self, fs, v):
+        reads = count_dirty_reads(fs, files=1500, pages_each=2)
+        v.fsync("/f007")
+        assert fs.vfs.pages.dirty_bytes == 0
+        # dirty_pages(path) reads each of the 2 pages once, mark_clean
+        # once more; none of the other 2,998 cached pages is looked at.
+        assert reads() <= 4
+
     def test_dirty_pages_written_back_on_fsync(self, v, fs):
         v.create("/f")
         v.write("/f", 0, b"d" * PAGE)
