@@ -94,8 +94,6 @@ SOURCE_FUNCS: FrozenSet[str] = frozenset(
         "decode_node",
         "serialize_leaf",
         "serialize_internal",
-        "decode_leaf",
-        "decode_internal",
         "decode_basement",
         "encode_payload",
         "decode_payload",

@@ -552,7 +552,9 @@ class SanitizerSuite:
     def check_cache_ledger(cache) -> None:
         """The node cache's books against a full recount.  Only a node
         handed out since the last fit may differ from its recorded
-        size, so right after a fit the ledger is ``memory_used()``."""
+        size, so right after a fit the ledger is ``memory_used()``; the
+        pivot bytes an internal node keeps for ``nbytes()`` are
+        recounted from its pivots here, never trusted."""
         sizes = {**cache._leaves, **cache._internals}
         leaves = {nid for nid, (node, _o) in cache._nodes.items() if node.is_leaf}
         require(
@@ -560,6 +562,19 @@ class SanitizerSuite:
             "node-cache LRU lists disagree with the cached nodes' kinds",
             CacheInvariantError,
             sorted(set(cache._leaves) ^ leaves),
+        )
+        kept = [
+            nid
+            for nid, (node, _o) in cache._nodes.items()
+            if not node.is_leaf
+            and node.pivot_bytes
+            != sum(map(len, node.pivots)) + 8 * (len(node.pivots) + len(node.children))
+        ]
+        require(
+            not kept,
+            "internal node's kept pivot bytes drifted from a recount of its pivots",
+            CacheInvariantError,
+            kept,
         )
         stale = [
             nid

@@ -317,6 +317,7 @@ class InternalNode(Node):
     __slots__ = (
         "pivots",
         "children",
+        "pivot_bytes",
         "buffer",
         "buffer_bytes",
         "point_index",
@@ -325,10 +326,23 @@ class InternalNode(Node):
         "_sorted_keys",
     )
 
-    def __init__(self, node_id: int, height: int) -> None:
+    def __init__(
+        self,
+        node_id: int,
+        height: int,
+        pivots: Optional[List[bytes]] = None,
+        children: Optional[List[int]] = None,
+    ) -> None:
         super().__init__(node_id, height)
-        self.pivots: List[bytes] = []
-        self.children: List[int] = []
+        self.pivots: List[bytes] = [] if pivots is None else pivots
+        self.children: List[int] = [] if children is None else children
+        #: Size of the pivots and child pointers, kept current by the
+        #: only three things that change them — this constructor,
+        #: :meth:`add_child` and :meth:`split` — so the cache's
+        #: per-op :meth:`nbytes` is O(1).
+        self.pivot_bytes = (
+            sum(map(len, self.pivots)) + 8 * (len(self.pivots) + len(self.children))
+        )
         #: Messages in arrival (MSN) order.
         self.buffer: List[Message] = []
         self.buffer_bytes = 0
@@ -344,8 +358,7 @@ class InternalNode(Node):
 
     # ------------------------------------------------------------------
     def nbytes(self) -> int:
-        pivot_bytes = sum(len(p) + 8 for p in self.pivots) + 8 * len(self.children)
-        return pivot_bytes + self.buffer_bytes
+        return self.pivot_bytes + self.buffer_bytes
 
     def child_index_for(self, key: bytes) -> int:
         return bisect.bisect_right(self.pivots, key)
@@ -432,16 +445,19 @@ class InternalNode(Node):
         """Insert a new child to the right of ``after_idx``."""
         self.pivots.insert(after_idx, pivot)
         self.children.insert(after_idx + 1, child_id)
+        self.pivot_bytes += len(pivot) + 16
 
     def split(self, new_node_id: int) -> Tuple["InternalNode", bytes]:
         """Split in half; returns (right_sibling, pivot)."""
         mid = len(self.children) // 2
         pivot = self.pivots[mid - 1]
-        right = InternalNode(new_node_id, self.height)
-        right.pivots = self.pivots[mid:]
-        right.children = self.children[mid:]
+        right = InternalNode(
+            new_node_id, self.height, self.pivots[mid:], self.children[mid:]
+        )
         del self.pivots[mid - 1 :]
         del self.children[mid:]
+        # The promoted pivot leaves both halves.
+        self.pivot_bytes -= right.pivot_bytes + len(pivot) + 8
         # Partition buffered messages.  Range messages spanning the
         # pivot are duplicated with clipped ranges.
         halves = [msg.split_at(pivot) for msg in self.buffer]

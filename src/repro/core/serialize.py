@@ -7,10 +7,10 @@ Two leaf layouts are supported:
   requires copying, and writing requires serializing every byte.
 * **aligned** (paper §6, +PGSH): keys and small values are packed at
   the front of each basement and all 4 KiB page values are placed in
-  4 KiB-aligned slots at the end.  With scatter-gather I/O only the
-  small front section costs serialization CPU; pages are passed by
-  reference (zero copy), and a node read leaves every file block
-  4 KiB-aligned in memory, ready to be shared with the page cache.
+  4 KiB-aligned slots at the end, in entry order.  With scatter-gather
+  I/O only the small front section costs serialization CPU; pages are
+  passed by reference (zero copy), and a node read leaves every file
+  block 4 KiB-aligned in memory, ready to be shared with the page cache.
 
 Both layouts apply *lifting*-style prefix compression: the longest
 common prefix of all keys in the node is stored once in the header and
@@ -18,27 +18,31 @@ stripped from every key.
 
 Every serialized node ends with a CRC32 of its payload, matching the
 paper's at-rest corruption detection.
+
+Each direction walks a node once (DESIGN.md, "Node codec"): encode
+emits one ``pack`` per entry, sizes every region by arithmetic and
+joins the node's parts once behind a running CRC; decode reads in place
+from the node's ``bytes`` and counts, as it passes them, the bulk-value
+bytes the tree's cost model asks for.
 """
 
 from __future__ import annotations
 
-import struct
-import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from struct import Struct, pack, unpack_from
+from typing import Callable, List, Optional, Tuple
+from zlib import crc32
 
 from repro.core.keys import common_prefix_of
 from repro.check.errors import require
 from repro.core.messages import (
     Delete,
     Insert,
-    InsertByRef,
     Message,
     PageFrame,
     Patch,
     RangeDelete,
     Value,
-    value_bytes,
 )
 from repro.core.node import BasementNode, InternalNode, LeafNode, Node
 
@@ -49,8 +53,61 @@ _TAG_BYTES = 0
 _TAG_PAGE = 1
 
 _MSG_TAGS = {"insert": 0, "insert_by_ref": 1, "delete": 2, "patch": 3, "range_delete": 4}
+_MSG_DELETE, _MSG_PATCH, _MSG_RANGE_DELETE = (
+    _MSG_TAGS[kind] for kind in ("delete", "patch", "range_delete")
+)
 
 PAGE_ALIGN = 4096
+
+#: A decoded value at least this long is bulk data (one ``memcpy`` in
+#: the packed layout); everything else in a node is irregular bytes
+#: that cost serialization CPU.  :func:`decode_node` reports the split.
+BULK_VALUE_MIN = 512
+
+_U32 = Struct("<I")
+#: Leaf: magic, node id, height, basement count, lift length.
+_LEAF_HEAD = Struct("<4sqiiH")
+#: Leaf basement-table row: offset, length, first-key length (+ key).
+_TABLE_ROW = Struct("<iiH")
+#: Aligned basement: page-area start (from the basement), pair count.
+_ALIGNED_BASEMENT_HEAD = Struct("<ii")
+_PACKED_BASEMENT_HEAD = Struct("<i")
+#: After a pair's key — packed: msn, tag, value length; aligned: msn,
+#: tag, page slot index (-1 = inline), value length.
+_PACKED_PAIR = Struct("<qBI")
+_ALIGNED_PAIR = Struct("<qBiI")
+#: Internal: page-area start (0 = none), magic, node id, height, child
+#: count, message count, lift length.
+_INTERNAL_HEAD = Struct("<i4sqiiiH")
+#: Every message starts: kind tag, msn, length of its (first) key.
+_MSG_HEAD = Struct("<BqH")
+#: After an insert's key: the value header, as in a leaf minus the msn.
+_PACKED_VALUE = Struct("<BI")
+_ALIGNED_VALUE = Struct("<BiI")
+_PATCH_SPAN = Struct("<II")
+
+
+class _Keyed(dict):
+    """``self[n]``: the compiled ``pack`` of ``fmt % n`` — one entry's
+    fixed fields around a key of ``n`` bytes — compiled on first use.
+    A pure memo of at most 65,536 lengths per format."""
+
+    def __init__(self, fmt: str) -> None:
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, n: int) -> Callable[..., bytes]:
+        packer = self[n] = Struct(self.fmt % n).pack
+        return packer
+
+
+_KEY = _Keyed("<H%ds")
+_PACKED_ENTRY = _Keyed("<H%dsqBI")
+_ALIGNED_ENTRY = _Keyed("<H%dsqBiI")
+_MSG_KEY = _Keyed("<BqH%ds")
+_MSG_PACKED_INSERT = _Keyed("<BqH%dsBI")
+_MSG_ALIGNED_INSERT = _Keyed("<BqH%dsBiI")
+_MSG_PATCH_ENTRY = _Keyed("<BqH%dsII")
 
 
 @dataclass
@@ -70,165 +127,137 @@ class SerializedNode:
     header_len: int = 0
 
 
-def _pack_key(out: List[bytes], key: bytes, lift: int) -> int:
-    body = key[lift:]
-    out.append(struct.pack("<H", len(body)))
-    out.append(body)
-    return 2 + len(body)
+def _align(n: int) -> int:
+    return n + -n % PAGE_ALIGN
 
 
-def _pack_value(out: List[bytes], value: Value) -> Tuple[int, int]:
-    """Append a value; returns (small_bytes, copied_bytes)."""
-    if isinstance(value, PageFrame):
-        out.append(struct.pack("<BI", _TAG_PAGE, len(value.data)))
-        out.append(value.data)
-        return 5, len(value.data)
-    out.append(struct.pack("<BI", _TAG_BYTES, len(value)))
-    out.append(value)
-    return 5 + len(value), 0
+def _append_pages(parts: List[bytes], pages: List[bytes]) -> Tuple[int, int]:
+    """Append each page in its own aligned slot; returns the pages'
+    bytes without and with the slot padding."""
+    ref = padding = 0
+    for data in pages:
+        parts.append(data)
+        ref += len(data)
+        pad = -len(data) % PAGE_ALIGN
+        if pad:
+            parts.append(b"\x00" * pad)
+            padding += pad
+    return ref, ref + padding
+
+
+def _seal(parts: List[bytes]) -> bytes:
+    """Join a node's parts once, behind the CRC32 of all of them."""
+    crc = 0
+    for part in parts:
+        crc = crc32(part, crc)
+    parts.append(_U32.pack(crc))
+    return b"".join(parts)
 
 
 # ----------------------------------------------------------------------
 # Leaf serialization
 # ----------------------------------------------------------------------
-def serialize_leaf(
-    leaf: LeafNode, aligned: bool, lifting: bool
-) -> SerializedNode:
-    all_keys: List[bytes] = []
-    for basement in leaf.basements:
-        if basement.keys:
-            all_keys.append(basement.keys[0])
-            all_keys.append(basement.keys[-1])
-    prefix = common_prefix_of(all_keys) if lifting else b""
-    lift = len(prefix)
-
-    blobs: List[bytes] = []
-    extents: List[Tuple[int, int]] = []
-    small = 0
-    copied = 0
-    ref = 0
-    for basement in leaf.basements:
-        if aligned:
-            blob, s, r = _serialize_basement_aligned(basement, lift)
-            ref += r
-        else:
-            blob, s, c = _serialize_basement_packed(basement, lift)
-            copied += c
-        small += s
-        blobs.append(blob)
-
-    header = [
-        MAGIC_LEAF,
-        struct.pack(
-            "<qiiH", leaf.node_id, leaf.height, len(leaf.basements), lift
-        ),
-        prefix,
-    ]
-    # Basement table (with per-basement first keys, enabling partial
-    # leaf loads) placed in the header so it can be read alone.
-    first_keys = []
-    for basement in leaf.basements:
-        fk = basement.first_key() or b""
-        first_keys.append(fk[lift:] if fk else b"")
-    table_pos = sum(len(p) for p in header)
-    table_size = sum(10 + len(fk) for fk in first_keys)
-    header_len = table_pos + table_size
-    if aligned:
-        header_len = _align(header_len, PAGE_ALIGN)
-    offsets = []
-    pos = header_len
-    for blob in blobs:
-        offsets.append((pos, len(blob)))
-        pos += len(blob)
-        if aligned:
-            pos = _align(pos, PAGE_ALIGN)
-    table = b"".join(
-        struct.pack("<iiH", off, ln, len(fk)) + fk
-        for (off, ln), fk in zip(offsets, first_keys)
-    )
-    header.append(table)
-    head = b"".join(header)
-    head = head + b"\x00" * (header_len - len(head))
-
-    body_parts = [head]
-    pos = header_len
-    for blob, (off, ln) in zip(blobs, offsets):
-        if pos < off:
-            body_parts.append(b"\x00" * (off - pos))
-            pos = off
-        body_parts.append(blob)
-        pos += len(blob)
-    payload = b"".join(body_parts)
-    crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    small += header_len + 4
-    return SerializedNode(
-        data=payload + crc,
-        small_bytes=small,
-        copied_bytes=copied,
-        ref_bytes=ref,
-        basement_extents=offsets,
-        header_len=header_len,
-    )
-
-
-def _align(n: int, a: int) -> int:
-    return (n + a - 1) // a * a
-
-
-def _serialize_basement_packed(
-    basement: BasementNode, lift: int
-) -> Tuple[bytes, int, int]:
-    out: List[bytes] = [struct.pack("<i", len(basement.keys))]
+def _encode_basement_packed(
+    parts: List[bytes], basement: BasementNode, lift: int
+) -> Tuple[int, int]:
+    """Append one packed basement; returns (small, copied) — together
+    its length."""
+    run = [_PACKED_BASEMENT_HEAD.pack(len(basement.keys))]
+    add = run.append
     small = 4
     copied = 0
-    for key, value, msn in basement.items_with_msn():
-        small += _pack_key(out, key, lift)
-        out.append(struct.pack("<q", msn))
-        small += 8
-        s, c = _pack_value(out, value)
-        small += s
-        copied += c
-    return b"".join(out), small, copied
+    for key, value, msn in zip(basement.keys, basement.values, basement.msns):
+        klen = len(key) - lift
+        small += 15 + klen
+        if isinstance(value, PageFrame):
+            value = value.data
+            copied += len(value)
+            tag = _TAG_PAGE
+        else:
+            small += len(value)
+            tag = _TAG_BYTES
+        add(_PACKED_ENTRY[klen](klen, key[lift:], msn, tag, len(value)))
+        add(value)
+    parts.append(b"".join(run))
+    return small, copied
 
 
-def _serialize_basement_aligned(
-    basement: BasementNode, lift: int
-) -> Tuple[bytes, int, int]:
-    """Aligned layout: small front section + aligned page slots."""
-    front: List[bytes] = [struct.pack("<i", len(basement.keys))]
+def _encode_basement_aligned(
+    parts: List[bytes], basement: BasementNode, lift: int
+) -> Tuple[int, int, int]:
+    """Append one aligned basement — small front section, then the
+    page slots; returns (small, ref, length)."""
+    front = [b""]  # the page-area start is known after the walk
+    add = front.append
     pages: List[bytes] = []
     small = 4
-    for key, value, msn in basement.items_with_msn():
-        small += _pack_key(front, key, lift)
-        front.append(struct.pack("<q", msn))
-        small += 8
-        data = value_bytes(value)
-        if isinstance(value, PageFrame) or len(data) >= PAGE_ALIGN:
-            front.append(struct.pack("<Bi", _TAG_PAGE, len(pages)))
-            front.append(struct.pack("<I", len(data)))
-            small += 9
-            pages.append(data)
+    for key, value, msn in zip(basement.keys, basement.values, basement.msns):
+        klen = len(key) - lift
+        small += 19 + klen
+        if isinstance(value, PageFrame):
+            value = value.data
+        elif len(value) < PAGE_ALIGN:
+            add(_ALIGNED_ENTRY[klen](klen, key[lift:], msn, _TAG_BYTES, -1, len(value)))
+            add(value)
+            small += len(value)
+            continue
+        add(_ALIGNED_ENTRY[klen](klen, key[lift:], msn, _TAG_PAGE, len(pages), len(value)))
+        pages.append(value)
+    # ``small`` is the front section's length (the count word included).
+    page_area_start = _align(small + 4)
+    front[0] = _ALIGNED_BASEMENT_HEAD.pack(page_area_start, len(basement.keys))
+    add(b"\x00" * (page_area_start - small - 4))
+    parts.append(b"".join(front))
+    ref, slots = _append_pages(parts, pages)
+    return small, ref, page_area_start + slots
+
+
+def serialize_leaf(leaf: LeafNode, aligned: bool, lifting: bool) -> SerializedNode:
+    basements = leaf.basements
+    prefix = b""
+    if lifting:
+        prefix = common_prefix_of(
+            [key for b in basements if b.keys for key in (b.keys[0], b.keys[-1])]
+        )
+    lift = len(prefix)
+    # Basement table (with per-basement first keys, enabling partial
+    # leaf loads) placed in the header so it can be read alone.
+    first_keys = [(b.first_key() or b"")[lift:] for b in basements]
+    header_len = 22 + lift + sum(10 + len(fk) for fk in first_keys)
+    if aligned:
+        header_len = _align(header_len)
+
+    parts: List[bytes] = [b""]  # the header needs every basement's extent
+    extents: List[Tuple[int, int]] = []
+    small = copied = ref = 0
+    pos = header_len
+    for basement in basements:
+        if aligned:
+            # An aligned basement is whole pages long, so the next
+            # one starts aligned without padding.
+            s, r, length = _encode_basement_aligned(parts, basement, lift)
+            ref += r
         else:
-            front.append(struct.pack("<Bi", _TAG_BYTES, -1))
-            front.append(struct.pack("<I", len(data)))
-            front.append(data)
-            small += 9 + len(data)
-    front_blob = b"".join(front)
-    page_area_start = _align(len(front_blob) + 4, PAGE_ALIGN)
-    parts = [struct.pack("<i", page_area_start), front_blob]
-    pos = len(front_blob) + 4
-    parts.append(b"\x00" * (page_area_start - pos))
-    ref = 0
-    pos = page_area_start
-    for data in pages:
-        parts.append(data)
-        pos += len(data)
-        ref += len(data)
-        pad = _align(pos, PAGE_ALIGN) - pos
-        if pad:
-            parts.append(b"\x00" * pad)
-            pos += pad
-    return b"".join(parts), small, ref
+            s, c = _encode_basement_packed(parts, basement, lift)
+            copied += c
+            length = s + c
+        small += s
+        extents.append((pos, length))
+        pos += length
+
+    header = [_LEAF_HEAD.pack(MAGIC_LEAF, leaf.node_id, leaf.height, len(basements), lift), prefix]
+    for (off, length), fk in zip(extents, first_keys):
+        header.append(_TABLE_ROW.pack(off, length, len(fk)))
+        header.append(fk)
+    parts[0] = b"".join(header).ljust(header_len, b"\x00")
+    return SerializedNode(
+        data=_seal(parts),
+        small_bytes=small + header_len + 4,
+        copied_bytes=copied,
+        ref_bytes=ref,
+        basement_extents=extents,
+        header_len=header_len,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -245,16 +274,15 @@ class LeafHeader:
 
 
 def decode_leaf_header(data: bytes, aligned: bool) -> LeafHeader:
-    if data[:4] != MAGIC_LEAF:
+    magic, node_id, height, n_bas, lift = _LEAF_HEAD.unpack_from(data, 0)
+    if magic != MAGIC_LEAF:
         raise ValueError("bad leaf magic")
-    node_id, height, n_bas, lift = struct.unpack_from("<qiiH", data, 4)
-    pos = 4 + 18
-    prefix = data[pos : pos + lift]
-    pos += lift
+    pos = 22 + lift
+    prefix = data[22:pos]
     extents = []
     first_keys = []
     for _ in range(n_bas):
-        off, ln, fklen = struct.unpack_from("<iiH", data, pos)
+        off, ln, fklen = _TABLE_ROW.unpack_from(data, pos)
         pos += 10
         fk = data[pos : pos + fklen]
         pos += fklen
@@ -264,282 +292,238 @@ def decode_leaf_header(data: bytes, aligned: bool) -> LeafHeader:
     return LeafHeader(node_id, height, prefix, extents, first_keys, header_len)
 
 
-def decode_basement(blob: bytes, prefix: bytes, aligned: bool) -> BasementNode:
+def _decode_basement_packed(data: bytes, pos: int, prefix: bytes) -> Tuple[BasementNode, int]:
+    """Decode the packed basement at ``data[pos:]``; returns it and its
+    bulk-value bytes."""
     basement = BasementNode()
-    if aligned:
-        (page_area_start,) = struct.unpack_from("<i", blob, 0)
-        pos = 4
-        (count,) = struct.unpack_from("<i", blob, pos)
-        pos += 4
-        entries: List[Tuple[bytes, int, int, int, int, bytes]] = []
-        for _ in range(count):
-            (klen,) = struct.unpack_from("<H", blob, pos)
-            pos += 2
-            key = prefix + blob[pos : pos + klen]
-            pos += klen
-            (msn,) = struct.unpack_from("<q", blob, pos)
-            pos += 8
-            tag, page_idx = struct.unpack_from("<Bi", blob, pos)
-            pos += 5
-            (vlen,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            inline = b""
-            if tag == _TAG_BYTES:
-                inline = blob[pos : pos + vlen]
-                pos += vlen
-            entries.append((key, msn, tag, page_idx, vlen, inline))
-        # Page slots are laid out sequentially (aligned) in index order.
-        slot_offsets: List[int] = []
-        cursor = page_area_start
-        sizes = [e[4] for e in entries if e[2] == _TAG_PAGE]
-        for size in sizes:
-            slot_offsets.append(cursor)
-            cursor = _align(cursor + size, PAGE_ALIGN)
-        for key, msn, tag, page_idx, vlen, inline in entries:
-            if tag == _TAG_PAGE:
-                off = slot_offsets[page_idx]
-                frame = PageFrame(blob[off : off + vlen])
-                basement.set(key, frame, msn)
-            else:
-                basement.set(key, inline, msn)
-        return basement
-    (count,) = struct.unpack_from("<i", blob, 0)
-    pos = 4
+    add_key, add_value, add_msn = (
+        basement.keys.append, basement.values.append, basement.msns.append
+    )
+    (count,) = _PACKED_BASEMENT_HEAD.unpack_from(data, pos)
+    pos += 4
+    nbytes = BasementNode.PAIR_OVERHEAD * count
+    bulk = 0
+    unpack, bulk_min = _PACKED_PAIR.unpack_from, BULK_VALUE_MIN
     for _ in range(count):
-        (klen,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        key = prefix + blob[pos : pos + klen]
-        pos += klen
-        (msn,) = struct.unpack_from("<q", blob, pos)
-        pos += 8
-        tag, vlen = struct.unpack_from("<BI", blob, pos)
-        pos += 5
-        raw = blob[pos : pos + vlen]
-        pos += vlen
+        end = pos + 2 + (data[pos] | data[pos + 1] << 8)
+        key = prefix + data[pos + 2 : end]
+        msn, tag, vlen = unpack(data, end)
+        pos = end + 13 + vlen
+        value: Value = data[end + 13 : pos]
+        add_key(key)
+        add_value(PageFrame(value) if tag == _TAG_PAGE else value)
+        add_msn(msn)
+        nbytes += len(key) + vlen
+        if vlen >= bulk_min:
+            bulk += vlen
+    basement.nbytes = nbytes
+    return basement, bulk
+
+
+def _decode_basement_aligned(data: bytes, base: int, prefix: bytes) -> Tuple[BasementNode, int]:
+    """Decode the aligned basement at ``data[base:]``; returns it and
+    its bulk-value bytes."""
+    basement = BasementNode()
+    add_key, add_value, add_msn = (
+        basement.keys.append, basement.values.append, basement.msns.append
+    )
+    page_pos, count = _ALIGNED_BASEMENT_HEAD.unpack_from(data, base)
+    page_pos += base  # page slots follow one another in entry order
+    pos = base + 8
+    nbytes = BasementNode.PAIR_OVERHEAD * count
+    bulk = 0
+    unpack, bulk_min, align = _ALIGNED_PAIR.unpack_from, BULK_VALUE_MIN, PAGE_ALIGN
+    for _ in range(count):
+        end = pos + 2 + (data[pos] | data[pos + 1] << 8)
+        key = prefix + data[pos + 2 : end]
+        msn, tag, _slot, vlen = unpack(data, end)
+        pos = end + 17
+        add_key(key)
         if tag == _TAG_PAGE:
-            basement.set(key, PageFrame(raw), msn)
+            add_value(PageFrame(data[page_pos : page_pos + vlen]))
+            page_pos += vlen + -vlen % align
         else:
-            basement.set(key, raw, msn)
-    return basement
+            add_value(data[pos : pos + vlen])
+            pos += vlen
+        add_msn(msn)
+        nbytes += len(key) + vlen
+        if vlen >= bulk_min:
+            bulk += vlen
+    basement.nbytes = nbytes
+    return basement, bulk
 
 
-def decode_leaf(data: bytes, aligned: bool, verify: bool = True) -> LeafNode:
-    if verify:
-        verify_crc(data)
+def decode_basement(blob: bytes, prefix: bytes, aligned: bool) -> BasementNode:
+    decode = _decode_basement_aligned if aligned else _decode_basement_packed
+    return decode(blob, 0, prefix)[0]
+
+
+def _decode_leaf(data: bytes, aligned: bool) -> Tuple[LeafNode, int]:
     header = decode_leaf_header(data, aligned)
+    decode = _decode_basement_aligned if aligned else _decode_basement_packed
     leaf = LeafNode(header.node_id)
-    leaf.basements = []
-    for off, ln in header.basement_extents:
-        blob = data[off : off + ln]
-        leaf.basements.append(decode_basement(blob, header.lift_prefix, aligned))
-    if not leaf.basements:
-        leaf.basements = [BasementNode()]
+    bulk = 0
+    if header.basement_extents:
+        leaf.basements = []
+    for off, _ln in header.basement_extents:
+        basement, b = decode(data, off, header.lift_prefix)
+        leaf.basements.append(basement)
+        bulk += b
     leaf.dirty = False
-    return leaf
+    return leaf, bulk
 
 
 # ----------------------------------------------------------------------
 # Internal node serialization
 # ----------------------------------------------------------------------
-def serialize_internal(
-    node: InternalNode, aligned: bool, lifting: bool
-) -> SerializedNode:
-    keys: List[bytes] = list(node.pivots)
-    for msg in node.buffer:
-        if isinstance(msg, RangeDelete):
-            keys.append(msg.start)
-            keys.append(msg.end)
-        else:
-            keys.append(msg.key)  # type: ignore[attr-defined]
-    prefix = common_prefix_of(keys) if lifting else b""
+def serialize_internal(node: InternalNode, aligned: bool, lifting: bool) -> SerializedNode:
+    prefix = b""
+    if lifting:
+        keys: List[bytes] = list(node.pivots)
+        for msg in node.buffer:
+            if msg.is_range:
+                keys.append(msg.start)  # type: ignore[attr-defined]
+                keys.append(msg.end)  # type: ignore[attr-defined]
+            else:
+                keys.append(msg.key)  # type: ignore[attr-defined]
+        prefix = common_prefix_of(keys)
     lift = len(prefix)
 
-    out: List[bytes] = [
-        MAGIC_INTERNAL,
-        struct.pack(
-            "<qiiiH",
-            node.node_id,
-            node.height,
-            len(node.children),
-            len(node.buffer),
-            lift,
-        ),
-        prefix,
-    ]
-    small = 4 + 22 + lift
-    for child in node.children:
-        out.append(struct.pack("<q", child))
-        small += 8
+    children = node.children
+    # Slot 0: the fixed header, which starts with the page-area offset.
+    front: List[bytes] = [b"", prefix, pack("<%dq" % len(children), *children)]
+    add = front.append
+    small = 26 + lift + 8 * len(children)
     for pivot in node.pivots:
-        small += _pack_key(out, pivot, lift)
+        klen = len(pivot) - lift
+        add(_KEY[klen](klen, pivot[lift:]))
+        small += 2 + klen
 
     copied = 0
-    ref = 0
     pages: List[bytes] = []
+    insert = _MSG_ALIGNED_INSERT if aligned else _MSG_PACKED_INSERT
     for msg in node.buffer:
-        out.append(struct.pack("<Bq", _MSG_TAGS[msg.kind], msg.msn))
-        small += 9
-        if isinstance(msg, RangeDelete):
-            small += _pack_key(out, msg.start, lift)
-            small += _pack_key(out, msg.end, lift)
-        elif isinstance(msg, Insert):
-            small += _pack_key(out, msg.key, lift)
-            if aligned:
-                if isinstance(msg.value, PageFrame):
-                    out.append(struct.pack("<Bi", _TAG_PAGE, len(pages)))
-                    out.append(struct.pack("<I", len(msg.value.data)))
-                    small += 9
-                    pages.append(msg.value.data)
-                else:
-                    out.append(struct.pack("<Bi", _TAG_BYTES, -1))
-                    out.append(struct.pack("<I", len(msg.value)))
-                    out.append(msg.value)
-                    small += 9 + len(msg.value)
-            else:
-                s, c = _pack_value(out, msg.value)
-                small += s
-                copied += c
-        elif isinstance(msg, InsertByRef):
-            small += _pack_key(out, msg.key, lift)
-            if aligned:
-                out.append(struct.pack("<Bi", _TAG_PAGE, len(pages)))
-                out.append(struct.pack("<I", len(msg.frame.data)))
-                small += 9
-                pages.append(msg.frame.data)
-            else:
-                out.append(struct.pack("<BI", _TAG_PAGE, len(msg.frame.data)))
-                out.append(msg.frame.data)
-                small += 5
-                copied += len(msg.frame.data)
-        elif isinstance(msg, Delete):
-            small += _pack_key(out, msg.key, lift)
-        elif isinstance(msg, Patch):
-            small += _pack_key(out, msg.key, lift)
-            out.append(struct.pack("<II", msg.offset, len(msg.data)))
-            out.append(msg.data)
+        tag = _MSG_TAGS[msg.kind]
+        msn = msg.msn
+        if tag == _MSG_RANGE_DELETE:
+            klen = len(msg.start) - lift
+            elen = len(msg.end) - lift
+            add(_MSG_KEY[klen](tag, msn, klen, msg.start[lift:]))
+            add(_KEY[elen](elen, msg.end[lift:]))
+            small += 13 + klen + elen
+            continue
+        key = msg.key
+        klen = len(key) - lift
+        small += 11 + klen
+        if tag == _MSG_DELETE:
+            add(_MSG_KEY[klen](tag, msn, klen, key[lift:]))
+        elif tag == _MSG_PATCH:
+            add(_MSG_PATCH_ENTRY[klen](tag, msn, klen, key[lift:], msg.offset, len(msg.data)))
+            add(msg.data)
             small += 8 + len(msg.data)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"cannot serialize {msg!r}")
-
-    front = b"".join(out)
-    if aligned and pages:
-        page_area_start = _align(len(front) + 4, PAGE_ALIGN)
-        parts = [struct.pack("<i", page_area_start), front]
-        parts.append(b"\x00" * (page_area_start - len(front) - 4))
-        pos = page_area_start
-        for data in pages:
-            parts.append(data)
-            pos += len(data)
-            ref += len(data)
-            pad = _align(pos, PAGE_ALIGN) - pos
-            if pad:
-                parts.append(b"\x00" * pad)
-                pos += pad
-        payload = b"".join(parts)
-    else:
-        payload = struct.pack("<i", 0) + front
-    crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    return SerializedNode(
-        data=payload + crc,
-        small_bytes=small,
-        copied_bytes=copied,
-        ref_bytes=ref,
-    )
-
-
-def decode_internal(data: bytes, aligned: bool, verify: bool = True) -> InternalNode:
-    if verify:
-        verify_crc(data)
-    (page_area_start,) = struct.unpack_from("<i", data, 0)
-    base = 4
-    if data[base : base + 4] != MAGIC_INTERNAL:
-        raise ValueError("bad internal magic")
-    node_id, height, n_children, n_msgs, lift = struct.unpack_from(
-        "<qiiiH", data, base + 4
-    )
-    pos = base + 4 + 22
-    prefix = data[pos : pos + lift]
-    pos += lift
-    node = InternalNode(node_id, height)
-    for _ in range(n_children):
-        (child,) = struct.unpack_from("<q", data, pos)
-        pos += 8
-        node.children.append(child)
-
-    def read_key() -> bytes:
-        nonlocal pos
-        (klen,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        key = prefix + data[pos : pos + klen]
-        pos += klen
-        return key
-
-    for _ in range(n_children - 1):
-        node.pivots.append(read_key())
-
-    # Pre-compute aligned page slot offsets.
-    msgs: List[Message] = []
-    deferred_pages: List[Tuple[int, int, int]] = []  # (msg_idx, page_idx, vlen)
-    for _ in range(n_msgs):
-        tag, msn = struct.unpack_from("<Bq", data, pos)
-        pos += 9
-        if tag == _MSG_TAGS["range_delete"]:
-            start = read_key()
-            end = read_key()
-            msgs.append(RangeDelete(start, end, msn))
-        elif tag in (_MSG_TAGS["insert"], _MSG_TAGS["insert_by_ref"]):
-            key = read_key()
-            if aligned:
-                vtag, page_idx = struct.unpack_from("<Bi", data, pos)
-                pos += 5
-                (vlen,) = struct.unpack_from("<I", data, pos)
-                pos += 4
-                if vtag == _TAG_PAGE and page_idx >= 0:
-                    msgs.append(Insert(key, b"", msn))  # placeholder
-                    deferred_pages.append((len(msgs) - 1, page_idx, vlen))
+        else:  # insert / insert_by_ref: a value, inline or a page
+            value = msg.value
+            paged = isinstance(value, PageFrame)
+            if paged:
+                value = value.data
+            if not aligned:
+                vtag = _TAG_PAGE if paged else _TAG_BYTES
+                add(insert[klen](tag, msn, klen, key[lift:], vtag, len(value)))
+                add(value)
+                small += 5
+                if paged:
+                    copied += len(value)
                 else:
-                    inline = data[pos : pos + vlen]
-                    pos += vlen
-                    msgs.append(Insert(key, inline, msn))
+                    small += len(value)
+            elif paged:
+                add(insert[klen](tag, msn, klen, key[lift:], _TAG_PAGE, len(pages), len(value)))
+                pages.append(value)
+                small += 9
             else:
-                vtag, vlen = struct.unpack_from("<BI", data, pos)
+                add(insert[klen](tag, msn, klen, key[lift:], _TAG_BYTES, -1, len(value)))
+                add(value)
+                small += 9 + len(value)
+
+    # ``small + copied`` is everything after the page-area word so far.
+    page_area_start = 0
+    if pages:
+        page_area_start = _align(small + copied + 4)
+        add(b"\x00" * (page_area_start - small - copied - 4))
+    front[0] = _INTERNAL_HEAD.pack(
+        page_area_start, MAGIC_INTERNAL, node.node_id, node.height,
+        len(children), len(node.buffer), lift,
+    )
+    parts = [b"".join(front)]
+    ref, _slots = _append_pages(parts, pages)
+    return SerializedNode(
+        data=_seal(parts), small_bytes=small, copied_bytes=copied, ref_bytes=ref
+    )
+
+
+def _decode_internal(data: bytes, aligned: bool) -> Tuple[InternalNode, int]:
+    page_pos, magic, node_id, height, n_children, n_msgs, lift = (
+        _INTERNAL_HEAD.unpack_from(data, 0)
+    )
+    if magic != MAGIC_INTERNAL:
+        raise ValueError("bad internal magic")
+    pos = 30 + lift
+    prefix = data[30:pos]
+    children = list(unpack_from("<%dq" % n_children, data, pos))
+    pos += 8 * n_children
+    pivots: List[bytes] = []
+    for _ in range(n_children - 1):
+        end = pos + 2 + (data[pos] | data[pos + 1] << 8)
+        pivots.append(prefix + data[pos + 2 : end])
+        pos = end
+    node = InternalNode(node_id, height, pivots, children)
+
+    msgs: List[Message] = []
+    bulk = 0
+    msn_max = 0
+    head = _MSG_HEAD.unpack_from
+    for _ in range(n_msgs):
+        tag, msn, klen = head(data, pos)
+        end = pos + 11 + klen
+        key = prefix + data[pos + 11 : end]
+        pos = end
+        if msn > msn_max:
+            msn_max = msn
+        if tag < _MSG_DELETE:  # insert / insert_by_ref
+            if aligned:
+                vtag, _slot, vlen = _ALIGNED_VALUE.unpack_from(data, pos)
+                pos += 9
+            else:
+                vtag, vlen = _PACKED_VALUE.unpack_from(data, pos)
                 pos += 5
-                raw = data[pos : pos + vlen]
+            if vtag != _TAG_PAGE:
+                value: Value = data[pos : pos + vlen]
                 pos += vlen
-                value: Value = PageFrame(raw) if vtag == _TAG_PAGE else raw
-                msgs.append(Insert(key, value, msn))
-        elif tag == _MSG_TAGS["delete"]:
-            msgs.append(Delete(read_key(), msn))
-        elif tag == _MSG_TAGS["patch"]:
-            key = read_key()
-            offset, dlen = struct.unpack_from("<II", data, pos)
-            pos += 8
-            pdata = data[pos : pos + dlen]
-            pos += dlen
-            msgs.append(Patch(key, offset, pdata, msn))
+            elif aligned:  # page slots follow one another in entry order
+                value = PageFrame(data[page_pos : page_pos + vlen])
+                page_pos += _align(vlen)
+            else:
+                value = PageFrame(data[pos : pos + vlen])
+                pos += vlen
+            if vlen >= BULK_VALUE_MIN:
+                bulk += vlen
+            msgs.append(Insert(key, value, msn))
+        elif tag == _MSG_DELETE:
+            msgs.append(Delete(key, msn))
+        elif tag == _MSG_PATCH:
+            offset, dlen = _PATCH_SPAN.unpack_from(data, pos)
+            pos += 8 + dlen
+            msgs.append(Patch(key, offset, data[pos - dlen : pos], msn))
+        elif tag == _MSG_RANGE_DELETE:
+            end = pos + 2 + (data[pos] | data[pos + 1] << 8)
+            msgs.append(RangeDelete(key, prefix + data[pos + 2 : end], msn))
+            pos = end
         else:  # pragma: no cover - defensive
             raise ValueError(f"bad message tag {tag}")
 
-    if deferred_pages:
-        sizes = [vlen for _, _, vlen in sorted(deferred_pages, key=lambda t: t[1])]
-        slot_offsets: List[int] = []
-        cursor = page_area_start
-        for size in sizes:
-            slot_offsets.append(cursor)
-            cursor = _align(cursor + size, PAGE_ALIGN)
-        for msg_idx, page_idx, vlen in deferred_pages:
-            off = slot_offsets[page_idx]
-            old = msgs[msg_idx]
-            msgs[msg_idx] = Insert(
-                old.key,  # type: ignore[attr-defined]
-                PageFrame(data[off : off + vlen]),
-                old.msn,
-            )
-
     node.set_buffer(msgs)
-    node.msn_max = max((m.msn for m in msgs), default=0)
+    node.msn_max = msn_max
     node.dirty = False
-    return node
+    return node, bulk
 
 
 # ----------------------------------------------------------------------
@@ -550,11 +534,20 @@ def serialize_node(node: Node, aligned: bool, lifting: bool) -> SerializedNode:
     return serialize_internal(node, aligned, lifting)
 
 
-def decode_node(data: bytes, aligned: bool, verify: bool = True) -> Node:
-    if data[:4] == MAGIC_LEAF:
-        return decode_leaf(data, aligned, verify)
+def decode_node(
+    data: bytes, aligned: bool, verify: bool = True, cost_split: Optional[List[int]] = None
+) -> Node:
+    """Decode one node.  ``cost_split``, if given, receives the node's
+    bytes as ``[small, bulk]``: the values of at least
+    :data:`BULK_VALUE_MIN` bytes, and everything else."""
+    if verify:
+        verify_crc(data)
     # Internal nodes start with the page-area offset word.
-    return decode_internal(data, aligned, verify)
+    decode = _decode_leaf if data[:4] == MAGIC_LEAF else _decode_internal
+    node, bulk = decode(data, aligned)
+    if cost_split is not None:
+        cost_split[:] = max(0, len(data) - bulk), bulk
+    return node
 
 
 class ChecksumError(Exception):
@@ -562,6 +555,7 @@ class ChecksumError(Exception):
 
 
 def verify_crc(data: bytes) -> None:
-    payload, crc = data[:-4], data[-4:]
-    if struct.unpack("<I", crc)[0] != (zlib.crc32(payload) & 0xFFFFFFFF):
+    end = len(data) - 4
+    # The payload is read through a view: no copy of up to 256 KiB.
+    if _U32.unpack_from(data, end)[0] != crc32(memoryview(data)[:end]):
         raise ChecksumError("node checksum mismatch")

@@ -464,9 +464,9 @@ class BeTree:
         right, pivot = root.split(self.env.new_node_id())
         self.stats.leaf_splits += 1
         self.stats.root_splits += 1
-        new_root = InternalNode(self.env.new_node_id(), height=1)
-        new_root.pivots = [pivot]
-        new_root.children = [root.node_id, right.node_id]
+        new_root = InternalNode(
+            self.env.new_node_id(), 1, [pivot], [root.node_id, right.node_id]
+        )
         new_root.mem_buf = self.alloc.alloc(4096)
         self.cache.put(right, self)
         self.cache.put(new_root, self)
@@ -488,9 +488,9 @@ class BeTree:
         right.mem_buf = self.alloc.alloc(max(4096, right.buffer_bytes))
         self.stats.internal_splits += 1
         self.stats.root_splits += 1
-        new_root = InternalNode(self.env.new_node_id(), root.height + 1)
-        new_root.pivots = [pivot]
-        new_root.children = [root.node_id, right.node_id]
+        new_root = InternalNode(
+            self.env.new_node_id(), root.height + 1, [pivot], [root.node_id, right.node_id]
+        )
         new_root.mem_buf = self.alloc.alloc(4096)
         self.cache.put(right, self)
         self.cache.put(new_root, self)
@@ -919,33 +919,14 @@ class BeTree:
         # One deserialization buffer allocation per node read.
         buf = self.alloc.alloc(self.alloc.suggested_capacity(len(data)))
         self.clock.cpu(self.costs.checksum(len(data)))
-        node = decode_node(data, aligned=self.cfg.page_sharing)
-        small, values = self._decode_cost_split(node, len(data))
+        split: List[int] = []
+        node = decode_node(data, aligned=self.cfg.page_sharing, cost_split=split)
+        small, values = split
         self.clock.cpu(self.costs.serialize(small))
         if not self.cfg.page_sharing:
             self.clock.cpu(self.costs.memcpy(values))
         self.alloc.free(buf, size_hint=buf.capacity)
         return node
-
-    @staticmethod
-    def _decode_cost_split(node: Node, total: int) -> Tuple[int, int]:
-        """Split a node's bytes into (small/irregular, bulk values)."""
-        if isinstance(node, LeafNode):
-            values = 0
-            for basement in node.basements:
-                for v in basement.values:
-                    n = value_len(v)
-                    if n >= 512:
-                        values += n
-            return max(0, total - values), values
-        values = 0
-        for msg in node.buffer:
-            v = getattr(msg, "value", None)
-            if v is not None:
-                n = value_len(v)
-                if n >= 512:
-                    values += n
-        return max(0, total - values), values
 
     # ------------------------------------------------------------------
     # Partial leaf loads (basement-granular reads, §2.2)

@@ -335,18 +335,21 @@ class VFS:
         # rename operates on its own index.
         self.writeback(path=src)
         src_prefix = src + "/"
-        for dirty in self.dcache.dirty_inodes():
-            if dirty.path == src or dirty.path.startswith(src_prefix):
+        # Only a directory has anything cached below its name (a
+        # file's own dirty pages went out with writeback(path=src), and
+        # the only inode at or below its name is the one in hand), and
+        # only a directory brings children to names below ``dst``,
+        # where lookups may have cached their absence.
+        is_dir = inode.stat.kind is FileKind.DIR
+        for dirty in self.dcache.dirty_inodes() if is_dir else [inode]:
+            if dirty.dirty and (
+                dirty.path == src or dirty.path.startswith(src_prefix)
+            ):
                 self.backend.set_stat(
                     dirty.path, dirty.stat, dirty.pinned_log_section
                 )
                 dirty.dirty = False
                 dirty.pinned_log_section = None
-        # Only a directory has anything cached below its name (a
-        # file's own dirty pages went out with writeback(path=src)),
-        # and only a directory brings children to names below ``dst``,
-        # where lookups may have cached their absence.
-        is_dir = inode.stat.kind is FileKind.DIR
         if is_dir and any(
             page.dirty and p.startswith(src_prefix) for (p, _i), page in self.pages
         ):

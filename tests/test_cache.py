@@ -39,8 +39,7 @@ class TestNodeCache:
     def test_eviction_prefers_leaves(self):
         cache = NodeCache(600)
         owner = object()
-        internal = InternalNode(1, height=1)
-        internal.children = [2]
+        internal = InternalNode(1, 1, [], [2])
         cache.put(internal, owner)
         cache.put(leaf_with(2, 300), owner)
         cache.put(leaf_with(3, 300), owner)

@@ -172,6 +172,19 @@ class TestSanitizers:
             env.cache.clear()
             assert env.cache._used == 0
 
+    def test_cache_sanitizer_recounts_an_internal_nodes_pivot_bytes(self):
+        """``InternalNode.nbytes()`` is O(1) from a kept total; pivots
+        changed behind it are a typed error at the next fit."""
+        env, _device = make_env(small_cfg(sanitize=True))
+        for i in range(500):
+            env.insert(META, b"k%04d" % i, b"v" * 40)
+        root = env.meta._load_node(env.meta.root_id)
+        assert root.pivots, "workload too small to split the root"
+        env.san.check_cache()
+        root.pivots[0] += b"-longer"
+        with pytest.raises(CacheInvariantError, match="pivot bytes"):
+            env.get(META, b"nothing")
+
     def test_cache_sanitizer_rejects_a_node_on_the_wrong_lru(self):
         env, _device = make_env(small_cfg(sanitize=True))
         for i in range(300):

@@ -196,7 +196,6 @@ class TestKeyRangePredicates:
         ]:
             msg = RangeDelete(start, end, 1)
             assert list(msg.route(self.PIVOTS)) == want
-            node = InternalNode(1, height=1)
-            node.pivots, node.children = list(self.PIVOTS), [10, 11, 12]
+            node = InternalNode(1, 1, list(self.PIVOTS), [10, 11, 12])
             node.enqueue(msg)
             assert [i for i in range(3) if msg in node.messages_for_child(i)] == want

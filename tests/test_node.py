@@ -122,10 +122,7 @@ class TestLeafNode:
 
 class TestInternalNode:
     def make(self):
-        node = InternalNode(1, height=1)
-        node.pivots = [b"g", b"p"]
-        node.children = [10, 11, 12]
-        return node
+        return InternalNode(1, 1, [b"g", b"p"], [10, 11, 12])
 
     def test_child_routing(self):
         node = self.make()
@@ -182,9 +179,7 @@ class TestInternalNode:
             assert rd in node.messages_for_child(idx)
 
     def test_split_partitions_buffer(self):
-        node = InternalNode(1, height=1)
-        node.pivots = [b"c", b"f", b"j"]
-        node.children = [1, 2, 3, 4]
+        node = InternalNode(1, 1, [b"c", b"f", b"j"], [1, 2, 3, 4])
         node.enqueue(Insert(b"a", b"1", msn=1))
         node.enqueue(Insert(b"k", b"2", msn=2))
         node.enqueue(RangeDelete(b"b", b"z", msn=3))

@@ -10,6 +10,7 @@ from repro.core.env import DATA, META
 from repro.core.messages import PageFrame, value_bytes
 from repro.core.node import InternalNode, LeafNode
 from tests.conftest import build_env
+from tests.test_env import reopen
 
 from repro.core.config import BeTreeConfig
 from repro.device.block import BlockDevice
@@ -246,6 +247,27 @@ class TestEvictionAndReload:
             assert env.get(META, b"key%05d" % i) == b"value%03d" % (i % 97)
         assert env.meta.stats.node_reads > 0
 
+    def test_internal_sizes_stay_current_through_splits_and_reloads(self):
+        """add_child, internal and root splits, and decode each leave
+        ``InternalNode.nbytes()`` equal to a recount."""
+        env = fresh_env(cache_bytes=16 * 1024)
+        for i in range(3000):
+            env.insert(META, b"key%05d" % (i * 7919 % 3000), b"value%03d" % (i % 97))
+            if i % 50 == 0:
+                assert_internal_sizes_are_current(env)
+        stats = env.meta.stats
+        assert stats.internal_splits > 0 and stats.root_splits > 1
+        env.close()
+        # A second mount of the same device: every node it holds came
+        # through decode_node.
+        cold = reopen(env.storage.device, env.config)
+        for i in range(0, 3000, 37):
+            assert cold.get(META, b"key%05d" % i) is not None
+            assert_internal_sizes_are_current(cold)
+        assert any(
+            isinstance(node, InternalNode) for node, _owner in cold.cache._nodes.values()
+        )
+
 
 # ----------------------------------------------------------------------
 # Property: the tree matches a dict model under random op sequences,
@@ -261,10 +283,21 @@ op_strategy = st.lists(
 )
 
 
+def assert_internal_sizes_are_current(env):
+    """The pivot bytes an internal node keeps (so the cache's per-op
+    ``nbytes()`` is O(1)) equal a recount, for every cached node."""
+    for node, _owner in env.cache._nodes.values():
+        if isinstance(node, InternalNode):
+            recount = sum(len(p) + 8 for p in node.pivots) + 8 * len(node.children)
+            assert node.pivot_bytes == recount
+            assert node.nbytes() == recount + sum(m.nbytes() for m in node.buffer)
+
+
 def _apply_ops(env, op_list):
     """Drive ``env`` with ``op_list``; returns the dict model of META."""
     model = {}
     for n, (op, x, y) in enumerate(op_list):
+        assert_internal_sizes_are_current(env)
         k = b"key%02d" % x
         if op == "insert":
             v = b"val%02d-%d" % (y, n)
@@ -316,6 +349,7 @@ def test_tree_matches_model(op_list, lazy, page_sharing, queries):
         page_sharing=page_sharing,
     )
     model = _apply_ops(env, op_list)
+    assert_internal_sizes_are_current(env)
     ordered = sorted(model)
     rows = env.range_query(META, b"", b"\xff" * 8)
     assert [k for k, _ in rows] == ordered  # each live key exactly once

@@ -4,6 +4,8 @@ import pytest
 
 from repro.betrfs import make_betrfs
 from repro.betrfs.filesystem import MountOptions
+from repro.core.env import META
+from repro.vfs.inode import Stat
 from repro.vfs.pagecache import CachedPage
 from repro.vfs.vfs import FSError
 
@@ -18,6 +20,37 @@ def fs():
 @pytest.fixture
 def v(fs):
     return fs.vfs
+
+
+def reboot(fs):
+    """Pull the plug: a fresh KV environment recovered from a crash
+    image of the mount's device (fsck-clean first)."""
+    from repro.check.fsck import fsck_device
+    from repro.core.env import KVEnv
+    from repro.kmem.allocator import KernelAllocator
+    from repro.model.costs import CostModel
+    from repro.storage.sfl import SimpleFileLayer
+
+    image = fs.device.crash_image()
+    fsck_device(
+        image,
+        log_size=fs.opts.log_size,
+        meta_size=fs.opts.meta_size,
+        aligned=fs.config.page_sharing,
+    ).raise_if_errors()
+    costs = CostModel()
+    return KVEnv.open(
+        SimpleFileLayer(image, costs, log_size=fs.opts.log_size,
+                        meta_size=fs.opts.meta_size),
+        image.clock,
+        costs,
+        KernelAllocator(image.clock, costs),
+        fs.config,
+        log_size=fs.opts.log_size,
+        meta_size=fs.opts.meta_size,
+        data_size=fs.opts.data_size,
+        log_page_values=False,
+    )
 
 
 def count_dirty_reads(fs, files, pages_each):
@@ -302,34 +335,33 @@ class TestDirtyInodes:
     def test_deferred_create_survives_crash_after_sync(self, fs, v):
         v.create("/d1")
         v.sync()
-        # Reboot the whole stack from the device image.
-        from repro.core.env import KVEnv
-        from repro.kmem.allocator import KernelAllocator
-        from repro.model.costs import CostModel
-        from repro.storage.sfl import SimpleFileLayer
+        assert reboot(fs).get(META, b"/d1") is not None
 
-        image = fs.device.crash_image()
-        from repro.check.fsck import fsck_device
-
-        fsck_device(
-            image,
-            log_size=fs.opts.log_size,
-            meta_size=fs.opts.meta_size,
-            aligned=fs.config.page_sharing,
-        ).raise_if_errors()
-        costs = CostModel()
-        env2 = KVEnv.open(
-            SimpleFileLayer(image, costs, log_size=fs.opts.log_size,
-                            meta_size=fs.opts.meta_size),
-            image.clock,
-            costs,
-            KernelAllocator(image.clock, costs),
-            fs.config,
-            log_size=fs.opts.log_size,
-            meta_size=fs.opts.meta_size,
-            data_size=fs.opts.data_size,
-            log_page_values=False,
+    def test_rename_writes_the_dirty_inode_in_hand_and_no_other(
+        self, fs, v, monkeypatch
+    ):
+        """A file has no inode below its name, so rename tests the one
+        it resolved instead of walking the dcache: the deferred stat
+        reaches the tree under the old name, moves, and is durable
+        under the new one; a dirty sibling stays deferred."""
+        v.create("/a")
+        v.create("/sibling")
+        v.write("/a", 0, b"x" * 5000)
+        a, sibling = v.dcache.get("/a"), v.dcache.get("/sibling")
+        assert a.dirty and sibling.dirty
+        written = []
+        set_stat = fs.backend.set_stat
+        monkeypatch.setattr(
+            fs.backend,
+            "set_stat",
+            lambda path, *rest: (written.append(path), set_stat(path, *rest))[1],
         )
-        from repro.core.env import META
-
-        assert env2.get(META, b"/d1") is not None
+        monkeypatch.delattr(type(v.dcache), "dirty_inodes")
+        v.rename("/a", "/b")
+        assert written == ["/a"]
+        assert not a.dirty and a.pinned_log_section is None
+        assert sibling.dirty and sibling.pinned_log_section is not None
+        v.fsync("/b")
+        env2 = reboot(fs)
+        assert Stat.unpack(env2.get(META, b"/b")).size == 5000
+        assert env2.get(META, b"/a") is None
