@@ -10,13 +10,13 @@ reports on the *sim* clock — the sim end-to-end metrics, each layer's
 a pure function of the simulator, the same on every machine.  This
 script runs
 
-    python -m perfbench --traced --seed 11 \\
-        --workload tree_scan_cold --workload smallfile_create
+    python -m perfbench --traced --seed 11 --seconds 1
 
-(with ``--seconds 1``: run length only buys host-clock repetitions),
-keeps the rows ``perfbench.compare`` calls exact, and compares them
-with ``benchmarks/perfbench_exact_seed11.json`` for equality.  Host
-rows are not looked at.  A difference means the simulation changed: a
+over all seven ``BENCHMARK.json`` workloads (run length only buys
+host-clock repetitions; ~45 s), keeps the rows ``perfbench.compare``
+calls exact, and compares them with
+``benchmarks/perfbench_exact_seed11.json`` for equality.  Host rows
+are not looked at.  A difference means the simulation changed: a
 PR that intends one re-blesses and says which rows moved.
 """
 
@@ -33,7 +33,10 @@ from typing import Dict, List
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SNAPSHOT = os.path.join(ROOT, "benchmarks", "perfbench_exact_seed11.json")
 SEED = 11
-WORKLOADS = ("tree_scan_cold", "smallfile_create")
+WORKLOADS = (
+    "smallfile_create", "mail_fsync", "tree_scan_cold", "bigfile_rw",
+    "mail_mt8", "mail_mt8_shard4", "mail_fsync_ext4",
+)
 
 
 def exact_rows(document: dict) -> dict:

@@ -175,20 +175,35 @@ class SanitizerSuite:
             TreeInvariantError,
             (nid, len(node.children), self.cfg.fanout),
         )
-        total = sum(m.nbytes() for m in node.buffer)
+        # Kept values are recounted, never trusted: each message's size
+        # from its fields, the byte total from those, the point and
+        # range indexes (and each key's arrival order) from the buffer.
+        measured = [m.measure() for m in node.buffer]
+        resized = [m for m, size in zip(node.buffer, measured) if m.size != size]
+        require(
+            not resized,
+            "message size drifted from a recount of its fields",
+            TreeInvariantError,
+            (nid, resized),
+        )
+        total = sum(measured)
         require(
             node.buffer_bytes == total,
             "buffer_bytes drifted from the summed message sizes",
             TreeInvariantError,
             (nid, node.buffer_bytes, total),
         )
-        indexed = sum(len(v) for v in node.point_index.values())
-        indexed += len(node.range_msgs)
+        points: Dict[bytes, list] = {}
+        for msg in node.buffer:
+            if not msg.is_range:
+                points.setdefault(msg.key, []).append(msg)
         require(
-            indexed == len(node.buffer),
+            node.point_index == points
+            and node.range_msgs == [m for m in node.buffer if m.is_range]
+            and (node._sorted_keys is None or node._sorted_keys == sorted(points)),
             "buffer index out of sync with the buffer",
             TreeInvariantError,
-            (nid, indexed, len(node.buffer)),
+            (nid, len(node.point_index), len(node.range_msgs), len(node.buffer)),
         )
         for msg in node.buffer:
             require(
@@ -552,9 +567,10 @@ class SanitizerSuite:
     def check_cache_ledger(cache) -> None:
         """The node cache's books against a full recount.  Only a node
         handed out since the last fit may differ from its recorded
-        size, so right after a fit the ledger is ``memory_used()``; the
-        pivot bytes an internal node keeps for ``nbytes()`` are
-        recounted from its pivots here, never trusted."""
+        size, so right after a fit the ledger is ``memory_used()``; what
+        a node keeps for ``nbytes()`` — a leaf's pair bytes, an internal
+        node's pivot bytes — is recounted from what it holds here, never
+        trusted."""
         sizes = {**cache._leaves, **cache._internals}
         leaves = {nid for nid, (node, _o) in cache._nodes.items() if node.is_leaf}
         require(
@@ -563,16 +579,20 @@ class SanitizerSuite:
             CacheInvariantError,
             sorted(set(cache._leaves) ^ leaves),
         )
-        kept = [
-            nid
-            for nid, (node, _o) in cache._nodes.items()
-            if not node.is_leaf
-            and node.pivot_bytes
-            != sum(map(len, node.pivots)) + 8 * (len(node.pivots) + len(node.children))
-        ]
+        kept = []
+        for nid, (node, _o) in cache._nodes.items():
+            if node.is_leaf:
+                drifted = node.pair_bytes != sum(b.nbytes for b in node.basements)
+            else:
+                drifted = node.pivot_bytes != sum(map(len, node.pivots)) + 8 * (
+                    len(node.pivots) + len(node.children)
+                )
+            if drifted:
+                kept.append(nid)
         require(
             not kept,
-            "internal node's kept pivot bytes drifted from a recount of its pivots",
+            "node's kept size (a leaf's pair bytes, an internal node's pivot "
+            "bytes) drifted from a recount of what it holds",
             CacheInvariantError,
             kept,
         )

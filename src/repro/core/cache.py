@@ -112,15 +112,16 @@ class NodeCache:
         runs for every victim (releases simulated buffer memory).
         """
         # Settle the ledger: only a node handed out since the last fit
-        # can have changed size.
+        # can have changed size, and most of those were only read.
         for node_id in self._touched:
             entry = self._nodes.get(node_id)
             if entry is not None:
                 node = entry[0]
                 sizes = self._internals if node.height else self._leaves
                 size = node.nbytes()
-                self._used += size - sizes[node_id]
-                sizes[node_id] = size
+                if size != sizes[node_id]:
+                    self._used += size - sizes[node_id]
+                    sizes[node_id] = size
         self._touched.clear()
         if self.san is not None:
             self.san.check_cache_ledger(self)

@@ -100,7 +100,7 @@ Pair = Optional[Tuple[Value, int]]
 class Message:
     """Base class for all messages."""
 
-    __slots__ = ("msn",)
+    __slots__ = ("msn", "size")
     kind = "?"
     is_range = False
     #: True if :meth:`apply_to` ignores the old value.  A blind write
@@ -110,9 +110,20 @@ class Message:
 
     def __init__(self, msn: int = 0) -> None:
         self.msn = msn
+        #: :meth:`measure` as of construction.  Nothing a message holds
+        #: changes length afterwards (a by-ref frame is sealed while the
+        #: message references it), so the buffers that re-ask a message
+        #: its size on every enqueue, flush and eviction read this.
+        #: Each kind's constructor sets its own fields first.
+        self.size = self.measure()
 
     def nbytes(self) -> int:
         """Approximate in-memory/serialized size of this message."""
+        return self.size
+
+    def measure(self) -> int:
+        """:attr:`size` recounted from the fields (the sanitizer's
+        oracle; everything else reads the kept value)."""
         raise NotImplementedError
 
     # -- what the message does to one key it affects -------------------
@@ -187,13 +198,13 @@ class PointMessage(Message):
     __slots__ = ("key",)
 
     def __init__(self, key: bytes, msn: int = 0) -> None:
-        super().__init__(msn)
         self.key = key
+        super().__init__(msn)
 
     #: Fixed per-message header overhead (type, MSN, lengths).
     HEADER = 16
 
-    def nbytes(self) -> int:
+    def measure(self) -> int:
         return self.HEADER + len(self.key)
 
     def affects(self, key: bytes) -> bool:
@@ -221,10 +232,10 @@ class Insert(PointMessage):
     kind = "insert"
 
     def __init__(self, key: bytes, value: Value, msn: int = 0) -> None:
-        super().__init__(key, msn)
         self.value = value
+        super().__init__(key, msn)
 
-    def nbytes(self) -> int:
+    def measure(self) -> int:
         return self.HEADER + len(self.key) + value_len(self.value)
 
     def apply_to(self, old: Optional[Value]) -> Optional[Value]:
@@ -248,16 +259,16 @@ class InsertByRef(PointMessage):
     kind = "insert_by_ref"
 
     def __init__(self, key: bytes, frame: PageFrame, msn: int = 0) -> None:
-        super().__init__(key, msn)
         self.frame = frame
         frame.get()
         frame.sealed = True
+        super().__init__(key, msn)
 
     @property
     def value(self) -> PageFrame:
         return self.frame
 
-    def nbytes(self) -> int:
+    def measure(self) -> int:
         # The frame itself is not copied into the buffer; only the key
         # and the reference are.  For *on-disk* sizing the frame bytes
         # count (see serialize.py); buffer memory accounting counts the
@@ -306,11 +317,11 @@ class Patch(PointMessage):
     blind = False
 
     def __init__(self, key: bytes, offset: int, data: bytes, msn: int = 0) -> None:
-        super().__init__(key, msn)
         self.offset = offset
         self.data = data
+        super().__init__(key, msn)
 
-    def nbytes(self) -> int:
+    def measure(self) -> int:
         return self.HEADER + len(self.key) + 4 + len(self.data)
 
     def apply_to(self, old: Optional[Value]) -> bytes:
@@ -334,13 +345,13 @@ class RangeDelete(Message):
     HEADER = 16
 
     def __init__(self, start: bytes, end: bytes, msn: int = 0) -> None:
-        super().__init__(msn)
         if start >= end:
             raise ValueError("empty range delete")
         self.start = start
         self.end = end
+        super().__init__(msn)
 
-    def nbytes(self) -> int:
+    def measure(self) -> int:
         return self.HEADER + len(self.start) + len(self.end)
 
     def apply_to(self, old: Optional[Value]) -> Optional[Value]:

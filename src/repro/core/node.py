@@ -85,7 +85,13 @@ class BasementNode:
 
     def set(self, key: bytes, value: Value, msn: int = 0) -> None:
         i = bisect.bisect_left(self.keys, key)
-        if i < len(self.keys) and self.keys[i] == key:
+        present = i < len(self.keys) and self.keys[i] == key
+        self._set_at(i, present, key, value, msn)
+
+    def _set_at(self, i: int, present: bool, key: bytes, value: Value, msn: int) -> None:
+        """Store the pair at slot ``i``, which ``key`` occupies already
+        (``present``) or would be inserted at."""
+        if present:
             old = self.values[i]
             self.nbytes -= self.pair_size(key, old)
             if isinstance(old, PageFrame):
@@ -101,15 +107,18 @@ class BasementNode:
     def remove(self, key: bytes) -> bool:
         i = bisect.bisect_left(self.keys, key)
         if i < len(self.keys) and self.keys[i] == key:
-            value = self.values[i]
-            self.nbytes -= self.pair_size(key, value)
-            if isinstance(value, PageFrame):
-                value.put()
-            del self.keys[i]
-            del self.values[i]
-            del self.msns[i]
+            self._remove_at(i)
             return True
         return False
+
+    def _remove_at(self, i: int) -> None:
+        value = self.values[i]
+        self.nbytes -= self.pair_size(self.keys[i], value)
+        if isinstance(value, PageFrame):
+            value.put()
+        del self.keys[i]
+        del self.values[i]
+        del self.msns[i]
 
     def remove_range(self, start: bytes, end: bytes, before_msn: Optional[int] = None) -> int:
         """Remove pairs in [start, end) older than ``before_msn``.
@@ -141,18 +150,20 @@ class BasementNode:
 
     def apply(self, msg: PointMessage) -> bool:
         """Apply one point message; returns False if it was stale."""
-        present, old, pair_msn = self.get_with_msn(msg.key)
-        pair = (old, pair_msn) if present else None
+        key = msg.key
+        i = bisect.bisect_left(self.keys, key)
+        present = i < len(self.keys) and self.keys[i] == key
+        pair = (self.values[i], self.msns[i]) if present else None
         if msg.is_stale(pair):
             return False
         new = msg.transition(pair)
-        if new is None:
-            self.remove(msg.key)
-        else:
+        if new is not None:
             # The basement takes its own reference; the message's
             # reference is released by the caller (release_message).
             msg.retain()
-            self.set(msg.key, new[0], new[1])
+            self._set_at(i, present, key, new[0], new[1])
+        elif present:
+            self._remove_at(i)
         return True
 
     def first_key(self) -> Optional[bytes]:
@@ -210,15 +221,23 @@ class Node:
 class LeafNode(Node):
     """A leaf: an ordered list of basement nodes."""
 
-    __slots__ = ("basements",)
+    __slots__ = ("basements", "pair_bytes")
 
-    def __init__(self, node_id: int) -> None:
+    def __init__(
+        self, node_id: int, basements: Optional[List[BasementNode]] = None
+    ) -> None:
         super().__init__(node_id, height=0)
-        self.basements: List[BasementNode] = [BasementNode()]
+        self.basements: List[BasementNode] = basements or [BasementNode()]
+        #: Sum of the basements' ``nbytes`` (an unloaded stub counts
+        #: 0), kept current by the only things that change it — this
+        #: constructor, :meth:`apply`, :meth:`apply_range_delete`,
+        #: :meth:`split` and :meth:`replace_basement` — so the cache's
+        #: per-op :meth:`nbytes` is O(1).
+        self.pair_bytes = sum(b.nbytes for b in self.basements)
 
     # ------------------------------------------------------------------
     def nbytes(self) -> int:
-        return sum(b.nbytes for b in self.basements)
+        return self.pair_bytes
 
     def pair_count(self) -> int:
         return sum(len(b) for b in self.basements)
@@ -245,6 +264,11 @@ class LeafNode(Node):
         kept = [b for b in self.basements if len(b) or not b.loaded]
         self.basements = kept or [BasementNode()]
 
+    def replace_basement(self, idx: int, basement: BasementNode) -> None:
+        """Put ``basement`` (read from disk) where the stub ``idx`` was."""
+        self.pair_bytes += basement.nbytes - self.basements[idx].nbytes
+        self.basements[idx] = basement
+
     def basement_for(self, key: bytes) -> BasementNode:
         return self.basements[self.basement_index_for(key)]
 
@@ -254,7 +278,9 @@ class LeafNode(Node):
     def apply(self, msg: PointMessage, basement_size: int) -> bool:
         idx = self.basement_index_for(key=msg.key)
         basement = self.basements[idx]
+        before = basement.nbytes
         applied = basement.apply(msg)
+        self.pair_bytes += basement.nbytes - before
         if basement.nbytes > basement_size and len(basement) > 1:
             right = basement.split()
             self.basements.insert(idx + 1, right)
@@ -263,9 +289,15 @@ class LeafNode(Node):
     def apply_range_delete(self, msg: RangeDelete) -> int:
         removed = 0
         for basement in self.basements:
+            if not basement.loaded:
+                # Its pairs are on disk only: the delete would pass
+                # them by unseen.
+                raise TreeInvariantError(
+                    f"range delete reached an unloaded basement: {self.node_id!r}"
+                )
             removed += basement.remove_range(msg.start, msg.end, before_msn=msg.msn)
-        # Drop empty basements (keep at least one).
-        self.basements = [b for b in self.basements if len(b)] or [BasementNode()]
+        self.prune_empty_basements()
+        self.pair_bytes = sum(b.nbytes for b in self.basements)
         return removed
 
     def split(self, new_node_id: int) -> Tuple["LeafNode", bytes]:
@@ -274,9 +306,9 @@ class LeafNode(Node):
             right_b = self.basements[0].split()
             self.basements.append(right_b)
         mid = len(self.basements) // 2
-        right = LeafNode(new_node_id)
-        right.basements = self.basements[mid:]
+        right = LeafNode(new_node_id, self.basements[mid:])
         del self.basements[mid:]
+        self.pair_bytes -= right.pair_bytes
         right.msn_max = self.msn_max
         pivot = right.basements[0].first_key()
         require(
@@ -371,7 +403,7 @@ class InternalNode(Node):
 
     def enqueue(self, msg: Message) -> None:
         self.buffer.append(msg)
-        self.buffer_bytes += msg.nbytes()
+        self.buffer_bytes += msg.size
         self._index_add(msg)
         if msg.msn > self.msn_max:
             self.msn_max = msg.msn
@@ -404,21 +436,39 @@ class InternalNode(Node):
 
     def set_buffer(self, msgs: List[Message]) -> None:
         self.buffer = msgs
-        self.buffer_bytes = sum(m.nbytes() for m in msgs)
+        self.buffer_bytes = sum(m.size for m in msgs)
         self._reindex()
 
     def remove_messages(self, doomed: List[Message], release: bool = True) -> None:
         doomed_ids = {id(m) for m in doomed}
         kept = []
+        keys = set()
+        ranges = False
         for m in self.buffer:
             if id(m) in doomed_ids:
-                self.buffer_bytes -= m.nbytes()
+                self.buffer_bytes -= m.size
+                if m.is_range:
+                    ranges = True
+                else:
+                    keys.add(m.key)
                 if release:
                     release_message(m)
             else:
                 kept.append(m)
         self.buffer = kept
-        self._reindex()
+        # Unindex what left, in place; every other entry (and each
+        # key's arrival order) stands as :meth:`_reindex` would build it.
+        for key in keys:
+            left = [m for m in self.point_index[key] if id(m) not in doomed_ids]
+            if left:
+                self.point_index[key] = left
+            else:
+                del self.point_index[key]
+                self._sorted_keys = None
+        if ranges:
+            self.range_msgs = [
+                r for r in self.range_msgs if id(r) not in doomed_ids
+            ]
 
     def pending_for_key(self, key: bytes) -> List[Message]:
         """Buffered messages affecting ``key`` (point + covering ranges)."""
@@ -436,7 +486,7 @@ class InternalNode(Node):
         """Child with the most pending buffered bytes (one pass)."""
         totals = [0] * len(self.children)
         for msg in self.buffer:
-            share = msg.nbytes()
+            share = msg.size
             for i in msg.route(self.pivots):
                 totals[i] += share
         return max(range(len(totals)), key=totals.__getitem__)

@@ -361,14 +361,13 @@ def decode_basement(blob: bytes, prefix: bytes, aligned: bool) -> BasementNode:
 def _decode_leaf(data: bytes, aligned: bool) -> Tuple[LeafNode, int]:
     header = decode_leaf_header(data, aligned)
     decode = _decode_basement_aligned if aligned else _decode_basement_packed
-    leaf = LeafNode(header.node_id)
+    basements: List[BasementNode] = []
     bulk = 0
-    if header.basement_extents:
-        leaf.basements = []
     for off, _ln in header.basement_extents:
         basement, b = decode(data, off, header.lift_prefix)
-        leaf.basements.append(basement)
+        basements.append(basement)
         bulk += b
+    leaf = LeafNode(header.node_id, basements)
     leaf.dirty = False
     return leaf, bulk
 

@@ -59,6 +59,17 @@ from repro.core.checkpoint import BlockManager
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.env import KVEnv
 
+#: ``SEARCH_STEPS[n] == 1 + math.log2(n + 1)``: the comparisons an
+#: ordered search over ``n`` entries is charged, for the sizes a probe
+#: meets.  Each entry is the float the expression yields, so reading it
+#: charges the same sim time as evaluating it; :func:`search_steps` is
+#: the total function.
+SEARCH_STEPS = tuple(1 + math.log2(n + 1) for n in range(8193))
+
+
+def search_steps(n: int) -> float:
+    return SEARCH_STEPS[n] if n < len(SEARCH_STEPS) else 1 + math.log2(n + 1)
+
 
 @dataclass
 class TreeStats:
@@ -189,53 +200,71 @@ class BeTree:
         return value
 
     def _get_impl(self, key: bytes, seq_hint: bool) -> Optional[Value]:
+        """One pass from the root to the leaf.  Per level: the pivot
+        search, the buffer probe (point and range messages sit in
+        ordered structures, OMTs: a logarithmic search each plus one
+        interval check per match) and the child's cache lookup, each
+        charged where it happens.  The charges stay separate ``cpu``
+        calls in this order — float addition does not associate, so
+        merging two would move the sim clock."""
         self.stats.queries += 1
-        self.clock.cpu(self.costs.query_overhead)
+        costs, cpu, cached = self.costs, self.clock.cpu, self.cache.get
+        steps, top = SEARCH_STEPS, len(SEARCH_STEPS)
+        cpu(costs.query_overhead)
+        # Only the eager policy reads the leaf's key bounds.
+        eager = not self.cfg.lazy_apply_on_query
+        readahead = seq_hint and self.cfg.tree_readahead
         path: List[InternalNode] = []
         pending: List[Message] = []
         bound_lo: Optional[bytes] = None
         bound_hi: Optional[bytes] = None
-        node = self._load_node(self.root_id)
-        while isinstance(node, InternalNode):
-            self._charge_pivot_search(node)
+        node = cached(self.root_id)
+        if node is None:
+            node = self._load_node_miss(self.root_id, None, False)
+        while node.height:
+            n = len(node.children)
+            cpu(costs.pivot_search_step * (steps[n] if n < top else search_steps(n)))
             found = node.pending_for_key(key)
-            self._charge_buffer_probe(node, len(found))
-            pending.extend(found)
+            n = len(node.point_index)
+            cpu(costs.key_compare * (steps[n] if n < top else search_steps(n)))
+            n = len(node.range_msgs)
+            cpu(
+                costs.range_check
+                * ((steps[n] if n < top else search_steps(n)) + len(found))
+            )
+            pending += found
             path.append(node)
-            idx = node.child_index_for(key)
-            child_id = node.children[idx]
-            bound_lo, bound_hi = intersect(
-                bound_lo, bound_hi, *node.child_range(idx)
-            )
-            parent_of_leaf = (node, idx) if node.height == 1 else None
-            node = self._load_node(
-                child_id, for_key=key, allow_partial=not seq_hint
-            )
-            if (
-                seq_hint
-                and self.cfg.tree_readahead
-                and parent_of_leaf is not None
-            ):
+            idx = bisect.bisect_right(node.pivots, key)
+            if eager:
+                bound_lo, bound_hi = intersect(
+                    bound_lo, bound_hi, *node.child_range(idx)
+                )
+            parent, child_id = node, node.children[idx]
+            node = cached(child_id)
+            if node is None:
+                node = self._load_node_miss(child_id, key, not seq_hint)
+            if readahead and parent.height == 1:
                 # §3.2: while the caller consumes this leaf, prefetch
                 # the next one (issued *after* the current read so it
                 # queues behind it).
-                self._issue_leaf_readahead(parent_of_leaf[0], parent_of_leaf[1] + 1)
+                self._issue_leaf_readahead(parent, idx + 1)
         leaf = node
-        require(
-            isinstance(leaf, LeafNode),
-            "descent ended on a non-leaf node",
-            TreeInvariantError,
-            type(leaf).__name__,
-        )
+        if type(leaf) is not LeafNode:
+            raise TreeInvariantError(
+                f"descent ended on a non-leaf node: {type(leaf).__name__!r}"
+            )
         basement = self._basement_for_query(leaf, key, seq_hint)
         present, base, base_msn = basement.get_with_msn(key)
-        self.clock.cpu(
-            self.costs.key_compare * (1 + math.log2(len(basement) + 1))
-        )
-        value = self._apply_pending((base, base_msn) if present else None, pending)
-
+        n = len(basement.keys)
+        cpu(costs.key_compare * (steps[n] if n < top else search_steps(n)))
+        if not pending:
+            value = base  # None when absent
+        else:
+            value = self._apply_pending(
+                (base, base_msn) if present else None, pending
+            )
         if path:
-            if not self.cfg.lazy_apply_on_query:
+            if eager:
                 self._apply_on_query_eager(
                     path, leaf, basement, bound_lo, bound_hi
                 )
@@ -265,7 +294,7 @@ class BeTree:
     # ==================================================================
     def _enqueue_root(self, msg: Message) -> None:
         self.clock.cpu(self.costs.message_overhead)
-        self.alloc.note_message(msg.nbytes())
+        self.alloc.note_message(msg.size)
         self.env.note_write()
         root = self._load_node(self.root_id)
         if isinstance(root, LeafNode):
@@ -285,7 +314,7 @@ class BeTree:
 
     def _enqueue_internal(self, node: InternalNode, msg: Message) -> None:
         """Add one message to a node buffer, modeling buffer growth."""
-        needed = node.buffer_bytes + msg.nbytes()
+        needed = node.buffer_bytes + msg.size
         buf = node.mem_buf
         if buf is None:
             node.mem_buf = self.alloc.alloc(
@@ -396,13 +425,13 @@ class BeTree:
         for msg in msgs:
             frame = msg.carried_frame() if self.cfg.page_sharing else None
             if frame is not None:
-                self.clock.cpu(self.costs.memcpy(msg.nbytes() - len(frame)))
+                self.clock.cpu(self.costs.memcpy(msg.size - len(frame)))
             else:
                 # The copying path re-serializes the complete message
                 # (key + value) into the next level's buffer (§2.3:
                 # "the complete data is always memcpy-ed at each
                 # level", including mempool bookkeeping).
-                self.clock.cpu(self.costs.serialize(msg.nbytes()))
+                self.clock.cpu(self.costs.serialize(msg.size))
 
     # ------------------------------------------------------------------
     # Leaf application and splits
@@ -514,26 +543,6 @@ class BeTree:
     # ==================================================================
     # Query helpers
     # ==================================================================
-    def _charge_pivot_search(self, node: InternalNode) -> None:
-        steps = 1 + math.log2(len(node.children) + 1)
-        self.clock.cpu(self.costs.pivot_search_step * steps)
-
-    def _charge_buffer_probe(self, node: InternalNode, matches: int) -> None:
-        """Cost of finding the pending messages for one key in a buffer.
-
-        Point and range messages are kept in ordered structures (OMTs);
-        a probe pays a logarithmic search plus one interval check per
-        candidate found.  (Range messages are still costlier than
-        points: overlapping intervals defeat simple indexing, which is
-        why range-heavy paths like eager apply-on-query burn CPU, §4.)
-        """
-        n_points = len(node.point_index)
-        self.clock.cpu(self.costs.key_compare * (1 + math.log2(n_points + 1)))
-        self.clock.cpu(
-            self.costs.range_check
-            * (1 + math.log2(len(node.range_msgs) + 1) + matches)
-        )
-
     def _apply_pending(
         self, pair: Pair, pending: List[Message]
     ) -> Optional[Value]:
@@ -714,7 +723,9 @@ class BeTree:
             TreeInvariantError,
             type(node).__name__,
         )
-        self._charge_pivot_search(node)
+        self.clock.cpu(
+            self.costs.pivot_search_step * search_steps(len(node.children))
+        )
         # Extract buffered messages overlapping the scan range: point
         # messages via the ordered index, range messages one by one.
         relevant: List[Message] = []
@@ -730,9 +741,7 @@ class BeTree:
             if msg.touches(start, end):
                 relevant.append(msg)
                 matches += 1
-        self.clock.cpu(
-            self.costs.range_check * (1 + math.log2(n_ranges + 1) + matches)
-        )
+        self.clock.cpu(self.costs.range_check * (search_steps(n_ranges) + matches))
         lo_idx = node.child_index_for(start)
         hi_idx = node.child_index_for(end)
         for idx in range(lo_idx, min(hi_idx + 1, len(node.children))):
@@ -862,16 +871,26 @@ class BeTree:
         node = self.cache.get(node_id)
         if node is not None:
             return node
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("tree.node_read", "tree") as sp:
-                node = self._load_node_miss(node_id, for_key, allow_partial)
-                sp.args["tree"] = self.file_name
-                sp.args["node"] = node_id
-            return node
         return self._load_node_miss(node_id, for_key, allow_partial)
 
     def _load_node_miss(
+        self,
+        node_id: int,
+        for_key: Optional[bytes],
+        allow_partial: bool,
+    ) -> Node:
+        """What follows a ``cache.get`` that came back empty (the point
+        query tests the hit inline and calls this itself)."""
+        tracer = self._tracer
+        if tracer is not None and tracer.enabled:
+            with tracer.span("tree.node_read", "tree") as sp:
+                node = self._read_node(node_id, for_key, allow_partial)
+                sp.args["tree"] = self.file_name
+                sp.args["node"] = node_id
+            return node
+        return self._read_node(node_id, for_key, allow_partial)
+
+    def _read_node(
         self,
         node_id: int,
         for_key: Optional[bytes],
@@ -947,8 +966,7 @@ class BeTree:
             return None
         if header.header_len > head_len or not header.basement_extents:
             return None
-        leaf = LeafNode(node_id)
-        leaf.basements = []
+        stubs: List[BasementNode] = []
         for (b_off, b_ln), fk in zip(
             header.basement_extents, header.basement_first_keys
         ):
@@ -956,7 +974,8 @@ class BeTree:
             stub.loaded = False
             stub.stub_first_key = fk
             stub.stub_extent = (b_off, b_ln)
-            leaf.basements.append(stub)
+            stubs.append(stub)
+        leaf = LeafNode(node_id, stubs)
         leaf.dirty = False
         self.stats.partial_leaf_loads += 1
         # Stash decode context keyed by node id for later basement loads.
@@ -985,7 +1004,7 @@ class BeTree:
         self.clock.cpu(self.costs.checksum(b_ln))
         basement = decode_basement(blob, prefix, aligned=self.cfg.page_sharing)
         basement.loaded = True
-        leaf.basements[idx] = basement
+        leaf.replace_basement(idx, basement)
         self.stats.basement_loads += 1
 
     def _ensure_fully_loaded(self, leaf: LeafNode) -> None:

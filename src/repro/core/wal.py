@@ -42,6 +42,9 @@ OP_INSERT_REF = 5  # value elided; payload holds key + crc of the page
 OP_CHECKPOINT = 6
 
 _HEADER = struct.Struct("<qBI")  # lsn, op, payload_len
+_KEY_HEAD = struct.Struct("<BH")  # tree_id, key_len
+_AUX_HEAD = struct.Struct("<IH")  # aux, aux2_len
+_U32 = struct.Struct("<I")  # value_len; the entry's trailing crc
 
 
 class LogEntry:
@@ -71,26 +74,28 @@ class LogEntry:
 def encode_payload(
     op: int, tree_id: int, key: bytes, value: bytes, aux: int, aux2: bytes
 ) -> bytes:
-    return (
-        struct.pack("<BH", tree_id, len(key))
-        + key
-        + struct.pack("<I", len(value))
-        + value
-        + struct.pack("<IH", aux, len(aux2))
-        + aux2
+    return b"".join(
+        (
+            _KEY_HEAD.pack(tree_id, len(key)),
+            key,
+            _U32.pack(len(value)),
+            value,
+            _AUX_HEAD.pack(aux, len(aux2)),
+            aux2,
+        )
     )
 
 
 def decode_payload(lsn: int, op: int, payload: bytes) -> LogEntry:
-    tree_id, klen = struct.unpack_from("<BH", payload, 0)
+    tree_id, klen = _KEY_HEAD.unpack_from(payload, 0)
     pos = 3
     key = payload[pos : pos + klen]
     pos += klen
-    (vlen,) = struct.unpack_from("<I", payload, pos)
+    (vlen,) = _U32.unpack_from(payload, pos)
     pos += 4
     value = payload[pos : pos + vlen]
     pos += vlen
-    aux, a2len = struct.unpack_from("<IH", payload, pos)
+    aux, a2len = _AUX_HEAD.unpack_from(payload, pos)
     pos += 6
     aux2 = payload[pos : pos + a2len]
     return LogEntry(lsn, op, tree_id, key, value, aux, aux2)
@@ -152,7 +157,9 @@ class WriteAheadLog:
         self.next_lsn += 1
         payload = encode_payload(op, tree_id, key, value, aux, aux2)
         crc = zlib.crc32(payload) & 0xFFFFFFFF
-        blob = _HEADER.pack(lsn, op, len(payload)) + payload + struct.pack("<I", crc)
+        blob = b"".join(
+            (_HEADER.pack(lsn, op, len(payload)), payload, _U32.pack(crc))
+        )
         self._buffer.append(blob)
         self._buffer_bytes += len(blob)
         self.entries_appended += 1
@@ -286,7 +293,7 @@ class WriteAheadLog:
             if end > limit:
                 break
             payload = doubled[pos + _HEADER.size : pos + _HEADER.size + plen]
-            (crc,) = struct.unpack_from("<I", doubled, pos + _HEADER.size + plen)
+            (crc,) = _U32.unpack_from(doubled, pos + _HEADER.size + plen)
             if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
                 break
             if expect is not None and lsn != expect:

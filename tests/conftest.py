@@ -64,6 +64,15 @@ def small_config():
     return cfg
 
 
+def recounted_node_bytes(node) -> int:
+    """A cached node's bytes counted from what it holds — pairs, pivots,
+    message fields — trusting none of the sizes it (or they) keep."""
+    if node.is_leaf:
+        return sum(b.pair_size(k, v) for b in node.basements for k, v in b.items())
+    pivots = sum(map(len, node.pivots)) + 8 * (len(node.pivots) + len(node.children))
+    return pivots + sum(m.measure() for m in node.buffer)
+
+
 def build_env(device, config, costs=None, **kwargs):
     costs = costs or CostModel()
     alloc = KernelAllocator(device.clock, costs)

@@ -1,13 +1,14 @@
 """Tests for the node cache, page cache and dentry cache."""
 
 import random
+from collections import OrderedDict
 
 import pytest
 
 from repro.core.cache import NodeCache
 from repro.core.config import BeTreeConfig
 from repro.core.env import DATA, META
-from repro.core.messages import PageFrame
+from repro.core.messages import Insert, PageFrame
 from repro.core.node import InternalNode, LeafNode
 from repro.device.block import BlockDevice
 from repro.device.clock import SimClock
@@ -17,12 +18,10 @@ from repro.model.profiles import COMMODITY_SSD
 from repro.vfs.dcache import DentryCache
 from repro.vfs.inode import FileKind, Stat, VInode
 from repro.vfs.pagecache import PAGE_SIZE, PageCache
-from tests.conftest import build_env
+from tests.conftest import build_env, recounted_node_bytes
 
 
 def leaf_with(node_id, nbytes):
-    from repro.core.messages import Insert
-
     leaf = LeafNode(node_id)
     leaf.apply(Insert(b"k%d" % node_id, b"x" * nbytes, msn=node_id), 1 << 20)
     return leaf
@@ -110,6 +109,10 @@ def recorded_bytes(cache):
     return sum(cache._leaves.values()) + sum(cache._internals.values())
 
 
+def recounted_bytes(cache):
+    return sum(recounted_node_bytes(node) for node, _owner in cache._nodes.values())
+
+
 def spy_on_fits(cache, log):
     """Record every victim as ``(node_id, was_dirty)`` and, after each
     fit of the real cache, hold its ledger to the from-scratch recount."""
@@ -129,6 +132,7 @@ def spy_on_fits(cache, log):
         fit(write, evict)
         if type(cache) is NodeCache:
             assert cache._used == cache.memory_used() == recorded_bytes(cache)
+            assert cache._used == recounted_bytes(cache)
             assert not cache._touched
 
     cache.evict_to_fit = spied
@@ -242,6 +246,31 @@ class TestNodeCacheLedger:
         cache.get(77)
         cache.evict_to_fit(lambda o, n: None)
         assert calls == [77]
+
+    def test_a_fit_rewrites_the_ledger_only_where_a_size_moved(self):
+        """Most handed-out nodes were only read: their ledger entry is
+        compared, not rewritten."""
+
+        class Ledger(OrderedDict):
+            writes = []
+
+            def __setitem__(self, node_id, size):
+                self.writes.append(node_id)
+                super().__setitem__(node_id, size)
+
+        cache = NodeCache(1 << 30)
+        leaves = {node_id: leaf_with(node_id, 100) for node_id in range(1, 21)}
+        for leaf in leaves.values():
+            cache.put(leaf, owner=None)
+        cache.evict_to_fit(lambda o, n: None)
+        cache._leaves = Ledger(cache._leaves)
+        Ledger.writes.clear()
+        for node_id in leaves:
+            cache.get(node_id)
+        leaves[7].apply(Insert(b"more", b"y" * 50, msn=99), 1 << 20)
+        cache.evict_to_fit(lambda o, n: None)
+        assert Ledger.writes == [7]
+        assert cache._used == cache.memory_used() == recounted_bytes(cache)
 
     def test_put_replacing_a_leaf_by_an_internal_node_moves_lists(self):
         cache = NodeCache(1 << 20)

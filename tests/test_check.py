@@ -14,7 +14,7 @@ from repro.check.errors import (
 )
 from repro.check.fsck import fsck_device, load_image, save_image
 from repro.core.env import DATA, META
-from repro.core.messages import Insert
+from repro.core.messages import Insert, RangeDelete
 from tests.test_env import LAYOUT, make_env, reopen, small_cfg
 
 MIB = 1 << 20
@@ -183,6 +183,58 @@ class TestSanitizers:
         env.san.check_cache()
         root.pivots[0] += b"-longer"
         with pytest.raises(CacheInvariantError, match="pivot bytes"):
+            env.get(META, b"nothing")
+
+    def _root_with_a_buffer(self):
+        env, _device = make_env(small_cfg(sanitize=True))
+        for i in range(500):
+            env.insert(META, b"k%04d" % i, b"v" * 40)
+        root = env.meta._load_node(env.meta.root_id)
+        assert root.height and len(root.buffer) > 2
+        env.san.check_all()
+        return env, root
+
+    def test_tree_sanitizer_recounts_a_messages_kept_size(self):
+        """``check_internal`` measures each message from its fields:
+        summing the kept sizes would compare a cache with itself."""
+        env, root = self._root_with_a_buffer()
+        root.buffer[1].size += 8
+        root.buffer_bytes += 8  # even a total that agrees with the drift
+        with pytest.raises(TreeInvariantError, match="message size drifted"):
+            env.san.check_node(env.meta, root)
+
+    @pytest.mark.parametrize("stale", ["gone", "extra", "order", "range", "sorted"])
+    def test_tree_sanitizer_rebuilds_the_buffer_index(self, stale):
+        """The in-place unindexing of a flush is held to what indexing
+        the buffer from nothing gives: contents and per-key order."""
+        env, root = self._root_with_a_buffer()
+        key = root.buffer[0].key
+        if stale == "gone":  # an index entry for a message that left
+            root.buffer = root.buffer[1:]
+            root.buffer_bytes -= root.point_index[key][0].size
+        elif stale == "extra":  # the right count, the wrong message
+            root.point_index[key] = [Insert(key, b"", 0)] + root.point_index[key][1:]
+        elif stale == "order":
+            twin = Insert(key, b"", root.buffer[0].msn)
+            root.enqueue(twin)
+            root.point_index[key].reverse()
+        elif stale == "range":
+            root.range_msgs.append(RangeDelete(b"a", b"b", 1))
+        else:
+            root._sorted_keys = sorted(root.point_index)[1:]
+        with pytest.raises(TreeInvariantError, match="buffer index out of sync"):
+            env.san.check_node(env.meta, root)
+
+    def test_cache_sanitizer_recounts_a_leafs_kept_size(self):
+        """``LeafNode.nbytes()`` is O(1) from a kept total; a basement
+        changed behind it is a typed error at the next fit."""
+        env, _device = make_env(small_cfg(sanitize=True))
+        for i in range(300):
+            env.insert(DATA, b"d%04d" % i, b"x" * 200)
+        leaf = next(n for n, _owner in env.cache._nodes.values() if n.is_leaf)
+        env.san.check_cache()
+        leaf.basements[0].set(b"behind-the-leaf", b"y" * 64, msn=1 << 40)
+        with pytest.raises(CacheInvariantError, match="pair bytes"):
             env.get(META, b"nothing")
 
     def test_cache_sanitizer_rejects_a_node_on_the_wrong_lru(self):

@@ -93,6 +93,63 @@ class TestSizes:
         rd = RangeDelete(b"aa", b"bb")
         assert rd.nbytes() == RangeDelete.HEADER + 4
 
+    @pytest.mark.parametrize(
+        "msg,want",
+        [
+            (Insert(b"key", b"v" * 7, 1), 16 + 3 + 7),
+            (Insert(b"key", PageFrame(b"p" * 4096), 1), 16 + 3 + 4096),
+            (InsertByRef(b"key", PageFrame(b"p" * 100), 1), 16 + 3 + 100),
+            (Delete(b"abc", 1), 16 + 3),
+            (Patch(b"key", 2, b"PPPP", 1), 16 + 3 + 4 + 4),
+            (RangeDelete(b"aa", b"bbb", 1), 16 + 2 + 3),
+        ],
+        ids=lambda v: getattr(v, "kind", None),
+    )
+    def test_size_is_kept_from_construction(self, msg, want):
+        """``nbytes()`` reads what the constructor measured; the
+        recount (``measure``, the sanitizer's oracle) agrees."""
+        assert msg.nbytes() == msg.size == msg.measure() == want
+
+    def test_clipped_range_delete_copies_measure_themselves(self):
+        rd = RangeDelete(b"b", b"wxyz", 5)
+        parts = [
+            rd.clip(b"c", None),
+            rd.clip(None, b"mm"),
+            rd.clip(b"dd", b"ee"),
+            *rd.split_at(b"pivot"),
+        ]
+        assert all(part is not rd for part in parts)
+        for part in parts:
+            assert part.nbytes() == part.measure() == 16 + len(part.start) + len(part.end)
+        assert rd.clip(None, None) is rd and rd.nbytes() == 16 + 1 + 4
+
+    def test_vfs_patch_in_place_leaves_a_by_ref_message_its_size(self, monkeypatch):
+        """The blind-patch path rewrites a clean cached page's bytes in
+        place, and under page sharing that frame is the very one a
+        buffered ``InsertByRef`` holds: the bytes change, the length
+        (what the message's kept size counted) does not."""
+        from repro.betrfs.filesystem import MountOptions, make_betrfs
+        from repro.core.tree import BeTree
+
+        seen = []
+        enqueue = BeTree._enqueue_root
+        monkeypatch.setattr(
+            BeTree, "_enqueue_root", lambda tree, msg: seen.append(msg) or enqueue(tree, msg)
+        )
+        fs = make_betrfs("BetrFS v0.6", MountOptions(scale=1 / 32))
+        fs.vfs.create("/f")
+        fs.vfs.write("/f", 0, b"a" * 8192)
+        fs.vfs.fsync("/f")
+        by_ref = [m for m in seen if m.kind == "insert_by_ref"]
+        assert len(by_ref) == 2 and all(m.frame.sealed for m in by_ref)
+        before = [bytes(m.frame.data) for m in by_ref]
+        fs.vfs.write("/f", 10, b"ZZZZ")  # small, partial, page clean: a patch
+        assert seen[-1].kind == "patch"
+        assert by_ref[0].frame.data[8:16] == b"aaZZZZaa" != before[0][8:16]
+        for m in by_ref:
+            assert m.nbytes() == m.measure()
+        assert fs.vfs.read("/f", 8, 8) == b"aaZZZZaa"
+
 
 # ----------------------------------------------------------------------
 # What each kind *does*: the one value transition and the one set of

@@ -1,9 +1,21 @@
 """Unit and property tests for B-epsilon-tree nodes."""
 
+import bisect
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import Delete, Insert, PageFrame, Patch, RangeDelete
+from repro.check.errors import TreeInvariantError
+from repro.core.messages import (
+    Delete,
+    Insert,
+    InsertByRef,
+    PageFrame,
+    Patch,
+    RangeDelete,
+)
 from repro.core.node import BasementNode, InternalNode, LeafNode
 
 
@@ -69,6 +81,29 @@ class TestBasementNode:
         b.apply(Patch(b"k", 2, b"XX", msn=2))
         assert b.get(b"k") == (True, b"abXXef")
 
+    @pytest.mark.parametrize("msn,slots", [(9, 10), (0, 11)])  # applied; stale where present
+    def test_apply_finds_the_slot_once(self, monkeypatch, msn, slots):
+        """One bisect per applied message (a count, not a timing): the
+        slot the staleness test looked at is the slot written."""
+        b = BasementNode()
+        for i in range(10):
+            b.set(b"k%02d" % i, b"v", msn=1)
+        calls = []
+        spy = lambda keys, key: calls.append(key) or bisect.bisect_left(keys, key)
+        monkeypatch.setattr(
+            "repro.core.node.bisect", SimpleNamespace(bisect_left=spy)
+        )
+        for msg in (
+            Insert(b"k03", b"new", msn),
+            Insert(b"k035", b"new", msn),
+            Delete(b"k04", msn),
+            Patch(b"k05", 0, b"P", msn),
+        ):
+            calls.clear()
+            b.apply(msg)
+            assert calls == [msg.key]
+        assert len(b) == slots
+
 
 class TestLeafNode:
     def make_leaf(self, n=20):
@@ -98,6 +133,49 @@ class TestLeafNode:
         assert leaf.pair_count() == 15
         assert leaf.get(b"k014") == (False, None)
         assert leaf.get(b"k015")[0]
+
+    def test_range_delete_refuses_an_unloaded_basement(self):
+        """A stub's pairs are on disk only: a range delete that passed
+        it by (and then pruned it, as this once did) would lose them
+        without a trace."""
+        leaf = self.make_leaf(30)
+        stub = BasementNode()
+        stub.loaded = False
+        stub.stub_first_key = leaf.basements[1].first_key()
+        before = leaf.nbytes()
+        leaf.replace_basement(1, stub)
+        assert leaf.nbytes() < before
+        with pytest.raises(TreeInvariantError, match="unloaded basement"):
+            leaf.apply_range_delete(RangeDelete(b"k000", b"k999", msn=99))
+        assert stub in leaf.basements
+        leaf.prune_empty_basements()
+        assert stub in leaf.basements  # the one predicate keeps stubs
+
+    def test_nbytes_is_kept_not_summed(self):
+        """``nbytes()`` (asked per touched node per op by the cache)
+        reads a total the mutators keep; it never walks the basements."""
+
+        class Unwalkable(list):
+            def __iter__(self):
+                raise AssertionError("nbytes() walked the basements")
+
+        leaf = self.make_leaf(120)
+        assert len(leaf.basements) >= 30
+        want = sum(b.nbytes for b in leaf.basements)
+        walkable, leaf.basements = leaf.basements, Unwalkable(leaf.basements)
+        assert leaf.nbytes() == want
+        leaf.basements = walkable
+        # ... and every mutator keeps it: apply (grow, shrink, basement
+        # split), range delete (+ prune), leaf split.
+        leaf.apply(Insert(b"k005", b"w" * 300, msn=500), 256)
+        leaf.apply(Delete(b"k007", msn=501), 256)
+        leaf.apply(Insert(b"k005", b"", msn=400), 256)  # stale
+        assert leaf.nbytes() == sum(b.nbytes for b in leaf.basements)
+        leaf.apply_range_delete(RangeDelete(b"k010", b"k040", msn=502))
+        assert leaf.nbytes() == sum(b.nbytes for b in leaf.basements)
+        right, _pivot = leaf.split(2)
+        for half in (leaf, right):
+            assert half.nbytes() == sum(b.nbytes for b in half.basements) > 0
 
     def test_empty_basements_do_not_break_search(self):
         leaf = self.make_leaf(30)
@@ -164,6 +242,32 @@ class TestInternalNode:
         assert node.pending_for_key(b"a") == []
         assert node.pending_for_key(b"b") == [m2]
         assert node.buffer_bytes == m2.nbytes()
+
+    def test_remove_messages_unindexes_only_what_it_moves(self, monkeypatch):
+        """A flush taking k of B buffered messages re-adds none of the
+        B - k that stay (a count, not a timing), keeps each key's
+        arrival order, and leaves the sorted-key snapshot alone unless
+        a key left."""
+        node = self.make()
+        msgs = [Insert(b"k%02d" % (i % 20), b"v", msn=i + 1) for i in range(60)]
+        msgs.insert(30, RangeDelete(b"k03", b"k05", msn=99))
+        for m in msgs:
+            node.enqueue(m)
+        keys = node.point_keys_in_range(None, None)
+        snapshot = node._sorted_keys
+        assert snapshot == keys
+        adds = []
+        monkeypatch.setattr(
+            InternalNode, "_index_add", lambda self, msg: adds.append(msg)
+        )
+        node.remove_messages([msgs[2], msgs[43]], release=False)  # both "k02"
+        assert adds == []
+        assert node.point_index[b"k02"] == [msgs[22]]
+        assert node._sorted_keys is snapshot  # no key left: it stands
+        node.remove_messages([msgs[22], msgs[30]], release=False)
+        assert adds == []
+        assert b"k02" not in node.point_index and not node.range_msgs
+        assert node.point_keys_in_range(None, None) == sorted(set(keys) - {b"k02"})
 
     def test_fattest_child(self):
         node = self.make()
@@ -235,3 +339,94 @@ def test_basement_matches_model(op_list):
                 del model[k]
     assert dict(b.items()) == model
     assert list(b.keys) == sorted(model)
+
+
+# ----------------------------------------------------------------------
+# Property: whatever sequence of buffer mutations an internal node sees,
+# everything it keeps beside the buffer (byte total, point index with
+# per-key arrival order, range list, sorted-key snapshot) equals a
+# from-scratch rebuild, and the derived answers agree.
+# ----------------------------------------------------------------------
+def rebuilt(node):
+    """A scratch node indexing ``node``'s buffer from nothing."""
+    oracle = InternalNode(0, node.height, list(node.pivots), list(node.children))
+    oracle.set_buffer(list(node.buffer))
+    return oracle
+
+
+def assert_kept_equals_rebuilt(node):
+    oracle = rebuilt(node)
+    assert node.buffer_bytes == sum(m.measure() for m in node.buffer)
+    assert node.point_index == oracle.point_index  # lists: per-key order
+    assert node.range_msgs == oracle.range_msgs
+    for lo, hi in ((None, None), (b"k03", b"k11"), (b"k07", None), (None, b"k02")):
+        assert node.point_keys_in_range(lo, hi) == oracle.point_keys_in_range(lo, hi)
+    assert node.fattest_child() == oracle.fattest_child()
+    assert node.nbytes() == oracle.nbytes()
+
+
+def _key(x):
+    return b"k%02d" % x
+
+
+def _message(kind, x, y, msn):
+    if kind == "insert":
+        return Insert(_key(x), b"v" * y, msn)
+    if kind == "insert_by_ref":
+        return InsertByRef(_key(x), PageFrame(bytes([y]) * 4096), msn)
+    if kind == "delete":
+        return Delete(_key(x), msn)
+    if kind == "patch":
+        return Patch(_key(x), y % 8, b"PP", msn)
+    lo, hi = sorted((x, y))
+    return RangeDelete(_key(lo), _key(hi + 1), msn)  # straddles pivots
+
+
+KINDS = ["insert", "insert_by_ref", "delete", "patch", "range_delete"]
+node_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            KINDS + ["remove", "remove_keep_refs", "set_buffer", "split", "add_child"]
+        ),
+        st.integers(0, 14),  # few keys: duplicates are the norm
+        st.integers(0, 14),
+    ),
+    max_size=50,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(node_ops)
+def test_internal_node_keeps_what_a_rebuild_would_build(op_list):
+    nodes = [InternalNode(1, 1, [_key(4), _key(9)], [10, 11, 12])]
+    next_id = 100
+    for msn, (op, x, y) in enumerate(op_list, start=1):
+        node = nodes[x % len(nodes)]
+        if op in KINDS:
+            node.enqueue(_message(op, x, y, msn))
+        elif op in ("remove", "remove_keep_refs"):
+            # What a flush does: everything owed to one child leaves.
+            doomed = node.messages_for_child(y % len(node.children))[: x + 1]
+            frames = [m.frame for m in doomed if m.kind == "insert_by_ref"]
+            refs = [f.refs for f in frames]
+            node.remove_messages(doomed, release=op == "remove")
+            drop = 1 if op == "remove" else 0
+            assert [f.refs for f in frames] == [r - drop for r in refs]
+        elif op == "set_buffer":
+            # What owed range-delete parts do: re-sort into MSN order.
+            node.set_buffer(sorted(node.buffer[y:] + node.buffer[:y], key=lambda m: m.msn))
+        elif op == "split" and len(node.children) >= 2:
+            next_id += 1
+            right, pivot = node.split(next_id)
+            assert all(m.within(None, pivot) for m in node.buffer)
+            assert all(m.within(pivot, None) for m in right.buffer)
+            nodes.append(right)
+        elif op == "add_child":
+            idx = y % len(node.children)
+            lo, hi = node.child_range(idx)
+            pivot = (lo or b"k") + b"+" * (1 + x % 3)
+            if hi is None or pivot < hi:
+                next_id += 1
+                node.add_child(pivot, next_id, idx)
+        for each in nodes:
+            assert_kept_equals_rebuilt(each)

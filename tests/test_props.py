@@ -184,6 +184,7 @@ def test_any_cache_prefix_recovers_oracle_consistent(op_list):
 # ----------------------------------------------------------------------
 from repro.betrfs.filesystem import MountOptions, make_betrfs  # noqa: E402
 from repro.vfs.vfs import FSError  # noqa: E402
+from tests.test_tree import assert_kept_sizes_are_current  # noqa: E402
 
 vfs_ops = st.lists(
     st.tuples(
@@ -253,6 +254,10 @@ def test_vfs_matches_model_filesystem(op_list, version):
                 assert dpath in dirs
             elif op == "rmdir":
                 assert dpath not in dirs
+        # Under the whole stack — by-ref page messages, blind patches
+        # into sealed frames, copying inserts (v0.4), unlink's range
+        # deletes — every size a message or node keeps is a recount.
+        assert_kept_sizes_are_current(fs.env)
     # Final state equivalence.
     for path, body in files.items():
         assert v.read(path, 0, len(body) + 16) == body

@@ -1,15 +1,20 @@
 """Functional and property tests for the B-epsilon-tree."""
 
+import math
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.check.errors import TreeInvariantError, require
+from repro.core.cache import NodeCache
 from repro.core.env import DATA, META
+from repro.core.keys import intersect
 from repro.core.messages import PageFrame, value_bytes
 from repro.core.node import InternalNode, LeafNode
-from tests.conftest import build_env
+from repro.core.tree import SEARCH_STEPS, search_steps
+from tests.conftest import build_env, recounted_node_bytes
 from tests.test_env import reopen
 
 from repro.core.config import BeTreeConfig
@@ -254,7 +259,7 @@ class TestEvictionAndReload:
         for i in range(3000):
             env.insert(META, b"key%05d" % (i * 7919 % 3000), b"value%03d" % (i % 97))
             if i % 50 == 0:
-                assert_internal_sizes_are_current(env)
+                assert_kept_sizes_are_current(env)
         stats = env.meta.stats
         assert stats.internal_splits > 0 and stats.root_splits > 1
         env.close()
@@ -263,7 +268,7 @@ class TestEvictionAndReload:
         cold = reopen(env.storage.device, env.config)
         for i in range(0, 3000, 37):
             assert cold.get(META, b"key%05d" % i) is not None
-            assert_internal_sizes_are_current(cold)
+            assert_kept_sizes_are_current(cold)
         assert any(
             isinstance(node, InternalNode) for node, _owner in cold.cache._nodes.values()
         )
@@ -283,21 +288,22 @@ op_strategy = st.lists(
 )
 
 
-def assert_internal_sizes_are_current(env):
-    """The pivot bytes an internal node keeps (so the cache's per-op
-    ``nbytes()`` is O(1)) equal a recount, for every cached node."""
+def assert_kept_sizes_are_current(env):
+    """What a node keeps so the cache's per-op ``nbytes()`` is O(1) —
+    an internal node's pivot bytes, a leaf's pair bytes, a message's
+    size — equals a recount, for every cached node."""
     for node, _owner in env.cache._nodes.values():
+        assert node.nbytes() == recounted_node_bytes(node)
         if isinstance(node, InternalNode):
             recount = sum(len(p) + 8 for p in node.pivots) + 8 * len(node.children)
             assert node.pivot_bytes == recount
-            assert node.nbytes() == recount + sum(m.nbytes() for m in node.buffer)
 
 
 def _apply_ops(env, op_list):
     """Drive ``env`` with ``op_list``; returns the dict model of META."""
     model = {}
     for n, (op, x, y) in enumerate(op_list):
-        assert_internal_sizes_are_current(env)
+        assert_kept_sizes_are_current(env)
         k = b"key%02d" % x
         if op == "insert":
             v = b"val%02d-%d" % (y, n)
@@ -349,7 +355,7 @@ def test_tree_matches_model(op_list, lazy, page_sharing, queries):
         page_sharing=page_sharing,
     )
     model = _apply_ops(env, op_list)
-    assert_internal_sizes_are_current(env)
+    assert_kept_sizes_are_current(env)
     ordered = sorted(model)
     rows = env.range_query(META, b"", b"\xff" * 8)
     assert [k for k, _ in rows] == ordered  # each live key exactly once
@@ -410,3 +416,208 @@ def test_buffered_and_flushed_trees_agree(op_list, queries, lazy):
     assert buffered.range_query(META, b"", b"\xff") == (
         flushed.range_query(META, b"", b"\xff")
     )
+
+
+# ----------------------------------------------------------------------
+# Kept sizes through the paths the property test does not reach: page
+# values, partial leaf loads, a cold re-mount.
+# ----------------------------------------------------------------------
+def test_leaf_size_is_kept_through_partial_loads_and_a_remount():
+    env = fresh_env(node_size=65536, basement_size=2048, buffer_size=8192)
+    device = env.storage.device
+    for i in range(400):
+        env.insert(DATA, b"d%04d" % i, PageFrame(bytes([i % 251]) * 4096), by_ref=True)
+        env.insert(META, b"m%04d" % i, b"x" * (i % 90))
+        assert_kept_sizes_are_current(env)
+    env.range_delete(DATA, b"d0100", b"d0150")
+    assert_kept_sizes_are_current(env)
+    stats = env.data.stats
+    assert stats.leaf_splits and stats.root_splits
+
+    def drop():
+        env.checkpoint()
+        for owner, node in list(env.cache.all_nodes()):
+            owner.release_node_memory(node)
+        env.cache.clear()
+
+    drop()
+    full = {
+        n.node_id: n.nbytes()
+        for n in (env.data._load_node(i) for i in env.data.blockman.table)
+        if n.is_leaf
+    }
+    drop()
+    assert env.get(DATA, b"d0300") is not None  # allow_partial: one basement
+    assert stats.partial_leaf_loads == 1
+    leaf = next(
+        n for n, _o in env.cache._nodes.values()
+        if n.is_leaf and not all(b.loaded for b in n.basements)
+    )
+    loaded = [b for b in leaf.basements if b.loaded]
+    assert len(loaded) == 1 and leaf.nbytes() == loaded[0].nbytes < full[leaf.node_id]
+    idx = next(i for i, b in enumerate(leaf.basements) if not b.loaded)
+    env.data._load_basement(leaf, idx)
+    assert leaf.nbytes() == loaded[0].nbytes + leaf.basements[idx].nbytes
+    env.data._ensure_fully_loaded(leaf)
+    assert leaf.nbytes() == full[leaf.node_id]
+    assert_kept_sizes_are_current(env)
+
+    env.checkpoint()
+    env2 = reopen(device, cfg=env.config)
+    for i in (0, 99, 150, 399):
+        assert value_bytes(env2.get(DATA, b"d%04d" % i)) == bytes([i % 251]) * 4096
+    assert env2.get(DATA, b"d0120") is None
+    for tree in env2.trees:
+        for node_id in tree.blockman.table:
+            tree._load_node(node_id)
+    assert any(n.is_leaf and n.nbytes() for n, _o in env2.cache._nodes.values())
+    assert_kept_sizes_are_current(env2)
+
+
+# ----------------------------------------------------------------------
+# The point query's charges: the table holds the floats the expression
+# yields, and the single-pass descent charges what the three helpers it
+# replaced charged, in their order.
+# ----------------------------------------------------------------------
+def test_search_steps_is_the_expression_it_tabulates():
+    assert len(SEARCH_STEPS) == 8193 and type(SEARCH_STEPS) is tuple
+    for n in range(100_001):  # == on floats: bit-identical, past the table too
+        assert search_steps(n) == 1 + math.log2(n + 1)
+    # ... and the entries themselves: the descent indexes the tuple directly.
+    assert all(SEARCH_STEPS[n] == 1 + math.log2(n + 1) for n in range(8193))
+
+
+def _old_charge_pivot_search(tree, node):
+    steps = 1 + math.log2(len(node.children) + 1)
+    tree.clock.cpu(tree.costs.pivot_search_step * steps)
+
+
+def _old_charge_buffer_probe(tree, node, matches):
+    n_points = len(node.point_index)
+    tree.clock.cpu(tree.costs.key_compare * (1 + math.log2(n_points + 1)))
+    tree.clock.cpu(
+        tree.costs.range_check
+        * (1 + math.log2(len(node.range_msgs) + 1) + matches)
+    )
+
+
+def _old_get_impl(self, key, seq_hint):
+    """``BeTree._get_impl`` as it stood before the single-pass descent
+    (the oracle; lives here, not in ``src/``)."""
+    self.stats.queries += 1
+    self.clock.cpu(self.costs.query_overhead)
+    path, pending = [], []
+    bound_lo = bound_hi = None
+    node = self._load_node(self.root_id)
+    while isinstance(node, InternalNode):
+        _old_charge_pivot_search(self, node)
+        found = node.pending_for_key(key)
+        _old_charge_buffer_probe(self, node, len(found))
+        pending.extend(found)
+        path.append(node)
+        idx = node.child_index_for(key)
+        child_id = node.children[idx]
+        bound_lo, bound_hi = intersect(bound_lo, bound_hi, *node.child_range(idx))
+        parent_of_leaf = (node, idx) if node.height == 1 else None
+        node = self._load_node(child_id, for_key=key, allow_partial=not seq_hint)
+        if seq_hint and self.cfg.tree_readahead and parent_of_leaf is not None:
+            self._issue_leaf_readahead(parent_of_leaf[0], parent_of_leaf[1] + 1)
+    leaf = node
+    require(
+        isinstance(leaf, LeafNode),
+        "descent ended on a non-leaf node",
+        TreeInvariantError,
+        type(leaf).__name__,
+    )
+    basement = self._basement_for_query(leaf, key, seq_hint)
+    present, base, base_msn = basement.get_with_msn(key)
+    self.clock.cpu(self.costs.key_compare * (1 + math.log2(len(basement) + 1)))
+    value = self._apply_pending((base, base_msn) if present else None, pending)
+    if path:
+        if not self.cfg.lazy_apply_on_query:
+            self._apply_on_query_eager(path, leaf, basement, bound_lo, bound_hi)
+        elif pending:
+            self._apply_on_query_lazy(path, leaf, key)
+    return value
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+@pytest.mark.parametrize("seq_hint", [False, True])
+def test_descent_charges_what_the_old_helpers_charged(monkeypatch, lazy, seq_hint):
+    """Seeded differential over a mixed workload (buffered and flushed
+    messages of every kind, cold partial and full reads, read-ahead):
+    after every op both clocks and the cache counters are identical."""
+
+    def grown():
+        return fresh_env(
+            node_size=16384,
+            basement_size=1024,
+            cache_bytes=48 * 1024,
+            lazy_apply_on_query=lazy,
+            tree_readahead=True,
+        )
+
+    new, old = grown(), grown()
+    for tree in old.trees:
+        monkeypatch.setattr(
+            tree, "_get_impl", _old_get_impl.__get__(tree), raising=True
+        )
+    rng = random.Random(17)
+    for step in range(2500):
+        roll, k = rng.random(), b"k%04d" % rng.randrange(1500)
+        if roll < 0.40:
+            args = ("insert", META, k, bytes([step % 251]) * rng.randrange(4, 400))
+        elif roll < 0.46:
+            args = ("patch", META, k, rng.randrange(6), b"pp")
+        elif roll < 0.52:
+            args = ("delete", META, k)
+        elif roll < 0.55:
+            args = ("range_delete", META, k, k + b"\xff")
+        elif roll < 0.99:
+            args = ("get", META, k, seq_hint)
+        else:
+            args = ("checkpoint",)
+        assert getattr(new, args[0])(*args[1:]) == getattr(old, args[0])(*args[1:])
+        assert (new.clock.now, new.clock.cpu_time) == (old.clock.now, old.clock.cpu_time), (
+            f"clocks diverged at step {step}: {args[:3]}"
+        )
+        assert (new.cache.hits, new.cache.misses) == (old.cache.hits, old.cache.misses)
+    stats = new.meta.stats
+    assert stats.queries > 900 and stats.node_reads > 50 and stats.root_splits
+    assert stats.aoq_applied or stats.aoq_moved
+    assert stats.partial_leaf_loads or seq_hint
+    assert stats.readahead_issued or not seq_hint
+    assert vars(new.meta.stats) == vars(old.meta.stats)
+
+
+def test_warm_point_query_asks_each_level_once(monkeypatch):
+    """Machine-independent cost of one warm get on a 4-level tree: one
+    ``NodeCache.get`` per level, no ``math.log2`` (counts, not timings)."""
+    env = fresh_env(
+        node_size=1024,
+        basement_size=256,
+        buffer_size=512,
+        cache_bytes=8 << 20,
+        lazy_apply_on_query=True,  # BetrFS v0.6; the eager policy has its own
+    )
+    tree = env.meta
+    for i in range(1500):
+        env.insert(META, b"key%05d" % i, b"v" * 40)
+        if tree._load_node(tree.root_id).height == 3:  # 4 levels with the leaf
+            break
+    else:
+        pytest.fail("workload too small for a 4-level tree")
+    assert env.get(META, b"key00007") == b"v" * 40  # warm
+    gets, logs = [], []
+    real_get = NodeCache.get
+    monkeypatch.setattr(
+        NodeCache, "get", lambda self, node_id: gets.append(node_id) or real_get(self, node_id)
+    )
+    monkeypatch.setattr(
+        "repro.core.tree.math",
+        type("math", (), {"log2": staticmethod(lambda x: logs.append(x) or math.log2(x))}),
+    )
+    misses = env.cache.misses
+    assert env.get(META, b"key00007") == b"v" * 40
+    assert len(gets) == 4 and gets[0] == tree.root_id
+    assert logs == [] and env.cache.misses == misses
