@@ -4,7 +4,9 @@
 southbound substrate, key-value environment, northbound layer, and the
 VFS — honouring every feature flag of the requested variant — and
 returns a :class:`BetrFS` handle whose ``vfs`` attribute is the
-syscall interface workloads drive.
+syscall interface workloads drive.  The same assembly mounts a crash
+image: :meth:`BetrFS.crash` pulls the plug and returns the mount
+recovered from what reached the device.
 """
 
 from __future__ import annotations
@@ -65,6 +67,15 @@ class BetrFS:
     volume (every Table 3 variant) spans the whole device and is wired
     straight into the VFS; ``repro.shard`` overrides :meth:`_route`
     with its router over several.
+
+    Two entries, one carve: without ``image`` the mount builds a blank
+    device and *formats* it (fresh environments, root directory
+    entries); with ``image`` — a :meth:`BlockDevice.crash_image` of a
+    mount assembled from the same ``features``/``opts``/``volumes`` —
+    it takes the image's device and clock and *recovers* every volume
+    (superblock, log replay) instead.  All geometry comes from
+    ``opts`` either way; nothing is stored on the device but the
+    volumes themselves.
     """
 
     def __init__(
@@ -72,16 +83,28 @@ class BetrFS:
         features: BetrFSFeatures,
         opts: Optional[MountOptions] = None,
         volumes: int = 1,
+        image: Optional[BlockDevice] = None,
     ) -> None:
         self.features = features
         self.opts = opts or MountOptions()
         self.name = features.name
-        self.clock = SimClock()
+        #: Whether this mount recovered a crash image (vs. formatted a
+        #: blank device).
+        self.recovered = image is not None
+        if image is None:
+            image = BlockDevice(SimClock(), self.opts.profile)
+        elif image.profile != self.opts.profile:
+            raise ValueError(
+                f"an image of a {image.profile.name!r} device cannot be "
+                f"mounted with {self.opts.profile.name!r} options"
+            )
+        self.device = image
+        self.clock = image.clock
         self.costs = self.opts.costs
         #: Observability scope: registered with the active session when
         #: one is installed (repro.obs.session), standalone otherwise.
         self.obs = scope_for_mount(self.name, self.clock)
-        self.device = BlockDevice(self.clock, self.opts.profile, obs=self.obs)
+        self.device.attach_obs(self.obs)
         if features.coop_memory:
             self.alloc: KernelAllocator = CooperativeAllocator(
                 self.clock, self.costs, obs=self.obs
@@ -113,6 +136,7 @@ class BetrFS:
                 )
             data_size = min(data_size, self.volume_bytes - fixed)
         self.storages: List[Southbound] = []
+        open_env = KVEnv.open if self.recovered else KVEnv
         envs: List[KVEnv] = []
         backends: List[BetrFSNorthbound] = []
         for i in range(volumes):
@@ -136,7 +160,7 @@ class BetrFS:
             )
             # Only volume 0 reports to obs: per-env instrumentation uses
             # fixed metric names, and an unobserved env pays nothing.
-            env = KVEnv(
+            env = open_env(
                 storage,
                 self.clock,
                 self.costs,
@@ -152,7 +176,10 @@ class BetrFS:
                 obs=self.obs if i == 0 else None,
             )
             envs.append(env)
-            backends.append(BetrFSNorthbound(env, features))
+            backend = BetrFSNorthbound(env, features)
+            if not self.recovered:
+                backend.format()
+            backends.append(backend)
         self.env, self.backend = self._route(envs, backends)
         self.vfs = VFS(
             self.backend,
@@ -162,6 +189,10 @@ class BetrFS:
             dirty_limit_bytes=self.opts.dirty_limit_bytes,
             obs=self.obs,
         )
+        if self.recovered:
+            # The VFS primes "/" as a known-empty directory, which only a
+            # formatted root is; a recovered one resolves from its tree.
+            self.vfs.dcache.clear_clean()
         if envs[0].san is not None:
             envs[0].san.watch_pagecache(self.vfs.pages)
 
@@ -174,6 +205,18 @@ class BetrFS:
         return env, backend
 
     # ------------------------------------------------------------------
+    def remount(self, image: BlockDevice) -> "BetrFS":
+        """This mount — class, features, options — recovered from
+        ``image``, a crash image of its device."""
+        return BetrFS(self.features, self.opts, image=image)
+
+    def crash(self, plan=None) -> "BetrFS":
+        """Pull the plug and reboot: the mount recovered from
+        ``device.crash_image(plan)`` (no plan: everything the device
+        accepted survives; see :mod:`repro.crashmc.plan`).  This mount
+        is left untouched."""
+        return self.remount(self.device.crash_image(plan))
+
     def sync(self) -> None:
         self.vfs.sync()
 

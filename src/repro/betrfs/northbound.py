@@ -57,7 +57,10 @@ class BetrFSNorthbound(FileSystemBackend):
                 layer="northbound",
                 fn=lambda: self.deferred_creates,
             )
-        # Format: the root directory's metadata entry.
+
+    def format(self) -> None:
+        """Make a fresh volume a file system: the root directory's
+        metadata entry (a recovered volume already holds one)."""
         root = Stat(kind=FileKind.DIR, nlink=2, mode=0o755)
         self.env.insert(META, meta_key("/"), root.pack())
 

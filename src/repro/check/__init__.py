@@ -50,6 +50,7 @@ from repro.check.errors import (
 _LAZY = {
     "FsckReport": "repro.check.fsck",
     "fsck_device": "repro.check.fsck",
+    "fsck_mount": "repro.check.fsck",
     "load_image": "repro.check.fsck",
     "save_image": "repro.check.fsck",
     "Violation": "repro.check.lint",
@@ -80,6 +81,7 @@ __all__ = [
     "TreeInvariantError",
     "Violation",
     "fsck_device",
+    "fsck_mount",
     "lint_paths",
     "lint_repo",
     "load_image",

@@ -554,7 +554,7 @@ def load_image(path: str) -> DeviceImage:
 
 
 # ----------------------------------------------------------------------
-# Per-volume fsck (repro.shard)
+# fsck of a mount's image, volume by volume
 # ----------------------------------------------------------------------
 class VolumeStore:
     """Base-shifted view of one volume slot in a shared extent store.
@@ -587,34 +587,43 @@ class VolumeStore:
         return out
 
 
-def fsck_volumes(
-    image: Union[BlockDevice, ExtentStore],
-    shards: int,
-    log_size: int,
-    meta_size: int,
-    volume_bytes: Optional[int] = None,
-    aligned: bool = False,
-) -> List[FsckReport]:
-    """fsck every volume slot of a (crash) image; one report each.
+def fsck_mount(mount, image: Optional[BlockDevice] = None) -> FsckReport:
+    """fsck every volume of a mount's crash image, one merged report.
 
-    Device-wide FTL checks are skipped — the FTL belongs to the shared
-    device, not to any one volume slot.
+    The carve is read off the mount that made it — ``opts.log_size`` /
+    ``meta_size``, ``volume_bytes``, ``config.page_sharing`` — so no
+    caller retypes geometry.  ``image`` defaults to a crash image of
+    the mount's device as it stands.  A mount stacked on ext4
+    (``features.use_sfl`` off) has no SFL layout to walk: refusing is
+    the only honest answer, the walk would read zeros and say CLEAN.
     """
-    if isinstance(image, BlockDevice):
-        store: ExtentStore = image.store
-        if volume_bytes is None:
-            volume_bytes = image.profile.capacity // shards
-    else:
-        store = image
-        if volume_bytes is None:
-            raise ValueError("volume_bytes is required for a bare store")
-    return [
-        fsck_device(
-            VolumeStore(store, i * volume_bytes, volume_bytes),
-            log_size=log_size,
-            meta_size=meta_size,
-            capacity=volume_bytes,
+    if not mount.features.use_sfl:
+        raise FsckError(
+            f"{mount.name}: the trees are files of a stacked ext4, not an "
+            "SFL carve; this fsck walks only the SFL layout"
+        )
+    if image is None:
+        image = mount.device.crash_image()
+    opts = mount.opts
+    aligned = mount.config.page_sharing
+    if len(mount.storages) == 1:
+        return fsck_device(image, opts.log_size, opts.meta_size, aligned=aligned)
+    merged = FsckReport()
+    size = mount.volume_bytes
+    for i in range(len(mount.storages)):
+        report = fsck_device(
+            VolumeStore(image.store, i * size, size),
+            opts.log_size,
+            opts.meta_size,
+            capacity=size,
             aligned=aligned,
         )
-        for i in range(shards)
-    ]
+        merged.errors += [f"vol{i}: {e}" for e in report.errors]
+        merged.warnings += [f"vol{i}: {w}" for w in report.warnings]
+        merged.nodes_checked += report.nodes_checked
+        merged.trees_checked += report.trees_checked
+        merged.wal_entries += report.wal_entries
+    if image.ftl is not None:
+        # The FTL belongs to the shared device, not to any one slot.
+        _check_ftl(image.store, image.ftl, merged)
+    return merged

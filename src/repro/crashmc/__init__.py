@@ -5,7 +5,7 @@ The crash-consistency claims in the paper are universally quantified:
 The unit tests spot-check a handful of hand-picked crash states; this
 package checks the claim the way CrashMonkey/B3 (OSDI '18) does — by
 enumerating the reachable crash states of a volatile write cache and
-rebooting the full stack from every one of them.
+re-mounting the file system from every one of them.
 
 Pieces:
 
@@ -20,9 +20,10 @@ Pieces:
   paper's tokubench/mailserver shapes, with explicit WAL pushes to
   populate the at-risk epoch;
 * :mod:`repro.crashmc.explore` — :class:`CrashExplorer`: budget-split
-  crash points, reboot + fsck + oracle per case, ``crashmc.*``
-  metrics; the one stack class, carved per workload from ``CARVES``
-  (``xshard_rename`` runs on two volumes behind the shard router);
+  crash points, fsck + re-mount + oracle per case, ``crashmc.*``
+  metrics; the one stack class holds a real ``BetrFS v0.6`` mount,
+  carved per workload from ``CARVES`` (``xshard_rename`` runs on a
+  two-volume :class:`~repro.shard.mount.ShardedBetrFS`);
 * :mod:`repro.crashmc.shrink` — 1-minimal reduction of failing plans
   and JSON repro files (``python -m repro.crashmc.shrink repro.json``
   replays one).

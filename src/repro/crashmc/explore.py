@@ -11,7 +11,8 @@ volatile-cache stacks:
 2. an **exploration pass** that re-runs the script and, at each crash
    point, materializes its quota of crash images via
    :meth:`BlockDevice.crash_image`, runs :func:`repro.check.fsck` on
-   each, reboots a full :class:`KVEnv` from the image, and asks the
+   each, re-mounts the image through the workload's own mount
+   (:meth:`BetrFS.remount`), and asks the
    :class:`~repro.crashmc.oracle.Oracle` whether the recovered state
    is an acceptable pending-prefix.
 
@@ -37,22 +38,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.check.fsck import fsck_volumes
-from repro.core.config import BeTreeConfig
-from repro.core.env import KVEnv
+from repro.betrfs.filesystem import BetrFS, MountOptions
+from repro.betrfs.versions import V0_6
+from repro.check.fsck import fsck_mount
 from repro.crashmc.oracle import Op, Oracle
 from repro.crashmc.plan import CrashPlan
 from repro.crashmc.schedule import enumerate_plans, media_plans
 from repro.crashmc.workload import WORKLOADS, derive_rng
 from repro.device.block import BlockDevice
 from repro.device.clock import SimClock
-from repro.kmem.allocator import KernelAllocator
-from repro.model.costs import CostModel
-from repro.model.profiles import COMMODITY_SSD
-from repro.obs import scope_for_mount
-from repro.shard.env import ShardedEnv
+from repro.obs import scope_for_mount, session
 from repro.shard.map import ShardMap
-from repro.storage.sfl import SUPERBLOCK_SIZE, ImageLayout, SimpleFileLayer
+from repro.shard.mount import ShardedBetrFS
+from repro.storage.sfl import SUPERBLOCK_SIZE, ImageLayout
 
 MIB = 1 << 20
 
@@ -60,18 +58,6 @@ MIB = 1 << 20
 CLEAN = "clean"          # recovered, oracle satisfied
 DETECTED = "detected"    # media damage caught (fsck/checksum/read error)
 VIOLATION = "violation"  # crash-consistency contract broken
-
-
-def explorer_config() -> BeTreeConfig:
-    """Small-node config so the torture workloads actually exercise
-    node splits, checkpoint I/O, and log replay at tiny scale."""
-    cfg = BeTreeConfig()
-    cfg.node_size = 8192
-    cfg.basement_size = 2048
-    cfg.buffer_size = 4096
-    cfg.fanout = 4
-    cfg.cache_bytes = 1 << 20
-    return cfg
 
 
 @dataclass
@@ -103,17 +89,12 @@ class Failure:
         }
 
 
-#: WAL region of every explorer volume.
-LOG_SIZE = 8 * MIB
-
-
 @dataclass(frozen=True)
 class Carve:
-    """Volume count and SFL carve sizes of one workload's stack."""
+    """Volume count and SFL carve sizes of one workload's mount (each
+    volume owns an equal share of the device)."""
 
     volumes: int = 1
-    #: Bytes per volume slot (default: the one volume spans the device).
-    volume_bytes: int = COMMODITY_SSD.capacity
     meta_size: int = 64 * MIB
     data_size: int = 256 * MIB
     #: Leading ``data.db`` bytes the media-fault sweep may damage.
@@ -126,64 +107,56 @@ class Carve:
 #: a repro file replays on what its workload was explored on.
 CARVES: Dict[str, Carve] = {
     "xshard_rename": Carve(
-        volumes=2,
-        volume_bytes=256 * MIB,
-        meta_size=32 * MIB,
-        data_size=64 * MIB,
-        media_data=2 * MIB,
+        volumes=2, meta_size=32 * MIB, data_size=64 * MIB, media_data=2 * MIB
     ),
 }
 
 
 class _Stack:
-    """One live workload stack on a volatile-cache device.
+    """One live workload mount on a volatile-cache device.
 
-    ``carve.volumes`` SFL slots, each under its own :class:`KVEnv`.
-    One volume is driven directly; several sit behind the real
-    :class:`~repro.shard.env.ShardedEnv` router, are fsck'd per volume,
-    and reboot through per-volume log replay plus
-    :meth:`~repro.shard.env.ShardedEnv.resolve_intents`.
+    The mount is the one the paper ships — ``BetrFS v0.6`` from the
+    one assembler, :class:`~repro.shard.mount.ShardedBetrFS` when the
+    carve has several volumes — at a geometry small enough that the
+    torture workloads actually exercise node splits, checkpoint I/O
+    and log replay.  Ops drive its ``env``; a case fscks and reboots a
+    crash image through the mount.  No mount built here registers
+    with an installed obs session: a sweep makes hundreds of them.
     """
 
     def __init__(self, carve: Optional[Carve] = None) -> None:
         self.carve = carve = carve or Carve()
-        self.clock = SimClock()
-        self.device = BlockDevice(self.clock, COMMODITY_SSD, volatile_cache=True)
+        opts = MountOptions(
+            scale=1.0,
+            log_size=8 * MIB,
+            meta_size=carve.meta_size,
+            data_size=carve.data_size,
+            tree_cache_bytes=1 * MIB,
+            config_tweaks={
+                "node_size": 8192,
+                "basement_size": 2048,
+                "buffer_size": 4096,
+                "fanout": 4,
+            },
+        )
+        #: Key routing the oracle mirrors (one volume: all on shard 0).
         self.map = ShardMap.create(carve.volumes, "hash")
-        self.envs = self._volumes(self.device, KVEnv)
+        with session(None):
+            if carve.volumes == 1:
+                self.fs = BetrFS(V0_6, opts)
+                self.envs = [self.fs.env]
+            else:
+                self.fs = ShardedBetrFS(
+                    V0_6, opts, shards=carve.volumes, mode=self.map.mode
+                )
+                self.envs = self.fs.env.envs
+        self.env = self.fs.env
+        self.device = self.fs.device
+        self.device.enable_volatile_cache()
         #: Every volume layout carved from ``self.device``; the order
         #: recorder spans these.
-        self.layouts: List[ImageLayout] = [env.storage.layout for env in self.envs]
+        self.layouts: List[ImageLayout] = [s.layout for s in self.fs.storages]
         self.layout: ImageLayout = self.layouts[0]
-        self.env = (
-            self.envs[0] if carve.volumes == 1 else ShardedEnv(self.envs, self.map)
-        )
-
-    def _volumes(self, device: BlockDevice, make) -> List[KVEnv]:
-        """One environment per volume slot of ``device``: fresh
-        (``make=KVEnv``) or recovered (``make=KVEnv.open``)."""
-        carve = self.carve
-        costs = CostModel()
-        return [
-            make(
-                SimpleFileLayer(
-                    device,
-                    costs,
-                    log_size=LOG_SIZE,
-                    meta_size=carve.meta_size,
-                    base=i * carve.volume_bytes,
-                    capacity=(i + 1) * carve.volume_bytes,
-                ),
-                device.clock,
-                costs,
-                KernelAllocator(device.clock, costs),
-                explorer_config(),
-                log_size=LOG_SIZE,
-                meta_size=carve.meta_size,
-                data_size=carve.data_size,
-            )
-            for i in range(carve.volumes)
-        ]
 
     def apply(self, op: Op) -> None:
         env = self.env
@@ -209,44 +182,23 @@ class _Stack:
         else:  # pragma: no cover - workload bug
             raise ValueError(f"unknown op kind {op.kind!r}")
 
-    # -- reboot hooks --------------------------------------------------
-    def fsck_errors(self, image: BlockDevice) -> List[str]:
-        """Offline-check every volume of one crash image."""
-        carve = self.carve
-        reports = fsck_volumes(
-            image,
-            carve.volumes,
-            LOG_SIZE,
-            carve.meta_size,
-            volume_bytes=carve.volume_bytes,
-        )
-        return [
-            f"vol{i}: {error}"
-            for i, report in enumerate(reports)
-            for error in report.errors
-        ]
-
     def reboot(self, image: BlockDevice):
-        """Recover every volume from the image; returns the ``get``
-        callable for the oracle to probe."""
-        envs = self._volumes(image, KVEnv.open)
-        if len(envs) == 1:
-            return envs[0].get
-        senv = ShardedEnv(envs, self.map)
-        senv.resolve_intents()
-        return senv.get
+        """Re-mount the image (per-volume log replay, then intent
+        resolution on a sharded mount); returns the ``get`` callable
+        for the oracle to probe."""
+        with session(None):
+            return self.fs.remount(image).env.get
 
     def media_regions(self) -> List[tuple]:
         """(base, size) regions the media-fault sweep may damage."""
-        carve = self.carve
         return [
             region
             for layout in self.layouts
             for region in (
                 (layout.base, SUPERBLOCK_SIZE),
-                (layout.log_base, LOG_SIZE),
-                (layout.meta_base, carve.meta_size),
-                (layout.data_base, carve.media_data),
+                (layout.log_base, layout.log_size),
+                (layout.meta_base, layout.meta_size),
+                (layout.data_base, self.carve.media_data),
             )
         ]
 
@@ -269,7 +221,7 @@ def run_case(stack: _Stack, oracle: Oracle, plan: CrashPlan) -> CaseResult:
     # Plan/device misuse (ValueError here) is a caller bug, not a verdict.
     image = stack.device.crash_image(plan)
     try:
-        errors = stack.fsck_errors(image)
+        errors = fsck_mount(stack.fs, image).errors
     except Exception as exc:  # fsck itself choked on the image
         return caught("exception", f"fsck raised {exc!r}")
     if errors:

@@ -651,8 +651,9 @@ class BlockDevice:
             store, selected, torn_tail_sectors=plan.torn_tail_sectors
         )
         for off, mask in plan.bitflips:
-            cur = store.read(off, 1)  # costflow: allow[crash-image bit-flip probe: offline snapshot, no simulated timeline]
-            store.write(off, bytes([cur[0] ^ (mask & 0xFF or 0x01)]))  # costflow: allow[crash-image bit-flip injection: offline snapshot, no simulated timeline]
+            # Offline snapshot surgery: no simulated timeline to charge.
+            cur = store.read(off, 1)
+            store.write(off, bytes([cur[0] ^ (mask & 0xFF or 0x01)]))
         twin.store = store
         twin.ftl = None
         twin._bad_sectors = frozenset(plan.bad_sectors)
@@ -684,4 +685,5 @@ class BlockDevice:
             if rec is last_write:
                 data = data[: torn_tail_sectors * self.profile.sector]
             if data:
-                store.write(rec.offset, data)  # costflow: allow[crash-image replay materializes a hypothetical post-crash disk; costs were charged when the cached writes were accepted]
+                # Charged when the cached write was accepted, not here.
+                store.write(rec.offset, data)

@@ -451,7 +451,7 @@ def _run_fsck(image_path, verbose: bool = True) -> int:
     mount, run a short workload, crash it, and fsck the crash image —
     a self-contained end-to-end exercise of the checker.
     """
-    from repro.check.fsck import fsck_device, load_image
+    from repro.check.fsck import fsck_mount, load_image
 
     if image_path is not None:
         report = load_image(image_path).fsck()
@@ -462,12 +462,7 @@ def _run_fsck(image_path, verbose: bool = True) -> int:
         fs = make_betrfs("BetrFS v0.6")
         tokubench(fs, SMOKE_SCALE)
         fs.sync()
-        report = fsck_device(
-            fs.device.crash_image(),
-            log_size=fs.opts.log_size,
-            meta_size=fs.opts.meta_size,
-            aligned=fs.config.page_sharing,
-        )
+        report = fsck_mount(fs)
     if verbose or not report.ok:
         print(report.render())
     return 0 if report.ok else 1

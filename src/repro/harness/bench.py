@@ -39,8 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.harness.runner import make_mount
 from repro.obs.prof import WallProfiler, wall_ns
 from repro.workloads.archive import tar_tree, untar_tree
-from repro.workloads.mailserver import mailserver
-from repro.workloads.mailserver_mt import mailserver_mt
+from repro.workloads.mailserver import mailserver, mailserver_mt
 from repro.workloads.scale import DEFAULT_SCALE, SMOKE_SCALE, WorkloadScale
 from repro.workloads.tokubench import tokubench
 from repro.workloads.trees import linux_like_tree

@@ -57,7 +57,7 @@ def run_mt(
     volume slots under ``mode`` partitioning.
     """
     from repro.betrfs.filesystem import make_betrfs
-    from repro.workloads.mailserver_mt import mailserver_mt
+    from repro.workloads.mailserver import mailserver_mt
     from repro.workloads.webserver_mt import webserver_mt
 
     if workload not in MT_WORKLOADS:

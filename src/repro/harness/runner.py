@@ -64,8 +64,8 @@ def make_mount(name: str, scale: WorkloadScale = DEFAULT_SCALE, profile=None):
 # ----------------------------------------------------------------------
 # Microbenchmark cells (Table 1 / Table 3 columns)
 # ----------------------------------------------------------------------
-def micro_seq(name: str, scale: WorkloadScale) -> Dict[str, float]:
-    mount = make_mount(name, scale)
+def micro_seq(name: str, scale: WorkloadScale, profile=None) -> Dict[str, float]:
+    mount = make_mount(name, scale, profile)
     w = seq_write(mount, scale)
     r = seq_read(mount, scale)
     return {"seq_write": w, "seq_read": r}
@@ -87,35 +87,37 @@ def _rand_scale(scale: WorkloadScale) -> WorkloadScale:
     )
 
 
-def micro_rand_4k(name: str, scale: WorkloadScale) -> Dict[str, float]:
-    return {"rand_4k": random_write_4k(make_mount(name, _rand_scale(scale)), scale)}
+def micro_rand_4k(name: str, scale: WorkloadScale, profile=None) -> Dict[str, float]:
+    mount = make_mount(name, _rand_scale(scale), profile)
+    return {"rand_4k": random_write_4k(mount, scale)}
 
 
-def micro_rand_4b(name: str, scale: WorkloadScale) -> Dict[str, float]:
-    return {"rand_4b": random_write_4b(make_mount(name, _rand_scale(scale)), scale)}
+def micro_rand_4b(name: str, scale: WorkloadScale, profile=None) -> Dict[str, float]:
+    mount = make_mount(name, _rand_scale(scale), profile)
+    return {"rand_4b": random_write_4b(mount, scale)}
 
 
-def micro_tokubench(name: str, scale: WorkloadScale) -> Dict[str, float]:
-    return {"tokubench": tokubench(make_mount(name, scale), scale)}
+def micro_tokubench(name: str, scale: WorkloadScale, profile=None) -> Dict[str, float]:
+    return {"tokubench": tokubench(make_mount(name, scale, profile), scale)}
 
 
-def micro_grep(name: str, scale: WorkloadScale) -> Dict[str, float]:
-    mount = make_mount(name, scale)
+def micro_grep(name: str, scale: WorkloadScale, profile=None) -> Dict[str, float]:
+    mount = make_mount(name, scale, profile)
     spec = linux_like_tree("/linux", scale.tree_files, scale.tree_bytes)
     build_tree(mount, spec)
     return {"grep": grep_tree(mount, "/linux")}
 
 
-def micro_find(name: str, scale: WorkloadScale) -> Dict[str, float]:
-    mount = make_mount(name, scale)
+def micro_find(name: str, scale: WorkloadScale, profile=None) -> Dict[str, float]:
+    mount = make_mount(name, scale, profile)
     spec = linux_like_tree("/linux", scale.tree_files, scale.tree_bytes)
     build_tree(mount, spec)
     return {"find": find_tree(mount, "/linux")}
 
 
-def micro_rm(name: str, scale: WorkloadScale) -> Dict[str, float]:
+def micro_rm(name: str, scale: WorkloadScale, profile=None) -> Dict[str, float]:
     """rm -rf of two Linux-source copies (as in the paper)."""
-    mount = make_mount(name, scale)
+    mount = make_mount(name, scale, profile)
     spec1 = linux_like_tree("/copies/linux1", scale.tree_files, scale.tree_bytes)
     spec2 = spec1.scaled_copy("/copies/linux2")
     mount.vfs.mkdir("/copies")
@@ -124,7 +126,9 @@ def micro_rm(name: str, scale: WorkloadScale) -> Dict[str, float]:
     return {"rm": rm_rf(mount, "/copies")}
 
 
-MICROBENCHES: Dict[str, Callable[[str, WorkloadScale], Dict[str, float]]] = {
+#: Every cell takes ``(name, scale, profile=None)``; ``profile``
+#: overrides the device as in :func:`make_mount`.
+MICROBENCHES: Dict[str, Callable[..., Dict[str, float]]] = {
     "seq": micro_seq,
     "rand_4k": micro_rand_4k,
     "rand_4b": micro_rand_4b,
@@ -178,27 +182,11 @@ def run_hdd_context(
     should have no deep-red cell here and crush random writes — the
     situation the paper starts from before moving to SSDs.
     """
-    import dataclasses
-
     out: Dict[str, Dict[str, float]] = {}
     for name in systems or ["ext4", "btrfs", "zfs", "BetrFS v0.4"]:
         row: Dict[str, float] = {}
-        for bench, fn in MICROBENCHES.items():
-            # Rebind the mount factory to the HDD profile.
-            def hdd_fn(n, sc, _fn=fn):
-                global make_mount
-                original = make_mount
-
-                def patched(nn, ss, profile=None):
-                    return original(nn, ss, profile=COMMODITY_HDD)
-
-                try:
-                    globals()["make_mount"] = patched
-                    return _fn(n, sc)
-                finally:
-                    globals()["make_mount"] = original
-
-            result = hdd_fn(name, scale)
+        for fn in MICROBENCHES.values():
+            result = fn(name, scale, COMMODITY_HDD)
             row.update(result)
             if verbose:
                 for k, v in result.items():

@@ -194,8 +194,10 @@ def current() -> Optional[Observability]:
 
 
 @contextmanager
-def session(obs: Observability):
-    """Install ``obs`` so every mount created inside registers with it."""
+def session(obs: Optional[Observability]):
+    """Install ``obs`` so every mount created inside registers with it
+    (``None``: mounts created inside stay standalone, whatever session
+    is installed outside)."""
     global _current
     previous = _current
     _current = obs

@@ -15,7 +15,6 @@ from repro.shard.env import (
     pack_intent,
     unpack_intent,
 )
-from repro.check.fsck import VolumeStore, fsck_volumes
 from repro.shard.map import ShardMap, parent_dir
 from repro.shard.mount import ShardedBetrFS, make_sharded_betrfs
 
@@ -26,8 +25,6 @@ __all__ = [
     "ShardedBackend",
     "ShardedBetrFS",
     "ShardedEnv",
-    "VolumeStore",
-    "fsck_volumes",
     "make_sharded_betrfs",
     "pack_intent",
     "parent_dir",

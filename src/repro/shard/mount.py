@@ -12,8 +12,10 @@ overlap the scale-out benchmarks measure.
 With ``shards=1`` this is the unsharded mount plus a router over its
 one volume (same charge sequence, same on-device layout), which the
 shard-invariant tests pin as bit-identical to the direct wiring.
-Per-volume offline fsck lives with the walk itself:
-:func:`repro.check.fsck.fsck_volumes`.
+Re-mounting a crash image (:meth:`ShardedBetrFS.crash`) recovers every
+volume from its own log and then rolls surviving cross-shard intents
+forward.  Offline fsck of every volume lives with the walk itself:
+:func:`repro.check.fsck.fsck_mount`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Optional
 
 from repro.betrfs.filesystem import BetrFS, MountOptions, variant
 from repro.betrfs.versions import BetrFSFeatures
+from repro.device.block import BlockDevice
 from repro.shard.backend import ShardedBackend
 from repro.shard.env import ShardedEnv
 from repro.shard.map import ShardMap
@@ -36,6 +39,7 @@ class ShardedBetrFS(BetrFS):
         opts: Optional[MountOptions] = None,
         shards: int = 4,
         mode: str = "hash",
+        image: Optional[BlockDevice] = None,
     ) -> None:
         if not features.use_sfl:
             raise ValueError(
@@ -44,7 +48,7 @@ class ShardedBetrFS(BetrFS):
             )
         self.shards = shards
         self.shard_map = ShardMap.create(shards, mode)
-        super().__init__(features, opts, volumes=shards)
+        super().__init__(features, opts, volumes=shards, image=image)
         gauge = self.obs.registry.gauge
         for i in range(shards):
             gauge(
@@ -61,7 +65,16 @@ class ShardedBetrFS(BetrFS):
 
     def _route(self, envs, backends):
         env = ShardedEnv(envs, self.shard_map)
+        if self.recovered:
+            # Every volume has replayed its own log; a cross-shard move
+            # whose intent survived is now rolled forward.
+            env.resolve_intents()
         return env, ShardedBackend(backends, env)
+
+    def remount(self, image: BlockDevice) -> "ShardedBetrFS":
+        return ShardedBetrFS(
+            self.features, self.opts, self.shards, self.shard_map.mode, image=image
+        )
 
     def load_imbalance(self) -> float:
         """max/mean of per-shard routed operations (1.0 = balanced)."""

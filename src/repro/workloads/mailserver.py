@@ -1,4 +1,4 @@
-"""Dovecot mailserver benchmark (Figure 2d).
+"""Dovecot mailserver benchmark (Figure 2d), sequential and multi-tenant.
 
 The paper: Dovecot 2.2.13, 10 folders x 2500 messages, 8 clients x
 10 000 operations, 50% reads and 50% updates (marks, moves, deletes).
@@ -6,23 +6,40 @@ Maildir-style storage: one file per message; a mark rewrites flags in
 the file name / index (small write + fsync), a move is a rename across
 folders, a delete is an unlink; reads read the whole message.
 
-The op mix is factored into :func:`mail_mix`, a lazy generator over a
-shared :class:`MailState`, so the sequential benchmark here and the
-multi-tenant variant (:mod:`repro.workloads.mailserver_mt`) draw the
-exact same RNG stream per client: with one client the two paths are
-bit-identical.  Generation mutates the shared index eagerly (moves and
-deletes *pop* their victim when drawn), which is also what makes the
-multi-tenant interleaving safe: no session can target a message another
-session is about to move or delete.  A move's new id is published to
-its destination folder by the *executor*, after the rename lands.
+There is one driver.  Each client session runs its own seeded stream of
+the op mix (:func:`mail_mix`) over the **shared** mailbox index,
+interleaved by a :class:`repro.sched.Scheduler` at simulated blocking
+points; :func:`mailserver`, the Figure 2d benchmark, is that driver
+with one session (no switches, no lock waits: the scheduler charges
+nothing, so the run is the plain sequential loop).  Maildir-style
+locking, one lock per folder:
+
+* **read / delete** take the message's folder lock for one call;
+* **mark** holds the folder lock *across* the write and the fsync —
+  a genuine multi-operation critical section spanning a blocking
+  yield (the durability barrier);
+* **move** takes both folder locks in sorted key order (the global
+  lock order that makes deadlock impossible by construction).
+
+Safety does not rest on the locks alone: generation mutates the shared
+index eagerly — moves and deletes *pop* their victim when drawn,
+atomically with their first lock enqueue — so no session ever targets a
+message that another session's already-drawn op will unlink or rename
+(FIFO lock handoff then serializes the survivors in enqueue order).  A
+move's new id is published to its destination folder by the session
+that ran it, after the rename lands.
+
+Session 0 draws from ``random.Random(seed)``; further sessions derive
+integer-keyed streams from the same root seed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Callable, Generator, Iterator, List, Tuple
 
+from repro.sched import Blocked, Scheduler, SessionContext
 from repro.workloads.scale import WorkloadScale
 
 MSG_BYTES = 8192  # ~8 KiB average message
@@ -31,6 +48,10 @@ MSG_BYTES = 8192  # ~8 KiB average message
 #: ("read", folder, msg) / ("mark", folder, msg) /
 #: ("move", folder, msg, dst_folder, new_id) / ("delete", folder, msg).
 MailOp = Tuple
+
+#: Per-session seed stride (odd 64-bit constant, splitmix64's golden
+#: gamma); session 0 keeps the root seed itself.
+_SESSION_STRIDE = 0x9E3779B97F4A7C15
 
 
 @dataclass
@@ -43,6 +64,12 @@ class MailState:
 
 def _msg_path(folder: int, msg_id: int) -> str:
     return f"/mail/folder{folder:02d}/cur/m{msg_id:07d}"
+
+
+def _folder_key(folder: int) -> str:
+    """The folder's lock, on every mount: a folder's messages share one
+    parent directory and so one shard, which the key need not name."""
+    return f"folder:{folder:02d}"
 
 
 def setup_mailserver(mount, scale: WorkloadScale) -> List[List[int]]:
@@ -76,8 +103,8 @@ def mail_mix(state: MailState, rng: random.Random, n_ops: int) -> Iterator[MailO
     executed, so draws observe every published state change (including
     this or another client's completed moves).  Moves and deletes pop
     their victim from the shared index at draw time; a drawn slot
-    landing on an empty folder yields nothing (matching the historical
-    sequential loop, which spent the iteration without an op).
+    landing on an empty folder yields nothing (the iteration is spent
+    without an op).
     """
     folders = state.folders
     for _ in range(n_ops):
@@ -100,34 +127,87 @@ def mail_mix(state: MailState, rng: random.Random, n_ops: int) -> Iterator[MailO
             yield ("delete", f, msg)
 
 
-def apply_mail_op(vfs, state: MailState, op: MailOp) -> None:
-    """Execute one :func:`mail_mix` op against the VFS (sequentially)."""
-    kind = op[0]
-    if kind == "read":
-        vfs.read(_msg_path(op[1], op[2]), 0, MSG_BYTES)
-    elif kind == "mark":
-        path = _msg_path(op[1], op[2])
-        vfs.write(path, 0, b"Status: RO\r\n")
-        vfs.fsync(path)
-    elif kind == "move":
-        _, f, msg, g, new_id = op
-        vfs.rename(_msg_path(f, msg), _msg_path(g, new_id))
-        state.folders[g].append(new_id)
-    else:
-        vfs.unlink(_msg_path(op[1], op[2]))
+def _make_script(
+    vfs, state: MailState, rng: random.Random, n_ops: int
+) -> Callable[[SessionContext], Generator[Blocked, None, None]]:
+    """One client: consume the shared-state op mix under folder locks."""
+
+    def script(ctx: SessionContext) -> Generator[Blocked, None, None]:
+        for op in mail_mix(state, rng, n_ops):
+            kind = op[0]
+            if kind == "read":
+                _, f, msg = op
+                key = _folder_key(f)
+                yield from ctx.acquire(key)
+                yield from ctx.run(vfs.read, _msg_path(f, msg), 0, MSG_BYTES)
+                ctx.release(key)
+            elif kind == "mark":
+                _, f, msg = op
+                path = _msg_path(f, msg)
+                key = _folder_key(f)
+                yield from ctx.acquire(key)
+                yield from ctx.run(vfs.write, path, 0, b"Status: RO\r\n")
+                yield from ctx.run(vfs.fsync, path)
+                ctx.release(key)
+            elif kind == "move":
+                _, f, msg, g, new_id = op
+                keys = sorted({_folder_key(f), _folder_key(g)})
+                for key in keys:
+                    yield from ctx.acquire(key)
+                yield from ctx.run(
+                    vfs.rename, _msg_path(f, msg), _msg_path(g, new_id)
+                )
+                state.folders[g].append(new_id)
+                for key in reversed(keys):
+                    ctx.release(key)
+            else:
+                _, f, msg = op
+                key = _folder_key(f)
+                yield from ctx.acquire(key)
+                yield from ctx.run(vfs.unlink, _msg_path(f, msg))
+                ctx.release(key)
+            ctx.op_done()
+
+    return script
+
+
+def mailserver_mt(
+    mount,
+    scale: WorkloadScale,
+    sessions: int = 8,
+    seed: int = 11,
+    policy: str = "fifo",
+    ops_per_session: int = 0,
+) -> Scheduler:
+    """Run ``sessions`` concurrent clients; returns the scheduler (its
+    sessions carry per-client latency/fairness accounting).
+
+    ``ops_per_session`` defaults to an even split of the scale's op
+    count, so total work does not grow with the number of sessions.
+    """
+    folders = setup_mailserver(mount, scale)
+    state = MailState(folders, sum(len(ids) for ids in folders))
+    if ops_per_session <= 0:
+        ops_per_session = max(1, scale.mail_ops // sessions)
+    sched = Scheduler(mount, policy=policy, seed=seed)
+    smap = getattr(mount, "shard_map", None)
+    for sid in range(sessions):
+        rng = random.Random(seed + sid * _SESSION_STRIDE)
+        script = _make_script(mount.vfs, state, rng, ops_per_session)
+        # The mailbox is shared; on a sharded mount a session's affinity
+        # is the shard of the folder its stream opens with (accounting).
+        affinity = None
+        if smap is not None:
+            affinity = smap.owner_of_entry(_msg_path(sid % len(folders), 0))
+        sched.spawn(f"user{sid:03d}", script, affinity=affinity)
+    sched.run()
+    mount.vfs.sync()
+    return sched
 
 
 def mailserver(mount, scale: WorkloadScale, seed: int = 11) -> float:
-    """Run the 50/50 read/update mix; returns ops/second."""
-    vfs = mount.vfs
-    folders = setup_mailserver(mount, scale)
-    state = MailState(folders, sum(len(ids) for ids in folders))
-    rng = random.Random(seed)
-    start = mount.clock.now
-    ops = 0
-    for op in mail_mix(state, rng, scale.mail_ops):
-        apply_mail_op(vfs, state, op)
-        ops += 1
-    vfs.sync()
-    elapsed = mount.clock.now - start
-    return ops / elapsed
+    """The Figure 2d benchmark — one client running the scale's whole
+    op count; returns ops/second from the first op through the final
+    sync."""
+    sched = mailserver_mt(mount, scale, sessions=1, seed=seed)
+    return sched.total_ops() / (mount.clock.now - sched.started)

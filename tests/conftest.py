@@ -5,6 +5,7 @@ import functools
 import pytest
 
 from repro.check import flow
+from repro.check.fsck import fsck_device, fsck_mount
 from repro.core.config import BeTreeConfig
 from repro.core.env import KVEnv
 from repro.device.block import BlockDevice
@@ -12,9 +13,13 @@ from repro.device.clock import SimClock
 from repro.kmem.allocator import KernelAllocator
 from repro.model.costs import CostModel
 from repro.model.profiles import COMMODITY_SSD, NULL_DEVICE
-from repro.storage.sfl import SimpleFileLayer
+from repro.storage.sfl import ImageLayout, SimpleFileLayer
 
 MIB = 1 << 20
+
+#: The carve every KV-level environment in the suite is built with;
+#: region offsets come from here, never from hard-coded byte values.
+LAYOUT = ImageLayout(log_size=8 * MIB, meta_size=64 * MIB)
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,16 +57,22 @@ def alloc(clock, costs):
     return KernelAllocator(clock, costs)
 
 
-@pytest.fixture
-def small_config():
+def small_cfg(**over):
     """Small tree geometry so tests exercise splits and flushes."""
     cfg = BeTreeConfig()
     cfg.node_size = 8192
     cfg.basement_size = 2048
     cfg.buffer_size = 4096
     cfg.fanout = 4
-    cfg.cache_bytes = 512 * 1024
+    cfg.cache_bytes = 1 << 20
+    for k, v in over.items():
+        setattr(cfg, k, v)
     return cfg
+
+
+@pytest.fixture
+def small_config():
+    return small_cfg(cache_bytes=512 * 1024)
 
 
 def recounted_node_bytes(node) -> int:
@@ -73,14 +84,48 @@ def recounted_node_bytes(node) -> int:
     return pivots + sum(m.measure() for m in node.buffer)
 
 
-def build_env(device, config, costs=None, **kwargs):
+def build_env(device, config, costs=None, make=KVEnv, **kwargs):
+    """A bare KV environment carved as :data:`LAYOUT` on ``device``:
+    fresh, or (``make=KVEnv.open``) recovered from what it holds."""
     costs = costs or CostModel()
     alloc = KernelAllocator(device.clock, costs)
-    storage = SimpleFileLayer(device, costs, log_size=8 * MIB, meta_size=64 * MIB)
-    kwargs.setdefault("log_size", 8 * MIB)
-    kwargs.setdefault("meta_size", 64 * MIB)
+    storage = SimpleFileLayer(
+        device, costs, log_size=LAYOUT.log_size, meta_size=LAYOUT.meta_size
+    )
+    kwargs.setdefault("log_size", LAYOUT.log_size)
+    kwargs.setdefault("meta_size", LAYOUT.meta_size)
     kwargs.setdefault("data_size", 256 * MIB)
-    return KVEnv(storage, device.clock, costs, alloc, config, **kwargs)
+    return make(storage, device.clock, costs, alloc, config, **kwargs)
+
+
+def make_env(cfg=None, **kwargs):
+    """A fresh environment on its own SSD; returns ``(env, device)``."""
+    device = BlockDevice(SimClock(), COMMODITY_SSD)
+    return build_env(device, cfg or small_cfg(), **kwargs), device
+
+
+def reopen(device, cfg=None, fsck=True, **kwargs):
+    """Pull the plug under a KV-level test: the environment recovered
+    from a crash image of ``device`` (mount-level tests reboot with
+    ``mount.crash()`` instead)."""
+    image = device.crash_image()
+    if fsck:
+        # Every recovery in the suite must also pass the offline
+        # checker: "recovers" means "recovers from a sane image".
+        fsck_device(
+            image, log_size=LAYOUT.log_size, meta_size=LAYOUT.meta_size
+        ).raise_if_errors()
+    return build_env(image, cfg or small_cfg(), make=KVEnv.open, **kwargs)
+
+
+def reboot(mount, plan=None):
+    """Pull the plug on a mount: the mount recovered from a crash image
+    of its device, which must fsck clean first (the ext4-stacked
+    variants have no SFL layout for fsck to walk)."""
+    image = mount.device.crash_image(plan)
+    if mount.features.use_sfl:
+        fsck_mount(mount, image).raise_if_errors()
+    return mount.remount(image)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from repro.check.errors import (
 from repro.check.fsck import fsck_device, load_image, save_image
 from repro.core.env import DATA, META
 from repro.core.messages import Insert, RangeDelete
-from tests.test_env import LAYOUT, make_env, reopen, small_cfg
+from tests.conftest import LAYOUT, make_env, reopen, small_cfg
 
 MIB = 1 << 20
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")

@@ -33,7 +33,7 @@ from repro.check import arch, conc, lint
 from repro.check.errors import SchedInvariantError
 from repro.harness.mt import run_mt
 from repro.sched import Scheduler
-from repro.workloads.mailserver_mt import _folder_key
+from repro.workloads.mailserver import _folder_key
 from repro.workloads.scale import SMOKE_SCALE
 from tests.conftest import real_program
 

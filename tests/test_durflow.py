@@ -224,8 +224,8 @@ class TestOrderRecorder:
         bare, _ = self._drive(attach=False)
         observed, log = self._drive(attach=True)
         assert device_sha256(bare.device) == device_sha256(observed.device)
-        assert bare.clock.now == observed.clock.now
-        assert bare.clock.io_wait == observed.clock.io_wait
+        assert bare.device.clock.now == observed.device.clock.now
+        assert bare.device.clock.io_wait == observed.device.clock.io_wait
         assert log.pairs, "a durable workload must observe orderings"
 
     def test_observed_pairs_covered_statically(self):

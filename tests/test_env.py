@@ -2,78 +2,12 @@
 
 import pytest
 
-from repro.check.fsck import fsck_device
-from repro.core.config import BeTreeConfig
-from repro.core.env import DATA, META, KVEnv
+from repro.core.env import DATA, META
 from repro.core.messages import PageFrame, value_bytes
 from repro.device.block import BlockDevice
 from repro.device.clock import SimClock
-from repro.kmem.allocator import KernelAllocator
-from repro.model.costs import CostModel
 from repro.model.profiles import COMMODITY_SSD
-from repro.storage.sfl import ImageLayout, SimpleFileLayer
-
-MIB = 1 << 20
-
-#: The carve every environment in this suite (and the failure-injection
-#: suite) is built with; region offsets come from here, never from
-#: hard-coded byte values.
-LAYOUT = ImageLayout(log_size=8 * MIB, meta_size=64 * MIB)
-
-
-def small_cfg(**over):
-    cfg = BeTreeConfig()
-    cfg.node_size = 8192
-    cfg.basement_size = 2048
-    cfg.buffer_size = 4096
-    cfg.fanout = 4
-    cfg.cache_bytes = 1 << 20
-    for k, v in over.items():
-        setattr(cfg, k, v)
-    return cfg
-
-
-def make_env(cfg=None, **kwargs):
-    clock = SimClock()
-    device = BlockDevice(clock, COMMODITY_SSD)
-    costs = CostModel()
-    alloc = KernelAllocator(clock, costs)
-    storage = SimpleFileLayer(device, costs, log_size=8 * MIB, meta_size=64 * MIB)
-    env = KVEnv(
-        storage,
-        clock,
-        costs,
-        alloc,
-        cfg or small_cfg(),
-        log_size=8 * MIB,
-        meta_size=64 * MIB,
-        data_size=256 * MIB,
-        **kwargs,
-    )
-    return env, device
-
-
-def reopen(device, cfg=None, fsck=True, **kwargs):
-    image = device.crash_image()
-    if fsck:
-        # Every recovery in the suite must also pass the offline
-        # checker: "recovers" means "recovers from a sane image".
-        report = fsck_device(image, log_size=8 * MIB, meta_size=64 * MIB)
-        report.raise_if_errors()
-    costs = CostModel()
-    alloc = KernelAllocator(image.clock, costs)
-    storage = SimpleFileLayer(image, costs, log_size=8 * MIB, meta_size=64 * MIB)
-    return KVEnv.open(
-        storage,
-        image.clock,
-        costs,
-        alloc,
-        cfg or small_cfg(),
-        log_size=8 * MIB,
-        meta_size=64 * MIB,
-        data_size=256 * MIB,
-        **kwargs,
-    )
+from tests.conftest import LAYOUT, make_env, reopen, small_cfg
 
 
 class TestCheckpointRecovery:

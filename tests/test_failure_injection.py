@@ -11,9 +11,7 @@ import pytest
 
 from repro.core.env import DATA, META
 from repro.core.messages import PageFrame, value_bytes
-from tests.test_env import LAYOUT, make_env, reopen
-
-MIB = 1 << 20
+from tests.conftest import LAYOUT, make_env, reopen
 
 
 class TestTornLog:
@@ -61,7 +59,9 @@ class TestCorruptNodes:
         )
         # The offline checker flags the damage up front ...
         report = fsck_device(
-            device.crash_image(), log_size=8 * MIB, meta_size=64 * MIB
+            device.crash_image(),
+            log_size=LAYOUT.log_size,
+            meta_size=LAYOUT.meta_size,
         )
         assert not report.ok
         assert any("unreadable" in e for e in report.errors)
@@ -86,29 +86,8 @@ class TestCrashStorm:
                 env.checkpoint()
             else:
                 env.sync()
-            image = device.crash_image()
-            from repro.check.fsck import fsck_device
-            from repro.core.env import KVEnv
-            from repro.kmem.allocator import KernelAllocator
-            from repro.model.costs import CostModel
-            from repro.storage.sfl import SimpleFileLayer
-            from tests.test_env import small_cfg
-
-            fsck_device(
-                image, log_size=8 * MIB, meta_size=64 * MIB
-            ).raise_if_errors()
-            costs = CostModel()
-            env = KVEnv.open(
-                SimpleFileLayer(image, costs, log_size=8 * MIB, meta_size=64 * MIB),
-                image.clock,
-                costs,
-                KernelAllocator(image.clock, costs),
-                small_cfg(),
-                log_size=8 * MIB,
-                meta_size=64 * MIB,
-                data_size=256 * MIB,
-            )
-            device = image
+            env = reopen(device)  # crash + reboot from the device image
+            device = env.storage.device  # continue on the rebooted disk
             for k, v in expected.items():
                 assert env.get(META, k) == v, (generation, k)
 

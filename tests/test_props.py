@@ -13,60 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check.fsck import fsck_device
-from repro.core.config import BeTreeConfig
-from repro.core.env import KVEnv, META
-from repro.device.block import BlockDevice
+from repro.core.env import META
 from repro.device.clock import SimClock
-from repro.kmem.allocator import KernelAllocator
 from repro.model.costs import CostModel
-from repro.model.profiles import COMMODITY_SSD
-from repro.storage.sfl import SimpleFileLayer
-
-MIB = 1 << 20
+from tests.conftest import make_env, reopen, small_cfg
 
 
-def small_cfg():
-    cfg = BeTreeConfig()
-    cfg.node_size = 8192
-    cfg.basement_size = 2048
-    cfg.buffer_size = 4096
-    cfg.fanout = 4
-    cfg.cache_bytes = 256 * 1024
-    return cfg
-
-
-def make_env():
-    clock = SimClock()
-    device = BlockDevice(clock, COMMODITY_SSD)
-    costs = CostModel()
-    env = KVEnv(
-        SimpleFileLayer(device, costs, log_size=8 * MIB, meta_size=64 * MIB),
-        clock,
-        costs,
-        KernelAllocator(clock, costs),
-        small_cfg(),
-        log_size=8 * MIB,
-        meta_size=64 * MIB,
-        data_size=256 * MIB,
-    )
-    return env, device
-
-
-def reopen(device):
-    image = device.crash_image()
-    fsck_device(image, log_size=8 * MIB, meta_size=64 * MIB).raise_if_errors()
-    costs = CostModel()
-    return KVEnv.open(
-        SimpleFileLayer(image, costs, log_size=8 * MIB, meta_size=64 * MIB),
-        image.clock,
-        costs,
-        KernelAllocator(image.clock, costs),
-        small_cfg(),
-        log_size=8 * MIB,
-        meta_size=64 * MIB,
-        data_size=256 * MIB,
-    )
+def tight_cfg():
+    """A cache small enough that the crash property sees evictions."""
+    return small_cfg(cache_bytes=256 * 1024)
 
 
 crash_ops = st.lists(
@@ -83,7 +38,7 @@ crash_ops = st.lists(
 @settings(max_examples=25, deadline=None)
 @given(crash_ops)
 def test_crash_recovery_preserves_synced_prefix(op_list):
-    env, device = make_env()
+    env, device = make_env(tight_cfg())
     model = {}
     synced_model = {}
     for n, (op, x, y) in enumerate(op_list):
@@ -109,7 +64,7 @@ def test_crash_recovery_preserves_synced_prefix(op_list):
             env.checkpoint()
             synced_model = dict(model)
     # Crash now, reopen, and verify every synced key/tombstone.
-    env2 = reopen(device)
+    env2 = reopen(device, tight_cfg())
     for k, v in synced_model.items():
         got = env2.get(META, k)
         # Post-sync (unsynced) ops may or may not have reached the

@@ -7,6 +7,7 @@ from repro.betrfs.versions import VERSIONS
 from repro.harness.runner import make_mount
 from repro.vfs.vfs import FSError
 from repro.workloads.scale import SMOKE_SCALE
+from tests.conftest import reboot
 
 SYSTEMS = ["ext4", "zfs", "BetrFS v0.4", "BetrFS v0.6"]
 
@@ -70,8 +71,8 @@ class TestSymlinks:
         if system not in VERSIONS:
             pytest.skip("remount path is BetrFS-specific")
         mount = make_mount(system, SMOKE_SCALE)
-        v = mount.vfs
-        v.symlink("/t", "/persisted")
-        v.sync()
-        mount.drop_caches()
+        mount.vfs.symlink("/t", "/persisted")
+        mount.vfs.sync()
+        v = reboot(mount).vfs
         assert v.readlink("/persisted") == "/t"
+        assert v.stat("/persisted").kind.name == "SYMLINK"

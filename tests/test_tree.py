@@ -14,8 +14,7 @@ from repro.core.keys import intersect
 from repro.core.messages import PageFrame, value_bytes
 from repro.core.node import InternalNode, LeafNode
 from repro.core.tree import SEARCH_STEPS, search_steps
-from tests.conftest import build_env, recounted_node_bytes
-from tests.test_env import reopen
+from tests.conftest import build_env, recounted_node_bytes, reopen
 
 from repro.core.config import BeTreeConfig
 from repro.device.block import BlockDevice

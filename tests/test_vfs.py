@@ -4,10 +4,9 @@ import pytest
 
 from repro.betrfs import make_betrfs
 from repro.betrfs.filesystem import MountOptions
-from repro.core.env import META
-from repro.vfs.inode import Stat
 from repro.vfs.pagecache import CachedPage
 from repro.vfs.vfs import FSError
+from tests.conftest import reboot
 
 PAGE = 4096
 
@@ -20,37 +19,6 @@ def fs():
 @pytest.fixture
 def v(fs):
     return fs.vfs
-
-
-def reboot(fs):
-    """Pull the plug: a fresh KV environment recovered from a crash
-    image of the mount's device (fsck-clean first)."""
-    from repro.check.fsck import fsck_device
-    from repro.core.env import KVEnv
-    from repro.kmem.allocator import KernelAllocator
-    from repro.model.costs import CostModel
-    from repro.storage.sfl import SimpleFileLayer
-
-    image = fs.device.crash_image()
-    fsck_device(
-        image,
-        log_size=fs.opts.log_size,
-        meta_size=fs.opts.meta_size,
-        aligned=fs.config.page_sharing,
-    ).raise_if_errors()
-    costs = CostModel()
-    return KVEnv.open(
-        SimpleFileLayer(image, costs, log_size=fs.opts.log_size,
-                        meta_size=fs.opts.meta_size),
-        image.clock,
-        costs,
-        KernelAllocator(image.clock, costs),
-        fs.config,
-        log_size=fs.opts.log_size,
-        meta_size=fs.opts.meta_size,
-        data_size=fs.opts.data_size,
-        log_page_values=False,
-    )
 
 
 def count_dirty_reads(fs, files, pages_each):
@@ -335,7 +303,7 @@ class TestDirtyInodes:
     def test_deferred_create_survives_crash_after_sync(self, fs, v):
         v.create("/d1")
         v.sync()
-        assert reboot(fs).get(META, b"/d1") is not None
+        assert reboot(fs).vfs.exists("/d1")
 
     def test_rename_writes_the_dirty_inode_in_hand_and_no_other(
         self, fs, v, monkeypatch
@@ -362,6 +330,7 @@ class TestDirtyInodes:
         assert not a.dirty and a.pinned_log_section is None
         assert sibling.dirty and sibling.pinned_log_section is not None
         v.fsync("/b")
-        env2 = reboot(fs)
-        assert Stat.unpack(env2.get(META, b"/b")).size == 5000
-        assert env2.get(META, b"/a") is None
+        v2 = reboot(fs).vfs
+        assert v2.stat("/b").size == 5000
+        assert v2.read("/b", 0, 5000) == b"x" * 5000
+        assert not v2.exists("/a")
