@@ -364,8 +364,11 @@ class BaselineFS(FileSystemBackend):
             data = self.device.wait(ra[1])
         else:
             data = self.device.read(off, pages * PAGE_SIZE)
-        if seq_hint:
-            nxt = idx + pages
+        nxt = idx + pages
+        # The prefetch stops at EOF like the window it follows: past the
+        # file's size ``nxt`` may still be mapped (the doubling
+        # pre-allocation), but there is nothing there to read.
+        if seq_hint and nxt * PAGE_SIZE < self._meta[path].size:
             nxt_off = self._extent_offset(path, nxt, allocate=False)
             if nxt_off is not None:
                 completion = self.device.submit_read(nxt_off, pages * PAGE_SIZE)

@@ -466,12 +466,14 @@ class VFS:
         if inode.stat.kind is FileKind.DIR:
             raise FSError(errno.EISDIR, path)
         pos = offset
-        remaining = data
-        while remaining:
+        stop = offset + len(data)
+        while pos < stop:
             idx = pos // PAGE_SIZE
             page_off = pos % PAGE_SIZE
-            chunk = remaining[: PAGE_SIZE - page_off]
-            remaining = remaining[len(chunk) :]
+            # Walk ``data`` by offset: one slice per page, never a
+            # re-slice of the unwritten rest.
+            done = pos - offset
+            chunk = data[done : done + PAGE_SIZE - page_off]
             partial = page_off != 0 or len(chunk) != PAGE_SIZE
             cached = self.pages.lookup(path, idx)
             covers_existing = idx * PAGE_SIZE < inode.stat.size
@@ -499,11 +501,11 @@ class VFS:
                 continue
             if partial and cached is None and covers_existing:
                 # Read-modify-write of an existing block.
-                self._fill_page(path, idx, seq_hint=False)
+                self._fill_page(path, idx, seq_hint=False, last_page=idx)
             self.pages.write(path, idx, page_off, chunk)
             pos += len(chunk)
-        if offset + len(data) > inode.stat.size:
-            inode.stat.size = offset + len(data)
+        if stop > inode.stat.size:
+            inode.stat.size = stop
         inode.stat.mtime = self.clock.now
         if not inode.dirty:
             inode.dirty = True
@@ -528,6 +530,7 @@ class VFS:
         seq_hint = self._note_read(path, offset, length)
         if length >= 4 * PAGE_SIZE:
             seq_hint = True
+        last_page = (inode.stat.size - 1) // PAGE_SIZE
         out: List[bytes] = []
         pos = offset
         end = offset + length
@@ -537,7 +540,7 @@ class VFS:
             take = min(PAGE_SIZE - page_off, end - pos)
             page = self.pages.lookup(path, idx)
             if page is None:
-                page = self._fill_page(path, idx, seq_hint)
+                page = self._fill_page(path, idx, seq_hint, last_page)
             out.append(page.frame.data[page_off : page_off + take])
             pos += take
         # Copy to the user buffer.
@@ -554,20 +557,35 @@ class VFS:
         self._read_streams[path] = (offset + length, streak)
         return streak >= 1
 
-    def _fill_page(self, path: str, idx: int, seq_hint: bool):
-        """Page-cache miss: pull pages from the backend (+read-ahead)."""
+    def _fill_page(self, path: str, idx: int, seq_hint: bool, last_page: int):
+        """Page-cache miss: pull pages from the backend (+read-ahead).
+
+        The read-ahead window stops at ``last_page``, the page holding
+        the file's last byte: like the kernel's, it never reads past
+        ``i_size``, so no backend is asked for — and the page cache
+        never holds — a block that cannot exist.
+        """
         count = 1
         if seq_hint:
-            count = READAHEAD_MAX_PAGES
+            count = min(READAHEAD_MAX_PAGES, last_page - idx + 1)
         if self.block_signal is not None:
             self.block_signal.note("pagecache_miss")
         frames = self.backend.read_pages(path, idx, count, seq_hint)
         page = None
         for i, frame in enumerate(frames):
             if self.pages.lookup(path, idx + i) is None:
+                if len(frame.data) < PAGE_SIZE:
+                    # A block the backend holds short (a blind patch
+                    # into a hole) is zero-extended: a cached page is
+                    # a whole page, so offsets into it mean what they say.
+                    frame.put()
+                    frame = PageFrame(frame.data.ljust(PAGE_SIZE, b"\x00"))
                 cached = self.pages.insert_clean(path, idx + i, frame)
             else:
                 cached = self.pages.lookup(path, idx + i)
+                # The backend took a reference for us (page sharing);
+                # the cached page already holds its own.
+                frame.put()
             if i == 0:
                 page = cached
         require(page is not None, "readahead populated no page for the requested index")

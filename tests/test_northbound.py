@@ -160,6 +160,19 @@ class TestRename:
 
 
 class TestTreeReadahead:
+    def test_cold_read_queries_only_the_blocks_the_file_has(self):
+        """Read-ahead stops at EOF: a cold read of a 5-block file is 5
+        point queries, not one per slot of the 32-page window."""
+        fs = mount("BetrFS v0.6")
+        v = fs.vfs
+        v.create("/small")
+        v.write("/small", 0, b"s" * (20 << 10))
+        v.sync()
+        fs.drop_caches()
+        before = fs.env.data.stats.queries
+        assert v.read("/small", 0, 20 << 10) == b"s" * (20 << 10)
+        assert fs.env.data.stats.queries == before + 5
+
     def test_sfl_variants_prefetch_on_sequential_reads(self):
         fs = mount("BetrFS v0.6")
         v = fs.vfs

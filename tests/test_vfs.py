@@ -1,11 +1,16 @@
 """VFS-layer tests: namespace semantics, page cache, write-back."""
 
+import random
+
 import pytest
 
 from repro.betrfs import make_betrfs
 from repro.betrfs.filesystem import MountOptions
+from repro.harness.runner import TABLE3_SYSTEMS, make_mount
+from repro.shard import make_sharded_betrfs
 from repro.vfs.pagecache import CachedPage
 from repro.vfs.vfs import FSError
+from repro.workloads.scale import SMOKE_SCALE
 from tests.conftest import reboot
 
 PAGE = 4096
@@ -44,6 +49,49 @@ def count_dirty_reads(fs, files, pages_each):
     for page in v.pages._pages.values():
         page.__class__ = Probe
     return lambda: seen[0]
+
+
+def record_reads(mount):
+    """Record, as ``(path, idx, count, seq_hint)``, every ``read_pages``
+    call the mount's backend receives from here on."""
+    calls = []
+    inner = mount.backend.read_pages
+
+    def read_pages(path, idx, count, seq_hint):
+        calls.append((path, idx, count, seq_hint))
+        return inner(path, idx, count, seq_hint)
+
+    mount.backend.read_pages = read_pages
+    return calls
+
+
+def pages_requested(calls, path):
+    return [i for p, idx, count, _hint in calls if p == path for i in range(idx, idx + count)]
+
+
+def pages_cached(v, path):
+    return sorted(v.pages._files.get(path, {}))
+
+
+def scan(v, path, size, chunk=16 * PAGE):
+    """``path`` read front to back in ``chunk``-sized calls (cp, grep)."""
+    return b"".join(v.read(path, off, chunk) for off in range(0, size, chunk))
+
+
+def model_write(model, offset, data):
+    """``pwrite`` on a ``bytearray`` model: a gap before ``offset`` is zeros."""
+    model.extend(b"\x00" * (offset - len(model)))
+    model[offset : offset + len(data)] = data
+
+
+def cold_file(mount, path, size):
+    """``size`` patterned bytes at ``path``, on the device only."""
+    body = (bytes(range(251)) * (size // 251 + 1))[:size]
+    mount.vfs.create(path)
+    mount.vfs.write(path, 0, body)
+    mount.vfs.sync()
+    mount.drop_caches()
+    return body
 
 
 class TestNamespace:
@@ -232,6 +280,23 @@ class TestDataPath:
         fs.drop_caches()
         assert v.read("/f", 8, 6) == b"aaZZaa"
 
+    def test_blind_patch_into_a_hole_reads_as_a_whole_page(self, v, fs):
+        """The tree materializes a patched hole as a short value; the
+        page the VFS caches is zero-extended, so the bytes behind it
+        stay at their offsets and a later patch of the cached copy
+        lands where it was aimed."""
+        v.create("/f")
+        v.write("/f", PAGE, b"tail!")  # page 0 is a hole
+        v.write("/f", 0, b"head")  # blind patch: a 4-byte block
+        expect = b"head" + b"\x00" * (PAGE - 4) + b"tail!"
+        for _ in range(2):
+            assert v.read("/f", 0, 2 * PAGE) == expect
+            v.sync()
+            fs.drop_caches()
+        assert v.read("/f", 0, PAGE) == expect[:PAGE]
+        v.write("/f", 100, b"mid")  # patches the clean cached copy
+        assert v.read("/f", 98, 7) == b"\x00\x00mid\x00\x00"
+
     def test_unlink_then_recreate_is_empty(self, v):
         v.create("/f")
         v.write("/f", 0, b"old" * 100)
@@ -240,6 +305,197 @@ class TestDataPath:
         v.create("/f")
         assert v.stat("/f").size == 0
         assert v.read("/f", 0, 10) == b""
+
+
+class TestReadAheadWindow:
+    """The read-ahead window stops at the file's last page: no backend
+    is asked for, and the page cache never holds, a page past EOF."""
+
+    def test_cold_read_of_a_small_file_requests_only_its_pages(self, fs, v):
+        body = cold_file(fs, "/f", 5 * PAGE - 100)
+        calls = record_reads(fs)
+        assert v.read("/f", 0, 16 * PAGE) == body
+        assert calls == [("/f", 0, 5, True)]
+        assert pages_cached(v, "/f") == [0, 1, 2, 3, 4]
+
+    def test_sequential_scan_requests_every_page_once(self, fs, v):
+        body = cold_file(fs, "/f", 100 * PAGE - 1)
+        calls = record_reads(fs)
+        assert scan(v, "/f", len(body)) == body
+        assert pages_requested(calls, "/f") == list(range(100))
+        assert [count for _p, _i, count, _h in calls] == [32, 32, 32, 4]
+
+    @pytest.mark.parametrize(
+        "size, reads, expected",
+        [
+            pytest.param(4 * PAGE, [(0, 16 * PAGE)], [("/f", 0, 4, True)], id="exact-multiple"),
+            pytest.param(1, [(0, 16 * PAGE)], [("/f", 0, 1, False)], id="one-byte"),
+            pytest.param(
+                40 * PAGE - 7,
+                [(38 * PAGE, PAGE), (39 * PAGE, PAGE)],  # a streak into the last page
+                [("/f", 38, 1, False), ("/f", 39, 1, True)],
+                id="starts-in-last-page",
+            ),
+            pytest.param(
+                40 * PAGE,
+                [(30 * PAGE + 5, 16 * PAGE)],
+                [("/f", 30, 10, True)],
+                id="window-cut-by-eof",
+            ),
+        ],
+    )
+    def test_no_page_past_eof_is_requested(self, fs, v, size, reads, expected):
+        body = cold_file(fs, "/f", size)
+        calls = record_reads(fs)
+        for offset, length in reads:
+            assert v.read("/f", offset, length) == body[offset : offset + length]
+        assert calls == expected
+        assert max(pages_cached(v, "/f")) <= (size - 1) // PAGE
+
+    def test_unhinted_read_still_requests_one_page(self, fs, v):
+        body = cold_file(fs, "/f", 40 * PAGE)
+        calls = record_reads(fs)
+        assert v.read("/f", 7 * PAGE, PAGE) == body[7 * PAGE : 8 * PAGE]
+        assert calls == [("/f", 7, 1, False)]
+        assert pages_cached(v, "/f") == [7]
+
+    @pytest.mark.parametrize("system", TABLE3_SYSTEMS + ["shards4"])
+    def test_every_system_reads_the_same_bytes_and_nothing_past_eof(self, system):
+        """One seeded read script on every mount: contents equal the
+        model's (holes inside a sparse file read as zeros), no backend
+        saw a page index >= ceil(size / PAGE), the page cache holds none."""
+        if system == "shards4":
+            mount = make_sharded_betrfs("BetrFS v0.6", MountOptions(scale=1 / 32), shards=4)
+        else:
+            mount = make_mount(system, SMOKE_SCALE)
+        v = mount.vfs
+        rng = random.Random(19)
+        model = {}
+        v.mkdir("/d")
+        for path, extents in {
+            "/d/dense": [(0, 150_001)],
+            "/d/exact": [(0, 8 * PAGE)],
+            "/d/tiny": [(0, 1)],
+            "/d/sparse": [(0, PAGE), (9 * PAGE + 100, 3000), (30 * PAGE, 2 * PAGE + 17)],
+            "/sparse-tail": [(45 * PAGE - 1, 1)],
+        }.items():
+            v.create(path)
+            body = bytearray()
+            for offset, length in extents:
+                data = rng.randbytes(length)
+                v.write(path, offset, data)
+                model_write(body, offset, data)
+            model[path] = bytes(body)
+        v.sync()
+        mount.drop_caches()
+        calls = record_reads(mount)
+        for path, body in model.items():
+            if rng.random() < 0.5:
+                assert scan(v, path, len(body)) == body
+        for _ in range(150):
+            path = rng.choice(list(model))
+            body = model[path]
+            offset = rng.randrange(len(body) + PAGE)
+            length = rng.choice([1, 100, PAGE, 5 * PAGE, 16 * PAGE, 50 * PAGE])
+            assert v.read(path, offset, length) == body[offset : offset + length]
+            if rng.random() < 0.1:
+                mount.drop_caches()
+        assert v.read("/d/sparse", 2 * PAGE, 3 * PAGE) == b"\x00" * (3 * PAGE)
+        for path, body in model.items():
+            npages = -(-len(body) // PAGE)
+            mount.drop_caches()
+            assert v.read(path, 0, len(body) + PAGE) == body
+            assert pages_cached(v, path) == list(range(npages))
+            assert max(pages_requested(calls, path)) == npages - 1
+
+
+class SliceLedger(bytes):
+    """``bytes`` that records the length of every slice taken of it."""
+
+    def __new__(cls, data, ledger):
+        self = super().__new__(cls, data)
+        self.ledger = ledger
+        return self
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.ledger.append(len(out))
+        return out
+
+
+class TestWriteChunking:
+    """``VFS.write`` against a ``bytearray`` model: unaligned,
+    multi-page, blind-patched and read-modify-write chunks."""
+
+    def test_patch_of_a_clean_cached_page_does_not_end_the_write(self, fs, v):
+        """A small first chunk into a clean cached page takes the
+        blind-patch branch and updates the cached copy in place; the
+        write goes on to the pages after it."""
+        assert fs.backend.supports_blind_patch
+        v.create("/f")
+        v.write("/f", 0, b"a" * (4 * PAGE))
+        v.sync()
+        assert not v.pages.lookup("/f", 0).dirty
+        patches = fs.env.data.stats.patches
+        data = b"B" * (100 + PAGE + 50)
+        assert v.write("/f", PAGE - 100, data) == len(data)
+        # Head and tail chunks are patches; the full page between is not.
+        assert fs.env.data.stats.patches == patches + 2
+        assert [idx for _p, idx, _pg in v.pages.dirty_pages("/f")] == [1]
+        expect = b"a" * (PAGE - 100) + data + b"a" * (2 * PAGE - 50)
+        assert v.read("/f", 0, 5 * PAGE) == expect
+        v.sync()
+        fs.drop_caches()
+        assert v.read("/f", 0, 5 * PAGE) == expect
+
+    @pytest.mark.parametrize("system", ["BetrFS v0.6", "+RG", "ext4"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_writes_match_a_bytearray_model(self, system, seed):
+        mount = make_mount(system, SMOKE_SCALE)
+        v = mount.vfs
+        rng = random.Random(seed)
+        v.create("/f")
+        model = bytearray()
+        for step in range(120):
+            length = rng.choice(
+                [
+                    rng.randint(1, 16),  # blind-patchable
+                    rng.randint(17, PAGE // 8),
+                    rng.randint(PAGE // 8 + 1, PAGE - 1),  # RMW of a cold block
+                    PAGE * rng.randint(1, 4),
+                    rng.randint(PAGE, 5 * PAGE),  # unaligned, multi-page
+                ]
+            )
+            offset = rng.choice([0, PAGE, 1, PAGE - 1]) * rng.randint(0, 5)
+            offset = min(offset + rng.randint(0, 3) * PAGE, len(model) + PAGE)
+            data = bytes([1 + step % 255]) * length
+            assert v.write("/f", offset, data) == length
+            model_write(model, offset, data)
+            assert v.stat("/f").size == len(model)
+            # Leave the next write clean cached, cold or dirty pages.
+            fate = rng.random()
+            if fate < 0.3:
+                v.sync()
+            elif fate < 0.5:
+                v.sync()
+                mount.drop_caches()
+            if step % 10 == 9:
+                assert v.read("/f", 0, len(model) + 1) == bytes(model)
+        v.sync()
+        mount.drop_caches()
+        assert v.read("/f", 0, len(model) + 1) == bytes(model)
+
+    def test_a_large_write_slices_its_data_once_per_page(self, v):
+        """Chunking is linear: 256 page-sized slices of the caller's
+        buffer, never a re-slice of the unwritten rest."""
+        ledger = []
+        v.create("/f")
+        v.write("/f", 0, SliceLedger(b"w" * (1 << 20), ledger))
+        assert ledger == [PAGE] * 256
+        ledger.clear()
+        v.write("/f", 100, SliceLedger(b"u" * (1 << 20), ledger))
+        assert ledger == [PAGE - 100] + [PAGE] * 255 + [100]
 
 
 class TestWriteBackAndSharing:
@@ -277,6 +533,21 @@ class TestWriteBackAndSharing:
         assert new_frame is not old_frame
         assert fs.vfs.pages.cow_copies >= 1
         assert v.read("/f", 0, 4) == b"2222"
+
+    def test_readahead_over_a_cached_page_leaks_no_frame_reference(self, fs, v):
+        """Read-ahead fetches a page that is already cached: the
+        reference the backend took on the shared frame is dropped with
+        the duplicate, so dropping both caches leaves none behind."""
+        cold_file(fs, "/f", 40 * PAGE)
+        v.read("/f", 5 * PAGE, PAGE)
+        frame = v.pages.lookup("/f", 5).frame
+        cached_and_tree = frame.refs
+        assert cached_and_tree >= 2  # shared with the tree, not copied
+        v.read("/f", 0, 16 * PAGE)  # the window covers page 5 again
+        assert v.pages.lookup("/f", 5).frame is frame
+        assert frame.refs == cached_and_tree
+        fs.drop_caches()
+        assert frame.refs == 0
 
     def test_no_sharing_without_pgsh(self):
         fs = make_betrfs("+RG", MountOptions(scale=1 / 32))
