@@ -49,7 +49,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.keys import in_range, intersect
 from repro.core.node import InternalNode, LeafNode
-from repro.core.serialize import ChecksumError, decode_node, verify_crc
+from repro.core.serialize import ChecksumError, decode_node
 from repro.core.wal import WriteAheadLog
 from repro.device.block import BlockDevice, ExtentStore
 from repro.storage.sfl import ImageLayout
@@ -327,8 +327,9 @@ def _walk_tree(
         off, ln = entry
         try:
             data = _read_node_bytes(store, file_base, off, ln)
-            verify_crc(data)
-            node = decode_node(data, aligned=aligned, verify=False)
+            # Every CRC the node carries — a leaf's header and each of
+            # its basements — is checked; the error names the basement.
+            node = decode_node(data, aligned=aligned)
         except (ChecksumError, ValueError, struct.error, zlib.error) as exc:
             report.error(f"{name}: node {node_id} unreadable: {exc}")
             continue

@@ -68,7 +68,7 @@ class BeTreeConfig:
     def scaled(self, factor: float) -> "BeTreeConfig":
         """Geometry scaled by ``factor`` (for reduced-size benchmarks).
 
-        Basement nodes are floored at 32 KiB so that the aligned page
+        Basement nodes are floored at 64 KiB so that the aligned page
         layout (§6) keeps its real-world ~3-10% padding overhead — a
         basement holding a single 4 KiB page would double in size and
         distort every I/O measurement.

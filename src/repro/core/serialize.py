@@ -16,8 +16,13 @@ Both layouts apply *lifting*-style prefix compression: the longest
 common prefix of all keys in the node is stored once in the header and
 stripped from every key.
 
-Every serialized node ends with a CRC32 of its payload, matching the
-paper's at-rest corruption detection.
+Every byte of a serialized node is under a CRC32, matching the paper's
+at-rest corruption detection.  An internal node ends with the CRC32 of
+all that precedes it.  A leaf carries its checksums in its header
+region, so that a basement can be read and verified without its
+siblings: the fixed head gives the region's length, the region closes
+with the CRC32 of the rest of it, and each basement-table row holds the
+CRC32 of that basement's extent.
 
 Each direction walks a node once (DESIGN.md, "Node codec"): encode
 emits one ``pack`` per entry, sizes every region by arithmetic and
@@ -65,10 +70,12 @@ PAGE_ALIGN = 4096
 BULK_VALUE_MIN = 512
 
 _U32 = Struct("<I")
-#: Leaf: magic, node id, height, basement count, lift length.
-_LEAF_HEAD = Struct("<4sqiiH")
-#: Leaf basement-table row: offset, length, first-key length (+ key).
-_TABLE_ROW = Struct("<iiH")
+#: Leaf: magic, node id, height, basement count, lift length, length of
+#: the header region (the table, any padding and its CRC32 included).
+_LEAF_HEAD = Struct("<4sqiiHI")
+#: Leaf basement-table row: offset, length, CRC32 of that extent,
+#: first-key length (+ key).
+_TABLE_ROW = Struct("<IIIH")
 #: Aligned basement: page-area start (from the basement), pair count.
 _ALIGNED_BASEMENT_HEAD = Struct("<ii")
 _PACKED_BASEMENT_HEAD = Struct("<i")
@@ -121,8 +128,8 @@ class SerializedNode:
     copied_bytes: int = 0
     #: Page bytes passed by reference (aligned layout; no CPU copy).
     ref_bytes: int = 0
-    #: Basement extent table: (offset, length) within ``data``.
-    basement_extents: List[Tuple[int, int]] = field(default_factory=list)
+    #: Basement extent table: (offset, length, CRC32) within ``data``.
+    basement_extents: List[Tuple[int, int, int]] = field(default_factory=list)
     #: Length of the leaf header region (readable on its own).
     header_len: int = 0
 
@@ -145,12 +152,18 @@ def _append_pages(parts: List[bytes], pages: List[bytes]) -> Tuple[int, int]:
     return ref, ref + padding
 
 
-def _seal(parts: List[bytes]) -> bytes:
-    """Join a node's parts once, behind the CRC32 of all of them."""
+def _crc_from(parts: List[bytes], start: int) -> int:
+    """The CRC32 of ``parts[start:]``, as if joined."""
     crc = 0
-    for part in parts:
-        crc = crc32(part, crc)
-    parts.append(_U32.pack(crc))
+    for i in range(start, len(parts)):
+        crc = crc32(parts[i], crc)
+    return crc
+
+
+def _seal(parts: List[bytes]) -> bytes:
+    """Join an internal node's parts once, behind the CRC32 of all of
+    them."""
+    parts.append(_U32.pack(_crc_from(parts, 0)))
     return b"".join(parts)
 
 
@@ -223,15 +236,16 @@ def serialize_leaf(leaf: LeafNode, aligned: bool, lifting: bool) -> SerializedNo
     # Basement table (with per-basement first keys, enabling partial
     # leaf loads) placed in the header so it can be read alone.
     first_keys = [(b.first_key() or b"")[lift:] for b in basements]
-    header_len = 22 + lift + sum(10 + len(fk) for fk in first_keys)
+    header_len = 30 + lift + sum(14 + len(fk) for fk in first_keys)
     if aligned:
         header_len = _align(header_len)
 
     parts: List[bytes] = [b""]  # the header needs every basement's extent
-    extents: List[Tuple[int, int]] = []
+    extents: List[Tuple[int, int, int]] = []
     small = copied = ref = 0
     pos = header_len
     for basement in basements:
+        first_part = len(parts)
         if aligned:
             # An aligned basement is whole pages long, so the next
             # one starts aligned without padding.
@@ -242,17 +256,21 @@ def serialize_leaf(leaf: LeafNode, aligned: bool, lifting: bool) -> SerializedNo
             copied += c
             length = s + c
         small += s
-        extents.append((pos, length))
+        extents.append((pos, length, _crc_from(parts, first_part)))
         pos += length
 
-    header = [_LEAF_HEAD.pack(MAGIC_LEAF, leaf.node_id, leaf.height, len(basements), lift), prefix]
-    for (off, length), fk in zip(extents, first_keys):
-        header.append(_TABLE_ROW.pack(off, length, len(fk)))
+    header = [
+        _LEAF_HEAD.pack(MAGIC_LEAF, leaf.node_id, leaf.height, len(basements), lift, header_len),
+        prefix,
+    ]
+    for (off, length, crc), fk in zip(extents, first_keys):
+        header.append(_TABLE_ROW.pack(off, length, crc, len(fk)))
         header.append(fk)
-    parts[0] = b"".join(header).ljust(header_len, b"\x00")
+    head = b"".join(header).ljust(header_len - 4, b"\x00")
+    parts[0] = head + _U32.pack(crc32(head))
     return SerializedNode(
-        data=_seal(parts),
-        small_bytes=small + header_len + 4,
+        data=b"".join(parts),
+        small_bytes=small + header_len,
         copied_bytes=copied,
         ref_bytes=ref,
         basement_extents=extents,
@@ -268,27 +286,47 @@ class LeafHeader:
     node_id: int
     height: int
     lift_prefix: bytes
-    basement_extents: List[Tuple[int, int]]
+    #: One (offset, length, CRC32) per basement; they tile the extent
+    #: from ``header_len`` to its end.
+    basement_extents: List[Tuple[int, int, int]]
     basement_first_keys: List[bytes]
     header_len: int
 
 
-def decode_leaf_header(data: bytes, aligned: bool) -> LeafHeader:
-    magic, node_id, height, n_bas, lift = _LEAF_HEAD.unpack_from(data, 0)
-    if magic != MAGIC_LEAF:
-        raise ValueError("bad leaf magic")
-    pos = 22 + lift
-    prefix = data[22:pos]
+def leaf_header_len(head: bytes, extent_len: int) -> int:
+    """The length of the header region of the leaf whose extent of
+    ``extent_len`` bytes starts with ``head``: what a reader must hold
+    before :func:`decode_leaf_header` can verify it."""
+    if len(head) >= 26:
+        magic, _id, _height, _n_bas, _lift, header_len = _LEAF_HEAD.unpack_from(head, 0)
+        if magic == MAGIC_LEAF and 30 <= header_len <= extent_len:
+            return header_len
+    raise ChecksumError("not the head of a leaf of this extent")
+
+
+def decode_leaf_header(data: bytes, extent_len: int) -> LeafHeader:
+    """Verify, then parse, the header region that ``data`` starts with.
+    Only the region's length is read ahead of its CRC32."""
+    header_len = leaf_header_len(data, extent_len)
+    end = header_len - 4
+    if len(data) < header_len or _U32.unpack_from(data, end)[0] != crc32(memoryview(data)[:end]):
+        raise ChecksumError("leaf header checksum mismatch")
+    _magic, node_id, height, n_bas, lift, _len = _LEAF_HEAD.unpack_from(data, 0)
+    pos = 26 + lift
+    prefix = data[26:pos]
     extents = []
     first_keys = []
+    tiled = header_len  # where the next basement must start; -1 once one did not
     for _ in range(n_bas):
-        off, ln, fklen = _TABLE_ROW.unpack_from(data, pos)
-        pos += 10
+        off, ln, crc, fklen = _TABLE_ROW.unpack_from(data, pos)
+        pos += 14
         fk = data[pos : pos + fklen]
         pos += fklen
         first_keys.append(prefix + fk if fk else b"")
-        extents.append((off, ln))
-    header_len = extents[0][0] if extents else pos
+        extents.append((off, ln, crc))
+        tiled = tiled + ln if off == tiled else -1
+    if tiled != extent_len:
+        raise ChecksumError("leaf basement table does not tile the extent")
     return LeafHeader(node_id, height, prefix, extents, first_keys, header_len)
 
 
@@ -353,18 +391,32 @@ def _decode_basement_aligned(data: bytes, base: int, prefix: bytes) -> Tuple[Bas
     return basement, bulk
 
 
-def decode_basement(blob: bytes, prefix: bytes, aligned: bool) -> BasementNode:
+def decode_basement(
+    data: bytes,
+    at: int,
+    index: int,
+    extent: Tuple[int, int, int],
+    prefix: bytes,
+    aligned: bool,
+) -> Tuple[BasementNode, int]:
+    """Verify, then decode, a leaf's basement ``index`` — ``extent`` is
+    its table row — from where it starts in ``data``; returns it and
+    its bulk-value bytes."""
+    _off, length, crc = extent
+    if crc32(memoryview(data)[at : at + length]) != crc:
+        raise ChecksumError(f"basement {index} checksum mismatch")
     decode = _decode_basement_aligned if aligned else _decode_basement_packed
-    return decode(blob, 0, prefix)[0]
+    return decode(data, at, prefix)
 
 
 def _decode_leaf(data: bytes, aligned: bool) -> Tuple[LeafNode, int]:
-    header = decode_leaf_header(data, aligned)
-    decode = _decode_basement_aligned if aligned else _decode_basement_packed
+    header = decode_leaf_header(data, len(data))
     basements: List[BasementNode] = []
     bulk = 0
-    for off, _ln in header.basement_extents:
-        basement, b = decode(data, off, header.lift_prefix)
+    for index, extent in enumerate(header.basement_extents):
+        basement, b = decode_basement(
+            data, extent[0], index, extent, header.lift_prefix, aligned
+        )
         basements.append(basement)
         bulk += b
     leaf = LeafNode(header.node_id, basements)
@@ -534,16 +586,17 @@ def serialize_node(node: Node, aligned: bool, lifting: bool) -> SerializedNode:
 
 
 def decode_node(
-    data: bytes, aligned: bool, verify: bool = True, cost_split: Optional[List[int]] = None
+    data: bytes, aligned: bool, cost_split: Optional[List[int]] = None
 ) -> Node:
-    """Decode one node.  ``cost_split``, if given, receives the node's
-    bytes as ``[small, bulk]``: the values of at least
+    """Verify and decode one node.  ``cost_split``, if given, receives
+    the node's bytes as ``[small, bulk]``: the values of at least
     :data:`BULK_VALUE_MIN` bytes, and everything else."""
-    if verify:
-        verify_crc(data)
     # Internal nodes start with the page-area offset word.
-    decode = _decode_leaf if data[:4] == MAGIC_LEAF else _decode_internal
-    node, bulk = decode(data, aligned)
+    if data[:4] == MAGIC_LEAF:
+        node, bulk = _decode_leaf(data, aligned)
+    else:
+        verify_crc(data)
+        node, bulk = _decode_internal(data, aligned)
     if cost_split is not None:
         cost_split[:] = max(0, len(data) - bulk), bulk
     return node
@@ -554,6 +607,7 @@ class ChecksumError(Exception):
 
 
 def verify_crc(data: bytes) -> None:
+    """Check an internal node against its trailing CRC32."""
     end = len(data) - 4
     # The payload is read through a view: no copy of up to 256 KiB.
     if _U32.unpack_from(data, end)[0] != crc32(memoryview(data)[:end]):

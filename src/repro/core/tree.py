@@ -49,11 +49,15 @@ from repro.core.serialize import (
     decode_basement,
     decode_leaf_header,
     decode_node,
+    leaf_header_len,
     serialize_node,
 )
 
 #: Magic prefix of a compressed on-disk node.
 COMPRESSED_MAGIC = b"BFCZ"
+#: What a partial leaf load reads first; a longer header region (some
+#: hundred basements) costs it one more read.
+LEAF_HEAD_READ = 8192
 from repro.core.checkpoint import BlockManager
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -220,7 +224,7 @@ class BeTree:
         bound_hi: Optional[bytes] = None
         node = cached(self.root_id)
         if node is None:
-            node = self._load_node_miss(self.root_id, None, False)
+            node = self._load_node_miss(self.root_id)
         while node.height:
             n = len(node.children)
             cpu(costs.pivot_search_step * (steps[n] if n < top else search_steps(n)))
@@ -242,7 +246,10 @@ class BeTree:
             parent, child_id = node, node.children[idx]
             node = cached(child_id)
             if node is None:
-                node = self._load_node_miss(child_id, key, not seq_hint)
+                # A random read of a leaf needs one basement of it.
+                node = self._load_node_miss(
+                    child_id, None if seq_hint or parent.height > 1 else key
+                )
             if readahead and parent.height == 1:
                 # §3.2: while the caller consumes this leaf, prefetch
                 # the next one (issued *after* the current read so it
@@ -572,14 +579,14 @@ class BeTree:
         idx = leaf.basement_index_for(key)
         basement = leaf.basements[idx]
         if not basement.loaded:
-            self._load_basement(leaf, idx)
+            self._load_basements(leaf, idx, idx + 1)
             basement = leaf.basements[idx]
         if seq_hint and self.cfg.tree_readahead:
             # Prefetch the next basements of this leaf (cheap: they are
             # usually already in the node extent read).
             for nxt in (idx + 1, idx + 2):
                 if nxt < len(leaf.basements) and not leaf.basements[nxt].loaded:
-                    self._load_basement(leaf, nxt)
+                    self._load_basements(leaf, nxt, nxt + 1)
         return basement
 
     # ------------------------------------------------------------------
@@ -862,40 +869,27 @@ class BeTree:
         self._prefetched[child_id] = self.storage.prefetch(self.file_name, off, ln)
         self.stats.readahead_issued += 1
 
-    def _load_node(
-        self,
-        node_id: int,
-        for_key: Optional[bytes] = None,
-        allow_partial: bool = False,
-    ) -> Node:
+    def _load_node(self, node_id: int, leaf_key: Optional[bytes] = None) -> Node:
         node = self.cache.get(node_id)
         if node is not None:
             return node
-        return self._load_node_miss(node_id, for_key, allow_partial)
+        return self._load_node_miss(node_id, leaf_key)
 
-    def _load_node_miss(
-        self,
-        node_id: int,
-        for_key: Optional[bytes],
-        allow_partial: bool,
-    ) -> Node:
+    def _load_node_miss(self, node_id: int, leaf_key: Optional[bytes] = None) -> Node:
         """What follows a ``cache.get`` that came back empty (the point
-        query tests the hit inline and calls this itself)."""
+        query tests the hit inline and calls this itself).  A caller
+        that gives ``leaf_key`` knows the node for a leaf and needs of
+        it only the basement covering that key."""
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             with tracer.span("tree.node_read", "tree") as sp:
-                node = self._read_node(node_id, for_key, allow_partial)
+                node = self._read_node(node_id, leaf_key)
                 sp.args["tree"] = self.file_name
                 sp.args["node"] = node_id
             return node
-        return self._read_node(node_id, for_key, allow_partial)
+        return self._read_node(node_id, leaf_key)
 
-    def _read_node(
-        self,
-        node_id: int,
-        for_key: Optional[bytes],
-        allow_partial: bool,
-    ) -> Node:
+    def _read_node(self, node_id: int, leaf_key: Optional[bytes]) -> Node:
         if not self.blockman.contains(node_id):
             raise KeyError(f"node {node_id} has no on-disk extent")
         signal = self.env.block_signal
@@ -904,23 +898,21 @@ class BeTree:
         off, ln = self.blockman.lookup(node_id)
         completion = self._prefetched.pop(node_id, None)
         if completion is not None:
-            data = self.storage.finish_read(completion)
+            node = self._decode_full(self.storage.finish_read(completion))
             self.stats.readahead_hits += 1
-            node = self._decode_full(data, ln)
+            self.stats.bytes_node_read += ln
         elif (
-            allow_partial
-            and for_key is not None
-            and ln > 4 * self.cfg.basement_size
+            leaf_key is not None
+            # Worth it when the head and one basement are not the whole
+            # leaf; a compressed extent is one stream.
+            and ln > LEAF_HEAD_READ + self.cfg.basement_size
+            and not self.cfg.compression
         ):
-            node = self._load_leaf_partial(node_id, off, ln, for_key)
-            if node is None:
-                data = self.storage.read(self.file_name, off, ln)
-                node = self._decode_full(data, ln)
+            node = self._load_leaf_partial(node_id, off, ln, leaf_key)
         else:
-            data = self.storage.read(self.file_name, off, ln)
-            node = self._decode_full(data, ln)
+            node = self._decode_full(self.storage.read(self.file_name, off, ln))
+            self.stats.bytes_node_read += ln
         self.stats.node_reads += 1
-        self.stats.bytes_node_read += ln
         if isinstance(node, InternalNode):
             node.mem_buf = self.alloc.alloc(
                 self.alloc.suggested_capacity(max(4096, node.buffer_bytes))
@@ -928,52 +920,52 @@ class BeTree:
         self.cache.put(node, self)
         return node
 
-    def _decode_full(self, data: bytes, extent_len: int) -> Node:
+    def _decode_full(self, data: bytes) -> Node:
         if data[:4] == COMPRESSED_MAGIC:
             (orig_len,) = struct.unpack_from("<I", data, 4)
             self.clock.cpu(
                 self.costs.cpu_scale * self.costs.compress_per_byte * orig_len
             )
             data = _zlib.decompress(data[8:])
-        # One deserialization buffer allocation per node read.
-        buf = self.alloc.alloc(self.alloc.suggested_capacity(len(data)))
-        self.clock.cpu(self.costs.checksum(len(data)))
         split: List[int] = []
         node = decode_node(data, aligned=self.cfg.page_sharing, cost_split=split)
-        small, values = split
-        self.clock.cpu(self.costs.serialize(small))
-        if not self.cfg.page_sharing:
-            self.clock.cpu(self.costs.memcpy(values))
-        self.alloc.free(buf, size_hint=buf.capacity)
+        self._charge_decode(len(data), len(data), split[1])
         return node
+
+    def _charge_decode(self, read: int, nbytes: int, bulk: int) -> None:
+        """What one read costs above its I/O: the deserialization buffer
+        for the ``read`` bytes, and the CPU of verifying and decoding
+        ``nbytes`` of them, ``bulk`` being large values — checksummed
+        all, the values copied (unless pages are shared), the rest
+        deserialized."""
+        buf = self.alloc.alloc(self.alloc.suggested_capacity(read))
+        self.clock.cpu(self.costs.checksum(nbytes))
+        self.clock.cpu(self.costs.serialize(nbytes - bulk))
+        if not self.cfg.page_sharing:
+            self.clock.cpu(self.costs.memcpy(bulk))
+        self.alloc.free(buf, size_hint=buf.capacity)
 
     # ------------------------------------------------------------------
     # Partial leaf loads (basement-granular reads, §2.2)
     # ------------------------------------------------------------------
     def _load_leaf_partial(
         self, node_id: int, off: int, ln: int, key: bytes
-    ) -> Optional[LeafNode]:
-        """Read only the leaf header + the basement covering ``key``.
-
-        Returns None if the extent is not a leaf (caller falls back to
-        a full read).
-        """
-        head_len = min(ln, 8192)
-        head = self.storage.read(self.file_name, off, head_len)
-        try:
-            header = decode_leaf_header(head, aligned=self.cfg.page_sharing)
-        except (ValueError, struct.error):
-            return None
-        if header.header_len > head_len or not header.basement_extents:
-            return None
+    ) -> LeafNode:
+        """Read only the leaf's header region and the basement covering
+        ``key``; the others stay stubs until something needs them."""
+        head = self.storage.read(self.file_name, off, LEAF_HEAD_READ)
+        missing = leaf_header_len(head, ln) - len(head)
+        if missing > 0:
+            head += self.storage.read(self.file_name, off + len(head), missing)
+        self.stats.bytes_node_read += len(head)
+        header = decode_leaf_header(head, ln)
+        self._charge_decode(len(head), header.header_len, 0)
         stubs: List[BasementNode] = []
-        for (b_off, b_ln), fk in zip(
-            header.basement_extents, header.basement_first_keys
-        ):
+        for extent, fk in zip(header.basement_extents, header.basement_first_keys):
             stub = BasementNode()
             stub.loaded = False
             stub.stub_first_key = fk
-            stub.stub_extent = (b_off, b_ln)
+            stub.stub_extent = extent
             stubs.append(stub)
         leaf = LeafNode(node_id, stubs)
         leaf.dirty = False
@@ -981,36 +973,53 @@ class BeTree:
         # Stash decode context keyed by node id for later basement loads.
         self._partial_meta[node_id] = (off, header.lift_prefix)
         idx = leaf.basement_index_for(key)
-        self._load_basement(leaf, idx)
+        self._load_basements(leaf, idx, idx + 1)
         return leaf
 
-    def _load_basement(self, leaf: LeafNode, idx: int) -> None:
+    def _load_basements(self, leaf: LeafNode, lo: int, hi: int) -> None:
+        """Read the unloaded basements ``lo`` to ``hi - 1`` of ``leaf``,
+        adjacent on disk, with one I/O, verified and charged byte for
+        byte as :meth:`_decode_full` would."""
         meta = self._partial_meta.get(leaf.node_id)
         if meta is None:
             raise RuntimeError("missing partial-load context")
         base_off, prefix = meta
-        stub = leaf.basements[idx]
+        extents = [leaf.basements[idx].stub_extent for idx in range(lo, hi)]
         require(
-            stub.stub_extent is not None,
+            None not in extents,
             "unloaded basement has no stub extent",
             TreeInvariantError,
-            (leaf.node_id, idx),
+            (leaf.node_id, lo, hi),
         )
-        b_off, b_ln = stub.stub_extent
+        start = extents[0][0]
+        length = extents[-1][0] + extents[-1][1] - start
         signal = self.env.block_signal
         if signal is not None:
             signal.note("tree_io")
-        blob = self.storage.read(self.file_name, base_off + b_off, b_ln)
-        self.clock.cpu(self.costs.checksum(b_ln))
-        basement = decode_basement(blob, prefix, aligned=self.cfg.page_sharing)
-        basement.loaded = True
-        leaf.replace_basement(idx, basement)
-        self.stats.basement_loads += 1
+        data = self.storage.read(self.file_name, base_off + start, length)
+        self.stats.bytes_node_read += length
+        bulk = 0
+        for idx, extent in zip(range(lo, hi), extents):
+            basement, b = decode_basement(
+                data, extent[0] - start, idx, extent, prefix, self.cfg.page_sharing
+            )
+            leaf.replace_basement(idx, basement)
+            bulk += b
+        self._charge_decode(length, length, bulk)
+        self.stats.basement_loads += hi - lo
 
     def _ensure_fully_loaded(self, leaf: LeafNode) -> None:
-        for idx, basement in enumerate(leaf.basements):
-            if not basement.loaded:
-                self._load_basement(leaf, idx)
+        """Fetch what a partial load left on disk: each run of adjacent
+        unloaded basements with one read."""
+        basements = leaf.basements
+        lo = 0
+        while lo < len(basements):
+            hi = lo
+            while hi < len(basements) and not basements[hi].loaded:
+                hi += 1
+            if hi > lo:
+                self._load_basements(leaf, lo, hi)
+            lo = hi + 1
         self._partial_meta.pop(leaf.node_id, None)
 
     # ------------------------------------------------------------------

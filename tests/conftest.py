@@ -84,6 +84,14 @@ def recounted_node_bytes(node) -> int:
     return pivots + sum(m.measure() for m in node.buffer)
 
 
+def drop_node_cache(env):
+    """What the northbound's drop_caches does to the tree."""
+    env.checkpoint()
+    for owner, node in list(env.cache.all_nodes()):
+        owner.release_node_memory(node)
+    env.cache.clear()
+
+
 def build_env(device, config, costs=None, make=KVEnv, **kwargs):
     """A bare KV environment carved as :data:`LAYOUT` on ``device``:
     fresh, or (``make=KVEnv.open``) recovered from what it holds."""

@@ -18,7 +18,7 @@ from repro.model.profiles import COMMODITY_SSD
 from repro.vfs.dcache import DentryCache
 from repro.vfs.inode import FileKind, Stat, VInode
 from repro.vfs.pagecache import PAGE_SIZE, PageCache
-from tests.conftest import build_env, recounted_node_bytes
+from tests.conftest import build_env, drop_node_cache, recounted_node_bytes
 
 
 def leaf_with(node_id, nbytes):
@@ -136,14 +136,6 @@ def spy_on_fits(cache, log):
             assert not cache._touched
 
     cache.evict_to_fit = spied
-
-
-def drop_node_cache(env):
-    """What the northbound's drop_caches does to the tree."""
-    env.checkpoint()
-    for owner, node in list(env.cache.all_nodes()):
-        owner.release_node_memory(node)
-    env.cache.clear()
 
 
 class TestNodeCacheLedger:

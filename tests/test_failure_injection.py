@@ -71,6 +71,63 @@ class TestCorruptNodes:
             env2.get(META, b"key0000")
 
 
+    def test_a_pread_verifies_the_basement_it_reads_and_no_other(self):
+        """Through a real mount at the benchmarks' geometry: a cold
+        4 KiB pread decodes one basement of the leaf and is stopped by
+        damage there; damage in a sibling basement leaves the pread
+        alone, is reported by fsck, and stops whatever loads it."""
+        from repro.betrfs.filesystem import MountOptions, make_betrfs
+        from repro.check.fsck import fsck_mount
+        from repro.core.keys import data_key
+        from repro.core.serialize import ChecksumError, decode_leaf_header
+
+        fs = make_betrfs("BetrFS v0.6", MountOptions())
+        v, tree = fs.vfs, fs.env.data
+        body = b"".join(bytes([i % 251]) * 4096 for i in range(256))
+        v.create("/big")
+        v.write("/big", 0, body)
+        v.sync()
+        v.drop_caches()
+        store, base = fs.device.store, fs.storage.layout.file_base(tree.file_name)
+        # The leaf, and in it the basement, that holds block 180.
+        key = data_key("/big", 180)
+        leaves = []
+        for node_id, (off, ln) in tree.blockman.table.items():
+            if node_id != tree.root_id:
+                header = decode_leaf_header(store.read(base + off, ln), ln)
+                if header.basement_first_keys[0] <= key:
+                    leaves.append((header.basement_first_keys, node_id, off, header))
+        firsts, node_id, off, header = max(leaves)
+        needed = max(i for i, first in enumerate(firsts) if first <= key)
+        sibling = 0 if needed else 1
+        assert len(firsts) > 2
+
+        def flip(basement):
+            b_off, b_ln, _crc = header.basement_extents[basement]
+            at = base + off + b_off + b_ln // 2
+            store.write(at, bytes([store.read(at, 1)[0] ^ 0x01]))
+
+        flip(sibling)
+        loads = tree.stats.partial_leaf_loads
+        assert v.read("/big", 180 * 4096, 4096) == body[180 * 4096 : 181 * 4096]
+        assert tree.stats.partial_leaf_loads == loads + 1
+        report = fsck_mount(fs)
+        assert [e for e in report.errors if f"node {node_id} " in e and f"basement {sibling} " in e]
+        with pytest.raises(ChecksumError):  # a scan loads the rest of the leaf
+            fs.env.range_query(DATA, data_key("/big", 0), data_key("/big", 256))
+        with pytest.raises(ChecksumError):  # ... and so does a flush into it
+            tree._apply_to_leaf(tree._load_node(node_id), [], None)
+        v.drop_caches()
+        with pytest.raises(ChecksumError):  # cold and sequential: the leaf whole
+            v.read("/big", 0, len(body))
+        flip(sibling)
+        assert fsck_mount(fs).ok
+        flip(needed)
+        v.drop_caches()
+        with pytest.raises(ChecksumError, match=f"basement {needed} "):
+            v.read("/big", 180 * 4096, 4096)
+
+
 class TestCrashStorm:
     def test_crash_storm_full_stack(self):
         env, device = make_env()

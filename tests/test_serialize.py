@@ -1,6 +1,8 @@
 """Round-trip, byte-identity and corruption tests for node serialization."""
 
 import hashlib
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from repro.core.serialize import (
     decode_basement,
     decode_leaf_header,
     decode_node,
+    leaf_header_len,
     serialize_node,
     verify_crc,
 )
@@ -113,8 +116,7 @@ class TestChecksums:
             decode_node(bytes(corrupted), aligned=False)
 
     def test_verify_crc_ok(self):
-        leaf = make_leaf()
-        ser = serialize_node(leaf, aligned=False, lifting=True)
+        ser = serialize_node(make_internal(), aligned=False, lifting=True)
         verify_crc(ser.data)  # no raise
 
 
@@ -145,16 +147,18 @@ class TestPartialLeafAccess:
     def test_header_and_single_basement_decode(self):
         leaf = make_leaf(50)
         ser = serialize_node(leaf, aligned=False, lifting=True)
-        header = decode_leaf_header(ser.data[:8192], aligned=False)
+        header = decode_leaf_header(ser.data[:8192], len(ser.data))
         assert header.node_id == 7
+        assert header.basement_extents == ser.basement_extents
         assert len(header.basement_extents) == len(leaf.basements)
         assert header.basement_first_keys[0] == leaf.basements[0].first_key()
         # Decode just the second basement from its extent slice.
-        off, ln = header.basement_extents[1]
-        basement = decode_basement(
-            ser.data[off : off + ln], header.lift_prefix, aligned=False
+        off, ln, _crc = extent = header.basement_extents[1]
+        basement, bulk = decode_basement(
+            ser.data[off : off + ln], 0, 1, extent, header.lift_prefix, aligned=False
         )
         assert list(basement.items()) == list(leaf.basements[1].items())
+        assert bulk == 0
 
     def test_lifting_shrinks_serialization(self):
         leaf = make_leaf(40)
@@ -164,10 +168,11 @@ class TestPartialLeafAccess:
 
 
 # ----------------------------------------------------------------------
-# Byte identity: the on-disk format is pinned.  The digests below were
-# taken from the codec as of PR 15 (the parent of the single-pass
-# rewrite); a codec change that moves any of them changed the format or
-# a simulated charge, and must say so.
+# Byte identity: the on-disk format is pinned.  The internal digests
+# below were taken from the codec as of PR 15 (the parent of the
+# single-pass rewrite), the leaf ones as of PR 20 (checksums moved into
+# the leaf header); a codec change that moves any of them changed the
+# format or a simulated charge, and must say so.
 # ----------------------------------------------------------------------
 def _page(byte, n=4096):
     return PageFrame(bytes([byte]) * n)
@@ -253,14 +258,14 @@ def corpus():
 LAYOUTS = [(a, l) for a in (False, True) for l in (False, True)]
 
 PINNED = {
-    "leaf_small": "7a5ce3cb1d13bce43d83f502d0171b1aa0fbbb47bbee7375c083b167d90f1d96",
-    "leaf_pages": "069ba4707a1ceaab584a0a53b1c2bd649cdad9967669a89550f3bc53090bbeb3",
-    "leaf_inline_sizes": "8988a63fa3e40fc22b1ed7b4548669b2227b240422049496a63c2b559efd5b67",
-    "leaf_empty": "eba33b2b80cbceffb2c830e29e7adffbf82ae8d55516285e57897ee8f10bcbac",
-    "leaf_empty_basements": "1cb97324f4ae9ba02250493702a91f40c4377eb0244da6b3b1ee51d9f44af4d7",
-    "leaf_no_prefix": "69e0cabe13913f826d37d6e3dd27f0b429e73f317713968445dc1dedf882c6c3",
-    "leaf_key_is_prefix": "c71c07fb3fbca17a4633f4a311066a1e0d8974eba76b52b848af6975d574d4c2",
-    "leaf_one_key": "ad0ac86187027c3f32d6abc4cd32f09824fdcc047722bba5919da7e960beb223",
+    "leaf_small": "b774f65001ba25969e9d514d30f21fb64fbcc09c2574cf137f7f174754bb20bf",
+    "leaf_pages": "7f0680d2134ded5de4de0f23bdb9ea1b60ab856fad5483e95bc75892851f9764",
+    "leaf_inline_sizes": "cab1d45f4b17dbdb95b785064a32ff4a79ea6c2dcd458d90361d6a3a1e2f88c4",
+    "leaf_empty": "2648b5621768df9c0d6409d9bb8b5c364741e9af207a9214b325ad71259ff962",
+    "leaf_empty_basements": "d2374bcac9dc40543233ea114b3e7cef557e3fc51766e92ff69702149e35e1a4",
+    "leaf_no_prefix": "f296a408b833f66e08ff2ef0d2c64b995911e10979ff633572ce753d49f32133",
+    "leaf_key_is_prefix": "d38378c12bf92afb6daf61fc1a65a48fa650391d1c8c8dee0f16edf558f11841",
+    "leaf_one_key": "b673507020faf9312b2263b52be1fb5cfe9aafafaccfa271d96475894ab61621",
     "internal_all_kinds": "011c96e798fe35a0814b130fcceff57bbce73212b8abeae6e442d34a31f7c7a6",
     "internal_no_msgs": "592a830a47a88a97d6d99d8eb51e84a15b0088d0783d7274ac8dffd1788cc400",
     "internal_one_child": "a7cfe39e182dea047c7104096967fa754ebb967bf3139d976cc67d8dc16e62a5",
@@ -387,14 +392,28 @@ def test_partial_load_decodes_each_basement_as_the_full_decode_does(aligned):
         if not isinstance(node, LeafNode):
             continue
         data = serialize_node(node, aligned=aligned, lifting=True).data
-        header = decode_leaf_header(data, aligned=aligned)
-        whole = decode_node(data, aligned=aligned)
-        for (off, ln), want in zip(header.basement_extents, whole.basements):
-            got = decode_basement(data[off : off + ln], header.lift_prefix, aligned)
+        header = decode_leaf_header(data[: leaf_header_len(data[:26], len(data))], len(data))
+        split = []
+        whole = decode_node(data, aligned=aligned, cost_split=split)
+        bulk = 0
+        for i, (extent, want) in enumerate(zip(header.basement_extents, whole.basements)):
+            off, ln, _crc = extent
+            # From its own slice and in place, as a run read would hold it.
+            got, b = decode_basement(data[off : off + ln], 0, i, extent, header.lift_prefix, aligned)
+            again, _b = decode_basement(data, off, i, extent, header.lift_prefix, aligned)
+            bulk += b
             assert (got.keys, got.msns, got.nbytes) == (want.keys, want.msns, want.nbytes)
+            assert (again.keys, again.msns) == (want.keys, want.msns)
             assert [bytes(v.data) if isinstance(v, PageFrame) else v for v in got.values] == [
                 bytes(v.data) if isinstance(v, PageFrame) else v for v in want.values
             ]
+            # The basement's CRC covers its whole extent, padding included.
+            for at in (0, ln // 2, ln - 1):
+                with pytest.raises(ChecksumError, match=f"basement {i} "):
+                    decode_basement(_flip(data, 8 * (off + at)), off, i, extent, header.lift_prefix, aligned)
+        # The parts charge what the whole charges.
+        assert split == [len(data) - bulk, bulk]
+        assert header.header_len + sum(ln for _o, ln, _c in header.basement_extents) == len(data)
 
 
 keys = st.builds(
@@ -470,6 +489,47 @@ def test_every_single_bit_flip_of_a_small_node_is_detected(aligned):
                 decode_node(_flip(data, bit), aligned=aligned)
 
 
+@pytest.mark.parametrize("aligned", [False, True])
+def test_a_leaf_header_is_verified_before_it_is_parsed(aligned):
+    """Whatever is wrong with a leaf's header region — damage, a length
+    the extent cannot hold, a well-formed table that does not tile the
+    extent — is a ``ChecksumError``, never a parse error."""
+    data = serialize_node(corpus()["leaf_pages"], aligned=aligned, lifting=True).data
+    n = leaf_header_len(data, len(data))
+    assert struct.unpack_from("<I", data, 22) == (n,) and n % 4096 == (0 if aligned else n)
+
+    def put(at, fmt, value, blob=data):
+        return blob[:at] + struct.pack(fmt, value) + blob[at + struct.calcsize(fmt) :]
+
+    def resealed(blob):  # a lie under a valid CRC
+        return put(n - 4, "<I", zlib.crc32(blob[: n - 4]), blob)
+
+    (lift,) = struct.unpack_from("<H", data, 20)
+    row = 26 + lift  # basement 0: offset, length, CRC32, first-key length
+    bad = {
+        "shorter than a fixed head": data[:20],
+        "header length past the extent": put(22, "<I", len(data) + 1),
+        "header length inside the fixed head": put(22, "<I", 29),
+        "header length short of the region": put(22, "<I", n - 1),
+        "extent shorter than the table says": data[:-1],
+        "a basement that starts late": resealed(put(row, "<I", n + 1)),
+        "a basement that ends early": resealed(
+            put(row + 4, "<I", struct.unpack_from("<I", data, row + 4)[0] - 1)
+        ),
+    }
+    for what, blob in bad.items():
+        with pytest.raises(ChecksumError):
+            decode_leaf_header(blob, len(blob))
+            pytest.fail(what)
+        with pytest.raises(ChecksumError):
+            decode_node(blob, aligned=aligned)
+            pytest.fail(what)
+    # The head read of a partial load holds the region, not the extent.
+    assert decode_leaf_header(data[:n], len(data)) == decode_leaf_header(data, len(data))
+    with pytest.raises(ChecksumError):
+        decode_leaf_header(data[: n - 1], len(data))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(PINNED)), st.sampled_from(LAYOUTS), st.data())
 def test_a_bit_flip_anywhere_in_any_node_is_detected(name, layout, data):
@@ -478,5 +538,6 @@ def test_a_bit_flip_anywhere_in_any_node_is_detected(name, layout, data):
     bit = data.draw(st.integers(0, 8 * len(blob) - 1))
     with pytest.raises(ChecksumError):
         decode_node(_flip(blob, bit), aligned=aligned)
-    with pytest.raises(ChecksumError):
-        verify_crc(_flip(blob, bit))
+    if name.startswith("internal"):  # a leaf has no trailer to check
+        with pytest.raises(ChecksumError):
+            verify_crc(_flip(blob, bit))

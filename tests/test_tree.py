@@ -8,13 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.check.errors import TreeInvariantError, require
+from repro.check.fsck import fsck_device
 from repro.core.cache import NodeCache
 from repro.core.env import DATA, META
 from repro.core.keys import intersect
-from repro.core.messages import PageFrame, value_bytes
-from repro.core.node import InternalNode, LeafNode
-from repro.core.tree import SEARCH_STEPS, search_steps
-from tests.conftest import build_env, recounted_node_bytes, reopen
+from repro.core.messages import Insert, PageFrame, value_bytes
+from repro.core.node import BasementNode, InternalNode, LeafNode
+from repro.core.serialize import ChecksumError, decode_leaf_header
+from repro.core.tree import LEAF_HEAD_READ, SEARCH_STEPS, search_steps
+from tests.conftest import LAYOUT, build_env, drop_node_cache, recounted_node_bytes, reopen
 
 from repro.core.config import BeTreeConfig
 from repro.device.block import BlockDevice
@@ -433,19 +435,13 @@ def test_leaf_size_is_kept_through_partial_loads_and_a_remount():
     stats = env.data.stats
     assert stats.leaf_splits and stats.root_splits
 
-    def drop():
-        env.checkpoint()
-        for owner, node in list(env.cache.all_nodes()):
-            owner.release_node_memory(node)
-        env.cache.clear()
-
-    drop()
+    drop_node_cache(env)
     full = {
         n.node_id: n.nbytes()
         for n in (env.data._load_node(i) for i in env.data.blockman.table)
         if n.is_leaf
     }
-    drop()
+    drop_node_cache(env)
     assert env.get(DATA, b"d0300") is not None  # allow_partial: one basement
     assert stats.partial_leaf_loads == 1
     leaf = next(
@@ -455,7 +451,7 @@ def test_leaf_size_is_kept_through_partial_loads_and_a_remount():
     loaded = [b for b in leaf.basements if b.loaded]
     assert len(loaded) == 1 and leaf.nbytes() == loaded[0].nbytes < full[leaf.node_id]
     idx = next(i for i, b in enumerate(leaf.basements) if not b.loaded)
-    env.data._load_basement(leaf, idx)
+    env.data._load_basements(leaf, idx, idx + 1)
     assert leaf.nbytes() == loaded[0].nbytes + leaf.basements[idx].nbytes
     env.data._ensure_fully_loaded(leaf)
     assert leaf.nbytes() == full[leaf.node_id]
@@ -518,7 +514,9 @@ def _old_get_impl(self, key, seq_hint):
         child_id = node.children[idx]
         bound_lo, bound_hi = intersect(bound_lo, bound_hi, *node.child_range(idx))
         parent_of_leaf = (node, idx) if node.height == 1 else None
-        node = self._load_node(child_id, for_key=key, allow_partial=not seq_hint)
+        node = self._load_node(
+            child_id, None if seq_hint or parent_of_leaf is None else key
+        )
         if seq_hint and self.cfg.tree_readahead and parent_of_leaf is not None:
             self._issue_leaf_readahead(parent_of_leaf[0], parent_of_leaf[1] + 1)
     leaf = node
@@ -620,3 +618,325 @@ def test_warm_point_query_asks_each_level_once(monkeypatch):
     assert env.get(META, b"key00007") == b"v" * 40
     assert len(gets) == 4 and gets[0] == tree.root_id
     assert logs == [] and env.cache.misses == misses
+
+
+# ----------------------------------------------------------------------
+# Basement-granular reads (§2.2): an unhinted point query that misses a
+# leaf reads its header region and one basement — at every geometry
+# ``scaled`` produces — verified and charged as a whole read is; scans,
+# hinted reads and flushes read the leaf whole.
+# ----------------------------------------------------------------------
+def _leaf_header(tree, node_id):
+    """The header of an on-disk leaf, read behind the simulation's back."""
+    off, ln = tree.blockman.lookup(node_id)
+    store, layout = tree.storage.device.store, tree.storage.layout
+    return decode_leaf_header(store.read(layout.file_base(tree.file_name) + off, ln), ln)
+
+
+def _count_reads(monkeypatch, env):
+    """Every ``storage.read`` of ``env`` from here on, as (offset, length)."""
+    reads = []
+    real = env.storage.read
+    monkeypatch.setattr(
+        env.storage, "read", lambda name, off, ln: reads.append((off, ln)) or real(name, off, ln)
+    )
+    return reads
+
+
+@pytest.mark.parametrize("page_sharing", [False, True])
+@pytest.mark.parametrize("factor", [1, 1 / 4, 1 / 16, 1 / 64])
+def test_a_cold_point_query_reads_one_basement_at_every_scale(factor, page_sharing):
+    cfg = BeTreeConfig(page_sharing=page_sharing).scaled(factor)
+    cfg.cache_bytes = 64 << 20
+    device = BlockDevice(SimClock(), NULL_DEVICE)
+    env = build_env(device, cfg)
+    tree, stats = env.data, env.data.stats
+    order = list(range(5 * cfg.node_size // 2 // 4096))
+    random.Random(3).shuffle(order)  # leaves at every fill, not half-full ones
+    for i in order:
+        env.insert(DATA, b"blk%06d" % i, PageFrame(bytes([i % 251]) * 4096), by_ref=True)
+    drop_node_cache(env)
+    root = tree._load_node(tree.root_id)
+    assert root.height == 1
+    # A leaf worth reading in part, and a key of its last basement.
+    for leaf_id in root.children:
+        ln = tree.blockman.lookup(leaf_id)[1]
+        header = _leaf_header(tree, leaf_id)
+        if ln > LEAF_HEAD_READ + cfg.basement_size and len(header.basement_extents) > 1:
+            break
+    else:
+        pytest.fail("no multi-basement leaf at this geometry")
+    key = header.basement_first_keys[-1]
+    other = next(
+        k for k in (b"blk%06d" % i for i in order)
+        if root.children[root.child_index_for(k)] != leaf_id
+    )
+
+    def cold(read):
+        """What ``read`` asks of the tree file and the device with only
+        the root and another leaf cached: bytes, partial loads."""
+        drop_node_cache(env)
+        env.get(DATA, other)
+        before = (
+            stats.bytes_node_read, stats.partial_leaf_loads, stats.node_reads,
+            device.stats.bytes_read, device.stats.reads,
+        )
+        read()
+        asked = stats.bytes_node_read - before[0]
+        assert stats.node_reads == before[2] + 1
+        assert stats.bytes_node_read == env.storage.file_bytes_read[tree.file_name]
+        # ... and the device's count, up to a sector per command.
+        slack = device.stats.bytes_read - before[3] - asked
+        assert 0 <= slack < device.profile.sector * (device.stats.reads - before[4])
+        leaf = tree.cache.get(leaf_id)
+        return asked, stats.partial_leaf_loads - before[1], [b.loaded for b in leaf.basements]
+
+    def point_query():
+        assert value_bytes(env.get(DATA, key)) == bytes([int(key[3:]) % 251]) * 4096
+
+    n = len(header.basement_extents)
+    assert cold(point_query) == (
+        LEAF_HEAD_READ + header.basement_extents[-1][1], 1, [False] * (n - 1) + [True]
+    )
+    assert LEAF_HEAD_READ + header.basement_extents[-1][1] < ln
+    for whole_read in (
+        lambda: env.get(DATA, key, True),
+        lambda: env.range_query(DATA, key, key + b"\x00"),
+    ):
+        assert cold(whole_read) == (ln, 0, [True] * n)
+    # Compressed, the extent is one stream: read whole.
+    cfg.compression = True
+    tree.write_node(tree._load_node(leaf_id))
+    assert cold(point_query) == (tree.blockman.lookup(leaf_id)[1], 0, [True] * n)
+
+
+def _hand_built_leaf(env, n_basements, value):
+    """A leaf of ``n_basements`` two-pair basements, written to an
+    extent of ``env.data`` but not cached."""
+    basements = []
+    for b in range(n_basements):
+        basement = BasementNode()
+        for j in range(2):
+            basement.set(b"k%04d.%d" % (b, j), value, msn=1)
+        basements.append(basement)
+    leaf = LeafNode(env.new_node_id(), basements)
+    env.data.write_node(leaf)
+    return leaf
+
+
+def test_completing_a_leaf_reads_each_run_of_unloaded_basements_once(monkeypatch):
+    env = fresh_env()
+    tree, stats = env.data, env.data.stats
+    leaf = _hand_built_leaf(env, 4, b"v" * 3000)
+    off, ln = tree.blockman.lookup(leaf.node_id)
+    reads = _count_reads(monkeypatch, env)
+    partial = tree._load_leaf_partial(leaf.node_id, off, ln, b"k0001.1")
+    rows = _leaf_header(tree, leaf.node_id).basement_extents
+    assert [b.loaded for b in partial.basements] == [False, True, False, False]
+    assert reads == [(off, LEAF_HEAD_READ), (off + rows[1][0], rows[1][1])]
+    del reads[:]
+    tree._ensure_fully_loaded(partial)
+    assert reads == [
+        (off + rows[0][0], rows[0][1]),
+        (off + rows[2][0], rows[2][1] + rows[3][1]),  # two basements, one read
+    ]
+    assert stats.basement_loads == 4 and leaf.node_id not in tree._partial_meta
+    assert stats.bytes_node_read == LEAF_HEAD_READ + ln - rows[0][0]
+    assert [list(b.items()) for b in partial.basements] == [list(b.items()) for b in leaf.basements]
+    assert partial.nbytes() == leaf.nbytes()
+    tree._ensure_fully_loaded(partial)  # nothing left: no I/O
+    assert len(reads) == 2
+
+
+@pytest.mark.parametrize("page_sharing", [False, True])
+def test_a_header_longer_than_the_head_read_costs_its_tail_only(monkeypatch, page_sharing):
+    env = fresh_env(page_sharing=page_sharing)
+    tree, stats = env.data, env.data.stats
+    leaf = _hand_built_leaf(env, 600, b"v")
+    off, ln = tree.blockman.lookup(leaf.node_id)
+    header = _leaf_header(tree, leaf.node_id)
+    assert header.header_len > LEAF_HEAD_READ
+    reads = _count_reads(monkeypatch, env)
+    cpu = []
+    monkeypatch.setattr(tree.costs, "checksum", lambda n: cpu.append(n) or 0.0)
+    partial = tree._load_leaf_partial(leaf.node_id, off, ln, b"k0300.0")
+    row = header.basement_extents[300]
+    assert reads == [
+        (off, LEAF_HEAD_READ),
+        (off + LEAF_HEAD_READ, header.header_len - LEAF_HEAD_READ),
+        (off + row[0], row[1]),
+    ]
+    # Each byte read once, each byte decoded checksummed once.
+    assert stats.bytes_node_read == header.header_len + row[1]
+    assert cpu == [header.header_len, row[1]]
+    assert list(partial.basements[300].items()) == list(leaf.basements[300].items())
+
+
+@pytest.mark.parametrize("page_sharing", [False, True])
+def test_partial_loads_charge_what_the_whole_read_charges(monkeypatch, page_sharing):
+    """Header + every basement, loaded piecemeal, cost the CPU of one
+    whole decode (checksum, deserialize, memcpy unless pages are
+    shared) and one buffer per read."""
+    env = fresh_env(page_sharing=page_sharing)
+    tree = env.data
+    leaf = LeafNode(env.new_node_id())
+    for i in range(40):
+        value = PageFrame(bytes([i]) * 4096) if i % 3 else b"s" * (i * 20)
+        leaf.apply(Insert(b"/f/%04d" % i, value, msn=i + 1), 16384)
+    tree.write_node(leaf)
+    off, ln = tree.blockman.lookup(leaf.node_id)
+    charged = {"checksum": 0, "serialize": 0, "memcpy": 0}
+    for name in charged:
+        monkeypatch.setattr(
+            tree.costs, name, lambda n, name=name: charged.__setitem__(name, charged[name] + n) or 0.0
+        )
+    buffers = env.alloc.stats.frees  # each read's buffer is freed after its decode
+    tree._decode_full(env.storage.read(tree.file_name, off, ln))
+    whole, charged = dict(charged), dict.fromkeys(charged, 0)
+    assert env.alloc.stats.frees == buffers + 1
+    assert whole["checksum"] == ln and bool(whole["memcpy"]) == (not page_sharing)
+    partial = tree._load_leaf_partial(leaf.node_id, off, ln, b"/f/0020")
+    for idx in reversed(range(len(partial.basements))):  # one by one: no runs
+        if not partial.basements[idx].loaded:
+            tree._load_basements(partial, idx, idx + 1)
+    assert charged == whole and len(partial.basements) > 3
+    assert env.alloc.stats.frees == buffers + 2 + len(partial.basements)
+
+
+def test_a_corrupt_leaf_is_a_checksum_error_on_both_read_paths():
+    env = fresh_env()
+    tree = env.data
+    leaf = _hand_built_leaf(env, 4, b"v" * 3000)
+    off, ln = tree.blockman.lookup(leaf.node_id)
+    base = LAYOUT.data_base + off
+    store = env.storage.device.store
+    good = store.read(base, ln)
+    rows = decode_leaf_header(good, ln).basement_extents
+
+    def both_paths_raise(match):
+        with pytest.raises(ChecksumError, match=match):
+            tree._load_leaf_partial(leaf.node_id, off, ln, b"k0001.0")
+        with pytest.raises(ChecksumError, match=match):
+            tree._decode_full(env.storage.read(tree.file_name, off, ln))
+
+    for at in (0, 5, 22, 27, 40, rows[0][0] - 1):  # magic, id, length, table, CRC
+        store.write(base + at, bytes([good[at] ^ 0x10]))
+        both_paths_raise("leaf|node checksum")  # a bad magic reads as an internal node
+        store.write(base + at, good[at : at + 1])
+    # A block table that names another length: the verified header
+    # does not tile it.
+    tree.blockman.table[leaf.node_id] = (off, ln - 512)
+    ln -= 512
+    both_paths_raise("tile")
+    tree.blockman.table[leaf.node_id] = (off, ln + 512)
+    ln += 512
+    # A sibling basement's damage is met when that basement is.
+    store.write(base + rows[2][0] + 7, b"\xff")
+    partial = tree._load_leaf_partial(leaf.node_id, off, ln, b"k0001.0")
+    assert partial.basements[1].loaded
+    with pytest.raises(ChecksumError, match="basement 2 "):
+        tree._ensure_fully_loaded(partial)
+    with pytest.raises(ChecksumError, match="basement 2 "):
+        tree._decode_full(env.storage.read(tree.file_name, off, ln))
+
+
+@pytest.mark.parametrize("page_sharing", [False, True])
+def test_partial_and_whole_leaf_reads_agree(monkeypatch, page_sharing):
+    """Seeded differential: one op script on a tree that reads leaves
+    by the basement and on one made to read every leaf whole — all five
+    message kinds; flushes, range deletes and a split landing on
+    partially loaded leaves; checkpoints, cold drops and a re-open;
+    sanitizers on.  Every ``get`` and ``range_query`` answers the same."""
+
+    def grown():
+        env = fresh_env(
+            node_size=32768,
+            basement_size=2048,
+            buffer_size=8192,
+            cache_bytes=96 * 1024,
+            lazy_apply_on_query=True,
+            page_sharing=page_sharing,
+            sanitize=True,
+        )
+        return env, env.storage.device
+
+    (partial, p_device), (whole, w_device) = grown(), grown()
+    for tree in whole.trees:
+        monkeypatch.setattr(
+            tree, "_read_node", lambda node_id, _key, real=tree._read_node: real(node_id, None)
+        )
+    tree = partial.data
+    met = set()  # what landed on a partially loaded leaf
+    real_apply = tree._apply_to_leaf
+
+    def apply_spy(leaf, msgs, parent):
+        stubs = not all(b.loaded for b in leaf.basements)
+        splits = tree.stats.leaf_splits
+        real_apply(leaf, msgs, parent)
+        if stubs:
+            met.add("flush")
+            if any(m.is_range for m in msgs):
+                met.add("range delete")
+            if tree.stats.leaf_splits > splits:
+                met.add("split")
+
+    monkeypatch.setattr(tree, "_apply_to_leaf", apply_spy)
+
+    def plain(answer):
+        if isinstance(answer, list):
+            return [(k, value_bytes(v)) for k, v in answer]
+        return None if answer is None else value_bytes(answer)
+
+    rng = random.Random(20)
+    for step in range(4000):
+        roll, n = rng.random(), rng.randrange(1200)
+        k = b"k%04d" % n
+        if roll < 0.30:
+            args = ("insert", DATA, k, bytes([step % 251]) * rng.randrange(4, 700))
+        elif roll < 0.38:
+            args = ("insert", DATA, k, PageFrame(bytes([step % 251]) * 4096), True)
+        elif roll < 0.44:
+            args = ("patch", DATA, k, rng.randrange(40), b"pp")
+        elif roll < 0.50:
+            args = ("delete", DATA, k)
+        elif roll < 0.53:
+            args = ("range_delete", DATA, k, b"k%04d" % (n + rng.randrange(1, 12)))
+        elif roll < 0.93:
+            args = ("get", DATA, k)
+        elif roll < 0.97:
+            args = ("range_query", DATA, k, b"k%04d" % (n + 40))
+        elif roll < 0.99:
+            args = ("checkpoint",)
+        else:
+            drop_node_cache(partial)
+            drop_node_cache(whole)
+            continue
+        if args[0] == "insert" and len(args) == 5:  # a frame per tree: by-ref shares it
+            got = partial.insert(*args[1:])
+            want = whole.insert(DATA, k, PageFrame(args[3].data), True)
+        else:
+            got, want = (getattr(env, args[0])(*args[1:]) for env in (partial, whole))
+        assert plain(got) == plain(want), f"answers diverged at step {step}: {args[:3]}"
+    stats = tree.stats
+    assert met == {"flush", "range delete", "split"}
+    assert stats.partial_leaf_loads > 50 and whole.data.stats.partial_leaf_loads == 0
+    assert stats.basement_loads > stats.partial_leaf_loads  # siblings fetched later
+    assert stats.bytes_node_read < whole.data.stats.bytes_node_read
+    for env in (partial, whole):
+        assert env.data.stats.bytes_node_read == env.storage.file_bytes_read[tree.file_name]
+    # Cold, from the device image, after an offline check of every CRC.
+    reopened = []
+    for env, device in ((partial, p_device), (whole, w_device)):
+        env.checkpoint()
+        fsck_device(
+            device.crash_image(), LAYOUT.log_size, LAYOUT.meta_size, aligned=page_sharing
+        ).raise_if_errors()
+        reopened.append(reopen(device, cfg=env.config, fsck=False))
+    cold_partial, cold_whole = reopened
+    for n in range(1200):
+        k = b"k%04d" % n
+        assert plain(cold_partial.get(DATA, k)) == plain(cold_whole.get(DATA, k))
+    assert plain(cold_partial.range_query(DATA, b"", b"\xff")) == plain(
+        cold_whole.range_query(DATA, b"", b"\xff")
+    )
+    assert cold_partial.data.stats.partial_leaf_loads
