@@ -259,6 +259,22 @@ class LeafNode(Node):
                 break
         return best
 
+    def basement_span(
+        self, lo: Optional[bytes], hi: Optional[bytes]
+    ) -> Tuple[int, int]:
+        """Indices ``[first, stop)`` of the basements that may hold a
+        key of ``[lo, hi)`` (``None`` = unbounded)."""
+        first = 0 if lo is None else self.basement_index_for(lo)
+        if hi is None:
+            return first, len(self.basements)
+        stop = first + 1
+        for i in range(stop, len(self.basements)):
+            key = self.basements[i].first_key()
+            if key is not None and key >= hi:
+                break
+            stop = i + 1
+        return first, stop
+
     def prune_empty_basements(self) -> None:
         """Drop loaded-and-empty basements (keep at least one)."""
         kept = [b for b in self.basements if len(b) or not b.loaded]

@@ -58,6 +58,8 @@ COMPRESSED_MAGIC = b"BFCZ"
 #: What a partial leaf load reads first; a longer header region (some
 #: hundred basements) costs it one more read.
 LEAF_HEAD_READ = 8192
+#: The keys ``[lo, hi)`` a reader needs of a leaf (see ``_load_node``).
+KeySpan = Tuple[bytes, bytes]
 from repro.core.checkpoint import BlockManager
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -248,7 +250,8 @@ class BeTree:
             if node is None:
                 # A random read of a leaf needs one basement of it.
                 node = self._load_node_miss(
-                    child_id, None if seq_hint or parent.height > 1 else key
+                    child_id,
+                    None if seq_hint or parent.height > 1 else (key, key + b"\x00"),
                 )
             if readahead and parent.height == 1:
                 # §3.2: while the caller consumes this leaf, prefetch
@@ -449,7 +452,7 @@ class BeTree:
         msgs: List[Message],
         parent: Optional[InternalNode],
     ) -> None:
-        self._ensure_fully_loaded(leaf)
+        self._ensure_loaded(leaf)
         for msg in sorted(msgs, key=lambda m: m.msn):
             if msg.is_range:
                 # Per-pair MSNs make this safe against out-of-order
@@ -750,21 +753,26 @@ class BeTree:
                 matches += 1
         self.clock.cpu(self.costs.range_check * (search_steps(n_ranges) + matches))
         lo_idx = node.child_index_for(start)
-        hi_idx = node.child_index_for(end)
+        # ``end`` is exclusive: a child whose range starts at it holds
+        # no key of the scan.
+        hi_idx = bisect.bisect_left(node.pivots, end)
         for idx in range(lo_idx, min(hi_idx + 1, len(node.children))):
             if limit is not None and len(results) >= limit:
                 return
-            if node.height == 1:
-                # Load the current leaf first, then queue the prefetch
-                # of the next one behind it (§3.2).
-                self._load_node(node.children[idx])
-                if self.cfg.tree_readahead and idx + 1 <= hi_idx:
-                    self._issue_leaf_readahead(node, idx + 1)
             # Clip to the child's own key range: ``pending`` carries
             # this node's buffered messages for *every* child in the
             # scan, and a leaf overlays whatever falls in the range it
             # is handed — a sibling's key would be emitted once per leaf.
-            lo, hi = intersect(start, end, *node.child_range(idx))
+            child_lo, child_hi = node.child_range(idx)
+            lo, hi = intersect(start, end, child_lo, child_hi)
+            if node.height == 1:
+                # Load the current leaf first — of one the scan covers
+                # in part, only the basements it covers — then queue the
+                # prefetch of the next one behind it (§3.2).
+                whole = (lo, hi) == (child_lo or b"", child_hi)
+                self._load_node(node.children[idx], None if whole else (lo, hi))
+                if self.cfg.tree_readahead and idx + 1 <= hi_idx:
+                    self._issue_leaf_readahead(node, idx + 1)
             self._scan(node.children[idx], lo, hi, pending + relevant, results, limit)
 
     def _scan_leaf(
@@ -776,7 +784,7 @@ class BeTree:
         results: List[Tuple[bytes, Value]],
         limit: Optional[int],
     ) -> None:
-        self._ensure_fully_loaded(leaf)
+        self._ensure_loaded(leaf, start, end)
         # Materialize: collect base pairs (with their MSNs) in range,
         # then overlay pending messages in MSN order.  For small-limit
         # scans (cursor seeks) only a bounded candidate window is
@@ -815,6 +823,8 @@ class BeTree:
     ) -> dict:
         view: dict = {}
         for basement in leaf.basements:
+            if not basement.loaded:
+                continue  # outside [start, end): _scan_leaf loaded the rest
             lo = bisect.bisect_left(basement.keys, start)
             hi = bisect.bisect_left(basement.keys, end)
             if cap is not None:
@@ -869,27 +879,27 @@ class BeTree:
         self._prefetched[child_id] = self.storage.prefetch(self.file_name, off, ln)
         self.stats.readahead_issued += 1
 
-    def _load_node(self, node_id: int, leaf_key: Optional[bytes] = None) -> Node:
+    def _load_node(self, node_id: int, span: Optional[KeySpan] = None) -> Node:
         node = self.cache.get(node_id)
         if node is not None:
             return node
-        return self._load_node_miss(node_id, leaf_key)
+        return self._load_node_miss(node_id, span)
 
-    def _load_node_miss(self, node_id: int, leaf_key: Optional[bytes] = None) -> Node:
+    def _load_node_miss(self, node_id: int, span: Optional[KeySpan] = None) -> Node:
         """What follows a ``cache.get`` that came back empty (the point
         query tests the hit inline and calls this itself).  A caller
-        that gives ``leaf_key`` knows the node for a leaf and needs of
-        it only the basement covering that key."""
+        that gives ``span`` knows the node for a leaf and needs of it
+        only the basements that may hold a key of ``[lo, hi)``."""
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             with tracer.span("tree.node_read", "tree") as sp:
-                node = self._read_node(node_id, leaf_key)
+                node = self._read_node(node_id, span)
                 sp.args["tree"] = self.file_name
                 sp.args["node"] = node_id
             return node
-        return self._read_node(node_id, leaf_key)
+        return self._read_node(node_id, span)
 
-    def _read_node(self, node_id: int, leaf_key: Optional[bytes]) -> Node:
+    def _read_node(self, node_id: int, span: Optional[KeySpan]) -> Node:
         if not self.blockman.contains(node_id):
             raise KeyError(f"node {node_id} has no on-disk extent")
         signal = self.env.block_signal
@@ -902,13 +912,13 @@ class BeTree:
             self.stats.readahead_hits += 1
             self.stats.bytes_node_read += ln
         elif (
-            leaf_key is not None
+            span is not None
             # Worth it when the head and one basement are not the whole
             # leaf; a compressed extent is one stream.
             and ln > LEAF_HEAD_READ + self.cfg.basement_size
             and not self.cfg.compression
         ):
-            node = self._load_leaf_partial(node_id, off, ln, leaf_key)
+            node = self._load_leaf_partial(node_id, off, ln, *span)
         else:
             node = self._decode_full(self.storage.read(self.file_name, off, ln))
             self.stats.bytes_node_read += ln
@@ -949,10 +959,12 @@ class BeTree:
     # Partial leaf loads (basement-granular reads, §2.2)
     # ------------------------------------------------------------------
     def _load_leaf_partial(
-        self, node_id: int, off: int, ln: int, key: bytes
+        self, node_id: int, off: int, ln: int, lo: bytes, hi: bytes
     ) -> LeafNode:
-        """Read only the leaf's header region and the basement covering
-        ``key``; the others stay stubs until something needs them."""
+        """Read only the leaf's header region and the basements that may
+        hold a key of ``[lo, hi)`` — one, for a point query's
+        ``[key, key + b"\\x00")``; the others stay stubs until something
+        needs them."""
         head = self.storage.read(self.file_name, off, LEAF_HEAD_READ)
         missing = leaf_header_len(head, ln) - len(head)
         if missing > 0:
@@ -972,8 +984,7 @@ class BeTree:
         self.stats.partial_leaf_loads += 1
         # Stash decode context keyed by node id for later basement loads.
         self._partial_meta[node_id] = (off, header.lift_prefix)
-        idx = leaf.basement_index_for(key)
-        self._load_basements(leaf, idx, idx + 1)
+        self._ensure_loaded(leaf, lo, hi)
         return leaf
 
     def _load_basements(self, leaf: LeafNode, lo: int, hi: int) -> None:
@@ -1008,19 +1019,23 @@ class BeTree:
         self._charge_decode(length, length, bulk)
         self.stats.basement_loads += hi - lo
 
-    def _ensure_fully_loaded(self, leaf: LeafNode) -> None:
-        """Fetch what a partial load left on disk: each run of adjacent
-        unloaded basements with one read."""
+    def _ensure_loaded(
+        self, leaf: LeafNode, lo: Optional[bytes] = None, hi: Optional[bytes] = None
+    ) -> None:
+        """Fetch what a partial load left on disk of the basements that
+        may hold a key of ``[lo, hi)`` (by default, of all of them):
+        each run of adjacent unloaded ones with one read."""
         basements = leaf.basements
-        lo = 0
-        while lo < len(basements):
-            hi = lo
-            while hi < len(basements) and not basements[hi].loaded:
-                hi += 1
-            if hi > lo:
-                self._load_basements(leaf, lo, hi)
-            lo = hi + 1
-        self._partial_meta.pop(leaf.node_id, None)
+        first, stop = leaf.basement_span(lo, hi)
+        while first < stop:
+            end = first
+            while end < stop and not basements[end].loaded:
+                end += 1
+            if end > first:
+                self._load_basements(leaf, first, end)
+            first = end + 1
+        if leaf.node_id in self._partial_meta and all(b.loaded for b in basements):
+            del self._partial_meta[leaf.node_id]
 
     # ------------------------------------------------------------------
     # Node write-back
@@ -1038,7 +1053,7 @@ class BeTree:
 
     def _write_node_impl(self, node: Node) -> None:
         if isinstance(node, LeafNode):
-            self._ensure_fully_loaded(node)
+            self._ensure_loaded(node)
         ser = serialize_node(
             node, aligned=self.cfg.page_sharing, lifting=self.cfg.lifting
         )

@@ -453,7 +453,7 @@ def test_leaf_size_is_kept_through_partial_loads_and_a_remount():
     idx = next(i for i, b in enumerate(leaf.basements) if not b.loaded)
     env.data._load_basements(leaf, idx, idx + 1)
     assert leaf.nbytes() == loaded[0].nbytes + leaf.basements[idx].nbytes
-    env.data._ensure_fully_loaded(leaf)
+    env.data._ensure_loaded(leaf)
     assert leaf.nbytes() == full[leaf.node_id]
     assert_kept_sizes_are_current(env)
 
@@ -515,7 +515,7 @@ def _old_get_impl(self, key, seq_hint):
         bound_lo, bound_hi = intersect(bound_lo, bound_hi, *node.child_range(idx))
         parent_of_leaf = (node, idx) if node.height == 1 else None
         node = self._load_node(
-            child_id, None if seq_hint or parent_of_leaf is None else key
+            child_id, None if seq_hint or parent_of_leaf is None else _one_key(key)
         )
         if seq_hint and self.cfg.tree_readahead and parent_of_leaf is not None:
             self._issue_leaf_readahead(parent_of_leaf[0], parent_of_leaf[1] + 1)
@@ -633,6 +633,11 @@ def _leaf_header(tree, node_id):
     return decode_leaf_header(store.read(layout.file_base(tree.file_name) + off, ln), ln)
 
 
+def _one_key(key):
+    """The key span a point query asks a leaf for."""
+    return key, key + b"\x00"
+
+
 def _count_reads(monkeypatch, env):
     """Every ``storage.read`` of ``env`` from here on, as (offset, length)."""
     reads = []
@@ -646,6 +651,10 @@ def _count_reads(monkeypatch, env):
 @pytest.mark.parametrize("page_sharing", [False, True])
 @pytest.mark.parametrize("factor", [1, 1 / 4, 1 / 16, 1 / 64])
 def test_a_cold_point_query_reads_one_basement_at_every_scale(factor, page_sharing):
+    """A cold point query reads the header and one basement; a cold
+    ``range_query`` the header and one run of the basements its range
+    overlaps — one, two, or, covering the leaf's whole pivot range, the
+    leaf whole in one I/O.  Hinted and compressed reads read whole."""
     cfg = BeTreeConfig(page_sharing=page_sharing).scaled(factor)
     cfg.cache_bytes = 64 << 20
     device = BlockDevice(SimClock(), NULL_DEVICE)
@@ -658,15 +667,18 @@ def test_a_cold_point_query_reads_one_basement_at_every_scale(factor, page_shari
     drop_node_cache(env)
     root = tree._load_node(tree.root_id)
     assert root.height == 1
-    # A leaf worth reading in part, and a key of its last basement.
-    for leaf_id in root.children:
+    # A leaf worth reading in part with a finite pivot range (not the
+    # last child), and a key of its last basement.
+    for idx, leaf_id in enumerate(root.children[:-1]):
         ln = tree.blockman.lookup(leaf_id)[1]
         header = _leaf_header(tree, leaf_id)
         if ln > LEAF_HEAD_READ + cfg.basement_size and len(header.basement_extents) > 1:
             break
     else:
         pytest.fail("no multi-basement leaf at this geometry")
-    key = header.basement_first_keys[-1]
+    rows, first_keys = header.basement_extents, header.basement_first_keys
+    key = first_keys[-1]
+    child_lo, child_hi = root.child_range(idx)
     other = next(
         k for k in (b"blk%06d" % i for i in order)
         if root.children[root.child_index_for(k)] != leaf_id
@@ -674,7 +686,8 @@ def test_a_cold_point_query_reads_one_basement_at_every_scale(factor, page_shari
 
     def cold(read):
         """What ``read`` asks of the tree file and the device with only
-        the root and another leaf cached: bytes, partial loads."""
+        the root and another leaf cached: bytes, device commands,
+        partial loads, the basements it left loaded."""
         drop_node_cache(env)
         env.get(DATA, other)
         before = (
@@ -683,31 +696,55 @@ def test_a_cold_point_query_reads_one_basement_at_every_scale(factor, page_shari
         )
         read()
         asked = stats.bytes_node_read - before[0]
+        commands = device.stats.reads - before[4]
         assert stats.node_reads == before[2] + 1
         assert stats.bytes_node_read == env.storage.file_bytes_read[tree.file_name]
         # ... and the device's count, up to a sector per command.
         slack = device.stats.bytes_read - before[3] - asked
-        assert 0 <= slack < device.profile.sector * (device.stats.reads - before[4])
+        assert 0 <= slack < device.profile.sector * commands
         leaf = tree.cache.get(leaf_id)
-        return asked, stats.partial_leaf_loads - before[1], [b.loaded for b in leaf.basements]
+        loaded = [b.loaded for b in leaf.basements]
+        return asked, commands, stats.partial_leaf_loads - before[1], loaded
+
+    def page(k):
+        return bytes([int(k[3:]) % 251]) * 4096
 
     def point_query():
-        assert value_bytes(env.get(DATA, key)) == bytes([int(key[3:]) % 251]) * 4096
+        assert value_bytes(env.get(DATA, key)) == page(key)
 
-    n = len(header.basement_extents)
-    assert cold(point_query) == (
-        LEAF_HEAD_READ + header.basement_extents[-1][1], 1, [False] * (n - 1) + [True]
+    def scan(lo, hi):
+        def read():
+            got = env.range_query(DATA, lo, hi)
+            assert [(k, value_bytes(v)) for k, v in got] == sorted(
+                (k, page(k)) for k in (b"blk%06d" % i for i in order) if lo <= k < hi
+            )
+        return read
+
+    def run(first, last):
+        """Bytes of the on-disk run of basements ``first`` .. ``last``."""
+        return rows[last][0] + rows[last][1] - rows[first][0]
+
+    n = len(rows)
+    last_only = [False] * (n - 1) + [True]
+    assert cold(point_query) == (LEAF_HEAD_READ + run(n - 1, n - 1), 2, 1, last_only)
+    assert LEAF_HEAD_READ + rows[-1][1] < ln
+    # Inside one basement, spanning two, covering the leaf.
+    assert cold(scan(key, child_hi)) == (LEAF_HEAD_READ + run(n - 1, n - 1), 2, 1, last_only)
+    two = [False] * (n - 2) + [True, True]
+    assert cold(scan(first_keys[-2] + b"\x00", child_hi)) == (
+        LEAF_HEAD_READ + run(n - 2, n - 1), 2, 1, two
     )
-    assert LEAF_HEAD_READ + header.basement_extents[-1][1] < ln
     for whole_read in (
         lambda: env.get(DATA, key, True),
-        lambda: env.range_query(DATA, key, key + b"\x00"),
+        scan(child_lo or b"", child_hi),
     ):
-        assert cold(whole_read) == (ln, 0, [True] * n)
+        assert cold(whole_read) == (ln, 1, 0, [True] * n)
     # Compressed, the extent is one stream: read whole.
     cfg.compression = True
     tree.write_node(tree._load_node(leaf_id))
-    assert cold(point_query) == (tree.blockman.lookup(leaf_id)[1], 0, [True] * n)
+    ln = tree.blockman.lookup(leaf_id)[1]
+    assert cold(point_query) == (ln, 1, 0, [True] * n)
+    assert cold(scan(key, child_hi)) == (ln, 1, 0, [True] * n)
 
 
 def _hand_built_leaf(env, n_basements, value):
@@ -730,12 +767,12 @@ def test_completing_a_leaf_reads_each_run_of_unloaded_basements_once(monkeypatch
     leaf = _hand_built_leaf(env, 4, b"v" * 3000)
     off, ln = tree.blockman.lookup(leaf.node_id)
     reads = _count_reads(monkeypatch, env)
-    partial = tree._load_leaf_partial(leaf.node_id, off, ln, b"k0001.1")
+    partial = tree._load_leaf_partial(leaf.node_id, off, ln, *_one_key(b"k0001.1"))
     rows = _leaf_header(tree, leaf.node_id).basement_extents
     assert [b.loaded for b in partial.basements] == [False, True, False, False]
     assert reads == [(off, LEAF_HEAD_READ), (off + rows[1][0], rows[1][1])]
     del reads[:]
-    tree._ensure_fully_loaded(partial)
+    tree._ensure_loaded(partial)
     assert reads == [
         (off + rows[0][0], rows[0][1]),
         (off + rows[2][0], rows[2][1] + rows[3][1]),  # two basements, one read
@@ -744,7 +781,7 @@ def test_completing_a_leaf_reads_each_run_of_unloaded_basements_once(monkeypatch
     assert stats.bytes_node_read == LEAF_HEAD_READ + ln - rows[0][0]
     assert [list(b.items()) for b in partial.basements] == [list(b.items()) for b in leaf.basements]
     assert partial.nbytes() == leaf.nbytes()
-    tree._ensure_fully_loaded(partial)  # nothing left: no I/O
+    tree._ensure_loaded(partial)  # nothing left: no I/O
     assert len(reads) == 2
 
 
@@ -759,7 +796,7 @@ def test_a_header_longer_than_the_head_read_costs_its_tail_only(monkeypatch, pag
     reads = _count_reads(monkeypatch, env)
     cpu = []
     monkeypatch.setattr(tree.costs, "checksum", lambda n: cpu.append(n) or 0.0)
-    partial = tree._load_leaf_partial(leaf.node_id, off, ln, b"k0300.0")
+    partial = tree._load_leaf_partial(leaf.node_id, off, ln, *_one_key(b"k0300.0"))
     row = header.basement_extents[300]
     assert reads == [
         (off, LEAF_HEAD_READ),
@@ -795,7 +832,7 @@ def test_partial_loads_charge_what_the_whole_read_charges(monkeypatch, page_shar
     whole, charged = dict(charged), dict.fromkeys(charged, 0)
     assert env.alloc.stats.frees == buffers + 1
     assert whole["checksum"] == ln and bool(whole["memcpy"]) == (not page_sharing)
-    partial = tree._load_leaf_partial(leaf.node_id, off, ln, b"/f/0020")
+    partial = tree._load_leaf_partial(leaf.node_id, off, ln, *_one_key(b"/f/0020"))
     for idx in reversed(range(len(partial.basements))):  # one by one: no runs
         if not partial.basements[idx].loaded:
             tree._load_basements(partial, idx, idx + 1)
@@ -815,7 +852,7 @@ def test_a_corrupt_leaf_is_a_checksum_error_on_both_read_paths():
 
     def both_paths_raise(match):
         with pytest.raises(ChecksumError, match=match):
-            tree._load_leaf_partial(leaf.node_id, off, ln, b"k0001.0")
+            tree._load_leaf_partial(leaf.node_id, off, ln, *_one_key(b"k0001.0"))
         with pytest.raises(ChecksumError, match=match):
             tree._decode_full(env.storage.read(tree.file_name, off, ln))
 
@@ -832,10 +869,10 @@ def test_a_corrupt_leaf_is_a_checksum_error_on_both_read_paths():
     ln += 512
     # A sibling basement's damage is met when that basement is.
     store.write(base + rows[2][0] + 7, b"\xff")
-    partial = tree._load_leaf_partial(leaf.node_id, off, ln, b"k0001.0")
+    partial = tree._load_leaf_partial(leaf.node_id, off, ln, *_one_key(b"k0001.0"))
     assert partial.basements[1].loaded
     with pytest.raises(ChecksumError, match="basement 2 "):
-        tree._ensure_fully_loaded(partial)
+        tree._ensure_loaded(partial)
     with pytest.raises(ChecksumError, match="basement 2 "):
         tree._decode_full(env.storage.read(tree.file_name, off, ln))
 
@@ -845,8 +882,11 @@ def test_partial_and_whole_leaf_reads_agree(monkeypatch, page_sharing):
     """Seeded differential: one op script on a tree that reads leaves
     by the basement and on one made to read every leaf whole — all five
     message kinds; flushes, range deletes and a split landing on
-    partially loaded leaves; checkpoints, cold drops and a re-open;
-    sanitizers on.  Every ``get`` and ``range_query`` answers the same."""
+    partially loaded leaves, a flush completing a leaf a scan read in
+    part; scans (``limit=`` cursors and ``empty_range`` too) overlaying
+    buffered messages of every kind on partially loaded leaves;
+    checkpoints, cold drops and a re-open; sanitizers on.  Every
+    ``get``, ``range_query`` and ``empty_range`` answers the same."""
 
     def grown():
         env = fresh_env(
@@ -863,11 +903,14 @@ def test_partial_and_whole_leaf_reads_agree(monkeypatch, page_sharing):
     (partial, p_device), (whole, w_device) = grown(), grown()
     for tree in whole.trees:
         monkeypatch.setattr(
-            tree, "_read_node", lambda node_id, _key, real=tree._read_node: real(node_id, None)
+            tree, "_read_node", lambda node_id, _span, real=tree._read_node: real(node_id, None)
         )
     tree = partial.data
     met = set()  # what landed on a partially loaded leaf
-    real_apply = tree._apply_to_leaf
+    overlaid = set()  # message kinds a scan overlaid on one
+    scanned = set()  # leaves a scan read in part
+    real_apply, real_scan_leaf = tree._apply_to_leaf, tree._scan_leaf
+    real_partial = tree._load_leaf_partial
 
     def apply_spy(leaf, msgs, parent):
         stubs = not all(b.loaded for b in leaf.basements)
@@ -875,12 +918,28 @@ def test_partial_and_whole_leaf_reads_agree(monkeypatch, page_sharing):
         real_apply(leaf, msgs, parent)
         if stubs:
             met.add("flush")
+            if leaf.node_id in scanned:
+                met.add("flush after a scan")
             if any(m.is_range for m in msgs):
                 met.add("range delete")
             if tree.stats.leaf_splits > splits:
                 met.add("split")
 
+    def scan_leaf_spy(leaf, start, end, pending, results, limit):
+        if not all(b.loaded for b in leaf.basements):
+            overlaid.update(type(m).__name__ for m in pending)
+        real_scan_leaf(leaf, start, end, pending, results, limit)
+
+    def partial_spy(node_id, off, ln, lo, hi):
+        if hi != lo + b"\x00":
+            scanned.add(node_id)
+        return real_partial(node_id, off, ln, lo, hi)
+
     monkeypatch.setattr(tree, "_apply_to_leaf", apply_spy)
+    monkeypatch.setattr(tree, "_scan_leaf", scan_leaf_spy)
+    monkeypatch.setattr(tree, "_load_leaf_partial", partial_spy)
+    for env in (partial, whole):
+        env.empty_range = lambda _tree, lo, hi, env=env: env.data.empty_range(lo, hi)
 
     def plain(answer):
         if isinstance(answer, list):
@@ -901,10 +960,14 @@ def test_partial_and_whole_leaf_reads_agree(monkeypatch, page_sharing):
             args = ("delete", DATA, k)
         elif roll < 0.53:
             args = ("range_delete", DATA, k, b"k%04d" % (n + rng.randrange(1, 12)))
-        elif roll < 0.93:
+        elif roll < 0.88:
             args = ("get", DATA, k)
-        elif roll < 0.97:
+        elif roll < 0.92:
             args = ("range_query", DATA, k, b"k%04d" % (n + 40))
+        elif roll < 0.95:
+            args = ("range_query", DATA, k, b"k%04d" % (n + 300), rng.choice([1, 3, 10]))
+        elif roll < 0.97:
+            args = ("empty_range", DATA, k, b"k%04d" % (n + rng.randrange(1, 6)))
         elif roll < 0.99:
             args = ("checkpoint",)
         else:
@@ -918,7 +981,8 @@ def test_partial_and_whole_leaf_reads_agree(monkeypatch, page_sharing):
             got, want = (getattr(env, args[0])(*args[1:]) for env in (partial, whole))
         assert plain(got) == plain(want), f"answers diverged at step {step}: {args[:3]}"
     stats = tree.stats
-    assert met == {"flush", "range delete", "split"}
+    assert met == {"flush", "flush after a scan", "range delete", "split"}
+    assert overlaid == {"Insert", "InsertByRef", "Patch", "Delete", "RangeDelete"}
     assert stats.partial_leaf_loads > 50 and whole.data.stats.partial_leaf_loads == 0
     assert stats.basement_loads > stats.partial_leaf_loads  # siblings fetched later
     assert stats.bytes_node_read < whole.data.stats.bytes_node_read
