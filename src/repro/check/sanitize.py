@@ -610,18 +610,19 @@ class SanitizerSuite:
 
     @staticmethod
     def check_pagecache(pages) -> None:
-        """The page cache's per-file index and dirty counter against
-        a scan of every cached page."""
+        """The page cache's per-file index (each mapping under its own
+        name) and dirty counter against a scan of every cached page."""
         indexed = {
-            (path, idx): page
-            for path, file_pages in pages._files.items()
-            for idx, page in file_pages.items()
+            (mapping, idx): page
+            for mapping in pages._files.values()
+            for idx, page in mapping.pages.items()
         }
         require(
-            indexed == dict(pages._pages) and all(pages._files.values()),
+            indexed == dict(pages._pages)
+            and all(m.pages and m.path == p for p, m in pages._files.items()),
             "page-cache per-file index disagrees with the cached pages",
             CacheInvariantError,
-            sorted(set(indexed) ^ set(pages._pages)),
+            sorted((m.path, idx) for m, idx in set(indexed) ^ set(pages._pages)),
         )
         dirty = sum(page.dirty for page in pages._pages.values())
         require(

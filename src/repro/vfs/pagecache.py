@@ -7,6 +7,11 @@ the file system during write-back is marked ``writeback_shared``
 write to that page triggers a copy-on-write fault and a fresh frame,
 unless the tree has already released its references, in which case the
 copy is elided.
+
+Pages belong to their file's :class:`Mapping` (the kernel's
+``address_space``), not to its name: the LRU is keyed by (mapping,
+index), so a rename hands the mapping to the new name and every page
+keeps its place in the LRU.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.check.errors import require
 from repro.core.messages import PageFrame
 from repro.device.clock import SimClock
 from repro.model.costs import CostModel
@@ -31,6 +37,16 @@ class CachedPage:
     dirtied_at: float = 0.0
 
 
+class Mapping:
+    """One file's cached pages (index -> page) under its current name."""
+
+    __slots__ = ("path", "pages")
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.pages: Dict[int, CachedPage] = {}
+
+
 class PageCache:
     """Per-mount page cache with dirty tracking and LRU eviction."""
 
@@ -45,10 +61,10 @@ class PageCache:
         self.costs = costs
         self.budget = budget_bytes
         self.dirty_limit = dirty_limit_bytes
-        self._pages: "OrderedDict[Tuple[str, int], CachedPage]" = OrderedDict()
-        #: The same pages by file (path -> idx -> page), so per-file
-        #: operations never walk the other files' pages.
-        self._files: Dict[str, Dict[int, CachedPage]] = {}
+        self._pages: "OrderedDict[Tuple[Mapping, int], CachedPage]" = OrderedDict()
+        #: The same pages by file, so per-file operations never walk
+        #: the other files' pages.
+        self._files: Dict[str, Mapping] = {}
         self.dirty_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -59,25 +75,34 @@ class PageCache:
         self.san = None
 
     # ------------------------------------------------------------------
+    def _mapping(self, path: str) -> Mapping:
+        mapping = self._files.get(path)
+        if mapping is None:
+            mapping = self._files[path] = Mapping(path)
+        return mapping
+
     def lookup(self, path: str, idx: int) -> Optional[CachedPage]:
         self.clock.cpu(self.costs.page_cache_op)
-        page = self._pages.get((path, idx))
+        mapping = self._files.get(path)
+        page = None if mapping is None else mapping.pages.get(idx)
         if page is None:
             self.misses += 1
             return None
         self.hits += 1
-        self._pages.move_to_end((path, idx))
+        self._pages.move_to_end((mapping, idx))
         return page
 
     def insert_clean(self, path: str, idx: int, frame: PageFrame) -> CachedPage:
         self.clock.cpu(self.costs.page_cache_op)
         page = CachedPage(frame=frame, dirty=False)
-        old = self._pages.get((path, idx))
+        mapping = self._mapping(path)
+        old = mapping.pages.get(idx)
         if old is not None and old.dirty:
             self.dirty_bytes -= PAGE_SIZE
-        self._pages[(path, idx)] = page
-        self._pages.move_to_end((path, idx))
-        self._files.setdefault(path, {})[idx] = page
+        key = (mapping, idx)
+        self._pages[key] = page
+        self._pages.move_to_end(key)
+        mapping.pages[idx] = page
         return page
 
     def write(self, path: str, idx: int, offset: int, data: bytes) -> CachedPage:
@@ -87,14 +112,15 @@ class PageCache:
         the page (via read or zeroing) if this is a partial write to an
         existing block.
         """
-        key = (path, idx)
-        page = self._pages.get(key)
+        mapping = self._mapping(path)
+        key = (mapping, idx)
+        page = mapping.pages.get(idx)
         self.clock.cpu(self.costs.page_cache_op)
         if page is None:
             frame = PageFrame(b"\x00" * PAGE_SIZE)
             page = CachedPage(frame=frame)
             self._pages[key] = page
-            self._files.setdefault(path, {})[idx] = page
+            mapping.pages[idx] = page
         elif page.writeback_shared:
             # The frame is referenced by the file system.  If those
             # references are gone, reuse the frame; otherwise CoW.
@@ -124,7 +150,8 @@ class PageCache:
 
     # ------------------------------------------------------------------
     def mark_clean(self, path: str, idx: int, shared: bool) -> None:
-        page = self._pages.get((path, idx))
+        mapping = self._files.get(path)
+        page = None if mapping is None else mapping.pages.get(idx)
         if page is None:
             return
         if page.dirty:
@@ -138,20 +165,39 @@ class PageCache:
         """Dirty pages of one file (in no particular order), or of
         every file, least recently used first."""
         if path is not None:
-            pages = self._files.get(path, {})
+            mapping = self._files.get(path)
+            pages = {} if mapping is None else mapping.pages
             return [(path, idx, pg) for idx, pg in pages.items() if pg.dirty]
-        return [(p, idx, pg) for (p, idx), pg in self._pages.items() if pg.dirty]
+        return [(m.path, idx, pg) for (m, idx), pg in self._pages.items() if pg.dirty]
 
     def over_dirty_limit(self) -> bool:
         return self.dirty_bytes >= self.dirty_limit
 
     def drop_file(self, path: str) -> None:
         """Invalidate every cached page of ``path`` (unlink/truncate)."""
-        for idx, page in self._files.pop(path, {}).items():
-            del self._pages[(path, idx)]
+        mapping = self._files.pop(path, None)
+        if mapping is None:
+            return
+        for idx, page in mapping.pages.items():
+            del self._pages[(mapping, idx)]
             if page.dirty:
                 self.dirty_bytes -= PAGE_SIZE
             page.frame.put()
+
+    def drop_tree(self, prefix: str) -> None:
+        """Invalidate the pages of every file whose name starts with
+        ``prefix`` (a directory's subtree)."""
+        for path in [p for p in self._files if p.startswith(prefix)]:
+            self.drop_file(path)
+
+    def rename_file(self, src: str, dst: str) -> None:
+        """Give ``src``'s pages to ``dst`` (which has none): rename
+        moves the inode, and its pages with it, each in its LRU place."""
+        require(dst not in self._files, "rename target still has cached pages", dst)
+        mapping = self._files.pop(src, None)
+        if mapping is not None:
+            mapping.path = dst
+            self._files[dst] = mapping
 
     def drop_all(self) -> None:
         """Drop the whole cache (echo 3 > drop_caches)."""
@@ -171,21 +217,20 @@ class PageCache:
         if excess <= 0:
             return need_writeback
         # Walk the LRU only as far as the budget needs.
-        victims: List[Tuple[str, int]] = []
+        victims: List[Tuple[Mapping, int]] = []
         for key, page in self._pages.items():
             if page.dirty:
-                need_writeback.append((key[0], key[1], page))
+                need_writeback.append((key[0].path, key[1], page))
                 continue
             victims.append(key)
             if len(victims) == excess:
                 break
         for key in victims:
             del self._pages[key]
-            path, idx = key
-            pages = self._files[path]
-            pages.pop(idx).frame.put()
-            if not pages:
-                del self._files[path]
+            mapping, idx = key
+            mapping.pages.pop(idx).frame.put()
+            if not mapping.pages:
+                del self._files[mapping.path]
         self.evictions += len(victims)
         return need_writeback
 
@@ -193,4 +238,4 @@ class PageCache:
         return len(self._pages) * PAGE_SIZE
 
     def __iter__(self) -> Iterator[Tuple[Tuple[str, int], CachedPage]]:
-        return iter(self._pages.items())
+        return (((m.path, idx), page) for (m, idx), page in self._pages.items())

@@ -227,13 +227,14 @@ def test_vfs_matches_model_filesystem(op_list, version):
 from repro.check.errors import CacheInvariantError  # noqa: E402
 from repro.check.sanitize import SanitizerSuite  # noqa: E402
 from repro.core.messages import PageFrame  # noqa: E402
-from repro.vfs.pagecache import PAGE_SIZE, PageCache  # noqa: E402
+from repro.vfs.pagecache import PAGE_SIZE, Mapping, PageCache  # noqa: E402
 
 pagecache_ops = st.lists(
     st.tuples(
         st.sampled_from(
             ["write"] * 4
             + ["insert_clean", "mark_clean", "lookup", "fit", "fit", "drop_file", "drop_all"]
+            + ["rename"] * 2
         ),
         st.integers(0, 5),
         st.integers(0, 7),
@@ -251,7 +252,7 @@ def scan_fit(pc):
         if used <= pc.budget:
             break
         if pc._pages[key].dirty:
-            need.append((key[0], key[1], pc._pages[key]))
+            need.append((key[0].path, key[1], pc._pages[key]))
             continue
         victims.append(key)
         used -= PAGE_SIZE
@@ -275,7 +276,16 @@ def test_pagecache_index_matches_scans_of_the_page_map(op_list):
             pc.lookup(path, idx)
         elif op == "drop_file":
             pc.drop_file(path)
-            assert not any(p == path for p, _i in pc._pages)
+            assert not any(m.path == path for m, _i in pc._pages)
+        elif op == "rename":
+            # As the VFS does it: the target's own pages go first.
+            dst = f"/f{idx % 6}"
+            if dst != path:
+                pc.drop_file(dst)
+                order = list(pc._pages.values())
+                pc.rename_file(path, dst)
+                assert list(pc._pages.values()) == order  # LRU places kept
+                assert path not in pc._files
         elif op == "drop_all":
             pc.drop_all()
             assert not pc._pages and pc.dirty_bytes == 0
@@ -286,12 +296,12 @@ def test_pagecache_index_matches_scans_of_the_page_map(op_list):
             assert list(pc._pages) == [k for k in before if k not in victims]
             assert pc.evictions == evictions + len(victims)
         check(pc)
-        by_scan = [(p, i, pg) for (p, i), pg in pc._pages.items() if pg.dirty]
+        by_scan = [(m.path, i, pg) for (m, i), pg in pc._pages.items() if pg.dirty]
         assert pc.dirty_pages() == by_scan
         mine = [t for t in by_scan if t[0] == path]
         assert sorted(pc.dirty_pages(path), key=lambda t: t[1]) == sorted(
             mine, key=lambda t: t[1]
         )
-    pc._files["/ghost"] = {}
+    pc._files["/ghost"] = Mapping("/ghost")
     with pytest.raises(CacheInvariantError):
         check(pc)
