@@ -92,12 +92,10 @@ class BetrFSNorthbound(FileSystemBackend):
     def set_stat(
         self, path: str, stat: Stat, pinned_section: Optional[int]
     ) -> None:
-        # If the create was conditionally logged, the log already has
-        # the authoritative entry; the tree insert need not re-log.
-        already_logged = pinned_section is not None
-        self.env.insert(
-            META, meta_key(path), stat.pack(), log=not already_logged
-        )
+        # Logged even after a conditionally logged create: the log
+        # holds only the create-time stat, and an fsync makes this one
+        # durable.
+        self.env.insert(META, meta_key(path), stat.pack())
         if pinned_section is not None:
             self.env.wal.unpin_section(pinned_section)
             self.deferred_creates -= 1

@@ -96,10 +96,6 @@ def test_betrfs_variants_survive_crash(version):
         f"/w/d{d}/{name}" for d in range(3) for name in v.readdir(f"/w/d{d}")
     }
     assert listed == set(model)
-    if mount.features.conditional_logging:
-        # Sizes and contents are the pinned defect of
-        # tests/test_remount.py::test_fsynced_write_survives.
-        return
     assert read_back(recovered, model) == model
 
 

@@ -78,19 +78,6 @@ def walk(v, path="/"):
     return out
 
 
-#: The size-0 defect: a conditionally logged create (§3.3) logs the
-#: create-time stat; ``BetrFSNorthbound.set_stat`` then inserts the
-#: written-back inode with ``log=not already_logged``, so the size the
-#: fsync made durable in the tree never reaches the log and replay
-#: resurrects the empty file (masked when the sync checkpoints).
-CL_DEFECT = (
-    "create; write; fsync; crash recovers size 0 under conditional "
-    "logging: set_stat writes the inode back unlogged while the log "
-    "holds only the create-time stat (fix = always log the written-back "
-    "inode; moves sim rows, see ROADMAP item 2)"
-)
-
-
 def test_fsynced_names_survive(mount):
     """Names, kinds, the symlink target and both ends of a rename."""
     populate(mount.vfs)
@@ -109,10 +96,10 @@ def test_fsynced_names_survive(mount):
     assert v.read("/e/new-name", 0, len(BODY) + 1) == BODY[::-1]
 
 
-def test_fsynced_write_survives(mount, request):
-    """Size and contents of a file that was created, written, fsynced."""
-    if mount.features.conditional_logging:
-        request.applymarker(pytest.mark.xfail(strict=True, reason=CL_DEFECT))
+def test_fsynced_write_survives(mount):
+    """Size and contents of a file that was created, written, fsynced —
+    under conditional logging (§3.3) too, where the log holds the
+    create-time stat and the fsynced size must be logged after it."""
     populate(mount.vfs)
     v = reboot(mount).vfs
     assert v.stat("/d/kept").size == len(BODY)
@@ -164,11 +151,7 @@ def test_unsynced_files_vanish_or_are_whole(spec):
                 plan.describe(), path,
             )
             seen.add("whole" if size else "empty")
-    assert {"absent", "empty"} <= seen
-    if not mount.features.conditional_logging:
-        # (Under conditional logging the written-back size never
-        # reaches the log — CL_DEFECT — so nothing unsynced is whole.)
-        assert "whole" in seen
+    assert {"absent", "empty", "whole"} <= seen
 
 
 def test_second_crash_changes_nothing(mount):
