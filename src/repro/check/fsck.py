@@ -9,28 +9,32 @@ The walk is fully offline: all reads go straight to the image's
 :class:`~repro.device.block.ExtentStore`, so no simulated time is
 charged and no device state is perturbed.
 
-Checks, in walk order:
+Checks, in walk order (the node, block-table and FTL invariants are
+the statements of :mod:`repro.check.invariants`, shared with the
+runtime sanitizer; fsck reports every violation, the sanitizer raises
+the first):
 
 * **superblock** — at least one of the two ping-pong slots decodes
   with a valid CRC (an image with a zeroed superblock region is a
   legal pre-first-checkpoint state and only downgrades to a log-only
   walk);
-* **checkpoint** — each tree's block table deserializes, every extent
-  lies inside its file region, no two extents (table or free list)
-  overlap, and the root id resolves;
+* **checkpoint** — each tree's block table deserializes, fits its
+  carved region, and holds the block-table invariants (every extent
+  inside the file, no two extents overlapping), and the root id
+  resolves;
 * **nodes** — every node reachable from each root: CRC verifies
   (after decompression when the ``BFCZ`` magic is present), the
   decoded id matches the table entry, heights descend by exactly one,
-  pivots are ordered, every key/pivot respects the routing range
-  inherited from the parent, no cycles, and — since nodes are never
-  dropped — every table entry is reachable;
+  ``msn_max`` is below the superblock's ``next_msn``, the node
+  invariants hold with the routing range inherited from the ancestors
+  (pivots, keys and buffered messages included), no cycles, and —
+  since nodes are never dropped — every table entry is reachable;
 * **WAL** — the circular log scans cleanly from the checkpointed head
   with strictly increasing LSNs (a torn tail entry is where recovery
   stops, not an error), and a clean-shutdown superblock implies an
   empty post-checkpoint log;
-* **FTL** — when the image carries FTL state: the valid-page
-  conservation law holds and every fully stored page is mapped
-  (functional model and accounting model describe the same bytes).
+* **FTL** — when the image carries FTL state, the flash-map
+  invariants: valid-page conservation, every fully stored page mapped.
 """
 
 from __future__ import annotations
@@ -41,14 +45,15 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from repro.check.errors import FsckError
+from repro.check.invariants import blockman_faults, ftl_faults, node_faults
 from repro.core.checkpoint import (
     BlockManager,
     Superblock,
     _trim,
     read_slot_stamp,
 )
-from repro.core.keys import in_range, intersect
-from repro.core.node import InternalNode, LeafNode
+from repro.core.keys import intersect
+from repro.core.node import InternalNode
 from repro.core.serialize import ChecksumError, decode_node
 from repro.core.wal import WriteAheadLog
 from repro.device.block import BlockDevice, ExtentStore
@@ -245,36 +250,13 @@ def _check_trees(
 def _check_blockman(
     name: str, blockman: BlockManager, region_size: int, report: FsckReport
 ) -> None:
-    spans: List[Tuple[int, int, str]] = []
-    for node_id, (off, ln) in blockman.table.items():
-        if ln <= 0 or off < 0 or off + ln > blockman.file_size:
-            report.error(
-                f"{name}: node {node_id} extent ({off}, {ln}) out of "
-                f"file bounds ({blockman.file_size})"
-            )
-            continue
-        spans.append((off, blockman._align(ln), f"node {node_id}"))
+    for fault in blockman_faults(blockman):
+        report.error(f"{name}: {fault}")
     if blockman.file_size > region_size:
         report.error(
             f"{name}: block table file_size {blockman.file_size} exceeds "
             f"the carved region ({region_size})"
         )
-    for off, ln in blockman.free_list:
-        if off < 0 or off + ln > blockman.file_size:
-            report.error(
-                f"{name}: free extent ({off}, {ln}) out of file bounds"
-            )
-            continue
-        spans.append((off, ln, "free extent"))
-    spans.sort()
-    for i in range(1, len(spans)):
-        p_off, p_len, p_what = spans[i - 1]
-        c_off, _c_len, c_what = spans[i]
-        if p_off + p_len > c_off:
-            report.error(
-                f"{name}: {p_what} at ({p_off}, {p_len}) overlaps "
-                f"{c_what} at {c_off}"
-            )
 
 
 def _read_node_bytes(
@@ -345,7 +327,13 @@ def _walk_tree(
                 f"{name}: node {node_id} has height {node.height}, parent "
                 f"expects {want_height}"
             )
-        _check_node_shape(name, node, lo, hi, sb, report)
+        if node.msn_max >= sb.next_msn:
+            report.error(
+                f"{name}: node {node_id} msn_max {node.msn_max} >= superblock "
+                f"next_msn {sb.next_msn}"
+            )
+        for fault in node_faults(node, lo, hi):
+            report.error(f"{name}: {fault}")
         if isinstance(node, InternalNode):
             for idx, child in enumerate(node.children):
                 c_lo, c_hi = intersect(*node.child_range(idx), lo, hi)
@@ -356,64 +344,6 @@ def _walk_tree(
             f"{name}: {len(unreachable)} table extent(s) unreachable from "
             f"the root (nodes are never dropped): {unreachable[:8]}"
         )
-
-
-def _check_node_shape(
-    name: str,
-    node,
-    lo: Optional[bytes],
-    hi: Optional[bytes],
-    sb: Superblock,
-    report: FsckReport,
-) -> None:
-    nid = node.node_id
-    if node.msn_max >= sb.next_msn:
-        report.error(
-            f"{name}: node {nid} msn_max {node.msn_max} >= superblock "
-            f"next_msn {sb.next_msn}"
-        )
-    if isinstance(node, LeafNode):
-        prev: Optional[bytes] = None
-        for basement in node.basements:
-            for i in range(1, len(basement.keys)):
-                if basement.keys[i - 1] >= basement.keys[i]:
-                    report.error(
-                        f"{name}: node {nid} basement keys out of order"
-                    )
-                    break
-            if basement.keys:
-                if prev is not None and prev >= basement.keys[0]:
-                    report.error(
-                        f"{name}: node {nid} basements overlap or are "
-                        "out of order"
-                    )
-                for key in (basement.keys[0], basement.keys[-1]):
-                    if not in_range(key, lo, hi):
-                        report.error(
-                            f"{name}: node {nid} key {key!r} outside its "
-                            f"routing range [{lo!r}, {hi!r})"
-                        )
-                prev = basement.keys[-1]
-    elif isinstance(node, InternalNode):
-        if len(node.pivots) != len(node.children) - 1:
-            report.error(
-                f"{name}: node {nid} has {len(node.pivots)} pivots for "
-                f"{len(node.children)} children"
-            )
-        for i in range(1, len(node.pivots)):
-            if node.pivots[i - 1] >= node.pivots[i]:
-                report.error(
-                    f"{name}: node {nid} pivots not strictly increasing"
-                )
-                break
-        for pivot in node.pivots:
-            if not in_range(pivot, lo, hi):
-                report.error(
-                    f"{name}: node {nid} pivot {pivot!r} outside its "
-                    f"routing range [{lo!r}, {hi!r})"
-                )
-        if len(set(node.children)) != len(node.children):
-            report.error(f"{name}: node {nid} has duplicate children")
 
 
 def _check_wal(
@@ -446,24 +376,8 @@ def _check_wal(
 
 
 def _check_ftl(store: ExtentStore, ftl, report: FsckReport) -> None:
-    if ftl.valid_pages() != ftl.mapped_pages():
-        report.error(
-            f"ftl: valid-page conservation violated "
-            f"({ftl.valid_pages()} valid, {ftl.mapped_pages()} mapped)"
-        )
-    page = ftl.geom.page_size
-    missing = 0
-    for off, data in store.snapshot():
-        first = (off + page - 1) // page
-        last = (off + len(data)) // page  # exclusive
-        for lpn in range(first, last):
-            if lpn not in ftl.map:
-                missing += 1
-    if missing:
-        report.error(
-            f"ftl: {missing} fully stored page(s) missing from the "
-            "logical map (store/FTL divergence)"
-        )
+    for fault in ftl_faults(store, ftl):
+        report.error(f"ftl: {fault}")
 
 
 # ----------------------------------------------------------------------
@@ -560,8 +474,8 @@ def load_image(path: str) -> DeviceImage:
 class VolumeStore:
     """Base-shifted view of one volume slot in a shared extent store.
 
-    A sharded mount (``repro.shard``) carves one device into N SFL
-    volume slots.  This adapter presents volume *i*'s
+    A mount carves one device into N SFL volume slots (N = 1 unless it
+    is sharded, ``repro.shard``).  This adapter presents volume *i*'s
     ``[base, base + size)`` byte range as a standalone image starting
     at offset 0, so the unmodified :func:`fsck_device` walk checks
     each volume exactly as it would a single-volume device.
@@ -589,7 +503,9 @@ class VolumeStore:
 
 
 def fsck_mount(mount, image: Optional[BlockDevice] = None) -> FsckReport:
-    """fsck every volume of a mount's crash image, one merged report.
+    """fsck every volume of a mount's crash image, one merged report
+    (errors and warnings prefixed ``volN:`` when there is more than one
+    volume; the shared device's FTL checked once).
 
     The carve is read off the mount that made it — ``opts.log_size`` /
     ``meta_size``, ``volume_bytes``, ``config.page_sharing`` — so no
@@ -606,24 +522,28 @@ def fsck_mount(mount, image: Optional[BlockDevice] = None) -> FsckReport:
     if image is None:
         image = mount.device.crash_image()
     opts = mount.opts
-    aligned = mount.config.page_sharing
-    if len(mount.storages) == 1:
-        return fsck_device(image, opts.log_size, opts.meta_size, aligned=aligned)
-    merged = FsckReport()
+    volumes = len(mount.storages)
     size = mount.volume_bytes
-    for i in range(len(mount.storages)):
+    merged = FsckReport(clean_shutdown=True)
+    generations = set()
+    for i in range(volumes):
         report = fsck_device(
             VolumeStore(image.store, i * size, size),
             opts.log_size,
             opts.meta_size,
             capacity=size,
-            aligned=aligned,
+            aligned=mount.config.page_sharing,
         )
-        merged.errors += [f"vol{i}: {e}" for e in report.errors]
-        merged.warnings += [f"vol{i}: {w}" for w in report.warnings]
+        prefix = f"vol{i}: " if volumes > 1 else ""
+        merged.errors += [prefix + e for e in report.errors]
+        merged.warnings += [prefix + w for w in report.warnings]
         merged.nodes_checked += report.nodes_checked
         merged.trees_checked += report.trees_checked
         merged.wal_entries += report.wal_entries
+        merged.clean_shutdown &= report.clean_shutdown
+        generations.add(report.superblock_generation)
+    if len(generations) == 1:
+        merged.superblock_generation = generations.pop()
     if image.ftl is not None:
         # The FTL belongs to the shared device, not to any one slot.
         _check_ftl(image.store, image.ftl, merged)

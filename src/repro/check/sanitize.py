@@ -16,21 +16,20 @@ state and identical simulated time — the property
 
 What each leg guards:
 
-* **Tree** — pivot ordering, pivot/child arity, buffer byte
-  accounting, buffer-index consistency, basement sort order, and that
-  flushed/split nodes only hold keys inside the routing range their
-  parent assigns them.  Checked on every flush, split, and node
-  write-back.
+* **Tree** — the node invariants of :mod:`repro.check.invariants`
+  (height kind, arity, pivot order, unique children, kept sizes and
+  the buffer index recounted, MSNs, basement order, and every pivot,
+  key and buffered message inside the routing range the parent
+  assigns), checked on every flush, split, and node write-back, plus
+  the fanout slack, which only the live config can state.
 * **Cost** — the simulated clock and the device ``busy_until`` horizon
   are monotone, every device op observed at the charging point is
   recorded exactly once in :class:`~repro.device.stats.IOStats`, and
   I/O durations are non-negative.
-* **Allocator/FTL** — no double-free or free-of-unknown buffer, node
-  translation tables and free lists hold in-bounds non-overlapping
-  extents, the FTL valid-page conservation law holds, and the
-  logical→physical map never diverges from the
-  :class:`~repro.device.block.ExtentStore` (every fully stored page is
-  mapped).
+* **Allocator/FTL** — no double-free or free-of-unknown buffer, and
+  the block-table and flash-map invariants of
+  :mod:`repro.check.invariants` (in-bounds non-overlapping extents,
+  FTL valid-page conservation, every fully stored page mapped).
 * **Cache** — pin/unpin balance, no aliased cache entries (two node
   objects under one id), no victim evicted dirty or pinned, no pin
   leaks on absent nodes; the node cache's byte ledger equals the
@@ -42,25 +41,29 @@ What each leg guards:
 Cheap local checks run at their hook site; whole-structure scans
 (block tables, FTL divergence, cached-node walk) run at checkpoint via
 :meth:`SanitizerSuite.on_checkpoint` and on demand via
-:meth:`SanitizerSuite.check_all`.
+:meth:`SanitizerSuite.check_all`.  A shared invariant raises its first
+violation; offline fsck reports every one of the same statements.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set, Type
 
-from repro.vfs.pagecache import PAGE_SIZE
 from repro.check.errors import (
     AllocInvariantError,
     CacheInvariantError,
     CostInvariantError,
+    InvariantError,
     TreeInvariantError,
     require,
 )
+from repro.check.invariants import blockman_faults, ftl_faults, node_faults
+from repro.core.node import InternalNode
+from repro.vfs.pagecache import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.env import KVEnv
-    from repro.core.node import InternalNode, LeafNode, Node
+    from repro.core.node import Node
     from repro.core.tree import BeTree
 
 #: Internal nodes may transiently exceed the configured fanout (leaf
@@ -69,6 +72,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: tripping on the legitimate transient.
 FANOUT_SLACK = 4
 FANOUT_PAD = 16
+
+
+def _raise_first(faults: Iterable[str], exc: Type[InvariantError]) -> None:
+    for fault in faults:
+        raise exc(fault)
 
 
 class SanitizerSuite:
@@ -134,197 +142,27 @@ class SanitizerSuite:
     # ------------------------------------------------------------------
     # Tree sanitizer
     # ------------------------------------------------------------------
-    def check_node(self, tree: "BeTree", node: "Node") -> None:
-        from repro.core.node import InternalNode, LeafNode
-
-        if isinstance(node, LeafNode):
-            self.check_leaf(tree, node)
-        elif isinstance(node, InternalNode):
-            self.check_internal(tree, node)
-
-    def check_internal(self, tree: "BeTree", node: "InternalNode") -> None:
-        nid = node.node_id
-        require(
-            node.height >= 1,
-            "internal node with leaf height",
-            TreeInvariantError,
-            nid,
-        )
-        require(
-            len(node.pivots) == len(node.children) - 1,
-            "pivot/child arity: len(pivots) != len(children) - 1",
-            TreeInvariantError,
-            (nid, len(node.pivots), len(node.children)),
-        )
-        for i in range(1, len(node.pivots)):
-            require(
-                node.pivots[i - 1] < node.pivots[i],
-                "pivots not strictly increasing",
-                TreeInvariantError,
-                (nid, i),
-            )
-        require(
-            len(set(node.children)) == len(node.children),
-            "duplicate child id",
-            TreeInvariantError,
-            nid,
-        )
-        require(
-            len(node.children) <= FANOUT_SLACK * self.cfg.fanout + FANOUT_PAD,
-            "internal node width far beyond fanout (split not converging)",
-            TreeInvariantError,
-            (nid, len(node.children), self.cfg.fanout),
-        )
-        # Kept values are recounted, never trusted: each message's size
-        # from its fields, the byte total from those, the point and
-        # range indexes (and each key's arrival order) from the buffer.
-        measured = [m.measure() for m in node.buffer]
-        resized = [m for m, size in zip(node.buffer, measured) if m.size != size]
-        require(
-            not resized,
-            "message size drifted from a recount of its fields",
-            TreeInvariantError,
-            (nid, resized),
-        )
-        total = sum(measured)
-        require(
-            node.buffer_bytes == total,
-            "buffer_bytes drifted from the summed message sizes",
-            TreeInvariantError,
-            (nid, node.buffer_bytes, total),
-        )
-        points: Dict[bytes, list] = {}
-        for msg in node.buffer:
-            if not msg.is_range:
-                points.setdefault(msg.key, []).append(msg)
-        require(
-            node.point_index == points
-            and node.range_msgs == [m for m in node.buffer if m.is_range]
-            and (node._sorted_keys is None or node._sorted_keys == sorted(points)),
-            "buffer index out of sync with the buffer",
-            TreeInvariantError,
-            (nid, len(node.point_index), len(node.range_msgs), len(node.buffer)),
-        )
-        for msg in node.buffer:
-            require(
-                msg.msn <= node.msn_max,
-                "buffered message newer than the node's msn_max",
-                TreeInvariantError,
-                (nid, msg.msn, node.msn_max),
-            )
-
-    def check_leaf(self, tree: "BeTree", leaf: "LeafNode") -> None:
-        nid = leaf.node_id
-        require(
-            leaf.height == 0,
-            "leaf node with internal height",
-            TreeInvariantError,
-            nid,
-        )
-        require(
-            len(leaf.basements) >= 1,
-            "leaf with no basements",
-            TreeInvariantError,
-            nid,
-        )
-        prev_last: Optional[bytes] = None
-        for basement in leaf.basements:
-            if not basement.loaded:
-                first = basement.stub_first_key
-                if first is not None:
-                    if prev_last is not None:
-                        require(
-                            prev_last < first,
-                            "basements out of order across a stub",
-                            TreeInvariantError,
-                            (nid, prev_last, first),
-                        )
-                    prev_last = first
-                continue
-            require(
-                len(basement.keys)
-                == len(basement.values)
-                == len(basement.msns),
-                "basement column lengths disagree",
-                TreeInvariantError,
-                nid,
-            )
-            for i in range(1, len(basement.keys)):
-                require(
-                    basement.keys[i - 1] < basement.keys[i],
-                    "basement keys not strictly increasing",
-                    TreeInvariantError,
-                    (nid, i),
-                )
-            expected = sum(
-                basement.pair_size(k, v) for k, v in basement.items()
-            )
-            require(
-                basement.nbytes == expected,
-                "basement nbytes drifted from the summed pair sizes",
-                TreeInvariantError,
-                (nid, basement.nbytes, expected),
-            )
-            if basement.keys:
-                if prev_last is not None:
-                    require(
-                        prev_last < basement.keys[0],
-                        "basements overlap or are out of order",
-                        TreeInvariantError,
-                        (nid, prev_last, basement.keys[0]),
-                    )
-                prev_last = basement.keys[-1]
-
-    def check_routing(
+    def check_node(
         self,
         tree: "BeTree",
         node: "Node",
-        lo: Optional[bytes],
-        hi: Optional[bytes],
+        lo: Optional[bytes] = None,
+        hi: Optional[bytes] = None,
     ) -> None:
-        """Every key held by ``node`` must lie in its routing range
-        ``[lo, hi)`` (the range its parent assigns it)."""
-        from repro.core.keys import in_range
-        from repro.core.node import InternalNode, LeafNode
-
-        nid = node.node_id
-        if isinstance(node, LeafNode):
-            for basement in node.basements:
-                if not basement.loaded:
-                    continue
-                for key in (
-                    basement.keys[:1] + basement.keys[-1:]
-                    if basement.keys
-                    else []
-                ):
-                    require(
-                        in_range(key, lo, hi),
-                        "leaf key outside its routing range",
-                        TreeInvariantError,
-                        (nid, key, lo, hi),
-                    )
-        elif isinstance(node, InternalNode):
-            for pivot in node.pivots:
-                require(
-                    in_range(pivot, lo, hi),
-                    "pivot outside the node's routing range",
-                    TreeInvariantError,
-                    (nid, pivot, lo, hi),
-                )
-            for key in node.point_index:
-                require(
-                    in_range(key, lo, hi),
-                    "buffered point message outside the routing range",
-                    TreeInvariantError,
-                    (nid, key, lo, hi),
-                )
-            for rng in node.range_msgs:
-                require(
-                    rng.touches(lo, hi),
-                    "buffered range message outside the routing range",
-                    TreeInvariantError,
-                    (nid, rng.start, rng.end, lo, hi),
-                )
+        """The node invariants (:func:`~repro.check.invariants.node_faults`)
+        with ``node`` routed ``[lo, hi)``, plus the fanout slack, which
+        needs the live config."""
+        _raise_first(
+            (f"{tree.file_name}: {f}" for f in node_faults(node, lo, hi)),
+            TreeInvariantError,
+        )
+        if isinstance(node, InternalNode):
+            require(
+                len(node.children) <= FANOUT_SLACK * self.cfg.fanout + FANOUT_PAD,
+                "internal node width far beyond fanout (split not converging)",
+                TreeInvariantError,
+                (node.node_id, len(node.children), self.cfg.fanout),
+            )
 
     # Hook: end of one flush batch (parent -> child).
     def on_flush(
@@ -334,11 +172,11 @@ class SanitizerSuite:
         idx: int,
         child: "Node",
     ) -> None:
-        self.check_internal(tree, parent)
-        self.check_node(tree, child)
+        self.check_node(tree, parent)
+        lo = hi = None
         if idx < len(parent.children) and parent.children[idx] == child.node_id:
             lo, hi = parent.child_range(idx)
-            self.check_routing(tree, child, lo, hi)
+        self.check_node(tree, child, lo, hi)
 
     # Hook: after any split (leaf, internal, or root).
     def on_split(
@@ -349,12 +187,10 @@ class SanitizerSuite:
         pivot: bytes,
         parent: Optional["InternalNode"] = None,
     ) -> None:
-        self.check_node(tree, left)
-        self.check_node(tree, right)
-        self.check_routing(tree, left, None, pivot)
-        self.check_routing(tree, right, pivot, None)
+        self.check_node(tree, left, None, pivot)
+        self.check_node(tree, right, pivot, None)
         if parent is not None:
-            self.check_internal(tree, parent)
+            self.check_node(tree, parent)
 
     # Hook: node about to be serialized and persisted.
     def on_write_node(self, tree: "BeTree", node: "Node") -> None:
@@ -424,32 +260,11 @@ class SanitizerSuite:
             CostInvariantError,
             stats.busy_time,
         )
-        ftl = device.ftl
-        if ftl is not None:
-            require(
-                ftl.valid_pages() == ftl.mapped_pages(),
-                "FTL valid-page conservation violated",
+        if device.ftl is not None:
+            _raise_first(
+                (f"ftl: {f}" for f in ftl_faults(device.store, device.ftl)),
                 AllocInvariantError,
-                (ftl.valid_pages(), ftl.mapped_pages()),
             )
-            self._check_ftl_divergence(device)
-
-    def _check_ftl_divergence(self, device) -> None:
-        """Every page fully covered by stored extents must be mapped:
-        the extent store is the functional model, the FTL the
-        accounting model, and they must describe the same bytes."""
-        ftl = device.ftl
-        page = ftl.geom.page_size
-        for off, data in device.store.snapshot():
-            first = (off + page - 1) // page
-            last = (off + len(data)) // page  # exclusive
-            for lpn in range(first, last):
-                require(
-                    lpn in ftl.map,
-                    "stored page missing from the FTL map (divergence)",
-                    AllocInvariantError,
-                    (lpn, off, len(data)),
-                )
 
     # Hook: after every environment operation.
     def on_post_op(self) -> None:
@@ -483,42 +298,10 @@ class SanitizerSuite:
         self._live_bufs.discard(buf.buf_id)
 
     def check_blockman(self, tree: "BeTree") -> None:
-        """Node translation table and free lists: in bounds, aligned,
-        and mutually non-overlapping."""
-        bm = tree.blockman
-        spans: List[Tuple[int, int, str]] = []
-        for node_id, (off, ln) in bm.table.items():
-            require(
-                0 <= off and off + ln <= bm.file_size,
-                "table extent out of file bounds",
-                AllocInvariantError,
-                (tree.file_name, node_id, off, ln),
-            )
-            require(
-                ln > 0,
-                "empty table extent",
-                AllocInvariantError,
-                (tree.file_name, node_id),
-            )
-            spans.append((off, bm._align(ln), f"node:{node_id}"))
-        for off, ln in bm.free_list:
-            require(
-                0 <= off and off + ln <= bm.file_size,
-                "free-list extent out of file bounds",
-                AllocInvariantError,
-                (tree.file_name, off, ln),
-            )
-            spans.append((off, ln, "free"))
-        spans.sort()
-        for i in range(1, len(spans)):
-            p_off, p_len, p_what = spans[i - 1]
-            c_off, _c_len, c_what = spans[i]
-            require(
-                p_off + p_len <= c_off,
-                "overlapping extents (double allocation or double free)",
-                AllocInvariantError,
-                (tree.file_name, (p_what, p_off, p_len), (c_what, c_off)),
-            )
+        _raise_first(
+            (f"{tree.file_name}: {f}" for f in blockman_faults(tree.blockman)),
+            AllocInvariantError,
+        )
 
     # ------------------------------------------------------------------
     # Cache sanitizer
@@ -567,7 +350,7 @@ class SanitizerSuite:
     def check_cache_ledger(cache) -> None:
         """The node cache's books against a full recount.  Only a node
         handed out since the last fit may differ from its recorded
-        size, so right after a fit the ledger is ``memory_used()``; what
+        size, so right after a fit the ledger is the summed node sizes; what
         a node keeps for ``nbytes()`` — a leaf's pair bytes, an internal
         node's pivot bytes — is recounted from what it holds here, never
         trusted."""

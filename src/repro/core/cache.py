@@ -91,11 +91,6 @@ class NodeCache:
         node = self._nodes.pop(node_id)[0]
         self._used -= (self._internals if node.height else self._leaves).pop(node_id)
 
-    def memory_used(self) -> int:
-        """Cached bytes recomputed from scratch: the oracle the ledger
-        (``_used``) is checked against, not what eviction reads."""
-        return sum(node.nbytes() for node, _ in self._nodes.values())
-
     def owner_of(self, node_id: int) -> Optional[object]:
         entry = self._nodes.get(node_id)
         return entry[1] if entry else None

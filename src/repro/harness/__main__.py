@@ -127,21 +127,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="bench: diff against the committed benchmarks/baseline.json "
-        "and exit non-zero on regression (the CI perf gate)",
-    )
-    parser.add_argument(
-        "--bless",
-        action="store_true",
-        help="bench: rewrite the baseline's section for this scale from "
-        "this run (see DESIGN.md for the re-bless policy)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="BASELINE_JSON",
-        help="bench: baseline file (default: the committed "
-        "benchmarks/baseline.json)",
+        help="bench: compare with the committed BENCH_<scale>.json and exit "
+        "non-zero on any simulated difference (the CI perf gate; wall and "
+        "memory ratios are printed as advisory lines)",
     )
     parser.add_argument(
         "--profile",
@@ -372,16 +360,17 @@ def _run_mt(args) -> int:
 
 
 def _run_bench(args) -> int:
-    """``python -m repro.harness bench [--check] [--bless] [--out DIR]``.
+    """``python -m repro.harness bench [--check] [--out DIR]``.
 
     Runs the deterministic benchmark suite (see
     :mod:`repro.harness.bench`), prints the schema-versioned summary
     JSON on stdout, optionally writes ``BENCH_<scale>.json`` under
-    ``--out``, and with ``--check`` diffs against the committed
-    baseline — exit 1 on regression.
+    ``--out`` (``--out .`` re-blesses the committed file), and with
+    ``--check`` compares with the committed ``BENCH_<scale>.json`` —
+    exit 1 on any simulated difference.
     """
     from repro.harness.bench import (
-        bless_baseline,
+        advisory_ratios,
         check_against_baseline,
         load_baseline,
         profile_workloads,
@@ -399,6 +388,18 @@ def _run_bench(args) -> int:
             f"workloads={args.workloads or 'all'}",
             file=sys.stderr,
         )
+    if args.check:
+        # Read before the run: ``--out .`` would overwrite it.
+        try:
+            committed = load_baseline(scale.name)
+        except FileNotFoundError:
+            print(
+                f"bench --check: no committed BENCH_{scale.name}.json — write "
+                f"one with `python -m repro.harness bench --scale {scale.name} "
+                "--out .`",
+                file=sys.stderr,
+            )
+            return 2
     summary = run_bench(
         scale=scale,
         reps=args.reps,
@@ -417,27 +418,17 @@ def _run_bench(args) -> int:
                 with open(folded, "w", encoding="utf-8") as fh:
                     fh.write(prof.collapsed())
                 print(f"collapsed stacks written to {folded}", file=sys.stderr)
-    if args.bless:
-        path = bless_baseline(summary, args.baseline)
-        print(f"baseline blessed at {path}", file=sys.stderr)
     if args.check:
-        try:
-            baseline = load_baseline(args.baseline)
-        except FileNotFoundError:
-            print(
-                "bench --check: no committed baseline found — run "
-                "`python -m repro.harness bench --bless` first",
-                file=sys.stderr,
-            )
-            return 2
-        failures = check_against_baseline(summary, baseline)
+        for line in advisory_ratios(summary, committed):
+            print(f"bench --check (advisory): {line}", file=sys.stderr)
+        failures = check_against_baseline(summary, committed)
         for failure in failures:
-            print(f"PERF REGRESSION: {failure}", file=sys.stderr)
+            print(f"BENCH MISMATCH: {failure}", file=sys.stderr)
         if failures:
             return 1
         print(
-            f"bench --check: {len(summary['workloads'])} workload(s) "
-            "within baseline tolerances",
+            f"bench --check: {len(summary['workloads'])} workload(s) match "
+            f"the committed BENCH_{scale.name}.json",
             file=sys.stderr,
         )
     return 0

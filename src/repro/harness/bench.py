@@ -17,11 +17,11 @@ which the test suite asserts.  Peak memory comes from a dedicated
 :mod:`tracemalloc` rep so allocation tracking never pollutes the timed
 reps.
 
-``bench --check`` diffs the summary against the committed
-``benchmarks/baseline.json`` with per-workload tolerances and exits
-non-zero on regression — the CI perf gate.  ``bench --bless`` rewrites
-the baseline's section for the current scale (see DESIGN.md,
-"Performance observability", for when re-blessing is legitimate).
+``bench --check`` compares the summary with the committed
+``BENCH_<scale>.json`` at the repository root and exits non-zero on any
+simulated difference — the CI perf gate; wall and memory ratios are
+printed as advisory lines.  Re-blessing is ``bench --scale <s> --out .``
+(see DESIGN.md, "Performance observability").
 
 All wall-clock reads go through :mod:`repro.obs.prof`, the package's
 single lint-sanctioned wall-clock provider.
@@ -52,20 +52,6 @@ SCHEMA = {"name": "repro-bench", "version": 1}
 VOLATILE_KEYS = frozenset(
     {"wall_seconds", "ops_per_wall_second", "peak_mem_bytes"}
 )
-
-#: Regression tolerances — the one place the numbers are set: what
-#: ``--bless`` writes into a new baseline file and what a baseline that
-#: names none is held to.  Generous on wall time because CI runners are
-#: noisy and differently provisioned than wherever the baseline was
-#: blessed; tight on simulated time because it is machine-independent —
-#: sim drift means the *simulation* changed, which requires a
-#: deliberate re-bless.
-DEFAULT_TOLERANCES: Dict[str, float] = {
-    "wall_ratio": 3.0,
-    "mem_ratio": 3.0,
-    "sim_rel": 1e-6,
-}
-
 
 @dataclass(frozen=True)
 class BenchWorkload:
@@ -274,123 +260,77 @@ def write_artifact(summary: Dict[str, Any], out_dir: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Baseline gate
+# Gate against the committed trajectory
 # ----------------------------------------------------------------------
-def default_baseline_path() -> str:
-    """``benchmarks/baseline.json`` at the repository root (committed)."""
-    here = os.path.abspath(__file__)  # …/src/repro/harness/bench.py
-    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(here))))
-    return os.path.join(root, "benchmarks", "baseline.json")
+#: Where the committed ``BENCH_<scale>.json`` files live.
+REPO_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+)
 
 
-def load_baseline(path: Optional[str] = None) -> Dict[str, Any]:
-    with open(path or default_baseline_path(), encoding="utf-8") as fh:
+def load_baseline(scale_name: str) -> Dict[str, Any]:
+    """The committed ``BENCH_<scale>.json``."""
+    path = os.path.join(REPO_ROOT, artifact_name(scale_by_name(scale_name)))
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def baseline_entry(summary: Dict[str, Any]) -> Dict[str, Any]:
-    """The blessed (baseline) form of one run's summary: medians only."""
-    workloads = {}
-    for name, entry in sorted(summary["workloads"].items()):
-        blessed = {
-            "wall_seconds_median": entry["wall_seconds"]["median"],
-            "simulated_seconds": entry["simulated_seconds"],
-            "ops": entry["ops"],
-        }
-        if "peak_mem_bytes" in entry:
-            blessed["peak_mem_bytes"] = entry["peak_mem_bytes"]
-        workloads[name] = blessed
-    return {"reps": summary["reps"], "workloads": workloads}
-
-
-def bless_baseline(
-    summary: Dict[str, Any], path: Optional[str] = None
-) -> str:
-    """Write/merge this run into the baseline file's scale section."""
-    path = path or default_baseline_path()
-    baseline: Dict[str, Any] = {"schema": dict(SCHEMA), "scales": {}}
-    if os.path.exists(path):
-        baseline = load_baseline(path)
-        baseline.setdefault("scales", {})
-    baseline["schema"] = dict(SCHEMA)
-    baseline.setdefault("tolerances", {"default": dict(DEFAULT_TOLERANCES)})
-    baseline["scales"][summary["scale"]] = baseline_entry(summary)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(baseline))
-    return path
-
-
-def _tolerances_for(baseline: Dict[str, Any], workload: str) -> Dict[str, float]:
-    tols = dict(DEFAULT_TOLERANCES)
-    declared = baseline.get("tolerances", {})
-    tols.update(declared.get("default", {}))
-    tols.update(declared.get(workload, {}))
-    return tols
-
-
 def check_against_baseline(
-    summary: Dict[str, Any], baseline: Dict[str, Any]
+    summary: Dict[str, Any], committed: Dict[str, Any]
 ) -> List[str]:
-    """Regression failures of ``summary`` vs ``baseline`` (empty = pass).
+    """How ``summary`` differs from the committed file (empty = pass).
 
-    Per workload: median wall time within ``wall_ratio`` × baseline,
-    peak memory within ``mem_ratio`` ×, simulated seconds within
-    ``sim_rel`` (relative — sim time is machine-independent, so drift
-    here means the simulation itself changed: re-bless deliberately or
-    fix the regression), and op counts exactly equal.
+    Simulated time is machine-independent, so the gate is exact, as
+    ``benchmarks/check_exact.py`` is: the same workload set, per
+    workload the same simulated seconds to the last bit and the same op
+    count, and every rep of this run on one simulated trajectory.
     """
-    failures: List[str] = []
-    scales = baseline.get("scales", {})
-    base = scales.get(summary["scale"])
-    if base is None:
+    if committed.get("scale") != summary["scale"]:
         return [
-            f"baseline has no section for scale {summary['scale']!r} "
-            f"(known: {sorted(scales)}); run bench --bless to create one"
+            f"committed BENCH file has no section for scale {summary['scale']!r} "
+            f"(it holds {committed.get('scale')!r})"
         ]
-    base_workloads = base.get("workloads", {})
-    for name in sorted(set(base_workloads) | set(summary["workloads"])):
-        blessed = base_workloads.get(name)
+    failures: List[str] = []
+    blessed_set = committed["workloads"]
+    for name in sorted(set(blessed_set) | set(summary["workloads"])):
+        blessed = blessed_set.get(name)
         entry = summary["workloads"].get(name)
         if blessed is None:
-            failures.append(
-                f"{name}: not in the committed baseline — bench --bless it"
-            )
+            failures.append(f"{name}: not in the committed BENCH file")
             continue
         if entry is None:
-            failures.append(f"{name}: in the baseline but missing from this run")
+            failures.append(f"{name}: in the committed BENCH file but missing from this run")
             continue
-        tols = _tolerances_for(baseline, name)
-        wall = entry["wall_seconds"]["median"]
-        budget = blessed["wall_seconds_median"] * tols["wall_ratio"]
-        if wall > budget:
-            failures.append(
-                f"{name}: wall regression — median {wall:.3f}s exceeds "
-                f"{budget:.3f}s ({blessed['wall_seconds_median']:.3f}s baseline "
-                f"x{tols['wall_ratio']:g} tolerance)"
-            )
-        if not entry.get("sim_deterministic", True):
+        if not entry["sim_deterministic"]:
             failures.append(f"{name}: simulated results differ across reps")
         sim, base_sim = entry["simulated_seconds"], blessed["simulated_seconds"]
-        if abs(sim - base_sim) > tols["sim_rel"] * max(abs(base_sim), 1e-12):
+        if sim != base_sim:
             failures.append(
-                f"{name}: simulated-time drift — {sim!r} vs baseline "
-                f"{base_sim!r} (sim time is machine-independent; a change "
-                "means the simulation changed — re-bless if intended)"
+                f"{name}: simulated-time drift — {sim!r} vs committed {base_sim!r} "
+                "(a change means the simulation changed — re-bless if intended)"
             )
         if entry["ops"] != blessed["ops"]:
             failures.append(
-                f"{name}: op count {entry['ops']} != baseline {blessed['ops']}"
+                f"{name}: op count {entry['ops']} != committed {blessed['ops']}"
             )
-        mem, base_mem = entry.get("peak_mem_bytes"), blessed.get("peak_mem_bytes")
-        if mem is not None and base_mem:
-            mem_budget = base_mem * tols["mem_ratio"]
-            if mem > mem_budget:
-                failures.append(
-                    f"{name}: peak-memory regression — {mem} bytes exceeds "
-                    f"{int(mem_budget)} ({base_mem} baseline "
-                    f"x{tols['mem_ratio']:g} tolerance)"
-                )
     return failures
+
+
+def advisory_ratios(
+    summary: Dict[str, Any], committed: Dict[str, Any]
+) -> List[str]:
+    """Median wall time and peak memory of this run over the committed
+    ones, per workload.  Printed, never a failure: host time on another
+    machine is noise, and a ratio loose enough to absorb it cannot see
+    the change it would guard."""
+    lines = []
+    for name, entry in sorted(summary["workloads"].items()):
+        blessed = committed["workloads"].get(name)
+        if blessed is None:
+            continue
+        wall = entry["wall_seconds"]["median"] / blessed["wall_seconds"]["median"]
+        line = f"{name}: wall x{wall:.2f}"
+        if "peak_mem_bytes" in entry and blessed.get("peak_mem_bytes"):
+            line += f", peak memory x{entry['peak_mem_bytes'] / blessed['peak_mem_bytes']:.2f}"
+        lines.append(line)
+    return lines

@@ -77,6 +77,12 @@ class TestNodeCache:
         assert [(o, n.node_id) for o, n in cache.dirty_nodes()] == [("o1", 1)]
 
 
+def memory_used(cache):
+    """Cached bytes recomputed from scratch: the oracle the ledger
+    (``_used``) is checked against, not what eviction reads."""
+    return sum(node.nbytes() for node, _ in cache._nodes.values())
+
+
 class ReferenceCache(NodeCache):
     """``evict_to_fit`` as it was before the cache kept books: re-sum
     every node, rebuild both id lists, walk leaves then internals."""
@@ -84,7 +90,7 @@ class ReferenceCache(NodeCache):
     def evict_to_fit(self, writer, on_evict=None):
         if not self._nodes:
             return
-        used = self.memory_used()
+        used = memory_used(self)
         if used <= self.budget:
             return
         leaf_ids = [nid for nid, (n, _o) in self._nodes.items() if n.is_leaf]
@@ -131,7 +137,7 @@ def spy_on_fits(cache, log):
 
         fit(write, evict)
         if type(cache) is NodeCache:
-            assert cache._used == cache.memory_used() == recorded_bytes(cache)
+            assert cache._used == memory_used(cache) == recorded_bytes(cache)
             assert cache._used == recounted_bytes(cache)
             assert not cache._touched
 
@@ -262,7 +268,7 @@ class TestNodeCacheLedger:
         leaves[7].apply(Insert(b"more", b"y" * 50, msn=99), 1 << 20)
         cache.evict_to_fit(lambda o, n: None)
         assert Ledger.writes == [7]
-        assert cache._used == cache.memory_used() == recounted_bytes(cache)
+        assert cache._used == memory_used(cache) == recounted_bytes(cache)
 
     def test_put_replacing_a_leaf_by_an_internal_node_moves_lists(self):
         cache = NodeCache(1 << 20)
@@ -271,7 +277,7 @@ class TestNodeCacheLedger:
         cache.put(InternalNode(1, height=1), owner=None)
         cache.evict_to_fit(lambda o, n: None)
         assert list(cache._internals) == [1] and not cache._leaves
-        assert cache._used == cache.memory_used()
+        assert cache._used == memory_used(cache)
 
 
 class TestPageCache:

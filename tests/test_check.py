@@ -13,7 +13,9 @@ from repro.check.errors import (
     TreeInvariantError,
 )
 from repro.check.fsck import fsck_device, load_image, save_image
+from repro.core.checkpoint import EXTENT_ALIGN
 from repro.core.env import DATA, META
+from repro.core.keys import intersect
 from repro.core.messages import Insert, RangeDelete
 from tests.conftest import LAYOUT, make_env, reopen, small_cfg
 
@@ -437,3 +439,167 @@ class TestFsck:
         path = str(tmp_path / "crash.img")
         save_image(device.crash_image(), path, log_size=8 * MIB, meta_size=64 * MIB)
         assert harness_main(["fsck", path, "--quiet"]) == 0
+
+
+# ======================================================================
+# One corruption table, both checkers
+# ======================================================================
+def _grown(sanitize: bool):
+    """A height-2 META tree, checkpointed; returns ``(env, device)``."""
+    env, device = make_env(small_cfg(sanitize=sanitize))
+    for i in range(500):
+        env.insert(META, b"k%06d" % i, b"v" * 40)
+    env.checkpoint()
+    return env, device
+
+
+def _routed(tree, height: int):
+    """``(parent, idx, node, lo, hi)``: a node of ``height`` below the
+    root, reached through last children (so its routing range ``[lo,
+    hi)`` has a lower bound to fall outside of)."""
+    node, lo, hi, parent = tree._load_node(tree.root_id), None, None, None
+    while node.height > height or parent is None:
+        idx = len(node.children) - 1
+        lo, hi = intersect(*node.child_range(idx), lo, hi)
+        parent, node = node, tree._load_node(node.children[idx])
+    assert lo is not None
+    return parent, idx, node, lo, hi
+
+
+def _reverse_pivots(node):
+    assert len(node.pivots) >= 2
+    node.pivots.reverse()
+
+
+def _duplicate_child(node):
+    node.children[1] = node.children[0]
+
+
+def _pivot_below_range(node):
+    node.pivots[0] = b"\x00" * len(node.pivots[0])
+
+
+def _buffer_point_below_range(node):
+    node.enqueue(Insert(b"\x00outside", b"v", 1))
+
+
+def _buffer_range_below_range(node):
+    node.enqueue(RangeDelete(b"\x00a", b"\x00b", 1))
+
+
+def _swap_basement_keys(leaf):
+    keys = leaf.basements[0].keys
+    keys[0], keys[1] = keys[1], keys[0]
+
+
+def _overlap_basements(leaf):
+    leaf.basements[1].keys[0] = leaf.basements[0].keys[-1]
+
+
+def _leaf_key_below_range(leaf):
+    keys = leaf.basements[0].keys
+    keys[0] = b"\x00" * len(keys[0])
+
+
+def _in_node(height, damage):
+    """Damage a node of ``height`` below the root; the sanitizer sees it
+    through the flush hook, which knows the range its parent routes."""
+
+    def apply(env, _device):
+        parent, idx, node, _lo, _hi = _routed(env.meta, height)
+        damage(node)
+        node.dirty = True
+        return node.node_id, lambda: env.san.on_flush(env.meta, parent, idx, node)
+
+    return apply
+
+
+def _alias_extents(env, _device):
+    table = env.meta.blockman.table
+    first, second = sorted(table)[:2]
+    table[first] = table[second]
+    return first, lambda: env.san.check_blockman(env.meta)
+
+
+def _extent_past_file_size(env, _device):
+    blockman = env.meta.blockman
+    node_id = max(blockman.table)
+    blockman.table[node_id] = (blockman.file_size - EXTENT_ALIGN, 2 * EXTENT_ALIGN)
+    return node_id, lambda: env.san.check_blockman(env.meta)
+
+
+def _unmap_a_stored_page(env, device):
+    """TRIM one page the extent store still holds: the map loses it and
+    valid-page conservation still holds."""
+    page = device.ftl.geom.page_size
+    lpn = next(
+        lpn
+        for off, data in device.store.snapshot()
+        for lpn in range(-(-off // page), (off + len(data)) // page)
+    )
+    unmapped = device.ftl.trim(lpn * page, page)
+    assert unmapped == 1
+    return None, lambda: env.san.check_device(device)
+
+
+#: defect -> (the sanitizer's typed error, damage(env, device) -> (the
+#: node fsck must name or None for the FTL, the sanitizer's check)).
+#: The buffered point row is an ``Insert(b"\x00outside", ...)`` in a
+#: height-1 node that owns ``[b"k000240", None)``.
+DEFECTS = {
+    "disordered pivots": (TreeInvariantError, _in_node(1, _reverse_pivots)),
+    "duplicate child": (TreeInvariantError, _in_node(1, _duplicate_child)),
+    "pivot outside its range": (TreeInvariantError, _in_node(1, _pivot_below_range)),
+    "buffered point message outside its range": (
+        TreeInvariantError,
+        _in_node(1, _buffer_point_below_range),
+    ),
+    "buffered range message outside its range": (
+        TreeInvariantError,
+        _in_node(1, _buffer_range_below_range),
+    ),
+    "basement keys out of order": (TreeInvariantError, _in_node(0, _swap_basement_keys)),
+    "overlapping basements": (TreeInvariantError, _in_node(0, _overlap_basements)),
+    "leaf key outside its range": (TreeInvariantError, _in_node(0, _leaf_key_below_range)),
+    "overlapping table extents": (AllocInvariantError, _alias_extents),
+    "an extent past file_size": (AllocInvariantError, _extent_past_file_size),
+    "a stored page missing from the FTL map": (AllocInvariantError, _unmap_a_stored_page),
+}
+
+
+def _fsck_after(apply):
+    """The defect written through a sanitizer-off checkpoint (every CRC
+    valid), then fsck'd: ``(report, the node it must name)``."""
+    env, device = _grown(sanitize=False)
+    named, _check = apply(env, device)
+    env.checkpoint()
+    image = device.crash_image()
+    return fsck_device(image, LAYOUT.log_size, LAYOUT.meta_size), named
+
+
+class TestOneStatementTwoCheckers:
+    """Each structural invariant is stated once
+    (:mod:`repro.check.invariants`): the sanitizer raises the first
+    violation on a live structure, fsck reports every one in a crash
+    image, naming the tree and the node."""
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_sanitizer_raises_what_fsck_reports(self, defect):
+        error, apply = DEFECTS[defect]
+        env, device = _grown(sanitize=True)
+        _named, check = apply(env, device)
+        with pytest.raises(error) as raised:
+            check()
+        report, _named = _fsck_after(apply)
+        assert str(raised.value) in report.errors, (str(raised.value), report.errors)
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_fsck_names_the_tree_and_node(self, defect):
+        report, named = _fsck_after(DEFECTS[defect][1])
+        if named is None:
+            assert any(e.startswith("ftl: ") for e in report.errors), report.errors
+        else:
+            assert any(
+                e.startswith("meta.db: ") and f"node {named} " in e
+                for e in report.errors
+            ), report.errors

@@ -7,7 +7,7 @@ from repro.core.messages import PageFrame, value_bytes
 from repro.device.block import BlockDevice
 from repro.device.clock import SimClock
 from repro.model.profiles import COMMODITY_SSD
-from tests.conftest import LAYOUT, make_env, reopen, small_cfg
+from tests.conftest import LAYOUT, make_env, recounted_node_bytes, reopen, small_cfg
 
 
 class TestCheckpointRecovery:
@@ -162,5 +162,6 @@ class TestHousekeeping:
         env, device = make_env(cfg)
         for i in range(4000):
             env.insert(META, b"key%05d" % i, b"value" * 10)
-        assert env.cache.memory_used() <= cfg.cache_bytes * 1.5
+        cached = sum(recounted_node_bytes(n) for n, _o in env.cache._nodes.values())
+        assert cached <= cfg.cache_bytes * 1.5
         assert env.cache.evictions > 0
