@@ -1,7 +1,7 @@
 """Per-file-system model parameters for the baselines.
 
 Each constant is calibrated against Table 1 of the paper (details in
-EXPERIMENTS.md).  The parameters capture the *design class* of each
+results/EXPERIMENTS.md).  The parameters capture the *design class* of each
 file system:
 
 * ``ext4`` / ``xfs`` — update-in-place, extent-based, metadata journal

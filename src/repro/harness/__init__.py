@@ -3,7 +3,12 @@
 * ``python -m repro.harness table1`` — Table 1 (file-system comparison)
 * ``python -m repro.harness table3`` — Table 3 (per-optimization rows)
 * ``python -m repro.harness fig2``   — Figures 2a-2h (applications)
-* ``python -m repro.harness all``    — everything, written to results/
+* ``python -m repro.harness all``    — table3 + fig2, and with ``--out``
+  ``results.json`` + ``EXPERIMENTS.md`` (``--out results/``)
+
+plus ``hdd``, ``ftl``, ``stats``, ``fsck``, ``torture``, ``bench`` and
+``mt``.  Each target accepts only the options its row of
+``repro.harness.__main__.TARGETS`` names (``<target> --help``).
 """
 
 from repro.harness.runner import make_mount, run_microbenches, run_micro

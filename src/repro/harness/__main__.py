@@ -1,10 +1,16 @@
-"""CLI: regenerate the paper's tables and figures.
+"""CLI: regenerate the paper's tables and figures, and run the tools.
 
-Examples::
+One subcommand per target, each accepting only the options it reads
+(``python -m repro.harness <target> --help`` lists them)::
 
     python -m repro.harness table3
     python -m repro.harness fig2 --figures fig2c fig2d
     python -m repro.harness all --out results/
+    python -m repro.harness fsck crash.img
+
+The paper targets (table1, table3, fig2, hdd, all, ftl) install an
+observability session only when ``--metrics-out`` or ``--trace-out``
+asks for one; otherwise each mount's scope dies with its mount.
 """
 
 from __future__ import annotations
@@ -14,291 +20,242 @@ import json
 import os
 import sys
 
+from repro.harness.bench import scale_by_name
 from repro.harness.figures import FIGURES, render_figures, run_figures
-from repro.harness.paperdata import PAPER_TABLE3
-from repro.obs import Observability, session
+from repro.obs import Observability, current, session
 from repro.obs.prof import Stopwatch
 from repro.harness.report import render_experiments_md, write_results_json
 from repro.harness.runner import (
-    FIG2_SYSTEMS,
     TABLE1_SYSTEMS,
     TABLE3_SYSTEMS,
     run_hdd_context,
     run_microbenches,
 )
 from repro.harness.tables import render_vs_paper
-from repro.workloads.scale import DEFAULT_SCALE, SMOKE_SCALE
+from repro.workloads.scale import SMOKE_SCALE
+
+#: Every option, declared once; a target row names the ones it reads.
+OPTIONS = {
+    "image": dict(
+        nargs="?",
+        help="device image file (written with repro.check.fsck.save_image); "
+        "omit to fsck a freshly-built smoke image",
+    ),
+    "--scale": dict(
+        choices=["default", "smoke"],
+        default="default",
+        help="workload scale (smoke is for quick checks)",
+    ),
+    "--figures": dict(nargs="*", choices=sorted(FIGURES), help="subset of Figure 2 panels"),
+    "--systems": dict(nargs="*", help="subset of file systems to run"),
+    "--out": dict(
+        help="directory for results.json (all: + EXPERIMENTS.md; bench: BENCH_<scale>.json)"
+    ),
+    "--metrics-out": dict(
+        metavar="METRICS_JSON",
+        help="write per-mount metrics (counters, latency percentiles) as JSON after the run",
+    ),
+    "--trace-out": dict(
+        metavar="TRACE_JSON",
+        help="record spans and write a Chrome trace_event JSON "
+        "(chrome://tracing / Perfetto) after the run",
+    ),
+    "--seed": dict(
+        type=int,
+        default=0,
+        help="root RNG seed (every derived stream is integer-keyed off it; "
+        "same seed = bit-identical summary)",
+    ),
+    "--budget": dict(
+        type=int, default=200, help="crash states to explore, split across the workloads"
+    ),
+    "--torture-out": dict(
+        metavar="REPRO_JSON",
+        help="where the shrunk repro file goes if a violation is found "
+        "(default: crashmc-repro.json)",
+    ),
+    "--reps": dict(type=int, default=3, help="timed repetitions per workload"),
+    "--check": dict(
+        action="store_true",
+        help="compare with the committed BENCH_<scale>.json and exit non-zero on any "
+        "simulated difference (the CI perf gate; wall and memory ratios are printed "
+        "as advisory lines)",
+    ),
+    "--profile": dict(
+        action="store_true",
+        help="run one extra profiled rep per workload and print the per-layer "
+        "wall-time attribution (repro.obs.prof); with --out, also writes "
+        "collapsed-stack PROF_*.folded files",
+    ),
+    "--workloads": dict(nargs="*", help="subset of bench workloads to run"),
+    "--sessions": dict(type=int, default=8, help="number of concurrent client sessions"),
+    "--policy": dict(
+        choices=["fifo", "rr", "lottery"],
+        default="fifo",
+        help="scheduling policy (see repro.sched.policy)",
+    ),
+    "--ops-per-session": dict(
+        type=int,
+        default=0,
+        help="ops per session (0 = split the scale's sequential op count across the sessions)",
+    ),
+    "--shards": dict(
+        type=int,
+        default=0,
+        help="partition the namespace over N Bε-tree volumes (repro.shard); "
+        "0 = the plain unsharded mount",
+    ),
+    "--shard-mode": dict(
+        choices=["hash", "range"],
+        default="hash",
+        help="shard-map partitioning mode (hash = crc32 of the parent directory; "
+        "range = lexicographic boundaries)",
+    ),
+    "--workload": dict(
+        choices=["mailserver_mt", "webserver_mt"],
+        default="mailserver_mt",
+        help="which multi-tenant workload to drive",
+    ),
+    "--verify-lock-graph": dict(
+        action="store_true",
+        help="cross-check every observed lock acquisition order against the "
+        "repro.check.conc static lock graph (exit 1 on an uncovered pair)",
+    ),
+    "--verify-order-graph": dict(
+        action="store_true",
+        help="cross-check every observed (effect, barrier) ordering against the "
+        "repro.check.durflow static order graph (exit 1 on an uncovered pair)",
+    ),
+    "--quiet": dict(action="store_true", help="no progress output"),
+}
+
+_EXPORTS = ("--metrics-out", "--trace-out", "--quiet")
+_TABLES = ("--scale", "--systems", "--out") + _EXPORTS
+_FIGURES = _TABLES + ("--figures",)
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse a command line; ``args.run(args)`` runs it."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Reproduce the evaluation of BetrFS v0.6 (EuroSys '22)",
     )
-    parser.add_argument(
-        "target",
-        choices=[
-            "table1", "table3", "fig2", "hdd", "all", "stats", "ftl",
-            "fsck", "torture", "bench", "mt",
-        ],
-        help="which artifact to regenerate (hdd = the prior-work "
-        "'compleat on an HDD' context for BetrFS v0.4; stats = run a "
-        "workload and print the per-layer observability tables plus "
-        "the sim-vs-wall overhead map; ftl = age a tiny flash device "
-        "and report WA / GC-pause / erase telemetry; fsck = check a "
-        "saved device image, see repro.check.fsck; torture = "
-        "systematic crash-state exploration, see repro.crashmc; "
-        "bench = wall-clock benchmark suite emitting BENCH_*.json, "
-        "see repro.harness.bench; mt = a multi-tenant workload "
-        "(mailserver or webserver, optionally sharded over N volumes "
-        "with --shards) under the deterministic session scheduler, "
-        "see repro.sched and repro.shard — "
-        "prints a byte-diffable JSON summary with per-session latency "
-        "percentiles and fairness gauges)",
-    )
-    parser.add_argument(
-        "image",
-        nargs="?",
-        default=None,
-        help="device image file for the fsck target (written with "
-        "repro.check.fsck.save_image); omit to fsck a freshly-built "
-        "smoke image",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=["default", "smoke"],
-        default="default",
-        help="workload scale (smoke is for quick checks)",
-    )
-    parser.add_argument(
-        "--figures",
-        nargs="*",
-        choices=sorted(FIGURES),
-        help="subset of figures for the fig2 target",
-    )
-    parser.add_argument(
-        "--systems", nargs="*", help="subset of file systems to run"
-    )
-    parser.add_argument(
-        "--out", default=None, help="directory for results JSON / EXPERIMENTS.md"
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="METRICS_JSON",
-        help="write per-mount metrics (counters, latency percentiles) "
-        "as JSON after the run",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="TRACE_JSON",
-        help="record spans and write a Chrome trace_event JSON "
-        "(chrome://tracing / Perfetto) after the run",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="root RNG seed for the torture target (every derived "
-        "stream is integer-keyed off it; same seed = bit-identical "
-        "summary)",
-    )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=200,
-        help="crash states to explore for the torture target, split "
-        "across the workloads",
-    )
-    parser.add_argument(
-        "--torture-out",
-        default=None,
-        metavar="REPRO_JSON",
-        help="where the torture target writes the shrunk repro file "
-        "if a violation is found (default: crashmc-repro.json)",
-    )
-    parser.add_argument(
-        "--reps",
-        type=int,
-        default=3,
-        help="timed repetitions per workload for the bench target",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="bench: compare with the committed BENCH_<scale>.json and exit "
-        "non-zero on any simulated difference (the CI perf gate; wall and "
-        "memory ratios are printed as advisory lines)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="bench: run one extra profiled rep per workload and print "
-        "the per-layer wall-time attribution (repro.obs.prof); with "
-        "--out, also writes collapsed-stack PROF_*.folded files",
-    )
-    parser.add_argument(
-        "--workloads",
-        nargs="*",
-        default=None,
-        help="bench: subset of bench workloads to run",
-    )
-    parser.add_argument(
-        "--sessions",
-        type=int,
-        default=8,
-        help="mt: number of concurrent client sessions",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=["fifo", "rr", "lottery"],
-        default="fifo",
-        help="mt: scheduling policy (see repro.sched.policy)",
-    )
-    parser.add_argument(
-        "--ops-per-session",
-        type=int,
-        default=0,
-        help="mt: ops per session (0 = split the scale's sequential "
-        "op count across the sessions)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="mt: partition the namespace over N Bε-tree volumes "
-        "(repro.shard); 0 = the plain unsharded mount",
-    )
-    parser.add_argument(
-        "--shard-mode",
-        choices=["hash", "range"],
-        default="hash",
-        help="mt: shard-map partitioning mode (hash = crc32 of the "
-        "parent directory; range = lexicographic boundaries)",
-    )
-    parser.add_argument(
-        "--workload",
-        choices=["mailserver_mt", "webserver_mt"],
-        default="mailserver_mt",
-        help="mt: which multi-tenant workload to drive",
-    )
-    parser.add_argument(
-        "--verify-lock-graph",
-        action="store_true",
-        help="mt: cross-check every observed lock acquisition order "
-        "against the repro.check.conc static lock graph (exit 1 on "
-        "an uncovered pair)",
-    )
-    parser.add_argument(
-        "--verify-order-graph",
-        action="store_true",
-        help="torture: cross-check every observed (effect, barrier) "
-        "ordering against the repro.check.durflow static order graph "
-        "(exit 1 on an uncovered pair)",
-    )
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    targets = parser.add_subparsers(dest="target", required=True, metavar="target")
+    for name, (help_, options, run) in TARGETS.items():
+        sub = targets.add_parser(name, help=help_, description=help_)
+        for option in options:
+            sub.add_argument(option, **OPTIONS[option])
+        sub.set_defaults(run=run)
+    return parser.parse_args(argv)
 
-    if args.target == "mt":
-        if args.image is not None:
-            parser.error("an image argument is only valid for the fsck target")
-        return _run_mt(args)
 
-    if args.target == "bench":
-        if args.image is not None:
-            parser.error("an image argument is only valid for the fsck target")
-        return _run_bench(args)
-    if args.target == "fsck":
-        return _run_fsck(args.image, verbose=not args.quiet)
-    if args.target == "torture":
-        if args.image is not None:
-            parser.error("an image argument is only valid for the fsck target")
-        return _run_torture(
-            seed=args.seed,
-            budget=args.budget,
-            repro_out=args.torture_out or "crashmc-repro.json",
-            metrics_out=args.metrics_out,
-            verbose=not args.quiet,
-            verify_order=args.verify_order_graph,
-        )
-    if args.image is not None:
-        parser.error("an image argument is only valid for the fsck target")
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    return args.run(args)
 
-    scale = DEFAULT_SCALE if args.scale == "default" else SMOKE_SCALE
-    verbose = not args.quiet
-    # Monotonic wall timer via the sanctioned provider — time.time()
-    # can step backwards across clock adjustments.
-    watch = Stopwatch()
-    tables = {}
-    figures = {}
 
-    # The stats target always records dual-clock spans so it can print
-    # the per-layer sim-vs-wall overhead map alongside the stats table.
-    wall_profiling = args.target == "stats"
-    obs = Observability(
-        tracing=args.trace_out is not None or wall_profiling,
-        wall=wall_profiling,
-    )
-    with session(obs):
-        if args.target in ("table1", "table3", "all"):
-            systems = args.systems or (
-                TABLE1_SYSTEMS if args.target == "table1" else TABLE3_SYSTEMS
-            )
-            tables = run_microbenches(systems, scale, verbose=verbose)
-            print(render_vs_paper(tables, list(tables), f"{args.target}: measured (paper)"))
-        if args.target == "hdd":
-            rows = run_hdd_context(systems=args.systems, scale=scale, verbose=verbose)
-            print(
-                render_vs_paper(
-                    rows, list(rows), "HDD context: measured (paper SSD values for reference)"
-                )
-            )
-            tables = rows
-        if args.target in ("fig2", "all"):
-            figures = run_figures(
-                figures=args.figures, systems=args.systems, scale=scale, verbose=verbose
-            )
-            print(render_figures(figures))
-        if args.target == "ftl":
-            from repro.harness.ftl import run_ftl_smoke
+def _paper(produce, experiments_md: bool = False, wall: bool = False):
+    """The runner of a paper target: ``produce(args, scale, verbose) ->
+    (tables, figures)``, then the exports and the ``--out`` files.
 
-            systems = args.systems or ["BetrFS v0.6"]
-            tables = {
-                name: run_ftl_smoke(scale=scale, system=name, verbose=verbose)
-                for name in systems
-            }
-            print(json.dumps(tables, indent=1))
-        if args.target == "stats":
-            # Run a representative workload (default: the tar figure)
-            # and print the per-layer observability tables.
-            figures = run_figures(
-                figures=args.figures or ["fig2a"],
-                systems=args.systems,
-                scale=scale,
-                verbose=verbose,
-            )
-            print(obs.render_stats())
-            print()
-            print(obs.render_overhead())
+    An observability session exists only when an export asks for one,
+    or ``wall`` (dual-clock spans, which ``stats`` prints): a session
+    keeps every mount it saw alive until the export, and observers are
+    pure, so the results are the same without one.
+    """
 
+    def run(args) -> int:
+        # Monotonic wall timer via the sanctioned provider — time.time()
+        # can step backwards across clock adjustments.
+        watch = Stopwatch()
+        scale = scale_by_name(args.scale)
+        obs = None
+        if wall or args.metrics_out or args.trace_out:
+            obs = Observability(tracing=args.trace_out is not None, wall=wall)
+        with session(obs):
+            tables, figures = produce(args, scale, not args.quiet)
+        _write_exports(obs, args)
+        out = getattr(args, "out", None)
+        if out:
+            os.makedirs(out, exist_ok=True)
+            write_results_json(os.path.join(out, "results.json"), tables, figures)
+            if experiments_md:
+                with open(os.path.join(out, "EXPERIMENTS.md"), "w") as fh:
+                    fh.write(render_experiments_md(tables, figures, scale.name))
+            print(f"results written to {out}/")
+        print(f"total wall time: {watch.elapsed:.1f}s", file=sys.stderr)
+        return 0
+
+    return run
+
+
+def _write_exports(obs, args) -> None:
     if args.metrics_out:
         obs.write_metrics(args.metrics_out)
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
-    if args.trace_out:
+    if getattr(args, "trace_out", None):
         obs.write_trace(args.trace_out)
         print(f"trace written to {args.trace_out}", file=sys.stderr)
 
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_results_json(
-            os.path.join(args.out, "results.json"), tables, figures
+
+def _microbenches(args, scale, verbose, default_systems):
+    tables = run_microbenches(args.systems or default_systems, scale, verbose=verbose)
+    print(render_vs_paper(tables, list(tables), f"{args.target}: measured (paper)"))
+    return tables
+
+
+def _figures(args, scale, verbose):
+    figures = run_figures(figures=args.figures, systems=args.systems, scale=scale, verbose=verbose)
+    print(render_figures(figures))
+    return figures
+
+
+def _hdd(args, scale, verbose):
+    rows = run_hdd_context(systems=args.systems, scale=scale, verbose=verbose)
+    title = "HDD context: measured (paper SSD values for reference)"
+    print(render_vs_paper(rows, list(rows), title))
+    return rows, {}
+
+
+def _ftl(args, scale, verbose):
+    from repro.harness.ftl import run_ftl_smoke
+
+    tables = {
+        name: run_ftl_smoke(scale=scale, system=name, verbose=verbose)
+        for name in args.systems or ["BetrFS v0.6"]
+    }
+    print(json.dumps(tables, indent=1))
+    return tables, {}
+
+
+def _stats(args, scale, verbose):
+    """Run a representative workload (default: the tar figure) and print
+    the session's per-layer tables plus the sim-vs-wall overhead map."""
+    figures = args.figures or ["fig2a"]
+    run_figures(figures=figures, systems=args.systems, scale=scale, verbose=verbose)
+    print(current().render_stats())
+    print()
+    print(current().render_overhead())
+    return {}, {}
+
+
+def _check_coverage(target, graph_name, pair_name, kind, observed, graph) -> int:
+    """Exit code 1 if a pair observed at runtime is absent from the
+    static graph; verification speaks only on stderr."""
+    uncovered = [(a, b) for a, b in observed if not graph.covers(a, b)]
+    for a, b in uncovered:
+        print(
+            f"{target}: {pair_name} {a!r} -> {b!r} observed at runtime but "
+            f"absent from the static {graph_name} graph",
+            file=sys.stderr,
         )
-        if args.target == "all":
-            with open(os.path.join(args.out, "EXPERIMENTS.md"), "w") as fh:
-                fh.write(render_experiments_md(tables, figures, scale.name))
-        print(f"results written to {args.out}/")
-    print(f"total wall time: {watch.elapsed:.1f}s", file=sys.stderr)
+    if uncovered:
+        return 1
+    print(
+        f"{target}: {graph_name} graph verified — {len(observed)} observed "
+        f"{kind} all covered statically",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -313,11 +270,10 @@ def _run_mt(args) -> int:
     """
     from repro.harness.mt import render_fairness, run_mt, to_json
 
-    scale = DEFAULT_SCALE if args.scale == "default" else SMOKE_SCALE
     obs = Observability()
     with session(obs):
         summary = run_mt(
-            scale,
+            scale_by_name(args.scale),
             sessions=args.sessions,
             seed=args.seed,
             policy=args.policy,
@@ -331,30 +287,13 @@ def _run_mt(args) -> int:
     if not args.quiet:
         print(stats, file=sys.stderr)
         print(render_fairness(summary), file=sys.stderr)
-    if args.metrics_out:
-        obs.write_metrics(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}", file=sys.stderr)
+    _write_exports(obs, args)
     if args.verify_lock_graph:
         from repro.check import conc
 
-        graph = conc.analyze().lock_graph
-        uncovered = [
-            (held, acquired)
-            for held, acquired in summary["lock_order"]
-            if not graph.covers(held, acquired)
-        ]
-        if uncovered:
-            for held, acquired in uncovered:
-                print(
-                    f"mt: lock order {held!r} -> {acquired!r} observed at "
-                    "runtime but absent from the static lock graph",
-                    file=sys.stderr,
-                )
-            return 1
-        print(
-            f"mt: lock graph verified — {len(summary['lock_order'])} "
-            "observed acquisition order(s) all covered statically",
-            file=sys.stderr,
+        return _check_coverage(
+            "mt", "lock", "lock order", "acquisition order(s)",
+            summary["lock_order"], conc.analyze().lock_graph,
         )
     return 0
 
@@ -375,7 +314,6 @@ def _run_bench(args) -> int:
         load_baseline,
         profile_workloads,
         run_bench,
-        scale_by_name,
         to_json,
         write_artifact,
     )
@@ -434,7 +372,7 @@ def _run_bench(args) -> int:
     return 0
 
 
-def _run_fsck(image_path, verbose: bool = True) -> int:
+def _run_fsck(args) -> int:
     """``python -m repro.harness fsck [image]``.
 
     With an image path: check a file written by
@@ -444,8 +382,8 @@ def _run_fsck(image_path, verbose: bool = True) -> int:
     """
     from repro.check.fsck import fsck_mount, load_image
 
-    if image_path is not None:
-        report = load_image(image_path).fsck()
+    if args.image is not None:
+        report = load_image(args.image).fsck()
     else:
         from repro.betrfs.filesystem import make_betrfs
         from repro.workloads.tokubench import tokubench
@@ -454,26 +392,19 @@ def _run_fsck(image_path, verbose: bool = True) -> int:
         tokubench(fs, SMOKE_SCALE)
         fs.sync()
         report = fsck_mount(fs)
-    if verbose or not report.ok:
+    if not args.quiet or not report.ok:
         print(report.render())
     return 0 if report.ok else 1
 
 
-def _run_torture(
-    seed: int,
-    budget: int,
-    repro_out: str,
-    metrics_out=None,
-    verbose: bool = True,
-    verify_order: bool = False,
-) -> int:
+def _run_torture(args) -> int:
     """``python -m repro.harness torture --seed N --budget M``.
 
     Runs the :class:`repro.crashmc.CrashExplorer` over the registered
     workloads and prints the summary as deterministic JSON on stdout —
     no wall time, sorted keys — so CI can diff two fixed-seed runs
     byte-for-byte.  On a violation the first (already shrunk) failing
-    schedule is written to ``repro_out`` and the exit code is 1.
+    schedule is written to ``--torture-out`` and the exit code is 1.
 
     With ``--verify-order-graph``, a pure-observer order recorder
     rides on every live stack's device and the observed (effect,
@@ -485,30 +416,24 @@ def _run_torture(
     from repro.crashmc import CrashExplorer
     from repro.crashmc.shrink import repro_dict, save_repro
 
+    repro_out = args.torture_out or "crashmc-repro.json"
     order_log = None
-    if verify_order:
+    if args.verify_order_graph:
         from repro.check.order import OrderLog
 
         order_log = OrderLog()
     obs = Observability()
     with session(obs):
-        explorer = CrashExplorer(seed=seed, budget=budget, order_log=order_log)
-        summary = explorer.run()
+        summary = CrashExplorer(seed=args.seed, budget=args.budget, order_log=order_log).run()
     print(json.dumps(summary.to_dict(), indent=1, sort_keys=True))
-    if metrics_out:
-        obs.write_metrics(metrics_out)
-        print(f"metrics written to {metrics_out}", file=sys.stderr)
+    _write_exports(obs, args)
     if summary.violations:
         first = summary.failures[0]
         save_repro(
             repro_out,
             repro_dict(
-                first.workload,
-                seed,
-                first.op_index,
-                first.shrunk,
-                stage=first.stage,
-                detail=first.detail,
+                first.workload, args.seed, first.op_index, first.shrunk,
+                stage=first.stage, detail=first.detail,
             ),
         )
         print(
@@ -525,33 +450,89 @@ def _run_torture(
     if order_log is not None:
         from repro.check import durflow
 
-        graph = durflow.analyze().order_graph
-        observed = order_log.observed()
-        uncovered = [
-            (effect, barrier)
-            for effect, barrier in observed
-            if not graph.covers(effect, barrier)
-        ]
-        if uncovered:
-            for effect, barrier in uncovered:
-                print(
-                    f"torture: ordering {effect!r} -> {barrier!r} observed "
-                    "at runtime but absent from the static order graph",
-                    file=sys.stderr,
-                )
+        if _check_coverage(
+            "torture", "order", "ordering", "(effect, barrier) ordering(s)",
+            order_log.observed(), durflow.analyze().order_graph,
+        ):
             return 1
-        print(
-            f"torture: order graph verified — {len(observed)} observed "
-            "(effect, barrier) ordering(s) all covered statically",
-            file=sys.stderr,
-        )
-    if verbose:
+    if not args.quiet:
         print(
             f"torture: {summary.cases} crash states across "
             f"{len(summary.workloads)} workloads, no violations",
             file=sys.stderr,
         )
     return 0
+
+
+#: target -> (one-line help, the options it reads, runner(args) -> exit code)
+TARGETS = {
+    "table1": (
+        "Table 1: the file-system comparison",
+        _TABLES,
+        _paper(lambda a, s, v: (_microbenches(a, s, v, TABLE1_SYSTEMS), {})),
+    ),
+    "table3": (
+        "Table 3: the per-optimization rows",
+        _TABLES,
+        _paper(lambda a, s, v: (_microbenches(a, s, v, TABLE3_SYSTEMS), {})),
+    ),
+    "fig2": (
+        "Figures 2a-2h: the application benchmarks",
+        _FIGURES,
+        _paper(lambda a, s, v: ({}, _figures(a, s, v))),
+    ),
+    "hdd": (
+        "the prior-work 'compleat on an HDD' context for BetrFS v0.4",
+        _TABLES,
+        _paper(_hdd),
+    ),
+    "all": (
+        "table3 + fig2, with EXPERIMENTS.md under --out",
+        _FIGURES,
+        _paper(
+            lambda a, s, v: (_microbenches(a, s, v, TABLE3_SYSTEMS), _figures(a, s, v)),
+            experiments_md=True,
+        ),
+    ),
+    "ftl": (
+        "age a tiny flash device and report WA / GC-pause / erase telemetry",
+        ("--scale", "--systems") + _EXPORTS,
+        _paper(_ftl),
+    ),
+    "stats": (
+        "run a workload and print the per-layer observability tables "
+        "plus the sim-vs-wall overhead map",
+        ("--scale", "--figures", "--systems") + _EXPORTS,
+        _paper(_stats, wall=True),
+    ),
+    "fsck": (
+        "check a saved device image (see repro.check.fsck)",
+        ("image", "--quiet"),
+        _run_fsck,
+    ),
+    "torture": (
+        "systematic crash-state exploration (see repro.crashmc)",
+        ("--seed", "--budget", "--torture-out", "--metrics-out", "--quiet",
+         "--verify-order-graph"),
+        _run_torture,
+    ),
+    "bench": (
+        "wall-clock benchmark suite emitting BENCH_<scale>.json "
+        "(see repro.harness.bench)",
+        ("--scale", "--reps", "--check", "--profile", "--workloads", "--out",
+         "--quiet"),
+        _run_bench,
+    ),
+    "mt": (
+        "a multi-tenant workload under the deterministic session scheduler, "
+        "optionally sharded (see repro.sched, repro.shard); prints a "
+        "byte-diffable JSON summary",
+        ("--scale", "--sessions", "--seed", "--policy", "--ops-per-session",
+         "--shards", "--shard-mode", "--workload", "--metrics-out", "--quiet",
+         "--verify-lock-graph"),
+        _run_mt,
+    ),
+}
 
 
 if __name__ == "__main__":

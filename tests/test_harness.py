@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shlex
 
 import pytest
 
@@ -126,3 +127,136 @@ class TestCLI:
         assert "ext4" in out
         data = json.loads((tmp_path / "results.json").read_text())
         assert "ext4" in data["tables"]
+
+
+#: Every documented ``python -m repro.harness`` command line (README.md,
+#: DESIGN.md, the CI workflow; placeholders such as ``<image>`` or ``N``
+#: filled in), with the values it must parse to.
+DOC_COMMAND_LINES = [
+    ("table1", {}),
+    ("table3", {}),
+    ("fig2", {}),
+    ("hdd", {}),
+    ("hdd --scale smoke --quiet", {"scale": "smoke", "quiet": True}),
+    ("all --out results/", {"out": "results/", "scale": "default", "metrics_out": None}),
+    ("all --scale default --out DIR", {"out": "DIR", "trace_out": None}),
+    ("ftl", {"systems": None}),
+    ("ftl --scale smoke --quiet", {"scale": "smoke", "quiet": True}),
+    ("fsck", {"image": None, "quiet": False}),
+    ("fsck --quiet", {"image": None, "quiet": True}),
+    ("fsck crash.img", {"image": "crash.img"}),
+    ("stats", {"scale": "default", "figures": None}),
+    ('stats --scale smoke --systems "BetrFS v0.6"', {"systems": ["BetrFS v0.6"]}),
+    (
+        'stats --scale smoke --systems "BetrFS v0.6" --quiet '
+        "--metrics-out metrics.json --trace-out trace.json",
+        {"metrics_out": "metrics.json", "trace_out": "trace.json", "quiet": True},
+    ),
+    (
+        'stats --scale smoke --systems "BetrFS v0.6" ext4 --quiet '
+        "--metrics-out m.json --trace-out t.json",
+        {"systems": ["BetrFS v0.6", "ext4"], "metrics_out": "m.json"},
+    ),
+    ("fig2 --figures fig2a", {"figures": ["fig2a"]}),
+    ("fig2 --figures fig2c fig2d", {"figures": ["fig2c", "fig2d"]}),
+    ("fig2 --figures fig2a --scale smoke --quiet", {"figures": ["fig2a"], "scale": "smoke"}),
+    (
+        "fig2 --figures fig2a --metrics-out metrics.json --trace-out trace.json",
+        {"metrics_out": "metrics.json", "trace_out": "trace.json"},
+    ),
+    ("bench", {"reps": 3, "check": False, "workloads": None, "out": None}),
+    ("bench --scale smoke --reps 3 --out results/", {"out": "results/"}),
+    ("bench --scale smoke --reps 3 --check", {"check": True, "reps": 3}),
+    ("bench --scale smoke --profile", {"profile": True}),
+    ("bench --scale smoke --check", {"check": True, "scale": "smoke"}),
+    ("bench --scale default --out .", {"scale": "default", "out": "."}),
+    (
+        "bench --scale smoke --reps 3 --quiet --check --out bench-results",
+        {"quiet": True, "check": True, "out": "bench-results"},
+    ),
+    ("mt", {"scale": "default", "seed": 0, "sessions": 8, "shards": 0}),
+    (
+        "mt --scale smoke --sessions 8 --verify-lock-graph",
+        {"sessions": 8, "verify_lock_graph": True, "policy": "fifo"},
+    ),
+    ("mt --scale smoke --sessions 8 --seed 7", {"seed": 7, "workload": "mailserver_mt"}),
+    ("mt --scale smoke --sessions 8 --seed 7 --shards 4", {"shards": 4, "shard_mode": "hash"}),
+    ("mt --scale smoke --sessions 8 --seed 7 --shards 8", {"shards": 8}),
+    (
+        "mt --scale smoke --sessions 8 --seed 7 --workload webserver_mt --shards 8",
+        {"workload": "webserver_mt", "shards": 8},
+    ),
+    (
+        "mt --scale smoke --sessions 8 --seed 7 --verify-lock-graph",
+        {"seed": 7, "verify_lock_graph": True},
+    ),
+    ("mt --scale smoke --sessions 8 --seed 7 --quiet", {"quiet": True, "verify_lock_graph": False}),
+    (
+        "mt --scale smoke --sessions 8 --seed 7 --shards 8 --verify-lock-graph",
+        {"shards": 8, "verify_lock_graph": True},
+    ),
+    ("mt --scale smoke --sessions 8 --seed 7 --shards 8 --quiet", {"shards": 8, "quiet": True}),
+    ("torture --seed 0 --budget 200", {"seed": 0, "budget": 200, "torture_out": None}),
+    (
+        "torture --seed 0 --budget 200 --verify-order-graph",
+        {"verify_order_graph": True},
+    ),
+    (
+        "torture --seed 7 --budget 500 --torture-out repro.json",
+        {"seed": 7, "budget": 500, "torture_out": "repro.json"},
+    ),
+    (
+        "torture --seed 0 --budget 200 --torture-out crashmc-repro.json --verify-order-graph",
+        {"torture_out": "crashmc-repro.json", "verify_order_graph": True},
+    ),
+    (
+        "torture --seed 0 --budget 200 --torture-out crashmc-repro.json",
+        {"torture_out": "crashmc-repro.json", "verify_order_graph": False},
+    ),
+]
+
+
+class TestSubcommands:
+    """Each target accepts exactly the options it reads."""
+
+    @pytest.mark.parametrize("line, expected", DOC_COMMAND_LINES)
+    def test_documented_command_line_parses(self, line, expected):
+        from repro.harness.__main__ import TARGETS, parse_args
+
+        args = parse_args(shlex.split(line))
+        target = line.split()[0]
+        assert args.target == target
+        assert args.run is TARGETS[target][2]
+        for key, value in expected.items():
+            assert getattr(args, key) == value, key
+
+    @pytest.mark.parametrize(
+        "target",
+        [None, "table1", "table3", "fig2", "hdd", "all", "stats", "ftl",
+         "fsck", "torture", "bench", "mt"],
+    )
+    def test_help_exits_zero(self, target, capsys):
+        from repro.harness.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([target, "--help"] if target else ["--help"])
+        assert exc.value.code == 0
+        assert "usage: python -m repro.harness" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "mt --trace-out t.json",
+            "bench --metrics-out m.json",
+            "table3 --sessions 4",
+            "torture --scale smoke",
+            "fsck --systems ext4",
+        ],
+    )
+    def test_flag_the_target_does_not_read_exits_2(self, line, capsys):
+        from repro.harness.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(line.split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
