@@ -20,6 +20,7 @@ from repro.betrfs.versions import BetrFSFeatures
 from repro.core.env import DATA, KVEnv, META
 from repro.core.keys import (
     data_key,
+    data_key_block,
     dir_children_prefix,
     dir_subtree_range,
     file_blocks_range,
@@ -256,11 +257,20 @@ class BetrFSNorthbound(FileSystemBackend):
     def _read_pages_impl(
         self, path: str, idx: int, count: int, seq_hint: bool
     ) -> List[PageFrame]:
+        if count == 1 and not seq_hint:
+            # A 4 KiB pread (Linux's readpage): one point query.
+            values = [self.env.get(DATA, data_key(path, idx))]
+        else:
+            # Anything larger is one range query, a cursor over the
+            # file's blocks; the hint makes it read leaves whole and
+            # prefetch the next (§3.2).  A block the tree lacks is a hole.
+            values = [None] * count
+            for key, value in self.env.range_query(
+                DATA, data_key(path, idx), data_key(path, idx + count), seq_hint=seq_hint
+            ):
+                values[data_key_block(key) - idx] = value
         out: List[PageFrame] = []
-        for i in range(count):
-            # seq_hint steers both the basement-vs-leaf read heuristic
-            # and (when tree_readahead is configured, §3.2) prefetch.
-            value = self.env.get(DATA, data_key(path, idx + i), seq_hint=seq_hint)
+        for value in values:
             if value is None:
                 out.append(PageFrame(b"\x00" * PAGE_SIZE))
             elif isinstance(value, PageFrame):

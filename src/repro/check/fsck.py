@@ -351,10 +351,12 @@ def _check_wal(
 ) -> None:
     if layout.log_size <= 0:
         return
-    raw = store.read(layout.log_base, layout.log_size)
     try:
         entries, _end = WriteAheadLog.scan(
-            raw, sb.log_head, sb.checkpoint_lsn + 1
+            lambda off, ln: store.read(layout.log_base + off, ln),
+            layout.log_size,
+            sb.log_head,
+            sb.checkpoint_lsn + 1,
         )
     except (struct.error, ValueError) as exc:
         report.error(f"log: scan failed ({exc})")

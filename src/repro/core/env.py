@@ -217,13 +217,17 @@ class KVEnv:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def get(self, tree_id: int, key: bytes, seq_hint: bool = False):
-        value = self.trees[tree_id].get(key, seq_hint=seq_hint)
+    def get(self, tree_id: int, key: bytes):
+        value = self.trees[tree_id].get(key)
         self._post_op()
         return value
 
-    def range_query(self, tree_id: int, start: bytes, end: bytes, limit=None):
-        result = self.trees[tree_id].range_query(start, end, limit=limit)
+    def range_query(
+        self, tree_id: int, start: bytes, end: bytes, limit=None, seq_hint=False
+    ):
+        result = self.trees[tree_id].range_query(
+            start, end, limit=limit, seq_hint=seq_hint
+        )
         self._post_op()
         return result
 
@@ -399,8 +403,12 @@ class KVEnv:
         return env
 
     def _replay_log(self, sb: Superblock) -> None:
-        raw = self.storage.read("log", 0, self.storage.file_size("log"))
-        entries, end = WriteAheadLog.scan(raw, sb.log_head, sb.checkpoint_lsn + 1)
+        entries, end = WriteAheadLog.scan(
+            lambda off, ln: self.storage.read("log", off, ln),
+            self.storage.file_size("log"),
+            sb.log_head,
+            sb.checkpoint_lsn + 1,
+        )
         last_lsn = sb.checkpoint_lsn
         for entry in entries:
             tree = self.trees[entry.tree_id]

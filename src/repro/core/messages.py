@@ -244,6 +244,16 @@ class Insert(PointMessage):
     def carried_frame(self) -> Optional[PageFrame]:
         return self.value if isinstance(self.value, PageFrame) else None
 
+    # A page value is the message's own copy (a copying-mode insert, or
+    # one decoded from a node buffer): the message holds its reference.
+    def retain(self) -> None:
+        if isinstance(self.value, PageFrame):
+            self.value.get()
+
+    def release(self) -> None:
+        if isinstance(self.value, PageFrame):
+            self.value.put()
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"Insert({self.key!r}, {value_len(self.value)}B, msn={self.msn})"
 

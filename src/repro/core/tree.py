@@ -190,22 +190,22 @@ class BeTree:
     # ==================================================================
     # Public read operations
     # ==================================================================
-    def get(self, key: bytes, seq_hint: bool = False) -> Optional[Value]:
-        """Point query; ``seq_hint`` enables tree-level read-ahead."""
+    def get(self, key: bytes) -> Optional[Value]:
+        """Point query (sequential reads are scans: :meth:`range_query`)."""
         if self._lat_query is None:
-            return self._get_impl(key, seq_hint)
+            return self._get_impl(key)
         t0 = self.clock.now
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             with tracer.span("tree.query", "tree") as sp:
-                value = self._get_impl(key, seq_hint)
+                value = self._get_impl(key)
                 sp.args["tree"] = self.file_name
         else:
-            value = self._get_impl(key, seq_hint)
+            value = self._get_impl(key)
         self._lat_query.observe(self.clock.now - t0)
         return value
 
-    def _get_impl(self, key: bytes, seq_hint: bool) -> Optional[Value]:
+    def _get_impl(self, key: bytes) -> Optional[Value]:
         """One pass from the root to the leaf.  Per level: the pivot
         search, the buffer probe (point and range messages sit in
         ordered structures, OMTs: a logarithmic search each plus one
@@ -219,7 +219,6 @@ class BeTree:
         cpu(costs.query_overhead)
         # Only the eager policy reads the leaf's key bounds.
         eager = not self.cfg.lazy_apply_on_query
-        readahead = seq_hint and self.cfg.tree_readahead
         path: List[InternalNode] = []
         pending: List[Message] = []
         bound_lo: Optional[bytes] = None
@@ -250,20 +249,14 @@ class BeTree:
             if node is None:
                 # A random read of a leaf needs one basement of it.
                 node = self._load_node_miss(
-                    child_id,
-                    None if seq_hint or parent.height > 1 else (key, key + b"\x00"),
+                    child_id, None if parent.height > 1 else (key, key + b"\x00")
                 )
-            if readahead and parent.height == 1:
-                # §3.2: while the caller consumes this leaf, prefetch
-                # the next one (issued *after* the current read so it
-                # queues behind it).
-                self._issue_leaf_readahead(parent, idx + 1)
         leaf = node
         if type(leaf) is not LeafNode:
             raise TreeInvariantError(
                 f"descent ended on a non-leaf node: {type(leaf).__name__!r}"
             )
-        basement = self._basement_for_query(leaf, key, seq_hint)
+        basement = self._basement_for_query(leaf, key)
         present, base, base_msn = basement.get_with_msn(key)
         n = len(basement.keys)
         cpu(costs.key_compare * (steps[n] if n < top else search_steps(n)))
@@ -287,12 +280,14 @@ class BeTree:
         start: bytes,
         end: bytes,
         limit: Optional[int] = None,
+        seq_hint: bool = False,
     ) -> List[Tuple[bytes, Value]]:
-        """All live key-value pairs in [start, end), in key order."""
+        """All live key-value pairs in [start, end), in key order;
+        ``seq_hint`` marks a sequential read (§3.2 read-ahead)."""
         self.stats.range_queries += 1
         self.clock.cpu(self.costs.query_overhead)
         results: List[Tuple[bytes, Value]] = []
-        self._scan(self.root_id, start, end, [], results, limit)
+        self._scan(self.root_id, start, end, [], results, limit, seq_hint)
         return results
 
     def empty_range(self, start: bytes, end: bytes) -> bool:
@@ -576,20 +571,12 @@ class BeTree:
             hi = leaf.basements[idx + 1].first_key()
         return lo, hi
 
-    def _basement_for_query(
-        self, leaf: LeafNode, key: bytes, seq_hint: bool
-    ) -> BasementNode:
+    def _basement_for_query(self, leaf: LeafNode, key: bytes) -> BasementNode:
         idx = leaf.basement_index_for(key)
         basement = leaf.basements[idx]
         if not basement.loaded:
             self._load_basements(leaf, idx, idx + 1)
             basement = leaf.basements[idx]
-        if seq_hint and self.cfg.tree_readahead:
-            # Prefetch the next basements of this leaf (cheap: they are
-            # usually already in the node extent read).
-            for nxt in (idx + 1, idx + 2):
-                if nxt < len(leaf.basements) and not leaf.basements[nxt].loaded:
-                    self._load_basements(leaf, nxt, nxt + 1)
         return basement
 
     # ------------------------------------------------------------------
@@ -722,6 +709,7 @@ class BeTree:
         pending: List[Message],
         results: List[Tuple[bytes, Value]],
         limit: Optional[int],
+        seq_hint: bool,
     ) -> None:
         node = self._load_node(node_id)
         if isinstance(node, LeafNode):
@@ -766,14 +754,18 @@ class BeTree:
             child_lo, child_hi = node.child_range(idx)
             lo, hi = intersect(start, end, child_lo, child_hi)
             if node.height == 1:
-                # Load the current leaf first — of one the scan covers
-                # in part, only the basements it covers — then queue the
-                # prefetch of the next one behind it (§3.2).
-                whole = (lo, hi) == (child_lo or b"", child_hi)
+                # Load the current leaf first — of one an unhinted scan
+                # covers in part, only the basements it covers — then
+                # queue the prefetch of the next one behind it (§3.2): a
+                # sequential reader reads leaves whole and will want the
+                # next one even past this scan's end.
+                whole = seq_hint or (lo, hi) == (child_lo or b"", child_hi)
                 self._load_node(node.children[idx], None if whole else (lo, hi))
-                if self.cfg.tree_readahead and idx + 1 <= hi_idx:
+                if self.cfg.tree_readahead and (seq_hint or idx + 1 <= hi_idx):
                     self._issue_leaf_readahead(node, idx + 1)
-            self._scan(node.children[idx], lo, hi, pending + relevant, results, limit)
+            self._scan(
+                node.children[idx], lo, hi, pending + relevant, results, limit, seq_hint
+            )
 
     def _scan_leaf(
         self,

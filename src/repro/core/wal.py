@@ -46,6 +46,9 @@ _KEY_HEAD = struct.Struct("<BH")  # tree_id, key_len
 _AUX_HEAD = struct.Struct("<IH")  # aux, aux2_len
 _U32 = struct.Struct("<I")  # value_len; the entry's trailing crc
 
+#: What recovery reads of the log region at a time (``scan``).
+SCAN_CHUNK = 1 << 20
+
 
 class LogEntry:
     """A decoded log entry."""
@@ -265,35 +268,57 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     @staticmethod
     def scan(
-        raw: bytes, start_offset: int, min_lsn: int
+        read: Callable[[int, int], bytes],
+        size: int,
+        start_offset: int,
+        min_lsn: int,
     ) -> Tuple[List[LogEntry], int]:
-        """Parse entries from a raw circular log image.
+        """Parse entries from a circular log region of ``size`` bytes,
+        ``read(offset, length)`` returning its bytes.
 
         Scans forward from ``start_offset`` (a checkpoint hint, §3.1),
         wrapping once, collecting entries with ``lsn >= min_lsn`` in
-        LSN order; stops at the first checksum or sequence break.
-        Returns ``(entries, end_offset)`` where ``end_offset`` is the
-        circular position just past the last valid entry.
+        LSN order; stops at the first checksum or sequence break.  The
+        region is read :data:`SCAN_CHUNK` bytes at a time (never across
+        its end) and only as far as the scan gets: recovery reads the
+        tail it replays, not the region.  Returns ``(entries,
+        end_offset)`` where ``end_offset`` is the circular position
+        just past the last valid entry.
         """
+        chunk = SCAN_CHUNK
         entries: List[LogEntry] = []
-        size = len(raw)
         if size == 0:
             return entries, start_offset
-        # Entries may physically straddle the wrap point; scan over a
-        # doubled image so every entry is contiguous.
-        doubled = raw + raw
-        pos = start_offset
+        # Positions run from ``start_offset`` to ``limit`` and wrap
+        # (``p % size``); ``window`` holds those from ``base`` on, so an
+        # entry straddling the wrap point is contiguous in it.
         limit = start_offset + size
+        window = bytearray()
+        base = pos = start_offset
+
+        def have(stop: int) -> bool:
+            """Make the window reach ``stop``; False past ``limit``."""
+            nonlocal base
+            if stop > limit:
+                return False
+            del window[: pos - base]
+            base = pos
+            while base + len(window) < stop:
+                at = base + len(window)
+                phys = at % size
+                window.extend(read(phys, min(chunk, size - phys, limit - at)))
+            return True
+
         expect: Optional[int] = None
-        while pos + _HEADER.size <= limit:
-            lsn, op, plen = _HEADER.unpack_from(doubled, pos)
+        while have(pos + _HEADER.size):
+            lsn, op, plen = _HEADER.unpack_from(window, 0)
             if lsn <= 0 or op < OP_INSERT or op > OP_CHECKPOINT or plen > size:
                 break
             end = pos + _HEADER.size + plen + 4
-            if end > limit:
+            if not have(end):
                 break
-            payload = doubled[pos + _HEADER.size : pos + _HEADER.size + plen]
-            (crc,) = _U32.unpack_from(doubled, pos + _HEADER.size + plen)
+            payload = bytes(window[_HEADER.size : _HEADER.size + plen])
+            (crc,) = _U32.unpack_from(window, _HEADER.size + plen)
             if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
                 break
             if expect is not None and lsn != expect:

@@ -6,6 +6,7 @@ One subcommand per target, each accepting only the options it reads
     python -m repro.harness table3
     python -m repro.harness fig2 --figures fig2c fig2d
     python -m repro.harness all --out results/
+    python -m repro.harness all --check
     python -m repro.harness fsck crash.img
 
 The paper targets (table1, table3, fig2, hdd, all, ftl) install an
@@ -19,12 +20,18 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
-from repro.harness.bench import scale_by_name
+from repro.harness.bench import REPO_ROOT, scale_by_name
 from repro.harness.figures import FIGURES, render_figures, run_figures
 from repro.obs import Observability, current, session
 from repro.obs.prof import Stopwatch
-from repro.harness.report import render_experiments_md, write_results_json
+from repro.harness.report import (
+    RESULT_FILES,
+    render_experiments_md,
+    results_differences,
+    write_results_json,
+)
 from repro.harness.runner import (
     TABLE1_SYSTEMS,
     TABLE3_SYSTEMS,
@@ -77,9 +84,11 @@ OPTIONS = {
     "--reps": dict(type=int, default=3, help="timed repetitions per workload"),
     "--check": dict(
         action="store_true",
-        help="compare with the committed BENCH_<scale>.json and exit non-zero on any "
-        "simulated difference (the CI perf gate; wall and memory ratios are printed "
-        "as advisory lines)",
+        help="compare with the committed artifact and exit non-zero on any difference "
+        "(all: regenerate into a temporary directory and byte-diff against "
+        "results/results.json and results/EXPERIMENTS.md, printing each differing "
+        "cell; bench: simulated results against BENCH_<scale>.json, wall and "
+        "memory ratios printed as advisory lines)",
     ),
     "--profile": dict(
         action="store_true",
@@ -129,6 +138,9 @@ OPTIONS = {
     "--quiet": dict(action="store_true", help="no progress output"),
 }
 
+#: The committed output of ``all --out results/`` (``all --check``).
+RESULTS_DIR = os.path.join(REPO_ROOT, "results")
+
 _EXPORTS = ("--metrics-out", "--trace-out", "--quiet")
 _TABLES = ("--scale", "--systems", "--out") + _EXPORTS
 _FIGURES = _TABLES + ("--figures",)
@@ -175,18 +187,48 @@ def _paper(produce, experiments_md: bool = False, wall: bool = False):
         with session(obs):
             tables, figures = produce(args, scale, not args.quiet)
         _write_exports(obs, args)
-        out = getattr(args, "out", None)
-        if out:
+
+        def write(out: str) -> None:
             os.makedirs(out, exist_ok=True)
             write_results_json(os.path.join(out, "results.json"), tables, figures)
             if experiments_md:
                 with open(os.path.join(out, "EXPERIMENTS.md"), "w") as fh:
                     fh.write(render_experiments_md(tables, figures, scale.name))
+
+        out = getattr(args, "out", None)
+        if out:
+            write(out)
             print(f"results written to {out}/")
+        status = 0
+        if getattr(args, "check", False):
+            with tempfile.TemporaryDirectory() as fresh:
+                write(fresh)
+                status = _check_results(results_differences(RESULTS_DIR, fresh))
         print(f"total wall time: {watch.elapsed:.1f}s", file=sys.stderr)
-        return 0
+        return status
 
     return run
+
+
+def _check_results(changes) -> int:
+    """``all --check``: each cell / line that differs from the committed
+    ``results/`` on stderr, exit code 1 if any does."""
+    for line in changes:
+        print(f"RESULTS MISMATCH: {line}", file=sys.stderr)
+    if changes:
+        print(
+            f"all --check: {len(changes)} difference(s) from the committed "
+            "results/ — regenerate with `all --out results/` and name the "
+            "cells that moved",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"all --check: {' and '.join(RESULT_FILES)} match the committed "
+        "results/ byte for byte",
+        file=sys.stderr,
+    )
+    return 0
 
 
 def _write_exports(obs, args) -> None:
@@ -487,8 +529,9 @@ TARGETS = {
         _paper(_hdd),
     ),
     "all": (
-        "table3 + fig2, with EXPERIMENTS.md under --out",
-        _FIGURES,
+        "table3 + fig2, with EXPERIMENTS.md under --out; --check diffs both "
+        "against the committed results/",
+        _FIGURES + ("--check",),
         _paper(
             lambda a, s, v: (_microbenches(a, s, v, TABLE3_SYSTEMS), _figures(a, s, v)),
             experiments_md=True,

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import difflib
 import json
 import os
-from typing import Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.harness.compleat import Classification, classify, column_best, is_compleat
 from repro.harness.paperdata import COLUMNS, HIGHER_IS_BETTER, PAPER_FIG2, PAPER_TABLE3
@@ -37,6 +38,58 @@ def write_results_json(path: str, tables: Dict, figures: Dict) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         json.dump({"tables": tables, "figures": figures}, fh, indent=2)
+
+
+#: What ``harness all --out DIR`` writes (and ``results/`` commits).
+RESULT_FILES = ("results.json", "EXPERIMENTS.md")
+
+
+def results_differences(committed: str, fresh: str) -> List[str]:
+    """How the :data:`RESULT_FILES` under directory ``fresh`` differ
+    from those under ``committed``: one line per changed
+    ``results.json`` cell and per changed ``EXPERIMENTS.md`` line
+    (empty = byte-identical)."""
+    lines: List[str] = []
+    for name in RESULT_FILES:
+        old, new = (_read_text(os.path.join(d, name)) for d in (committed, fresh))
+        if old == new:
+            continue
+        if old is None or new is None:
+            lines.append(f"{name}: {'not committed' if old is None else 'not written'}")
+        elif name.endswith(".json"):
+            cells = _cell_changes(json.loads(old), json.loads(new), name)
+            lines += cells or [f"{name}: same cells, different bytes"]
+        else:
+            diff = difflib.unified_diff(old.splitlines(), new.splitlines(), lineterm="", n=0)
+            lines += [
+                f"{name}: {line}"
+                for line in diff
+                if not line.startswith(("---", "+++", "@@"))
+            ]
+    return lines
+
+
+def _read_text(path: str) -> Optional[str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
+def _cell_changes(old: Any, new: Any, path: str) -> List[str]:
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [
+            line
+            for key in sorted(set(old) | set(new))
+            for line in _cell_changes(old.get(key), new.get(key), f"{path}/{key}")
+        ]
+    if old == new:
+        return []
+    moved = ""
+    if isinstance(old, (int, float)) and isinstance(new, (int, float)) and old:
+        moved = f" ({(new - old) / old:+.2%})"
+    return [f"{path}: {old!r} -> {new!r}{moved}"]
 
 
 def render_experiments_md(

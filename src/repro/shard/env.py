@@ -128,10 +128,8 @@ class ShardedEnv:
     def shard_of_key(self, key: bytes) -> int:
         return self.map.owner_of_key(key)
 
-    def get(self, tree_id: int, key: bytes, seq_hint: bool = False):
-        return self.envs[self.shard_of_key(key)].get(
-            tree_id, key, seq_hint=seq_hint
-        )
+    def get(self, tree_id: int, key: bytes):
+        return self.envs[self.shard_of_key(key)].get(tree_id, key)
 
     def insert(
         self,

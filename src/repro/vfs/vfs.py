@@ -513,7 +513,7 @@ class VFS:
                 continue
             if partial and cached is None and covers_existing:
                 # Read-modify-write of an existing block.
-                self._fill_page(path, idx, seq_hint=False, last_page=idx)
+                self._fill_page(path, idx, 1, seq_hint=False)
             self.pages.write(path, idx, page_off, chunk)
             pos += len(chunk)
         if stop > inode.stat.size:
@@ -542,17 +542,25 @@ class VFS:
         seq_hint = self._note_read(path, offset, length)
         if length >= 4 * PAGE_SIZE:
             seq_hint = True
-        last_page = (inode.stat.size - 1) // PAGE_SIZE
+        end = offset + length
+        # A miss asks the backend for every page this read still needs
+        # (synchronous read-ahead), a sequential one for the read-ahead
+        # window, which is never shorter; both stop at EOF like the
+        # kernel's: no page past ``i_size`` is asked for or cached.
+        if seq_hint:
+            want = (inode.stat.size - 1) // PAGE_SIZE
+        else:
+            want = (end - 1) // PAGE_SIZE
         out: List[bytes] = []
         pos = offset
-        end = offset + length
         while pos < end:
             idx = pos // PAGE_SIZE
             page_off = pos % PAGE_SIZE
             take = min(PAGE_SIZE - page_off, end - pos)
             page = self.pages.lookup(path, idx)
             if page is None:
-                page = self._fill_page(path, idx, seq_hint, last_page)
+                count = min(READAHEAD_MAX_PAGES, want - idx + 1)
+                page = self._fill_page(path, idx, count, seq_hint)
             out.append(page.frame.data[page_off : page_off + take])
             pos += take
         # Copy to the user buffer.
@@ -569,17 +577,9 @@ class VFS:
         self._read_streams[path] = (offset + length, streak)
         return streak >= 1
 
-    def _fill_page(self, path: str, idx: int, seq_hint: bool, last_page: int):
-        """Page-cache miss: pull pages from the backend (+read-ahead).
-
-        The read-ahead window stops at ``last_page``, the page holding
-        the file's last byte: like the kernel's, it never reads past
-        ``i_size``, so no backend is asked for — and the page cache
-        never holds — a block that cannot exist.
-        """
-        count = 1
-        if seq_hint:
-            count = min(READAHEAD_MAX_PAGES, last_page - idx + 1)
+    def _fill_page(self, path: str, idx: int, count: int, seq_hint: bool):
+        """Page-cache miss: pull ``count`` pages from ``idx`` on from the
+        backend in one request and return the page at ``idx``."""
         if self.block_signal is not None:
             self.block_signal.note("pagecache_miss")
         frames = self.backend.read_pages(path, idx, count, seq_hint)

@@ -128,6 +128,39 @@ class TestCLI:
         data = json.loads((tmp_path / "results.json").read_text())
         assert "ext4" in data["tables"]
 
+    def test_all_check_names_each_cell_that_moved(self, tmp_path, monkeypatch, capsys):
+        """``all --check`` regenerates into a temporary directory and
+        byte-diffs with the committed pair: exit 0 when identical, else
+        exit 1 with every differing results.json cell and EXPERIMENTS.md
+        line on stderr."""
+        import repro.harness.__main__ as cli
+
+        small = ["all", "--scale", "smoke", "--systems", "ext4", "--figures", "fig2a", "--quiet"]
+        committed = tmp_path / "results"
+        assert cli.main(small + ["--out", str(committed)]) == 0
+        monkeypatch.setattr(cli, "RESULTS_DIR", str(committed))
+        capsys.readouterr()
+        assert cli.main(small + ["--check"]) == 0
+        assert "match the committed results/ byte for byte" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results"]
+
+        data = json.loads((committed / "results.json").read_text())
+        grep = data["tables"]["ext4"]["grep"]
+        data["tables"]["ext4"]["grep"] = grep * 2
+        (committed / "results.json").write_text(json.dumps(data, indent=2))
+        md = (committed / "EXPERIMENTS.md").read_text()
+        (committed / "EXPERIMENTS.md").write_text(md.replace("ext4", "ext3", 1))
+        assert cli.main(small + ["--check"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        mismatches = [line for line in err if line.startswith("RESULTS MISMATCH: ")]
+        assert mismatches[0] == (
+            f"RESULTS MISMATCH: results.json/tables/ext4/grep: {grep * 2!r} -> {grep!r} (-50.00%)"
+        )
+        assert len(mismatches) == 3  # the cell, and the line out and in
+        assert mismatches[1].startswith("RESULTS MISMATCH: EXPERIMENTS.md: -")
+        assert mismatches[2].startswith("RESULTS MISMATCH: EXPERIMENTS.md: +")
+        assert "3 difference(s)" in err[-2]
+
 
 #: Every documented ``python -m repro.harness`` command line (README.md,
 #: DESIGN.md, the CI workflow; placeholders such as ``<image>`` or ``N``
@@ -213,6 +246,8 @@ DOC_COMMAND_LINES = [
         "torture --seed 0 --budget 200 --torture-out crashmc-repro.json",
         {"torture_out": "crashmc-repro.json", "verify_order_graph": False},
     ),
+    ("all --scale default --check --quiet", {"check": True, "out": None, "quiet": True}),
+    ("all --check", {"check": True, "scale": "default"}),
 ]
 
 
@@ -251,6 +286,7 @@ class TestSubcommands:
             "table3 --sessions 4",
             "torture --scale smoke",
             "fsck --systems ext4",
+            "fig2 --check",
         ],
     )
     def test_flag_the_target_does_not_read_exits_2(self, line, capsys):

@@ -200,10 +200,20 @@ class TestValueTransition:
         assert frame.refs == 3
         release_message(msg)
         assert frame.refs == 2
-        # A copied page (Insert of a frame) hands its one reference over.
+        # A copied page (Insert of a frame) is the message's own: the
+        # basement takes a reference, releasing the message drops its
+        # one, and the basement's is left — as a by-ref page's is.
         copy = PageFrame(b"c" * 4096)
-        basement.apply(Insert(b"c", copy, 6))
+        copied = Insert(b"c", copy, 6)
+        basement.apply(copied)
+        assert copy.refs == 2
+        release_message(copied)
         assert copy.refs == 1
+        # An insert dropped without reaching a leaf (PacMan, an evicted
+        # buffer) leaves no reference behind.
+        dropped = PageFrame(b"d" * 4096)
+        release_message(Insert(b"d", dropped, 7))
+        assert dropped.refs == 0
         assert Insert(b"c", copy, 6).carried_frame() is copy
         assert msg.carried_frame() is frame
         assert Insert(b"c", b"bytes", 6).carried_frame() is None

@@ -1,15 +1,19 @@
 """Tests for the BetrFS northbound layer (schema + optimizations)."""
 
+import random
+
 import pytest
 
 from repro.betrfs import make_betrfs
 from repro.betrfs.filesystem import MountOptions
 from repro.core.env import DATA, META
 from repro.core.keys import data_key, meta_key
-from repro.core.messages import value_bytes
+from repro.core.messages import PageFrame, value_bytes
+from repro.shard import make_sharded_betrfs
 from repro.vfs.inode import FileKind, Stat
 
 OPTS = MountOptions(scale=1 / 32)
+PAGE = 4096
 
 
 def mount(version="BetrFS v0.6"):
@@ -160,18 +164,28 @@ class TestRename:
 
 
 class TestTreeReadahead:
-    def test_cold_read_queries_only_the_blocks_the_file_has(self):
-        """Read-ahead stops at EOF: a cold read of a 5-block file is 5
-        point queries, not one per slot of the 32-page window."""
+    def test_cold_read_queries_only_the_blocks_the_file_has(self, monkeypatch):
+        """A cold read of a 5-block file is one range query over the
+        window read-ahead cut at EOF, and no point query: five blocks
+        come back, none past EOF is asked for."""
         fs = mount("BetrFS v0.6")
         v = fs.vfs
         v.create("/small")
         v.write("/small", 0, b"s" * (20 << 10))
         v.sync()
         fs.drop_caches()
-        before = fs.env.data.stats.queries
+        stats = fs.env.data.stats
+        before = (stats.queries, stats.range_queries)
+        scans = []
+        real = fs.env.range_query
+        monkeypatch.setattr(
+            fs.env, "range_query", lambda *a, **kw: scans.append(real(*a, **kw)) or scans[-1]
+        )
         assert v.read("/small", 0, 20 << 10) == b"s" * (20 << 10)
-        assert fs.env.data.stats.queries == before + 5
+        assert (stats.queries, stats.range_queries) == (before[0], before[1] + 1)
+        assert [[k for k, _v in rows] for rows in scans] == [
+            [data_key("/small", i) for i in range(5)]
+        ]
 
     def test_sfl_variants_prefetch_on_sequential_reads(self):
         fs = mount("BetrFS v0.6")
@@ -193,3 +207,93 @@ class TestTreeReadahead:
         fs.drop_caches()
         v.read("/big", 0, 2 << 20)
         assert fs.env.data.stats.readahead_issued == 0
+
+
+def _mount_by_name(name):
+    """v0.6; +MLC (no page sharing, eager apply-on-query); v0.6 on four
+    hash-partitioned volumes."""
+    if name == "shards4":
+        return make_sharded_betrfs("BetrFS v0.6", OPTS, shards=4)
+    return mount(name)
+
+
+class TestWindowIsOneRangeQuery:
+    """A read of more than one page — or a hinted one — is one range
+    query that answers what as many point queries would."""
+
+    @pytest.mark.parametrize("name", ["BetrFS v0.6", "+MLC", "shards4"])
+    def test_range_query_frames_equal_point_query_frames(self, name):
+        """Seeded differential: two mounts take the same writes (full
+        pages, blind patches — into holes, leaving short blocks — and
+        range deletes, buffered above cold or partially loaded leaves);
+        every request ``read_pages(path, idx, count, hint)`` of one
+        returns the bytes ``count`` one-page point queries of the other
+        do.  After ``drop_caches`` every frame is back at ``refs == 0``."""
+        scan, point = _mount_by_name(name), _mount_by_name(name)
+        rng = random.Random(24)
+        files = [f"/d{i % 2}/f{i}" for i in range(4)]
+        frames, seen = [], set()
+
+        def released(out):
+            for frame in out:
+                frames.append(frame)
+                frame.put()
+            return [frame.data for frame in out]
+
+        def on_both(op, *args):
+            for fs in (scan, point):
+                if op == "write_page":
+                    path, idx, data = args
+                    frame = PageFrame(data)
+                    fs.backend.write_page(path, idx, frame, PAGE)
+                    released([frame])
+                elif op == "write_patch":
+                    fs.backend.write_patch(*args)
+                elif op == "range_delete":
+                    path, lo, hi = args
+                    fs.env.range_delete(DATA, data_key(path, lo), data_key(path, hi))
+                elif op == "warm":
+                    released(fs.backend.read_pages(*args, 1, False))
+                else:
+                    fs.drop_caches()
+
+        for path in files:
+            for idx in range(rng.randrange(30, 60)):
+                if rng.random() < 0.85:  # the rest are holes
+                    on_both("write_page", path, idx, rng.randbytes(PAGE))
+        on_both("drop_caches")
+        for _round in range(6):
+            for _ in range(rng.randrange(10, 40)):
+                path, idx, roll = rng.choice(files), rng.randrange(70), rng.random()
+                if roll < 0.35:
+                    on_both("write_page", path, idx, rng.randbytes(PAGE))
+                elif roll < 0.85:
+                    offset = rng.randrange(PAGE - 8)
+                    on_both("write_patch", path, idx, offset, rng.randbytes(rng.randrange(1, 9)))
+                else:
+                    lo = rng.randrange(70)
+                    on_both("range_delete", path, lo, lo + rng.randrange(1, 12))
+            if rng.random() < 0.7:
+                on_both("drop_caches")
+            for _ in range(rng.randrange(4)):
+                on_both("warm", rng.choice(files), rng.randrange(70))
+            for _ in range(12):
+                path, idx = rng.choice(files), rng.randrange(70)
+                count, hint = rng.choice([1, 2, 3, 5, 16, 32]), rng.random() < 0.5
+                got = released(scan.backend.read_pages(path, idx, count, hint))
+                want = [
+                    released(point.backend.read_pages(path, idx + i, 1, False))[0]
+                    for i in range(count)
+                ]
+                assert got == want, (path, idx, count, hint)
+                seen.update(
+                    "short" if len(d) < PAGE else "hole" if d == bytes(PAGE) else "page"
+                    for d in got
+                )
+        for fs in (scan, point):
+            fs.drop_caches()
+        assert [f for f in frames if f.refs != 0] == []
+        assert seen == {"short", "hole", "page"}
+        envs = getattr(scan.env, "envs", [scan.env])
+        assert sum(env.data.stats.range_queries for env in envs) > 30
+        assert sum(env.data.stats.partial_leaf_loads for env in envs)

@@ -496,7 +496,7 @@ def _old_charge_buffer_probe(tree, node, matches):
     )
 
 
-def _old_get_impl(self, key, seq_hint):
+def _old_get_impl(self, key):
     """``BeTree._get_impl`` as it stood before the single-pass descent
     (the oracle; lives here, not in ``src/``)."""
     self.stats.queries += 1
@@ -513,12 +513,7 @@ def _old_get_impl(self, key, seq_hint):
         idx = node.child_index_for(key)
         child_id = node.children[idx]
         bound_lo, bound_hi = intersect(bound_lo, bound_hi, *node.child_range(idx))
-        parent_of_leaf = (node, idx) if node.height == 1 else None
-        node = self._load_node(
-            child_id, None if seq_hint or parent_of_leaf is None else _one_key(key)
-        )
-        if seq_hint and self.cfg.tree_readahead and parent_of_leaf is not None:
-            self._issue_leaf_readahead(parent_of_leaf[0], parent_of_leaf[1] + 1)
+        node = self._load_node(child_id, _one_key(key) if node.height == 1 else None)
     leaf = node
     require(
         isinstance(leaf, LeafNode),
@@ -526,7 +521,7 @@ def _old_get_impl(self, key, seq_hint):
         TreeInvariantError,
         type(leaf).__name__,
     )
-    basement = self._basement_for_query(leaf, key, seq_hint)
+    basement = self._basement_for_query(leaf, key)
     present, base, base_msn = basement.get_with_msn(key)
     self.clock.cpu(self.costs.key_compare * (1 + math.log2(len(basement) + 1)))
     value = self._apply_pending((base, base_msn) if present else None, pending)
@@ -542,8 +537,10 @@ def _old_get_impl(self, key, seq_hint):
 @pytest.mark.parametrize("seq_hint", [False, True])
 def test_descent_charges_what_the_old_helpers_charged(monkeypatch, lazy, seq_hint):
     """Seeded differential over a mixed workload (buffered and flushed
-    messages of every kind, cold partial and full reads, read-ahead):
-    after every op both clocks and the cache counters are identical."""
+    messages of every kind, cold partial and full reads; with
+    ``seq_hint``, every other read a hinted one-key scan, which reads
+    leaves whole and prefetches): after every op both clocks and the
+    cache counters are identical."""
 
     def grown():
         return fresh_env(
@@ -570,8 +567,10 @@ def test_descent_charges_what_the_old_helpers_charged(monkeypatch, lazy, seq_hin
             args = ("delete", META, k)
         elif roll < 0.55:
             args = ("range_delete", META, k, k + b"\xff")
+        elif roll < 0.99 and seq_hint and step % 2:
+            args = ("range_query", META, k, k + b"\x00", None, True)
         elif roll < 0.99:
-            args = ("get", META, k, seq_hint)
+            args = ("get", META, k)
         else:
             args = ("checkpoint",)
         assert getattr(new, args[0])(*args[1:]) == getattr(old, args[0])(*args[1:])
@@ -580,9 +579,10 @@ def test_descent_charges_what_the_old_helpers_charged(monkeypatch, lazy, seq_hin
         )
         assert (new.cache.hits, new.cache.misses) == (old.cache.hits, old.cache.misses)
     stats = new.meta.stats
-    assert stats.queries > 900 and stats.node_reads > 50 and stats.root_splits
+    assert stats.queries + stats.range_queries > 900
+    assert stats.node_reads > 50 and stats.root_splits
     assert stats.aoq_applied or stats.aoq_moved
-    assert stats.partial_leaf_loads or seq_hint
+    assert stats.partial_leaf_loads
     assert stats.readahead_issued or not seq_hint
     assert vars(new.meta.stats) == vars(old.meta.stats)
 
@@ -623,8 +623,8 @@ def test_warm_point_query_asks_each_level_once(monkeypatch):
 # ----------------------------------------------------------------------
 # Basement-granular reads (§2.2): an unhinted point query that misses a
 # leaf reads its header region and one basement — at every geometry
-# ``scaled`` produces — verified and charged as a whole read is; scans,
-# hinted reads and flushes read the leaf whole.
+# ``scaled`` produces — verified and charged as a whole read is; scans
+# covering the leaf, hinted scans and flushes read it whole.
 # ----------------------------------------------------------------------
 def _leaf_header(tree, node_id):
     """The header of an on-disk leaf, read behind the simulation's back."""
@@ -654,7 +654,7 @@ def test_a_cold_point_query_reads_one_basement_at_every_scale(factor, page_shari
     """A cold point query reads the header and one basement; a cold
     ``range_query`` the header and one run of the basements its range
     overlaps — one, two, or, covering the leaf's whole pivot range, the
-    leaf whole in one I/O.  Hinted and compressed reads read whole."""
+    leaf whole in one I/O.  Hinted scans and compressed reads read whole."""
     cfg = BeTreeConfig(page_sharing=page_sharing).scaled(factor)
     cfg.cache_bytes = 64 << 20
     device = BlockDevice(SimClock(), NULL_DEVICE)
@@ -735,7 +735,7 @@ def test_a_cold_point_query_reads_one_basement_at_every_scale(factor, page_shari
         LEAF_HEAD_READ + run(n - 2, n - 1), 2, 1, two
     )
     for whole_read in (
-        lambda: env.get(DATA, key, True),
+        lambda: env.range_query(DATA, key, key + b"\x00", seq_hint=True),
         scan(child_lo or b"", child_hi),
     ):
         assert cold(whole_read) == (ln, 1, 0, [True] * n)

@@ -371,6 +371,25 @@ class TestReadAheadWindow:
         assert calls == [("/f", 7, 1, False)]
         assert pages_cached(v, "/f") == [7]
 
+    @pytest.mark.parametrize("offset", [7 * PAGE, 7 * PAGE + 100], ids=["aligned", "straddling"])
+    def test_unhinted_read_requests_every_page_it_covers_at_once(self, fs, v, offset):
+        """Linux's synchronous read-ahead: a cold read of two pages is
+        one backend request for both, not one per page."""
+        body = cold_file(fs, "/f", 40 * PAGE)
+        calls = record_reads(fs)
+        length = 2 * PAGE if offset % PAGE == 0 else PAGE + 200
+        assert v.read("/f", offset, length) == body[offset : offset + length]
+        assert calls == [("/f", 7, 2, False)]
+        assert pages_cached(v, "/f") == [7, 8]
+
+    def test_unhinted_read_asks_from_the_first_missing_page(self, fs, v):
+        body = cold_file(fs, "/f", 40 * PAGE)
+        v.read("/f", 7 * PAGE, PAGE)
+        calls = record_reads(fs)
+        assert v.read("/f", 20 * PAGE, 100) == body[20 * PAGE : 20 * PAGE + 100]
+        assert v.read("/f", 7 * PAGE, 3 * PAGE) == body[7 * PAGE : 10 * PAGE]
+        assert calls == [("/f", 20, 1, False), ("/f", 8, 2, False)]
+
     @pytest.mark.parametrize("system", TABLE3_SYSTEMS + ["shards4"])
     def test_every_system_reads_the_same_bytes_and_nothing_past_eof(self, system):
         """One seeded read script on every mount: contents equal the
