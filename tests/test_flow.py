@@ -6,12 +6,15 @@ analyses.
 * an analysis handed a shared ``Program`` reports exactly what it
   reports when it builds its own — on the real tree and on every
   fixture tree — so sharing is an optimisation, never a semantic;
+* every analysis' output over each fixture tree equals its committed
+  golden, byte for byte;
 * the one SCC routine (it replaced three private copies that were
   only ever tested through their callers).
 """
 
 import ast
 import collections
+import json
 import os
 
 import pytest
@@ -65,14 +68,40 @@ TREES = {
 
 def _snapshot(report):
     """Everything a report says, graphs included."""
-    out = {"report": report.to_dict()}
+    out = {
+        "report": report.to_dict(),
+        "stats": report.stats(),
+        "summary": report.summary(),
+    }
     for name in ("lock_graph", "order_graph"):
         graph = getattr(report, name, None)
         if graph is not None:
-            out[name] = (graph.to_dict(), graph.to_dot())
+            out[name] = [graph.to_dict(), graph.to_dot()]
     if isinstance(report, arch.ArchReport):
         out["dot"] = report.to_dot()
     return out
+
+
+#: The fixture trees whose reports are pinned byte for byte (the real
+#: tree's line numbers move with every change, so it is not).
+GOLDEN_TREES = sorted(tree for tree in TREES if tree != "real")
+
+
+def _golden_path(tree):
+    return os.path.join(FIXTURES, tree, "golden.json")
+
+
+def _golden_text(tree):
+    """Every analysis' snapshot over fixture ``tree`` as JSON text, the
+    fixtures directory replaced so the text is checkout-independent."""
+    root, package, overrides = TREES[tree]
+    program = flow.load_program(root, package)
+    snapshots = {
+        name: _snapshot(analysis.analyze(program=program, **overrides.get(analysis, {})))
+        for name, analysis in lint.ANALYSES.items()
+    }
+    text = json.dumps(snapshots, indent=1, sort_keys=True) + "\n"
+    return text.replace(FIXTURES, "<fixtures>")
 
 
 class TestParseOnce:
@@ -116,6 +145,20 @@ class TestSharedProgramEquivalence:
                 assert alone.violations, name
 
 
+class TestGoldenReports:
+    """A refactor of ``repro.check`` is proven by these alone: every
+    report, counter, summary line and graph over each fixture tree
+    equals the committed ``tests/fixtures/<tree>/golden.json``.  A
+    deliberate change re-blesses with ``PYTHONPATH=src python -m
+    tests.test_flow``."""
+
+    @pytest.mark.parametrize("tree", GOLDEN_TREES)
+    def test_reports_match_golden(self, tree):
+        with open(_golden_path(tree), encoding="utf-8") as fh:
+            golden = fh.read()
+        assert _golden_text(tree) == golden
+
+
 class TestSccs:
     @staticmethod
     def _run(graph):
@@ -156,3 +199,10 @@ class TestSccs:
         graph = {f"n{i:05d}": [f"n{i + 1:05d}"] for i in range(n)}
         graph[f"n{n:05d}"] = []
         assert len(self._run(graph)) == n + 1
+
+
+if __name__ == "__main__":
+    for name in GOLDEN_TREES:
+        with open(_golden_path(name), "w", encoding="utf-8") as out:
+            out.write(_golden_text(name))
+        print(f"wrote {_golden_path(name)}")
