@@ -61,7 +61,7 @@ def test_shape_sfl_speeds_sequential_io(bench_scale):
 @pytest.mark.xfail(
     strict=True,
     reason="at smoke scale +RG's rm is 0.0204 s against +SFL's 0.0252 s: "
-    "faster, not the 2x asserted (ROADMAP 5(b))",
+    "faster, not the 2x asserted (ROADMAP 2(b))",
 )
 def test_shape_rg_speeds_recursive_delete(bench_scale):
     """§4: range coalescing takes an order-of-magnitude-class bite out
@@ -74,7 +74,7 @@ def test_shape_rg_speeds_recursive_delete(bench_scale):
 @pytest.mark.xfail(
     strict=True,
     reason="at smoke scale +CL's TokuBench is 21.73 Kop/s against +PGSH's "
-    "21.80: level, not the 1.5x asserted (ROADMAP 5(b))",
+    "21.80: level, not the 1.5x asserted (ROADMAP 2(b))",
 )
 def test_shape_cl_speeds_small_file_creation(bench_scale):
     """§3.3: conditional logging restores TokuBench batching."""

@@ -35,12 +35,16 @@ happens to execute):
   state (:data:`STATE_CLASS_NAMES`) except inside the sink set
   (:data:`SINK_METHODS`) or a constructor.
 
-Known idealizations (shared with the runtime cross-check in
-``harness mt --verify-lock-graph``, which backstops them): loops over
-a recognized key sequence are assumed to drain it fully (the canonical
-acquire-all / release-all shape); exception paths are exempt from
-``lock-leak``; recursion between helper generators yields an empty
-summary.
+The first three are one walk of each function body (:class:`_LockAnalyzer`
+on :mod:`repro.check.flow`'s walker); a helper's callees are the ones
+the typed call graph recorded.  Known idealizations (shared with the
+runtime cross-check in ``harness mt --verify-lock-graph``, which
+backstops them): loops over a recognized key sequence are assumed to
+drain it fully (the canonical acquire-all / release-all shape);
+exception paths are exempt from ``lock-leak``; recursion between
+helper generators yields an empty summary; a signal fire in a
+statement the walk never reaches (after a ``return``, in a
+``while ... else``) is not checked.
 
 False positives carry ``# conc: allow[reason]`` waivers — same
 machinery and hygiene rules (``unused-waiver``) as arch/costflow.
@@ -69,6 +73,9 @@ RULES = (
 
 #: Wildcard lock class: a key the abstraction cannot classify.
 UNKNOWN = ("*", False)
+
+#: The binding of a local name read from a ``block_signal`` attribute.
+_SIGNAL = ("signal",)
 
 #: BlockSignal kind -> the arch-manifest layer that owns it.  A fire
 #: site may live in the owning layer or any layer *below* it (higher
@@ -304,7 +311,7 @@ class _State:
         #: critical-section depth
         self.crit = 0
         #: local name -> ("key", cls) | ("list", classes, ordered)
-        #:             | ("loopkey", classes, ordered)
+        #:             | ("loopkey", classes, ordered) | _SIGNAL
         self.vars: Dict[str, tuple] = {}
 
     def copy(self) -> "_State":
@@ -347,48 +354,69 @@ class _FuncCtx:
         self.suspends = False
         self.exits: List[Tuple[_State, int]] = []
         self.ctx_names = _context_params(node)
+        #: ``x`` of every enclosing ``if x is not None:`` then-branch
+        self.guards: List[Optional[str]] = []
 
     @property
     def render(self) -> str:
         return f"{self.finfo.module}:{self.qual}"
 
 
+def _not_none_guard(test: ast.expr) -> Optional[str]:
+    """``x`` as written, if ``test`` is ``x is not None``."""
+    if (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.IsNot)
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
+    ):
+        return ast.unparse(test.left)
+    return None
+
+
 def _context_params(node: ast.AST) -> Set[str]:
     """Parameter names that denote the SessionContext: annotated as
     such (plain or string annotation) or literally named ``ctx`` —
     the naming convention every script in the tree follows."""
-    names = {"ctx"}
     args = getattr(node, "args", None)
-    if args is None:
-        return names
-    for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
-        ann = arg.annotation
-        if ann is None:
-            continue
-        text = ast.unparse(ann)
-        if "SessionContext" in text:
-            names.add(arg.arg)
-    return names
+    params = [] if args is None else [*args.posonlyargs, *args.args, *args.kwonlyargs]
+    return {"ctx"} | {
+        a.arg
+        for a in params
+        if a.annotation is not None and "SessionContext" in ast.unparse(a.annotation)
+    }
 
 
 class _LockAnalyzer(flow.Walker):
-    """Lock/yield interpretation of every function body.
+    """Lock/yield interpretation of every function body, which also
+    checks the signal placement of every ``BlockSignal`` fire it meets.
 
     Idealisations: a loop may run zero times (the shared default), and
     exception paths are exempt from ``lock-leak`` — handler bodies are
-    scanned for findings but their exit states are discarded."""
+    scanned for findings but their exit states are discarded.  A fire
+    in a statement the walk never reaches (after a ``return``, in a
+    ``while ... else``) is not checked."""
 
     def __init__(
         self,
         program: flow.Program,
         graph: LockGraph,
         findings: flow.Findings,
+        manifest: Sequence[Tuple[str, Sequence[str]]],
+        signal_layers: Dict[str, str],
     ) -> None:
         super().__init__()
         self.program = program
         self.graph = graph
         self.findings = findings
         self.acquire_sites = 0
+        self.signal_sites = 0
+        self.signal_layers = signal_layers
+        self.layer_rank = {layer: rank for rank, (layer, _p) in enumerate(manifest)}
+        self.module_rank = {
+            name: (classify(name, manifest) or (None,))[0] for name in program.modules
+        }
 
     # -- driver ---------------------------------------------------------
     def run(self, finfo: flow.FuncInfo) -> _Summary:
@@ -434,7 +462,7 @@ class _LockAnalyzer(flow.Walker):
             elif isinstance(stmt, ast.AnnAssign):
                 target = stmt.target
             if value is not None and isinstance(target, ast.Name):
-                bound = self._classify_binding(value, cur, fc)
+                bound = self._classify_binding(value, cur)
                 if bound is not None:
                     cur.vars[target.id] = bound
                 else:
@@ -448,6 +476,12 @@ class _LockAnalyzer(flow.Walker):
 
     def join_handlers(self, out: Optional[_State], handled: list):
         return out  # exception paths are exempt from lock-leak
+
+    def fork_if(self, stmt: ast.If, state: _State, fc: _FuncCtx) -> tuple:
+        fc.guards.append(_not_none_guard(stmt.test))
+        then = self.exec_block(stmt.body, state.copy(), fc)
+        fc.guards.pop()
+        return then, self.exec_block(stmt.orelse, state.copy(), fc)
 
     # -- expression effects ---------------------------------------------
     def _effect_of_expr(self, expr: ast.expr, state: _State, fc: _FuncCtx) -> None:
@@ -489,6 +523,12 @@ class _LockAnalyzer(flow.Walker):
         f = call.func
         if not isinstance(f, ast.Attribute):
             return
+        if f.attr == "note" and (
+            (isinstance(f.value, ast.Attribute) and f.value.attr == "block_signal")
+            or (isinstance(f.value, ast.Name) and state.vars.get(f.value.id) == _SIGNAL)
+        ):
+            self._signal_fire(call, fc)
+            return
         if f.attr == "enter_critical":
             state.crit += 1
             return
@@ -502,6 +542,48 @@ class _LockAnalyzer(flow.Walker):
             and call.args
         ):
             self._do_release(call.args[0], state, fc)
+
+    def _signal_fire(self, call: ast.Call, fc: _FuncCtx) -> None:
+        """Signal placement: a fire sits under its receiver's ``is not
+        None`` guard, in the layer owning its kind or below."""
+        self.signal_sites += 1
+        path, line = fc.finfo.path, call.lineno
+        recv = ast.unparse(call.func.value)
+        if recv not in fc.guards:
+            self.findings.add(
+                path,
+                line,
+                "signal-unguarded",
+                f"BlockSignal fire {recv}.note(...) is not under an '{recv} is "
+                "not None' guard — sequential runs must stay one-attribute-read "
+                "cheap; guard it or add '# conc: allow[reason]'",
+            )
+        arg = call.args[0] if call.args else None
+        mod_rank = self.module_rank[fc.finfo.module]
+        if mod_rank is None or not (
+            isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+        ):
+            return
+        kind = arg.value
+        owner = self.signal_layers.get(kind)
+        if owner is None:
+            self.findings.add(
+                path,
+                line,
+                "signal-misplaced",
+                f"BlockSignal kind {kind!r} has no owning layer in the signal "
+                "manifest — register it in repro.check.conc.SIGNAL_LAYERS",
+            )
+        elif owner in self.layer_rank and mod_rank < self.layer_rank[owner]:
+            self.findings.add(
+                path,
+                line,
+                "signal-misplaced",
+                f"BlockSignal kind {kind!r} belongs to layer {owner!r} or below, "
+                f"but {fc.finfo.module} sits above it — a layer may only report "
+                "blocking points it owns; move the fire or add "
+                "'# conc: allow[reason]'",
+            )
 
     def _suspension(self, line: int, state: _State, fc: _FuncCtx) -> None:
         fc.suspends = True
@@ -540,7 +622,7 @@ class _LockAnalyzer(flow.Walker):
                 state.held[cls] = _MANY
             fc.acquires |= set(classes)
             return
-        cls = self._key_class(key_expr, state, fc)
+        cls = self._key_class(key_expr, state)
         self.graph.add_node(cls)
         for held in state.held_classes():
             self.graph.add_edge(held, cls, False, fi.path, line, fc.render)
@@ -555,7 +637,7 @@ class _LockAnalyzer(flow.Walker):
                     if state.held.get(cls, 0) > 0:
                         state.held[cls] -= 1
                 return
-        cls = self._key_class(key_expr, state, fc)
+        cls = self._key_class(key_expr, state)
         if state.held.get(cls, 0) > 0:
             state.held[cls] -= 1
         elif UNKNOWN in state.held and state.held[UNKNOWN] > 0:
@@ -565,7 +647,7 @@ class _LockAnalyzer(flow.Walker):
     def _apply_helper(
         self, call: ast.Call, state: _State, fc: _FuncCtx, line: int
     ) -> bool:
-        callees = self._callees(call, fc)
+        callees = self.program.typed_call(call).callees
         for callee in callees:
             summary = self.summary(
                 callee.key, callee.qualname, callee.node, callee
@@ -583,16 +665,9 @@ class _LockAnalyzer(flow.Walker):
             fc.acquires |= summary.acquires
         return bool(callees)
 
-    def _callees(self, call: ast.Call, fc: _FuncCtx) -> List[flow.FuncInfo]:
-        env = self.program.param_env(fc.finfo)
-        try:
-            return self.program.resolve_call(call, fc.finfo, env)
-        except KeyError:
-            return []
-
     # -- key/list classification ----------------------------------------
     def _key_class(
-        self, expr: ast.expr, state: _State, fc: _FuncCtx, depth: int = 0
+        self, expr: ast.expr, state: _State, depth: int = 0
     ) -> Tuple[str, bool]:
         if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
             return (expr.value, True)
@@ -624,47 +699,47 @@ class _LockAnalyzer(flow.Walker):
             return UNKNOWN
         if isinstance(expr, ast.Call) and depth < 3:
             classes = set()
-            for callee in self._callees(expr, fc):
+            for callee in self.program.typed_call(expr).callees:
                 for sub in ast.walk(callee.node):
-                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        if sub is not callee.node:
-                            continue
                     if isinstance(sub, ast.Return) and sub.value is not None:
                         classes.add(
-                            self._key_class(sub.value, _State(), fc, depth + 1)
+                            self._key_class(sub.value, _State(), depth + 1)
                         )
             if len(classes) == 1:
                 return next(iter(classes))
             return UNKNOWN
         return UNKNOWN
 
-    def _classify_binding(
-        self, value: ast.expr, state: _State, fc: _FuncCtx
-    ) -> Optional[tuple]:
-        cls = self._key_class(value, state, fc)
+    def _classify_binding(self, value: ast.expr, state: _State) -> Optional[tuple]:
+        cls = self._key_class(value, state)
         if cls != UNKNOWN:
             return ("key", cls)
-        lst = self._keylist(value, state, fc)
+        lst = self._keylist(value, state)
         if lst is not None:
             return ("list",) + lst
+        if any(
+            isinstance(part, ast.Attribute) and part.attr == "block_signal"
+            for part in ast.walk(value)
+        ):
+            return _SIGNAL
         return None
 
     def _keylist(
-        self, expr: ast.expr, state: _State, fc: _FuncCtx
+        self, expr: ast.expr, state: _State
     ) -> Optional[Tuple[FrozenSet[Tuple[str, bool]], bool]]:
         """``(lock classes, ordered)`` of a key-sequence expression."""
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
             name = expr.func.id
             if name == "sorted" and expr.args:
-                inner = self._elem_classes(expr.args[0], state, fc)
+                inner = self._elem_classes(expr.args[0], state)
                 if inner is not None:
                     return (inner, True)
                 return None
             if name in ("reversed", "list", "tuple", "set") and expr.args:
-                inner = self._keylist(expr.args[0], state, fc)
+                inner = self._keylist(expr.args[0], state)
                 if inner is not None:
                     return (inner[0], False)
-                elems = self._elem_classes(expr.args[0], state, fc)
+                elems = self._elem_classes(expr.args[0], state)
                 if elems is not None:
                     return (elems, False)
                 return None
@@ -674,22 +749,22 @@ class _LockAnalyzer(flow.Walker):
             if bound is not None and bound[0] in ("list", "loopkey"):
                 return (bound[1], bound[2])
             return None
-        elems = self._elem_classes(expr, state, fc)
+        elems = self._elem_classes(expr, state)
         if elems is not None:
             return (elems, False)
         return None
 
     def _elem_classes(
-        self, expr: ast.expr, state: _State, fc: _FuncCtx
+        self, expr: ast.expr, state: _State
     ) -> Optional[FrozenSet[Tuple[str, bool]]]:
         if isinstance(expr, (ast.List, ast.Set, ast.Tuple)):
             if not expr.elts:
                 return None
             return frozenset(
-                self._key_class(elt, state, fc) for elt in expr.elts
+                self._key_class(elt, state) for elt in expr.elts
             )
         if isinstance(expr, (ast.SetComp, ast.ListComp, ast.GeneratorExp)):
-            return frozenset({self._key_class(expr.elt, _State(), fc)})
+            return frozenset({self._key_class(expr.elt, _State())})
         if isinstance(expr, ast.Name):
             bound = state.vars.get(expr.id)
             if bound is not None and bound[0] in ("list", "loopkey"):
@@ -698,7 +773,7 @@ class _LockAnalyzer(flow.Walker):
 
     # -- control flow helpers --------------------------------------------
     def exec_for(self, node: ast.For, cur: _State, fc: _FuncCtx) -> Optional[_State]:
-        lst = self._keylist(node.iter, cur, fc)
+        lst = self._keylist(node.iter, cur)
         entry = cur.copy()
         body_state = cur.copy()
         if lst is not None and isinstance(node.target, ast.Name):
@@ -755,155 +830,6 @@ def _lock_cycles(
             f"{evidence} — acquire multi-lock sets in sorted(key) order "
             "or add '# conc: allow[reason]'",
         )
-
-
-# ======================================================================
-# Signal-placement pass
-# ======================================================================
-def _signal_pass(
-    program: flow.Program,
-    manifest: Sequence[Tuple[str, Sequence[str]]],
-    signal_layers: Dict[str, str],
-    findings: flow.Findings,
-) -> int:
-    layer_rank = {layer: rank for rank, (layer, _p) in enumerate(manifest)}
-    sites = 0
-    for name in sorted(program.modules):
-        mod = program.modules[name]
-        ranked = classify(name, manifest)
-        mod_rank = ranked[0] if ranked is not None else None
-        for func_node in _all_function_nodes(mod.tree):
-            signal_names = _signal_locals(func_node)
-            sites += _scan_signal_fires(
-                func_node,
-                signal_names,
-                mod,
-                mod_rank,
-                layer_rank,
-                signal_layers,
-                findings,
-            )
-    return sites
-
-
-def _all_function_nodes(tree: ast.AST) -> List[ast.AST]:
-    return [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-
-
-def _signal_locals(func_node: ast.AST) -> Set[str]:
-    """Local names bound from an expression that reads ``block_signal``."""
-    names: Set[str] = set()
-    for sub in ast.walk(func_node):
-        if isinstance(sub, ast.Assign):
-            reads_signal = any(
-                isinstance(part, ast.Attribute) and part.attr == "block_signal"
-                for part in ast.walk(sub.value)
-            )
-            if reads_signal:
-                for tgt in sub.targets:
-                    if isinstance(tgt, ast.Name):
-                        names.add(tgt.id)
-    return names
-
-
-def _is_signal_receiver(recv: ast.expr, signal_names: Set[str]) -> bool:
-    if isinstance(recv, ast.Attribute) and recv.attr == "block_signal":
-        return True
-    if isinstance(recv, ast.Name) and recv.id in signal_names:
-        return True
-    return False
-
-
-def _scan_signal_fires(
-    func_node: ast.AST,
-    signal_names: Set[str],
-    mod: flow.ModuleInfo,
-    mod_rank: Optional[int],
-    layer_rank: Dict[str, int],
-    signal_layers: Dict[str, str],
-    findings: flow.Findings,
-) -> int:
-    sites = 0
-
-    def walk(node: ast.AST, guards: List[str]) -> None:
-        nonlocal sites
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node is not func_node:
-                return  # nested defs get their own scan
-        if isinstance(node, ast.If):
-            test = node.test
-            guard = None
-            if (
-                isinstance(test, ast.Compare)
-                and len(test.ops) == 1
-                and isinstance(test.ops[0], ast.IsNot)
-                and isinstance(test.comparators[0], ast.Constant)
-                and test.comparators[0].value is None
-            ):
-                guard = ast.unparse(test.left)
-            for child in node.body:
-                walk(child, guards + [guard] if guard else guards)
-            for child in node.orelse:
-                walk(child, guards)
-            return
-        if isinstance(node, ast.Call):
-            f = node.func
-            if (
-                isinstance(f, ast.Attribute)
-                and f.attr == "note"
-                and _is_signal_receiver(f.value, signal_names)
-            ):
-                sites += 1
-                recv_src = ast.unparse(f.value)
-                if recv_src not in guards:
-                    findings.add(
-                        mod.path,
-                        node.lineno,
-                        "signal-unguarded",
-                        f"BlockSignal fire {recv_src}.note(...) is not "
-                        f"under an '{recv_src} is not None' guard — "
-                        "sequential runs must stay one-attribute-read "
-                        "cheap; guard it or add '# conc: allow[reason]'",
-                    )
-                kind = None
-                if node.args and isinstance(node.args[0], ast.Constant):
-                    if isinstance(node.args[0].value, str):
-                        kind = node.args[0].value
-                if kind is not None and mod_rank is not None:
-                    owner = signal_layers.get(kind)
-                    owner_rank = layer_rank.get(owner) if owner else None
-                    if owner is None:
-                        findings.add(
-                            mod.path,
-                            node.lineno,
-                            "signal-misplaced",
-                            f"BlockSignal kind {kind!r} has no owning "
-                            "layer in the signal manifest — register it "
-                            "in repro.check.conc.SIGNAL_LAYERS",
-                        )
-                    elif owner_rank is not None and mod_rank < owner_rank:
-                        findings.add(
-                            mod.path,
-                            node.lineno,
-                            "signal-misplaced",
-                            f"BlockSignal kind {kind!r} belongs to layer "
-                            f"{owner!r} or below, but {mod.name} sits "
-                            "above it — a layer may only report blocking "
-                            "points it owns; move the fire or add "
-                            "'# conc: allow[reason]'",
-                        )
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            walk(child, guards)
-
-    for stmt in getattr(func_node, "body", []):
-        walk(stmt, [])
-    return sites
 
 
 # ======================================================================
@@ -986,16 +912,14 @@ def analyze(
     report.functions = len(program.functions)
     findings = flow.Findings()
 
-    # Pass 1+2: lock graph + yield discipline (one interpretation).
-    analyzer = _LockAnalyzer(program, report.lock_graph, findings)
+    # Lock graph, yield discipline and signal placement: one walk.
+    analyzer = _LockAnalyzer(program, report.lock_graph, findings, manifest, layers)
     for func in program.functions_in_order():
         analyzer.run(func)
     report.acquire_sites = analyzer.acquire_sites
+    report.signal_sites = analyzer.signal_sites
 
-    # Pass 3: signal placement.
-    report.signal_sites = _signal_pass(program, manifest, layers, findings)
-
-    # Pass 4: session purity.
+    # Session purity.
     report.reachable = _purity_pass(
         program, findings, state_classes, sinks, entries
     )

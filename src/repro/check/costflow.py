@@ -115,10 +115,6 @@ EXEMPT_MODULES: Tuple[str, ...] = (
 )
 
 
-def _is_exempt(module: str, exempt: Sequence[str]) -> bool:
-    return any(module == p or module.startswith(p + ".") for p in exempt)
-
-
 @dataclass
 class CostflowReport(flow.Report):
     TOOL, NOUN, WHY = "costflow", "cost-flow", "the byte move needs no charge"
@@ -186,7 +182,7 @@ def analyze(
 
     # -- coverage: condensation of the *caller* graph -------------------
     exempt_funcs = {
-        f.key for f in functions.values() if _is_exempt(f.module, exempt)
+        f.key for f in functions.values() if flow.is_exempt(f.module, exempt)
     }
     covered = _coverage(program, charges, callers, exempt_funcs)
 

@@ -36,14 +36,16 @@ Four rule families:
   (``unflushed`` / ``epoch_records`` / ``sealed_epochs``) — recovery
   must observe only bytes that survive a crash.
 
-The analysis runs on :mod:`repro.check.flow`'s typed call graph
-(module-qualified functions, annotation-driven receiver resolution,
-virtual dispatch over the class hierarchy) and its body walker, which
-:mod:`repro.check.conc` shares: each function body
-is interpreted once over a small must/may state (``logged``,
-``barriered``, ``nodes_dirty``, pending effect kinds, protocol
-phase), and callees contribute memoized summaries (must-barrier,
-barrier kinds, exit-pending effects, exposed superblock writes).
+The analysis runs on :mod:`repro.check.flow`'s typed call graph and
+body walker (shared with :mod:`repro.check.conc`) and types no call
+itself.  What it knows about calls is two tables: :data:`CALLS`, the
+primitive durability events a (receiver family, method) call stands
+for, and :data:`PROTOCOL`, the coordinator's state machine.  Each
+function body is interpreted once over a small must/may state whose
+fields join by :data:`_JOIN`; a callee contributes a memoized summary —
+the join of its exit states, the barrier kinds it reaches, and whether
+it exposes a superblock write.  Rule 4 is a filter over the recovery
+closure's typed call sites.
 
 Known idealizations (backstopped by ``--verify-order-graph``): loops
 are assumed to run at least one iteration (the canonical fan-out
@@ -57,18 +59,16 @@ arch/costflow/conc.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+import functools
+import operator
+from dataclasses import asdict, dataclass, field
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.check import costflow, flow
-from repro.check.costflow import _is_exempt
 
 #: Every rule this analyzer can report.
 RULES = (
-    "write-ahead",
-    "barrier-order",
-    "intent-protocol",
-    "recovery-reads-durable",
+    "write-ahead", "barrier-order", "intent-protocol", "recovery-reads-durable",
     "unused-waiver",
 )
 
@@ -77,50 +77,117 @@ RULES = (
 #: costflow, which drew the boundary for the same reason.
 EXEMPT_MODULES: Tuple[str, ...] = costflow.EXEMPT_MODULES
 
-#: Root class names anchoring receiver classification; the transitive
-#: subclass closure of each is computed from the program under
-#: analysis, so fixture trees only need classes *named* like these.
-WAL_ROOTS = ("WriteAheadLog",)
-TREE_ROOTS = ("BeTree",)
-SOUTH_ROOTS = ("Southbound",)
-DEVICE_ROOTS = ("BlockDevice",)
-JOURNAL_ROOTS = ("Journal",)
-ENV_ROOTS = ("KVEnv", "ShardedEnv")
-
-#: In-place Bε-tree mutators (rule 1 subjects).
-TREE_MUTATORS: FrozenSet[str] = frozenset(
-    {"put", "delete", "patch", "range_delete"}
-)
-
-#: KV-env mutators (rule 1 ``log=False`` check + rule 3 protocol ops).
-ENV_MUTATORS: FrozenSet[str] = frozenset(
-    {"insert", "delete", "patch", "range_delete"}
+#: Receiver families in precedence order: a method call belongs to the
+#: first family its receiver may be an instance of.  Each is anchored
+#: at root class names whose transitive subclass closure is computed
+#: from the program under analysis, so fixture trees only need classes
+#: *named* like these.
+FAMILIES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
+    ("env", ("KVEnv", "ShardedEnv")),
+    ("wal", ("WriteAheadLog",)),
+    ("tree", ("BeTree",)),
+    ("south", ("Southbound",)),
+    ("journal", ("Journal",)),
+    ("device", ("BlockDevice",)),
 )
 
 #: Volatile-epoch accessors on the device (rule 4 sinks).
-VOLATILE_READS: FrozenSet[str] = frozenset(
-    {"unflushed", "epoch_records", "sealed_epochs"}
-)
+VOLATILE_READS: FrozenSet[str] = frozenset({"unflushed", "epoch_records", "sealed_epochs"})
+
+#: The kind :data:`BY_FILE` gives the call's first argument.
+FILE = "<file>"
+
+#: Effect and barrier kind of a ``Southbound`` write / sync by file
+#: name.  Any other name (``None``: not a constant) is a Bε-tree node
+#: file — ``BeTree.write_node`` passes ``self.file_name``; the WAL and
+#: the superblock always use literals.
+BY_FILE: Dict[str, Dict[Optional[str], str]] = {
+    "effect": {"superblock": "sb-write", "log": "wal-write", None: "node-write"},
+    "barrier": {"superblock": "sb-sync", "log": "log-sync", None: "tree-sync"},
+}
+
+#: ``(family, method)`` -> the primitive events the call stands for, in
+#: order; family ``None`` is a call of a bare function name.  An event
+#: is ``(op, kind)``; a ``durable-barrier`` is a barrier only when the
+#: call's ``durable`` argument is absent or a constant ``True``.  A call
+#: in the table is not descended into — its events model what it does
+#: below — except the KV-env protocol ops and ``pack_intent`` (the
+#: families in :data:`_DESCEND`), whose summaries still carry barriers
+#: and pending effects.  Volatile reads have no event: rule 4 finds
+#: them among the call sites.
+CALLS: Dict[Tuple[Optional[str], str], Tuple[Tuple[str, Optional[str]], ...]] = {
+    (None, "pack_intent"): (("coord", None),),
+    **{
+        ("env", m): (("env", None),)
+        for m in ("insert", "delete", "patch", "range_delete", "sync")
+    },
+    ("wal", "append"): (("logged", None), ("effect", "wal-append")),
+    ("wal", "flush"): (("effect", "wal-write"), ("durable-barrier", "log-sync")),
+    ("wal", "truncate"): (("effect", "trim"),),
+    **{
+        ("tree", m): (("mutate", None),)
+        for m in ("put", "delete", "patch", "range_delete")
+    },
+    ("tree", "write_dirty_nodes"): (("effect", "node-write"),),
+    ("tree", "write_node"): (("effect", "node-write"),),
+    ("south", "write"): (("effect", FILE),),
+    ("south", "sync"): (("barrier", FILE),),
+    ("south", "discard"): (("effect", "trim"),),
+    ("journal", "commit"): (
+        ("effect", "dev-write"), ("durable-barrier", "journal-commit"),
+    ),
+    ("device", "flush"): (("barrier", "device-flush"),),
+    ("device", "write"): (("effect", "dev-write"),),
+    ("device", "submit_write"): (("effect", "dev-write"),),
+    ("device", "discard"): (("effect", "trim"),),
+    **{("device", m): () for m in VOLATILE_READS},
+}
+_DESCEND = (None, "env")
+
+#: The cross-shard coordinator's state machine, on a path that built an
+#: intent record (``pack_intent``).  Phase 0: no intent written; 1: the
+#: intent written; 2: the intent durable.  A KV-env op is one step —
+#: ``insert``, ``delete`` (resolve), ``sync``, or ``apply`` (``patch``,
+#: ``range_delete``) — and ``(step, phase)`` gives ``(finding, next
+#: phase, apply_dirty)``, apply_dirty ``None`` leaving the flag alone.
+#: The step from phase 0 to 1 writes the intent record (``intent-put``).
+PROTOCOL: Dict[Tuple[str, int], Tuple[Optional[str], int, Optional[bool]]] = {
+    ("insert", 0): (None, 1, None),
+    ("insert", 1): ("early-insert", 2, True),
+    ("insert", 2): (None, 2, True),
+    ("delete", 0): ("early-resolve", 2, None),
+    ("delete", 1): ("early-resolve", 2, None),
+    ("delete", 2): ("unsynced-resolve", 2, False),
+    ("apply", 0): (None, 0, None),
+    ("apply", 1): ("early-apply", 2, True),
+    ("apply", 2): (None, 2, True),
+    ("sync", 0): (None, 0, False),
+    ("sync", 1): ("unsorted-sync", 2, False),
+    ("sync", 2): ("unsorted-sync", 2, False),
+}
+
+#: The message of each :data:`PROTOCOL` finding.  ``unsynced-resolve``
+#: fires only with an applied batch unsynced, ``unsorted-sync`` only in
+#: a loop over an unsorted sequence.
+PROTOCOL_MESSAGES: Dict[str, str] = {
+    "early-insert": "apply insert before the intent record is durable — sync the "
+                    "coordinator volume first",
+    "early-resolve": "resolve (delete) before the intent record is durable — the "
+                     "crash window would lose the rename",
+    "unsynced-resolve": "resolve (delete) before the applied batch is synced — sync "
+                        "the destination volumes first",
+    "early-apply": "apply before the intent record is durable — sync the "
+                   "coordinator volume first",
+    "unsorted-sync": "shard fan-out sync iterates an unsorted sequence — iterate "
+                     "sorted(...) so the apply/sync order is deterministic",
+}
 
 #: Method names that acknowledge durability to a caller (rule 2a).
-DURABILITY_ENTRIES: FrozenSet[str] = frozenset(
-    {"sync", "fsync", "checkpoint"}
-)
+DURABILITY_ENTRIES: FrozenSet[str] = frozenset({"sync", "fsync", "checkpoint"})
 
 #: Recovery entry points by bare name; ``fsck*`` functions in the
 #: fsck module are added by :func:`_recovery_set`.
-RECOVERY_ENTRY_NAMES: FrozenSet[str] = frozenset(
-    {"resolve_intents", "_replay_log"}
-)
-
-#: Durable-effect kinds (graph sources) and barrier kinds (sinks).
-EFFECT_KINDS = (
-    "wal-append", "wal-write", "node-write", "sb-write", "trim",
-    "dev-write", "intent-put",
-)
-BARRIER_KINDS = (
-    "log-sync", "tree-sync", "sb-sync", "device-flush", "journal-commit",
-)
+RECOVERY_ENTRY_NAMES: FrozenSet[str] = frozenset({"resolve_intents", "_replay_log"})
 
 
 # ======================================================================
@@ -137,13 +204,7 @@ class OrderEdge:
     func: str
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "path": self.path,
-            "line": self.line,
-            "func": self.func,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -154,12 +215,6 @@ class OrderGraph:
     barriers: Set[str] = field(default_factory=set)
     edges: List[OrderEdge] = field(default_factory=list)
     _seen: Set[Tuple[str, str]] = field(default_factory=set)
-
-    def add_effect(self, kind: str) -> None:
-        self.effects.add(kind)
-
-    def add_barrier(self, kind: str) -> None:
-        self.barriers.add(kind)
 
     def add_edge(
         self, src: str, dst: str, path: str, line: int, func: str
@@ -259,183 +314,88 @@ class DurflowReport(flow.Report):
 # ======================================================================
 # Abstract state and summaries
 # ======================================================================
+#: How each state field joins where paths meet: a must-fact survives
+#: only if both paths hold it, a may-fact if either does, and the
+#: protocol phase is the least advanced.
+_JOIN = {
+    "logged": operator.and_,  # must: a WAL append dominates this point
+    "barriered": operator.and_,  # must: a barrier dominates this point
+    "nodes_dirty": operator.or_,  # may: node writes with no flush since
+    "sb_dirty": operator.or_,  # may: a superblock write with no flush since
+    "pending": operator.or_,  # may: effect kinds issued since the last barrier
+    "coord": operator.or_,  # may: this path built a cross-shard intent
+    "phase": min,  # the PROTOCOL phase
+    "apply_dirty": operator.or_,  # may: an applied batch not yet synced
+}
+
+
 class _State:
     """Abstract durability state at one program point."""
 
-    __slots__ = (
-        "logged", "barriered", "nodes_dirty", "sb_dirty", "pending",
-        "coord", "phase", "apply_dirty", "vars",
-    )
+    __slots__ = tuple(_JOIN)
 
-    def __init__(self) -> None:
-        #: must: a WAL append dominates this point
-        self.logged = False
-        #: must: a barrier dominates this point
-        self.barriered = False
-        #: may: node writes issued with no flush since
-        self.nodes_dirty = False
-        #: may: a superblock write issued with no flush since
-        self.sb_dirty = False
-        #: may: effect kinds issued since the last barrier
+    def __init__(self, vacuous: bool = False) -> None:
+        # The vacuous state (every must-fact, no may-fact, the last
+        # phase) is the join's unit: the exit of a body whose every
+        # path raises.
+        self.logged = self.barriered = vacuous
+        self.nodes_dirty = self.sb_dirty = False
         self.pending: Set[str] = set()
-        #: this path built a cross-shard intent (rule 3)
-        self.coord = False
-        #: protocol phase: 0 none, 1 intent written, 2 intent durable
-        self.phase = 0
-        #: may: applied batch not yet synced
-        self.apply_dirty = False
-        #: local type environment (``flow.Program.eval`` shape)
-        self.vars: Dict[str, flow.Typed] = {}
+        self.coord = self.apply_dirty = False
+        self.phase = 2 if vacuous else 0
 
     def copy(self) -> "_State":
-        new = _State()
-        new.logged = self.logged
-        new.barriered = self.barriered
-        new.nodes_dirty = self.nodes_dirty
-        new.sb_dirty = self.sb_dirty
-        new.pending = set(self.pending)
-        new.coord = self.coord
-        new.phase = self.phase
-        new.apply_dirty = self.apply_dirty
-        new.vars = dict(self.vars)
-        return new
+        return self.merge(self)  # every join rule is idempotent
 
     def merge(self, other: "_State") -> "_State":
         new = _State()
-        new.logged = self.logged and other.logged
-        new.barriered = self.barriered and other.barriered
-        new.nodes_dirty = self.nodes_dirty or other.nodes_dirty
-        new.sb_dirty = self.sb_dirty or other.sb_dirty
-        new.pending = self.pending | other.pending
-        new.coord = self.coord or other.coord
-        new.phase = min(self.phase, other.phase)
-        new.apply_dirty = self.apply_dirty or other.apply_dirty
-        new.vars = {
-            k: v for k, v in self.vars.items() if other.vars.get(k) == v
-        }
+        for name, join in _JOIN.items():
+            setattr(new, name, join(getattr(self, name), getattr(other, name)))
         return new
 
 
-class _Summary:
-    """Interprocedural function summary (memoized)."""
-
-    __slots__ = (
-        "must_barrier", "barrier_kinds", "exit_pending",
-        "exit_nodes_dirty", "exit_sb_dirty", "exposed_sb_write",
-    )
-
-    def __init__(self) -> None:
-        self.must_barrier = False
-        self.barrier_kinds: Set[str] = set()
-        self.exit_pending: Set[str] = set()
-        self.exit_nodes_dirty = False
-        self.exit_sb_dirty = False
-        self.exposed_sb_write = False
+def _join(states) -> _State:
+    return functools.reduce(_State.merge, states, _State(vacuous=True))
 
 
-def _merge_summaries(cands: List[_Summary]) -> _Summary:
-    out = _Summary()
-    out.must_barrier = all(s.must_barrier for s in cands)
-    for s in cands:
-        out.barrier_kinds |= s.barrier_kinds
-        out.exit_pending |= s.exit_pending
-        out.exit_nodes_dirty = out.exit_nodes_dirty or s.exit_nodes_dirty
-        out.exit_sb_dirty = out.exit_sb_dirty or s.exit_sb_dirty
-        out.exposed_sb_write = out.exposed_sb_write or s.exposed_sb_write
-    return out
+class _Summary(NamedTuple):
+    """What calling a function does to the caller's state."""
+
+    exit: _State  # the join of the function's exit states
+    barrier_kinds: FrozenSet[str]  # barriers it reaches on any path
+    exposed_sb_write: bool  # a superblock write no barrier dominates
 
 
 class _FuncCtx:
     """Per-function interpretation context."""
 
-    __slots__ = (
-        "func", "param_names", "exempt", "recovery", "exits",
-        "loop_sorted", "barrier_kinds", "exposed_sb_write", "is_coord",
-    )
-
-    def __init__(self, func, exempt: bool, recovery: bool) -> None:
-        self.func = func
+    def __init__(self, func: flow.FuncInfo, exempt: bool, recovery: bool) -> None:
+        self.func, self.exempt, self.recovery = func, exempt, recovery
         args = func.node.args
         self.param_names = {
             a.arg
-            for a in (
-                *args.posonlyargs, *args.args, *args.kwonlyargs,
-                args.vararg, args.kwarg,
-            )
+            for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
             if a is not None
         }
-        self.exempt = exempt
-        self.recovery = recovery
         self.exits: List[Tuple[_State, int]] = []
         self.loop_sorted: List[bool] = []
         self.barrier_kinds: Set[str] = set()
-        self.exposed_sb_write = False
-        self.is_coord = False
+        self.exposed_sb_write = self.is_coord = False
 
 
-# ======================================================================
-# Constant-argument helpers
-# ======================================================================
-def _arg_node(call: ast.Call, pos: int, kw: str) -> Optional[ast.expr]:
-    for k in call.keywords:
-        if k.arg == kw:
-            return k.value
-    if len(call.args) > pos:
-        return call.args[pos]
-    return None
+_ABSENT = object()
 
 
-def _const_bool(
-    call: ast.Call, pos: int, kw: str, default: Optional[bool]
-) -> Optional[bool]:
-    """Constant value of a bool argument; ``default`` when absent,
-    ``None`` when present but not a constant."""
-    node = _arg_node(call, pos, kw)
-    if node is None:
-        return default
-    if isinstance(node, ast.Constant) and isinstance(node.value, bool):
-        return node.value
-    return None
-
-
-def _const_str(call: ast.Call, pos: int) -> Optional[str]:
-    if len(call.args) > pos:
+def _const_arg(call: ast.Call, pos: int, kw: Optional[str] = None) -> object:
+    """The value of ``call``'s argument ``kw`` (or, failing that, the
+    one at ``pos``): :data:`_ABSENT` when not passed, ``None`` when not
+    a constant."""
+    node = next((k.value for k in call.keywords if kw and k.arg == kw), None)
+    if node is None and len(call.args) > pos:
         node = call.args[pos]
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-    return None
-
-
-def _write_kind(name: Optional[str]) -> str:
-    """Effect kind of a ``storage.write(name, ...)``.  A non-constant
-    file name is a Bε-tree node write (``BeTree.write_node`` passes
-    ``self.file_name``); the WAL and superblock always use literals."""
-    if name == "superblock":
-        return "sb-write"
-    if name == "log":
-        return "wal-write"
-    return "node-write"
-
-
-def _sync_kind(name: Optional[str]) -> str:
-    if name == "superblock":
-        return "sb-sync"
-    if name == "log":
-        return "log-sync"
-    return "tree-sync"
-
-
-def _subclass_names(program, roots: Sequence[str]) -> Set[str]:
-    """Bare names of every class in the transitive subclass closure of
-    any class named like one of ``roots``."""
-    out: Set[str] = set(roots)
-    for key, cls in program.classes.items():
-        if cls.name in roots:
-            for sub in program.subclasses.get(key, {key}):
-                sc = program.classes.get(sub)
-                if sc is not None:
-                    out.add(sc.name)
-    return out
+    if node is None:
+        return _ABSENT
+    return node.value if isinstance(node, ast.Constant) else None
 
 
 # ======================================================================
@@ -463,113 +423,79 @@ class _Analyzer(flow.Walker):
         self.findings = findings
         self.exempt = exempt
         self.recovery = recovery
-        self.volatile_sites: Dict[str, List[Tuple[int, str]]] = {}
-        self.wal_names = _subclass_names(program, WAL_ROOTS)
-        self.tree_names = _subclass_names(program, TREE_ROOTS)
-        self.south_names = _subclass_names(program, SOUTH_ROOTS)
-        self.device_names = _subclass_names(program, DEVICE_ROOTS)
-        self.journal_names = _subclass_names(program, JOURNAL_ROOTS)
-        self.env_names = _subclass_names(program, ENV_ROOTS)
+        self.families = [
+            (family, _subclass_names(program, roots)) for family, roots in FAMILIES
+        ]
+
+    def _flag(self, ctx: _FuncCtx, line: int, rule: str, message: str) -> None:
+        """A finding in the function under ``ctx``, unless it is exempt."""
+        if not ctx.exempt:
+            self.findings.add(ctx.func.path, line, rule, message)
+
+    def family(self, receivers: FrozenSet[str]) -> Optional[str]:
+        """The first family of :data:`FAMILIES` a receiver may be in."""
+        for family, names in self.families:
+            if receivers & names:
+                return family
+        return None
 
     # -- summaries -------------------------------------------------------
     def recursion_summary(self) -> _Summary:
-        return _Summary()  # recursion -> neutral summary
+        return _Summary(_State(), frozenset(), False)  # neutral
 
     def summarize(self, key: str, func: flow.FuncInfo) -> _Summary:
-        ctx = _FuncCtx(
-            func,
-            exempt=_is_exempt(func.module, self.exempt),
-            recovery=key in self.recovery,
+        exempt = flow.is_exempt(func.module, self.exempt)
+        ctx = _FuncCtx(func, exempt, key in self.recovery)
+        exits = [e for e, _line in self.walk_body(func.node.body, _State(), ctx)]
+        summary = _Summary(
+            _join(exits), frozenset(ctx.barrier_kinds), ctx.exposed_sb_write
         )
-        state = _State()
-        state.vars = dict(self.program.param_env(func))
-        exits = [e for e, _line in self.walk_body(func.node.body, state, ctx)]
-        summary = _Summary()
-        # all-paths-raise bodies (abstract methods) pass vacuously
-        summary.must_barrier = all(e.barriered for e in exits)
-        summary.barrier_kinds = set(ctx.barrier_kinds)
-        if exits:
-            summary.exit_pending = set().union(*(e.pending for e in exits))
-        summary.exit_nodes_dirty = any(e.nodes_dirty for e in exits)
-        summary.exit_sb_dirty = any(e.sb_dirty for e in exits)
-        summary.exposed_sb_write = ctx.exposed_sb_write
-        self._check_entry(func, ctx, summary)
-        self._check_coord_exit(func, exits, ctx)
         if ctx.is_coord:
             self.report.coordinators += 1
-        return summary
-
-    def _check_entry(self, func, ctx: _FuncCtx, summary: _Summary) -> None:
-        """Rule 2a: acknowledged durability entries must barrier."""
+        # Rule 2a: an acknowledged durability entry must barrier.
         name = func.qualname.split(".")[-1]
-        if name not in DURABILITY_ENTRIES or not func.class_key:
-            return
-        if ctx.exempt or ctx.recovery:
-            return
-        self.report.entries_checked += 1
-        if not summary.must_barrier:
-            self.findings.add(
-                func.path,
-                func.line,
-                "barrier-order",
-                f"{func.qualname} acknowledges durability ({name}) but "
-                "some path returns without reaching a device barrier — "
-                "order the flush/sync before the acknowledgement",
+        if (
+            name in DURABILITY_ENTRIES and func.class_key
+            and not (ctx.exempt or ctx.recovery)
+        ):
+            self.report.entries_checked += 1
+            if not summary.exit.barriered:
+                self._flag(
+                    ctx, func.line, "barrier-order",
+                    f"{func.qualname} acknowledges durability ({name}) but some "
+                    "path returns without reaching a device barrier — order the "
+                    "flush/sync before the acknowledgement",
+                )
+        # Rule 3: a coordinator's exit obligations.
+        if any(e.coord and e.phase < 2 for e in exits):
+            self._flag(
+                ctx, func.line, "intent-protocol",
+                f"{func.qualname} returns before the intent record is durable "
+                "— sync the coordinator volume after writing the intent",
             )
-
-    def _check_coord_exit(
-        self, func, exits: List[_State], ctx: _FuncCtx
-    ) -> None:
-        """Rule 3: coordinator exit obligations."""
-        if ctx.exempt:
-            return
-        for e in exits:
-            if e.coord and e.phase < 2:
-                self.findings.add(
-                    func.path,
-                    func.line,
-                    "intent-protocol",
-                    f"{func.qualname} returns before the intent record "
-                    "is durable — sync the coordinator volume after "
-                    "writing the intent",
-                )
-                break
-        for e in exits:
-            if e.coord and e.apply_dirty:
-                self.findings.add(
-                    func.path,
-                    func.line,
-                    "intent-protocol",
-                    f"{func.qualname} returns with the applied batch "
-                    "unsynced — sync the destination volumes before "
-                    "resolving the intent",
-                )
-                break
+        if any(e.coord and e.apply_dirty for e in exits):
+            self._flag(
+                ctx, func.line, "intent-protocol",
+                f"{func.qualname} returns with the applied batch unsynced — "
+                "sync the destination volumes before resolving the intent",
+            )
+        return summary
 
     # -- statements ------------------------------------------------------
     def transfer(self, stmt: ast.stmt, state: _State, ctx: _FuncCtx) -> None:
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return  # nested defs are not this path
-        if isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._eval_calls(stmt.value, state, ctx)
-        elif isinstance(stmt, ast.Raise):
-            if stmt.exc is not None:
-                self._eval_calls(stmt.exc, state, ctx)
-        elif isinstance(stmt, (ast.If, ast.While)):
-            self._eval_calls(stmt.test, state, ctx)
+        if isinstance(stmt, (ast.If, ast.While)):
+            parts = [stmt.test]
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._eval_calls(item.context_expr, state, ctx)
-            self.program.bind(stmt, ctx.func, state.vars)
+            parts = [item.context_expr for item in stmt.items]
+        elif isinstance(stmt, ast.Raise):
+            parts = [stmt.exc]
         else:
-            # Assign, AnnAssign, Expr, AugAssign, Assert, Delete, ... :
-            # interpret any calls inside, then let an assignment refine
-            # the local types.
-            self._eval_calls(stmt, state, ctx)
-            self.program.bind(stmt, ctx.func, state.vars)
+            parts = [stmt]
+        for part in parts:
+            if part is not None:
+                self._eval(part, state, ctx)
 
     def exec_if(
         self, stmt: ast.If, state: _State, ctx: _FuncCtx
@@ -592,16 +518,14 @@ class _Analyzer(flow.Walker):
     def exec_for(
         self, stmt, state: _State, ctx: _FuncCtx
     ) -> Optional[_State]:
-        self._eval_calls(stmt.iter, state, ctx)
-        body_state = state.copy()
-        self.program.bind(stmt, ctx.func, body_state.vars)
+        self._eval(stmt.iter, state, ctx)
         is_sorted = (
             isinstance(stmt.iter, ast.Call)
             and isinstance(stmt.iter.func, ast.Name)
             and stmt.iter.func.id == "sorted"
         )
         ctx.loop_sorted.append(is_sorted)
-        out = self.exec_block(stmt.body, body_state, ctx)
+        out = self.exec_block(stmt.body, state.copy(), ctx)
         ctx.loop_sorted.pop()
         if stmt.orelse and out is not None:
             out = self.exec_block(stmt.orelse, out, ctx)
@@ -621,298 +545,173 @@ class _Analyzer(flow.Walker):
         return out if out is not None else entry
 
     # -- calls -----------------------------------------------------------
-    def _eval_calls(self, node: ast.AST, state: _State, ctx: _FuncCtx) -> None:
-        for call in self._calls_in(node):
-            self._do_call(call, state, ctx)
-
-    @staticmethod
-    def _calls_in(node: ast.AST) -> List[ast.Call]:
-        out: List[ast.Call] = []
+    def _eval(self, node: ast.AST, state: _State, ctx: _FuncCtx) -> None:
+        """Interpret every call in ``node``, in a fixed (approximate) order."""
         stack: List[ast.AST] = [node]
         while stack:
             n = stack.pop()
-            if isinstance(
-                n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue  # nested defs are not this path
             if isinstance(n, ast.Call):
-                out.append(n)
+                self._do_call(n, state, ctx)
             stack.extend(ast.iter_child_nodes(n))
-        return out
 
     def _do_call(self, call: ast.Call, state: _State, ctx: _FuncCtx) -> None:
-        events, descend = self._classify(call, state, ctx)
-        for ev in events:
-            self._apply_event(ev, call, state, ctx)
-        if events and not descend:
-            return
-        callees = self.program.resolve_call(call, ctx.func, state.vars)
-        cands = [
-            self.summary(c.key, c) for c in callees if c.key != ctx.func.key
-        ]
-        if not cands:
-            return
-        self._apply_summary(_merge_summaries(cands), call, state, ctx)
-
-    def _classify(
-        self, call: ast.Call, state: _State, ctx: _FuncCtx
-    ) -> Tuple[List[tuple], bool]:
-        """Map a call to primitive durability events.
-
-        Returns ``(events, descend)``; a primitive call is *not*
-        descended into (its device-level consequences are modeled by
-        the event), except the KV-env protocol ops, whose summaries
-        still carry the barrier/pending information."""
+        """Apply the :data:`CALLS` events of ``call``, or — when it is
+        not in the table or in a :data:`_DESCEND` family — the joined
+        summaries of its callees."""
+        typed = self.program.typed_call(call)
         f = call.func
+        key = None
         if isinstance(f, ast.Name):
-            if f.id == "pack_intent":
-                return [("coord",)], True
-            return [], True
-        if not isinstance(f, ast.Attribute):
-            return [], True
-        names = self.program.receiver_class_names(call, ctx.func, state.vars)
-        if not names:
-            return [], True
-        m = f.attr
-        if names & self.env_names:
-            if m in ENV_MUTATORS:
-                log = _const_bool(call, 99, "log", default=True)
-                return [("env-mutate", m, log)], True
-            if m == "sync":
-                return [("env-sync",)], True
-            return [], True
-        if names & self.wal_names:
-            if m == "append":
-                return [("append",)], False
-            if m == "flush":
-                if _const_bool(call, 0, "durable", default=True) is True:
-                    return [
-                        ("effect", "wal-write"), ("barrier", "log-sync")
-                    ], False
-                return [("effect", "wal-write")], False
-            if m == "truncate":
-                return [("effect", "trim")], False
-            return [], True
-        if names & self.tree_names:
-            if m in TREE_MUTATORS:
-                return [("mutate", m)], False
-            if m in ("write_dirty_nodes", "write_node"):
-                return [("effect", "node-write")], False
-            return [], True
-        if names & self.south_names:
-            if m == "write":
-                return [("effect", _write_kind(_const_str(call, 0)))], False
-            if m == "sync":
-                return [("barrier", _sync_kind(_const_str(call, 0)))], False
-            if m == "discard":
-                return [("effect", "trim")], False
-            return [], True
-        if names & self.journal_names:
-            if m == "commit":
-                if _const_bool(call, 0, "durable", default=True) is True:
-                    return [
-                        ("effect", "dev-write"),
-                        ("barrier", "journal-commit"),
-                    ], False
-                return [("effect", "dev-write")], False
-            return [], True
-        if names & self.device_names:
-            if m == "flush":
-                return [("barrier", "device-flush")], False
-            if m in ("write", "submit_write"):
-                return [("effect", "dev-write")], False
-            if m == "discard":
-                return [("effect", "trim")], False
-            if m in VOLATILE_READS:
-                return [
-                    ("volatile-read", f"{sorted(names)[0]}.{m}()")
-                ], False
-            return [], True
-        return [], True
+            key = (None, f.id)
+        elif isinstance(f, ast.Attribute):
+            family = self.family(typed.receivers)
+            if family is not None:
+                key = (family, f.attr)
+        events = CALLS.get(key)
+        if events is not None:
+            for op, kind in events:
+                self._apply_event(op, kind, key[1], call, state, ctx)
+            if key[0] not in _DESCEND:
+                return
+        cands = [
+            self.summary(c.key, c) for c in typed.callees if c.key != ctx.func.key
+        ]
+        if cands:
+            self._apply_summary(
+                _Summary(
+                    _join(s.exit for s in cands),
+                    frozenset().union(*(s.barrier_kinds for s in cands)),
+                    any(s.exposed_sb_write for s in cands),
+                ),
+                call, state, ctx,
+            )
 
     def _apply_event(
-        self, ev: tuple, call: ast.Call, state: _State, ctx: _FuncCtx
+        self, op: str, kind: Optional[str], method: str,
+        call: ast.Call, state: _State, ctx: _FuncCtx,
     ) -> None:
-        kind = ev[0]
-        func = ctx.func
         line = call.lineno
-        if kind == "coord":
+        if kind == FILE:
+            kind = BY_FILE[op].get(_const_arg(call, 0), BY_FILE[op][None])
+        if op == "durable-barrier":
+            durable = _const_arg(call, 0, "durable")
+            if durable is not True and durable is not _ABSENT:
+                return
+            op = "barrier"
+        if op == "coord":
             state.coord = True
             state.phase = 0
             ctx.is_coord = True
-        elif kind == "append":
+        elif op == "logged":
             state.logged = True
-            state.pending.add("wal-append")
-            self.graph.add_effect("wal-append")
-            self.report.effect_sites += 1
-        elif kind == "mutate":
-            if not state.logged and not ctx.exempt and not ctx.recovery:
-                self.findings.add(
-                    func.path,
-                    line,
-                    "write-ahead",
-                    f"{ev[1]}() mutates Bε-tree state with no dominating "
-                    "WAL append on this path — append the log record "
-                    "first, or mark the path as recovery",
+        elif op == "mutate":
+            if not state.logged and not ctx.recovery:
+                self._flag(
+                    ctx, line, "write-ahead",
+                    f"{method}() mutates Bε-tree state with no dominating WAL "
+                    "append on this path — append the log record first, or "
+                    "mark the path as recovery",
                 )
-        elif kind == "effect":
-            ek = ev[1]
+        elif op == "effect":
             self.report.effect_sites += 1
-            self.graph.add_effect(ek)
-            if ek == "sb-write":
-                if state.nodes_dirty and not ctx.exempt:
-                    self.findings.add(
-                        func.path,
-                        line,
-                        "barrier-order",
-                        "superblock write while node writes are still "
-                        "unflushed — flush meta.db/data.db before "
-                        "committing the superblock slot (torn checkpoint)",
+            self.graph.effects.add(kind)
+            if kind == "sb-write":
+                if state.nodes_dirty:
+                    self._flag(
+                        ctx, line, "barrier-order",
+                        "superblock write while node writes are still unflushed "
+                        "— flush meta.db/data.db before committing the "
+                        "superblock slot (torn checkpoint)",
                     )
                 if not state.barriered:
                     ctx.exposed_sb_write = True
                 state.sb_dirty = True
-            elif ek == "node-write":
+            elif kind == "node-write":
                 state.nodes_dirty = True
-            state.pending.add(ek)
-        elif kind == "barrier":
-            bk = ev[1]
+            state.pending.add(kind)
+        elif op == "barrier":
             self.report.barrier_sites += 1
-            self.graph.add_barrier(bk)
-            for p in sorted(state.pending):
-                self.graph.add_edge(p, bk, func.path, line, func.qualname)
-            state.pending.clear()
-            state.barriered = True
-            state.nodes_dirty = False
-            state.sb_dirty = False
-            ctx.barrier_kinds.add(bk)
-        elif kind == "env-mutate":
-            self._apply_env_mutate(ev, call, state, ctx)
-        elif kind == "env-sync":
-            if state.coord:
-                if (
-                    ctx.loop_sorted
-                    and ctx.loop_sorted[-1] is False
-                    and state.phase >= 1
-                    and not ctx.exempt
-                ):
-                    self.findings.add(
-                        func.path,
-                        line,
-                        "intent-protocol",
-                        "shard fan-out sync iterates an unsorted "
-                        "sequence — iterate sorted(...) so the "
-                        "apply/sync order is deterministic",
-                    )
-                if state.phase == 1:
-                    state.phase = 2
-                state.apply_dirty = False
-        elif kind == "volatile-read":
-            self.volatile_sites.setdefault(func.key, []).append(
-                (line, ev[1])
-            )
+            self._reach_barrier(kind, state, ctx, line)
+            self._flushed(state)
+        elif op == "env":
+            self._env_step(method, call, state, ctx)
 
-    def _apply_env_mutate(
-        self, ev: tuple, call: ast.Call, state: _State, ctx: _FuncCtx
+    def _env_step(
+        self, method: str, call: ast.Call, state: _State, ctx: _FuncCtx
     ) -> None:
-        m, log_const = ev[1], ev[2]
-        func = ctx.func
-        line = call.lineno
-        if log_const is False and not ctx.exempt and not ctx.recovery:
-            self.findings.add(
-                func.path,
-                line,
-                "write-ahead",
-                f"{m}(log=False) bypasses the write-ahead log outside a "
-                "recovery path — drop the override or route through "
-                "recovery",
+        """A KV-env op: the ``log=False`` rule, then one
+        :data:`PROTOCOL` step on a coordinator path."""
+        step = method if method in ("insert", "delete", "sync") else "apply"
+        if step != "sync" and _const_arg(call, 99, "log") is False and not ctx.recovery:
+            self._flag(
+                ctx, call.lineno, "write-ahead",
+                f"{method}(log=False) bypasses the write-ahead log outside a "
+                "recovery path — drop the override or route through recovery",
             )
         if not state.coord:
             return
-        if m == "insert":
-            if state.phase == 0:
-                state.phase = 1
-                state.pending.add("intent-put")
-                self.graph.add_effect("intent-put")
-            elif state.phase == 1:
-                if not ctx.exempt:
-                    self.findings.add(
-                        func.path,
-                        line,
-                        "intent-protocol",
-                        "apply insert before the intent record is "
-                        "durable — sync the coordinator volume first",
-                    )
-                state.phase = 2
-                state.apply_dirty = True
-            else:
-                state.apply_dirty = True
-        elif m == "delete":
-            if state.phase < 2:
-                if not ctx.exempt:
-                    self.findings.add(
-                        func.path,
-                        line,
-                        "intent-protocol",
-                        "resolve (delete) before the intent record is "
-                        "durable — the crash window would lose the rename",
-                    )
-                state.phase = 2
-            elif state.apply_dirty:
-                if not ctx.exempt:
-                    self.findings.add(
-                        func.path,
-                        line,
-                        "intent-protocol",
-                        "resolve (delete) before the applied batch is "
-                        "synced — sync the destination volumes first",
-                    )
-                state.apply_dirty = False
-        else:  # patch / range_delete are apply-phase ops
-            if state.phase == 1:
-                if not ctx.exempt:
-                    self.findings.add(
-                        func.path,
-                        line,
-                        "intent-protocol",
-                        "apply before the intent record is durable — "
-                        "sync the coordinator volume first",
-                    )
-                state.phase = 2
-            if state.phase >= 1:
-                state.apply_dirty = True
+        finding, phase, apply_dirty = PROTOCOL[step, state.phase]
+        if finding == "unsynced-resolve" and not state.apply_dirty:
+            finding = None
+        if finding == "unsorted-sync" and ctx.loop_sorted[-1:] != [False]:
+            finding = None
+        if finding is not None:
+            self._flag(ctx, call.lineno, "intent-protocol", PROTOCOL_MESSAGES[finding])
+        if state.phase == 0 and phase == 1:
+            state.pending.add("intent-put")
+            self.graph.effects.add("intent-put")
+        state.phase = phase
+        if apply_dirty is not None:
+            state.apply_dirty = apply_dirty
+
+    def _reach_barrier(
+        self, kind: str, state: _State, ctx: _FuncCtx, line: int
+    ) -> None:
+        """A ``kind`` barrier is reached: order every pending effect
+        before it."""
+        self.graph.barriers.add(kind)
+        for p in sorted(state.pending):
+            self.graph.add_edge(p, kind, ctx.func.path, line, ctx.func.qualname)
+        ctx.barrier_kinds.add(kind)
+
+    @staticmethod
+    def _flushed(state: _State) -> None:
+        state.pending.clear()
+        state.barriered = True
+        state.nodes_dirty = False
+        state.sb_dirty = False
 
     def _apply_summary(
         self, summary: _Summary, call: ast.Call, state: _State, ctx: _FuncCtx
     ) -> None:
-        func = ctx.func
-        if summary.exposed_sb_write and state.nodes_dirty and not ctx.exempt:
-            self.findings.add(
-                func.path,
-                call.lineno,
-                "barrier-order",
-                "call writes the superblock while this function holds "
-                "unflushed node writes — flush meta.db/data.db before "
-                "the checkpoint commit",
+        after = summary.exit
+        if summary.exposed_sb_write and state.nodes_dirty:
+            self._flag(
+                ctx, call.lineno, "barrier-order",
+                "call writes the superblock while this function holds unflushed "
+                "node writes — flush meta.db/data.db before the checkpoint commit",
             )
-        if summary.barrier_kinds:
-            for bk in sorted(summary.barrier_kinds):
-                self.graph.add_barrier(bk)
-                for p in sorted(state.pending):
-                    self.graph.add_edge(
-                        p, bk, func.path, call.lineno, func.qualname
-                    )
-            ctx.barrier_kinds.update(summary.barrier_kinds)
-        if summary.must_barrier and summary.barrier_kinds:
-            state.pending.clear()
-            state.barriered = True
-            state.nodes_dirty = False
-            state.sb_dirty = False
-        state.pending |= summary.exit_pending
-        if summary.exit_nodes_dirty:
-            state.nodes_dirty = True
-        if summary.exit_sb_dirty:
-            state.sb_dirty = True
+        for kind in sorted(summary.barrier_kinds):
+            self._reach_barrier(kind, state, ctx, call.lineno)
+        if after.barriered and summary.barrier_kinds:
+            self._flushed(state)
+        state.pending |= after.pending
+        state.nodes_dirty |= after.nodes_dirty
+        state.sb_dirty |= after.sb_dirty
+
+
+def _subclass_names(program: flow.Program, roots: Sequence[str]) -> FrozenSet[str]:
+    """``roots`` and the bare names of every class in the transitive
+    subclass closure of a class named like one of them."""
+    subs = {
+        sub
+        for key, cls in program.classes.items()
+        if cls.name in roots
+        for sub in program.subclasses[key]
+    }
+    return frozenset(roots) | {program.classes[k].name for k in subs}
 
 
 # ======================================================================
@@ -922,13 +721,12 @@ def _recovery_set(program: flow.Program) -> Dict[str, Optional[str]]:
     """The call-graph closure of the recovery entry points, as a
     ``{reachable function key: parent key}`` map (entries map to None)."""
     fsck_mod = f"{program.package}.check.fsck"
-    entries: List[str] = []
-    for func in program.functions.values():
-        name = func.qualname.split(".")[-1]
-        if name in RECOVERY_ENTRY_NAMES:
-            entries.append(func.key)
-        elif func.module == fsck_mod and name.startswith("fsck"):
-            entries.append(func.key)
+    entries = [
+        func.key
+        for func in program.functions.values()
+        if (name := func.qualname.split(".")[-1]) in RECOVERY_ENTRY_NAMES
+        or (func.module == fsck_mod and name.startswith("fsck"))
+    ]
     return flow.reach(entries, lambda key: program.functions[key].calls)
 
 
@@ -954,25 +752,31 @@ def analyze(
     for func in program.functions_in_order():
         analyzer.summary(func.key, func)
 
-    # Rule 4 findings.  The device layer itself (which implements the
-    # volatile cache) and crashmc (which deliberately inspects it to
-    # build crash images) are structural exceptions.
+    # Rule 4: the device's volatile accessors among the recovery
+    # closure's call sites.  The device layer itself (which implements
+    # the volatile cache) and crashmc (which deliberately inspects it
+    # to build crash images) are structural exceptions.
     rule4_exempt = (f"{package}.crashmc", f"{package}.device")
     for key in sorted(recovery):
         func = program.functions[key]
-        if _is_exempt(func.module, rule4_exempt):
+        if flow.is_exempt(func.module, rule4_exempt):
             continue
-        for line, rendered in analyzer.volatile_sites.get(key, []):
+        for site in func.sites:
+            if (
+                site.name not in VOLATILE_READS
+                or analyzer.family(site.receivers) != "device"
+            ):
+                continue
             chain = " <- ".join(
                 program.functions[k].qualname
                 for k in flow.chain(recovery, key)[:12]
             )
             findings.add(
                 func.path,
-                line,
+                site.line,
                 "recovery-reads-durable",
-                f"{rendered} reads volatile-epoch device state on a "
-                f"recovery path ({chain}) — "
+                f"{sorted(site.receivers)[0]}.{site.name}() reads volatile-"
+                f"epoch device state on a recovery path ({chain}) — "
                 "recovery must observe only durable bytes",
             )
 

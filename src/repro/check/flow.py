@@ -10,7 +10,9 @@ here, in three parts:
    index modules/classes/functions, link the class hierarchy, type
    attributes and module-level singletons from annotations and
    constructor assignments, and record every function's typed call
-   edges and call sites.  ``lint`` builds one ``Program`` and hands it
+   edges and call sites.  This is the only place a call is typed:
+   :meth:`Program.typed_call` hands the analyses each call's receiver
+   classes and callees.  ``lint`` builds one ``Program`` and hands it
    to every analysis; an analysis run alone builds its own.
 2. **How a function body is walked** (:class:`Walker`): block
    sequencing, exit collection, ``if`` fork-and-join, loops, ``try``,
@@ -114,6 +116,11 @@ def load_sources(root: str, package: str = "repro") -> List[SourceFile]:
     return [read_source(full, rel, package) for full, rel in walk_tree(root)]
 
 
+def is_exempt(module: str, prefixes: Sequence[str]) -> bool:
+    """Is ``module`` one of the dotted ``prefixes`` or inside one?"""
+    return any(module == p or module.startswith(p + ".") for p in prefixes)
+
+
 class CallSite(NamedTuple):
     """One typed call site, for the analyses' sink/source tables."""
 
@@ -123,6 +130,13 @@ class CallSite(NamedTuple):
     #: bare class names the receiver may have; empty for a call of a
     #: resolved module-level function
     receivers: FrozenSet[str]
+
+
+class TypedCall(NamedTuple):
+    """What the call graph knows of one call expression."""
+
+    receivers: FrozenSet[str]  # bare class names of a method's receiver
+    callees: Tuple["FuncInfo", ...]
 
 
 @dataclass
@@ -175,6 +189,7 @@ class ModuleInfo:
 
 
 EMPTY: FrozenSet[str] = frozenset()
+_UNTYPED = TypedCall(EMPTY, ())
 
 #: ``(class keys, element class keys)`` of an expression or annotation.
 Typed = Tuple[FrozenSet[str], FrozenSet[str]]
@@ -196,6 +211,12 @@ class Program:
         self.functions: Dict[str, FuncInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}  # by key "module.Class"
         self.subclasses: Dict[str, Set[str]] = {}  # key -> transitive subs
+        self._typed: Dict[ast.Call, TypedCall] = {}
+
+    def typed_call(self, call: ast.Call) -> TypedCall:
+        """``call``'s receiver class names and callees, as typed when
+        the call graph was built (nothing, outside a function body)."""
+        return self._typed.get(call, _UNTYPED)
 
     def waivers(self, tool: str) -> WaiverSet:
         """A fresh set of ``tool``'s inline waivers over the tree."""
@@ -631,22 +652,11 @@ class Program:
             return list(out_by_key.values())
         return []
 
-    def receiver_class_names(
-        self, call: ast.Call, func: FuncInfo, env: Dict[str, Typed]
-    ) -> Set[str]:
-        """Bare class names the receiver of ``call`` may have."""
-        f = call.func
-        if not isinstance(f, ast.Attribute):
-            return set()
-        receiver, _ = self.eval(f.value, func, env)
-        # ``type:`` keys are the class object itself (classmethod call).
-        keys = (key.removeprefix("type:") for key in receiver)
-        return {self.classes[k].name for k in keys if k in self.classes}
-
 
 class _CallWalker(ast.NodeVisitor):
-    """One function body: types flow forward through assignments, and
-    every resolvable call becomes an edge and a :class:`CallSite`."""
+    """One function body: types flow forward through assignments, every
+    call is typed once (:meth:`Program.typed_call`), and every
+    resolvable call becomes an edge and a :class:`CallSite`."""
 
     def __init__(self, program: Program, func: FuncInfo) -> None:
         self.program = program
@@ -672,18 +682,19 @@ class _CallWalker(ast.NodeVisitor):
     # -- calls ----------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         self.generic_visit(node)
-        prog, func = self.program, self.func
+        prog, func, f = self.program, self.func, node.func
         callees = prog.resolve_call(node, func, self.env)
-        for callee in callees:
-            func.calls.add(callee.key)
-        f = node.func
+        names = EMPTY
         if isinstance(f, ast.Attribute):
-            names = prog.receiver_class_names(node, func, self.env)
-            if names:
-                rendered = ast.unparse(f) + "()"
-                func.sites.append(
-                    CallSite(node.lineno, f.attr, rendered, frozenset(names))
-                )
+            receiver, _ = prog.eval(f.value, func, self.env)
+            # ``type:`` keys are the class object itself (classmethod call).
+            keys = (key.removeprefix("type:") for key in receiver)
+            names = frozenset(prog.classes[k].name for k in keys if k in prog.classes)
+        prog._typed[node] = TypedCall(names, tuple(callees))
+        func.calls.update(callee.key for callee in callees)
+        if names:
+            rendered = ast.unparse(f) + "()"
+            func.sites.append(CallSite(node.lineno, f.attr, rendered, names))
         elif isinstance(f, ast.Name) and callees:
             func.sites.append(CallSite(node.lineno, f.id, f"{f.id}()", EMPTY))
 

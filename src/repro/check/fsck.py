@@ -54,13 +54,10 @@ from repro.core.checkpoint import (
 )
 from repro.core.keys import intersect
 from repro.core.node import InternalNode
-from repro.core.serialize import ChecksumError, decode_node
+from repro.core.serialize import ChecksumError, decode_node, unframe
 from repro.core.wal import WriteAheadLog
 from repro.device.block import BlockDevice, ExtentStore
 from repro.storage.sfl import ImageLayout
-
-#: Compressed on-disk node prefix (mirrors ``repro.core.tree``).
-_COMPRESSED_MAGIC = b"BFCZ"
 
 #: On-disk image container magic + version.
 IMAGE_MAGIC = b"BFIM"
@@ -259,20 +256,6 @@ def _check_blockman(
         )
 
 
-def _read_node_bytes(
-    store: ExtentStore, file_base: int, off: int, ln: int
-) -> bytes:
-    data = store.read(file_base + off, ln)
-    if data[:4] == _COMPRESSED_MAGIC:
-        (orig_len,) = struct.unpack_from("<I", data, 4)
-        data = zlib.decompress(data[8:])
-        if len(data) != orig_len:
-            raise ChecksumError(
-                f"decompressed length {len(data)} != header {orig_len}"
-            )
-    return data
-
-
 def _walk_tree(
     store: ExtentStore,
     name: str,
@@ -308,11 +291,11 @@ def _walk_tree(
             continue
         off, ln = entry
         try:
-            data = _read_node_bytes(store, file_base, off, ln)
+            data, _inflated = unframe(store.read(file_base + off, ln))
             # Every CRC the node carries — a leaf's header and each of
             # its basements — is checked; the error names the basement.
             node = decode_node(data, aligned=aligned)
-        except (ChecksumError, ValueError, struct.error, zlib.error) as exc:
+        except (ChecksumError, ValueError, struct.error) as exc:
             report.error(f"{name}: node {node_id} unreadable: {exc}")
             continue
         report.nodes_checked += 1

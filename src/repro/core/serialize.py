@@ -22,7 +22,11 @@ all that precedes it.  A leaf carries its checksums in its header
 region, so that a basement can be read and verified without its
 siblings: the fixed head gives the region's length, the region closes
 with the CRC32 of the rest of it, and each basement-table row holds the
-CRC32 of that basement's extent.
+CRC32 of that basement's extent.  A compressed node (the
+``compression`` ablation) is stored in one frame — magic, length, zlib
+stream — that :func:`frame_compressed` writes and :func:`unframe` reads
+for the tree and fsck alike; a frame that does not inflate to its
+length is a :class:`ChecksumError`, like any other corruption.
 
 Each direction walks a node once (DESIGN.md, "Node codec"): encode
 emits one ``pack`` per entry, sizes every region by arithmetic and
@@ -36,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from struct import Struct, pack, unpack_from
 from typing import Callable, List, Optional, Tuple
-from zlib import crc32
+from zlib import compress, crc32, decompress, error as ZlibError
 
 from repro.core.keys import common_prefix_of
 from repro.check.errors import require
@@ -604,6 +608,34 @@ def decode_node(
 
 class ChecksumError(Exception):
     """Raised when a node or log entry fails its CRC check."""
+
+
+# ----------------------------------------------------------------------
+#: Magic of a compressed on-disk node.  The frame is this, the length
+#: of the serialized node (u32) and one zlib stream of it.
+COMPRESSED_MAGIC = b"BFCZ"
+
+
+def frame_compressed(data: bytes) -> bytes:
+    """The compressed on-disk form of the serialized node ``data``."""
+    return COMPRESSED_MAGIC + _U32.pack(len(data)) + compress(data, level=1)
+
+
+def unframe(extent: bytes) -> Tuple[bytes, int]:
+    """``(serialized node, bytes inflated)`` of an on-disk node extent:
+    the extent itself and 0 unless it is a compressed frame.  A frame
+    whose stream does not inflate, or not to its recorded length, is a
+    corrupt node (:class:`ChecksumError`)."""
+    if extent[:4] != COMPRESSED_MAGIC:
+        return extent, 0
+    (length,) = _U32.unpack_from(extent, 4)
+    try:
+        data = decompress(extent[8:])
+    except ZlibError as exc:
+        raise ChecksumError(f"compressed node does not inflate ({exc})") from None
+    if len(data) != length:
+        raise ChecksumError(f"decompressed length {len(data)} != header {length}")
+    return data, length
 
 
 def verify_crc(data: bytes) -> None:

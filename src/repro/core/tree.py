@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
@@ -43,18 +42,16 @@ from repro.core.messages import (
 from repro.check.errors import TreeInvariantError, require
 from repro.core.keys import intersect
 from repro.core.node import BasementNode, InternalNode, LeafNode, Node
-import zlib as _zlib
-
 from repro.core.serialize import (
     decode_basement,
     decode_leaf_header,
     decode_node,
+    frame_compressed,
     leaf_header_len,
     serialize_node,
+    unframe,
 )
 
-#: Magic prefix of a compressed on-disk node.
-COMPRESSED_MAGIC = b"BFCZ"
 #: What a partial leaf load reads first; a longer header region (some
 #: hundred basements) costs it one more read.
 LEAF_HEAD_READ = 8192
@@ -923,12 +920,11 @@ class BeTree:
         return node
 
     def _decode_full(self, data: bytes) -> Node:
-        if data[:4] == COMPRESSED_MAGIC:
-            (orig_len,) = struct.unpack_from("<I", data, 4)
+        data, inflated = unframe(data)
+        if inflated:
             self.clock.cpu(
-                self.costs.cpu_scale * self.costs.compress_per_byte * orig_len
+                self.costs.cpu_scale * self.costs.compress_per_byte * inflated
             )
-            data = _zlib.decompress(data[8:])
         split: List[int] = []
         node = decode_node(data, aligned=self.cfg.page_sharing, cost_split=split)
         self._charge_decode(len(data), len(data), split[1])
@@ -1062,11 +1058,7 @@ class BeTree:
                 * self.costs.compress_per_byte
                 * len(data)
             )
-            data = (
-                COMPRESSED_MAGIC
-                + struct.pack("<I", len(ser.data))
-                + _zlib.compress(ser.data, level=1)
-            )
+            data = frame_compressed(ser.data)
         buf = self.alloc.alloc(self.alloc.suggested_capacity(len(data)))
         off = self.blockman.relocate(node.node_id, len(data))
         self.storage.write(self.file_name, off, data, byref=True)

@@ -4,7 +4,8 @@ Times how long the *simulator itself* takes — real seconds, not
 simulated ones — on a fixed workload set (TokuBench small-file
 creation, the Dovecot-style mailserver, and the Figure 2a tar/untar
 application benchmark), so hot-path optimization work can be ordered
-and gated by measurement instead of guesswork (ROADMAP: "Raw speed").
+and gated by measurement instead of guesswork (ROADMAP north star:
+"Performance that is measured").
 
 Design rules, in the spirit of the replay-trace evaluation-framework
 and StorRep papers (PAPERS.md): results are **machine-readable,

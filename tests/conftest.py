@@ -33,6 +33,22 @@ def real_program() -> flow.Program:
 
 
 @pytest.fixture
+def shared_program(monkeypatch):
+    """Opt-in: ``flow.load_program()`` with no root returns
+    :func:`real_program`, so a CLI test does not re-parse and re-index
+    the real tree.  Not for tests that count parses or that compare a
+    shared ``Program`` against a standalone one."""
+    load = flow.load_program
+
+    def load_program(root=None, package="repro"):
+        if root is None and package == "repro":
+            return real_program()
+        return load(root, package)
+
+    monkeypatch.setattr(flow, "load_program", load_program)
+
+
+@pytest.fixture
 def clock():
     return SimClock()
 

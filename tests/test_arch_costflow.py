@@ -216,11 +216,7 @@ class TestCostflowRealTree:
 # CLI composition
 # ======================================================================
 class TestCheckCli:
-    def test_lint_runs_all_three_passes_clean(self, capsys):
-        assert lint.main([]) == 0
-        out = capsys.readouterr().out
-        assert "clean" in out
-
+    @pytest.mark.usefixtures("shared_program")
     def test_json_format_round_trips(self, capsys):
         assert lint.main(["--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -230,6 +226,7 @@ class TestCheckCli:
         assert payload["costflow"]["functions"] > 500
         assert all("allow[" in w for w in payload["waivers"])
 
+    @pytest.mark.usefixtures("shared_program")
     def test_graph_out_writes_artifacts(self, capsys, tmp_path):
         prefix = str(tmp_path / "import-graph")
         assert lint.main(["--format", "json", "--graph-out", prefix]) == 0
@@ -238,6 +235,7 @@ class TestCheckCli:
         assert os.path.exists(prefix + ".json")
         assert os.path.exists(prefix + ".dot")
 
+    @pytest.mark.usefixtures("shared_program")
     def test_subcommands_run_standalone(self, capsys):
         from repro.check.__main__ import main as check_main
 

@@ -229,7 +229,7 @@ class TestNodeCacheLedger:
 
     def test_a_fit_measures_only_the_nodes_handed_out(self, monkeypatch):
         """The cost of a fit follows the work since the last one, not
-        the size of the cache (ROADMAP 1(b): a count, not a timing)."""
+        the size of the cache (a machine-independent guard: a count, not a timing)."""
         cache = NodeCache(1 << 30)
         for node_id in range(1, 201):
             cache.put(leaf_with(node_id, 100), owner=None)

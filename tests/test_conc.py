@@ -217,11 +217,6 @@ class TestRealTree:
             (e.src, e.dst) for e in graph.edges if not e.ordered
         ]
 
-    def test_lint_composes_conc(self):
-        """``repro.check lint`` runs the concurrency pass too (tentpole
-        wiring), and the composed run stays clean."""
-        assert lint.main([]) == 0
-
 
 # ======================================================================
 # Static/dynamic agreement (satellite c): one fixture, both checkers
@@ -314,6 +309,7 @@ class TestStaticGraphCoversRuntime:
 # ======================================================================
 # CLI: conc subcommand, graph artifacts
 # ======================================================================
+@pytest.mark.usefixtures("shared_program")
 class TestConcCLI:
     def test_clean_run_exit_zero(self, capsys):
         assert conc.main([]) == 0

@@ -184,6 +184,7 @@ class TestRealTree:
         assert ("node-write", "tree-sync") in pairs
         assert ("sb-write", "sb-sync") in pairs
 
+    @pytest.mark.usefixtures("shared_program")
     def test_lint_composes_durflow(self, capsys):
         """Satellite: ``repro.check lint`` runs all five passes and
         reports the per-pass summary — rc and format are pinned."""
@@ -194,6 +195,7 @@ class TestRealTree:
             in out
         )
 
+    @pytest.mark.usefixtures("shared_program")
     def test_lint_json_reports_passes(self, capsys):
         assert lint.main(["--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -259,6 +261,7 @@ class TestOrderRecorder:
         rec.on_write(10**15, 512)
         assert rec._pending == {"dev-write"}
 
+    @pytest.mark.usefixtures("shared_program")
     def test_torture_verify_order_graph(self, capsys):
         """Acceptance criterion: a fixed-seed torture sweep with
         ``--verify-order-graph`` passes, speaks on stderr only, and
@@ -282,6 +285,7 @@ class TestOrderRecorder:
 # ======================================================================
 # CLI: durflow subcommand, graph artifacts
 # ======================================================================
+@pytest.mark.usefixtures("shared_program")
 class TestDurflowCLI:
     def test_clean_run_exit_zero(self, capsys):
         assert durflow.main([]) == 0
