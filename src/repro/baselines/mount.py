@@ -25,7 +25,7 @@ class BaselineMount:
         self.opts = opts or MountOptions()
         self.clock = SimClock()
         self.costs = self.opts.costs
-        self.obs = scope_for_mount(self.name, self.clock)
+        self.obs = scope_for_mount(self.name, self.clock, self)
         self.device = BlockDevice(self.clock, self.opts.profile, obs=self.obs)
         self.backend = BaselineFS(self.device, self.costs, BASELINES[name])
         self.obs.register_object("storage.backend", self.backend, layer="storage")

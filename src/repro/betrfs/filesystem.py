@@ -103,7 +103,7 @@ class BetrFS:
         self.costs = self.opts.costs
         #: Observability scope: registered with the active session when
         #: one is installed (repro.obs.session), standalone otherwise.
-        self.obs = scope_for_mount(self.name, self.clock)
+        self.obs = scope_for_mount(self.name, self.clock, self)
         self.device.attach_obs(self.obs)
         if features.coop_memory:
             self.alloc: KernelAllocator = CooperativeAllocator(

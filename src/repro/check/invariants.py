@@ -17,7 +17,7 @@ image).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.checkpoint import BlockManager
 from repro.core.keys import in_range
@@ -134,32 +134,50 @@ def _leaf_faults(
         prev = keys[-1]
 
 
+#: ``(offset, aligned length, what)`` of one extent.
+Span = Tuple[int, int, str]
+_QUEUED = "TRIM-queued extent"
+
+
 def blockman_faults(blockman: BlockManager) -> Iterator[str]:
-    """Node translation table and free list: every extent non-empty
-    and inside the file, and no two (aligned) extents overlapping."""
-    spans = []
+    """Every extent list of a block table: each extent non-empty and
+    inside the file; the table, the free list and the deferred frees
+    pairwise disjoint (each byte has one owner); and no extent queued
+    for TRIM overlapping a live or a deferred copy (it is free space,
+    so it lies inside the free list).
+
+    A deferred extent is free as of the next commit, which is how an
+    image's free list shows it, so it is named a free extent too."""
+    size = blockman.file_size
+    table: List[Span] = []
     for node_id, (off, ln) in blockman.table.items():
-        if ln <= 0 or off < 0 or off + ln > blockman.file_size:
+        if ln <= 0 or off < 0 or off + ln > size:
+            yield f"node {node_id} extent ({off}, {ln}) out of file bounds ({size})"
+        else:
+            table.append((off, blockman._align(ln), f"node {node_id}"))
+    free: List[Span] = []
+    deferred: List[Span] = []
+    for spans, extents in ((free, blockman.free_list), (deferred, blockman.deferred_free)):
+        for off, ln in extents:
+            if off < 0 or off + ln > size:
+                yield f"free extent ({off}, {ln}) out of file bounds ({size})"
+            else:
+                spans.append((off, ln, "free extent"))
+    yield from _overlaps(table + free + deferred, "double allocation or double free")
+    queued = [(off, ln, _QUEUED) for off, ln in blockman._trim_pending]
+    yield from _overlaps(table + deferred + queued, "TRIM of a readable copy", _QUEUED)
+
+
+def _overlaps(spans: List[Span], why: str, only: str = "") -> Iterator[str]:
+    """Each pair of neighbouring spans in offset order that overlap
+    (any overlap makes some neighbouring pair overlap); with ``only``,
+    just the pairs one of which is named ``only``."""
+    spans = sorted(spans)
+    for prev, cur in zip(spans, spans[1:]):
+        if prev[0] + prev[1] > cur[0] and only in (prev[2], cur[2], ""):
             yield (
-                f"node {node_id} extent ({off}, {ln}) out of file bounds "
-                f"({blockman.file_size})"
-            )
-            continue
-        spans.append((off, blockman._align(ln), f"node {node_id}"))
-    for off, ln in blockman.free_list:
-        if off < 0 or off + ln > blockman.file_size:
-            yield (
-                f"free extent ({off}, {ln}) out of file bounds "
-                f"({blockman.file_size})"
-            )
-            continue
-        spans.append((off, ln, "free extent"))
-    spans.sort()
-    for (p_off, p_len, p_what), (c_off, _c_len, c_what) in zip(spans, spans[1:]):
-        if p_off + p_len > c_off:
-            yield (
-                f"overlapping extents (double allocation or double free): "
-                f"{p_what} at ({p_off}, {p_len}) overlaps {c_what} at {c_off}"
+                f"overlapping extents ({why}): {prev[2]} at "
+                f"({prev[0]}, {prev[1]}) overlaps {cur[2]} at {cur[0]}"
             )
 
 

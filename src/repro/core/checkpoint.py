@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 SUPERBLOCK_MAGIC = b"BFSB"
 
@@ -22,7 +22,28 @@ EXTENT_ALIGN = 4096
 
 
 class BlockManager:
-    """Extent allocator + node translation table for one tree file."""
+    """Extent allocator + node translation table for one tree file.
+
+    A node extent lives through one of three lifetimes once
+    :meth:`relocate` supersedes it:
+
+    * *never checkpointed* — allocated and superseded between two
+      commits.  No superblock references it, neither the current one
+      nor the ping-pong fallback, so :meth:`relocate` hands it back for
+      TRIM at once.  It still waits in ``deferred_free`` and becomes
+      reusable at the next commit, in the order it was superseded, so
+      first-fit allocation is the same as if it had not been trimmed;
+      it is never queued for a second TRIM.
+    * *checkpointed once* — the current superblock references it.  It
+      becomes reusable at the next commit and is TRIMmed at the commit
+      after (``_trim_pending``), when the fallback superblock no longer
+      references it either.
+    * *live* — the table's copy, read by every later checkpoint.
+
+    Putting a never-checkpointed extent back on the free list at once
+    would also be safe, but first-fit reuse of such holes turns the
+    sequential node-write stream into random writes.
+    """
 
     def __init__(self, file_size: int, reserve: int = 0) -> None:
         #: Node id -> (offset, length) of the *checkpointed* copy.
@@ -42,6 +63,10 @@ class BlockManager:
         #: once it is two durable checkpoints dead.  Extents re-used by
         #: the allocator in the meantime are unqueued.
         self._trim_pending: List[Tuple[int, int]] = []
+        #: Offsets handed out since the last commit: no superblock
+        #: references the copy there (a checkpoint commits right after
+        #: writing its superblock, with no relocation in between).
+        self._fresh: Set[int] = set()
 
     @staticmethod
     def _align(n: int) -> int:
@@ -85,31 +110,32 @@ class BlockManager:
                 out.append((end, p_end - end))
         self._trim_pending = out
 
-    def relocate(self, node_id: int, nbytes: int) -> int:
+    def relocate(
+        self, node_id: int, nbytes: int
+    ) -> Tuple[int, Optional[Tuple[int, int]]]:
         """CoW-allocate a new extent for ``node_id``; defer-free the old.
 
-        The translation table records the *exact* byte length (reads
-        must not pick up alignment padding); the free lists work in
-        aligned units.
+        Returns the new offset and the superseded extent if no
+        superblock references it (the caller TRIMs it once the new
+        copy is written), else ``None``.  The translation table records
+        the *exact* byte length (reads must not pick up alignment
+        padding); the free lists work in aligned units.
         """
         old = self.table.get(node_id)
         off = self.allocate(nbytes)
+        self._fresh.add(off)
         self.table[node_id] = (off, nbytes)
-        if old is not None:
-            old_off, old_len = old
-            self.deferred_free.append((old_off, self._align(old_len)))
-        return off
+        if old is None:
+            return off, None
+        dead = (old[0], self._align(old[1]))
+        self.deferred_free.append(dead)
+        return off, dead if old[0] in self._fresh else None
 
     def lookup(self, node_id: int) -> Tuple[int, int]:
         return self.table[node_id]
 
     def contains(self, node_id: int) -> bool:
         return node_id in self.table
-
-    def drop(self, node_id: int) -> None:
-        old = self.table.pop(node_id, None)
-        if old is not None:
-            self.deferred_free.append((old[0], self._align(old[1])))
 
     def commit_checkpoint(self) -> List[Tuple[int, int]]:
         """The checkpoint is durable: reclaim deferred extents.
@@ -120,12 +146,17 @@ class BlockManager:
         references it, and recovery may fall back one generation if
         the newest slot is torn.  It is queued and returned at the
         following commit, once it is two durable checkpoints dead
-        (unless the allocator re-used it in between).
+        (unless the allocator re-used it in between).  An extent that
+        no superblock ever referenced was trimmed when it was
+        superseded and is not queued again.
         """
         trim_now = self._trim_pending
-        self._trim_pending = list(self.deferred_free)
+        self._trim_pending = [
+            ext for ext in self.deferred_free if ext[0] not in self._fresh
+        ]
         self.free_list.extend(self.deferred_free)
         self.deferred_free.clear()
+        self._fresh.clear()
         return trim_now
 
     # ------------------------------------------------------------------

@@ -1060,8 +1060,11 @@ class BeTree:
             )
             data = frame_compressed(ser.data)
         buf = self.alloc.alloc(self.alloc.suggested_capacity(len(data)))
-        off = self.blockman.relocate(node.node_id, len(data))
+        off, dead = self.blockman.relocate(node.node_id, len(data))
         self.storage.write(self.file_name, off, data, byref=True)
+        if dead is not None:
+            # No checkpoint ever referenced the superseded copy.
+            self.storage.discard(self.file_name, *dead)
         self.alloc.free(buf, size_hint=buf.capacity)
         node.dirty = False
         self.stats.node_writes += 1

@@ -339,7 +339,7 @@ class CrashExplorer:
                 raise ValueError(
                     f"unknown workload {name!r} (have {sorted(WORKLOADS)})"
                 )
-        self.obs = scope_for_mount("crashmc", obs_clock or SimClock())
+        self.obs = scope_for_mount("crashmc", obs_clock or SimClock(), self)
         reg = self.obs.registry
         self._c_cases = reg.counter("crashmc.cases", layer="crashmc")
         self._c_clean = reg.counter("crashmc.clean", layer="crashmc")

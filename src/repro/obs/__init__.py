@@ -23,12 +23,19 @@ many mounts by installing an :class:`Observability` session::
         run_figures(...)          # every mount registers itself
     obs.write_trace("trace.json")   # chrome://tracing / Perfetto
     obs.write_metrics("metrics.json")
+
+A session outlives the mounts it observes, but it does not keep them
+alive: when a mount is garbage-collected its scope's registry freezes
+(:meth:`MetricsRegistry.freeze`), keeping only what
+:meth:`MountScope.collect` reads, so the mount's device store, node cache and page cache die with
+it and the exported metrics are the same bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import weakref
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
@@ -104,12 +111,14 @@ class Observability:
         self.wall = wall
         self.scopes: List[MountScope] = []
 
-    def mount(self, name: str, clock: SimClock) -> MountScope:
+    def mount(self, name: str, clock: SimClock, owner: object) -> MountScope:
+        """A new scope for ``owner``; it freezes when ``owner`` dies."""
         scope = MountScope(
             name, clock, tracing=self.tracing, pid=len(self.scopes),
             wall=self.wall,
         )
         self.scopes.append(scope)
+        weakref.finalize(owner, scope.registry.freeze)
         return scope
 
     # ------------------------------------------------------------------
@@ -207,8 +216,9 @@ def session(obs: Optional[Observability]):
         _current = previous
 
 
-def scope_for_mount(name: str, clock: SimClock) -> MountScope:
-    """The scope a new mount should use: the session's, or standalone."""
+def scope_for_mount(name: str, clock: SimClock, owner: object) -> MountScope:
+    """The scope a new mount ``owner`` should use: the session's (which
+    lets go of ``owner``'s objects when it dies), or standalone."""
     if _current is not None:
-        return _current.mount(name, clock)
+        return _current.mount(name, clock, owner)
     return MountScope(name, clock, tracing=False)

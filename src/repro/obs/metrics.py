@@ -6,7 +6,8 @@ numeric fields of the existing ad-hoc stats objects (``IOStats``,
 ``TreeStats``, ``PacmanStats``, ``AllocStats``, the cache hit/miss
 counters, ...) at collection time.  Registering an object costs
 nothing per operation — the stats keep their current APIs and are
-only introspected when a report is produced.
+only introspected when a report is produced, or once when the
+registry is frozen (:meth:`MetricsRegistry.freeze`) to let them go.
 
 Histograms come in two bucketings:
 
@@ -95,6 +96,12 @@ class Gauge(Metric):
 
     def snapshot(self) -> Dict[str, Any]:
         return {"value": self.value}
+
+    def freeze(self) -> None:
+        """Keep the callback's current value and drop the callback."""
+        if self._fn is not None:
+            self._value = self._fn()
+            self._fn = None
 
 
 class Histogram(Metric):
@@ -291,15 +298,24 @@ class MetricsRegistry:
         """Expose an existing stats object; snapshotted at collect()."""
         self._objects.append((name, layer, obj))
 
+    def freeze(self) -> None:
+        """Let go of everything registered: each object becomes its
+        snapshot and each callback gauge its value, so :meth:`collect`
+        returns the same from now on without keeping them alive."""
+        self._objects = [
+            (name, layer, obj if isinstance(obj, dict) else snapshot_object(obj))
+            for name, layer, obj in self._objects
+        ]
+        for metric in self._metrics.values():
+            if isinstance(metric, Gauge):
+                metric.freeze()
+
     # -- iteration/collection ------------------------------------------
     def metrics(self) -> List[Metric]:
         return list(self._metrics.values())
 
     def find(self, name: str, **labels: str) -> Optional[Metric]:
         return self._metrics.get(_label_key(name, labels))
-
-    def objects(self) -> List[Tuple[str, str, Any]]:
-        return list(self._objects)
 
     def collect(self) -> Dict[str, Any]:
         """A JSON-able snapshot of every metric and registered object."""
@@ -314,7 +330,8 @@ class MetricsRegistry:
             metrics.append(entry)
         objects = {}
         for name, layer, obj in self._objects:
-            snap = snapshot_object(obj)
+            # A frozen entry is its snapshot (a dict).
+            snap = dict(obj) if isinstance(obj, dict) else snapshot_object(obj)
             snap["_layer"] = layer
             objects[name] = snap
         return {"metrics": metrics, "objects": objects}

@@ -49,18 +49,20 @@ class ShardedBetrFS(BetrFS):
         self.shards = shards
         self.shard_map = ShardMap.create(shards, mode)
         super().__init__(features, opts, volumes=shards, image=image)
-        gauge = self.obs.registry.gauge
+        # The gauges read the router, not the mount: a session's scope
+        # must not keep the mount alive.
+        gauge, backend = self.obs.registry.gauge, self.backend
         for i in range(shards):
             gauge(
                 f"shard.load.{i:02d}",
                 layer="shard",
-                fn=lambda i=i: self.backend.loads[i],
+                fn=lambda i=i: backend.loads[i],
             )
-        gauge("shard.imbalance", layer="shard", fn=self.load_imbalance)
+        gauge("shard.imbalance", layer="shard", fn=lambda: _imbalance(backend.loads))
         gauge(
             "shard.cross_renames",
             layer="shard",
-            fn=lambda: self.backend.cross_renames,
+            fn=lambda: backend.cross_renames,
         )
 
     def _route(self, envs, backends):
@@ -77,11 +79,15 @@ class ShardedBetrFS(BetrFS):
         )
 
     def load_imbalance(self) -> float:
-        """max/mean of per-shard routed operations (1.0 = balanced)."""
-        total = sum(self.backend.loads)
-        if total == 0:
-            return 1.0
-        return max(self.backend.loads) * self.shards / total
+        return _imbalance(self.backend.loads)
+
+
+def _imbalance(loads) -> float:
+    """max/mean of per-shard routed operations (1.0 = balanced)."""
+    total = sum(loads)
+    if total == 0:
+        return 1.0
+    return max(loads) * len(loads) / total
 
 
 def make_sharded_betrfs(

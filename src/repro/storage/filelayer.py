@@ -78,9 +78,10 @@ class Southbound:
     def discard(self, name: str, offset: int, length: int) -> None:
         """TRIM a byte range of ``name`` down to the device.
 
-        Called by the free paths (checkpoint extent reclamation, log
-        truncation) so the FTL underneath learns which pages hold dead
-        data.  Substrates map the file range to device offsets.
+        Called by the free paths (checkpoint extent reclamation, a
+        superseded node copy no checkpoint referenced, log truncation)
+        so the FTL underneath learns which pages hold dead data.
+        Substrates map the file range to device offsets.
         """
         raise NotImplementedError
 

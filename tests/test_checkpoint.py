@@ -46,14 +46,6 @@ class TestBlockManager:
         new_off = mgr.allocate(4096)
         assert new_off == old_off
 
-    def test_drop(self):
-        mgr = BlockManager(64 * MIB)
-        mgr.relocate(3, 8192)
-        mgr.drop(3)
-        assert not mgr.contains(3)
-        mgr.commit_checkpoint()
-        assert mgr.free_list
-
     def test_out_of_space(self):
         mgr = BlockManager(16 * 4096)
         with pytest.raises(RuntimeError):

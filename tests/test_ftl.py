@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.mount import make_baseline
 from repro.betrfs.filesystem import MountOptions, make_betrfs
+from repro.check.fsck import fsck_mount
 from repro.core.checkpoint import BlockManager
 from repro.device.block import BlockDevice, ExtentStore
 from repro.device.clock import SimClock
@@ -239,11 +240,13 @@ class TestDeviceIntegration:
 
 class TestBlockManagerTrimStaging:
     def test_extent_trimmed_only_after_two_commits(self):
-        """A freed extent must survive one ping-pong fallback window."""
+        """A freed checkpointed extent must survive one ping-pong
+        fallback window."""
         mgr = BlockManager(1 * MIB)
         mgr.relocate(1, 4096)
         old = mgr.table[1]
-        mgr.relocate(1, 4096)  # frees `old` at the next commit
+        assert mgr.commit_checkpoint() == []  # `old` is checkpointed
+        assert mgr.relocate(1, 4096)[1] is None  # frees `old` at the next commit
         assert mgr.commit_checkpoint() == []
         assert mgr.commit_checkpoint() == [(old[0], 4096)]
         assert mgr.commit_checkpoint() == []
@@ -251,11 +254,61 @@ class TestBlockManagerTrimStaging:
     def test_reused_extent_not_trimmed(self):
         mgr = BlockManager(1 * MIB)
         mgr.relocate(1, 4096)
+        mgr.commit_checkpoint()
         mgr.relocate(1, 4096)
         assert mgr.commit_checkpoint() == []
         # The freed extent is on the free list now; re-use it.
         mgr.relocate(2, 4096)
         assert mgr.commit_checkpoint() == []  # must NOT trim live data
+
+    def test_never_checkpointed_copy_is_trimmed_at_once(self):
+        """A copy allocated and superseded between two commits: no
+        superblock references it, so it is returned for TRIM when it is
+        superseded, never queued again, and reusable only after the next
+        commit."""
+        mgr = BlockManager(1 * MIB)
+        first, _ = mgr.relocate(1, 6000)
+        off, dead = mgr.relocate(1, 4096)
+        assert dead == (first, 8192)
+        assert mgr.allocate(4096) not in (first, first + 4096)
+        assert (first, 8192) not in mgr.free_list
+        assert mgr.commit_checkpoint() == []
+        assert (first, 8192) in mgr.free_list
+        assert mgr.commit_checkpoint() == []  # not queued for a second TRIM
+        assert mgr.table[1] == (off, 4096)
+
+    def test_scripted_sequence_allocates_the_same_offsets(self):
+        """Trimming at once changes no allocation: the offsets of a
+        scripted relocate/commit sequence are those of staging every
+        superseded copy through the next commit (the pre-TRIM rule,
+        restated here as first-fit over the superseded order)."""
+        rng = random.Random(7)
+        mgr = BlockManager(64 * MIB)
+        free, deferred, cursor = [], [], 0
+        table = {}
+        for step in range(3000):
+            if step % 97 == 96:
+                mgr.commit_checkpoint()
+                free.extend(deferred)
+                deferred.clear()
+                continue
+            node = rng.randrange(40)
+            nbytes = rng.randrange(1, 5) * 4096 - rng.randrange(3000)
+            need = -(-nbytes // 4096) * 4096
+            for i, (f_off, f_len) in enumerate(free):
+                if f_len >= need:
+                    expect = f_off
+                    if f_len == need:
+                        free.pop(i)
+                    else:
+                        free[i] = (f_off + need, f_len - need)
+                    break
+            else:
+                expect, cursor = cursor, cursor + need
+            if node in table:
+                deferred.append(table[node])
+            table[node] = (expect, need)
+            assert mgr.relocate(node, nbytes)[0] == expect
 
 
 class TestEndToEndTrim:
@@ -281,6 +334,72 @@ class TestEndToEndTrim:
         # device as TRIMs.
         assert mount.device.stats.discards > 0
         assert mount.device.ftl.stats.trimmed_pages > 0
+
+    @staticmethod
+    def _creates_without_checkpoint(files=6000):
+        """A create run whose caches write back and evict (so nodes are
+        written and rewritten) but that never reaches a checkpoint (an
+        fsync would force one); returns the mount and what it wrote."""
+        mount = make_betrfs(
+            "BetrFS v0.6",
+            MountOptions(
+                profile=COMMODITY_SSD,
+                page_cache_bytes=8 * MIB,
+                dirty_limit_bytes=2 * MIB,
+                tree_cache_bytes=2 * MIB,
+            ),
+        )
+        generation = mount.env._sb_generation
+        written = {}
+        order = list(range(files))
+        random.Random(5).shuffle(order)  # keys land all over the tree
+        for i in order:
+            path = f"/f{i:05d}"
+            written[path] = bytes([i % 251]) * (1000 + i % 3000)
+            mount.vfs.create(path)
+            mount.vfs.write(path, 0, written[path])
+        assert mount.env._sb_generation == generation, "a checkpoint ran"
+        return mount, written
+
+    def test_run_without_checkpoint_stores_only_live_node_copies(self):
+        """A node copy superseded before any checkpoint referenced it is
+        trimmed at once: the tree regions hold no more than the live
+        extents, and the store no more than those plus log and
+        superblock."""
+        mount, _written = self._creates_without_checkpoint()
+        layout, env = mount.storage.layout, mount.env
+        assert sum(t.stats.node_writes for t in env.trees) > sum(
+            len(t.blockman.table) for t in env.trees
+        ), "no node was rewritten"
+        snapshot = mount.device.store.snapshot()
+
+        def stored(lo, hi):
+            return sum(
+                max(0, min(off + len(d), hi) - max(off, lo)) for off, d in snapshot
+            )
+
+        live = 0
+        for tree in env.trees:
+            base = layout.file_base(tree.file_name)
+            extents = sum(
+                BlockManager._align(ln) for _off, ln in tree.blockman.table.values()
+            )
+            assert stored(base, base + tree.blockman.file_size) <= extents
+            live += extents
+        log = stored(layout.log_base, layout.log_base + mount.opts.log_size)
+        superblock = stored(layout.base, layout.log_base)
+        assert mount.device.store.stored_bytes() <= live + log + superblock
+
+    def test_crash_after_immediate_trims_recovers_fsynced_files(self):
+        mount, written = self._creates_without_checkpoint()
+        synced = sorted(written)[::500]
+        for path in synced:
+            mount.vfs.fsync(path)
+        recovered = mount.crash()
+        assert fsck_mount(recovered).ok
+        for path in synced:
+            data = written[path]
+            assert recovered.vfs.read(path, 0, len(data) + 1) == data
 
 
 class TestHarnessSmoke:

@@ -1,13 +1,20 @@
 """Unit tests for the observability subsystem (repro.obs)."""
 
+import gc
 import json
 import math
+import weakref
 
+import pytest
+
+from repro.betrfs.filesystem import MountOptions
 from repro.device.clock import SimClock
 from repro.harness.runner import make_mount
+from repro.model.profiles import COMMODITY_SSD_SCALED
 from repro.obs import MountScope, Observability, session
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanTracer
+from repro.shard.mount import make_sharded_betrfs
 from repro.workloads.scale import SMOKE_SCALE
 
 
@@ -204,6 +211,43 @@ def test_session_collects_mounts_and_traces():
     outside = make_mount("ext4", SMOKE_SCALE)
     assert outside.obs not in obs.scopes
     assert outside.obs.tracer is NULL_TRACER
+
+
+def _sharded_mount():
+    return make_sharded_betrfs(
+        "BetrFS v0.6", MountOptions(profile=COMMODITY_SSD_SCALED), shards=4
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_mount("BetrFS v0.6", SMOKE_SCALE),
+        lambda: make_mount("ext4", SMOKE_SCALE),
+        _sharded_mount,
+    ],
+    ids=["betrfs", "baseline", "shard4"],
+)
+def test_session_lets_go_of_a_dropped_mount(build):
+    """A session keeps a dropped mount's numbers, not its objects: the
+    device, caches and stats die with the mount, and the frozen scope
+    collects and renders what it did while the mount lived."""
+    obs = Observability(tracing=True)
+    with session(obs):
+        mount = build()
+        mount.vfs.create("/f")
+        mount.vfs.write("/f", 0, b"x" * 8192)
+        mount.vfs.sync()
+    live_metrics = json.dumps(obs.metrics())
+    live_stats = obs.render_stats()
+    held = [weakref.ref(obj) for _name, _layer, obj in mount.obs.registry._objects]
+    device = weakref.ref(mount.device)
+    del mount
+    gc.collect()
+    assert device() is None
+    assert all(ref() is None for ref in held)
+    assert json.dumps(obs.metrics()) == live_metrics
+    assert obs.render_stats() == live_stats
 
 
 def test_scope_stats_render():
