@@ -183,21 +183,30 @@ class BaselineFS(FileSystemBackend):
         return not self._children.get(path)
 
     def rename(self, src: str, dst: str, stat: Stat) -> None:
-        """Rename is a metadata-only operation (inode is relinked)."""
+        """Rename is a metadata-only operation (inode is relinked).
+
+        Only ``src`` moves, and for a directory the subtree reached
+        through ``_children``: the cost follows the names moved, never
+        the size of the namespace.
+        """
         self._journal_meta(2)
         moved_meta = {}
         moved_children = {}
         moved_extents = {}
-        src_prefix = src + "/"
-        for p in list(self._meta.keys()):
-            if p == src or p.startswith(src_prefix):
-                new_p = dst + p[len(src) :]
-                moved_meta[new_p] = self._meta.pop(p)
-                if p in self._children:
-                    moved_children[new_p] = self._children.pop(p)
-                if p in self._extents:
-                    moved_extents[new_p] = self._extents.pop(p)
-                self._last_wb.pop(p, None)
+        subtree = [src]
+        for p in subtree:  # grows as each directory's children are reached
+            meta = self._meta.pop(p, None)
+            if meta is None:
+                continue
+            new_p = dst + p[len(src) :]
+            moved_meta[new_p] = meta
+            names = self._children.pop(p, None)
+            if names is not None:
+                moved_children[new_p] = names
+                subtree.extend(f"{p}/{name}" for name in sorted(names))
+            if p in self._extents:
+                moved_extents[new_p] = self._extents.pop(p)
+            self._last_wb.pop(p, None)
         self._meta.update(moved_meta)
         self._children.update(moved_children)
         self._extents.update(moved_extents)

@@ -8,6 +8,8 @@ metadata blocks and a commit record, then issue a flush barrier.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.device.block import BlockDevice
 from repro.model.costs import CostModel
 
@@ -30,6 +32,10 @@ class Journal:
         self.commits = 0
         self.blocks_logged = 0
         self._txn_blocks = 0
+        #: Commit padding by length: the device store keeps the object
+        #: it is given until the region wraps, so every commit of one
+        #: length shares one immutable buffer of zeros.
+        self._zeros: Dict[int, bytes] = {}
 
     def _append(self, data: bytes) -> None:
         if self.head + len(data) > self.region_size:
@@ -42,7 +48,7 @@ class Journal:
         self.device.write(self.region_offset + self.head, data)
         self.head += len(data)
 
-    def log_block(self, data: bytes = b"") -> None:
+    def log_block(self) -> None:
         """Add one metadata block to the running transaction."""
         self._txn_blocks += 1
         self.blocks_logged += 1
@@ -56,9 +62,12 @@ class Journal:
         """
         self.commits += 1
         self.device.clock.cpu(self.costs.journal_commit)
-        nblocks = max(1, self._txn_blocks)
         # Descriptor block + logged metadata blocks + commit record.
-        self._append(b"\x00" * (4096 * (nblocks + 2)))
+        length = 4096 * (max(1, self._txn_blocks) + 2)
+        zeros = self._zeros.get(length)
+        if zeros is None:
+            zeros = self._zeros[length] = bytes(length)
+        self._append(zeros)
         self._txn_blocks = 0
         if durable:
             self.device.flush()

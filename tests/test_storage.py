@@ -1,12 +1,19 @@
-"""Tests for the southbound substrates (SFL and stacked ext4)."""
+"""Tests for the southbound substrates (SFL and stacked ext4) and their journal."""
+
+import random
 
 import pytest
 
+from repro.baselines import make_baseline
+from repro.baselines.base import JOURNAL_SIZE
+from repro.betrfs.filesystem import MountOptions
 from repro.device.block import BlockDevice
 from repro.device.clock import SimClock
+from repro.harness.mt import device_sha256
 from repro.model.costs import CostModel
 from repro.model.profiles import COMMODITY_SSD
 from repro.storage.ext4sim import Ext4Southbound
+from repro.storage.journal import Journal
 from repro.storage.sfl import SimpleFileLayer
 
 MIB = 1 << 20
@@ -124,3 +131,62 @@ class TestExt4Specifics:
         for i in range(12):
             storage.write("data.db", i * MIB, b"w" * MIB)
         assert clock.io_wait > 0
+
+
+class Forgetful(dict):
+    """Commit padding that is never found again: every commit builds
+    its own zeros, as before the journal shared them."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def fsync_storm(fresh_zeros=False):
+    """An ext4 mount that fsyncs after every write of a few seeded
+    sizes, so commits come in several lengths."""
+    mount = make_baseline("ext4", MountOptions(scale=1 / 32))
+    if fresh_zeros:
+        mount.backend.journal._zeros = Forgetful()
+    rng = random.Random(5)
+    v = mount.vfs
+    for i in range(1000):
+        path = f"/f{i % 50}"
+        if i < 50:
+            v.create(path)
+        v.write(path, rng.randrange(64) * 4096, b"j" * rng.randrange(1, 3 * 4096))
+        v.fsync(path)
+    return mount
+
+
+class TestJournal:
+    def test_commits_of_one_length_share_one_buffer(self):
+        mount = fsync_storm()
+        journal = mount.backend.journal
+        assert journal.commits >= 1000
+        stored = [d for off, d in mount.device.store.snapshot() if off < JOURNAL_SIZE]
+        lengths = {len(d) for d in stored}
+        assert len(lengths) > 1
+        assert len({id(d) for d in stored}) <= len(lengths)
+
+    def test_shared_padding_leaves_device_and_clock_unchanged(self):
+        shared, fresh = fsync_storm(), fsync_storm(fresh_zeros=True)
+        assert device_sha256(shared.device) == device_sha256(fresh.device)
+        assert shared.clock.now == fresh.clock.now
+        assert shared.device.stats.discards == fresh.device.stats.discards
+
+    def test_small_region_trims_at_wrap_and_reads_zeros(self):
+        clock = SimClock()
+        device = BlockDevice(clock, COMMODITY_SSD)
+        region = 64 * 1024
+        journal = Journal(device, CostModel(), 0, region)
+        for i in range(8):  # commits of 12, 12, 16, 12, 12 | 16, 12, 12 KiB
+            for _ in range(i % 3):
+                journal.log_block()
+            journal.commit(durable=i % 2 == 0)
+        assert device.stats.discards == 1
+        assert journal.head == 40 * 1024
+        # The wrap TRIMmed the whole used region: only what was written
+        # since is stored, and all of it reads back as zeros.
+        stored = sum(len(d) for off, d in device.store.snapshot() if off < region)
+        assert stored == journal.head
+        assert device.read(0, region) == bytes(region)
