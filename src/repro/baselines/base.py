@@ -370,7 +370,7 @@ class BaselineFS(FileSystemBackend):
         """
         ra = self._readahead.pop(path, None)
         if ra is not None and ra[0] == idx and ra[2] == pages:
-            data = self.device.wait(ra[1])
+            data = b"".join(self.device.wait(ra[1]) or ())
         else:
             data = self.device.read(off, pages * PAGE_SIZE)
         nxt = idx + pages

@@ -57,6 +57,7 @@ SINK_METHODS: FrozenSet[Tuple[str, str]] = frozenset(
         ("CostModel", "vmalloc"),
         ("CostModel", "vfree"),
         ("BlockDevice", "read"),
+        ("BlockDevice", "read_segments"),
         ("BlockDevice", "write"),
         ("BlockDevice", "submit_read"),
         ("BlockDevice", "submit_write"),
@@ -78,6 +79,7 @@ SINK_METHODS: FrozenSet[Tuple[str, str]] = frozenset(
 SOURCE_METHODS: FrozenSet[Tuple[str, str]] = frozenset(
     {
         ("ExtentStore", "read"),
+        ("ExtentStore", "read_segments"),
         ("ExtentStore", "write"),
         ("WriteAheadLog", "append"),
         ("Journal", "log_block"),

@@ -56,7 +56,7 @@ from repro.core.keys import intersect
 from repro.core.node import InternalNode
 from repro.core.serialize import ChecksumError, decode_node, unframe
 from repro.core.wal import WriteAheadLog
-from repro.device.block import BlockDevice, ExtentStore
+from repro.device.block import BlockDevice, ExtentStore, Segments, cut
 from repro.storage.sfl import ImageLayout
 
 #: On-disk image container magic + version.
@@ -149,7 +149,7 @@ def fsck_device(
         if capacity is None:
             # A bare store has no profile; everything stored bounds it.
             capacity = max(
-                (off + len(data) for off, data in store.snapshot()),
+                (off + sum(map(len, segs)) for off, segs in store.snapshot()),
                 default=0,
             )
     layout = _Layout(log_size=log_size, meta_size=meta_size, capacity=capacity)
@@ -291,7 +291,7 @@ def _walk_tree(
             continue
         off, ln = entry
         try:
-            data, _inflated = unframe(store.read(file_base + off, ln))
+            data, _inflated = unframe(store.read_segments(file_base + off, ln))
             # Every CRC the node carries — a leaf's header and each of
             # its basements — is checked; the error names the basement.
             node = decode_node(data, aligned=aligned)
@@ -394,9 +394,9 @@ def save_image(
             len(extents),
         ),
     ]
-    for off, data in extents:
-        parts.append(struct.pack("<qq", off, len(data)))
-        parts.append(data)
+    for off, segments in extents:
+        parts.append(struct.pack("<qq", off, sum(map(len, segments))))
+        parts.extend(segments)
     blob = b"".join(parts)
     blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
     with open(path, "wb") as fh:
@@ -474,16 +474,19 @@ class VolumeStore:
     def read(self, offset: int, length: int) -> bytes:
         return self.store.read(self.base + offset, length)
 
+    def read_segments(self, offset: int, length: int) -> Segments:
+        return self.store.read_segments(self.base + offset, length)
+
     def write(self, offset: int, data: bytes) -> None:
         self.store.write(self.base + offset, data)
 
-    def snapshot(self) -> List[Tuple[int, bytes]]:
-        out: List[Tuple[int, bytes]] = []
-        for off, data in self.store.snapshot():
+    def snapshot(self) -> List[Tuple[int, Segments]]:
+        out: List[Tuple[int, Segments]] = []
+        for off, segments in self.store.snapshot():
             lo = max(off, self.base)
-            hi = min(off + len(data), self.base + self.size)
+            hi = min(off + sum(map(len, segments)), self.base + self.size)
             if lo < hi:
-                out.append((lo - self.base, data[lo - off : hi - off]))
+                out.append((lo - self.base, cut(segments, lo - off, hi - off)))
         return out
 
 

@@ -191,8 +191,8 @@ def ftl_faults(store, ftl) -> Iterator[str]:
     page = ftl.geom.page_size
     missing = [
         lpn
-        for off, data in store.snapshot()
-        for lpn in range((off + page - 1) // page, (off + len(data)) // page)
+        for off, segments in store.snapshot()
+        for lpn in range((off + page - 1) // page, (off + sum(map(len, segments))) // page)
         if lpn not in ftl.map
     ]
     if missing:

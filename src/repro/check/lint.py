@@ -139,9 +139,11 @@ _MESSAGE_KINDS = {"PointMessage", "Insert", "InsertByRef", "Delete", "Patch", "R
 _MESSAGE_KIND_OWNERS = {"core/messages.py", "core/serialize.py"}
 
 #: Raw-I/O methods per receiver kind.
-_DEVICE_IO_METHODS = {"read", "write", "submit_read", "submit_write", "flush", "discard"}
+_DEVICE_IO_METHODS = {
+    "read", "read_segments", "write", "submit_read", "submit_write", "flush", "discard",
+}
 _FTL_IO_METHODS = {"host_write", "trim"}
-_STORE_IO_METHODS = {"read", "write", "discard"}
+_STORE_IO_METHODS = {"read", "read_segments", "write", "discard"}
 
 #: Modules allowed to touch the device/FTL/store directly: the
 #: cost-charging layers themselves, the offline checker (no simulated

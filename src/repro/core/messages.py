@@ -45,6 +45,15 @@ class PageFrame:
     and by messages/basement entries inside the B-epsilon-tree (§6).
     Frames are copy-on-write: once ``sealed`` (referenced by the tree),
     the VFS must allocate a new frame to accept an overwrite.
+
+    ``data`` is immutable ``bytes``, and the same object may also be a
+    segment of a node image in the device store (a node write passes
+    it by reference, a cold read decodes it back as that segment).  So
+    ``data`` is *rebound* to new bytes, never edited in place: by the
+    CoW fault and :meth:`~repro.vfs.pagecache.PageCache.write` (new
+    bytes built from the old) and by the blind-patch branch of
+    :meth:`~repro.vfs.vfs.VFS.write`.  Nothing written after a node
+    write can reach the bytes the device holds.
     """
 
     __slots__ = ("frame_id", "data", "refs", "sealed")

@@ -28,18 +28,26 @@ stream — that :func:`frame_compressed` writes and :func:`unframe` reads
 for the tree and fsck alike; a frame that does not inflate to its
 length is a :class:`ChecksumError`, like any other corruption.
 
-Each direction walks a node once (DESIGN.md, "Node codec"): encode
-emits one ``pack`` per entry, sizes every region by arithmetic and
-joins the node's parts once behind a running CRC; decode reads in place
-from the node's ``bytes`` and counts, as it passes them, the bulk-value
-bytes the tree's cost model asks for.
+A node is a segment list end to end (DESIGN.md, "Node codec").  Encode
+walks the node once, emits one ``pack`` per entry, sizes every region
+by arithmetic and leaves the node as the segments it built — each front
+section joined once, every page slot the page's own ``bytes``, the pads
+— which the device store keeps as they are; only the compressed frame
+is joined.  Decode reads whatever segments a read returns through one
+reader, :class:`NodeImage`: it chains each CRC32 over the segments,
+parses each front section in place, and hands back a page slot that is
+exactly one segment as that very ``bytes`` — the page the store holds
+becomes the decoded ``PageFrame.data``, not a copy — counting, as it
+passes them, the bulk-value bytes the tree's cost model asks for.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from struct import Struct, pack, unpack_from
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 from zlib import compress, crc32, decompress, error as ZlibError
 
 from repro.core.keys import common_prefix_of
@@ -54,6 +62,7 @@ from repro.core.messages import (
     Value,
 )
 from repro.core.node import BasementNode, InternalNode, LeafNode, Node
+from repro.device.block import cut
 
 MAGIC_LEAF = b"BFLF"
 MAGIC_INTERNAL = b"BFIN"
@@ -125,14 +134,19 @@ _MSG_PATCH_ENTRY = _Keyed("<BqH%dsII")
 class SerializedNode:
     """A serialized node plus the cost-relevant byte counts."""
 
-    data: bytes
+    #: The node's bytes as the segments the encoder built, in order:
+    #: front sections, each page slot as the page's own ``bytes``, and
+    #: pads.  Written to the device as they are (scatter-gather).
+    segments: Tuple[bytes, ...]
+    #: Total bytes of ``segments``.
+    length: int
     #: Bytes serialized through the CPU (keys, small values, headers).
     small_bytes: int = 0
     #: Bytes memcpy'ed (page values in the packed layout).
     copied_bytes: int = 0
     #: Page bytes passed by reference (aligned layout; no CPU copy).
     ref_bytes: int = 0
-    #: Basement extent table: (offset, length, CRC32) within ``data``.
+    #: Basement extent table: (offset, length, CRC32) within the node.
     basement_extents: List[Tuple[int, int, int]] = field(default_factory=list)
     #: Length of the leaf header region (readable on its own).
     header_len: int = 0
@@ -164,11 +178,10 @@ def _crc_from(parts: List[bytes], start: int) -> int:
     return crc
 
 
-def _seal(parts: List[bytes]) -> bytes:
-    """Join an internal node's parts once, behind the CRC32 of all of
-    them."""
+def _seal(parts: List[bytes]) -> Tuple[bytes, ...]:
+    """An internal node's parts behind the CRC32 of all of them."""
     parts.append(_U32.pack(_crc_from(parts, 0)))
-    return b"".join(parts)
+    return tuple(parts)
 
 
 # ----------------------------------------------------------------------
@@ -273,13 +286,99 @@ def serialize_leaf(leaf: LeafNode, aligned: bool, lifting: bool) -> SerializedNo
     head = b"".join(header).ljust(header_len - 4, b"\x00")
     parts[0] = head + _U32.pack(crc32(head))
     return SerializedNode(
-        data=b"".join(parts),
+        segments=tuple(parts),
+        length=pos,
         small_bytes=small + header_len,
         copied_bytes=copied,
         ref_bytes=ref,
         basement_extents=extents,
         header_len=header_len,
     )
+
+
+# ----------------------------------------------------------------------
+# The reader
+# ----------------------------------------------------------------------
+#: What a decoder accepts: one buffer, the segments of one (a
+#: :class:`SerializedNode`'s, or a device read's), or a reader on them.
+Image = Union[bytes, Sequence[bytes], "NodeImage"]
+
+
+class NodeImage:
+    """Random access to a serialized node held as segments — the only
+    way any decoder reads a node.
+
+    :meth:`take` returns the segment itself when the bytes asked for are
+    exactly one segment (a page slot, a front section, a leaf header,
+    as the encoder wrote them), a slice when they lie inside one (a
+    read's edge, the 8 KiB head read, an image that is one buffer), and
+    a join only when they straddle segments (a torn or crash-replayed
+    image).  :meth:`crc` chains CRC32 over the segments in place.  A
+    request outside the image is a :class:`ChecksumError`: a corrupt
+    length must never become an ``IndexError`` or an ``assert``.
+    """
+
+    __slots__ = ("parts", "ends", "length")
+
+    def __init__(self, data: Union[bytes, Sequence[bytes]]) -> None:
+        if isinstance(data, (bytes, bytearray, memoryview)):
+            data = (bytes(data),)
+        self.parts: Tuple[bytes, ...] = tuple(data)
+        #: ``ends[i]``: the offset just past ``parts[i]``.
+        self.ends = list(accumulate(map(len, self.parts)))
+        self.length = self.ends[-1] if self.ends else 0
+
+    def _outside(self, pos: int, n: int) -> ChecksumError:
+        return ChecksumError(
+            f"node image of {self.length} bytes has no [{pos}, {pos + n})"
+        )
+
+    def take(self, pos: int, n: int) -> bytes:
+        """Bytes ``[pos, pos + n)``, by reference where one segment
+        holds exactly them."""
+        end = pos + n
+        if pos < 0 or n < 0 or end > self.length:
+            raise self._outside(pos, n)
+        if not n:
+            return b""
+        ends, parts = self.ends, self.parts
+        i = bisect_right(ends, pos)
+        seg = parts[i]
+        if end <= ends[i]:
+            if n == len(seg):
+                return seg
+            lo = pos - ends[i] + len(seg)
+            return seg[lo : lo + n]
+        # The bytes straddle segments: join the pieces.
+        return b"".join(cut(parts, pos, end, ends))
+
+    def crc(self, pos: int, n: int) -> int:
+        """The CRC32 of bytes ``[pos, pos + n)``, chained over the
+        segments without joining them."""
+        end = pos + n
+        if pos < 0 or n < 0 or end > self.length:
+            raise self._outside(pos, n)
+        if not n:
+            return 0
+        ends, parts = self.ends, self.parts
+        i = bisect_right(ends, pos)
+        j = bisect_left(ends, end)  # parts[j] holds byte end - 1
+        head = parts[i]
+        lo = pos - ends[i] + len(head)
+        if i == j:
+            hi = end - ends[i] + len(head)
+            return crc32(head if hi - lo == len(head) else memoryview(head)[lo:hi])
+        crc = crc32(memoryview(head)[lo:] if lo else head)
+        for seg in parts[i + 1 : j]:
+            crc = crc32(seg, crc)
+        tail = parts[j]
+        hi = end - ends[j] + len(tail)
+        return crc32(tail if hi == len(tail) else memoryview(tail)[:hi], crc)
+
+
+def as_image(data: Image) -> NodeImage:
+    """``data`` as a :class:`NodeImage` (itself, if it is one)."""
+    return data if isinstance(data, NodeImage) else NodeImage(data)
 
 
 # ----------------------------------------------------------------------
@@ -297,23 +396,28 @@ class LeafHeader:
     header_len: int
 
 
-def leaf_header_len(head: bytes, extent_len: int) -> int:
+def leaf_header_len(head: Image, extent_len: int) -> int:
     """The length of the header region of the leaf whose extent of
     ``extent_len`` bytes starts with ``head``: what a reader must hold
     before :func:`decode_leaf_header` can verify it."""
-    if len(head) >= 26:
-        magic, _id, _height, _n_bas, _lift, header_len = _LEAF_HEAD.unpack_from(head, 0)
+    image = as_image(head)
+    if image.length >= _LEAF_HEAD.size:
+        magic, _id, _height, _n_bas, _lift, header_len = _LEAF_HEAD.unpack(
+            image.take(0, _LEAF_HEAD.size)
+        )
         if magic == MAGIC_LEAF and 30 <= header_len <= extent_len:
             return header_len
     raise ChecksumError("not the head of a leaf of this extent")
 
 
-def decode_leaf_header(data: bytes, extent_len: int) -> LeafHeader:
+def decode_leaf_header(data: Image, extent_len: int) -> LeafHeader:
     """Verify, then parse, the header region that ``data`` starts with.
     Only the region's length is read ahead of its CRC32."""
-    header_len = leaf_header_len(data, extent_len)
+    image = as_image(data)
+    header_len = leaf_header_len(image, extent_len)
     end = header_len - 4
-    if len(data) < header_len or _U32.unpack_from(data, end)[0] != crc32(memoryview(data)[:end]):
+    data = image.take(0, header_len)  # the header segment, as written
+    if _U32.unpack_from(data, end)[0] != crc32(memoryview(data)[:end]):
         raise ChecksumError("leaf header checksum mismatch")
     _magic, node_id, height, n_bas, lift, _len = _LEAF_HEAD.unpack_from(data, 0)
     pos = 26 + lift
@@ -334,15 +438,15 @@ def decode_leaf_header(data: bytes, extent_len: int) -> LeafHeader:
     return LeafHeader(node_id, height, prefix, extents, first_keys, header_len)
 
 
-def _decode_basement_packed(data: bytes, pos: int, prefix: bytes) -> Tuple[BasementNode, int]:
-    """Decode the packed basement at ``data[pos:]``; returns it and its
-    bulk-value bytes."""
+def _decode_basement_packed(data: bytes, prefix: bytes) -> Tuple[BasementNode, int]:
+    """Decode the packed basement ``data`` (one segment as written:
+    values are copied out of it); returns it and its bulk-value bytes."""
     basement = BasementNode()
     add_key, add_value, add_msn = (
         basement.keys.append, basement.values.append, basement.msns.append
     )
-    (count,) = _PACKED_BASEMENT_HEAD.unpack_from(data, pos)
-    pos += 4
+    (count,) = _PACKED_BASEMENT_HEAD.unpack_from(data, 0)
+    pos = 4
     nbytes = BasementNode.PAIR_OVERHEAD * count
     bulk = 0
     unpack, bulk_min = _PACKED_PAIR.unpack_from, BULK_VALUE_MIN
@@ -362,16 +466,19 @@ def _decode_basement_packed(data: bytes, pos: int, prefix: bytes) -> Tuple[Basem
     return basement, bulk
 
 
-def _decode_basement_aligned(data: bytes, base: int, prefix: bytes) -> Tuple[BasementNode, int]:
-    """Decode the aligned basement at ``data[base:]``; returns it and
-    its bulk-value bytes."""
+def _decode_basement_aligned(image: NodeImage, base: int, prefix: bytes) -> Tuple[BasementNode, int]:
+    """Decode the aligned basement at ``base`` of ``image`` — its front
+    section in place, each page slot by reference; returns it and its
+    bulk-value bytes."""
     basement = BasementNode()
     add_key, add_value, add_msn = (
         basement.keys.append, basement.values.append, basement.msns.append
     )
-    page_pos, count = _ALIGNED_BASEMENT_HEAD.unpack_from(data, base)
+    page_pos, count = _ALIGNED_BASEMENT_HEAD.unpack(image.take(base, 8))
+    data = image.take(base, page_pos)  # the front section, pad included
+    take = image.take
     page_pos += base  # page slots follow one another in entry order
-    pos = base + 8
+    pos = 8
     nbytes = BasementNode.PAIR_OVERHEAD * count
     bulk = 0
     unpack, bulk_min, align = _ALIGNED_PAIR.unpack_from, BULK_VALUE_MIN, PAGE_ALIGN
@@ -382,7 +489,7 @@ def _decode_basement_aligned(data: bytes, base: int, prefix: bytes) -> Tuple[Bas
         pos = end + 17
         add_key(key)
         if tag == _TAG_PAGE:
-            add_value(PageFrame(data[page_pos : page_pos + vlen]))
+            add_value(PageFrame(take(page_pos, vlen)))
             page_pos += vlen + -vlen % align
         else:
             add_value(data[pos : pos + vlen])
@@ -396,7 +503,7 @@ def _decode_basement_aligned(data: bytes, base: int, prefix: bytes) -> Tuple[Bas
 
 
 def decode_basement(
-    data: bytes,
+    data: Image,
     at: int,
     index: int,
     extent: Tuple[int, int, int],
@@ -406,20 +513,22 @@ def decode_basement(
     """Verify, then decode, a leaf's basement ``index`` — ``extent`` is
     its table row — from where it starts in ``data``; returns it and
     its bulk-value bytes."""
+    image = as_image(data)
     _off, length, crc = extent
-    if crc32(memoryview(data)[at : at + length]) != crc:
+    if at + length > image.length or image.crc(at, length) != crc:
         raise ChecksumError(f"basement {index} checksum mismatch")
-    decode = _decode_basement_aligned if aligned else _decode_basement_packed
-    return decode(data, at, prefix)
+    if aligned:
+        return _decode_basement_aligned(image, at, prefix)
+    return _decode_basement_packed(image.take(at, length), prefix)
 
 
-def _decode_leaf(data: bytes, aligned: bool) -> Tuple[LeafNode, int]:
-    header = decode_leaf_header(data, len(data))
+def _decode_leaf(image: NodeImage, aligned: bool) -> Tuple[LeafNode, int]:
+    header = decode_leaf_header(image, image.length)
     basements: List[BasementNode] = []
     bulk = 0
     for index, extent in enumerate(header.basement_extents):
         basement, b = decode_basement(
-            data, extent[0], index, extent, header.lift_prefix, aligned
+            image, extent[0], index, extent, header.lift_prefix, aligned
         )
         basements.append(basement)
         bulk += b
@@ -509,13 +618,21 @@ def serialize_internal(node: InternalNode, aligned: bool, lifting: bool) -> Seri
         len(children), len(node.buffer), lift,
     )
     parts = [b"".join(front)]
-    ref, _slots = _append_pages(parts, pages)
+    ref, slots = _append_pages(parts, pages)
     return SerializedNode(
-        data=_seal(parts), small_bytes=small, copied_bytes=copied, ref_bytes=ref
+        segments=_seal(parts),
+        length=len(parts[0]) + slots + 4,
+        small_bytes=small,
+        copied_bytes=copied,
+        ref_bytes=ref,
     )
 
 
-def _decode_internal(data: bytes, aligned: bool) -> Tuple[InternalNode, int]:
+def _decode_internal(image: NodeImage, aligned: bool) -> Tuple[InternalNode, int]:
+    (page_pos,) = unpack_from("<i", image.take(0, 4))
+    # The front section (everything but page slots and the CRC32): one
+    # segment as written, parsed in place.
+    data = image.take(0, page_pos or image.length - 4)
     page_pos, magic, node_id, height, n_children, n_msgs, lift = (
         _INTERNAL_HEAD.unpack_from(data, 0)
     )
@@ -554,7 +671,7 @@ def _decode_internal(data: bytes, aligned: bool) -> Tuple[InternalNode, int]:
                 value: Value = data[pos : pos + vlen]
                 pos += vlen
             elif aligned:  # page slots follow one another in entry order
-                value = PageFrame(data[page_pos : page_pos + vlen])
+                value = PageFrame(image.take(page_pos, vlen))
                 page_pos += _align(vlen)
             else:
                 value = PageFrame(data[pos : pos + vlen])
@@ -590,19 +707,20 @@ def serialize_node(node: Node, aligned: bool, lifting: bool) -> SerializedNode:
 
 
 def decode_node(
-    data: bytes, aligned: bool, cost_split: Optional[List[int]] = None
+    data: Image, aligned: bool, cost_split: Optional[List[int]] = None
 ) -> Node:
     """Verify and decode one node.  ``cost_split``, if given, receives
     the node's bytes as ``[small, bulk]``: the values of at least
     :data:`BULK_VALUE_MIN` bytes, and everything else."""
+    image = as_image(data)
     # Internal nodes start with the page-area offset word.
-    if data[:4] == MAGIC_LEAF:
-        node, bulk = _decode_leaf(data, aligned)
+    if image.take(0, min(4, image.length)) == MAGIC_LEAF:
+        node, bulk = _decode_leaf(image, aligned)
     else:
-        verify_crc(data)
-        node, bulk = _decode_internal(data, aligned)
+        verify_crc(image)
+        node, bulk = _decode_internal(image, aligned)
     if cost_split is not None:
-        cost_split[:] = max(0, len(data) - bulk), bulk
+        cost_split[:] = max(0, image.length - bulk), bulk
     return node
 
 
@@ -616,31 +734,35 @@ class ChecksumError(Exception):
 COMPRESSED_MAGIC = b"BFCZ"
 
 
-def frame_compressed(data: bytes) -> bytes:
-    """The compressed on-disk form of the serialized node ``data``."""
+def frame_compressed(segments: Sequence[bytes]) -> bytes:
+    """The compressed on-disk form of a serialized node's segments —
+    the one place a node is joined."""
+    data = b"".join(segments)
     return COMPRESSED_MAGIC + _U32.pack(len(data)) + compress(data, level=1)
 
 
-def unframe(extent: bytes) -> Tuple[bytes, int]:
+def unframe(extent: Image) -> Tuple[NodeImage, int]:
     """``(serialized node, bytes inflated)`` of an on-disk node extent:
     the extent itself and 0 unless it is a compressed frame.  A frame
     whose stream does not inflate, or not to its recorded length, is a
     corrupt node (:class:`ChecksumError`)."""
-    if extent[:4] != COMPRESSED_MAGIC:
-        return extent, 0
-    (length,) = _U32.unpack_from(extent, 4)
+    image = as_image(extent)
+    if image.take(0, min(4, image.length)) != COMPRESSED_MAGIC:
+        return image, 0
+    (length,) = _U32.unpack(image.take(4, 4))
     try:
-        data = decompress(extent[8:])
+        data = decompress(image.take(8, image.length - 8))
     except ZlibError as exc:
         raise ChecksumError(f"compressed node does not inflate ({exc})") from None
     if len(data) != length:
         raise ChecksumError(f"decompressed length {len(data)} != header {length}")
-    return data, length
+    return NodeImage(data), length
 
 
-def verify_crc(data: bytes) -> None:
-    """Check an internal node against its trailing CRC32."""
-    end = len(data) - 4
-    # The payload is read through a view: no copy of up to 256 KiB.
-    if _U32.unpack_from(data, end)[0] != crc32(memoryview(data)[:end]):
+def verify_crc(data: Image) -> None:
+    """Check an internal node against its trailing CRC32, chained over
+    its segments."""
+    image = as_image(data)
+    end = image.length - 4
+    if end < 0 or _U32.unpack(image.take(end, 4))[0] != image.crc(0, end):
         raise ChecksumError("node checksum mismatch")

@@ -43,6 +43,7 @@ from repro.check.errors import TreeInvariantError, require
 from repro.core.keys import intersect
 from repro.core.node import BasementNode, InternalNode, LeafNode, Node
 from repro.core.serialize import (
+    NodeImage,
     decode_basement,
     decode_leaf_header,
     decode_node,
@@ -61,6 +62,7 @@ from repro.core.checkpoint import BlockManager
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.env import KVEnv
+    from repro.device.block import Payload, Segments
 
 #: ``SEARCH_STEPS[n] == 1 + math.log2(n + 1)``: the comparisons an
 #: ordered search over ``n`` entries is charged, for the sizes a probe
@@ -909,7 +911,7 @@ class BeTree:
         ):
             node = self._load_leaf_partial(node_id, off, ln, *span)
         else:
-            node = self._decode_full(self.storage.read(self.file_name, off, ln))
+            node = self._decode_full(self.storage.read_segments(self.file_name, off, ln))
             self.stats.bytes_node_read += ln
         self.stats.node_reads += 1
         if isinstance(node, InternalNode):
@@ -919,15 +921,17 @@ class BeTree:
         self.cache.put(node, self)
         return node
 
-    def _decode_full(self, data: bytes) -> Node:
-        data, inflated = unframe(data)
+    def _decode_full(self, segments: Segments) -> Node:
+        """Decode a node from the segments a read returned: each page
+        slot the store holds as one segment is decoded by reference."""
+        image, inflated = unframe(segments)
         if inflated:
             self.clock.cpu(
                 self.costs.cpu_scale * self.costs.compress_per_byte * inflated
             )
         split: List[int] = []
-        node = decode_node(data, aligned=self.cfg.page_sharing, cost_split=split)
-        self._charge_decode(len(data), len(data), split[1])
+        node = decode_node(image, aligned=self.cfg.page_sharing, cost_split=split)
+        self._charge_decode(image.length, image.length, split[1])
         return node
 
     def _charge_decode(self, read: int, nbytes: int, bulk: int) -> None:
@@ -953,13 +957,15 @@ class BeTree:
         hold a key of ``[lo, hi)`` — one, for a point query's
         ``[key, key + b"\\x00")``; the others stay stubs until something
         needs them."""
-        head = self.storage.read(self.file_name, off, LEAF_HEAD_READ)
-        missing = leaf_header_len(head, ln) - len(head)
-        if missing > 0:
-            head += self.storage.read(self.file_name, off + len(head), missing)
-        self.stats.bytes_node_read += len(head)
+        head = NodeImage(self.storage.read_segments(self.file_name, off, LEAF_HEAD_READ))
+        nread = max(leaf_header_len(head, ln), LEAF_HEAD_READ)
+        if nread > LEAF_HEAD_READ:
+            head = NodeImage(head.parts + self.storage.read_segments(
+                self.file_name, off + LEAF_HEAD_READ, nread - LEAF_HEAD_READ
+            ))
+        self.stats.bytes_node_read += nread
         header = decode_leaf_header(head, ln)
-        self._charge_decode(len(head), header.header_len, 0)
+        self._charge_decode(nread, header.header_len, 0)
         stubs: List[BasementNode] = []
         for extent, fk in zip(header.basement_extents, header.basement_first_keys):
             stub = BasementNode()
@@ -995,12 +1001,14 @@ class BeTree:
         signal = self.env.block_signal
         if signal is not None:
             signal.note("tree_io")
-        data = self.storage.read(self.file_name, base_off + start, length)
+        image = NodeImage(
+            self.storage.read_segments(self.file_name, base_off + start, length)
+        )
         self.stats.bytes_node_read += length
         bulk = 0
         for idx, extent in zip(range(lo, hi), extents):
             basement, b = decode_basement(
-                data, extent[0] - start, idx, extent, prefix, self.cfg.page_sharing
+                image, extent[0] - start, idx, extent, prefix, self.cfg.page_sharing
             )
             leaf.replace_basement(idx, basement)
             bulk += b
@@ -1047,8 +1055,11 @@ class BeTree:
         )
         self.clock.cpu(self.costs.serialize(ser.small_bytes))
         self.clock.cpu(self.costs.memcpy(ser.copied_bytes))
-        self.clock.cpu(self.costs.checksum(len(ser.data)))
-        data = ser.data
+        self.clock.cpu(self.costs.checksum(ser.length))
+        # Scatter-gather: the segments, pages among them, go to the
+        # device as they are.
+        data: Payload = ser.segments
+        length = ser.length
         if self.cfg.compression:
             # Real compression (the paper runs with this *disabled*:
             # "the computational costs can delay I/Os for little
@@ -1056,11 +1067,12 @@ class BeTree:
             self.clock.cpu(
                 self.costs.cpu_scale
                 * self.costs.compress_per_byte
-                * len(data)
+                * length
             )
-            data = frame_compressed(ser.data)
-        buf = self.alloc.alloc(self.alloc.suggested_capacity(len(data)))
-        off, dead = self.blockman.relocate(node.node_id, len(data))
+            data = frame_compressed(ser.segments)
+            length = len(data)
+        buf = self.alloc.alloc(self.alloc.suggested_capacity(length))
+        off, dead = self.blockman.relocate(node.node_id, length)
         self.storage.write(self.file_name, off, data, byref=True)
         if dead is not None:
             # No checkpoint ever referenced the superseded copy.
@@ -1068,7 +1080,7 @@ class BeTree:
         self.alloc.free(buf, size_hint=buf.capacity)
         node.dirty = False
         self.stats.node_writes += 1
-        self.stats.bytes_node_written += len(data)
+        self.stats.bytes_node_written += length
         if self.san is not None:
             self.san.on_write_node(self, node)
 

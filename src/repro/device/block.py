@@ -41,7 +41,9 @@ Two write-cache modes govern what a crash may lose:
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 
 class MediaError(IOError):
@@ -53,12 +55,70 @@ from repro.device.stats import IOStats
 from repro.model.profiles import DeviceProfile
 
 
+#: What a device write carries and a segment read returns: the bytes
+#: of one extent as a tuple of immutable segments, in order.  A
+#: serialized node is its front sections, its page slots — each the
+#: page's own ``bytes`` — and the pads between them (scatter-gather
+#: I/O); a plain ``bytes`` payload is a one-segment extent.
+Segments = Tuple[bytes, ...]
+
+#: A write payload: one buffer, or the segments of one (see
+#: :data:`Segments`).
+Payload = Union[bytes, Sequence[bytes]]
+
+
+def as_segments(data: Payload) -> Segments:
+    """``data`` as a segment tuple of immutable ``bytes``: a ``bytes``
+    segment is kept by reference, any other buffer copied once."""
+    if type(data) is bytes:
+        return (data,)
+    if isinstance(data, (bytearray, memoryview)):
+        return (bytes(data),)
+    segments = tuple(data)
+    if set(map(type, segments)) <= {bytes}:
+        return segments
+    return tuple(map(bytes, segments))
+
+
+def payload_len(data: Payload) -> int:
+    """The byte length of a write payload."""
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        return len(data)
+    return sum(map(len, data))
+
+
+def cut(
+    segments: Segments, start: int, end: int, ends: Optional[Sequence[int]] = None
+) -> Segments:
+    """Bytes ``[start, end)`` of ``segments`` (``0 <= start < end <=``
+    their length), as segments: whole segments by reference, the edge
+    ones sliced.  ``ends`` (the running byte totals of ``segments``)
+    saves recounting a long list."""
+    if len(segments) == 1:
+        seg = segments[0]
+        return segments if start == 0 and end == len(seg) else (seg[start:end],)
+    if ends is None:
+        ends = list(accumulate(map(len, segments)))
+    i = bisect.bisect_right(ends, start)
+    j = bisect.bisect_left(ends, end)  # segments[j] holds byte end - 1
+    head, tail = segments[i], segments[j]
+    lo = start - ends[i] + len(head)
+    hi = end - ends[j] + len(tail)
+    if i == j:
+        return segments[i : i + 1] if lo == 0 and hi == len(head) else (head[lo:hi],)
+    return (
+        head[lo:] if lo else head,
+        *segments[i + 1 : j],
+        tail if hi == len(tail) else tail[:hi],
+    )
+
+
 class Completion:
     """Handle for an in-flight asynchronous I/O."""
 
     __slots__ = ("done_at", "data", "write")
 
-    def __init__(self, done_at: float, data: Optional[bytes], write: bool) -> None:
+    def __init__(self, done_at: float, data: Optional[Segments], write: bool) -> None:
         self.done_at = done_at
         self.data = data
         self.write = write
@@ -70,7 +130,7 @@ class Completion:
 class CacheRecord:
     """One command captured in a volatile-write-cache barrier epoch.
 
-    ``kind`` is ``"write"`` (``data`` holds the payload) or
+    ``kind`` is ``"write"`` (``data`` holds the payload's segments) or
     ``"discard"`` (``length`` holds the trimmed span).  ``seq`` is a
     device-wide monotonically increasing command number; crash plans
     select records by it.
@@ -86,14 +146,14 @@ class CacheRecord:
         seq: int,
         kind: str,
         offset: int,
-        data: bytes = b"",
+        data: Payload = (),
         length: int = 0,
     ) -> None:
         self.seq = seq
         self.kind = kind
         self.offset = offset
-        self.data = data
-        self.length = length if kind == self.DISCARD else len(data)
+        self.data = as_segments(data)
+        self.length = length if kind == self.DISCARD else sum(map(len, self.data))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -105,23 +165,48 @@ class CacheRecord:
 class ExtentStore:
     """Byte-addressable sparse storage backing a device.
 
-    Data is kept as non-overlapping ``(offset, bytes)`` extents in a
-    sorted list.  Writes split or trim any overlapped extents; reads
-    assemble from covering extents, filling holes with zero bytes.
+    Data is kept as non-overlapping extents in a sorted list, each the
+    :data:`Segments` its write carried: a node image stays its front
+    sections, page slots and pads, so a page the page cache shares with
+    the tree is held once, not copied into a device buffer.  Writes
+    split or trim any overlapped extents (cutting a segment only where
+    an edge falls inside it); reads assemble from covering extents,
+    filling holes with zero bytes.  Extent boundaries are those of the
+    writes, whatever their segments (:func:`repro.harness.mt.
+    device_sha256` hashes extent by extent).
+
+    Stored segments are immutable ``bytes`` and never change once
+    written: sharing them — with the page cache, a decoded node, a
+    crash twin — is safe because everyone who changes a page rebinds
+    ``PageFrame.data`` to new bytes instead of editing the old ones.
     """
 
     def __init__(self) -> None:
         self._offsets: List[int] = []  # sorted extent start offsets
-        self._extents: Dict[int, bytes] = {}
+        #: Extent start -> (length, segments, running byte totals of
+        #: the segments).  The totals are counted when a read or a
+        #: write first cuts the extent — a node's reads find their
+        #: first segment by bisection — and never for an extent nobody
+        #: cuts (a journal commit).
+        self._extents: Dict[int, Tuple[int, Segments, Optional[array]]] = {}
 
-    def write(self, offset: int, data: bytes) -> None:
-        if not data:
+    def write(self, offset: int, data: Payload) -> None:
+        segments = as_segments(data)
+        length = len(segments[0]) if len(segments) == 1 else sum(map(len, segments))
+        if not length:
             return
-        end = offset + len(data)
-        self._punch(offset, end)
+        self._punch(offset, offset + length)
         idx = bisect.bisect_left(self._offsets, offset)
         self._offsets.insert(idx, offset)
-        self._extents[offset] = bytes(data)
+        self._extents[offset] = (length, segments, None)
+
+    def _cut(self, off: int, start: int, end: int) -> Segments:
+        """Bytes ``[start, end)`` of the extent at ``off``."""
+        length, segments, ends = self._extents[off]
+        if ends is None and len(segments) > 1:
+            ends = array("q", accumulate(map(len, segments)))
+            self._extents[off] = (length, segments, ends)
+        return cut(segments, start, end, ends)
 
     def _punch(self, start: int, end: int) -> None:
         """Remove/trim any stored extents overlapping [start, end)."""
@@ -133,29 +218,32 @@ class ExtentStore:
             off = self._offsets[idx]
             if off >= end:
                 break
-            data = self._extents[off]
-            ext_end = off + len(data)
+            length = self._extents[off][0]
+            ext_end = off + length
             if ext_end <= start:
                 idx += 1
                 continue
             # Overlap: remove, then re-add any surviving head/tail.
+            head = self._cut(off, 0, start - off) if off < start else ()
+            tail = self._cut(off, end - off, length) if ext_end > end else ()
             del self._offsets[idx]
             del self._extents[off]
-            if off < start:
-                head = data[: start - off]
+            if head:
                 self._offsets.insert(idx, off)
-                self._extents[off] = head
+                self._extents[off] = (start - off, head, None)
                 idx += 1
-            if ext_end > end:
-                tail = data[end - off :]
+            if tail:
                 j = bisect.bisect_left(self._offsets, end)
                 self._offsets.insert(j, end)
-                self._extents[end] = tail
+                self._extents[end] = (ext_end - end, tail, None)
                 idx = j + 1
 
-    def read(self, offset: int, length: int) -> bytes:
+    def read_segments(self, offset: int, length: int) -> Segments:
+        """Bytes ``[offset, offset + length)`` as segments: the stored
+        ones by reference, sliced only at the read's edges, with a
+        zero segment per hole."""
         if length <= 0:
-            return b""
+            return ()
         end = offset + length
         pieces: List[bytes] = []
         pos = offset
@@ -164,31 +252,38 @@ class ExtentStore:
             idx = 0
         while pos < end and idx < len(self._offsets):
             off = self._offsets[idx]
-            data = self._extents[off]
-            ext_end = off + len(data)
+            ext_len, segments, _ends = self._extents[off]
+            ext_end = off + ext_len
             if ext_end <= pos:
                 idx += 1
                 continue
             if off >= end:
                 break
             if off > pos:
-                pieces.append(b"\x00" * (off - pos))
+                pieces.append(bytes(off - pos))
                 pos = off
-            take_start = pos - off
-            take_end = min(ext_end, end) - off
-            pieces.append(data[take_start:take_end])
-            pos = off + take_end
+            take_end = min(ext_end, end)
+            if pos == off and take_end == ext_end:
+                pieces.extend(segments)
+            else:
+                pieces.extend(self._cut(off, pos - off, take_end - off))
+            pos = take_end
             idx += 1
         if pos < end:
-            pieces.append(b"\x00" * (end - pos))
-        return b"".join(pieces)
+            pieces.append(bytes(end - pos))
+        return tuple(pieces)
+
+    def read(self, offset: int, length: int) -> bytes:
+        """Bytes ``[offset, offset + length)``, joined (a read inside
+        one segment is that segment, or a slice of it)."""
+        return b"".join(self.read_segments(offset, length))
 
     def discard(self, offset: int, length: int) -> None:
         """TRIM a byte range."""
         self._punch(offset, offset + length)
 
     def stored_bytes(self) -> int:
-        return sum(len(d) for d in self._extents.values())
+        return sum(extent[0] for extent in self._extents.values())
 
     def extent_count(self) -> int:
         return len(self._offsets)
@@ -196,15 +291,18 @@ class ExtentStore:
     # ------------------------------------------------------------------
     # Snapshots (crash images)
     # ------------------------------------------------------------------
-    def snapshot(self) -> List[Tuple[int, bytes]]:
-        """The stored extents as ``(offset, bytes)`` pairs, offset
+    def snapshot(self) -> List[Tuple[int, Segments]]:
+        """The stored extents as ``(offset, segments)`` pairs, offset
         order.  The public API for copying a store's contents — crash
-        twins must not reach into the private extent structures."""
-        return [(off, self._extents[off]) for off in self._offsets]
+        twins must not reach into the private extent structures.  The
+        segments are the stored objects themselves: walk them extent by
+        extent, and never join the store."""
+        return [(off, self._extents[off][1]) for off in self._offsets]
 
     @classmethod
-    def from_snapshot(cls, extents: List[Tuple[int, bytes]]) -> "ExtentStore":
-        """Rebuild a store from :meth:`snapshot` output."""
+    def from_snapshot(cls, extents: List[Tuple[int, Payload]]) -> "ExtentStore":
+        """Rebuild a store from :meth:`snapshot` output; the twin
+        shares the (immutable) segments."""
         store = cls()
         for off, data in extents:
             store.write(off, data)
@@ -237,7 +335,7 @@ class BlockDevice:
         #: barrier epoch; ``_open_epoch`` collects commands accepted
         #: since the last flush.
         self.volatile_cache = volatile_cache
-        self._base: List[Tuple[int, bytes]] = []
+        self._base: List[Tuple[int, Segments]] = []
         self._epochs: List[List[CacheRecord]] = []
         self._open_epoch: List[CacheRecord] = []
         self._cache_seq = 0
@@ -445,7 +543,7 @@ class BlockDevice:
         return False
 
     def submit_read(self, offset: int, length: int) -> Completion:
-        """Start an asynchronous read; data is available on wait()."""
+        """Start an asynchronous read; wait() returns its segments."""
         self._check_media(offset, length)
         nbytes = self._round(length)
         sequential = self._note_stream(self._read_streams, offset, offset + length)
@@ -460,16 +558,20 @@ class BlockDevice:
                     "dev.read", "device", done - dur, dur,
                     bytes=nbytes, seq=sequential,
                 )
-        data = self.store.read(offset, length)
+        data = self.store.read_segments(offset, length)
         if self.san is not None:
             self.san.on_device_op(self, "read", dur)
         return Completion(done, data, write=False)
 
-    def submit_write(self, offset: int, data: bytes) -> Completion:
-        """Start an asynchronous write (data is durable only after flush)."""
-        nbytes = self._round(len(data))
+    def submit_write(self, offset: int, data: Payload) -> Completion:
+        """Start an asynchronous write (data is durable only after flush).
+
+        ``data`` is one buffer or a node's segments, handed on to the
+        store by reference (scatter-gather DMA)."""
+        length = payload_len(data)
+        nbytes = self._round(length)
         sequential = self._note_stream(
-            self._write_streams, offset, offset + len(data)
+            self._write_streams, offset, offset + length
         )
         dur = self._io_duration(nbytes, write=True, sequential=sequential)
         gc_seconds = 0.0
@@ -477,10 +579,10 @@ class BlockDevice:
             # The FTL maps the written pages; if that drops the free
             # pool below the watermark, this write absorbs the GC
             # copy + erase time (the steady-state tail-latency pause).
-            gc_seconds = self.ftl.host_write(offset, len(data))
+            gc_seconds = self.ftl.host_write(offset, length)
             dur += gc_seconds
         done = self._schedule(dur) if self.charge_time else self.clock.now
-        self.stats.record(True, nbytes, sequential, dur, raw_nbytes=len(data))
+        self.stats.record(True, nbytes, sequential, dur, raw_nbytes=length)
         if self._lat_write is not None:
             self._lat_write.observe(dur)
             if gc_seconds > 0.0 and self._lat_gc is not None:
@@ -498,29 +600,36 @@ class BlockDevice:
         self.store.write(offset, data)
         if self.volatile_cache:
             self._record(
-                CacheRecord(self._next_seq(), CacheRecord.WRITE, offset, bytes(data))
+                CacheRecord(self._next_seq(), CacheRecord.WRITE, offset, data)
             )
         if self.san is not None:
             self.san.on_device_op(self, "write", dur)
         if self.order is not None:
-            self.order.on_write(offset, len(data))
+            self.order.on_write(offset, length)
         return Completion(done, None, write=True)
 
-    def wait(self, completion: Completion) -> Optional[bytes]:
-        """Wait for an async I/O to complete; returns read data."""
+    def wait(self, completion: Completion) -> Optional[Segments]:
+        """Wait for an async I/O to complete; returns a read's segments."""
         if self.charge_time:
             self.clock.wait_until(completion.done_at)
         return completion.data
 
-    def read(self, offset: int, length: int) -> bytes:
-        """Synchronous read."""
+    def _read(self, offset: int, length: int) -> Segments:
         completion = self.submit_read(offset, length)
         data = self.wait(completion)
         if data is None:
             raise IOError(f"read completion carried no data at {offset}")
         return data
 
-    def write(self, offset: int, data: bytes) -> None:
+    def read_segments(self, offset: int, length: int) -> Segments:
+        """Synchronous read of the stored segments (no join)."""
+        return self._read(offset, length)
+
+    def read(self, offset: int, length: int) -> bytes:
+        """Synchronous read, joined into one buffer."""
+        return b"".join(self._read(offset, length))
+
+    def write(self, offset: int, data: Payload) -> None:
         """Synchronous write (returns when the device accepts the I/O)."""
         completion = self.submit_write(offset, data)
         self.wait(completion)
@@ -683,7 +792,8 @@ class BlockDevice:
                 continue
             data = rec.data
             if rec is last_write:
-                data = data[: torn_tail_sectors * self.profile.sector]
+                kept = min(torn_tail_sectors * self.profile.sector, rec.length)
+                data = cut(data, 0, kept) if kept else ()
             if data:
                 # Charged when the cached write was accepted, not here.
                 store.write(rec.offset, data)

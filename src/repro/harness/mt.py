@@ -32,11 +32,13 @@ PERCENTILES = (50.0, 99.0)
 
 def device_sha256(device) -> str:
     """Content hash of the device image: every populated extent as
-    ``offset (8-byte LE) + data``, in offset order."""
+    ``offset (8-byte LE) + data``, in offset order — hashed segment by
+    segment, the store never joined."""
     h = hashlib.sha256()
-    for off, data in device.store.snapshot():
+    for off, segments in device.store.snapshot():
         h.update(off.to_bytes(8, "little"))
-        h.update(data)
+        for segment in segments:
+            h.update(segment)
     return h.hexdigest()
 
 

@@ -31,6 +31,7 @@ another session observe a half-mutated tree, and must be impossible.
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.check.errors import SchedInvariantError, require
@@ -111,18 +112,31 @@ class Scheduler:
     # collection time, zero per-dispatch cost)
     # ------------------------------------------------------------------
     def _instrument(self, scope: Any) -> None:
+        # The scope outlives the mount (a metrics session keeps it), and
+        # the scheduler holds the mount, so a gauge reaches the
+        # scheduler only through a weak reference: it reads ``stats``,
+        # refreshed first while the scheduler lives — and once it is
+        # gone, as ``run`` last left them (only a run moves them).
         reg = scope.registry
-        reg.gauge("sched.sessions", layer="sched", fn=lambda: len(self.sessions))
-        reg.gauge("sched.switches", layer="sched", fn=lambda: float(self.switches))
-        reg.gauge("sched.dispatches", layer="sched", fn=lambda: float(self.dispatches))
-        reg.gauge("sched.jain_index", layer="sched", fn=self.jain_service)
-        reg.gauge("sched.jain_ops", layer="sched", fn=self.jain_ops)
-        reg.gauge("sched.max_wait_seconds", layer="sched", fn=self.max_wait)
-        reg.gauge(
-            "sched.lock_contentions",
-            layer="sched",
-            fn=lambda: float(self.locks.contentions),
-        )
+        stats = self.stats
+        me = weakref.ref(self)
+
+        def gauge(name: str, field: str, cast: Callable[[Any], Any] = float) -> None:
+            def read() -> Any:
+                sched = me()
+                if sched is not None:
+                    sched._refresh_stats()
+                return cast(getattr(stats, field))
+
+            reg.gauge(name, layer="sched", fn=read)
+
+        gauge("sched.sessions", "sessions", int)
+        gauge("sched.switches", "switches")
+        gauge("sched.dispatches", "dispatches")
+        gauge("sched.jain_index", "jain_service")
+        gauge("sched.jain_ops", "jain_ops")
+        gauge("sched.max_wait_seconds", "max_wait_seconds")
+        gauge("sched.lock_contentions", "lock_contentions")
         self._wait_hist = scope.latency("sched.wait", layer="sched")
         self._op_hist = scope.latency("sched.op_latency", layer="sched")
         scope.register_object("sched.fairness", self.stats, layer="sched")

@@ -35,6 +35,7 @@ the scripts, the policy, and the seed.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Dict, Generator, List, Optional, TYPE_CHECKING
 
 from repro.check.errors import SchedInvariantError, require
@@ -164,7 +165,10 @@ class SessionContext:
 
     def __init__(self, sid: int, sched: "Scheduler") -> None:
         self.sid = sid
-        self.sched: "Scheduler" = sched
+        # A proxy, so that no cycle holds the scheduler and, through
+        # it, the mount: a dropped scheduler dies at once, and the mount
+        # with it (a metrics session freezes a scope when its mount dies).
+        self.sched: "Scheduler" = weakref.proxy(sched)
         self.session: Optional[Session] = None  # set by Scheduler.spawn
 
     # ------------------------------------------------------------------

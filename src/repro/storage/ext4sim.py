@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.device.block import BlockDevice, Completion
+from repro.device.block import BlockDevice, Completion, Payload, Segments
 from repro.model.costs import CostModel
 from repro.storage.filelayer import Southbound
 from repro.storage.journal import Journal
@@ -95,9 +95,12 @@ class Ext4Southbound(Southbound):
         return base + offset
 
     # ------------------------------------------------------------------
-    def write(self, name: str, offset: int, data: bytes, byref: bool = False) -> None:
+    def write(self, name: str, offset: int, data: Payload, byref: bool = False) -> None:
         # Stock kernels reject direct I/O on kernel addresses; stacked
-        # writes always copy into the lower file system's page cache.
+        # writes always copy into the lower file system's page cache
+        # (a node's segments are joined: the copy charged below).
+        if isinstance(data, tuple):
+            data = b"".join(data)
         self.clock.cpu(self.costs.memcpy(len(data)))
         self.clock.cpu(len(data) * STACKED_BYTE_COST)
         self.clock.cpu(self.costs.page_cache_op * max(1, len(data) // 4096))
@@ -128,6 +131,13 @@ class Ext4Southbound(Southbound):
         self._dirty_bytes = 0
 
     def read(self, name: str, offset: int, length: int) -> bytes:
+        return self._read(name, offset, length)
+
+    def read_segments(self, name: str, offset: int, length: int) -> Segments:
+        # Copied out of the stacked page cache: one buffer.
+        return (self._read(name, offset, length),)
+
+    def _read(self, name: str, offset: int, length: int) -> bytes:
         dev_off = self._map(name, offset, length)
         self._account_read(name, length)
         # VFS read-ahead window: synchronous chunked reads.
@@ -153,14 +163,14 @@ class Ext4Southbound(Southbound):
         completion = self.device.submit_read(dev_off, first)
         return _Ext4Prefetch(completion, name, offset, length)
 
-    def finish_read(self, token) -> bytes:
-        head = self.device.wait(token.completion) or b""
+    def finish_read(self, token) -> Segments:
+        head = b"".join(self.device.wait(token.completion) or ())
         first = min(READAHEAD_WINDOW, token.length)
         self.clock.cpu(self.costs.memcpy(first))
         rest = b""
         if token.length > first:
             rest = self.read(token.name, token.offset + first, token.length - first)
-        return head[: token.length] + rest
+        return (head[: token.length] + rest,)
 
     def discard(self, name: str, offset: int, length: int) -> None:
         """Punch-hole through the stacked file system (ext4 mounted

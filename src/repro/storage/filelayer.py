@@ -9,14 +9,17 @@ durability barrier.  ``byref=True`` writes declare that the caller's
 buffer can be used directly for DMA (scatter-gather) so the substrate
 must not charge a copy — only SFL honours this (§3, §6); ext4 cannot
 (direct I/O on kernel addresses is rejected by stock kernels, as the
-paper notes).
+paper notes).  A write's payload is one buffer or a node's segments
+(:data:`repro.device.block.Segments`); :meth:`Southbound.read_segments`
+and :meth:`Southbound.finish_read` hand a node's reader the segments
+back, :meth:`Southbound.read` one joined buffer.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.device.block import BlockDevice, Completion
+from repro.device.block import BlockDevice, Completion, Payload, Segments
 from repro.device.clock import SimClock
 from repro.model.costs import CostModel
 
@@ -52,7 +55,7 @@ class Southbound:
     def file_size(self, name: str) -> int:
         raise NotImplementedError
 
-    def write(self, name: str, offset: int, data: bytes, byref: bool = False) -> None:
+    def write(self, name: str, offset: int, data: Payload, byref: bool = False) -> None:
         """Asynchronous write at ``offset``."""
         raise NotImplementedError
 
@@ -60,12 +63,16 @@ class Southbound:
         """Synchronous read."""
         raise NotImplementedError
 
+    def read_segments(self, name: str, offset: int, length: int) -> Segments:
+        """Synchronous read, as the segments the device holds."""
+        raise NotImplementedError
+
     def prefetch(self, name: str, offset: int, length: int) -> Completion:
         """Start an asynchronous read; pair with :meth:`finish_read`."""
         raise NotImplementedError
 
-    def finish_read(self, completion: Completion) -> bytes:
-        """Wait for a prefetch and return its data."""
+    def finish_read(self, completion: Completion) -> Segments:
+        """Wait for a prefetch and return its segments."""
         data = self.device.wait(completion)
         if data is None:
             raise IOError("prefetch completion carried no data")

@@ -8,10 +8,13 @@ metadata blocks and a commit record, then issue a flush barrier.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.device.block import BlockDevice
 from repro.model.costs import CostModel
+
+#: One journal block of zeros.  A commit's padding is this block
+#: repeated — a segment tuple the device store keeps by reference — so
+#: every commit of every journal shares these 4 KiB.
+ZERO_BLOCK = bytes(4096)
 
 
 class Journal:
@@ -32,21 +35,20 @@ class Journal:
         self.commits = 0
         self.blocks_logged = 0
         self._txn_blocks = 0
-        #: Commit padding by length: the device store keeps the object
-        #: it is given until the region wraps, so every commit of one
-        #: length shares one immutable buffer of zeros.
-        self._zeros: Dict[int, bytes] = {}
 
-    def _append(self, data: bytes) -> None:
-        if self.head + len(data) > self.region_size:
+    def _append(self, blocks: int) -> None:
+        """Write ``blocks`` journal blocks at the head (their contents
+        are not modelled: zeros)."""
+        length = len(ZERO_BLOCK) * blocks
+        if self.head + length > self.region_size:
             # Circular wrap; checkpointing is implicit.  The whole
             # region is about to be rewritten — TRIM it so the FTL
             # treats the stale journal pages as dead instead of
             # relocating them during garbage collection.
             self.device.discard(self.region_offset, self.head)
             self.head = 0
-        self.device.write(self.region_offset + self.head, data)
-        self.head += len(data)
+        self.device.write(self.region_offset + self.head, (ZERO_BLOCK,) * blocks)
+        self.head += length
 
     def log_block(self) -> None:
         """Add one metadata block to the running transaction."""
@@ -63,11 +65,7 @@ class Journal:
         self.commits += 1
         self.device.clock.cpu(self.costs.journal_commit)
         # Descriptor block + logged metadata blocks + commit record.
-        length = 4096 * (max(1, self._txn_blocks) + 2)
-        zeros = self._zeros.get(length)
-        if zeros is None:
-            zeros = self._zeros[length] = bytes(length)
-        self._append(zeros)
+        self._append(max(1, self._txn_blocks) + 2)
         self._txn_blocks = 0
         if durable:
             self.device.flush()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.device.block import BlockDevice, Completion
+from repro.device.block import BlockDevice, Completion, Payload, Segments, payload_len
 from repro.model.costs import CostModel
 from repro.storage.filelayer import Southbound
 
@@ -138,12 +138,15 @@ class SimpleFileLayer(Southbound):
         return base + offset
 
     # ------------------------------------------------------------------
-    def write(self, name: str, offset: int, data: bytes, byref: bool = False) -> None:
+    def write(self, name: str, offset: int, data: Payload, byref: bool = False) -> None:
+        length = payload_len(data)
         if not byref:
             # The caller handed us a buffer it will reuse; one copy.
-            self.clock.cpu(self.costs.memcpy(len(data)))
-        dev_off = self._map(name, offset, len(data))
-        self._account_write(name, len(data))
+            self.clock.cpu(self.costs.memcpy(length))
+        dev_off = self._map(name, offset, length)
+        self._account_write(name, length)
+        # Direct I/O: a node's segments (its pages among them) go to
+        # the device by reference.
         completion = self.device.submit_write(dev_off, data)
         self._track(name, completion)
 
@@ -152,6 +155,11 @@ class SimpleFileLayer(Southbound):
         self._account_read(name, length)
         # Direct I/O into the caller's pre-allocated buffer: no copy.
         return self.device.read(dev_off, length)
+
+    def read_segments(self, name: str, offset: int, length: int) -> Segments:
+        dev_off = self._map(name, offset, length)
+        self._account_read(name, length)
+        return self.device.read_segments(dev_off, length)
 
     def prefetch(self, name: str, offset: int, length: int) -> Completion:
         dev_off = self._map(name, offset, length)

@@ -1,6 +1,5 @@
 """Tests for the repro.check subsystem: lint, sanitizers, and fsck."""
 
-import hashlib
 import os
 
 import pytest
@@ -18,6 +17,7 @@ from repro.core.env import DATA, META
 from repro.core.keys import intersect
 from repro.core.messages import Insert, RangeDelete
 from repro.core.serialize import COMPRESSED_MAGIC, ChecksumError
+from repro.harness.mt import device_sha256
 from tests.conftest import LAYOUT, drop_node_cache, make_env, reopen, small_cfg
 
 MIB = 1 << 20
@@ -96,14 +96,6 @@ def _run_mixed_workload(sanitize: bool):
     return env, device
 
 
-def _state_hash(device) -> str:
-    h = hashlib.sha256()
-    for off, data in device.store.snapshot():
-        h.update(off.to_bytes(8, "little"))
-        h.update(data)
-    return h.hexdigest()
-
-
 class TestSanitizers:
     def test_mixed_workload_runs_clean_with_sanitizers(self):
         env, _device = _run_mixed_workload(sanitize=True)
@@ -116,7 +108,7 @@ class TestSanitizers:
         time."""
         env_off, dev_off = _run_mixed_workload(sanitize=False)
         env_on, dev_on = _run_mixed_workload(sanitize=True)
-        assert _state_hash(dev_off) == _state_hash(dev_on)
+        assert device_sha256(dev_off) == device_sha256(dev_on)
         assert env_off.clock.now == env_on.clock.now
         stats_off, stats_on = dev_off.stats, dev_on.stats
         assert (stats_off.reads, stats_off.writes, stats_off.flushes) == (
@@ -290,7 +282,7 @@ class TestWorkloadBitIdentity:
             fs.sync()
             if sanitize:
                 fs.env.san.check_all()
-            return _state_hash(fs.device), fs.clock.now
+            return device_sha256(fs.device), fs.clock.now
 
         state_off, time_off = run(False)
         state_on, time_on = run(True)
@@ -573,8 +565,8 @@ def _unmap_a_stored_page(env, device):
     page = device.ftl.geom.page_size
     lpn = next(
         lpn
-        for off, data in device.store.snapshot()
-        for lpn in range(-(-off // page), (off + len(data)) // page)
+        for off, segs in device.store.snapshot()
+        for lpn in range(-(-off // page), (off + sum(map(len, segs))) // page)
     )
     unmapped = device.ftl.trim(lpn * page, page)
     assert unmapped == 1

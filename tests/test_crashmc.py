@@ -30,7 +30,12 @@ from repro.crashmc.explore import (
 )
 from repro.crashmc.oracle import KINDS
 from repro.crashmc.workload import WORKLOADS
+from repro.betrfs import make_betrfs
+from repro.betrfs.filesystem import MountOptions
+from repro.check.fsck import fsck_mount
+from repro.core.serialize import ChecksumError, decode_node
 from repro.device.block import BlockDevice, CacheRecord, MediaError
+from repro.harness.mt import device_sha256
 from repro.device.clock import SimClock
 from repro.model.profiles import COMMODITY_SSD
 
@@ -177,6 +182,47 @@ class TestCrashImages:
         image = dev.crash_image()
         # Durable-cache semantics: everything accepted is in the image.
         assert image.store.read(0, 3) == b"xxx"
+
+    def test_replayed_and_torn_segment_images_read_back_and_fsck_clean(self):
+        """Cache records keep a node's segments, so a crash image is
+        replayed from the very ``bytes`` the live device holds; a torn
+        node write cuts a segment, and the one reader still answers —
+        with the data, or a ``ChecksumError`` for the torn node."""
+        fs = make_betrfs("BetrFS v0.6", MountOptions(scale=1 / 32))
+        fs.device.enable_volatile_cache()
+        for rnd in range(2):
+            for i in range(6):
+                if not rnd:
+                    fs.vfs.create(f"/f{i}")
+                fs.vfs.write(f"/f{i}", rnd * 4096, bytes([16 * rnd + i + 1]) * (5 - 4 * rnd) * 4096)
+            fs.sync()
+            fs.env.checkpoint()
+        dev = fs.device
+        live = {id(seg) for _off, segs in dev.store.snapshot() for seg in segs}
+        # Every accepted command replayed: the live image, shared.
+        replayed = dev.crash_image(CrashPlan(selected=[r.seq for r in dev.unflushed()]))
+        assert device_sha256(replayed) == device_sha256(dev)
+        assert any(len(segs) > 2 for _off, segs in replayed.store.snapshot())
+        assert all(id(seg) in live for _off, segs in replayed.store.snapshot() for seg in segs)
+        # The last epoch of node writes, its leaf torn halfway.
+        epoch = max(
+            e for e in range(dev.sealed_epochs())
+            if any(len(r.data) > 2 for r in dev.epoch_records(e))
+        )
+        records = dev.epoch_records(epoch)
+        leaf = records[-1]
+        assert len(leaf.data) > 2
+        torn = dev.crash_image(CrashPlan(
+            selected=[r.seq for r in records], epoch=epoch,
+            torn_tail_sectors=leaf.length // dev.profile.sector // 2,
+        ))
+        with pytest.raises(ChecksumError, match="basement"):
+            decode_node(torn.store.read_segments(leaf.offset, leaf.length), aligned=True)
+        for image in (replayed, torn):
+            assert fsck_mount(fs, image).ok
+            back = fs.remount(image)
+            for i in range(6):
+                assert back.vfs.read(f"/f{i}", 0, 8192) == bytes([i + 1]) * 4096 + bytes([i + 17]) * 4096
 
 
 # ======================================================================

@@ -1,9 +1,13 @@
 """Unit tests for the simulated block device and extent store."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.device.block import BlockDevice, ExtentStore
 from repro.device.clock import SimClock
+from repro.harness.mt import device_sha256
 from repro.model.profiles import COMMODITY_HDD, COMMODITY_SSD, NULL_DEVICE
 
 
@@ -73,6 +77,98 @@ class TestExtentStore:
         store = ExtentStore()
         assert store.read(5, 0) == b""
         assert store.read(0, 4) == b"\x00" * 4
+
+
+class TestSegmentStoreAgainstAFlatOracle:
+    """A seeded run of overlapping writes — plain ``bytes`` and segment
+    tuples — and discards, many of them cutting a stored segment, each
+    step checked against a flat ``bytearray`` (the bytes) and a per-byte
+    writer map (the extent boundaries, which the device hash sees)."""
+
+    SPAN = 4096
+
+    @staticmethod
+    def _payload(rng, n):
+        data = bytes(rng.randrange(256) for _ in range(n))
+        if rng.random() < 0.3:
+            return data
+        cuts = sorted(rng.randrange(n + 1) for _ in range(rng.randrange(1, 6)))
+        return tuple(data[a:b] for a, b in zip([0, *cuts], [*cuts, n]))
+
+    @staticmethod
+    def _extents(owner):
+        """(offset, length) of each run of bytes one write still owns."""
+        runs, start = [], None
+        for pos, who in enumerate([*owner, None]):
+            if start is not None and who != owner[start]:
+                runs.append((start, pos - start))
+                start = None
+            if start is None and who is not None:
+                start = pos
+        return runs
+
+    def _check(self, rng, store, oracle, owner):
+        snap = store.snapshot()
+        assert [(off, sum(map(len, segs))) for off, segs in snap] == self._extents(owner)
+        assert all(type(seg) is bytes for _off, segs in snap for seg in segs)
+        assert store.stored_bytes() == sum(who is not None for who in owner)
+        for _ in range(4):
+            at = rng.randrange(self.SPAN)
+            n = rng.randrange(self.SPAN - at + 1)
+            want = bytes(oracle[at : at + n])
+            segments = store.read_segments(at, n)
+            assert type(segments) is tuple and all(type(seg) is bytes for seg in segments)
+            assert b"".join(segments) == want
+            assert store.read(at, n) == want
+
+    def test_matches_the_oracle_step_by_step(self):
+        rng = random.Random(28)
+        store, oracle, owner = ExtentStore(), bytearray(self.SPAN), [None] * self.SPAN
+        for step in range(300):
+            at = rng.randrange(self.SPAN - 1)
+            n = rng.randrange(1, min(700, self.SPAN - at) + 1)
+            if rng.random() < 0.2:
+                store.discard(at, n)
+                oracle[at : at + n] = bytes(n)
+                owner[at : at + n] = [None] * n
+            else:
+                payload = self._payload(rng, n)
+                store.write(at, payload)
+                oracle[at : at + n] = b"".join(payload) if isinstance(payload, tuple) else payload
+                owner[at : at + n] = [step] * n
+            self._check(rng, store, oracle, owner)
+        # A crash twin shares the stored segments and reads the same.
+        twin = ExtentStore.from_snapshot(store.snapshot())
+        assert twin.snapshot() == store.snapshot()
+        assert all(
+            a is b
+            for (_o, segs), (_t, twin_segs) in zip(store.snapshot(), twin.snapshot())
+            for a, b in zip(segs, twin_segs)
+        )
+        assert twin.read(0, self.SPAN) == bytes(oracle)
+        # The device hash is the hash of every extent joined.
+        dev = BlockDevice(SimClock(), NULL_DEVICE)
+        dev.store = store
+        h = hashlib.sha256()
+        for off, n in self._extents(owner):
+            h.update(off.to_bytes(8, "little"))
+            h.update(bytes(oracle[off : off + n]))
+        assert device_sha256(dev) == h.hexdigest()
+
+    def test_a_written_segment_is_kept_and_read_back_by_reference(self):
+        store = ExtentStore()
+        head, page, tail = b"h" * 100, b"p" * 4096, b"t" * 50
+        store.write(1000, (head, page, tail))
+        ((off, segs),) = store.snapshot()
+        assert off == 1000 and segs[0] is head and segs[1] is page and segs[2] is tail
+        assert store.read_segments(1100, 4096)[0] is page
+        # Overwrites that cut the head and the tail leave the page.
+        store.write(1020, b"x" * 60)
+        store.write(5206, b"y" * 20)
+        assert any(seg is page for _off, segs in store.snapshot() for seg in segs)
+        assert store.read(1000, 4246) == (
+            b"h" * 20 + b"x" * 60 + b"h" * 20 + page + b"t" * 10 + b"y" * 20 + b"t" * 20
+        )
 
 
 class TestBlockDeviceTiming:

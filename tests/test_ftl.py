@@ -375,7 +375,8 @@ class TestEndToEndTrim:
 
         def stored(lo, hi):
             return sum(
-                max(0, min(off + len(d), hi) - max(off, lo)) for off, d in snapshot
+                max(0, min(off + sum(map(len, segs)), hi) - max(off, lo))
+                for off, segs in snapshot
             )
 
         live = 0

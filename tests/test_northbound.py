@@ -9,6 +9,7 @@ from repro.betrfs.filesystem import MountOptions
 from repro.core.env import DATA, META
 from repro.core.keys import data_key, meta_key
 from repro.core.messages import PageFrame, value_bytes
+from repro.harness.mt import device_sha256
 from repro.shard import make_sharded_betrfs
 from repro.vfs.inode import FileKind, Stat
 
@@ -297,3 +298,26 @@ class TestWindowIsOneRangeQuery:
         envs = getattr(scan.env, "envs", [scan.env])
         assert sum(env.data.stats.range_queries for env in envs) > 30
         assert sum(env.data.stats.partial_leaf_loads for env in envs)
+
+
+class TestPageSharingReachesTheDevice:
+    def test_page_writes_after_a_checkpoint_leave_the_device_image_alone(self):
+        """A checkpoint hands the device each cached page's own bytes; a
+        CoW fault, a blind patch and a page-cache write afterwards
+        rebind ``PageFrame.data`` and never touch what the device holds."""
+        fs = mount()
+        v, pages = fs.vfs, fs.vfs.pages
+        v.create("/f")
+        v.write("/f", 0, bytes(range(256)) * 64)  # four pages
+        fs.sync()
+        fs.env.checkpoint()
+        stored = {id(seg) for _off, segs in fs.device.store.snapshot() for seg in segs}
+        assert all(id(pages.lookup("/f", i).frame.data) in stored for i in range(4))
+        image = (device_sha256(fs.device), fs.device.stats.writes)
+        cow = pages.cow_copies
+        v.write("/f", 0, b"A" * PAGE)  # a CoW fault: the tree shares the frame
+        v.write("/f", PAGE + 10, b"patch")  # a blind patch of a clean page
+        v.write("/f", 2 * PAGE + 100, b"B" * 1000)  # a partial page-cache write
+        assert pages.cow_copies == cow + 2
+        assert (device_sha256(fs.device), fs.device.stats.writes) == image
+        assert v.read("/f", PAGE + 8, 9) == bytes([8, 9]) + b"patch" + bytes([15, 16])

@@ -14,6 +14,7 @@ from repro.model.profiles import COMMODITY_SSD_SCALED
 from repro.obs import MountScope, Observability, session
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanTracer
+from repro.sched import Scheduler
 from repro.shard.mount import make_sharded_betrfs
 from repro.workloads.scale import SMOKE_SCALE
 
@@ -219,14 +220,30 @@ def _sharded_mount():
     )
 
 
+def _scheduled_mount():
+    """A mount one scheduler session has run on; the scheduler (whose
+    gauges the mount's scope holds) is dropped with it."""
+    mount = make_mount("BetrFS v0.6", SMOKE_SCALE)
+    sched = Scheduler(mount, seed=0)
+
+    def script(ctx):
+        yield from ctx.run(mount.vfs.create, "/g")
+        ctx.op_done()
+
+    sched.spawn("solo", script)
+    sched.run()
+    return mount
+
+
 @pytest.mark.parametrize(
     "build",
     [
         lambda: make_mount("BetrFS v0.6", SMOKE_SCALE),
         lambda: make_mount("ext4", SMOKE_SCALE),
         _sharded_mount,
+        _scheduled_mount,
     ],
-    ids=["betrfs", "baseline", "shard4"],
+    ids=["betrfs", "baseline", "shard4", "scheduled"],
 )
 def test_session_lets_go_of_a_dropped_mount(build):
     """A session keeps a dropped mount's numbers, not its objects: the
@@ -355,13 +372,9 @@ def test_overhead_map_empty_without_dual_clock():
 # Purity: profiling and dual-clock observation change nothing simulated
 # ----------------------------------------------------------------------
 def _device_state_hash(mount):
-    import hashlib
+    from repro.harness.mt import device_sha256
 
-    h = hashlib.sha256()
-    for off, data in mount.device.store.snapshot():
-        h.update(off.to_bytes(8, "little"))
-        h.update(data)
-    return h.hexdigest()
+    return device_sha256(mount.device)
 
 
 def _observed_workload(wall: bool, profile: bool):

@@ -50,6 +50,11 @@ def make_internal():
     return node
 
 
+def joined(ser):
+    """A serialized node's segments, joined: the image as one buffer."""
+    return b"".join(ser.segments)
+
+
 def assert_same_pairs(a: LeafNode, b: LeafNode):
     pa = [(k, bytes(v.data) if isinstance(v, PageFrame) else v, m)
           for bs in a.basements for k, v, m in bs.items_with_msn()]
@@ -64,7 +69,7 @@ class TestLeafRoundtrip:
     def test_roundtrip(self, aligned, lifting):
         leaf = make_leaf(page_values=True)
         ser = serialize_node(leaf, aligned=aligned, lifting=lifting)
-        back = decode_node(ser.data, aligned=aligned)
+        back = decode_node(ser.segments, aligned=aligned)
         assert isinstance(back, LeafNode)
         assert back.node_id == 7
         assert_same_pairs(leaf, back)
@@ -72,7 +77,7 @@ class TestLeafRoundtrip:
     def test_empty_leaf(self, aligned, lifting):
         leaf = LeafNode(3)
         ser = serialize_node(leaf, aligned=aligned, lifting=lifting)
-        back = decode_node(ser.data, aligned=aligned)
+        back = decode_node(ser.segments, aligned=aligned)
         assert back.pair_count() == 0
 
 
@@ -81,7 +86,7 @@ class TestInternalRoundtrip:
     def test_roundtrip(self, aligned):
         node = make_internal()
         ser = serialize_node(node, aligned=aligned, lifting=True)
-        back = decode_node(ser.data, aligned=aligned)
+        back = decode_node(ser.segments, aligned=aligned)
         assert isinstance(back, InternalNode)
         assert back.pivots == node.pivots
         assert back.children == node.children
@@ -101,7 +106,7 @@ class TestInternalRoundtrip:
         frame = PageFrame(b"\xab" * 4096)
         node.enqueue(InsertByRef(b"/k", frame, msn=1))
         ser = serialize_node(node, aligned=aligned, lifting=True)
-        back = decode_node(ser.data, aligned=aligned)
+        back = decode_node(ser.segments, aligned=aligned)
         value = back.buffer[0].value
         assert bytes(value.data if isinstance(value, PageFrame) else value) == b"\xab" * 4096
 
@@ -110,14 +115,14 @@ class TestChecksums:
     def test_corruption_detected(self):
         leaf = make_leaf()
         ser = serialize_node(leaf, aligned=False, lifting=True)
-        corrupted = bytearray(ser.data)
+        corrupted = bytearray(joined(ser))
         corrupted[len(corrupted) // 2] ^= 0xFF
         with pytest.raises(ChecksumError):
             decode_node(bytes(corrupted), aligned=False)
 
     def test_verify_crc_ok(self):
         ser = serialize_node(make_internal(), aligned=False, lifting=True)
-        verify_crc(ser.data)  # no raise
+        verify_crc(ser.segments)  # no raise
 
 
 class TestAlignedLayout:
@@ -126,7 +131,7 @@ class TestAlignedLayout:
         ser = serialize_node(leaf, aligned=True, lifting=True)
         # Every full page's contents must be locatable at a 4 KiB
         # boundary in the serialized image.
-        payload = ser.data
+        payload = joined(ser)
         found = 0
         for off in range(0, len(payload) - 4096, 4096):
             chunk = payload[off : off + 4096]
@@ -147,7 +152,7 @@ class TestPartialLeafAccess:
     def test_header_and_single_basement_decode(self):
         leaf = make_leaf(50)
         ser = serialize_node(leaf, aligned=False, lifting=True)
-        header = decode_leaf_header(ser.data[:8192], len(ser.data))
+        header = decode_leaf_header(joined(ser)[:8192], len(joined(ser)))
         assert header.node_id == 7
         assert header.basement_extents == ser.basement_extents
         assert len(header.basement_extents) == len(leaf.basements)
@@ -155,7 +160,7 @@ class TestPartialLeafAccess:
         # Decode just the second basement from its extent slice.
         off, ln, _crc = extent = header.basement_extents[1]
         basement, bulk = decode_basement(
-            ser.data[off : off + ln], 0, 1, extent, header.lift_prefix, aligned=False
+            joined(ser)[off : off + ln], 0, 1, extent, header.lift_prefix, aligned=False
         )
         assert list(basement.items()) == list(leaf.basements[1].items())
         assert bulk == 0
@@ -164,7 +169,7 @@ class TestPartialLeafAccess:
         leaf = make_leaf(40)
         lifted = serialize_node(leaf, aligned=False, lifting=True)
         unlifted = serialize_node(leaf, aligned=False, lifting=False)
-        assert len(lifted.data) < len(unlifted.data)
+        assert lifted.length < unlifted.length
 
 
 # ----------------------------------------------------------------------
@@ -279,13 +284,14 @@ def digest(node):
     h = hashlib.sha256()
     for aligned, lifting in LAYOUTS:
         ser = serialize_node(node, aligned=aligned, lifting=lifting)
+        assert ser.length == len(joined(ser))
         h.update(
             repr(
                 (ser.small_bytes, ser.copied_bytes, ser.ref_bytes,
-                 ser.header_len, list(ser.basement_extents), len(ser.data))
+                 ser.header_len, list(ser.basement_extents), ser.length)
             ).encode()
         )
-        h.update(ser.data)
+        h.update(joined(ser))
     return h.hexdigest()
 
 
@@ -362,22 +368,26 @@ def old_cost_split(node, total):
 
 
 def check_roundtrip(node, aligned, lifting):
-    first = serialize_node(node, aligned=aligned, lifting=lifting).data
+    ser = serialize_node(node, aligned=aligned, lifting=lifting)
+    first = joined(ser)
     split = []
-    back = decode_node(first, aligned=aligned, cost_split=split)
+    # From the segments the device store would hold, as a node read
+    # hands them over; the joined image decodes to the same node.
+    back = decode_node(ser.segments, aligned=aligned, cost_split=split)
+    assert canon(decode_node(first, aligned=aligned)) == canon(back)
     assert not back.dirty
     assert canon(back, typed=False) == canon(node, typed=False)
     assert split == old_cost_split(back, len(first))
     # Re-encoding what was decoded gives the bytes back, but for the
     # by-ref tag; from there on it is a fixed point, types included.
-    second = serialize_node(back, aligned=aligned, lifting=lifting).data
+    second = joined(serialize_node(back, aligned=aligned, lifting=lifting))
     by_ref = isinstance(node, InternalNode) and any(
         isinstance(m, InsertByRef) for m in node.buffer
     )
     assert by_ref or second == first
     again = decode_node(second, aligned=aligned)
     assert canon(again) == canon(back)
-    assert serialize_node(again, aligned=aligned, lifting=lifting).data == second
+    assert joined(serialize_node(again, aligned=aligned, lifting=lifting)) == second
 
 
 @pytest.mark.parametrize("aligned,lifting", LAYOUTS)
@@ -391,7 +401,7 @@ def test_partial_load_decodes_each_basement_as_the_full_decode_does(aligned):
     for name, node in corpus().items():
         if not isinstance(node, LeafNode):
             continue
-        data = serialize_node(node, aligned=aligned, lifting=True).data
+        data = joined(serialize_node(node, aligned=aligned, lifting=True))
         header = decode_leaf_header(data[: leaf_header_len(data[:26], len(data))], len(data))
         split = []
         whole = decode_node(data, aligned=aligned, cost_split=split)
@@ -483,7 +493,7 @@ def _flip(data, bit):
 @pytest.mark.parametrize("aligned", [False, True])
 def test_every_single_bit_flip_of_a_small_node_is_detected(aligned):
     for name in ("leaf_one_key", "internal_one_child"):
-        data = serialize_node(corpus()[name], aligned=aligned, lifting=True).data
+        data = joined(serialize_node(corpus()[name], aligned=aligned, lifting=True))
         for bit in range(8 * len(data)):
             with pytest.raises(ChecksumError):
                 decode_node(_flip(data, bit), aligned=aligned)
@@ -494,7 +504,7 @@ def test_a_leaf_header_is_verified_before_it_is_parsed(aligned):
     """Whatever is wrong with a leaf's header region — damage, a length
     the extent cannot hold, a well-formed table that does not tile the
     extent — is a ``ChecksumError``, never a parse error."""
-    data = serialize_node(corpus()["leaf_pages"], aligned=aligned, lifting=True).data
+    data = joined(serialize_node(corpus()["leaf_pages"], aligned=aligned, lifting=True))
     n = leaf_header_len(data, len(data))
     assert struct.unpack_from("<I", data, 22) == (n,) and n % 4096 == (0 if aligned else n)
 
@@ -534,10 +544,10 @@ def test_a_leaf_header_is_verified_before_it_is_parsed(aligned):
 @given(st.sampled_from(sorted(PINNED)), st.sampled_from(LAYOUTS), st.data())
 def test_a_bit_flip_anywhere_in_any_node_is_detected(name, layout, data):
     aligned, lifting = layout
-    blob = serialize_node(corpus()[name], aligned=aligned, lifting=lifting).data
-    bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+    raw = joined(serialize_node(corpus()[name], aligned=aligned, lifting=lifting))
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
     with pytest.raises(ChecksumError):
-        decode_node(_flip(blob, bit), aligned=aligned)
+        decode_node(_flip(raw, bit), aligned=aligned)
     if name.startswith("internal"):  # a leaf has no trailer to check
         with pytest.raises(ChecksumError):
-            verify_crc(_flip(blob, bit))
+            verify_crc(_flip(raw, bit))

@@ -13,7 +13,7 @@ from repro.harness.mt import device_sha256
 from repro.model.costs import CostModel
 from repro.model.profiles import COMMODITY_SSD
 from repro.storage.ext4sim import Ext4Southbound
-from repro.storage.journal import Journal
+from repro.storage.journal import ZERO_BLOCK, Journal
 from repro.storage.sfl import SimpleFileLayer
 
 MIB = 1 << 20
@@ -59,7 +59,8 @@ class TestCommonContract:
         storage.write("data.db", 8192, payload)
         storage.sync("data.db")
         completion = storage.prefetch("data.db", 8192, len(payload))
-        assert storage.finish_read(completion) == payload
+        assert b"".join(storage.finish_read(completion)) == payload
+        assert b"".join(storage.read_segments("data.db", 8192, len(payload))) == payload
 
     def test_sync_is_a_barrier(self, kind):
         storage, device, clock = make(kind)
@@ -133,20 +134,15 @@ class TestExt4Specifics:
         assert clock.io_wait > 0
 
 
-class Forgetful(dict):
-    """Commit padding that is never found again: every commit builds
-    its own zeros, as before the journal shared them."""
-
-    def get(self, key, default=None):
-        return default
-
-
 def fsync_storm(fresh_zeros=False):
     """An ext4 mount that fsyncs after every write of a few seeded
-    sizes, so commits come in several lengths."""
+    sizes, so commits come in several lengths.  ``fresh_zeros``: every
+    journal write lands as its own joined buffer, as before commits
+    shared one zero block."""
     mount = make_baseline("ext4", MountOptions(scale=1 / 32))
     if fresh_zeros:
-        mount.backend.journal._zeros = Forgetful()
+        write = mount.device.write
+        mount.device.write = lambda off, data: write(off, b"".join(data))
     rng = random.Random(5)
     v = mount.vfs
     for i in range(1000):
@@ -159,14 +155,13 @@ def fsync_storm(fresh_zeros=False):
 
 
 class TestJournal:
-    def test_commits_of_one_length_share_one_buffer(self):
+    def test_every_commit_pads_with_one_shared_block(self):
         mount = fsync_storm()
         journal = mount.backend.journal
         assert journal.commits >= 1000
-        stored = [d for off, d in mount.device.store.snapshot() if off < JOURNAL_SIZE]
-        lengths = {len(d) for d in stored}
-        assert len(lengths) > 1
-        assert len({id(d) for d in stored}) <= len(lengths)
+        stored = [segs for off, segs in mount.device.store.snapshot() if off < JOURNAL_SIZE]
+        assert len({len(segs) for segs in stored}) > 1  # commits of several lengths
+        assert {id(block) for segs in stored for block in segs} == {id(ZERO_BLOCK)}
 
     def test_shared_padding_leaves_device_and_clock_unchanged(self):
         shared, fresh = fsync_storm(), fsync_storm(fresh_zeros=True)
@@ -187,6 +182,8 @@ class TestJournal:
         assert journal.head == 40 * 1024
         # The wrap TRIMmed the whole used region: only what was written
         # since is stored, and all of it reads back as zeros.
-        stored = sum(len(d) for off, d in device.store.snapshot() if off < region)
+        stored = sum(
+            len(s) for off, segs in device.store.snapshot() if off < region for s in segs
+        )
         assert stored == journal.head
         assert device.read(0, region) == bytes(region)

@@ -639,11 +639,14 @@ def _one_key(key):
 
 
 def _count_reads(monkeypatch, env):
-    """Every ``storage.read`` of ``env`` from here on, as (offset, length)."""
+    """Every node read (``storage.read_segments``) of ``env`` from here
+    on, as (offset, length)."""
     reads = []
-    real = env.storage.read
+    real = env.storage.read_segments
     monkeypatch.setattr(
-        env.storage, "read", lambda name, off, ln: reads.append((off, ln)) or real(name, off, ln)
+        env.storage,
+        "read_segments",
+        lambda name, off, ln: reads.append((off, ln)) or real(name, off, ln),
     )
     return reads
 
@@ -828,7 +831,7 @@ def test_partial_loads_charge_what_the_whole_read_charges(monkeypatch, page_shar
             tree.costs, name, lambda n, name=name: charged.__setitem__(name, charged[name] + n) or 0.0
         )
     buffers = env.alloc.stats.frees  # each read's buffer is freed after its decode
-    tree._decode_full(env.storage.read(tree.file_name, off, ln))
+    tree._decode_full(env.storage.read_segments(tree.file_name, off, ln))
     whole, charged = dict(charged), dict.fromkeys(charged, 0)
     assert env.alloc.stats.frees == buffers + 1
     assert whole["checksum"] == ln and bool(whole["memcpy"]) == (not page_sharing)
@@ -838,6 +841,61 @@ def test_partial_loads_charge_what_the_whole_read_charges(monkeypatch, page_shar
             tree._load_basements(partial, idx, idx + 1)
     assert charged == whole and len(partial.basements) > 3
     assert env.alloc.stats.frees == buffers + 2 + len(partial.basements)
+
+
+def _paged_leaf(env, n_basements):
+    """A leaf of one-page values, written to an extent of ``env.data``
+    but not cached; returns it and its pages' bytes, in key order."""
+    basements, pages = [], []
+    for b in range(n_basements):
+        basement = BasementNode()
+        for j in range(2):
+            pages.append(bytes([2 * b + j + 1]) * 4096)
+            basement.set(b"k%04d.%d" % (b, j), PageFrame(pages[-1]), msn=1)
+        basements.append(basement)
+    leaf = LeafNode(env.new_node_id(), basements)
+    env.data.write_node(leaf)
+    return leaf, pages
+
+
+def _stored_segments(tree, node_id):
+    """The segments the device store holds for a node's extent."""
+    off, _ln = tree.blockman.lookup(node_id)
+    base = LAYOUT.file_base(tree.file_name) + off
+    (segments,) = [segs for at, segs in tree.storage.device.store.snapshot() if at == base]
+    return segments
+
+
+def test_a_node_write_hands_the_device_each_page_by_reference():
+    env = fresh_env(page_sharing=True)
+    leaf, pages = _paged_leaf(env, 4)
+    stored = {id(seg) for seg in _stored_segments(env.data, leaf.node_id)}
+    assert all(id(page) in stored for page in pages)
+
+
+@pytest.mark.parametrize("path", ["whole", "basement", "readahead"])
+def test_a_cold_read_decodes_each_page_as_the_stored_segment(path):
+    """Whichever way a leaf comes back — read whole, a basement at a
+    time, or from a read-ahead completion — each page value is the very
+    ``bytes`` the device store holds, not a copy of it."""
+    env = fresh_env(page_sharing=True)
+    tree, stats = env.data, env.data.stats
+    leaf, pages = _paged_leaf(env, 4)
+    off, ln = tree.blockman.lookup(leaf.node_id)
+    if path == "whole":
+        node = tree._read_node(leaf.node_id, None)
+    elif path == "basement":
+        node = tree._load_leaf_partial(leaf.node_id, off, ln, *_one_key(b"k0002.0"))
+        tree._ensure_loaded(node)
+        assert stats.basement_loads == 4
+    else:
+        tree._prefetched[leaf.node_id] = tree.storage.prefetch(tree.file_name, off, ln)
+        node = tree._read_node(leaf.node_id, None)
+        assert stats.readahead_hits == 1
+    values = [value.data for basement in node.basements for value in basement.values]
+    assert values == pages
+    stored = {id(seg) for seg in _stored_segments(tree, leaf.node_id)}
+    assert all(id(value) in stored for value in values)
 
 
 def test_a_corrupt_leaf_is_a_checksum_error_on_both_read_paths():
@@ -854,7 +912,7 @@ def test_a_corrupt_leaf_is_a_checksum_error_on_both_read_paths():
         with pytest.raises(ChecksumError, match=match):
             tree._load_leaf_partial(leaf.node_id, off, ln, *_one_key(b"k0001.0"))
         with pytest.raises(ChecksumError, match=match):
-            tree._decode_full(env.storage.read(tree.file_name, off, ln))
+            tree._decode_full(env.storage.read_segments(tree.file_name, off, ln))
 
     for at in (0, 5, 22, 27, 40, rows[0][0] - 1):  # magic, id, length, table, CRC
         store.write(base + at, bytes([good[at] ^ 0x10]))
@@ -874,7 +932,7 @@ def test_a_corrupt_leaf_is_a_checksum_error_on_both_read_paths():
     with pytest.raises(ChecksumError, match="basement 2 "):
         tree._ensure_loaded(partial)
     with pytest.raises(ChecksumError, match="basement 2 "):
-        tree._decode_full(env.storage.read(tree.file_name, off, ln))
+        tree._decode_full(env.storage.read_segments(tree.file_name, off, ln))
 
 
 @pytest.mark.parametrize("page_sharing", [False, True])
