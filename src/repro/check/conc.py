@@ -106,13 +106,11 @@ SINK_METHODS: FrozenSet[Tuple[str, str]] = frozenset(
         ("SessionContext", "op_done"),
         ("Scheduler", "wake_lock_waiter"),
         ("Scheduler", "note_op_done"),
-        ("Scheduler", "note_lock_order"),
         ("SessionLock", "try_take"),
         ("SessionLock", "enqueue"),
         ("SessionLock", "release"),
         ("LockTable", "get"),
         ("BlockSignal", "note"),
-        ("BlockSignal", "clear"),
         ("Session", "note_wait"),
         ("Session", "note_block"),
     }

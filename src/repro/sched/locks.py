@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from repro.check.errors import SchedInvariantError, require
+from repro.check.errors import SchedInvariantError
 
 
 class SessionLock:
@@ -45,11 +45,10 @@ class SessionLock:
 
     def try_take(self, sid: int) -> bool:
         """Take the lock if free; never blocks, never queues."""
-        require(
-            self.owner != sid,
-            f"session {sid} re-acquiring lock {self.key!r} it already holds",
-            SchedInvariantError,
-        )
+        if self.owner == sid:
+            raise SchedInvariantError(
+                f"session {sid} re-acquiring lock {self.key!r} it already holds"
+            )
         if self.owner is None:
             self.owner = sid
             self.acquisitions += 1
@@ -57,22 +56,20 @@ class SessionLock:
         return False
 
     def enqueue(self, sid: int) -> None:
-        require(
-            sid not in self.waiters,
-            f"session {sid} queued twice on lock {self.key!r}",
-            SchedInvariantError,
-        )
+        if sid in self.waiters:
+            raise SchedInvariantError(
+                f"session {sid} queued twice on lock {self.key!r}"
+            )
         self.waiters.append(sid)
         self.contentions += 1
 
     def release(self, sid: int) -> Optional[int]:
         """Release; returns the session id granted ownership (handoff),
         or None if nobody was waiting."""
-        require(
-            self.owner == sid,
-            f"session {sid} releasing lock {self.key!r} owned by {self.owner}",
-            SchedInvariantError,
-        )
+        if self.owner != sid:
+            raise SchedInvariantError(
+                f"session {sid} releasing lock {self.key!r} owned by {self.owner}"
+            )
         if self.waiters:
             nxt = self.waiters.popleft()
             self.owner = nxt  # direct handoff: no barging window

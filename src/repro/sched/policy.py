@@ -20,9 +20,13 @@ ties deterministic.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Dict, List, Sequence, Type
 
 from repro.sched.session import Session
+
+#: FIFO order: longest runnable first, ties to the lowest session id.
+_FIFO_KEY = attrgetter("runnable_since", "sid")
 
 
 class Policy:
@@ -33,8 +37,8 @@ class Policy:
     def pick(self, ready: Sequence[Session], rng: random.Random) -> Session:
         raise NotImplementedError
 
-    #: Lottery tickets per session id (policies that ignore weights
-    #: simply never read this).
+    #: Lottery tickets per session id, merged over earlier calls
+    #: (policies that ignore weights simply never read this).
     def set_tickets(self, tickets: Dict[int, int]) -> None:
         pass
 
@@ -45,7 +49,7 @@ class FIFOPolicy(Policy):
     name = "fifo"
 
     def pick(self, ready: Sequence[Session], rng: random.Random) -> Session:
-        return min(ready, key=lambda s: (s.runnable_since, s.sid))
+        return min(ready, key=_FIFO_KEY)
 
 
 class RoundRobinPolicy(Policy):
@@ -72,7 +76,7 @@ class LotteryPolicy(Policy):
         self._tickets: Dict[int, int] = {}
 
     def set_tickets(self, tickets: Dict[int, int]) -> None:
-        self._tickets = dict(tickets)
+        self._tickets.update(tickets)
 
     def pick(self, ready: Sequence[Session], rng: random.Random) -> Session:
         weights = [max(1, self._tickets.get(s.sid, 1)) for s in ready]

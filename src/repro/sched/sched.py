@@ -91,8 +91,9 @@ class Scheduler:
         self.locks = LockTable()
         self.signal = BlockSignal()
         #: Observed may-hold-while-acquiring pairs (held key, acquired
-        #: key) — cross-checked against the static lock graph computed
-        #: by ``repro.check.conc`` (``harness mt --verify-lock-graph``).
+        #: key), recorded by ``SessionContext.acquire`` — cross-checked
+        #: against the static lock graph computed by ``repro.check.conc``
+        #: (``harness mt --verify-lock-graph``).
         self.lock_order: Set[Tuple[str, str]] = set()
         self.sessions: List[Session] = []
         self.switches = 0
@@ -176,9 +177,7 @@ class Scheduler:
         session.gen = script(ctx)
         self.sessions.append(session)
         if tickets != 1:
-            self.policy.set_tickets(
-                {s.sid: tickets if s.sid == sid else 1 for s in self.sessions}
-            )
+            self.policy.set_tickets({sid: tickets})
         return session
 
     # ------------------------------------------------------------------
@@ -186,25 +185,12 @@ class Scheduler:
     # ------------------------------------------------------------------
     def wake_lock_waiter(self, sid: int) -> None:
         session = self.sessions[sid]
-        require(
-            session.state == LOCKWAIT,
-            f"lock handoff to session {sid} in state {session.state}",
-            SchedInvariantError,
-        )
+        if session.state != LOCKWAIT:
+            raise SchedInvariantError(
+                f"lock handoff to session {sid} in state {session.state}"
+            )
         session.state = READY
         session.runnable_since = self.clock.now
-
-    def note_lock_order(self, sid: int, key: str) -> None:
-        """Record the held->acquired pairs of one acquire attempt.
-
-        A pure observer on scheduler-private state: it reads the lock
-        table and grows a set, never the simulated clock, so recording
-        cannot perturb the interleaving (the mt byte-identity tests
-        pin this).
-        """
-        for held in self.locks.held_by(sid):
-            if held != key:
-                self.lock_order.add((held, key))
 
     def note_op_done(self, session: Session) -> None:
         now = self.clock.now
@@ -286,19 +272,16 @@ class Scheduler:
             )
             return
         session.service += self.clock.now - t0
-        require(
-            isinstance(event, Blocked),
-            "session yielded a non-Blocked event",
-            SchedInvariantError,
-            detail=event,
-        )
+        if not isinstance(event, Blocked):
+            raise SchedInvariantError(
+                f"session yielded a non-Blocked event: {event!r}"
+            )
         # Reentrancy audit: a suspension must never happen inside a
         # tree critical section (flush/split half-applied).
-        require(
-            self._env is None or not self._env.in_critical,
-            "session suspended inside a Bε-tree critical section",
-            SchedInvariantError,
-        )
+        if self._env is not None and self._env.in_critical:
+            raise SchedInvariantError(
+                "session suspended inside a Bε-tree critical section"
+            )
         if event.lock_key is not None:
             session.state = LOCKWAIT
         else:

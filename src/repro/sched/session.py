@@ -36,9 +36,9 @@ the scripts, the policy, and the seed.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro.check.errors import SchedInvariantError, require
+from repro.check.errors import SchedInvariantError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sched.sched import Scheduler
@@ -68,11 +68,11 @@ class BlockSignal:
     """Collector the lower layers report blocking events into.
 
     One instance is shared by a scheduler run; :meth:`SessionContext.run`
-    clears it before each call and reads it after, which is race-free
-    because calls are atomic between yield points.  ``note()`` is cheap
-    and allocation-free on the repeat path; layers guard the call with
-    ``if signal is not None`` so unscheduled runs pay a single attribute
-    test.
+    clears ``kinds`` before each call and reads it after, which is
+    race-free because calls are atomic between yield points.  ``note()``
+    is cheap and allocation-free on the repeat path; layers guard the
+    call with ``if signal is not None`` so unscheduled runs pay a single
+    attribute test.
     """
 
     __slots__ = ("kinds",)
@@ -83,10 +83,6 @@ class BlockSignal:
     def note(self, kind: str) -> None:
         if kind not in self.kinds:
             self.kinds.append(kind)
-
-    def clear(self) -> None:
-        if self.kinds:
-            self.kinds.clear()
 
 
 class Blocked:
@@ -102,6 +98,11 @@ class Blocked:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extra = f" lock={self.lock_key!r}" if self.lock_key else ""
         return f"<Blocked {self.kind}{extra}>"
+
+
+#: The one event yielded for each reported blocking kind: the scheduler
+#: only reads an event, so a yield that names no lock reuses it.
+_YIELDS: Dict[str, Blocked] = {kind: Blocked(kind) for kind in BLOCK_KINDS}
 
 
 class Session:
@@ -170,6 +171,13 @@ class SessionContext:
         # with it (a metrics session freezes a scope when its mount dies).
         self.sched: "Scheduler" = weakref.proxy(sched)
         self.session: Optional[Session] = None  # set by Scheduler.spawn
+        # The scheduler's plain per-run state every primitive touches,
+        # bound once (none of it reaches the mount, none is a bound method).
+        self._kinds: List[str] = sched.signal.kinds
+        self._locks = sched.locks
+        self._lock_order: Set[Tuple[str, str]] = sched.lock_order
+        #: Keys this session holds, in acquisition order.
+        self._held: List[str] = []
 
     # ------------------------------------------------------------------
     # Blocking primitives (costflow seed set: suspension passes
@@ -180,14 +188,15 @@ class SessionContext:
     ) -> Generator[Blocked, None, Any]:
         """Execute one VFS-level call; yield once if it hit a blocking
         point.  Returns the call's result (via ``yield from``)."""
-        signal = self.sched.signal
-        signal.clear()
+        kinds = self._kinds
+        if kinds:
+            kinds.clear()
         out = fn(*args, **kwargs)
-        if signal.kinds:
-            session = self.session
-            for kind in signal.kinds:
-                session.note_block(kind)
-            yield Blocked(signal.kinds[0])
+        if kinds:
+            note_block = self.session.note_block
+            for kind in kinds:
+                note_block(kind)
+            yield _YIELDS[kinds[0]]
         return out
 
     def acquire(self, key: str) -> Generator[Blocked, None, None]:
@@ -195,26 +204,34 @@ class SessionContext:
 
         Multi-lock callers must acquire in a sorted key order —
         deadlock freedom is the caller's obligation and the scheduler's
-        all-blocked check is the backstop, not the design.
+        all-blocked check is the backstop, not the design.  Each held
+        key is recorded as held-while-acquiring ``key`` — a pure
+        observer: it grows a set, never the simulated clock, so it
+        cannot perturb the interleaving (the mt byte-identity tests
+        pin this).
         """
-        self.sched.note_lock_order(self.sid, key)
-        lock = self.sched.locks.get(key)
-        if not lock.try_take(self.sid):
-            lock.enqueue(self.sid)
+        held = self._held
+        for other in held:
+            if other != key:
+                self._lock_order.add((other, key))
+        sid = self.sid
+        lock = self._locks.get(key)
+        if not lock.try_take(sid):
+            lock.enqueue(sid)
             self.session.note_block(LOCK_WAIT)
             yield Blocked(LOCK_WAIT, lock_key=key)
             # Resumed ⇒ release() handed the lock to this session.
-            require(
-                lock.owner == self.sid,
-                f"session {self.sid} resumed without owning {key!r}",
-                SchedInvariantError,
-            )
+            if lock.owner != sid:
+                raise SchedInvariantError(
+                    f"session {sid} resumed without owning {key!r}"
+                )
+        held.append(key)
 
     def release(self, key: str) -> None:
         """Release ``key``; hands off to the head waiter, who becomes
         runnable immediately (but runs only when next scheduled)."""
-        lock = self.sched.locks.get(key)
-        granted = lock.release(self.sid)
+        granted = self._locks.get(key).release(self.sid)
+        self._held.remove(key)
         if granted is not None:
             self.sched.wake_lock_waiter(granted)
 

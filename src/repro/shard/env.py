@@ -120,7 +120,10 @@ class ShardedEnv:
 
     @property
     def in_critical(self) -> bool:
-        return any(env.in_critical for env in self.envs)
+        for env in self.envs:
+            if env.in_critical:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Routed single-key operations

@@ -30,6 +30,7 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 MODES = ("hash", "range")
@@ -50,7 +51,10 @@ def _mix(h: int) -> int:
     return h ^ (h >> 31)
 
 
+@lru_cache(maxsize=4096)
 def _hash_owner(dirpath: str, shards: int) -> int:
+    # Memoized per directory: every entry of one directory routes by
+    # the same (dirpath, shards) pair, and the answer never changes.
     return _mix(zlib.crc32(dirpath.encode("utf-8", "surrogateescape"))) % shards
 
 

@@ -15,11 +15,13 @@ Covers the PR's acceptance criteria:
 """
 
 import json
+import os
 import random
 
 import pytest
 
 from repro.check.errors import SchedInvariantError
+from repro.harness.__main__ import main as harness_main
 from repro.harness.mt import run_mt, to_json
 from repro.sched import (
     BLOCK_KINDS,
@@ -139,6 +141,20 @@ class TestPolicies:
         wins = sum(heavy.pick(ready, rng).sid for _ in range(50))
         assert wins >= 45  # session 1 holds ~99.9% of the tickets
 
+    def test_lottery_tickets_survive_a_later_spawn(self):
+        sched = Scheduler(_FakeMount(), policy="lottery", seed=0)
+
+        def idle(ctx):
+            yield from ()
+
+        sched.spawn("heavy", idle, tickets=999)
+        sched.spawn("light", idle, tickets=2)
+        sched.spawn("plain", idle)
+        assert sched.policy._tickets == {0: 999, 1: 2}
+        rng = random.Random(7)
+        picks = [sched.policy.pick(sched.sessions, rng).sid for _ in range(50)]
+        assert picks.count(0) >= 45  # 999 of 1,002 tickets
+
 
 # ----------------------------------------------------------------------
 # Scheduler mechanics on a synthetic mount
@@ -243,6 +259,96 @@ class TestSchedulerMechanics:
         totals = sched.block_totals()
         assert totals.get(LOCK_WAIT) == 2
 
+    def test_lock_order_records_held_keys_only(self):
+        sched = Scheduler(_FakeMount(), seed=0)
+
+        def nested(ctx):
+            yield from ctx.acquire("a")
+            yield from ctx.acquire("b")
+            ctx.release("b")
+            ctx.release("a")
+            yield from ctx.acquire("c")  # nothing held any more
+            yield from ctx.acquire("d")
+            ctx.release("d")
+            ctx.release("c")
+
+        sched.spawn("nested", nested)
+        sched.run()
+        assert sched.lock_order == {("a", "b"), ("c", "d")}
+
+
+# ----------------------------------------------------------------------
+# Runtime invariants on the per-op path: each check still fires, with
+# its message, now that the message is built only on failure.
+# ----------------------------------------------------------------------
+def _raised(sched):
+    with pytest.raises(SchedInvariantError) as info:
+        sched.run()
+    return str(info.value)
+
+
+class TestRuntimeInvariants:
+    def test_suspension_inside_a_tree_critical_section(self):
+        from repro.betrfs.filesystem import make_betrfs
+
+        fs = make_betrfs("BetrFS v0.6")
+        sched = Scheduler(fs, seed=0)
+
+        def script(ctx):
+            yield from ctx.run(fs.vfs.create, "/f")
+            fs.env.enter_critical()  # as a flush would, mid-surgery
+            yield from ctx.run(fs.vfs.fsync, "/f")  # blocks: suspends
+
+        sched.spawn("s0", script)
+        assert _raised(sched) == (
+            "session suspended inside a Bε-tree critical section"
+        )
+
+    def test_non_blocked_yield(self):
+        sched = Scheduler(_FakeMount(), seed=0)
+
+        def script(ctx):
+            yield "fsync"
+
+        sched.spawn("s0", script)
+        assert _raised(sched) == "session yielded a non-Blocked event: 'fsync'"
+
+    def test_acquire_resumed_without_owning_its_lock(self):
+        mount = _FakeMount()
+        sched = Scheduler(mount, seed=0)
+
+        def owner(ctx):
+            yield from ctx.acquire("k")
+            mount.clock.cpu(1.0)
+            yield Blocked(FSYNC)  # the waiter queues meanwhile
+            sched.wake_lock_waiter(1)  # a spurious wake, no handoff
+            mount.clock.cpu(1.0)
+            yield Blocked(FSYNC)  # the waiter resumes first
+            ctx.release("k")
+
+        def waiter(ctx):
+            yield from ctx.acquire("k")
+            ctx.release("k")
+
+        sched.spawn("owner", owner)
+        sched.spawn("waiter", waiter)
+        assert _raised(sched) == "session 1 resumed without owning 'k'"
+
+    def test_handoff_to_a_session_not_in_lockwait(self):
+        sched = Scheduler(_FakeMount(), seed=0)
+
+        def owner(ctx):
+            yield from ctx.acquire("k")
+            sched.locks.get("k").enqueue(1)  # queued, but never waiting
+            ctx.release("k")
+
+        def bystander(ctx):
+            yield Blocked(FSYNC)
+
+        sched.spawn("owner", owner)
+        sched.spawn("bystander", bystander)
+        assert _raised(sched) == "lock handoff to session 1 in state ready"
+
 
 # ----------------------------------------------------------------------
 # End-to-end: the multi-tenant mailserver
@@ -296,6 +402,29 @@ class TestMailserverMT:
         )
         lottery2 = run_mt(SMOKE_SCALE, sessions=4, seed=7, policy="lottery")
         assert to_json(lottery) == to_json(lottery2)
+
+    @pytest.mark.parametrize(
+        "golden, flags",
+        [
+            ("fifo", ["--policy", "fifo"]),
+            ("rr", ["--policy", "rr"]),
+            ("lottery", ["--policy", "lottery"]),
+            ("fifo_shards8", ["--shards", "8"]),
+        ],
+    )
+    def test_summary_matches_committed_golden(self, golden, flags, capsys):
+        """The interleaving is pinned across commits, not only between
+        two runs of one: ``python -m repro.harness mt --scale smoke
+        --sessions 8 --seed 7 --quiet <flags>`` must print the committed
+        ``tests/fixtures/mt/<golden>.json`` byte for byte (a deliberate
+        change re-blesses by redirecting that command into the file)."""
+        argv = ["mt", "--scale", "smoke", "--sessions", "8", "--seed", "7"]
+        assert harness_main(argv + flags + ["--quiet"]) == 0
+        path = os.path.join(
+            os.path.dirname(__file__), "fixtures", "mt", f"{golden}.json"
+        )
+        with open(path, encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
 
     def test_sixty_four_sessions_smoke(self):
         summary = run_mt(SMOKE_SCALE, sessions=64, seed=7, ops_per_session=4)

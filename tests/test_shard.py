@@ -33,7 +33,7 @@ from repro.shard import (
     parent_dir,
     unpack_intent,
 )
-from repro.shard.map import default_boundaries
+from repro.shard.map import _hash_owner, default_boundaries
 from repro.workloads.mailserver import mailserver_mt
 from repro.workloads.scale import SMOKE_SCALE
 from repro.workloads.webserver_mt import webserver_mt
@@ -70,6 +70,18 @@ class TestShardMap:
             sm.owner_of_entry(f"/mail/folder{f:02d}/cur/m0") for f in range(10)
         }
         assert len(owners) > 1
+
+    def test_hash_memo_is_bounded_and_routes_unchanged(self):
+        """The per-directory memo answers what the hash computes, and
+        more directories than it holds only evict older answers."""
+        bound = _hash_owner.cache_info().maxsize
+        assert bound is not None
+        sm = ShardMap.create(8, "hash")
+        dirs = [f"/mail/u{i:05d}/cur" for i in range(bound + 100)]
+        for _ in range(2):
+            for d in dirs:
+                assert sm.owner_of_entry(d + "/m0") == _hash_owner.__wrapped__(d, 8)
+        assert _hash_owner.cache_info().currsize <= bound
 
     def test_range_mode_keeps_subtree_contiguous(self):
         sm = ShardMap.create(4, "range")
