@@ -833,13 +833,7 @@ def _lock_cycles(
 # ======================================================================
 # Session-purity pass
 # ======================================================================
-def _purity_pass(
-    program: flow.Program,
-    findings: flow.Findings,
-    state_classes: FrozenSet[str],
-    sinks: FrozenSet[Tuple[str, str]],
-    entries: Sequence[Tuple[str, str]],
-) -> int:
+def _purity_pass(program: flow.Program, findings: flow.Findings) -> int:
     def class_method(func: flow.FuncInfo) -> Optional[Tuple[str, str]]:
         if func.class_key is None:
             return None
@@ -849,13 +843,13 @@ def _purity_pass(
         return (cls.name, func.qualname.rsplit(".", 1)[-1])
 
     roots = [
-        f.key for f in program.functions.values() if class_method(f) in entries
+        f.key for f in program.functions.values() if class_method(f) in ENTRY_METHODS
     ]
     parent = flow.reach(roots, lambda key: program.functions[key].calls)
     for key in sorted(parent):
         func = program.functions[key]
         cm = class_method(func)
-        if cm is not None and cm in sinks:
+        if cm is not None and cm in SINK_METHODS:
             continue
         if func.qualname == "__init__" or func.qualname.endswith(".__init__"):
             continue  # constructing state is not mutating shared state
@@ -873,7 +867,7 @@ def _purity_pass(
                 program.classes[k].name
                 for k in direct
                 if k in program.classes
-                and program.classes[k].name in state_classes
+                and program.classes[k].name in STATE_CLASS_NAMES
             )
             if hit:
                 chain = " -> ".join(reversed(flow.chain(parent, key)))
@@ -898,9 +892,6 @@ def analyze(
     package: str = "repro",
     manifest: Sequence[Tuple[str, Sequence[str]]] = LAYER_MANIFEST,
     signal_layers: Optional[Dict[str, str]] = None,
-    state_classes: FrozenSet[str] = STATE_CLASS_NAMES,
-    sinks: FrozenSet[Tuple[str, str]] = SINK_METHODS,
-    entries: Sequence[Tuple[str, str]] = ENTRY_METHODS,
     program: Optional[flow.Program] = None,
 ) -> ConcReport:
     program = program or flow.load_program(root, package)
@@ -918,9 +909,7 @@ def analyze(
     report.signal_sites = analyzer.signal_sites
 
     # Session purity.
-    report.reachable = _purity_pass(
-        program, findings, state_classes, sinks, entries
-    )
+    report.reachable = _purity_pass(program, findings)
 
     # Lock-order cycles (waivers break in-cycle edges out of the graph).
     _lock_cycles(report.lock_graph, waivers, findings)

@@ -6,8 +6,8 @@
 * ``python -m repro.harness all``    — table3 + fig2, and with ``--out``
   ``results.json`` + ``EXPERIMENTS.md`` (``--out results/``)
 
-plus ``hdd``, ``ftl``, ``stats``, ``fsck``, ``torture``, ``bench`` and
-``mt``.  Each target accepts only the options its row of
+plus ``hdd``, ``ftl``, ``stats``, ``fsck``, ``torture`` and ``mt``.
+Each target accepts only the options its row of
 ``repro.harness.__main__.TARGETS`` names (``<target> --help``).
 """
 

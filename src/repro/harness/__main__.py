@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 
-from repro.harness.bench import REPO_ROOT, scale_by_name
 from repro.harness.figures import FIGURES, render_figures, run_figures
 from repro.obs import Observability, current, session
 from repro.obs.prof import Stopwatch
@@ -39,7 +38,7 @@ from repro.harness.runner import (
     run_microbenches,
 )
 from repro.harness.tables import render_vs_paper
-from repro.workloads.scale import SMOKE_SCALE
+from repro.workloads.scale import DEFAULT_SCALE, SMOKE_SCALE, WorkloadScale
 
 #: Every option, declared once; a target row names the ones it reads.
 OPTIONS = {
@@ -55,9 +54,7 @@ OPTIONS = {
     ),
     "--figures": dict(nargs="*", choices=sorted(FIGURES), help="subset of Figure 2 panels"),
     "--systems": dict(nargs="*", help="subset of file systems to run"),
-    "--out": dict(
-        help="directory for results.json (all: + EXPERIMENTS.md; bench: BENCH_<scale>.json)"
-    ),
+    "--out": dict(help="directory for results.json (all: + EXPERIMENTS.md)"),
     "--metrics-out": dict(
         metavar="METRICS_JSON",
         help="write per-mount metrics (counters, latency percentiles) as JSON after the run",
@@ -81,22 +78,12 @@ OPTIONS = {
         help="where the shrunk repro file goes if a violation is found "
         "(default: crashmc-repro.json)",
     ),
-    "--reps": dict(type=int, default=3, help="timed repetitions per workload"),
     "--check": dict(
         action="store_true",
-        help="compare with the committed artifact and exit non-zero on any difference "
-        "(all: regenerate into a temporary directory and byte-diff against "
-        "results/results.json and results/EXPERIMENTS.md, printing each differing "
-        "cell; bench: simulated results against BENCH_<scale>.json, wall and "
-        "memory ratios printed as advisory lines)",
+        help="regenerate into a temporary directory, byte-diff against the committed "
+        "results/results.json and results/EXPERIMENTS.md, print each differing cell "
+        "and exit non-zero on any difference",
     ),
-    "--profile": dict(
-        action="store_true",
-        help="run one extra profiled rep per workload and print the per-layer "
-        "wall-time attribution (repro.obs.prof); with --out, also writes "
-        "collapsed-stack PROF_*.folded files",
-    ),
-    "--workloads": dict(nargs="*", help="subset of bench workloads to run"),
     "--sessions": dict(type=int, default=8, help="number of concurrent client sessions"),
     "--policy": dict(
         choices=["fifo", "rr", "lottery"],
@@ -138,6 +125,10 @@ OPTIONS = {
     "--quiet": dict(action="store_true", help="no progress output"),
 }
 
+#: The checkout root.
+REPO_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+)
 #: The committed output of ``all --out results/`` (``all --check``).
 RESULTS_DIR = os.path.join(REPO_ROOT, "results")
 
@@ -159,6 +150,10 @@ def parse_args(argv=None) -> argparse.Namespace:
             sub.add_argument(option, **OPTIONS[option])
         sub.set_defaults(run=run)
     return parser.parse_args(argv)
+
+
+def scale_by_name(name: str) -> WorkloadScale:
+    return DEFAULT_SCALE if name == "default" else SMOKE_SCALE
 
 
 def main(argv=None) -> int:
@@ -340,80 +335,6 @@ def _run_mt(args) -> int:
     return 0
 
 
-def _run_bench(args) -> int:
-    """``python -m repro.harness bench [--check] [--out DIR]``.
-
-    Runs the deterministic benchmark suite (see
-    :mod:`repro.harness.bench`), prints the schema-versioned summary
-    JSON on stdout, optionally writes ``BENCH_<scale>.json`` under
-    ``--out`` (``--out .`` re-blesses the committed file), and with
-    ``--check`` compares with the committed ``BENCH_<scale>.json`` —
-    exit 1 on any simulated difference.
-    """
-    from repro.harness.bench import (
-        advisory_ratios,
-        check_against_baseline,
-        load_baseline,
-        profile_workloads,
-        run_bench,
-        to_json,
-        write_artifact,
-    )
-
-    scale = scale_by_name(args.scale)
-    verbose = not args.quiet
-    if verbose:
-        print(
-            f"bench: scale={scale.name} reps={args.reps} "
-            f"workloads={args.workloads or 'all'}",
-            file=sys.stderr,
-        )
-    if args.check:
-        # Read before the run: ``--out .`` would overwrite it.
-        try:
-            committed = load_baseline(scale.name)
-        except FileNotFoundError:
-            print(
-                f"bench --check: no committed BENCH_{scale.name}.json — write "
-                f"one with `python -m repro.harness bench --scale {scale.name} "
-                "--out .`",
-                file=sys.stderr,
-            )
-            return 2
-    summary = run_bench(
-        scale=scale,
-        reps=args.reps,
-        workloads=args.workloads,
-        verbose=verbose,
-    )
-    print(to_json(summary), end="")
-    if args.out:
-        path = write_artifact(summary, args.out)
-        print(f"bench artifact written to {path}", file=sys.stderr)
-    if args.profile:
-        for name, prof in profile_workloads(scale, args.workloads).items():
-            print(f"\n--- {name} ---\n{prof.render()}", file=sys.stderr)
-            if args.out:
-                folded = os.path.join(args.out, f"PROF_{scale.name}_{name}.folded")
-                with open(folded, "w", encoding="utf-8") as fh:
-                    fh.write(prof.collapsed())
-                print(f"collapsed stacks written to {folded}", file=sys.stderr)
-    if args.check:
-        for line in advisory_ratios(summary, committed):
-            print(f"bench --check (advisory): {line}", file=sys.stderr)
-        failures = check_against_baseline(summary, committed)
-        for failure in failures:
-            print(f"BENCH MISMATCH: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(
-            f"bench --check: {len(summary['workloads'])} workload(s) match "
-            f"the committed BENCH_{scale.name}.json",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def _run_fsck(args) -> int:
     """``python -m repro.harness fsck [image]``.
 
@@ -558,13 +479,6 @@ TARGETS = {
         ("--seed", "--budget", "--torture-out", "--metrics-out", "--quiet",
          "--verify-order-graph"),
         _run_torture,
-    ),
-    "bench": (
-        "wall-clock benchmark suite emitting BENCH_<scale>.json "
-        "(see repro.harness.bench)",
-        ("--scale", "--reps", "--check", "--profile", "--workloads", "--out",
-         "--quiet"),
-        _run_bench,
     ),
     "mt": (
         "a multi-tenant workload under the deterministic session scheduler, "

@@ -57,10 +57,6 @@ class FTLGeometry:
     #: physical blocks (never below 2 blocks).
     gc_watermark: float = 0.02
 
-    @property
-    def block_size(self) -> int:
-        return self.page_size * self.pages_per_block
-
 
 @dataclass(frozen=True)
 class DeviceProfile:

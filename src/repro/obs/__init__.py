@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.device.clock import SimClock
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.prof import Stopwatch, WallProfiler, wall_ns, wall_s
+from repro.obs.prof import Stopwatch, wall_ns, wall_s
 from repro.obs.report import render_overhead, render_scope
 from repro.obs.trace import NULL_TRACER, NullTracer, SpanTracer
 
@@ -49,7 +49,7 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "MountScope", "Observability", "current", "session",
     "NullTracer", "SpanTracer", "NULL_TRACER",
-    "Stopwatch", "WallProfiler", "wall_ns", "wall_s",
+    "Stopwatch", "wall_ns", "wall_s",
 ]
 
 

@@ -62,11 +62,7 @@ def latency_table(registry: MetricsRegistry) -> List[Dict[str, Any]]:
                 "total": metric.sum,
             }
         )
-    def order(row):
-        layer = row["layer"]
-        idx = LAYER_ORDER.index(layer) if layer in LAYER_ORDER else len(LAYER_ORDER)
-        return (idx, row["op"])
-    rows.sort(key=order)
+    rows.sort(key=lambda row: (_layer_rank(row["layer"]), row["op"]))
     return rows
 
 

@@ -197,16 +197,6 @@ DOC_COMMAND_LINES = [
         "fig2 --figures fig2a --metrics-out metrics.json --trace-out trace.json",
         {"metrics_out": "metrics.json", "trace_out": "trace.json"},
     ),
-    ("bench", {"reps": 3, "check": False, "workloads": None, "out": None}),
-    ("bench --scale smoke --reps 3 --out results/", {"out": "results/"}),
-    ("bench --scale smoke --reps 3 --check", {"check": True, "reps": 3}),
-    ("bench --scale smoke --profile", {"profile": True}),
-    ("bench --scale smoke --check", {"check": True, "scale": "smoke"}),
-    ("bench --scale default --out .", {"scale": "default", "out": "."}),
-    (
-        "bench --scale smoke --reps 3 --quiet --check --out bench-results",
-        {"quiet": True, "check": True, "out": "bench-results"},
-    ),
     ("mt", {"scale": "default", "seed": 0, "sessions": 8, "shards": 0}),
     (
         "mt --scale smoke --sessions 8 --verify-lock-graph",
@@ -268,7 +258,7 @@ class TestSubcommands:
     @pytest.mark.parametrize(
         "target",
         [None, "table1", "table3", "fig2", "hdd", "all", "stats", "ftl",
-         "fsck", "torture", "bench", "mt"],
+         "fsck", "torture", "mt"],
     )
     def test_help_exits_zero(self, target, capsys):
         from repro.harness.__main__ import main
@@ -282,7 +272,6 @@ class TestSubcommands:
         "line",
         [
             "mt --trace-out t.json",
-            "bench --metrics-out m.json",
             "table3 --sessions 4",
             "torture --scale smoke",
             "fsck --systems ext4",
