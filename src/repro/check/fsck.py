@@ -14,10 +14,15 @@ the statements of :mod:`repro.check.invariants`, shared with the
 runtime sanitizer; fsck reports every violation, the sanitizer raises
 the first):
 
-* **superblock** — at least one of the two ping-pong slots decodes
-  with a valid CRC (an image with a zeroed superblock region is a
-  legal pre-first-checkpoint state and only downgrades to a log-only
-  walk);
+* **superblock** — :func:`~repro.core.checkpoint.read_superblock`,
+  the reader recovery uses, judges both ping-pong slots from each
+  slot's first 4 KiB block and its frame (length word, blob,
+  completion stamp).  It reads a slot whole only to scan a slot that
+  does not decode for its stamp, or when no slot decodes.  At least
+  one slot must decode (an all-zero region is a legal
+  pre-first-checkpoint state and only downgrades to a log-only walk;
+  data anywhere in it is an error), and a slot whose completed write
+  is unreadable makes the survivor a valid-but-stale fallback;
 * **checkpoint** — each tree's block table deserializes, fits its
   carved region, and holds the block-table invariants (every extent
   inside the file, no two extents overlapping), and the root id
@@ -47,10 +52,12 @@ from typing import List, Optional, Tuple, Union
 from repro.check.errors import FsckError
 from repro.check.invariants import blockman_faults, ftl_faults, node_faults
 from repro.core.checkpoint import (
+    EMPTY,
+    TORN,
+    UNREADABLE,
     BlockManager,
     Superblock,
-    _trim,
-    read_slot_stamp,
+    read_superblock,
 )
 from repro.core.keys import intersect
 from repro.core.node import InternalNode
@@ -161,21 +168,16 @@ def fsck_device(
     else:
         # Pre-first-checkpoint image: the only durable state is the
         # log, replayed from offset 0.
-        fresh = Superblock()
-        fresh.log_head = 0
-        fresh.checkpoint_lsn = 0
-        _check_wal(store, layout, fresh, report)
+        _check_wal(store, layout, Superblock(), report)
     if ftl is not None:
         _check_ftl(store, ftl, report)
     return report
 
 
 def _check_superblock(store: ExtentStore, report: FsckReport) -> Optional[Superblock]:
-    slot0 = store.read(0, Superblock.SLOT_SIZE)
-    slot1 = store.read(Superblock.SLOT_SIZE, Superblock.SLOT_SIZE)
-    sb = Superblock.load_latest(slot0, slot1)
+    sb, slots = read_superblock(store.read)
     if sb is None:
-        if slot0.strip(b"\x00") or slot1.strip(b"\x00"):
+        if any(slot.state != EMPTY for slot in slots):
             report.error(
                 "superblock region holds data but neither slot decodes "
                 "(both checkpoints torn or corrupt)"
@@ -185,27 +187,19 @@ def _check_superblock(store: ExtentStore, report: FsckReport) -> Optional[Superb
         return None
     report.superblock_generation = sb.generation
     report.clean_shutdown = sb.clean_shutdown
-    # Generation continuity: when the *other* slot holds data but does
-    # not decode, its completion stamp decides whether the fallback to
-    # ``sb`` is legal.  An intact stamp naming a newer generation means
-    # that write finished and the payload rotted afterwards — the
-    # survivor is valid but stale, and silently proceeding would hand
-    # back an old checkpoint as if it were current.  No (or an older)
-    # stamp is the torn-write reading: a legal crash artifact.
-    for slot_idx, raw in ((0, slot0), (1, slot1)):
-        if Superblock.deserialize(_trim(raw)) is not None:
-            continue
-        if not raw.strip(b"\x00"):
-            continue  # slot never written
-        stamp = read_slot_stamp(raw)
-        if stamp is not None and stamp[0] > sb.generation:
+    # Generation continuity: a completed write whose payload rotted
+    # leaves ``sb`` valid but stale, and recovery would hand back an
+    # old checkpoint as if it were current.  A torn write is a legal
+    # crash artifact.
+    for slot_idx, slot in enumerate(slots):
+        if slot.state == UNREADABLE:
             report.error(
                 f"superblock slot {slot_idx}: completed write of "
-                f"generation {stamp[0]} is unreadable; surviving "
+                f"generation {slot.generation} is unreadable; surviving "
                 f"generation {sb.generation} is a valid-but-stale "
                 "fallback (media corruption, not a torn write)"
             )
-        else:
+        elif slot.state == TORN:
             report.warn(
                 f"superblock slot {slot_idx}: torn checkpoint write "
                 f"(legal crash artifact); fell back to generation "

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+
+from repro.storage.sfl import SUPERBLOCK_SIZE
 
 SUPERBLOCK_MAGIC = b"BFSB"
 
@@ -199,7 +201,8 @@ class Superblock:
     ping-pong superblock technique).
     """
 
-    SLOT_SIZE = 4 * 1024 * 1024
+    #: Each of the two slots owns half of the superblock region.
+    SLOT_SIZE = SUPERBLOCK_SIZE // 2
 
     def __init__(self) -> None:
         self.generation = 0
@@ -267,60 +270,15 @@ class Superblock:
             pos += tlen
         return sb
 
-    @classmethod
-    def load_latest(cls, slot0: bytes, slot1: bytes) -> Optional["Superblock"]:
-        """Pick the newest valid superblock of the two slots."""
-        a = cls.deserialize(_trim(slot0))
-        b = cls.deserialize(_trim(slot1))
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a if a.generation >= b.generation else b
-
-
-def _trim(raw: bytes) -> bytes:
-    """Strip zero padding after the CRC.
-
-    Superblock slots are fixed-size regions; the serialized blob is
-    shorter.  A 4-byte length prefix would be cleaner, but matching
-    the checkpoint format we locate the blob by its own length word:
-    the blob is self-delimiting because we persist it with a length
-    header added by the caller.
-    """
-    if len(raw) < 4:
-        return raw
-    (length,) = struct.unpack_from("<I", raw, 0)
-    return raw[4 : 4 + length]
-
-
-def frame_superblock(blob: bytes) -> bytes:
-    """Add the length header expected by :func:`_trim`, plus a
-    completion stamp.
-
-    The stamp — magic, generation, frame length, self-CRC — rides at
-    the tail of the frame, so it is the *last* region a sector-prefix
-    torn write persists.  That asymmetry is what lets fsck distinguish
-    the two ways a slot can fail to decode:
-
-    * **torn write** (crash mid-checkpoint): the tail sector still
-      holds old bytes, so no intact stamp claims a generation newer
-      than the surviving slot — a legal crash artifact, fallback is
-      silent;
-    * **media corruption** (bit rot in a *completed* write): the stamp
-      is intact and names a generation newer than the survivor — the
-      fallback is valid-but-stale and fsck must say so.
-
-    The generation is read out of the blob itself (it is the first
-    field after the magic) so callers need not thread it through.
-    Images framed before stamps existed simply have no stamp and
-    degrade to the torn-write reading.
-    """
-    framed = struct.pack("<I", len(blob)) + blob
-    generation = 0
-    if len(blob) >= 12 and blob[:4] == SUPERBLOCK_MAGIC:
-        (generation,) = struct.unpack_from("<q", blob, 4)
-    return framed + _stamp(generation, len(blob))
+    def frame(self) -> bytes:
+        """What a slot holds: a length word, the blob, then a completion
+        stamp (magic, generation, blob length, self-CRC).  The stamp is
+        the *last* region a sector-prefix torn write persists, which is
+        how :func:`read_superblock` tells a torn write from bit rot."""
+        blob = self.serialize()
+        return (
+            struct.pack("<I", len(blob)) + blob + _stamp(self.generation, len(blob))
+        )
 
 
 #: Tail-stamp layout: magic + generation (q) + frame length (I) + CRC.
@@ -333,8 +291,8 @@ def _stamp(generation: int, length: int) -> bytes:
     return head + struct.pack("<I", zlib.crc32(head) & 0xFFFFFFFF)
 
 
-def _stamp_at(raw: bytes, pos: int) -> Optional[Tuple[int, int]]:
-    """Decode and self-verify a stamp at ``pos``; position must agree."""
+def _stamp_at(raw: bytes, pos: int) -> Optional[int]:
+    """The generation of an intact stamp at ``pos``."""
     stamp = raw[pos : pos + STAMP_SIZE]
     if len(stamp) != STAMP_SIZE or stamp[:4] != STAMP_MAGIC:
         return None
@@ -344,31 +302,11 @@ def _stamp_at(raw: bytes, pos: int) -> Optional[Tuple[int, int]]:
     generation, stamped_length = struct.unpack_from("<qI", head, 4)
     if pos != 4 + stamped_length:
         return None  # an intact stamp always sits at its frame's tail
-    return generation, stamped_length
+    return generation
 
 
-def read_slot_stamp(raw: bytes) -> Optional[Tuple[int, int]]:
-    """``(generation, blob length)`` of an intact completion stamp.
-
-    ``None`` means no intact stamp exists — the slot was never fully
-    written (torn / empty / pre-stamp image).  Callers treat ``None``
-    as the benign reading; only an *intact* stamp can prove a write
-    completed.
-
-    The primary position comes from the length header; if that header
-    is itself damaged (a media fault can hit any byte) the slot is
-    scanned for the stamp magic, and a candidate counts only when its
-    self-CRC holds *and* it sits exactly where a frame of its recorded
-    length would end — a sector-prefix torn write cannot fabricate
-    that, because the stamp is the last region written.
-    """
-    if len(raw) < 4:
-        return None
-    (length,) = struct.unpack_from("<I", raw, 0)
-    if length > 0:
-        found = _stamp_at(raw, 4 + length)
-        if found is not None:
-            return found
+def _scan_stamp(raw: bytes) -> Optional[int]:
+    """The generation of the last intact stamp anywhere in ``raw``."""
     pos = raw.rfind(STAMP_MAGIC)
     while pos != -1:
         found = _stamp_at(raw, pos)
@@ -376,3 +314,69 @@ def read_slot_stamp(raw: bytes) -> Optional[Tuple[int, int]]:
             return found
         pos = raw.rfind(STAMP_MAGIC, 0, pos)
     return None
+
+
+#: Per-slot verdicts of :func:`read_superblock`.
+DECODED = "decoded"
+EMPTY = "never written"
+TORN = "torn"
+UNREADABLE = "completed but unreadable"
+
+#: The first read of a slot: its length word, and all of a small frame.
+SLOT_HEAD = 4096
+
+
+class SlotVerdict(NamedTuple):
+    state: str
+    generation: Optional[int] = None  # decoded, else stamped (if intact)
+
+
+def read_superblock(
+    read: Callable[[int, int], bytes],
+) -> Tuple[Optional[Superblock], List[SlotVerdict]]:
+    """The newest decodable superblock (slot 0 wins a tie) and one
+    verdict per slot, from ``read(offset, length)`` over the region.
+
+    A slot costs its first :data:`SLOT_HEAD` bytes, then the rest of
+    the frame its length word names.  A slot that does not decode and
+    has no stamp where that word says is read whole, unless its first
+    block is blank beside a decoded slot (never written: a torn write
+    persists a prefix).  The word may be damaged, so the slot is
+    scanned for the stamp magic; with no slot decoded, any data in the
+    region is a lost checkpoint.  Such a slot is :data:`UNREADABLE`
+    when an intact stamp names a generation newer than every decoded
+    slot (a completed write rotted: the survivor is valid but stale),
+    else :data:`TORN`: a torn write leaves old bytes in its tail, so it
+    cannot fabricate a newer stamp.
+    """
+    size = Superblock.SLOT_SIZE
+    slots = []
+    for base in (0, size):
+        frame = read(base, SLOT_HEAD)
+        (length,) = struct.unpack_from("<I", frame)
+        end = min(4 + length + STAMP_SIZE, size)
+        if end > SLOT_HEAD:
+            frame += read(base + SLOT_HEAD, end - SLOT_HEAD)
+        slots.append((base, length, frame, Superblock.deserialize(frame[4 : 4 + length])))
+    decoded = [sb for *_, sb in slots if sb is not None]
+    newest = max(decoded, key=lambda sb: sb.generation, default=None)
+    verdicts: List[SlotVerdict] = []
+    for base, length, frame, sb in slots:
+        if sb is not None:
+            verdicts.append(SlotVerdict(DECODED, sb.generation))
+            continue
+        generation = _stamp_at(frame, 4 + length)
+        blank = frame.count(0, 0, SLOT_HEAD) == SLOT_HEAD
+        if generation is None and not (blank and newest is not None):
+            if len(frame) < size:
+                frame += read(base + len(frame), size - len(frame))
+            generation = _scan_stamp(frame)
+            blank = frame.count(0) == size
+        if blank:
+            verdicts.append(SlotVerdict(EMPTY))
+            continue
+        stale = generation is not None and (
+            newest is None or generation > newest.generation
+        )
+        verdicts.append(SlotVerdict(UNREADABLE if stale else TORN, generation))
+    return newest, verdicts

@@ -22,10 +22,11 @@ Durability model
 from __future__ import annotations
 
 import zlib
+from functools import partial
 from typing import List, Optional
 
 from repro.core.cache import NodeCache
-from repro.core.checkpoint import BlockManager, Superblock, frame_superblock
+from repro.core.checkpoint import BlockManager, Superblock, read_superblock
 from repro.core.config import BeTreeConfig
 from repro.core.messages import PageFrame, Value, value_bytes, value_len
 from repro.core.tree import BeTree
@@ -102,7 +103,7 @@ class KVEnv:
         self._critical_depth = 0
         self._next_node_id = 1
         self._next_msn = 1
-        storage.create("superblock", 8 * MIB)
+        storage.create("superblock", 2 * Superblock.SLOT_SIZE)
         storage.create("log", log_size)
         storage.create("meta.db", meta_size)
         storage.create("data.db", data_size)
@@ -281,7 +282,7 @@ class KVEnv:
         sb.root_ids = [tree.root_id for tree in self.trees]
         sb.block_tables = [tree.blockman.serialize() for tree in self.trees]
         sb.clean_shutdown = clean
-        blob = frame_superblock(sb.serialize())
+        blob = sb.frame()
         slot = self._sb_generation % 2
         self.clock.cpu(self.costs.serialize(len(blob)))
         self.storage.write("superblock", slot * Superblock.SLOT_SIZE, blob)
@@ -363,11 +364,7 @@ class KVEnv:
             obs=obs,
             _recovering=True,
         )
-        slot0 = storage.read("superblock", 0, Superblock.SLOT_SIZE)
-        slot1 = storage.read(
-            "superblock", Superblock.SLOT_SIZE, Superblock.SLOT_SIZE
-        )
-        sb = Superblock.load_latest(slot0, slot1)
+        sb, _slots = read_superblock(partial(storage.read, "superblock"))
         if sb is None:
             # No checkpoint ever committed: the state is whatever the
             # log holds, replayed from the beginning of the region
@@ -375,10 +372,7 @@ class KVEnv:
             env.meta = BeTree(env, META, "meta.db")
             env.data = BeTree(env, DATA, "data.db")
             env.trees = [env.meta, env.data]
-            fresh = Superblock()
-            fresh.log_head = 0
-            fresh.checkpoint_lsn = 0
-            env._replay_log(fresh)
+            env._replay_log(Superblock())
             if env.recovered_entries:
                 env.checkpoint()
             return env

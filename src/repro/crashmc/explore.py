@@ -244,6 +244,8 @@ class WorkloadReport:
     points: int = 0
     sealed_epochs: int = 0
     plans_enumerated: int = 0
+    #: Plans explored: the sum of the per-point quotas.
+    plans_covered: int = 0
     cases: int = 0
     clean: int = 0
     detected: int = 0
@@ -268,6 +270,7 @@ class WorkloadReport:
             "points": self.points,
             "sealed_epochs": self.sealed_epochs,
             "plans_enumerated": self.plans_enumerated,
+            "plans_covered": self.plans_covered,
             "cases": self.cases,
             "clean": self.clean,
             "detected": self.detected,
@@ -461,7 +464,8 @@ class CrashExplorer:
         for c in counts:
             self._h_point.observe(c)
         quotas = self._quotas(counts, plan_budget)
-        media_quota = budget - sum(quotas)  # plan-space shortfall -> media
+        report.plans_covered = sum(quotas)
+        media_quota = budget - report.plans_covered  # shortfall -> media
 
         # Pass 2: re-run and explore each point's quota.
         stack, oracle = stack_for(name)
@@ -478,11 +482,11 @@ class CrashExplorer:
         for epoch in range(report.sealed_epochs):
             self._h_epoch.observe(len(stack.device.epoch_records(epoch)))
 
-        # Media sweep at the final state: seeded faults across the
-        # whole carve, superblock region included — the completion
-        # stamp (core.checkpoint.read_slot_stamp) lets fsck tell a
-        # flipped byte in the newest slot (valid-but-stale fallback,
-        # reported) from a torn checkpoint write (legal, silent).
+        # Media sweep at the final state: seeded faults in every region
+        # of each volume (``stack.media_regions``); in the superblock,
+        # read_superblock's completion stamp lets fsck tell a flipped
+        # byte in the newest slot (valid-but-stale fallback, reported)
+        # from a torn checkpoint write (legal, silent).
         if media_quota > 0:
             regions = stack.media_regions()
             rng = derive_rng(self.seed, f"{name}:media")

@@ -134,8 +134,7 @@ def media_plans(
 ) -> List[CrashPlan]:
     """Post-crash media-fault plans: alternate single-byte bit-flips and
     latent sector errors at seeded-random offsets inside ``regions``
-    (``(base, size)`` byte spans — callers pass the log/meta/data
-    carve, never the superblock: see DESIGN.md, "Known gap").
+    (``(base, size)`` byte spans).
     """
     spans = [(base, size) for base, size in regions if size > 0]
     if not spans or count <= 0:

@@ -390,7 +390,14 @@ def _run_torture(args) -> int:
         summary = CrashExplorer(seed=args.seed, budget=args.budget, order_log=order_log).run()
     print(json.dumps(summary.to_dict(), indent=1, sort_keys=True))
     _write_exports(obs, args)
+    line = (
+        f"torture: {summary.cases} crash states across {len(summary.workloads)} "
+        f"workloads, {sum(w.plans_covered for w in summary.workloads)} of "
+        f"{sum(w.plans_enumerated for w in summary.workloads)} plans covered"
+    )
     if summary.violations:
+        if not args.quiet:
+            print(f"{line}, {summary.violations} violation(s)", file=sys.stderr)
         first = summary.failures[0]
         save_repro(
             repro_out,
@@ -419,11 +426,7 @@ def _run_torture(args) -> int:
         ):
             return 1
     if not args.quiet:
-        print(
-            f"torture: {summary.cases} crash states across "
-            f"{len(summary.workloads)} workloads, no violations",
-            file=sys.stderr,
-        )
+        print(f"{line}, no violations", file=sys.stderr)
     return 0
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.check import flow
 from repro.check.fsck import fsck_device, fsck_mount
+from repro.core.checkpoint import DECODED, SlotVerdict, Superblock, read_superblock
 from repro.core.config import BeTreeConfig
 from repro.core.env import KVEnv
 from repro.device.block import BlockDevice
@@ -98,6 +99,29 @@ def recounted_node_bytes(node) -> int:
         return sum(b.pair_size(k, v) for b in node.basements for k, v in b.items())
     pivots = sum(map(len, node.pivots)) + 8 * (len(node.pivots) + len(node.children))
     return pivots + sum(m.measure() for m in node.buffer)
+
+
+def newest_slot(store, base=0):
+    """``(device offset, superblock)`` of the newest decodable slot of
+    the volume whose superblock region starts at ``base`` in ``store``,
+    as recovery reads it."""
+    sb, slots = read_superblock(lambda off, length: store.read(base + off, length))
+    assert sb is not None, "no decodable superblock slot"
+    slot = slots.index(SlotVerdict(DECODED, sb.generation))
+    return base + slot * Superblock.SLOT_SIZE, sb
+
+
+def tear_newest_slot(store, base=0):
+    """Zero the back half of the newest slot's frame, as a crash
+    mid-write leaves it: the payload CRC and the completion stamp are
+    gone, so recovery falls back a generation.  Returns the torn
+    superblock."""
+    off, sb = newest_slot(store, base)
+    frame = sb.frame()
+    assert store.read(off, len(frame)) == frame
+    keep = len(frame) // 2
+    store.write(off + keep, bytes(len(frame) - keep))
+    return sb
 
 
 def drop_node_cache(env):

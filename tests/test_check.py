@@ -12,13 +12,21 @@ from repro.check.errors import (
     TreeInvariantError,
 )
 from repro.check.fsck import fsck_device, load_image, save_image
-from repro.core.checkpoint import EXTENT_ALIGN
+from repro.core.checkpoint import EXTENT_ALIGN, SLOT_HEAD, Superblock
 from repro.core.env import DATA, META
 from repro.core.keys import intersect
 from repro.core.messages import Insert, RangeDelete
 from repro.core.serialize import COMPRESSED_MAGIC, ChecksumError
 from repro.harness.mt import device_sha256
-from tests.conftest import LAYOUT, drop_node_cache, make_env, reopen, small_cfg
+from tests.conftest import (
+    LAYOUT,
+    drop_node_cache,
+    make_env,
+    newest_slot,
+    reopen,
+    small_cfg,
+    tear_newest_slot,
+)
 
 MIB = 1 << 20
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
@@ -360,6 +368,18 @@ class TestFsck:
         assert any("log-only" in w for w in report.warnings)
         assert report.wal_entries >= 1
 
+    def test_pre_checkpoint_flip_past_the_first_block_is_an_error(self):
+        """No slot decodes, so a flipped byte anywhere in the region is
+        data where none was written, not a never-written slot."""
+        env, device = make_env()
+        env.insert(META, b"k", b"v")
+        env.sync()
+        image = device.crash_image()
+        off = LAYOUT.file_base("superblock") + Superblock.SLOT_SIZE + 2 * SLOT_HEAD
+        image.store.write(off, b"\x01")
+        report = fsck_device(image, log_size=8 * MIB, meta_size=64 * MIB)
+        assert any("neither slot decodes" in e for e in report.errors)
+
     def test_image_roundtrip_and_container_crc(self, tmp_path):
         _env, device = self._built_env()
         path = str(tmp_path / "crash.img")
@@ -385,30 +405,12 @@ class TestFsck:
         env.checkpoint()
         return env, device
 
-    @staticmethod
-    def _newest_slot(image):
-        """(slot index, base offset, decoded superblock) of the newest
-        valid slot in ``image``."""
-        from repro.core.checkpoint import Superblock, _trim
-
-        slot_size = Superblock.SLOT_SIZE
-        best = None
-        for idx in (0, 1):
-            raw = image.store.read(idx * slot_size, slot_size)
-            decoded = Superblock.deserialize(_trim(raw))
-            if decoded is not None and (
-                best is None or decoded.generation > best[2].generation
-            ):
-                best = (idx, idx * slot_size, decoded)
-        assert best is not None, "no valid superblock slot"
-        return best
-
     def test_flip_in_newest_slot_is_a_stale_fallback_error(self):
         """Satellite: media corruption of a *completed* newest slot must
         be reported — the older survivor is valid but stale."""
         _env, device = self._two_checkpoint_env()
         image = device.crash_image()
-        _idx, base, newest = self._newest_slot(image)
+        base, newest = newest_slot(image.store)
         raw = bytearray(image.store.read(base, 4096))
         raw[20] ^= 0x01  # flip inside the payload; stamp stays intact
         image.store.write(base, bytes(raw))
@@ -422,19 +424,9 @@ class TestFsck:
     def test_torn_newest_slot_is_a_legal_fallback_warning(self):
         """A sector-prefix tear leaves no intact stamp: fsck warns about
         the torn write but does not error (legal crash artifact)."""
-        import struct as _struct
-
-        from repro.core.checkpoint import STAMP_SIZE
-
         _env, device = self._two_checkpoint_env()
         image = device.crash_image()
-        _idx, base, _newest = self._newest_slot(image)
-        raw = bytearray(image.store.read(base, 4096))
-        (length,) = _struct.unpack_from("<I", raw, 0)
-        frame_end = 4 + length + STAMP_SIZE
-        keep = 4 + length // 2  # mid-blob tear: CRC broken, stamp gone
-        raw[keep:frame_end] = b"\x00" * (frame_end - keep)
-        image.store.write(base, bytes(raw))
+        tear_newest_slot(image.store)
         report = fsck_device(image, log_size=8 * MIB, meta_size=64 * MIB)
         assert report.ok, report.render()
         assert any("torn checkpoint write" in w for w in report.warnings)

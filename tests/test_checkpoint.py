@@ -2,16 +2,42 @@
 
 import pytest
 
+import struct
+
 from repro.core.checkpoint import (
+    DECODED,
+    EMPTY,
+    SLOT_HEAD,
+    STAMP_MAGIC,
     STAMP_SIZE,
+    TORN,
+    UNREADABLE,
     BlockManager,
+    SlotVerdict,
     Superblock,
-    frame_superblock,
-    read_slot_stamp,
-    _trim,
+    read_superblock,
 )
 
 MIB = 1 << 20
+SLOT = Superblock.SLOT_SIZE
+
+
+class Region:
+    """A superblock region whose slots begin with the given bytes and
+    are zero past them; ``reads`` records each ``(offset, length)``."""
+
+    def __init__(self, slot0: bytes = b"", slot1: bytes = b"") -> None:
+        self.slots = (slot0, slot1)
+        self.reads = []
+
+    def read(self, offset: int, length: int) -> bytes:
+        self.reads.append((offset, length))
+        idx, pos = divmod(offset, SLOT)
+        chunk = self.slots[idx][pos : pos + length]
+        return chunk + bytes(length - len(chunk))
+
+    def superblock(self):
+        return read_superblock(self.read)
 
 
 class TestBlockManager:
@@ -93,69 +119,105 @@ class TestSuperblock:
         blob[10] ^= 0xFF
         assert Superblock.deserialize(bytes(blob)) is None
 
-    def test_load_latest_picks_newest_valid(self):
-        a = frame_superblock(self.make(generation=3).serialize())
-        b = frame_superblock(self.make(generation=7).serialize())
-        picked = Superblock.load_latest(a, b)
+    def test_reader_picks_newest_valid(self):
+        a = self.make(generation=3).frame()
+        b = self.make(generation=7).frame()
+        picked, slots = Region(a, b).superblock()
         assert picked.generation == 7
+        assert slots == [SlotVerdict(DECODED, 3), SlotVerdict(DECODED, 7)]
         # Corrupt the newer slot: falls back to the older.
         b = bytearray(b)
         b[20] ^= 0xFF
-        picked = Superblock.load_latest(a, bytes(b))
+        picked, _slots = Region(a, bytes(b)).superblock()
         assert picked.generation == 3
 
-    def test_load_latest_both_bad(self):
-        assert Superblock.load_latest(b"\x00" * 64, b"junk") is None
+    def test_reader_finds_no_superblock_in_bad_slots(self):
+        picked, slots = Region(b"\x00" * 64, b"junk").superblock()
+        assert picked is None
+        assert slots == [SlotVerdict(EMPTY), SlotVerdict(TORN)]
 
-    def test_frame_and_trim(self):
-        blob = self.make().serialize()
-        framed = frame_superblock(blob) + b"\x00" * 128  # slot padding
-        assert _trim(framed) == blob
+    def test_frame_reads_back_past_slot_padding(self):
+        sb = self.make()
+        framed = sb.frame() + b"\x00" * 128  # slot padding
+        (length,) = struct.unpack_from("<I", framed)
+        assert framed[4 : 4 + length] == sb.serialize()
+        picked, _slots = Region(framed).superblock()
+        assert picked.serialize() == sb.serialize()
+
+    def test_reader_reads_the_head_then_the_rest_of_the_frame(self):
+        sb = self.make(generation=2)
+        sb.block_tables = [b"t" * 3 * SLOT_HEAD, b"u"]
+        big = sb.frame()
+        small = self.make(generation=1).frame()
+        region = Region(big, small)
+        picked, _slots = region.superblock()
+        assert picked.generation == 2
+        assert region.reads == [
+            (0, SLOT_HEAD),
+            (SLOT_HEAD, len(big) - SLOT_HEAD),
+            (SLOT, SLOT_HEAD),
+        ]
 
 
 class TestCompletionStamp:
-    """The tail stamp distinguishes torn writes from media corruption."""
+    """The tail stamp distinguishes torn writes from media corruption.
+
+    Every case is a slot handed to :func:`read_superblock`, beside an
+    older intact slot where the case needs a survivor."""
 
     def _framed(self, generation=5):
         sb = Superblock()
         sb.generation = generation
         sb.root_ids = [1]
         sb.block_tables = [BlockManager(MIB).serialize()]
-        return frame_superblock(sb.serialize())
+        return sb.frame()
 
     def test_stamp_reads_back_generation_and_length(self):
         framed = self._framed(generation=9)
-        stamp = read_slot_stamp(framed + b"\x00" * 256)
-        assert stamp is not None
-        generation, length = stamp
-        assert generation == 9
-        assert length == len(framed) - 4 - STAMP_SIZE
+        (length,) = struct.unpack_from("<I", framed)
+        assert len(framed) == 4 + length + STAMP_SIZE
+        magic, generation, stamped = struct.unpack_from("<4sqI", framed, 4 + length)
+        assert (magic, generation, stamped) == (STAMP_MAGIC, 9, length)
+        raw = bytearray(framed)
+        raw[20] ^= 0xFF  # the payload no longer decodes; the stamp speaks
+        picked, slots = Region(bytes(raw), self._framed(generation=8)).superblock()
+        assert picked.generation == 8
+        assert slots[0] == SlotVerdict(UNREADABLE, 9)
 
-    def test_trim_ignores_the_stamp(self):
+    def test_reader_ignores_the_stamp(self):
         sb = Superblock()
         sb.generation = 4
-        blob = sb.serialize()
-        assert _trim(frame_superblock(blob) + b"\x00" * 64) == blob
-        assert Superblock.deserialize(_trim(frame_superblock(blob))).generation == 4
+        picked, slots = Region(sb.frame() + b"\x00" * 64).superblock()
+        assert picked.generation == 4
+        assert slots == [SlotVerdict(DECODED, 4), SlotVerdict(EMPTY)]
 
     def test_payload_corruption_leaves_stamp_intact(self):
         raw = bytearray(self._framed(generation=7) + b"\x00" * 256)
         raw[20] ^= 0xFF  # flip inside the payload
-        assert Superblock.deserialize(_trim(bytes(raw))) is None
-        stamp = read_slot_stamp(bytes(raw))
-        assert stamp is not None and stamp[0] == 7
+        region = Region(bytes(raw), self._framed(generation=6))
+        picked, slots = region.superblock()
+        assert picked.generation == 6
+        assert slots[0] == SlotVerdict(UNREADABLE, 7)
+        # The stamp sat where the length word said: no whole-slot read.
+        assert sum(length for _off, length in region.reads) == 2 * SLOT_HEAD
 
     def test_damaged_length_prefix_falls_back_to_magic_scan(self):
         raw = bytearray(self._framed(generation=7) + b"\x00" * 256)
         raw[1] ^= 0xFF  # corrupt the length header itself
-        stamp = read_slot_stamp(bytes(raw))
-        assert stamp is not None and stamp[0] == 7
+        region = Region(bytes(raw), self._framed(generation=6))
+        picked, slots = region.superblock()
+        assert picked.generation == 6
+        assert slots[0] == SlotVerdict(UNREADABLE, 7)
+        # The scan read slot 0 whole, and each of its bytes once.
+        assert sum(n for off, n in region.reads if off < SLOT) == SLOT
 
     def test_torn_prefix_yields_no_stamp(self):
         framed = self._framed(generation=7)
         torn = framed[: len(framed) // 2]
         torn += b"\x00" * (len(framed) - len(torn) + 256)
-        assert read_slot_stamp(torn) is None
+        picked, slots = Region(torn, self._framed(generation=6)).superblock()
+        assert picked.generation == 6
+        assert slots[0] == SlotVerdict(TORN)
 
     def test_same_length_tear_surfaces_the_old_generation(self):
         """A tear over a same-length previous frame leaves the *old*
@@ -164,12 +226,15 @@ class TestCompletionStamp:
         old = self._framed(generation=3)
         new = self._framed(generation=5)
         assert len(old) == len(new)
-        torn = new[:512] + old[512:] if len(new) > 512 else old
-        stamp = read_slot_stamp(torn + b"\x00" * 256)
-        assert stamp is not None
-        assert stamp[0] == 3
+        cut = len(new) // 2  # the new prefix, the old tail and stamp
+        torn = new[:cut] + old[cut:]
+        picked, slots = Region(torn, self._framed(generation=4)).superblock()
+        assert picked.generation == 4
+        assert slots[0] == SlotVerdict(TORN, 3)
 
     def test_empty_and_garbage_slots_have_no_stamp(self):
-        assert read_slot_stamp(b"") is None
-        assert read_slot_stamp(b"\x00" * 4096) is None
-        assert read_slot_stamp(b"junkjunkjunk") is None
+        assert Region().superblock() == (None, [SlotVerdict(EMPTY)] * 2)
+        assert Region(b"\x00" * 4096).superblock()[1][0] == SlotVerdict(EMPTY)
+        picked, slots = Region(b"junkjunkjunk", self._framed(generation=2)).superblock()
+        assert picked.generation == 2
+        assert slots[0] == SlotVerdict(TORN)

@@ -2,6 +2,7 @@
 crash-state exploration engine."""
 
 import json
+import os
 import random
 
 import pytest
@@ -38,8 +39,10 @@ from repro.device.block import BlockDevice, CacheRecord, MediaError
 from repro.harness.mt import device_sha256
 from repro.device.clock import SimClock
 from repro.model.profiles import COMMODITY_SSD
+from tests.conftest import newest_slot
 
 MIB = 1 << 20
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "crashmc")
 
 
 def raw_device(volatile=True):
@@ -443,6 +446,20 @@ class TestReproFiles:
         assert isinstance(result, CaseResult)
         assert result.status == CLEAN, (result.stage, result.detail)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a lost command between two persisted ones leaves both "
+        "names of a cross-shard rename (ROADMAP item 1(b))",
+    )
+    def test_pinned_cross_shard_rename_recovers_clean(self):
+        """The shrunk plan `torture --seed 0 --budget 3000` finds:
+        `xshard_rename` op 128, plan `subset`, epoch 80, commands 105
+        and 107 persisted and 106 lost."""
+        repro = load_repro(os.path.join(FIXTURES, "xshard_rename_op128.json"))
+        result = replay_repro(repro)
+        assert result.status == CLEAN, (result.stage, result.detail)
+
     def test_load_rejects_unknown_version(self, tmp_path):
         path = str(tmp_path / "repro.json")
         save_repro(path, {"version": 99})
@@ -467,6 +484,9 @@ class TestExplorer:
         assert summary["cases"] == 16
         assert summary["violations"] == 0
         assert len(summary["workloads"]) == 4
+        for workload in summary["workloads"]:
+            assert workload["plans_covered"] <= workload["plans_enumerated"]
+            assert workload["plans_covered"] <= workload["cases"]
 
     def test_counters_track_cases(self):
         ex = CrashExplorer(seed=1, budget=10, workloads=("tokubench",))
@@ -530,25 +550,9 @@ class TestSuperblockMediaFault:
             oracle.commit(op)
         return stack, oracle
 
-    def _newest_slot_base(self, stack):
-        from repro.core.checkpoint import Superblock, _trim
-
-        image = stack.device.crash_image()
-        slot_size = Superblock.SLOT_SIZE
-        best = None
-        for idx in (0, 1):
-            raw = image.store.read(idx * slot_size, slot_size)
-            decoded = Superblock.deserialize(_trim(raw))
-            if decoded is not None and (
-                best is None or decoded.generation > best[1]
-            ):
-                best = (idx * slot_size, decoded.generation)
-        assert best is not None, "no decodable superblock slot"
-        return best[0]
-
     def test_flip_in_newest_slot_is_detected(self):
         stack, oracle = self._stack_with_two_checkpoints()
-        base = self._newest_slot_base(stack)
+        base, _sb = newest_slot(stack.device.crash_image().store)
         plan = CrashPlan(bitflips=((base + 20, 0x01),))
         assert plan.is_media_fault
         result = run_case(stack, oracle, plan)

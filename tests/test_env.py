@@ -2,12 +2,21 @@
 
 import pytest
 
+from repro.core.checkpoint import SLOT_HEAD
 from repro.core.env import DATA, META
 from repro.core.messages import PageFrame, value_bytes
 from repro.device.block import BlockDevice
 from repro.device.clock import SimClock
 from repro.model.profiles import COMMODITY_SSD
-from tests.conftest import LAYOUT, make_env, recounted_node_bytes, reopen, small_cfg
+from tests.conftest import (
+    LAYOUT,
+    make_env,
+    newest_slot,
+    recounted_node_bytes,
+    reopen,
+    small_cfg,
+    tear_newest_slot,
+)
 
 
 class TestCheckpointRecovery:
@@ -66,21 +75,27 @@ class TestCheckpointRecovery:
         # Tear the most recent superblock slot: a crash mid-write loses
         # the tail of the frame (payload CRC *and* completion stamp), so
         # recovery falls back to the older slot without an fsck error.
-        import struct
-
-        from repro.core.checkpoint import STAMP_SIZE, Superblock
-
-        slot = env._sb_generation % 2
-        base = LAYOUT.file_base("superblock") + slot * Superblock.SLOT_SIZE
-        raw = bytearray(device.store.read(base, 4096))
-        (length,) = struct.unpack_from("<I", raw, 0)
-        frame_end = 4 + length + STAMP_SIZE
-        keep = 4 + length // 2
-        raw[keep:frame_end] = b"\x00" * (frame_end - keep)
-        device.store.write(base, bytes(raw))
+        torn = tear_newest_slot(device.store, LAYOUT.file_base("superblock"))
+        assert torn.generation == env._sb_generation
         env2 = reopen(device)
         # Falls back to the previous checkpoint; log replay reapplies.
         assert env2.get(META, b"k") in (b"gen1", b"gen2")
+
+    def test_remount_reads_the_frames_not_the_region(self):
+        """Recovery reads each slot's first block and the rest of its
+        frame, never the 4 MiB slot behind it."""
+        env, device = make_env()
+        for i in range(2000):
+            env.insert(META, b"k%05d" % i, b"v" * 512)
+            if i % 1000 == 999:
+                env.checkpoint()
+        _off, sb = newest_slot(device.store, LAYOUT.file_base("superblock"))
+        frame = len(sb.frame())
+        assert frame > SLOT_HEAD  # the rest of the frame is read too
+        env2 = reopen(device)
+        assert env2.get(META, b"k01234") == b"v" * 512
+        read = env2.storage.file_bytes_read["superblock"]
+        assert read <= 2 * (SLOT_HEAD + frame)
 
     def test_fresh_device_opens_empty(self):
         clock = SimClock()
