@@ -405,9 +405,7 @@ class BaselineFS(FileSystemBackend):
         self.journal.log_block()
         self.journal.commit(durable=True)
         self.clock.wait_until(self.device.busy_until)
-        self.clock.wait_until(
-            self.clock.now + self.params.writeback_cycle_penalty
-        )
+        self.clock.wait_for(self.params.writeback_cycle_penalty)
 
     def drop_caches(self) -> None:
         self._cached_meta.clear()

@@ -27,9 +27,10 @@ Four rule families:
 * **intent-protocol**: the cross-shard rename coordinator (any
   function building a ``pack_intent(...)`` record) must follow its
   declared state machine — durable intent (coordinator insert + sync)
-  → apply → **sorted** per-shard sync fan-out → unsynced resolve
-  (delete) — checked as an interprocedural order over the protocol's
-  KV-env sink calls.
+  → apply → **sorted** per-shard sync fan-out → resolve (source
+  deletes) → sync of the volumes that took them → unsynced intent
+  retirement (delete) — checked as an interprocedural order over the
+  protocol's KV-env sink calls.
 * **recovery-reads-durable**: code reachable from the recovery entry
   points (``resolve_intents``, ``_replay_log``, the ``fsck*``
   functions) must not read volatile-epoch device state
@@ -146,7 +147,8 @@ _DESCEND = (None, "env")
 
 #: The cross-shard coordinator's state machine, on a path that built an
 #: intent record (``pack_intent``).  Phase 0: no intent written; 1: the
-#: intent written; 2: the intent durable.  A KV-env op is one step —
+#: intent written; 2: the intent durable; 3: sources deleted, not yet
+#: synced; 4: the deletes synced.  A KV-env op is one step —
 #: ``insert``, ``delete`` (resolve), ``sync``, or ``apply`` (``patch``,
 #: ``range_delete``) — and ``(step, phase)`` gives ``(finding, next
 #: phase, apply_dirty)``, apply_dirty ``None`` leaving the flag alone.
@@ -157,13 +159,21 @@ PROTOCOL: Dict[Tuple[str, int], Tuple[Optional[str], int, Optional[bool]]] = {
     ("insert", 2): (None, 2, True),
     ("delete", 0): ("early-resolve", 2, None),
     ("delete", 1): ("early-resolve", 2, None),
-    ("delete", 2): ("unsynced-resolve", 2, False),
+    ("delete", 2): ("unsynced-resolve", 3, False),
+    ("delete", 3): ("unsynced-retire", 3, None),
+    ("delete", 4): (None, 4, None),
+    ("insert", 3): (None, 3, True),
+    ("insert", 4): (None, 4, True),
     ("apply", 0): (None, 0, None),
     ("apply", 1): ("early-apply", 2, True),
     ("apply", 2): (None, 2, True),
+    ("apply", 3): (None, 3, True),
+    ("apply", 4): (None, 4, True),
     ("sync", 0): (None, 0, False),
     ("sync", 1): ("unsorted-sync", 2, False),
     ("sync", 2): ("unsorted-sync", 2, False),
+    ("sync", 3): ("unsorted-sync", 4, False),
+    ("sync", 4): ("unsorted-sync", 4, False),
 }
 
 #: The message of each :data:`PROTOCOL` finding.  ``unsynced-resolve``
@@ -176,6 +186,9 @@ PROTOCOL_MESSAGES: Dict[str, str] = {
                      "crash window would lose the rename",
     "unsynced-resolve": "resolve (delete) before the applied batch is synced — sync "
                         "the destination volumes first",
+    "unsynced-retire": "retire (delete) the intent before the resolve deletes are "
+                       "synced — sync the volumes that took them first, or a crash "
+                       "keeps the retirement and loses a source delete",
     "early-apply": "apply before the intent record is durable — sync the "
                    "coordinator volume first",
     "unsorted-sync": "shard fan-out sync iterates an unsorted sequence — iterate "
@@ -342,7 +355,7 @@ class _State:
         self.nodes_dirty = self.sb_dirty = False
         self.pending: Set[str] = set()
         self.coord = self.apply_dirty = False
-        self.phase = 2 if vacuous else 0
+        self.phase = 4 if vacuous else 0
 
     def copy(self) -> "_State":
         return self.merge(self)  # every join rule is idempotent

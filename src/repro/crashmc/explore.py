@@ -7,7 +7,9 @@ volatile-cache stacks:
 1. a **counting pass** that only tallies how many candidate plans each
    crash point offers (crash points are: every barrier epoch sealed
    *during* an op, plus the open epoch whenever an op grew it), then
-   splits the per-workload case budget across the points round-robin;
+   splits the per-workload case budget across the points round-robin
+   (plan quota a workload cannot use goes to the workloads with more
+   plans than quota first; see :meth:`CrashExplorer._budgets`);
 2. an **exploration pass** that re-runs the script and, at each crash
    point, materializes its quota of crash images via
    :meth:`BlockDevice.crash_image`, runs :func:`repro.check.fsck` on
@@ -359,13 +361,44 @@ class CrashExplorer:
 
     # ------------------------------------------------------------------
     def run(self) -> TortureSummary:
-        reports = []
-        share = self.budget // len(self.workload_names)
-        extra = self.budget - share * len(self.workload_names)
-        for i, name in enumerate(self.workload_names):
-            quota = share + (extra if i == 0 else 0)
-            reports.append(self._run_workload(name, quota))
+        names = self.workload_names
+        share = self.budget // len(names)
+        shares = [share] * len(names)
+        shares[0] += self.budget - share * len(names)
+        counted = [self._count(name) for name in names]
+        budgets = self._budgets(shares, [sum(counts) for _ops, counts in counted])
+        reports = [
+            self._run_workload(name, ops, counts, plan_budget, media_budget)
+            for name, (ops, counts), (plan_budget, media_budget) in zip(
+                names, counted, budgets
+            )
+        ]
         return TortureSummary(self.seed, self.budget, reports)
+
+    @classmethod
+    def _budgets(cls, shares: List[int], needs: List[int]) -> List[Tuple[int, int]]:
+        """Each workload's ``(plan budget, media budget)`` out of its
+        ``share`` of the cases, ``needs`` being its enumerated plans.
+
+        A workload keeps ``share // MEDIA_SHARE`` for media faults.  The
+        plan quota it cannot use goes to the workloads whose plans
+        outnumber their quota, in order; what none of them needs comes
+        back to the workloads that gave it, as media cases.  The
+        budgets sum to the shares."""
+        media = [share // cls.MEDIA_SHARE for share in shares]
+        plans = [min(need, s - m) for s, need, m in zip(shares, needs, media)]
+        spare = [s - m - p for s, m, p in zip(shares, media, plans)]
+        pool = sum(spare)
+        for i, need in enumerate(needs):
+            take = min(pool, need - plans[i])
+            plans[i] += take
+            pool -= take
+        given = sum(spare) - pool
+        for i, unused in enumerate(spare):
+            gone = min(unused, given)
+            media[i] += unused - gone
+            given -= gone
+        return list(zip(plans, media))
 
     # ------------------------------------------------------------------
     def _plans_for_point(
@@ -446,17 +479,24 @@ class CrashExplorer:
                 break
         return quotas
 
-    def _run_workload(self, name: str, budget: int) -> WorkloadReport:
+    def _count(self, name: str) -> Tuple[List[Op], List[int]]:
+        """Pass 1: the workload's ops and its candidate plans per crash
+        point."""
         ops = WORKLOADS[name](self.seed)
-        report = WorkloadReport(name=name, ops=len(ops))
-
-        media_quota = budget // self.MEDIA_SHARE
-        plan_budget = budget - media_quota
-
-        # Pass 1: count candidate plans per crash point.
         counts = self._crash_points(
             self._observe(stack_for(name)[0]), name, ops, visit=None
         )
+        return ops, counts
+
+    def _run_workload(
+        self,
+        name: str,
+        ops: List[Op],
+        counts: List[int],
+        plan_budget: int,
+        media_quota: int,
+    ) -> WorkloadReport:
+        report = WorkloadReport(name=name, ops=len(ops))
         report.points = len(counts)
         report.plans_enumerated = sum(counts)
         self._c_points.inc(len(counts))
@@ -465,7 +505,6 @@ class CrashExplorer:
             self._h_point.observe(c)
         quotas = self._quotas(counts, plan_budget)
         report.plans_covered = sum(quotas)
-        media_quota = budget - report.plans_covered  # shortfall -> media
 
         # Pass 2: re-run and explore each point's quota.
         stack, oracle = stack_for(name)

@@ -36,6 +36,17 @@ Two write-cache modes govern what a crash may lose:
   instrument: it retains the full post-enable write history in memory
   and charges no extra simulated time (timing and stats are
   bit-identical to durable mode for the same workload).
+
+Group commit
+------------
+
+Under a scheduler (``clock.holds``; see ``repro/device/clock.py``) a
+command first realizes the calling session's pending hold, and a
+``flush`` joins the device's one pending :class:`FlushGroup` instead
+of waiting.  An idle device issues the group at once; a busy one
+leaves it to the scheduler, which issues it when the device goes idle
+or nothing else can run.  The epoch is sealed when the group's flush
+is issued, and every member's fsync is acknowledged at its completion.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 class MediaError(IOError):
     """A read touched a latent bad sector injected by a crash plan."""
 
-from repro.device.clock import SimClock
+from repro.device.clock import FlushGroup, SimClock
 from repro.device.ftl import FlashTranslationLayer
 from repro.device.stats import IOStats
 from repro.model.profiles import DeviceProfile
@@ -365,6 +376,9 @@ class BlockDevice:
         #: for internal garbage collection (hysteresis).
         self._cache_saturated = False
         self.charge_time = charge_time
+        #: The flush group scheduled sessions' barriers are joining
+        #: (``None`` when none is pending).
+        self._group: Optional[FlushGroup] = None
         #: Optional sanitizer suite (pure observer; see repro.check).
         self.san = None
         #: Optional durability-order recorder (pure observer; see
@@ -544,6 +558,8 @@ class BlockDevice:
 
     def submit_read(self, offset: int, length: int) -> Completion:
         """Start an asynchronous read; wait() returns its segments."""
+        if self.clock.hold is not None:
+            self.clock.realize()
         self._check_media(offset, length)
         nbytes = self._round(length)
         sequential = self._note_stream(self._read_streams, offset, offset + length)
@@ -568,6 +584,8 @@ class BlockDevice:
 
         ``data`` is one buffer or a node's segments, handed on to the
         store by reference (scatter-gather DMA)."""
+        if self.clock.hold is not None:
+            self.clock.realize()
         length = payload_len(data)
         nbytes = self._round(length)
         sequential = self._note_stream(
@@ -640,6 +658,8 @@ class BlockDevice:
         In volatile-cache mode this is also the durability boundary:
         the open barrier epoch is sealed, so everything accepted so far
         appears in every subsequent crash image regardless of the plan.
+        A scheduled session's barrier joins the device's flush group
+        instead (see the module docstring).
         """
         if not self.charge_time:
             self.stats.record_flush(0.0)
@@ -649,6 +669,46 @@ class BlockDevice:
                 self.order.on_flush()
             self._seal_epoch()
             return
+        clock = self.clock
+        if clock.holds:
+            self._join_group(clock)
+            return
+        done = self._issue_flush()
+        clock.wait_until(done)
+        self._seal_epoch()
+
+    def _join_group(self, clock: SimClock) -> None:
+        """Hold the calling session on this device's flush group.
+
+        A pending wait that ends no later than this device's queue
+        stays folded into the hold (the flush starts after both).  Any
+        other pending hold is realized first: a backoff past the queue,
+        or an earlier barrier of the same call, so two barriers in one
+        call are two flushes, as unscheduled."""
+        if clock.group is not None or (
+            clock.hold is not None and clock.hold > self.busy_until
+        ):
+            clock.realize()
+        group = self._group
+        if group is None:
+            group = self._group = FlushGroup(self)
+        if clock.hold is None:
+            clock.hold = clock.now
+        clock.group = group
+        if self.busy_until <= clock.now:
+            group.issue()
+
+    def _issue_group(self, group: FlushGroup) -> float:
+        """Issue ``group``'s one flush and seal the epoch it closes;
+        returns the completion instant (nobody waits here)."""
+        self._group = None
+        done = self._issue_flush()
+        self._seal_epoch()
+        return done
+
+    def _issue_flush(self) -> float:
+        """Put one cache flush on the device timeline; returns its
+        completion instant."""
         dur = self.profile.flush_lat
         done = self._schedule(dur)
         self.stats.record_flush(dur)
@@ -660,8 +720,7 @@ class BlockDevice:
             self.san.on_device_op(self, "flush", dur)
         if self.order is not None:
             self.order.on_flush()
-        self.clock.wait_until(done)
-        self._seal_epoch()
+        return done
 
     def discard(self, offset: int, length: int) -> None:
         """TRIM a byte range.
@@ -671,6 +730,8 @@ class BlockDevice:
         and unmaps the covered flash pages, so garbage collection on a
         trimmed device finds cheaper victims.
         """
+        if self.clock.hold is not None:
+            self.clock.realize()
         dur = self.profile.cmd_overhead
         if self.charge_time:
             self._schedule(dur)

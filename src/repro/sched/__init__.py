@@ -5,7 +5,8 @@ package supplies the concurrency model: client sessions are
 deterministic generator-based coroutines
 (:class:`~repro.sched.session.Session`) that yield at simulated
 blocking points (page-cache miss, tree I/O, fsync/journal commit, lock
-wait), interleaved by a seeded, policy-pluggable scheduler
+wait) and sleep through the device wait a call ends on, interleaved by
+a seeded, policy-pluggable scheduler
 (:class:`~repro.sched.sched.Scheduler`; FIFO / round-robin / lottery,
 :mod:`repro.sched.policy`) over shared VFS / page-cache / Bε-tree
 state on one device timeline.  Session-scoped locks

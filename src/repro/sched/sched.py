@@ -13,6 +13,17 @@ Bε-tree, one device timeline.  The main loop is a textbook dispatcher:
    charging the shared simulated clock — until it hits a blocking
    point and yields, or finishes.
 
+Sleepers and group commit: while a session's call runs, a device wait
+is a *hold* on the clock rather than a jump of it
+(``repro/device/clock.py``).  A call that returns with its hold
+pending puts its session to sleep until the wait's deadline — and,
+for a barrier, until the completion of the device flush group it
+joined.  Before each dispatch the scheduler issues every pending
+group whose device is idle and wakes the sleepers that are due.  When
+no session is ready it issues the pending groups (nothing else can
+run to join them), then advances the clock to the earliest instant a
+sleeper can progress.
+
 Wait accounting happens at dispatch: the interval between a session
 becoming runnable and actually running is its *wait*, accumulated into
 per-session totals, a latency histogram, and the max-wait starvation
@@ -43,6 +54,7 @@ from repro.sched.session import (
     DONE,
     LOCKWAIT,
     READY,
+    SLEEPING,
     Session,
     SessionContext,
 )
@@ -84,6 +96,12 @@ class Scheduler:
     ) -> None:
         self.mount = mount
         self.clock = mount.clock
+        #: Whether the clock can hold a session's device waits (a
+        #: ``SimClock`` can; a bare test clock cannot and never sleeps).
+        self.holding = hasattr(self.clock, "hold")
+        #: Sessions asleep on a trailing wait, in the order they slept
+        #: (every flush group not yet issued has a member among them).
+        self._sleepers: List[Session] = []
         self.costs = mount.costs
         self.seed = seed
         self.policy: Policy = make_policy(policy)
@@ -216,6 +234,8 @@ class Scheduler:
             vfs.block_signal = self.signal
         if self._env is not None:
             self._env.block_signal = self.signal
+        if self.holding:
+            self.clock.holds = True
         try:
             self._loop()
         finally:
@@ -223,14 +243,29 @@ class Scheduler:
                 vfs.block_signal = None
             if self._env is not None:
                 self._env.block_signal = None
+            if self.holding:
+                self.clock.holds = False
             self._refresh_stats()
         self._finished = self.clock.now
 
     def _loop(self) -> None:
         last: Optional[Session] = None
+        clock = self.clock
+        sleepers = self._sleepers
         while True:
+            if sleepers:
+                self._wake_due()
             ready = [s for s in self.sessions if s.state == READY]
             if not ready:
+                if sleepers:
+                    # Nothing can run to join a pending flush group:
+                    # issue them all, then sleep to the first alarm.
+                    for session in sleepers:
+                        if session.group is not None:
+                            session.group.issue()
+                    now = clock.now
+                    clock.advance(min(_alarm(s, now) for s in sleepers))
+                    continue
                 blocked = [s for s in self.sessions if s.state == LOCKWAIT]
                 require(
                     not blocked,
@@ -256,11 +291,33 @@ class Scheduler:
             last = session
             self._step(session)
 
+    def _wake_due(self) -> None:
+        """Issue the pending flush groups whose device is idle, then
+        make every sleeper whose wait is over runnable again."""
+        now = self.clock.now
+        for session in self._sleepers:
+            group = session.group
+            if group is not None and group.idle(now):
+                group.issue()
+        still: List[Session] = []
+        for session in self._sleepers:
+            alarm = _alarm(session, now)
+            if alarm <= now:
+                session.state = READY
+                session.runnable_since = alarm
+                session.group = None
+            else:
+                still.append(session)
+        self._sleepers[:] = still
+
     def _step(self, session: Session) -> None:
-        t0 = self.clock.now
+        clock = self.clock
+        t0 = clock.now
         try:
             event = next(session.gen)
         except StopIteration:
+            if self.holding:
+                clock.realize()  # a finished session has nothing to sleep
             session.service += self.clock.now - t0
             session.state = DONE
             held = self.locks.held_by(session.sid)
@@ -271,11 +328,17 @@ class Scheduler:
                 detail=held,
             )
             return
-        session.service += self.clock.now - t0
         if not isinstance(event, Blocked):
             raise SchedInvariantError(
                 f"session yielded a non-Blocked event: {event!r}"
             )
+        hold = None
+        if self.holding:
+            if event.lock_key is None:
+                hold = clock.hold
+            else:
+                clock.realize()  # a lock waiter wakes on its handoff only
+        session.service += clock.now - t0
         # Reentrancy audit: a suspension must never happen inside a
         # tree critical section (flush/split half-applied).
         if self._env is not None and self._env.in_critical:
@@ -284,9 +347,15 @@ class Scheduler:
             )
         if event.lock_key is not None:
             session.state = LOCKWAIT
+        elif hold is not None:
+            # The call ended on a device wait: sleep through it.
+            session.wake, session.group = hold, clock.group
+            clock.hold = clock.group = None
+            session.state = SLEEPING
+            self._sleepers.append(session)
         else:
             session.state = READY
-            session.runnable_since = self.clock.now
+            session.runnable_since = clock.now
 
     # ------------------------------------------------------------------
     # Fairness / starvation metrics
@@ -330,3 +399,13 @@ class Scheduler:
     def elapsed(self) -> float:
         end = self._finished if self._finished is not None else self.clock.now
         return end - self._started
+
+
+def _alarm(session: Session, now: float) -> float:
+    """The instant a sleeper can next progress: its wait's deadline,
+    then the completion of its flush group (never, before the group is
+    issued)."""
+    if session.wake > now or session.group is None:
+        return session.wake
+    done = session.group.done
+    return float("inf") if done is None else done

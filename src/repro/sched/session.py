@@ -29,8 +29,11 @@ free — outside scheduled runs).  An operation runs to completion
 before its session yields, so every VFS/tree call is atomic with
 respect to other sessions and the Bε-tree is always quiescent at a
 switch (the scheduler asserts this against the core's critical-section
-depth).  Determinism follows: the interleaving is a pure function of
-the scripts, the policy, and the seed.
+depth).  A call that ends on a device wait — its *hold* on the
+simulated clock (``repro/device/clock.py``) — also yields, and its
+session sleeps until the wait is over while others run.  Determinism
+follows: the interleaving is a pure function of the scripts, the
+policy, and the seed.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ BLOCK_KINDS = (
 # Session lifecycle states.
 READY = "ready"
 LOCKWAIT = "lockwait"
+SLEEPING = "sleeping"
 DONE = "done"
 
 
@@ -104,6 +108,16 @@ class Blocked:
 #: only reads an event, so a yield that names no lock reuses it.
 _YIELDS: Dict[str, Blocked] = {kind: Blocked(kind) for kind in BLOCK_KINDS}
 
+#: Yielded by a call that ends on a device wait no layer reported.
+_DEVICE_WAIT = Blocked("device_wait")
+
+
+class _NoHolds:
+    """Stands in for a clock that cannot hold a wait (a test's bare
+    clock): no call ever ends on a hold."""
+
+    hold = None
+
 
 class Session:
     """One client session: script generator + scheduling accounting."""
@@ -119,6 +133,10 @@ class Session:
         self.affinity: Optional[int] = None
         #: Simulated instant this session last became runnable.
         self.runnable_since = 0.0
+        #: While sleeping: the deadline of the call's trailing wait,
+        #: then the flush group whose completion it waits for (or None).
+        self.wake = 0.0
+        self.group: Optional[Any] = None
         #: Completion instant of the previous logical op (latency base).
         self.last_op_end = 0.0
         #: Per-op sojourn latencies (wait + service), simulated seconds.
@@ -174,6 +192,7 @@ class SessionContext:
         # The scheduler's plain per-run state every primitive touches,
         # bound once (none of it reaches the mount, none is a bound method).
         self._kinds: List[str] = sched.signal.kinds
+        self._clock: Any = sched.clock if sched.holding else _NoHolds
         self._locks = sched.locks
         self._lock_order: Set[Tuple[str, str]] = sched.lock_order
         #: Keys this session holds, in acquisition order.
@@ -187,7 +206,9 @@ class SessionContext:
         self, fn: Callable[..., Any], *args: Any, **kwargs: Any
     ) -> Generator[Blocked, None, Any]:
         """Execute one VFS-level call; yield once if it hit a blocking
-        point.  Returns the call's result (via ``yield from``)."""
+        point or ends on a device wait (the scheduler then sleeps the
+        session until the wait is over).  Returns the call's result
+        (via ``yield from``)."""
         kinds = self._kinds
         if kinds:
             kinds.clear()
@@ -197,6 +218,8 @@ class SessionContext:
             for kind in kinds:
                 note_block(kind)
             yield _YIELDS[kinds[0]]
+        elif self._clock.hold is not None:
+            yield _DEVICE_WAIT
         return out
 
     def acquire(self, key: str) -> Generator[Blocked, None, None]:

@@ -15,15 +15,21 @@ rename atomic):
    point the move is certain: recovery rolls it forward.
 2. *Apply*: inserts are applied to the destination volumes, which are
    then synced (coordinator-first index order, deterministically).
-3. *Resolve*: deletes are applied and the intent record is deleted.
-   No final sync — if the resolution is lost in a crash, recovery
-   simply re-applies the (idempotent) batch and retires the intent.
+3. *Resolve*: deletes are applied, the volumes other than the
+   coordinator that took a delete are synced (index order), and the
+   intent record is deleted.  No final sync — if the resolution is lost
+   in a crash, recovery simply re-applies the (idempotent) batch and
+   retires the intent.  The coordinator's own deletes need no sync: its
+   log holds them ahead of the intent delete, and replay stops at the
+   first break.
 
 :meth:`ShardedEnv.resolve_intents` is the recovery half: after each
 volume has replayed its own WAL, every surviving intent record is
-re-applied and removed.  The intent payload is self-contained (it
-embeds the moved values), so resolution never depends on source
-entries that phase 3 may already have deleted.
+re-applied and removed, in intent-sequence order whichever volume
+holds it — a later move may move the name an earlier one made.  The
+intent payload is self-contained (it embeds the moved values), so
+resolution never depends on source entries that phase 3 may already
+have deleted.
 """
 
 from __future__ import annotations
@@ -208,11 +214,16 @@ class ShardedEnv:
             self.envs[shard].insert(tree, key, value)
         for shard in sorted({ins[0] for ins in inserts}):
             self.envs[shard].sync()
-        # Phase 3: retire the sources and the intent.  Deliberately not
-        # synced — recovery re-applies the batch from the intent record
-        # if this tail is lost.
+        # Phase 3: retire the sources, then the intent.  A source delete
+        # on another volume is durable before the intent that would redo
+        # it can be: otherwise a crash after the coordinator's next sync
+        # keeps the intent's retirement and loses the delete.  The
+        # intent delete itself is not synced — recovery re-applies the
+        # batch from the intent record if this tail is lost.
         for shard, tree, key in deletes:
             self.envs[shard].delete(tree, key)
+        for shard in sorted({d[0] for d in deletes} - {coordinator}):
+            self.envs[shard].sync()
         coord.delete(META, intent_key)
         self.xshard_ops += 1
 
@@ -237,23 +248,35 @@ class ShardedEnv:
     def resolve_intents(self) -> int:
         """Recovery: roll surviving intent records forward; returns the
         number resolved.  Idempotent — re-applying a batch that already
-        ran (or partially ran) converges to the same state."""
-        resolved = 0
-        for env in self.envs:
+        ran (or partially ran) converges to the same state.
+
+        Intents apply in sequence order across every volume: two moves
+        whose intents both survived on different coordinators must land
+        as they committed, or the earlier one re-creates the name the
+        later one moved away.  New intents number past the survivors."""
+        surviving = [
+            (intent_key, env, value)
+            for env in self.envs
             for intent_key, value in env.range_query(
                 META, INTENT_PREFIX, INTENT_END
-            ):
-                payload = value_bytes(value)
-                self.clock.cpu(self.costs.memcpy(len(payload)))
-                inserts, deletes = unpack_intent(payload)
-                for shard, tree, key, val in inserts:
-                    self.envs[shard].insert(tree, key, val)
-                for shard, tree, key in deletes:
-                    self.envs[shard].delete(tree, key)
-                env.delete(META, intent_key)
-                resolved += 1
-        self.xshard_ops += resolved
-        return resolved
+            )
+        ]
+        # The big-endian sequence number after the prefix sorts as bytes.
+        surviving.sort(key=lambda row: row[0])
+        for intent_key, env, value in surviving:
+            payload = value_bytes(value)
+            self.clock.cpu(self.costs.memcpy(len(payload)))
+            inserts, deletes = unpack_intent(payload)
+            for shard, tree, key, val in inserts:
+                self.envs[shard].insert(tree, key, val)
+            for shard, tree, key in deletes:
+                self.envs[shard].delete(tree, key)
+            env.delete(META, intent_key)
+        if surviving:
+            (last,) = struct.unpack(">Q", surviving[-1][0][len(INTENT_PREFIX):])
+            self._intent_seq = max(self._intent_seq, last + 1)
+        self.xshard_ops += len(surviving)
+        return len(surviving)
 
     def pending_intents(self) -> int:
         """Unresolved intent records across all volumes (normally 0)."""

@@ -123,10 +123,7 @@ class Ext4Southbound(Southbound):
             # upper and lower dirty counts never drain together, so
             # the writer sleeps roughly one more drain period
             # (balance_dirty_pages pause) per high-water event.
-            self.clock.wait_until(
-                self.clock.now
-                + DIRTY_LIMIT / self.device.profile.sustained_write_bw
-            )
+            self.clock.wait_for(DIRTY_LIMIT / self.device.profile.sustained_write_bw)
         self._dirty_completions.clear()
         self._dirty_bytes = 0
 

@@ -67,3 +67,15 @@ class Coordinator:
     def fire_and_forget(self, key: bytes, value: bytes) -> None:  # line 67
         payload = pack_intent(key, value)
         self.envs[0].insert(key, payload)
+
+    def retire_early(self, key: bytes, value: bytes) -> None:
+        payload = pack_intent(key, value)
+        coord = self.envs[0]
+        coord.insert(key, payload)
+        coord.sync()
+        for i in sorted([0, 1]):
+            self.envs[i].insert(key, value)
+            self.envs[i].sync()
+        for i in sorted([1]):
+            self.envs[i].delete(key)
+        coord.delete(key)  # line 81: retired before the source delete is synced

@@ -446,16 +446,12 @@ class TestReproFiles:
         assert isinstance(result, CaseResult)
         assert result.status == CLEAN, (result.stage, result.detail)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="a lost command between two persisted ones leaves both "
-        "names of a cross-shard rename (ROADMAP item 1(b))",
-    )
     def test_pinned_cross_shard_rename_recovers_clean(self):
-        """The shrunk plan `torture --seed 0 --budget 3000` finds:
+        """The shrunk plan `torture --seed 0 --budget 3000` found:
         `xshard_rename` op 128, plan `subset`, epoch 80, commands 105
-        and 107 persisted and 106 lost."""
+        and 107 persisted and 106 lost.  Op 125's intent survives on
+        one volume and op 128's on another; recovery must apply them
+        in sequence order, not volume order."""
         repro = load_repro(os.path.join(FIXTURES, "xshard_rename_op128.json"))
         result = replay_repro(repro)
         assert result.status == CLEAN, (result.stage, result.detail)
@@ -471,6 +467,15 @@ class TestReproFiles:
 # Explorer end-to-end
 # ======================================================================
 class TestExplorer:
+    def test_unused_plan_quota_goes_to_workloads_with_more_plans(self):
+        needs = [907, 309, 527, 712]  # the four workloads at seed 0
+        budgets = CrashExplorer._budgets([750] * 4, needs)
+        assert [plans for plans, _media in budgets] == needs
+        assert sum(plans + media for plans, media in budgets) == 3000
+        assert min(media for _plans, media in budgets) == 75
+        # No workload can spare any: every share splits as it always did.
+        assert CrashExplorer._budgets([50] * 4, needs) == [(45, 5)] * 4
+
     def test_bounded_run_is_deterministic_and_clean(self):
         def run():
             return json.dumps(

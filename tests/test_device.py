@@ -171,6 +171,75 @@ class TestSegmentStoreAgainstAFlatOracle:
         )
 
 
+def _held(profile=COMMODITY_SSD):
+    """A device whose clock holds waits, as under a scheduler."""
+    clock = SimClock()
+    clock.holds = True
+    return BlockDevice(clock, profile), clock
+
+
+def _timeline(dev, clock):
+    return (clock.now, clock.io_wait, clock.cpu_time, dev.busy_until)
+
+
+class TestHolds:
+    """A held wait is realized by the next charge, wait or device
+    command of the same call, exactly as the wait would have been."""
+
+    def test_a_wait_holds_instead_of_advancing(self):
+        dev, clock = _held()
+        dev.write(0, b"x" * 4096)
+        assert clock.now == 0.0 and clock.hold == dev.busy_until > 0.0
+
+    @pytest.mark.parametrize(
+        "then",
+        [
+            lambda dev, clock: clock.cpu(1e-6),
+            lambda dev, clock: dev.wait(dev.submit_read(1 << 20, 4096)),
+            lambda dev, clock: dev.submit_write(1 << 24, b"w" * 4096),
+            lambda dev, clock: dev.discard(1 << 26, 4096),
+            lambda dev, clock: dev.read(1 << 20, 4096),
+            lambda dev, clock: clock.wait_for(1e-4),
+            lambda dev, clock: dev.flush(),
+        ],
+        ids=["charge", "wait", "write", "discard", "read", "wait_for", "flush"],
+    )
+    def test_next_step_realizes_the_hold_first(self, then):
+        """The hold (a write, then a backoff that outlasts the device's
+        queue) must be over before ``then`` reads the clock."""
+        plain = BlockDevice(SimClock(), COMMODITY_SSD)
+        held, clock = _held()
+        for dev in (plain, held):
+            dev.write(0, b"x" * (64 << 10))
+            dev.clock.wait_for(1e-3)
+            then(dev, dev.clock)
+        clock.realize()
+        assert _timeline(held, clock) == _timeline(plain, plain.clock)
+        assert held.stats.flushes == plain.stats.flushes
+
+    def test_two_barriers_in_one_call_are_two_flushes(self):
+        plain = BlockDevice(SimClock(), COMMODITY_SSD)
+        held, clock = _held()
+        for dev in (plain, held):
+            dev.write(0, b"x" * 4096)
+            dev.flush()
+            dev.flush()
+        clock.realize()
+        assert held.stats.flushes == plain.stats.flushes == 2
+        assert _timeline(held, clock) == _timeline(plain, plain.clock)
+
+    def test_a_busy_device_defers_the_flush_to_its_group(self):
+        dev, clock = _held()
+        dev.enable_volatile_cache()
+        dev.write(0, b"x" * 4096)
+        dev.flush()
+        assert dev.stats.flushes == 0 and clock.group.done is None
+        assert dev.sealed_epochs() == 0
+        clock.realize()
+        assert dev.stats.flushes == 1 and clock.group is None
+        assert dev.sealed_epochs() == 1 and clock.now == dev.busy_until
+
+
 class TestBlockDeviceTiming:
     def make(self, profile=COMMODITY_SSD):
         clock = SimClock()

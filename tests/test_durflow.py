@@ -95,14 +95,16 @@ class TestDurflowFixtures:
         ], [v.render() for v in found]
 
     def test_intent_protocol_anchors(self):
-        """Three coordinator mistakes: applying to a shard before the
+        """Four coordinator mistakes: applying to a shard before the
         intent is durable, fanning out over an unsorted shard iterator,
-        and returning before phase 2 completes."""
+        returning before phase 2 completes, and retiring the intent
+        while another volume's source delete is unsynced."""
         found = _by_rule(_fixture_report())["intent-protocol"]
         assert _anchors(found) == [
             ("bad_intent_order.py", 63),
             ("bad_intent_order.py", 64),
             ("bad_intent_order.py", 67),
+            ("bad_intent_order.py", 81),
         ], [v.render() for v in found]
 
     def test_recovery_reads_durable_anchor(self):

@@ -229,11 +229,11 @@ DOC_COMMAND_LINES = [
         {"seed": 7, "budget": 500, "torture_out": "repro.json"},
     ),
     (
-        "torture --seed 0 --budget 200 --torture-out crashmc-repro.json --verify-order-graph",
-        {"torture_out": "crashmc-repro.json", "verify_order_graph": True},
+        "torture --seed 0 --budget 3000 --torture-out crashmc-repro.json --verify-order-graph",
+        {"torture_out": "crashmc-repro.json", "verify_order_graph": True, "budget": 3000},
     ),
     (
-        "torture --seed 0 --budget 200 --torture-out crashmc-repro.json",
+        "torture --seed 0 --budget 3000 --torture-out crashmc-repro.json",
         {"torture_out": "crashmc-repro.json", "verify_order_graph": False},
     ),
     ("all --scale default --check --quiet", {"check": True, "out": None, "quiet": True}),

@@ -11,6 +11,9 @@ Covers the PR's acceptance criteria:
 * policies are pure functions of (ready set, state, seeded RNG);
 * fairness math (Jain's index, max-wait) and the per-session
   latency/block accounting;
+* a session sleeps through the device wait its call ends on, fsyncs
+  that find the device busy share one flush, and each is durable when
+  its session resumes;
 * the 64-session configuration from the issue completes and reports.
 """
 
@@ -20,9 +23,14 @@ import random
 
 import pytest
 
+from repro.betrfs.filesystem import make_betrfs
 from repro.check.errors import SchedInvariantError
+from repro.crashmc.plan import CrashPlan
+from repro.device.block import BlockDevice
+from repro.device.clock import SimClock
 from repro.harness.__main__ import main as harness_main
 from repro.harness.mt import run_mt, to_json
+from repro.model.profiles import COMMODITY_SSD
 from repro.sched import (
     BLOCK_KINDS,
     Blocked,
@@ -36,6 +44,8 @@ from repro.sched import (
 )
 from repro.sched.policy import FIFOPolicy, LotteryPolicy, RoundRobinPolicy
 from repro.sched.sched import Scheduler as SchedulerClass
+from repro.sched.session import SessionContext
+from repro.workloads.mailserver import mailserver_mt
 from repro.workloads.scale import SMOKE_SCALE
 
 
@@ -348,6 +358,92 @@ class TestRuntimeInvariants:
         sched.spawn("owner", owner)
         sched.spawn("bystander", bystander)
         assert _raised(sched) == "lock handoff to session 1 in state ready"
+
+
+# ----------------------------------------------------------------------
+# Sleepers and group commit
+# ----------------------------------------------------------------------
+class _DeviceMount:
+    """A mount that is a clock and one volatile-cache device."""
+
+    def __init__(self):
+        self.clock = SimClock()
+        self.device = BlockDevice(self.clock, COMMODITY_SSD, volatile_cache=True)
+        self.costs = _FakeCosts()
+
+
+class TestGroupCommit:
+    def _fsync_like(self, dev, offset):
+        def call():
+            dev.write(offset, b"m" * 4096)
+            dev.flush()
+
+        return call
+
+    def test_fsyncs_on_a_busy_device_share_one_flush(self):
+        mount = _DeviceMount()
+        dev = mount.device
+        woke = {}
+
+        def script(name, offset):
+            def run(ctx):
+                yield from ctx.run(self._fsync_like(dev, offset))
+                woke[name] = (ctx.session.runnable_since, dev.sealed_epochs())
+
+            return run
+
+        sched = Scheduler(mount)
+        sched.spawn("a", script("a", 0))
+        sched.spawn("b", script("b", 1 << 20))
+        sched.run()
+        assert dev.stats.flushes == 1
+        done = dev.busy_until
+        assert woke == {"a": (done, 1), "b": (done, 1)}
+        assert [r.offset for r in dev.epoch_records(0)] == [0, 1 << 20]
+        assert mount.clock.hold is None and dev._group is None
+
+    def test_a_lone_session_sleeps_to_the_unscheduled_deadlines(self):
+        plain = _DeviceMount()
+        for offset in (0, 1 << 20):
+            self._fsync_like(plain.device, offset)()
+        mount = _DeviceMount()
+
+        def run(ctx):
+            for offset in (0, 1 << 20):
+                yield from ctx.run(self._fsync_like(mount.device, offset))
+
+        sched = Scheduler(mount)
+        sched.spawn("solo", run)
+        sched.run()
+        assert (mount.clock.now, mount.clock.io_wait) == (
+            plain.clock.now, plain.clock.io_wait
+        )
+        assert mount.device.stats.flushes == plain.device.stats.flushes == 2
+
+    def test_every_fsync_is_durable_when_its_session_resumes(self, monkeypatch):
+        """8 mail sessions on a volatile-cache device: when an fsync's
+        session resumes, a crash that keeps only the sealed epochs
+        reads the file back as the device already holds it."""
+        fs = make_betrfs("BetrFS v0.6")
+        fs.device.enable_volatile_cache()
+        checked = []
+        run = SessionContext.run
+
+        def checked_run(ctx, fn, *args):
+            out = yield from run(ctx, fn, *args)
+            if fn == fs.vfs.fsync:
+                path = args[0]
+                sealed = CrashPlan(epoch=fs.device.sealed_epochs())
+                durable, accepted = fs.crash(sealed).vfs, fs.crash().vfs
+                size = accepted.stat(path).size
+                assert durable.stat(path).size == size, path
+                assert durable.read(path, 0, size) == accepted.read(path, 0, size)
+                checked.append(path)
+            return out
+
+        monkeypatch.setattr(SessionContext, "run", checked_run)
+        sched = mailserver_mt(fs, SMOKE_SCALE, sessions=8, seed=11)
+        assert sched.block_totals()["fsync"] == len(checked) > 8
 
 
 # ----------------------------------------------------------------------

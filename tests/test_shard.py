@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.betrfs.filesystem import make_betrfs
+from repro.betrfs.filesystem import MountOptions, make_betrfs
 from repro.check.fsck import fsck_mount
 from repro.core.env import DATA, META, KVEnv
 from repro.harness.mt import device_sha256, run_mt, to_json
@@ -199,6 +199,7 @@ class TestTwoPhase:
         assert env.get(META, b"/dst/k") is not None
         assert env.get(META, b"/src/k") is None
         assert env.pending_intents() == 0
+        assert env._intent_seq == 1  # new intents number past survivors
         # A second recovery finds nothing and changes nothing.
         assert env.resolve_intents() == 0
 
@@ -229,6 +230,33 @@ class TestShardedMount:
             assert vfs.read(f"{dst_dir}/f", 0, 11) == b"hello shard"
             assert not vfs.exists("/a/f")
             assert vfs.readdir(dst_dir) == ["f"]
+
+    def test_directory_rename_survives_a_crash_without_orphans(self):
+        """The children live on another volume than the directory's
+        entry.  An fsync on the coordinator's volume makes the intent's
+        retirement durable; the children's source deletes must be
+        durable by then too, or the old names outlive the rename."""
+        fs = make_sharded_betrfs("BetrFS v0.6", MountOptions(scale=1 / 64), shards=4)
+        vfs, sm = fs.vfs, fs.shard_map
+        vfs.mkdir("/d0")
+        kids = [f"/d0/f{i}" for i in range(3)]
+        for kid in kids:
+            vfs.create(kid)
+            vfs.write(kid, 0, b"k")
+        coord = sm.owner_of_entry("/d0")
+        assert {sm.owner_of_entry(kid) for kid in kids} != {coord}
+        side = next(
+            f"/g{i}" for i in range(100) if sm.owner_of_entry(f"/g{i}") == coord
+        )
+        vfs.create(side)
+        vfs.sync()
+        vfs.rename("/d0", "/d2")
+        vfs.write(side, 0, b"s")
+        vfs.fsync(side)
+        after = fs.crash().vfs
+        assert not after.exists("/d0") and after.exists("/d2")
+        assert [after.exists(kid) for kid in kids] == [False] * 3
+        assert [after.exists(kid.replace("/d0", "/d2")) for kid in kids] == [True] * 3
 
     def test_volumes_fsck_clean_and_gauges_report(self):
         with session(Observability()):
