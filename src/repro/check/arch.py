@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.check import flow
-from repro.check.flow import write_graph  # re-export: arch.write_graph(report, prefix)
 
 #: Rule identifiers this analysis can emit.
 RULES = ("layer-violation", "import-cycle", "unclassified-module", "unused-waiver")
@@ -377,50 +376,26 @@ def analyze(
         )
 
     # Pass 4: cycles over the unwaived graph.
-    for scc in flow.unwaived_cycles(known_modules, report.edges, waivers):
-        path, line = _edge_location(report.edges, scc)
+    for scc, inside in flow.unwaived_cycles(known_modules, report.edges, waivers):
+        path, line = min((e.path, e.line) for e in inside)  # a stable anchor
         findings.add(
             path,
             line,
             "import-cycle",
-            "import cycle: " + " -> ".join(_cycle_path(report.edges, scc)),
+            "import cycle: " + " -> ".join(_cycle_path(inside, scc)),
         )
 
     report.finish(findings, waivers)
     return report
 
 
-def _cycle_path(edges: Iterable[ImportEdge], scc: List[str]) -> List[str]:
-    """An actual module cycle inside ``scc``: a shortest path from its
-    first module, through at least one edge, back to itself."""
-    in_scc = set(scc)
+def _cycle_path(inside: Iterable[ImportEdge], scc: List[str]) -> List[str]:
+    """An actual module cycle inside ``scc``, whose edges are
+    ``inside``: a shortest path from its first module, through at least
+    one edge, back to itself."""
     graph: Dict[str, List[str]] = {m: [] for m in scc}
-    for e in edges:
-        if e.waived_reason is None and e.src in in_scc and e.dst in in_scc:
-            graph[e.src].append(e.dst)
+    for e in inside:
+        graph[e.src].append(e.dst)
     anchor = min(scc)
     back = flow.reach(graph[anchor], lambda m: graph[m])
     return [anchor, *reversed(flow.chain(back, anchor))]
-
-
-def _edge_location(
-    edges: Iterable[ImportEdge], cycle: List[str]
-) -> Tuple[str, int]:
-    """A stable (path, line) anchor for a cycle: its first in-cycle edge."""
-    in_cycle = set(cycle)
-    best: Optional[Tuple[str, int]] = None
-    for e in edges:
-        if e.src in in_cycle and e.dst in in_cycle and e.waived_reason is None:
-            loc = (e.path, e.line)
-            if best is None or loc < best:
-                best = loc
-    return best if best is not None else ("<unknown>", 0)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point used by ``python -m repro.check arch``."""
-    return flow.run_cli(ArchReport, analyze, argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -36,7 +36,11 @@ happens to execute):
   (:data:`SINK_METHODS`) or a constructor.
 
 The first three are one walk of each function body (:class:`_LockAnalyzer`
-on :mod:`repro.check.flow`'s walker); a helper's callees are the ones
+on :mod:`repro.check.flow`'s engine, shared with
+:mod:`repro.check.durflow`), which states only conc's lattice
+(:class:`_State`: held counts, critical depth, key bindings, each with
+its join), its calls (the session context's primitives, critical
+sections, signal fires) and its rules; a helper's callees are the ones
 the typed call graph recorded.  Known idealizations (shared with the
 runtime cross-check in ``harness mt --verify-lock-graph``, which
 backstops them): loops over a recognized key sequence are assumed to
@@ -132,15 +136,11 @@ _MANY = 2
 # Lock graph
 # ======================================================================
 @dataclass
-class LockEdge:
-    """One may-hold-while-acquiring edge between lock classes."""
+class LockEdge(flow.Edge):
+    """One may-hold-while-acquiring edge between lock classes; ``func``
+    is the "module:qualname" of the acquire site."""
 
-    src: str
-    dst: str
-    ordered: bool  # acquired by iterating a sorted(...) key sequence
-    path: str
-    line: int
-    func: str  # "module:qualname" of the acquire site
+    ordered: bool = False  # acquired by iterating a sorted(...) key sequence
     chain: str = ""  # caller -> callee evidence for summarized sites
     waived_reason: Optional[str] = None
 
@@ -163,12 +163,10 @@ class LockEdge:
 
 
 @dataclass
-class LockGraph:
+class LockGraph(flow.EdgeGraph):
     """Static lock-acquisition graph over lock classes."""
 
     nodes: Dict[str, bool] = field(default_factory=dict)  # pattern -> exact?
-    edges: List[LockEdge] = field(default_factory=list)
-    _seen: Set[Tuple[str, str, bool, str, int]] = field(default_factory=set)
 
     def add_node(self, cls: Tuple[str, bool]) -> None:
         pattern, exact = cls
@@ -186,12 +184,9 @@ class LockGraph:
     ) -> None:
         self.add_node(src)
         self.add_node(dst)
-        key = (src[0], dst[0], ordered, path, line)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.edges.append(
-            LockEdge(src[0], dst[0], ordered, path, line, func, chain)
+        self.add(
+            (src[0], dst[0], ordered, path, line),
+            LockEdge(src[0], dst[0], path, line, func, ordered, chain),
         )
 
     def _match(self, pattern: str, key: str) -> bool:
@@ -220,12 +215,7 @@ class LockGraph:
             "nodes": [
                 {"class": p, "exact": self.nodes[p]} for p in sorted(self.nodes)
             ],
-            "edges": [
-                e.to_dict()
-                for e in sorted(
-                    self.edges, key=lambda e: (e.src, e.dst, e.path, e.line)
-                )
-            ],
+            "edges": [e.to_dict() for e in self.sorted_edges()],
         }
 
     def to_dot(self) -> str:
@@ -237,7 +227,7 @@ class LockGraph:
         for pattern in sorted(self.nodes):
             shape = "box" if self.nodes[pattern] else "folder"
             lines.append(f'  "{pattern}" [shape={shape}];')
-        for e in sorted(self.edges, key=lambda e: (e.src, e.dst, e.path, e.line)):
+        for e in self.sorted_edges():
             attrs = [f'label="{e.path.rsplit("/", 1)[-1]}:{e.line}"']
             if e.ordered:
                 attrs.append("style=dashed")
@@ -298,66 +288,48 @@ class ConcReport(flow.Report):
 # ======================================================================
 # Lock/yield abstract interpretation
 # ======================================================================
-class _State:
+class _State(flow.State):
     """Abstract machine state at one program point."""
 
     __slots__ = ("held", "crit", "vars")
-
-    def __init__(self) -> None:
-        #: lock class -> held count (saturating at _MANY)
-        self.held: Dict[Tuple[str, bool], int] = {}
+    JOIN = {
+        #: lock class -> held count (saturating at _MANY): pointwise
+        #: max, dropping zero counts
+        "held": lambda a, b: {
+            cls: n for cls in a.keys() | b.keys() if (n := max(a.get(cls, 0), b.get(cls, 0)))
+        },
         #: critical-section depth
-        self.crit = 0
+        "crit": max,
         #: local name -> ("key", cls) | ("list", classes, ordered)
-        #:             | ("loopkey", classes, ordered) | _SIGNAL
-        self.vars: Dict[str, tuple] = {}
-
-    def copy(self) -> "_State":
-        out = _State()
-        out.held = dict(self.held)
-        out.crit = self.crit
-        out.vars = dict(self.vars)
-        return out
-
-    def merge(self, other: "_State") -> "_State":
-        out = _State()
-        out.crit = max(self.crit, other.crit)
-        for cls in set(self.held) | set(other.held):
-            n = max(self.held.get(cls, 0), other.held.get(cls, 0))
-            if n:
-                out.held[cls] = n
-        out.vars = {k: v for k, v in self.vars.items() if other.vars.get(k) == v}
-        return out
+        #:             | ("loopkey", classes, ordered) | _SIGNAL:
+        #: only the bindings both paths agree on
+        "vars": lambda a, b: {k: v for k, v in a.items() if b.get(k) == v},
+    }
+    DEFAULT = {"held": {}, "crit": 0, "vars": {}}
 
     def held_classes(self) -> List[Tuple[str, bool]]:
         return [cls for cls, n in self.held.items() if n > 0]
 
 
-@dataclass
-class _Summary:
-    """Interprocedural effect of one helper generator/function."""
+class _FuncCtx(flow.Context):
+    """Per-function bookkeeping while interpreting one body.  Its summary
+    is the ``held`` field of the exit join (the net held delta), the
+    lock classes acquired on any path, and whether it may suspend."""
 
-    acquires: Set[Tuple[str, bool]] = field(default_factory=set)
-    net: Dict[Tuple[str, bool], int] = field(default_factory=dict)
-    suspends: bool = False
-
-
-class _FuncCtx:
-    """Per-function bookkeeping while interpreting one body."""
-
-    def __init__(self, finfo: flow.FuncInfo, qual: str, node: ast.AST) -> None:
-        self.finfo = finfo
-        self.qual = qual  # display qualname (includes <locals> nesting)
+    def __init__(self, func: flow.FuncInfo, node: ast.AST, qual: str) -> None:
+        super().__init__(func, node, qual)
         self.acquires: Set[Tuple[str, bool]] = set()
         self.suspends = False
-        self.exits: List[Tuple[_State, int]] = []
-        self.ctx_names = _context_params(node)
+        #: names that denote the SessionContext: parameters annotated as
+        #: such (plain or string annotation) or literally named ``ctx`` —
+        #: the naming convention every script in the tree follows
+        self.ctx_names = {"ctx"} | {
+            name
+            for name, a in self.params.items()
+            if a.annotation is not None and "SessionContext" in ast.unparse(a.annotation)
+        }
         #: ``x`` of every enclosing ``if x is not None:`` then-branch
         self.guards: List[Optional[str]] = []
-
-    @property
-    def render(self) -> str:
-        return f"{self.finfo.module}:{self.qual}"
 
 
 def _not_none_guard(test: ast.expr) -> Optional[str]:
@@ -373,19 +345,6 @@ def _not_none_guard(test: ast.expr) -> Optional[str]:
     return None
 
 
-def _context_params(node: ast.AST) -> Set[str]:
-    """Parameter names that denote the SessionContext: annotated as
-    such (plain or string annotation) or literally named ``ctx`` —
-    the naming convention every script in the tree follows."""
-    args = getattr(node, "args", None)
-    params = [] if args is None else [*args.posonlyargs, *args.args, *args.kwonlyargs]
-    return {"ctx"} | {
-        a.arg
-        for a in params
-        if a.annotation is not None and "SessionContext" in ast.unparse(a.annotation)
-    }
-
-
 class _LockAnalyzer(flow.Walker):
     """Lock/yield interpretation of every function body, which also
     checks the signal placement of every ``BlockSignal`` fire it meets.
@@ -396,6 +355,8 @@ class _LockAnalyzer(flow.Walker):
     in a statement the walk never reaches (after a ``return``, in a
     ``while ... else``) is not checked."""
 
+    STATE = _State
+
     def __init__(
         self,
         program: flow.Program,
@@ -404,8 +365,7 @@ class _LockAnalyzer(flow.Walker):
         manifest: Sequence[Tuple[str, Sequence[str]]],
         signal_layers: Dict[str, str],
     ) -> None:
-        super().__init__()
-        self.program = program
+        super().__init__(program)
         self.graph = graph
         self.findings = findings
         self.acquire_sites = 0
@@ -416,34 +376,25 @@ class _LockAnalyzer(flow.Walker):
             name: (classify(name, manifest) or (None,))[0] for name in program.modules
         }
 
-    # -- driver ---------------------------------------------------------
-    def run(self, finfo: flow.FuncInfo) -> _Summary:
-        return self.summary(finfo.key, finfo.qualname, finfo.node, finfo)
+    # -- summaries ------------------------------------------------------
+    def context(self, func: flow.FuncInfo, node: ast.AST, qual: str) -> _FuncCtx:
+        return _FuncCtx(func, node, qual)
 
-    def recursion_summary(self) -> _Summary:
-        return _Summary(suspends=True)  # recursion: empty fixpoint
+    def recursion_summary(self, fc: _FuncCtx) -> None:
+        fc.suspends = True  # recursion: empty fixpoint
 
-    def summarize(
-        self, key: str, qual: str, node: ast.AST, finfo: flow.FuncInfo
-    ) -> _Summary:
-        fc = _FuncCtx(finfo, qual, node)
-        exits = self.walk_body(node.body, _State(), fc)
-        summary = _Summary(acquires=set(fc.acquires), suspends=fc.suspends)
-        for st, line in exits:
+    def exit_rules(self, fc: _FuncCtx) -> None:
+        for st, line in fc.exits:
             leaked = sorted(p for (p, _x), n in st.held.items() if n > 0)
             if leaked:
                 self.findings.add(
-                    finfo.path,
+                    fc.func.path,
                     line,
                     "lock-leak",
-                    f"{fc.render} can exit still holding lock class(es) "
+                    f"{fc.key} can exit still holding lock class(es) "
                     f"{', '.join(leaked)} — release on every non-exception "
                     "exit or add '# conc: allow[reason]'",
                 )
-            for cls, n in st.held.items():
-                if n > summary.net.get(cls, 0):
-                    summary.net[cls] = n
-        return summary
 
     # -- statements -----------------------------------------------------
     def transfer(self, stmt: ast.stmt, cur: _State, fc: _FuncCtx) -> None:
@@ -468,9 +419,7 @@ class _LockAnalyzer(flow.Walker):
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # Nested defs (workload script factories) run deferred with
             # fresh state; analyze them as functions in their own right.
-            nested_qual = f"{fc.qual}.<locals>.{stmt.name}"
-            nested_key = f"{fc.finfo.module}:{nested_qual}"
-            self.summary(nested_key, nested_qual, stmt, fc.finfo)
+            self.summary(fc.func, stmt, f"{fc.qual}.<locals>.{stmt.name}")
 
     def join_handlers(self, out: Optional[_State], handled: list):
         return out  # exception paths are exempt from lock-leak
@@ -545,7 +494,7 @@ class _LockAnalyzer(flow.Walker):
         """Signal placement: a fire sits under its receiver's ``is not
         None`` guard, in the layer owning its kind or below."""
         self.signal_sites += 1
-        path, line = fc.finfo.path, call.lineno
+        path, line = fc.func.path, call.lineno
         recv = ast.unparse(call.func.value)
         if recv not in fc.guards:
             self.findings.add(
@@ -557,7 +506,7 @@ class _LockAnalyzer(flow.Walker):
                 "cheap; guard it or add '# conc: allow[reason]'",
             )
         arg = call.args[0] if call.args else None
-        mod_rank = self.module_rank[fc.finfo.module]
+        mod_rank = self.module_rank[fc.func.module]
         if mod_rank is None or not (
             isinstance(arg, ast.Constant) and isinstance(arg.value, str)
         ):
@@ -578,7 +527,7 @@ class _LockAnalyzer(flow.Walker):
                 line,
                 "signal-misplaced",
                 f"BlockSignal kind {kind!r} belongs to layer {owner!r} or below, "
-                f"but {fc.finfo.module} sits above it — a layer may only report "
+                f"but {fc.func.module} sits above it — a layer may only report "
                 "blocking points it owns; move the fire or add "
                 "'# conc: allow[reason]'",
             )
@@ -587,10 +536,10 @@ class _LockAnalyzer(flow.Walker):
         fc.suspends = True
         if state.crit > 0:
             self.findings.add(
-                fc.finfo.path,
+                fc.func.path,
                 line,
                 "critical-yield",
-                f"{fc.render} may suspend inside an "
+                f"{fc.key} may suspend inside an "
                 "enter_critical/exit_critical section — the tree must be "
                 "quiescent at every session switch; move the blocking "
                 "call outside or add '# conc: allow[reason]'",
@@ -601,7 +550,7 @@ class _LockAnalyzer(flow.Walker):
         self, key_expr: ast.expr, state: _State, fc: _FuncCtx, line: int
     ) -> None:
         self.acquire_sites += 1
-        fi = fc.finfo
+        fi = fc.func
         loop = None
         if isinstance(key_expr, ast.Name):
             bound = state.vars.get(key_expr.id)
@@ -612,10 +561,10 @@ class _LockAnalyzer(flow.Walker):
             for held in state.held_classes():
                 if held not in classes:
                     for cls in sorted(classes):
-                        self.graph.add_edge(held, cls, False, fi.path, line, fc.render)
+                        self.graph.add_edge(held, cls, False, fi.path, line, fc.key)
             for c1 in sorted(classes):
                 for c2 in sorted(classes):
-                    self.graph.add_edge(c1, c2, ordered, fi.path, line, fc.render)
+                    self.graph.add_edge(c1, c2, ordered, fi.path, line, fc.key)
             for cls in classes:
                 state.held[cls] = _MANY
             fc.acquires |= set(classes)
@@ -623,7 +572,7 @@ class _LockAnalyzer(flow.Walker):
         cls = self._key_class(key_expr, state)
         self.graph.add_node(cls)
         for held in state.held_classes():
-            self.graph.add_edge(held, cls, False, fi.path, line, fc.render)
+            self.graph.add_edge(held, cls, False, fi.path, line, fc.key)
         state.held[cls] = min(_MANY, state.held.get(cls, 0) + 1)
         fc.acquires.add(cls)
 
@@ -647,19 +596,18 @@ class _LockAnalyzer(flow.Walker):
     ) -> bool:
         callees = self.program.typed_call(call).callees
         for callee in callees:
-            summary = self.summary(
-                callee.key, callee.qualname, callee.node, callee
-            )
+            summary = self.summary(callee)
             if summary.suspends:
                 self._suspension(line, state, fc)
-            chain = f"{fc.render} -> {callee.key}"
+            chain = f"{fc.key} -> {callee.key}"
             for cls in sorted(summary.acquires):
                 for held in state.held_classes():
                     self.graph.add_edge(
-                        held, cls, False, fc.finfo.path, line, fc.render, chain
+                        held, cls, False, fc.func.path, line, fc.key, chain
                     )
-            for cls, n in summary.net.items():
-                state.held[cls] = min(_MANY, state.held.get(cls, 0) + n)
+            if summary.exit is not None:  # its net held delta
+                for cls, n in summary.exit.held.items():
+                    state.held[cls] = min(_MANY, state.held.get(cls, 0) + n)
             fc.acquires |= summary.acquires
         return bool(callees)
 
@@ -804,15 +752,10 @@ def _lock_cycles(
 ) -> None:
     """Report every cycle of the may-hold-while-acquiring relation that
     is not fully covered by the sorted-key discipline."""
-    sccs = flow.unwaived_cycles(
+    found = flow.unwaived_cycles(
         graph.nodes, graph.edges, waivers, lambda edge: not edge.ordered
     )
-    for scc in sccs:
-        in_cycle = [
-            e
-            for e in graph.edges
-            if e.waived_reason is None and e.src in scc and e.dst in scc
-        ]
+    for _scc, in_cycle in found:
         unordered = [e for e in in_cycle if not e.ordered]
         if not unordered:
             continue  # all edges follow the one global sorted order
@@ -904,7 +847,7 @@ def analyze(
     # Lock graph, yield discipline and signal placement: one walk.
     analyzer = _LockAnalyzer(program, report.lock_graph, findings, manifest, layers)
     for func in program.functions_in_order():
-        analyzer.run(func)
+        analyzer.summary(func)
     report.acquire_sites = analyzer.acquire_sites
     report.signal_sites = analyzer.signal_sites
 
@@ -916,12 +859,3 @@ def analyze(
 
     report.finish(findings, waivers)
     return report
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point used by ``python -m repro.check conc``."""
-    return flow.run_cli(ConcReport, analyze, argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

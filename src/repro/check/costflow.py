@@ -274,12 +274,3 @@ def _witness_chain(
     if not callers.get(chain[-1]):
         rendered += " <- (entry: no callers charge upstream)"
     return rendered
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point used by ``python -m repro.check costflow``."""
-    return flow.run_cli(CostflowReport, analyze, argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -37,16 +37,18 @@ Four rule families:
   (``unflushed`` / ``epoch_records`` / ``sealed_epochs``) — recovery
   must observe only bytes that survive a crash.
 
-The analysis runs on :mod:`repro.check.flow`'s typed call graph and
-body walker (shared with :mod:`repro.check.conc`) and types no call
-itself.  What it knows about calls is two tables: :data:`CALLS`, the
-primitive durability events a (receiver family, method) call stands
-for, and :data:`PROTOCOL`, the coordinator's state machine.  Each
-function body is interpreted once over a small must/may state whose
-fields join by :data:`_JOIN`; a callee contributes a memoized summary —
-the join of its exit states, the barrier kinds it reaches, and whether
-it exposes a superblock write.  Rule 4 is a filter over the recovery
-closure's typed call sites.
+The analysis runs on :mod:`repro.check.flow`'s engine (shared with
+:mod:`repro.check.conc`): its typed call graph, its ``(family,
+method)`` call lookup, and its body walker and summary driver.  It
+types no call itself and states only its lattice, its call tables and
+its rules.  The lattice is :class:`_State`, a small must/may state
+whose fields each join by a row of ``_State.JOIN``.  The tables are
+:data:`CALLS`, the primitive durability events a (receiver family,
+method) call stands for, and :data:`PROTOCOL`, the coordinator's state
+machine.  Each function body is interpreted once; a callee contributes
+its memoized summary — the join of its exit states, the barrier kinds
+it reaches, and whether it exposes a superblock write.  Rule 4 is a
+filter over the recovery closure's typed call sites.
 
 Known idealizations (backstopped by ``--verify-order-graph``): loops
 are assumed to run at least one iteration (the canonical fan-out
@@ -60,10 +62,9 @@ arch/costflow/conc.
 from __future__ import annotations
 
 import ast
-import functools
 import operator
-from dataclasses import asdict, dataclass, field
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.check import costflow, flow
 
@@ -77,20 +78,6 @@ RULES = (
 #: themselves, deliberately-unsafe aging drivers) — shared with
 #: costflow, which drew the boundary for the same reason.
 EXEMPT_MODULES: Tuple[str, ...] = costflow.EXEMPT_MODULES
-
-#: Receiver families in precedence order: a method call belongs to the
-#: first family its receiver may be an instance of.  Each is anchored
-#: at root class names whose transitive subclass closure is computed
-#: from the program under analysis, so fixture trees only need classes
-#: *named* like these.
-FAMILIES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("env", ("KVEnv", "ShardedEnv")),
-    ("wal", ("WriteAheadLog",)),
-    ("tree", ("BeTree",)),
-    ("south", ("Southbound",)),
-    ("journal", ("Journal",)),
-    ("device", ("BlockDevice",)),
-)
 
 #: Volatile-epoch accessors on the device (rule 4 sinks).
 VOLATILE_READS: FrozenSet[str] = frozenset({"unflushed", "epoch_records", "sealed_epochs"})
@@ -207,37 +194,19 @@ RECOVERY_ENTRY_NAMES: FrozenSet[str] = frozenset({"resolve_intents", "_replay_lo
 # The static happens-before graph
 # ======================================================================
 @dataclass
-class OrderEdge:
-    """One witnessed effect→barrier ordering (first site wins)."""
-
-    src: str
-    dst: str
-    path: str
-    line: int
-    func: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-
-@dataclass
-class OrderGraph:
-    """Static happens-before graph: effect kinds → barrier kinds."""
+class OrderGraph(flow.EdgeGraph):
+    """Static happens-before graph: effect kinds → barrier kinds; one
+    witnessed effect→barrier edge per pair (first site wins)."""
 
     effects: Set[str] = field(default_factory=set)
     barriers: Set[str] = field(default_factory=set)
-    edges: List[OrderEdge] = field(default_factory=list)
-    _seen: Set[Tuple[str, str]] = field(default_factory=set)
 
     def add_edge(
         self, src: str, dst: str, path: str, line: int, func: str
     ) -> None:
         self.effects.add(src)
         self.barriers.add(dst)
-        if (src, dst) in self._seen:
-            return
-        self._seen.add((src, dst))
-        self.edges.append(OrderEdge(src, dst, path, line, func))
+        self.add((src, dst), flow.Edge(src, dst, path, line, func))
 
     def covers(self, effect: str, barrier: str = "flush") -> bool:
         """Is the runtime order ``effect`` before ``barrier`` an
@@ -255,12 +224,7 @@ class OrderGraph:
         return {
             "effects": sorted(self.effects),
             "barriers": sorted(self.barriers),
-            "edges": [
-                e.to_dict()
-                for e in sorted(
-                    self.edges, key=lambda e: (e.src, e.dst, e.path, e.line)
-                )
-            ],
+            "edges": [e.to_dict() for e in self.sorted_edges()],
         }
 
     def to_dot(self) -> str:
@@ -269,7 +233,7 @@ class OrderGraph:
             lines.append(f'  "{kind}" [shape=box];')
         for kind in sorted(self.barriers):
             lines.append(f'  "{kind}" [shape=ellipse];')
-        for e in sorted(self.edges, key=lambda e: (e.src, e.dst)):
+        for e in self.sorted_edges():
             lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.func}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -327,70 +291,39 @@ class DurflowReport(flow.Report):
 # ======================================================================
 # Abstract state and summaries
 # ======================================================================
-#: How each state field joins where paths meet: a must-fact survives
-#: only if both paths hold it, a may-fact if either does, and the
-#: protocol phase is the least advanced.
-_JOIN = {
-    "logged": operator.and_,  # must: a WAL append dominates this point
-    "barriered": operator.and_,  # must: a barrier dominates this point
-    "nodes_dirty": operator.or_,  # may: node writes with no flush since
-    "sb_dirty": operator.or_,  # may: a superblock write with no flush since
-    "pending": operator.or_,  # may: effect kinds issued since the last barrier
-    "coord": operator.or_,  # may: this path built a cross-shard intent
-    "phase": min,  # the PROTOCOL phase
-    "apply_dirty": operator.or_,  # may: an applied batch not yet synced
-}
-
-
-class _State:
+class _State(flow.State):
     """Abstract durability state at one program point."""
 
-    __slots__ = tuple(_JOIN)
-
-    def __init__(self, vacuous: bool = False) -> None:
-        # The vacuous state (every must-fact, no may-fact, the last
-        # phase) is the join's unit: the exit of a body whose every
-        # path raises.
-        self.logged = self.barriered = vacuous
-        self.nodes_dirty = self.sb_dirty = False
-        self.pending: Set[str] = set()
-        self.coord = self.apply_dirty = False
-        self.phase = 4 if vacuous else 0
-
-    def copy(self) -> "_State":
-        return self.merge(self)  # every join rule is idempotent
-
-    def merge(self, other: "_State") -> "_State":
-        new = _State()
-        for name, join in _JOIN.items():
-            setattr(new, name, join(getattr(self, name), getattr(other, name)))
-        return new
+    #: How each field joins where paths meet: a must-fact survives only
+    #: if both paths hold it, a may-fact if either does, and the
+    #: protocol phase is the least advanced.
+    JOIN = {
+        "logged": operator.and_,  # must: a WAL append dominates this point
+        "barriered": operator.and_,  # must: a barrier dominates this point
+        "nodes_dirty": operator.or_,  # may: node writes with no flush since
+        "sb_dirty": operator.or_,  # may: a superblock write with no flush since
+        "pending": operator.or_,  # may: effect kinds issued since the last barrier
+        "coord": operator.or_,  # may: this path built a cross-shard intent
+        "phase": min,  # the PROTOCOL phase
+        "apply_dirty": operator.or_,  # may: an applied batch not yet synced
+    }
+    __slots__ = tuple(JOIN)
+    DEFAULT = {**dict.fromkeys(JOIN, False), "pending": set(), "phase": 0}
+    #: The vacuous state (every must-fact, no may-fact, the last phase):
+    #: the exit of a body whose every path raises.
+    UNIT = {"logged": True, "barriered": True, "phase": 4}
 
 
-def _join(states) -> _State:
-    return functools.reduce(_State.merge, states, _State(vacuous=True))
+class _FuncCtx(flow.Context):
+    """Per-function interpretation context.  Its summary is the exit
+    join, the barrier kinds reached on any path, and whether a
+    superblock write no barrier dominates escapes."""
 
-
-class _Summary(NamedTuple):
-    """What calling a function does to the caller's state."""
-
-    exit: _State  # the join of the function's exit states
-    barrier_kinds: FrozenSet[str]  # barriers it reaches on any path
-    exposed_sb_write: bool  # a superblock write no barrier dominates
-
-
-class _FuncCtx:
-    """Per-function interpretation context."""
-
-    def __init__(self, func: flow.FuncInfo, exempt: bool, recovery: bool) -> None:
-        self.func, self.exempt, self.recovery = func, exempt, recovery
-        args = func.node.args
-        self.param_names = {
-            a.arg
-            for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
-            if a is not None
-        }
-        self.exits: List[Tuple[_State, int]] = []
+    def __init__(
+        self, func: flow.FuncInfo, node: ast.AST, qual: str, exempt: bool, recovery: bool
+    ) -> None:
+        super().__init__(func, node, qual)
+        self.exempt, self.recovery = exempt, recovery
         self.loop_sorted: List[bool] = []
         self.barrier_kinds: Set[str] = set()
         self.exposed_sb_write = self.is_coord = False
@@ -421,6 +354,8 @@ class _Analyzer(flow.Walker):
     (:meth:`loop_exit`), and a handler that falls through joins the
     ``try`` body's state (the shared default)."""
 
+    STATE = _State
+
     def __init__(
         self,
         program: flow.Program,
@@ -429,40 +364,30 @@ class _Analyzer(flow.Walker):
         exempt: Sequence[str],
         recovery: Set[str],
     ) -> None:
-        super().__init__()
-        self.program = program
+        super().__init__(program)
         self.report = report
         self.graph = report.order_graph
         self.findings = findings
         self.exempt = exempt
         self.recovery = recovery
-        self.families = [
-            (family, _subclass_names(program, roots)) for family, roots in FAMILIES
-        ]
 
     def _flag(self, ctx: _FuncCtx, line: int, rule: str, message: str) -> None:
         """A finding in the function under ``ctx``, unless it is exempt."""
         if not ctx.exempt:
             self.findings.add(ctx.func.path, line, rule, message)
 
-    def family(self, receivers: FrozenSet[str]) -> Optional[str]:
-        """The first family of :data:`FAMILIES` a receiver may be in."""
-        for family, names in self.families:
-            if receivers & names:
-                return family
-        return None
-
     # -- summaries -------------------------------------------------------
-    def recursion_summary(self) -> _Summary:
-        return _Summary(_State(), frozenset(), False)  # neutral
-
-    def summarize(self, key: str, func: flow.FuncInfo) -> _Summary:
-        exempt = flow.is_exempt(func.module, self.exempt)
-        ctx = _FuncCtx(func, exempt, key in self.recovery)
-        exits = [e for e, _line in self.walk_body(func.node.body, _State(), ctx)]
-        summary = _Summary(
-            _join(exits), frozenset(ctx.barrier_kinds), ctx.exposed_sb_write
+    def context(self, func: flow.FuncInfo, node: ast.AST, qual: str) -> _FuncCtx:
+        return _FuncCtx(
+            func, node, qual, flow.is_exempt(func.module, self.exempt),
+            func.key in self.recovery,
         )
+
+    def recursion_summary(self, ctx: _FuncCtx) -> None:
+        ctx.exit = _State()  # neutral
+
+    def exit_rules(self, ctx: _FuncCtx) -> None:
+        func, exits = ctx.func, [e for e, _line in ctx.exits]
         if ctx.is_coord:
             self.report.coordinators += 1
         # Rule 2a: an acknowledged durability entry must barrier.
@@ -472,7 +397,7 @@ class _Analyzer(flow.Walker):
             and not (ctx.exempt or ctx.recovery)
         ):
             self.report.entries_checked += 1
-            if not summary.exit.barriered:
+            if not ctx.exit.barriered:
                 self._flag(
                     ctx, func.line, "barrier-order",
                     f"{func.qualname} acknowledges durability ({name}) but some "
@@ -492,7 +417,6 @@ class _Analyzer(flow.Walker):
                 f"{func.qualname} returns with the applied batch unsynced — "
                 "sync the destination volumes before resolving the intent",
             )
-        return summary
 
     # -- statements ------------------------------------------------------
     def transfer(self, stmt: ast.stmt, state: _State, ctx: _FuncCtx) -> None:
@@ -523,7 +447,7 @@ class _Analyzer(flow.Walker):
         if (
             merged is not None
             and isinstance(stmt.test, ast.Name)
-            and stmt.test.id in ctx.param_names
+            and stmt.test.id in ctx.params
         ):
             merged.logged = any(b is not None and b.logged for b in (then, other))
         return merged
@@ -573,15 +497,7 @@ class _Analyzer(flow.Walker):
         """Apply the :data:`CALLS` events of ``call``, or — when it is
         not in the table or in a :data:`_DESCEND` family — the joined
         summaries of its callees."""
-        typed = self.program.typed_call(call)
-        f = call.func
-        key = None
-        if isinstance(f, ast.Name):
-            key = (None, f.id)
-        elif isinstance(f, ast.Attribute):
-            family = self.family(typed.receivers)
-            if family is not None:
-                key = (family, f.attr)
+        key = self.program.call_key(call)
         events = CALLS.get(key)
         if events is not None:
             for op, kind in events:
@@ -589,17 +505,12 @@ class _Analyzer(flow.Walker):
             if key[0] not in _DESCEND:
                 return
         cands = [
-            self.summary(c.key, c) for c in typed.callees if c.key != ctx.func.key
+            self.summary(c)
+            for c in self.program.typed_call(call).callees
+            if c.key != ctx.func.key
         ]
         if cands:
-            self._apply_summary(
-                _Summary(
-                    _join(s.exit for s in cands),
-                    frozenset().union(*(s.barrier_kinds for s in cands)),
-                    any(s.exposed_sb_write for s in cands),
-                ),
-                call, state, ctx,
-            )
+            self._apply_summary(cands, call, state, ctx)
 
     def _apply_event(
         self, op: str, kind: Optional[str], method: str,
@@ -697,34 +608,24 @@ class _Analyzer(flow.Walker):
         state.sb_dirty = False
 
     def _apply_summary(
-        self, summary: _Summary, call: ast.Call, state: _State, ctx: _FuncCtx
+        self, cands: List[_FuncCtx], call: ast.Call, state: _State, ctx: _FuncCtx
     ) -> None:
-        after = summary.exit
-        if summary.exposed_sb_write and state.nodes_dirty:
+        """Apply the joined summaries of a call's candidate callees."""
+        after = self.join_all(c.exit for c in cands)
+        kinds = frozenset().union(*(c.barrier_kinds for c in cands))
+        if any(c.exposed_sb_write for c in cands) and state.nodes_dirty:
             self._flag(
                 ctx, call.lineno, "barrier-order",
                 "call writes the superblock while this function holds unflushed "
                 "node writes — flush meta.db/data.db before the checkpoint commit",
             )
-        for kind in sorted(summary.barrier_kinds):
+        for kind in sorted(kinds):
             self._reach_barrier(kind, state, ctx, call.lineno)
-        if after.barriered and summary.barrier_kinds:
+        if after.barriered and kinds:
             self._flushed(state)
         state.pending |= after.pending
         state.nodes_dirty |= after.nodes_dirty
         state.sb_dirty |= after.sb_dirty
-
-
-def _subclass_names(program: flow.Program, roots: Sequence[str]) -> FrozenSet[str]:
-    """``roots`` and the bare names of every class in the transitive
-    subclass closure of a class named like one of them."""
-    subs = {
-        sub
-        for key, cls in program.classes.items()
-        if cls.name in roots
-        for sub in program.subclasses[key]
-    }
-    return frozenset(roots) | {program.classes[k].name for k in subs}
 
 
 # ======================================================================
@@ -763,7 +664,7 @@ def analyze(
     report.recovery_reachable = len(recovery)
     analyzer = _Analyzer(program, report, findings, exempt, set(recovery))
     for func in program.functions_in_order():
-        analyzer.summary(func.key, func)
+        analyzer.summary(func)
 
     # Rule 4: the device's volatile accessors among the recovery
     # closure's call sites.  The device layer itself (which implements
@@ -777,7 +678,7 @@ def analyze(
         for site in func.sites:
             if (
                 site.name not in VOLATILE_READS
-                or analyzer.family(site.receivers) != "device"
+                or program.family(site.receivers) != "device"
             ):
                 continue
             chain = " <- ".join(
@@ -795,12 +696,3 @@ def analyze(
 
     report.finish(findings, waivers)
     return report
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point used by ``python -m repro.check durflow``."""
-    return flow.run_cli(DurflowReport, analyze, argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

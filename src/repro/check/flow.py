@@ -12,17 +12,25 @@ here, in three parts:
    constructor assignments, and record every function's typed call
    edges and call sites.  This is the only place a call is typed:
    :meth:`Program.typed_call` hands the analyses each call's receiver
-   classes and callees.  ``lint`` builds one ``Program`` and hands it
-   to every analysis; an analysis run alone builds its own.
-2. **How a function body is walked** (:class:`Walker`): block
-   sequencing, exit collection, ``if`` fork-and-join, loops, ``try``,
-   and memoised per-function summaries with a recursion guard.  An
-   analysis supplies its abstract state and transfer function, and
-   overrides a *method* where its soundness idealisation differs.
+   classes and callees, and :meth:`Program.call_key` its ``(family,
+   method)`` (:data:`FAMILIES`), the key of an analysis' call table.
+   ``lint`` builds one ``Program`` and hands it to every analysis; an
+   analysis run alone builds its own.
+2. **How a function body is walked** — the one dataflow engine under
+   conc and durflow.  A :class:`State` is a lattice element whose
+   fields each join by a row of a table; a :class:`Context` collects
+   one walk's exits and facts and then *is* the function's summary;
+   the :class:`Walker` does block sequencing, exit collection, ``if``
+   fork-and-join, loops and ``try``, and drives the summaries (walk,
+   join the exits, apply the exit rules; memoised, with a recursion
+   guard).  An analysis supplies its lattice, its transfer over its
+   call tables and its rules, and overrides a *method* where its
+   soundness idealisation differs.
 3. **How an analysis finishes**: :class:`Findings` →
    :meth:`Report.finish` (waivers, waiver hygiene, sort),
-   :func:`write_graph`, :func:`run_cli`; plus the graph helpers every
-   analysis needs (:func:`sccs` / :func:`cycles` /
+   :class:`EdgeGraph` (the edge store under the lock and order
+   graphs), :func:`write_graph`, :func:`run_cli`; plus the graph
+   helpers every analysis needs (:func:`sccs` / :func:`cycles` /
    :func:`unwaived_cycles`, :func:`reach` / :func:`chain`).
 
 The resolver is deliberately *typed-or-nothing*: an unannotated,
@@ -35,6 +43,7 @@ reaches every override.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import os
 from collections import deque
@@ -200,6 +209,21 @@ _SEQ_NAMES = {"List", "list", "Sequence", "Iterable", "Iterator", "Tuple", "tupl
 #: type — too fine-grained for this pass, so mappings contribute nothing.
 _WRAPPER_NAMES = {"Optional", "Final", "ClassVar", "Annotated"}
 
+#: Receiver families in precedence order: a method call belongs to the
+#: first family its receiver may be an instance of.  Each is anchored
+#: at root class names whose transitive subclass closure is computed
+#: from the program under analysis, so fixture trees only need classes
+#: *named* like these.  An analysis' call table is keyed by
+#: :meth:`Program.call_key`'s ``(family, method)``.
+FAMILIES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
+    ("env", ("KVEnv", "ShardedEnv")),
+    ("wal", ("WriteAheadLog",)),
+    ("tree", ("BeTree",)),
+    ("south", ("Southbound",)),
+    ("journal", ("Journal",)),
+    ("device", ("BlockDevice",)),
+)
+
 
 class Program:
     """The whole-tree index plus the type/call resolution machinery."""
@@ -227,6 +251,42 @@ class Program:
             if b"allow[" in src.source:
                 scan_waivers(src.path, src.source, tool, out)
         return out
+
+    @functools.cached_property
+    def families(self) -> List[Tuple[str, FrozenSet[str]]]:
+        """Each of :data:`FAMILIES` with the bare names of its roots and
+        of every class in the transitive subclass closure of a class
+        named like one of them."""
+        out = []
+        for family, roots in FAMILIES:
+            subs = {
+                sub
+                for key, cls in self.classes.items()
+                if cls.name in roots
+                for sub in self.subclasses[key]
+            }
+            out.append((family, frozenset(roots) | {self.classes[k].name for k in subs}))
+        return out
+
+    def family(self, receivers: FrozenSet[str]) -> Optional[str]:
+        """The first family of :data:`FAMILIES` a receiver may be in."""
+        for family, names in self.families:
+            if receivers & names:
+                return family
+        return None
+
+    def call_key(self, call: ast.Call) -> Optional[Tuple[Optional[str], str]]:
+        """``(family, method)`` of a typed method call, ``(None, name)``
+        of a call of a bare function name, and None for a method call
+        whose receiver is in no family."""
+        f = call.func
+        if isinstance(f, ast.Name):
+            return (None, f.id)
+        if isinstance(f, ast.Attribute):
+            family = self.family(self.typed_call(call).receivers)
+            if family is not None:
+                return (family, f.attr)
+        return None
 
     def functions_in_order(self) -> List[FuncInfo]:
         """Every function, by (path, line): the order analyses visit
@@ -780,8 +840,9 @@ def unwaived_cycles(
     edges: Sequence,
     waivers: WaiverSet,
     waivable: Callable[[object], bool] = lambda edge: True,
-) -> List[List[str]]:
-    """Cycles of the graph of ``edges`` whose ``waived_reason`` is None.
+) -> List[Tuple[List[str], list]]:
+    """Cycles of the graph of ``edges`` whose ``waived_reason`` is None,
+    each with its in-cycle edges (in ``edges`` order).
 
     A waiver on *any* waivable in-cycle edge breaks that edge out of
     the graph; components are recomputed until no waiver applies, and
@@ -793,20 +854,20 @@ def unwaived_cycles(
         for e in edges:
             if e.waived_reason is None:
                 graph.setdefault(e.src, []).append(e.dst)
-        found = cycles(nodes, lambda n: graph.get(n, ()))
+        found = [
+            (comp, [
+                e for e in edges
+                if e.waived_reason is None and e.src in comp and e.dst in comp
+            ])
+            for comp in cycles(nodes, lambda n: graph.get(n, ()))
+        ]
         consumed = False
-        for comp in found:
-            for e in edges:
-                if (
-                    e.waived_reason is None
-                    and waivable(e)
-                    and e.src in comp
-                    and e.dst in comp
-                ):
-                    waiver = waivers.consume(e.path, e.line)
-                    if waiver is not None:
-                        e.waived_reason = waiver.reason
-                        consumed = True
+        for _comp, inside in found:
+            for e in inside:
+                waiver = waivers.consume(e.path, e.line) if waivable(e) else None
+                if waiver is not None:
+                    e.waived_reason = waiver.reason
+                    consumed = True
         if not consumed:
             return found
 
@@ -840,49 +901,127 @@ def chain(parent: Dict[str, Optional[str]], node: Optional[str]) -> List[str]:
 # ======================================================================
 # 2. Walking one function body
 # ======================================================================
+class State:
+    """An abstract state at one program point: named fields, each joined
+    where paths meet by its row of :attr:`JOIN`.
+
+    A subclass declares ``__slots__``, :attr:`JOIN`, :attr:`DEFAULT`
+    (each field's value at a function's entry) and, if the lattice has
+    one, the :attr:`UNIT` of its join (fields that differ from
+    :attr:`DEFAULT`).  Every join is idempotent, commutative and
+    associative, so :meth:`copy` is the self-join — and a new state
+    self-joins the values it starts from, so no two states share a
+    mutable field."""
+
+    __slots__ = ()
+    JOIN: ClassVar[Dict[str, Callable[[object, object], object]]] = {}
+    DEFAULT: ClassVar[Dict[str, object]] = {}
+    UNIT: ClassVar[Optional[Dict[str, object]]] = None
+
+    def __init__(self, **fields: object) -> None:
+        for name, join in self.JOIN.items():
+            value = fields.get(name, self.DEFAULT[name])
+            setattr(self, name, join(value, value))
+
+    def merge(self, other: "State") -> "State":
+        new = object.__new__(type(self))
+        for name, join in self.JOIN.items():
+            setattr(new, name, join(getattr(self, name), getattr(other, name)))
+        return new
+
+    def copy(self) -> "State":
+        return self.merge(self)
+
+
+class Context:
+    """One walk of a function body, and afterwards that function's
+    summary.  The walk collects ``(state, line)`` at every non-exception
+    exit in :attr:`exits`; the driver then sets :attr:`exit` to their
+    join.  An analysis subclasses it to collect the facts its summaries
+    carry beyond the exit state."""
+
+    #: the join of the exit states, once the body has been walked
+    exit: Optional[State] = None
+
+    def __init__(self, func: FuncInfo, node: ast.AST, qual: str) -> None:
+        self.func = func
+        self.qual = qual  # display qualname (includes <locals> nesting)
+        self.key = f"{func.module}:{qual}"
+        args = node.args
+        #: parameter name -> its ``ast.arg``
+        self.params: Dict[str, ast.arg] = {
+            a.arg: a
+            for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+            if a is not None
+        }
+        self.exits: List[Tuple[State, int]] = []
+
+
 class Walker:
     """Structural forward abstract interpretation of function bodies.
 
-    An abstract state offers ``copy()`` and ``merge(other)``; a state of
-    ``None`` means "this path does not fall through".  A per-function
-    context offers an ``exits`` list, which collects ``(state, line)``
-    at every non-exception exit.  Subclasses implement :meth:`transfer`
-    (the effect of one statement's own expressions), :meth:`exec_for`,
-    :meth:`summarize` and :meth:`recursion_summary`; the two soundness
-    idealisations analyses disagree on are methods with a conservative
-    default: :meth:`loop_exit` and :meth:`join_handlers`."""
+    An analysis supplies its lattice (:attr:`STATE`), its per-function
+    :meth:`context`, :meth:`transfer` (the effect of one statement's own
+    expressions), :meth:`exec_for`, its :meth:`exit_rules` and
+    :meth:`recursion_summary`.  A state of ``None`` means "this path
+    does not fall through".  The two soundness idealisations analyses
+    disagree on are methods with a conservative default:
+    :meth:`loop_exit` and :meth:`join_handlers`."""
 
-    def __init__(self) -> None:
-        self._summaries: Dict[str, object] = {}
+    STATE: ClassVar[Type[State]]
+
+    def __init__(self, program: Program) -> None:
+        self.program = program
+        self._summaries: Dict[str, Context] = {}
         self._active: Set[str] = set()
 
     # -- memoised per-function summaries --------------------------------
-    def summary(self, key: str, *args):
-        """``summarize(key, *args)``, computed once per key; a call that
-        re-enters a function still being summarized gets
-        :meth:`recursion_summary` instead of recursing forever."""
+    def summary(
+        self, func: FuncInfo, node: Optional[ast.AST] = None, qual: Optional[str] = None
+    ) -> Context:
+        """The summary of ``func`` (or of ``node``, a def nested in it,
+        named ``qual``), computed once per key: build the context, walk
+        the body, join the exit states, apply :meth:`exit_rules`.  A
+        call that re-enters a function still being walked gets an
+        unwalked context completed by :meth:`recursion_summary` instead
+        of recursing forever."""
+        qual = func.qualname if qual is None else qual
+        key = f"{func.module}:{qual}"
         if key in self._summaries:
             return self._summaries[key]
+        node = func.node if node is None else node
+        ctx = self.context(func, node, qual)
         if key in self._active:
-            return self.recursion_summary()
+            self.recursion_summary(ctx)
+            return ctx
         self._active.add(key)
-        self._summaries[key] = out = self.summarize(key, *args)
-        self._active.discard(key)
-        return out
-
-    def summarize(self, key: str, *args):
-        raise NotImplementedError
-
-    def recursion_summary(self):
-        raise NotImplementedError
-
-    def walk_body(self, body: List[ast.stmt], state, ctx) -> list:
-        """Interpret a whole function body; returns ``ctx.exits``
-        including the fall-off-the-end exit."""
-        out = self.exec_block(body, state, ctx)
+        out = self.exec_block(node.body, self.STATE(), ctx)
         if out is not None:
-            ctx.exits.append((out, body[-1].lineno))
-        return ctx.exits
+            ctx.exits.append((out, node.body[-1].lineno))
+        ctx.exit = self.join_all(state for state, _line in ctx.exits)
+        self.exit_rules(ctx)
+        self._summaries[key] = ctx
+        self._active.discard(key)
+        return ctx
+
+    def context(self, func: FuncInfo, node: ast.AST, qual: str) -> Context:
+        """A fresh context (the analysis' :class:`Context` subclass) for
+        one walk of ``node``."""
+        raise NotImplementedError
+
+    def join_all(self, states: Iterable[Optional[State]]) -> Optional[State]:
+        """The join of ``states``; with none (every path raises), the
+        lattice's unit, or ``None`` ("no path") if it names none."""
+        unit = None if self.STATE.UNIT is None else self.STATE(**self.STATE.UNIT)
+        return functools.reduce(self.join, states, unit)
+
+    def exit_rules(self, ctx: Context) -> None:
+        """The analysis' rules over a walked function's exits."""
+        raise NotImplementedError
+
+    def recursion_summary(self, ctx: Context) -> None:
+        """Complete the summary of a call that re-enters its function."""
+        raise NotImplementedError
 
     # -- statements -----------------------------------------------------
     def exec_block(self, stmts: List[ast.stmt], state, ctx):
@@ -1048,6 +1187,38 @@ class Report:
     def summary(self) -> str:
         """The counters of the one-line clean-run summary."""
         raise NotImplementedError
+
+
+@dataclass
+class Edge:
+    """One witnessed edge of an analysis graph."""
+
+    src: str
+    dst: str
+    path: str
+    line: int
+    func: str  # the function that witnessed it
+
+    def to_dict(self) -> Dict[str, object]:
+        return asdict(self)
+
+
+@dataclass
+class EdgeGraph:
+    """The edge store under an analysis graph: edges deduplicated by a
+    key (the first witness wins), listed by (src, dst, path, line).  A
+    subclass adds its nodes, its ``covers`` rule and its dot rendering."""
+
+    edges: List[Edge] = field(default_factory=list)
+    _seen: Set[tuple] = field(default_factory=set)
+
+    def add(self, key: tuple, edge: Edge) -> None:
+        if key not in self._seen:
+            self._seen.add(key)
+            self.edges.append(edge)
+
+    def sorted_edges(self) -> List[Edge]:
+        return sorted(self.edges, key=lambda e: (e.src, e.dst, e.path, e.line))
 
 
 def write_graph(graph, prefix: str) -> List[str]:

@@ -41,7 +41,8 @@ test suite cannot see:
 whole-program analyses in :data:`ANALYSES` over one shared
 :class:`~repro.check.flow.Program` and merges their findings;
 ``--format json`` emits a machine-readable report and ``--graph-out
-PREFIX`` archives the import graph for CI.
+PREFIX`` archives the graph of every analysis that has one, as
+``PREFIX-<tool>.json`` + ``.dot``, for CI.
 """
 
 from __future__ import annotations
@@ -455,7 +456,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--graph-out",
         metavar="PREFIX",
-        help="write the arch import graph to PREFIX.json + PREFIX.dot",
+        help="write each analysis graph to PREFIX-<tool>.json + .dot",
     )
     args = parser.parse_args(argv)
 
@@ -474,8 +475,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             violations.extend(report.violations)
             waivers.extend(report.waivers)
             payload[name] = report.stats()
-            if analysis is arch and args.graph_out:
-                payload["graph_files"] = arch.write_graph(report, args.graph_out)
+            if report.GRAPH is not None and args.graph_out:
+                payload.setdefault("graph_files", []).extend(flow.write_graph(
+                    getattr(report, report.GRAPH), f"{args.graph_out}-{name}"
+                ))
         payload["passes"] = passes
         per_pass = " (" + " ".join(f"{k}={n}" for k, n in passes.items()) + ")"
 

@@ -135,8 +135,6 @@ class CostModel:
     dcache_hit: float = 0.4e-6
     #: Page-cache lookup/insert for one 4 KiB page.
     page_cache_op: float = 0.15e-6
-    #: Allocating one page (buddy allocator fast path).
-    page_alloc: float = 0.4e-6
     #: Instantiating one in-memory inode from a stat value.
     inode_instantiate: float = 1.8e-6
     #: Cost of a CoW page copy trap (fault + copy of 4 KiB is charged

@@ -23,14 +23,19 @@ MIB = 1 << 20
 LAYOUT = ImageLayout(log_size=8 * MIB, meta_size=64 * MIB)
 
 
+_load_program = flow.load_program
+
+
 @functools.lru_cache(maxsize=None)
 def real_program() -> flow.Program:
     """The real ``src/repro`` tree, parsed and indexed once per session.
 
     Analyses only read a ``Program`` (``tests/test_flow.py`` proves a
     shared one gives the reports a private one does), so the real-tree
-    self-tests of arch/costflow/conc/durflow all analyze this one."""
-    return flow.load_program()
+    self-tests of arch/costflow/conc/durflow all analyze this one.
+    It calls the loader :func:`shared_program` patches by its original
+    binding, so a first call under that fixture does not recurse."""
+    return _load_program()
 
 
 @pytest.fixture

@@ -14,7 +14,8 @@ import os
 
 import pytest
 
-from repro.check import arch, costflow, lint
+from repro.check import arch, conc, costflow, durflow, flow, lint
+from repro.check.__main__ import main as check_main
 from tests.conftest import real_program
 
 ARCH_TREE = os.path.join(os.path.dirname(__file__), "fixtures", "arch", "tree")
@@ -94,7 +95,7 @@ class TestArchFixtures:
     def test_graph_export_round_trips(self, tmp_path):
         report = _arch_fixture_report()
         prefix = str(tmp_path / "graph")
-        files = arch.write_graph(report, prefix)
+        files = flow.write_graph(report.import_graph, prefix)
         assert sorted(files) == sorted([prefix + ".json", prefix + ".dot"])
         with open(prefix + ".json") as fh:
             payload = json.load(fh)
@@ -228,21 +229,42 @@ class TestCheckCli:
 
     @pytest.mark.usefixtures("shared_program")
     def test_graph_out_writes_artifacts(self, capsys, tmp_path):
-        prefix = str(tmp_path / "import-graph")
+        """One lint run archives the graph of every analysis that has
+        one, through the writer the standalone runs use."""
+        prefix = str(tmp_path / "graph")
         assert lint.main(["--format", "json", "--graph-out", prefix]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["graph_files"] == [prefix + ".json", prefix + ".dot"]
-        assert os.path.exists(prefix + ".json")
-        assert os.path.exists(prefix + ".dot")
+        expected = [
+            f"{prefix}-{tool}.{ext}"
+            for tool in ("arch", "conc", "durflow")
+            for ext in ("json", "dot")
+        ]
+        assert payload["graph_files"] == expected
+        for path in expected:
+            assert os.path.exists(path)
+        with open(f"{prefix}-conc.json") as fh:
+            assert json.load(fh) == conc.analyze(program=real_program()).lock_graph.to_dict()
 
     @pytest.mark.usefixtures("shared_program")
     def test_subcommands_run_standalone(self, capsys):
-        from repro.check.__main__ import main as check_main
-
         assert check_main(["arch"]) == 0
         assert "clean" in capsys.readouterr().out
         assert check_main(["costflow"]) == 0
         assert "clean" in capsys.readouterr().out
+
+    def test_help_lists_every_analysis(self, capsys):
+        """The usage is derived from ``lint.ANALYSES`` and each report's
+        ``ABOUT``/``GRAPH``: a new analysis cannot be missing from it."""
+        assert check_main(["--help"]) == 0
+        usage = capsys.readouterr().err.splitlines()[1:]
+        rows = {line.split()[0]: line for line in usage}
+        assert list(rows) == ["lint", *lint.ANALYSES]
+        for kind in (
+            arch.ArchReport, costflow.CostflowReport, conc.ConcReport,
+            durflow.DurflowReport,
+        ):
+            assert kind.ABOUT in rows[kind.TOOL]
+            assert ("--graph-out" in rows[kind.TOOL]) == (kind.GRAPH is not None)
 
     def test_costflow_cli_flags_fixture_free_tree(self, capsys, monkeypatch):
         """Exit-code contract: violations -> 1."""
@@ -250,6 +272,6 @@ class TestCheckCli:
         monkeypatch.setattr(
             costflow, "analyze", lambda *a, **k: fixture_report
         )
-        assert costflow.main([]) == 1
+        assert check_main(["costflow"]) == 1
         out = capsys.readouterr().out
         assert "[uncharged-bytes]" in out

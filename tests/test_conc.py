@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.betrfs.filesystem import make_betrfs
 from repro.check import arch, conc, lint
+from repro.check.__main__ import main as check_main
 from repro.check.errors import SchedInvariantError
 from repro.harness.mt import run_mt
 from repro.sched import Scheduler
@@ -312,13 +313,13 @@ class TestStaticGraphCoversRuntime:
 @pytest.mark.usefixtures("shared_program")
 class TestConcCLI:
     def test_clean_run_exit_zero(self, capsys):
-        assert conc.main([]) == 0
+        assert check_main(["conc"]) == 0
         out = capsys.readouterr().out
         assert "repro.check conc: clean" in out
         assert "acquire site(s)" in out
 
     def test_json_format_round_trips(self, capsys):
-        assert conc.main(["--format", "json"]) == 0
+        assert check_main(["conc", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["violations"] == []
         assert payload["lock_graph"]["nodes"]
@@ -326,7 +327,7 @@ class TestConcCLI:
 
     def test_graph_out_writes_json_and_dot(self, tmp_path, capsys):
         prefix = str(tmp_path / "lock-graph")
-        assert conc.main(["--graph-out", prefix]) == 0
+        assert check_main(["conc", "--graph-out", prefix]) == 0
         data = json.loads((tmp_path / "lock-graph.json").read_text())
         assert "folder:" in {node["class"] for node in data["nodes"]}
         dot = (tmp_path / "lock-graph.dot").read_text()

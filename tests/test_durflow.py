@@ -25,6 +25,7 @@ import os
 import pytest
 
 from repro.check import arch, conc, costflow, durflow, lint
+from repro.check.__main__ import main as check_main
 from repro.check.order import OrderLog, OrderRecorder, layout_spans
 from repro.crashmc.explore import _Stack
 from repro.crashmc.workload import WORKLOADS
@@ -290,13 +291,13 @@ class TestOrderRecorder:
 @pytest.mark.usefixtures("shared_program")
 class TestDurflowCLI:
     def test_clean_run_exit_zero(self, capsys):
-        assert durflow.main([]) == 0
+        assert check_main(["durflow"]) == 0
         out = capsys.readouterr().out
         assert "repro.check durflow: clean" in out
         assert "durable-effect site(s)" in out
 
     def test_json_format_round_trips(self, capsys):
-        assert durflow.main(["--format", "json"]) == 0
+        assert check_main(["durflow", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["violations"] == []
         assert payload["order_graph"]["edges"]
@@ -304,7 +305,7 @@ class TestDurflowCLI:
 
     def test_graph_out_writes_json_and_dot(self, tmp_path, capsys):
         prefix = str(tmp_path / "order-graph")
-        assert durflow.main(["--graph-out", prefix]) == 0
+        assert check_main(["durflow", "--graph-out", prefix]) == 0
         data = json.loads((tmp_path / "order-graph.json").read_text())
         assert "wal-write" in data["effects"]
         assert "log-sync" in data["barriers"]

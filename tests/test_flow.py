@@ -9,7 +9,11 @@ analyses.
 * every analysis' output over each fixture tree equals its committed
   golden, byte for byte;
 * the one SCC routine (it replaced three private copies that were
-  only ever tested through their callers).
+  only ever tested through their callers);
+* the join laws of every ``flow.State`` lattice: the walker copies a
+  state by self-joining it and joins paths in whatever order the code
+  meets them, so each join must be idempotent, commutative and
+  associative (and durflow's vacuous state its unit).
 """
 
 import ast
@@ -18,6 +22,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check import arch, conc, costflow, durflow, flow, lint
 from tests.conftest import real_program
@@ -199,6 +205,51 @@ class TestSccs:
         graph = {f"n{i:05d}": [f"n{i + 1:05d}"] for i in range(n)}
         graph[f"n{n:05d}"] = []
         assert len(self._run(graph)) == n + 1
+
+
+def _fields(state):
+    return {name: getattr(state, name) for name in state.JOIN}
+
+
+def _assert_join_laws(a, b, c):
+    assert _fields(a.merge(a)) == _fields(a.copy()) == _fields(a)
+    assert _fields(a.merge(b)) == _fields(b.merge(a))
+    assert _fields(a.merge(b).merge(c)) == _fields(a.merge(b.merge(c)))
+
+
+_LOCK_CLASSES = [("folder:", False), ("vol", True), conc.UNKNOWN]
+_BINDINGS = [("key", ("vol", True)), ("list", frozenset(_LOCK_CLASSES[:1]), True), ("signal",)]
+_conc_states = st.builds(
+    conc._State,
+    held=st.dictionaries(st.sampled_from(_LOCK_CLASSES), st.integers(1, conc._MANY)),
+    crit=st.integers(0, 2),
+    vars=st.dictionaries(st.sampled_from("abk"), st.sampled_from(_BINDINGS)),
+)
+_durflow_states = st.builds(
+    durflow._State,
+    logged=st.booleans(),
+    barriered=st.booleans(),
+    nodes_dirty=st.booleans(),
+    sb_dirty=st.booleans(),
+    pending=st.sets(st.sampled_from(["node-write", "sb-write", "wal-write", "intent-put"])),
+    coord=st.booleans(),
+    phase=st.integers(0, 4),
+    apply_dirty=st.booleans(),
+)
+
+
+class TestJoinLaws:
+    @settings(max_examples=200, deadline=None)
+    @given(_conc_states, _conc_states, _conc_states)
+    def test_conc_state(self, a, b, c):
+        _assert_join_laws(a, b, c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_durflow_states, _durflow_states, _durflow_states)
+    def test_durflow_state(self, a, b, c):
+        _assert_join_laws(a, b, c)
+        unit = durflow._State(**durflow._State.UNIT)
+        assert _fields(unit.merge(a)) == _fields(a) == _fields(a.merge(unit))
 
 
 if __name__ == "__main__":
