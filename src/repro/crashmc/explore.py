@@ -142,15 +142,13 @@ class _Stack:
             },
         )
         #: Key routing the oracle mirrors (one volume: all on shard 0).
-        self.map = ShardMap.create(carve.volumes, "hash")
+        self.map = ShardMap(carve.volumes)
         with session(None):
             if carve.volumes == 1:
                 self.fs = BetrFS(V0_6, opts)
                 self.envs = [self.fs.env]
             else:
-                self.fs = ShardedBetrFS(
-                    V0_6, opts, shards=carve.volumes, mode=self.map.mode
-                )
+                self.fs = ShardedBetrFS(V0_6, opts, shards=carve.volumes)
                 self.envs = self.fs.env.envs
         self.env = self.fs.env
         self.device = self.fs.device

@@ -131,7 +131,7 @@ class Oracle:
     #: Soundness over several shards leans on the workload keeping
     #: different shards' pending key sets disjoint (fresh destination
     #: uids), so per-shard prefixes commute.
-    smap: ShardMap = field(default_factory=lambda: ShardMap.create(1, "hash"))
+    smap: ShardMap = field(default_factory=lambda: ShardMap(1))
 
     def begin(self, op: Op) -> None:
         """The op's mutation is now in flight (call before executing)."""

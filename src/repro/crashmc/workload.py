@@ -201,7 +201,7 @@ def xshard_rename_kv(seed: int) -> List[Op]:
     Destinations use fresh uids, so no other pending op ever aliases
     an in-flight move's keys (the per-shard prefix oracle relies on
     this)."""
-    smap = ShardMap.create(2, "hash")
+    smap = ShardMap(2)
     homes = xshard_homes(smap)
     rng = derive_rng(seed, "xshard_rename")
     ops: List[Op] = []

@@ -40,6 +40,21 @@ from repro.harness.runner import (
 from repro.harness.tables import render_vs_paper
 from repro.workloads.scale import DEFAULT_SCALE, SMOKE_SCALE, WorkloadScale
 
+
+def _at_least(low: int):
+    """An argparse ``type``: an integer no smaller than ``low``, so an
+    out-of-range count fails at parse time (exit 2), not mid-run."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 #: Every option, declared once; a target row names the ones it reads.
 OPTIONS = {
     "image": dict(
@@ -71,7 +86,9 @@ OPTIONS = {
         "same seed = bit-identical summary)",
     ),
     "--budget": dict(
-        type=int, default=200, help="crash states to explore, split across the workloads"
+        type=_at_least(1),
+        default=200,
+        help="crash states to explore, split across the workloads",
     ),
     "--torture-out": dict(
         metavar="REPRO_JSON",
@@ -84,28 +101,22 @@ OPTIONS = {
         "results/results.json and results/EXPERIMENTS.md, print each differing cell "
         "and exit non-zero on any difference",
     ),
-    "--sessions": dict(type=int, default=8, help="number of concurrent client sessions"),
+    "--sessions": dict(type=_at_least(1), default=8, help="number of concurrent client sessions"),
     "--policy": dict(
         choices=["fifo", "rr", "lottery"],
         default="fifo",
         help="scheduling policy (see repro.sched.policy)",
     ),
     "--ops-per-session": dict(
-        type=int,
+        type=_at_least(0),
         default=0,
         help="ops per session (0 = split the scale's sequential op count across the sessions)",
     ),
     "--shards": dict(
-        type=int,
+        type=_at_least(0),
         default=0,
         help="partition the namespace over N Bε-tree volumes (repro.shard); "
         "0 = the plain unsharded mount",
-    ),
-    "--shard-mode": dict(
-        choices=["hash", "range"],
-        default="hash",
-        help="shard-map partitioning mode (hash = crc32 of the parent directory; "
-        "range = lexicographic boundaries)",
     ),
     "--workload": dict(
         choices=["mailserver_mt", "webserver_mt"],
@@ -316,7 +327,6 @@ def _run_mt(args) -> int:
             policy=args.policy,
             ops_per_session=args.ops_per_session,
             shards=args.shards,
-            mode=args.shard_mode,
             workload=args.workload,
         )
         stats = obs.render_stats()
@@ -488,7 +498,7 @@ TARGETS = {
         "optionally sharded (see repro.sched, repro.shard); prints a "
         "byte-diffable JSON summary",
         ("--scale", "--sessions", "--seed", "--policy", "--ops-per-session",
-         "--shards", "--shard-mode", "--workload", "--metrics-out", "--quiet",
+         "--shards", "--workload", "--metrics-out", "--quiet",
          "--verify-lock-graph"),
         _run_mt,
     ),

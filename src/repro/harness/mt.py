@@ -21,7 +21,8 @@ from repro.workloads.scale import WorkloadScale
 #: v2: added ``lock_order`` — observed (held, acquired) key pairs.
 #: v3: added ``workload`` and ``shards`` (count/mode/loads/imbalance/
 #: cross_renames), and per-session ``affinity``.
-SCHEMA = "repro-mt v3"
+#: v4: dropped ``shards.mode`` — hash is the only partitioning policy.
+SCHEMA = "repro-mt v4"
 
 #: Multi-tenant workloads ``run_mt`` can drive.
 MT_WORKLOADS = ("mailserver_mt", "webserver_mt")
@@ -49,14 +50,13 @@ def run_mt(
     policy: str = "fifo",
     ops_per_session: int = 0,
     shards: int = 0,
-    mode: str = "hash",
     workload: str = "mailserver_mt",
 ) -> Dict[str, object]:
     """Run the workload and build the summary dict (JSON-ready).
 
     ``shards=0`` mounts the plain (unsharded) filesystem; ``shards>=1``
     mounts :class:`~repro.shard.mount.ShardedBetrFS` with that many
-    volume slots under ``mode`` partitioning.
+    volume slots.
     """
     from repro.betrfs.filesystem import make_betrfs
     from repro.workloads.mailserver import mailserver_mt
@@ -72,7 +72,7 @@ def run_mt(
     if shards > 0:
         from repro.shard.mount import make_sharded_betrfs
 
-        fs = make_sharded_betrfs("BetrFS v0.6", shards=shards, mode=mode)
+        fs = make_sharded_betrfs("BetrFS v0.6", shards=shards)
     else:
         fs = make_betrfs("BetrFS v0.6")
     sched = run_workload(
@@ -106,7 +106,6 @@ def run_mt(
     if shards > 0:
         shard_summary = {
             "count": fs.shards,
-            "mode": mode,
             "loads": list(fs.backend.loads),
             "imbalance": fs.load_imbalance(),
             "cross_renames": fs.backend.cross_renames,
@@ -166,7 +165,7 @@ def render_fairness(summary: Dict[str, object]) -> str:
     shards = summary.get("shards")
     if shards:
         lines.append(
-            f"  shards={shards['count']} ({shards['mode']}) "
+            f"  shards={shards['count']} "
             f"loads={shards['loads']} "
             f"imbalance={shards['imbalance']:.2f} "
             f"cross renames={shards['cross_renames']}"

@@ -12,9 +12,9 @@ ties deterministic.
   guarantee rests on.
 * ``rr`` — round-robin over session ids: the next ready session after
   the last one dispatched, cyclically.
-* ``lottery`` — classic ticket lottery (Waldspurger & Weihl, OSDI '94):
-  each session holds ``tickets`` (default 1); the winner is drawn from
-  the scheduler's seeded stream.
+* ``lottery`` — a ticket lottery (Waldspurger & Weihl, OSDI '94) with
+  one ticket per session: the winner is drawn uniformly from the ready
+  set with the scheduler's seeded stream.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ class Policy:
 
     def pick(self, ready: Sequence[Session], rng: random.Random) -> Session:
         raise NotImplementedError
-
-    #: Lottery tickets per session id, merged over earlier calls
-    #: (policies that ignore weights simply never read this).
-    def set_tickets(self, tickets: Dict[int, int]) -> None:
-        pass
 
 
 class FIFOPolicy(Policy):
@@ -68,26 +63,12 @@ class RoundRobinPolicy(Policy):
 
 
 class LotteryPolicy(Policy):
-    """Seeded ticket lottery; per-session ticket counts are weights."""
+    """Seeded lottery, one ticket per ready session."""
 
     name = "lottery"
 
-    def __init__(self) -> None:
-        self._tickets: Dict[int, int] = {}
-
-    def set_tickets(self, tickets: Dict[int, int]) -> None:
-        self._tickets.update(tickets)
-
     def pick(self, ready: Sequence[Session], rng: random.Random) -> Session:
-        weights = [max(1, self._tickets.get(s.sid, 1)) for s in ready]
-        total = sum(weights)
-        draw = rng.randrange(total)
-        acc = 0
-        for session, weight in zip(ready, weights):
-            acc += weight
-            if draw < acc:
-                return session
-        return ready[-1]  # pragma: no cover - unreachable (draw < total)
+        return ready[rng.randrange(len(ready))]
 
 
 POLICIES: Dict[str, Type[Policy]] = {

@@ -96,9 +96,6 @@ class Scheduler:
     ) -> None:
         self.mount = mount
         self.clock = mount.clock
-        #: Whether the clock can hold a session's device waits (a
-        #: ``SimClock`` can; a bare test clock cannot and never sleeps).
-        self.holding = hasattr(self.clock, "hold")
         #: Sessions asleep on a trailing wait, in the order they slept
         #: (every flush group not yet issued has a member among them).
         self._sleepers: List[Session] = []
@@ -179,7 +176,6 @@ class Scheduler:
         self,
         name: str,
         script: Callable[[SessionContext], Generator[Blocked, None, None]],
-        tickets: int = 1,
         affinity: Optional[int] = None,
     ) -> Session:
         """Create a session from a script factory ``script(ctx)``.
@@ -194,8 +190,6 @@ class Scheduler:
         ctx.session = session
         session.gen = script(ctx)
         self.sessions.append(session)
-        if tickets != 1:
-            self.policy.set_tickets({sid: tickets})
         return session
 
     # ------------------------------------------------------------------
@@ -234,8 +228,7 @@ class Scheduler:
             vfs.block_signal = self.signal
         if self._env is not None:
             self._env.block_signal = self.signal
-        if self.holding:
-            self.clock.holds = True
+        self.clock.holds = True
         try:
             self._loop()
         finally:
@@ -243,8 +236,7 @@ class Scheduler:
                 vfs.block_signal = None
             if self._env is not None:
                 self._env.block_signal = None
-            if self.holding:
-                self.clock.holds = False
+            self.clock.holds = False
             self._refresh_stats()
         self._finished = self.clock.now
 
@@ -316,8 +308,7 @@ class Scheduler:
         try:
             event = next(session.gen)
         except StopIteration:
-            if self.holding:
-                clock.realize()  # a finished session has nothing to sleep
+            clock.realize()  # a finished session has nothing to sleep
             session.service += self.clock.now - t0
             session.state = DONE
             held = self.locks.held_by(session.sid)
@@ -332,12 +323,8 @@ class Scheduler:
             raise SchedInvariantError(
                 f"session yielded a non-Blocked event: {event!r}"
             )
-        hold = None
-        if self.holding:
-            if event.lock_key is None:
-                hold = clock.hold
-            else:
-                clock.realize()  # a lock waiter wakes on its handoff only
+        if event.lock_key is not None:
+            clock.realize()  # a lock waiter wakes on its handoff only
         session.service += clock.now - t0
         # Reentrancy audit: a suspension must never happen inside a
         # tree critical section (flush/split half-applied).
@@ -347,9 +334,9 @@ class Scheduler:
             )
         if event.lock_key is not None:
             session.state = LOCKWAIT
-        elif hold is not None:
+        elif clock.hold is not None:
             # The call ended on a device wait: sleep through it.
-            session.wake, session.group = hold, clock.group
+            session.wake, session.group = clock.hold, clock.group
             clock.hold = clock.group = None
             session.state = SLEEPING
             self._sleepers.append(session)

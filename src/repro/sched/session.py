@@ -112,13 +112,6 @@ _YIELDS: Dict[str, Blocked] = {kind: Blocked(kind) for kind in BLOCK_KINDS}
 _DEVICE_WAIT = Blocked("device_wait")
 
 
-class _NoHolds:
-    """Stands in for a clock that cannot hold a wait (a test's bare
-    clock): no call ever ends on a hold."""
-
-    hold = None
-
-
 class Session:
     """One client session: script generator + scheduling accounting."""
 
@@ -192,7 +185,7 @@ class SessionContext:
         # The scheduler's plain per-run state every primitive touches,
         # bound once (none of it reaches the mount, none is a bound method).
         self._kinds: List[str] = sched.signal.kinds
-        self._clock: Any = sched.clock if sched.holding else _NoHolds
+        self._clock: Any = sched.clock
         self._locks = sched.locks
         self._lock_order: Set[Tuple[str, str]] = sched.lock_order
         #: Keys this session holds, in acquisition order.

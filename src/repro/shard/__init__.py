@@ -2,7 +2,7 @@
 
 Scale-out for the full-path-keyed design: N independent volumes (each
 its own SFL slot, WAL, checkpoints, and Bε-trees) behind one mount.
-See :mod:`repro.shard.map` for the routing policies,
+See :mod:`repro.shard.map` for the routing policy,
 :mod:`repro.shard.env` for the cross-shard two-phase protocol, and
 :mod:`repro.shard.mount` for the assembled mount.
 """

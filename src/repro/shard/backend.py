@@ -3,16 +3,13 @@
 The VFS sees a single file system; every operation is routed to the
 volume that owns the path (per the :class:`~repro.shard.map.ShardMap`)
 and executed by that volume's own
-:class:`~repro.betrfs.northbound.BetrFSNorthbound`.  Only two
-operations genuinely span volumes:
-
-* ``readdir``/``is_dir_empty`` — a directory's children all live on
-  one shard under hash partitioning, but range partitioning may split
-  a subtree across a boundary, so these consult the children span.
-* ``rename`` across shards — delegated to the
-  :meth:`~repro.shard.env.ShardedEnv.two_phase` intent protocol so a
-  crash at any point leaves either the old name or the new one, never
-  both halves.
+:class:`~repro.betrfs.northbound.BetrFSNorthbound`.  A directory's
+children all live on the one shard its path hashes to, so ``readdir``
+and ``is_dir_empty`` ask that shard alone.  Only a ``rename`` across
+shards genuinely spans volumes: it is delegated to the
+:meth:`~repro.shard.env.ShardedEnv.two_phase` intent protocol so a
+crash at any point leaves either the old name or the new one, never
+both halves.
 
 Routing decisions are counted per shard (``loads``) and exposed as
 ``repro.obs`` gauges by the mount, giving the load/imbalance view the
@@ -106,20 +103,15 @@ class ShardedBackend(FileSystemBackend):
         self._nb(path).fsync(path)
 
     # ------------------------------------------------------------------
-    # Span operations
+    # Directory contents: the shard the children hash to
     # ------------------------------------------------------------------
     def readdir(self, path: str) -> List[Tuple[str, Stat]]:
-        entries: List[Tuple[str, Stat]] = []
-        for shard in self.map.children_span(path):
-            self.loads[shard] += 1
-            entries.extend(self.backends[shard].readdir(path))
-        return entries
+        shard = self.map.owner_of_children(path)
+        self.loads[shard] += 1
+        return self.backends[shard].readdir(path)
 
     def is_dir_empty(self, path: str) -> bool:
-        empty = True
-        for shard in self.map.children_span(path):
-            empty = self.backends[shard].is_dir_empty(path) and empty
-        return empty
+        return self.backends[self.map.owner_of_children(path)].is_dir_empty(path)
 
     def sync(self) -> None:
         self.senv.sync()

@@ -38,7 +38,6 @@ class ShardedBetrFS(BetrFS):
         features: BetrFSFeatures,
         opts: Optional[MountOptions] = None,
         shards: int = 4,
-        mode: str = "hash",
         image: Optional[BlockDevice] = None,
     ) -> None:
         if not features.use_sfl:
@@ -47,7 +46,7 @@ class ShardedBetrFS(BetrFS):
                 "variants cannot be sharded"
             )
         self.shards = shards
-        self.shard_map = ShardMap.create(shards, mode)
+        self.shard_map = ShardMap(shards)
         super().__init__(features, opts, volumes=shards, image=image)
         # The gauges read the router, not the mount: a session's scope
         # must not keep the mount alive.
@@ -74,9 +73,7 @@ class ShardedBetrFS(BetrFS):
         return env, ShardedBackend(backends, env)
 
     def remount(self, image: BlockDevice) -> "ShardedBetrFS":
-        return ShardedBetrFS(
-            self.features, self.opts, self.shards, self.shard_map.mode, image=image
-        )
+        return ShardedBetrFS(self.features, self.opts, self.shards, image=image)
 
     def load_imbalance(self) -> float:
         return _imbalance(self.backend.loads)
@@ -97,4 +94,7 @@ def make_sharded_betrfs(
     mode: str = "hash",
 ) -> ShardedBetrFS:
     """Build a sharded mount of a named Table 3 variant."""
-    return ShardedBetrFS(variant(version), opts, shards=shards, mode=mode)
+    # ``mode`` stays only because perfbench's replay passes mode="hash".
+    if mode != "hash":
+        raise ValueError(f"unknown shard mode {mode!r}: hash is the only policy")
+    return ShardedBetrFS(variant(version), opts, shards=shards)

@@ -203,7 +203,7 @@ DOC_COMMAND_LINES = [
         {"sessions": 8, "verify_lock_graph": True, "policy": "fifo"},
     ),
     ("mt --scale smoke --sessions 8 --seed 7", {"seed": 7, "workload": "mailserver_mt"}),
-    ("mt --scale smoke --sessions 8 --seed 7 --shards 4", {"shards": 4, "shard_mode": "hash"}),
+    ("mt --scale smoke --sessions 8 --seed 7 --shards 4", {"shards": 4}),
     ("mt --scale smoke --sessions 8 --seed 7 --shards 8", {"shards": 8}),
     (
         "mt --scale smoke --sessions 8 --seed 7 --workload webserver_mt --shards 8",
@@ -285,3 +285,23 @@ class TestSubcommands:
             main(line.split())
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "mt --sessions 0",
+            "mt --shards -3",
+            "mt --ops-per-session -5",
+            "torture --budget -5",
+            "torture --budget 0",
+        ],
+    )
+    def test_count_it_cannot_run_exits_2(self, line, capsys):
+        """A count out of range fails at parse time: no traceback, no
+        silent fallback, no vacuous pass."""
+        from repro.harness.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(line.split())
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err

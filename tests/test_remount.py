@@ -5,7 +5,7 @@ one assembler given a crash image instead of a blank device — and all
 checks read back through the recovered mount's ``vfs``
 (``stat``/``read``/``readlink``/``readdir_plus``), never a bare key
 lookup.  Covered: the 9 Table 3 rows and the sharded v0.6 mount with 1
-and 4 volumes under hash and range partitioning.
+and 4 volumes.
 """
 
 import pytest
@@ -24,21 +24,19 @@ MIB = 1 << 20
 
 BODY = bytes(range(256)) * 40  # 10,240 B: two full pages and a tail
 
-SHARDED = [(1, "hash"), (4, "hash"), (1, "range"), (4, "range")]
-
-MOUNTS = [pytest.param((name, 0, ""), id=name) for name in VERSIONS] + [
-    pytest.param(("BetrFS v0.6", n, mode), id=f"shards{n}-{mode}")
-    for n, mode in SHARDED
+#: Sharded ids name the partitioning policy, hash (the only one).
+MOUNTS = [pytest.param((name, 0), id=name) for name in VERSIONS] + [
+    pytest.param(("BetrFS v0.6", n), id=f"shards{n}-hash") for n in (1, 4)
 ]
 
 
 def build(spec, **opts):
-    name, shards, mode = spec
+    name, shards = spec
     # Recovery reads each volume's whole log region: keep it small.
     opts.setdefault("log_size", 4 * MIB)
     options = MountOptions(scale=1 / 32, **opts)
     if shards:
-        return make_sharded_betrfs(name, options, shards=shards, mode=mode)
+        return make_sharded_betrfs(name, options, shards=shards)
     return make_betrfs(name, options)
 
 
@@ -192,13 +190,13 @@ def test_recovered_root_is_not_assumed_empty(mount):
 # ----------------------------------------------------------------------
 # Cross-shard rename: the intent protocol seen from the syscall surface
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["hash", "range"])
-def test_cross_shard_rename_is_atomic_across_every_barrier(mode):
+@pytest.mark.parametrize("shards", [pytest.param(4, id="hash")])
+def test_cross_shard_rename_is_atomic_across_every_barrier(shards):
     """Cut a two-phase rename at every barrier it issues — before the
     intent is durable, between the intent and the resolve phase, after
     the destination sync — and re-mount: exactly one of src/dst exists,
     and a survivor that moved carries the bytes."""
-    mount = build(("BetrFS v0.6", 4, mode))
+    mount = build(("BetrFS v0.6", shards))
     v = mount.vfs
     smap = mount.shard_map
     v.mkdir("/src")
@@ -232,15 +230,15 @@ def test_cross_shard_rename_is_atomic_across_every_barrier(mode):
     assert outcomes[1:] == [dst] * sealed
 
 
-@pytest.mark.parametrize("mode", ["hash", "range"])
-def test_sharded_remount_keeps_class_and_shard_map(mode):
-    fresh = build(("BetrFS v0.6", 3, mode))
+@pytest.mark.parametrize("shards", [pytest.param(3, id="hash")])
+def test_sharded_remount_keeps_class_and_shard_map(shards):
+    fresh = build(("BetrFS v0.6", shards))
     recovered = fresh.crash()
     assert type(recovered) is type(fresh)
     assert (recovered.recovered, fresh.recovered) == (True, False)
     assert recovered.shard_map == fresh.shard_map
     assert (recovered.features, recovered.opts) == (fresh.features, fresh.opts)
-    assert len(recovered.storages) == 3
+    assert len(recovered.storages) == shards
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +258,7 @@ def test_fsck_refuses_a_mount_with_no_sfl_layout():
 
 
 def test_fsck_mount_walks_every_volume():
-    fs = build(("BetrFS v0.6", 4, "hash"))
+    fs = build(("BetrFS v0.6", 4))
     populate(fs.vfs)
     fs.env.checkpoint()
     report = fsck_mount(fs)

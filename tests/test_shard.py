@@ -3,8 +3,8 @@
 The PR's shard invariants:
 
 * routing is **total** (every path owns exactly one shard index in
-  range) and **stable under re-mount** (a map rebuilt from its own
-  serialized form routes identically) — hypothesis properties;
+  range) and every child routes with its directory — hypothesis
+  properties;
 * an N=1 sharded run is **bit-identical** to the unsharded mount
   (device sha256 and simulated clock);
 * the two-phase cross-shard protocol leaves no intent behind on the
@@ -33,7 +33,7 @@ from repro.shard import (
     parent_dir,
     unpack_intent,
 )
-from repro.shard.map import _hash_owner, default_boundaries
+from repro.shard.map import _hash_owner
 from repro.workloads.mailserver import mailserver_mt
 from repro.workloads.scale import SMOKE_SCALE
 from repro.workloads.webserver_mt import webserver_mt
@@ -57,15 +57,14 @@ class TestShardMap:
         assert parent_dir("name") == ""
 
     def test_hash_colocates_siblings(self):
-        sm = ShardMap.create(4, "hash")
+        sm = ShardMap(4)
         owners = {sm.owner_of_entry(f"/d/sub/f{i}") for i in range(50)}
-        assert len(owners) == 1
-        assert owners == set(sm.children_span("/d/sub"))
+        assert owners == {sm.owner_of_children("/d/sub")}
 
     def test_hash_spreads_structured_directories(self):
         """Sibling dirs differing in a digit must not all collapse onto
         one shard (the crc32-linearity trap the finalizer breaks)."""
-        sm = ShardMap.create(4, "hash")
+        sm = ShardMap(4)
         owners = {
             sm.owner_of_entry(f"/mail/folder{f:02d}/cur/m0") for f in range(10)
         }
@@ -76,27 +75,20 @@ class TestShardMap:
         more directories than it holds only evict older answers."""
         bound = _hash_owner.cache_info().maxsize
         assert bound is not None
-        sm = ShardMap.create(8, "hash")
+        sm = ShardMap(8)
         dirs = [f"/mail/u{i:05d}/cur" for i in range(bound + 100)]
         for _ in range(2):
             for d in dirs:
                 assert sm.owner_of_entry(d + "/m0") == _hash_owner.__wrapped__(d, 8)
         assert _hash_owner.cache_info().currsize <= bound
 
-    def test_range_mode_keeps_subtree_contiguous(self):
-        sm = ShardMap.create(4, "range")
-        span = sm.children_span("/kernel/src")
-        assert span == sorted(span)
-        owner = sm.owner_of_entry("/kernel/src/main.c")
-        assert owner in span
-
     def test_one_shard_short_circuits(self):
-        sm = ShardMap.create(1)
+        sm = ShardMap(1)
         assert sm.owner_of_entry("/anything") == 0
-        assert sm.children_span("/anything") == [0]
+        assert sm.owner_of_children("/anything") == 0
 
     def test_key_routing_strips_block_suffix(self):
-        sm = ShardMap.create(8, "hash")
+        sm = ShardMap(8)
         path = "/a/b/file"
         want = sm.owner_of_entry(path)
         assert sm.owner_of_key(path.encode()) == want
@@ -106,42 +98,27 @@ class TestShardMap:
         with pytest.raises(ValueError, match="at least one"):
             ShardMap(0)
         with pytest.raises(ValueError, match="unknown shard mode"):
-            ShardMap(2, "modulo")
-        with pytest.raises(ValueError, match="boundaries"):
-            ShardMap(3, "range", ("/m",))
-        with pytest.raises(ValueError, match="increasing"):
-            ShardMap(3, "range", ("/m", "/a"))
-        with pytest.raises(ValueError, match="no boundaries"):
-            ShardMap(2, "hash", ("/m",))
-        with pytest.raises(ValueError, match="at most"):
-            default_boundaries(200)
+            make_sharded_betrfs("BetrFS v0.6", shards=2, mode="range")
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        paths,
-        st.integers(min_value=1, max_value=16),
-        st.sampled_from(["hash", "range"]),
-    )
-    def test_routing_total_and_remount_stable(self, path, shards, mode):
-        sm = ShardMap.create(shards, mode)
+    @given(paths, st.integers(min_value=1, max_value=16))
+    def test_routing_total_and_remount_stable(self, path, shards):
+        sm = ShardMap(shards)
         owner = sm.owner_of_entry(path)
         assert 0 <= owner < shards
-        remounted = ShardMap.from_dict(json.loads(json.dumps(sm.to_dict())))
-        assert remounted == sm
-        assert remounted.owner_of_entry(path) == owner
-        assert remounted.owner_of_key(path.encode()) == sm.owner_of_key(
-            path.encode()
-        )
+        assert sm.owner_of_key(path.encode()) == owner
+        # A re-mount rebuilds the map from its shard count alone.
+        assert ShardMap(shards).owner_of_entry(path) == owner
 
     @settings(max_examples=100, deadline=None)
     @given(paths, st.integers(min_value=2, max_value=8))
     def test_children_stay_in_span(self, dirpath, shards):
-        for mode in ("hash", "range"):
-            sm = ShardMap.create(shards, mode)
-            span = sm.children_span(dirpath)
-            for child in ("a", "m0001", "zz~"):
-                owner = sm.owner_of_entry(dirpath + "/" + child)
-                assert owner in span
+        """Every child routes with its directory."""
+        sm = ShardMap(shards)
+        for child in ("a", "m0001", "zz~"):
+            assert sm.owner_of_entry(dirpath + "/" + child) == sm.owner_of_children(
+                dirpath
+            )
 
 
 # ----------------------------------------------------------------------
