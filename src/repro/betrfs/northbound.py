@@ -42,6 +42,18 @@ class BetrFSNorthbound(FileSystemBackend):
 
     supports_blind_patch = True
 
+    #: Traced when the observability scope traces.
+    SPANS = {
+        "write_page": (
+            "nb.write_page", "northbound",
+            lambda nb, path, idx, frame, nbytes: {"bytes": nbytes},
+        ),
+        "read_pages": (
+            "nb.read_pages", "northbound",
+            lambda nb, path, idx, count, seq_hint: {"pages": count},
+        ),
+    }
+
     def __init__(self, env: KVEnv, features: BetrFSFeatures) -> None:
         self.env = env
         self.features = features
@@ -51,13 +63,13 @@ class BetrFSNorthbound(FileSystemBackend):
         #: Deferred (conditionally logged) creates not yet in the tree.
         self.deferred_creates = 0
         obs = getattr(env, "obs", None)
-        self._tracer = env._tracer if obs is not None else None
         if obs is not None:
             obs.registry.gauge(
                 "northbound.deferred_creates",
                 layer="northbound",
                 fn=lambda: self.deferred_creates,
             )
+            obs.instrument(self, self.SPANS)
 
     def format(self) -> None:
         """Make a fresh volume a file system: the root directory's
@@ -224,15 +236,6 @@ class BetrFSNorthbound(FileSystemBackend):
     def write_page(
         self, path: str, idx: int, frame: PageFrame, nbytes: int
     ) -> bool:
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("nb.write_page", "northbound") as sp:
-                retained = self._write_page_impl(path, idx, frame)
-                sp.args["bytes"] = nbytes
-            return retained
-        return self._write_page_impl(path, idx, frame)
-
-    def _write_page_impl(self, path: str, idx: int, frame: PageFrame) -> bool:
         key = data_key(path, idx)
         if self.features.page_sharing:
             self.env.insert(DATA, key, frame, by_ref=True)
@@ -244,17 +247,6 @@ class BetrFSNorthbound(FileSystemBackend):
         self.env.patch(DATA, data_key(path, idx), offset, data)
 
     def read_pages(
-        self, path: str, idx: int, count: int, seq_hint: bool
-    ) -> List[PageFrame]:
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("nb.read_pages", "northbound") as sp:
-                out = self._read_pages_impl(path, idx, count, seq_hint)
-                sp.args["pages"] = count
-            return out
-        return self._read_pages_impl(path, idx, count, seq_hint)
-
-    def _read_pages_impl(
         self, path: str, idx: int, count: int, seq_hint: bool
     ) -> List[PageFrame]:
         if count == 1 and not seq_hint:

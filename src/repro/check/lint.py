@@ -8,8 +8,9 @@ test suite cannot see:
 * ``wall-clock`` — no ``time.time()`` / ``time.monotonic()`` /
   ``datetime.now()`` etc.  Simulated components must read
   :class:`~repro.device.clock.SimClock`; real elapsed time (the
-  harness banner, the bench suite, dual-clock spans) must go through
-  :mod:`repro.obs.prof`, the one allowlisted wall-clock provider.
+  harness banner) must go through :mod:`repro.obs.prof`, the one
+  allowlisted wall-clock provider.  Host time per layer is measured
+  from outside the package, by perfbench.
 * ``unseeded-random`` — no module-level ``random.*`` calls (global,
   process-wide RNG state).  Seeded ``random.Random(seed)`` instances
   are fine: they are deterministic and local.
@@ -156,9 +157,9 @@ _DEVICE_LAYER_PREFIXES = ("device/", "storage/", "baselines/", "check/", "crashm
 _DEVICE_LAYER_FILES = {"workloads/aging.py", "harness/ftl.py"}
 
 #: (relpath, rule) pairs tolerated in the repo.  repro.obs.prof is the
-#: single sanctioned wall-clock module — every wall-time consumer (the
-#: harness banner, bench, dual-clock spans) derives from its one
-#: ``perf_counter_ns`` read — and the lint self-test in
+#: single sanctioned wall-clock module — the one wall-time consumer
+#: (the harness banner) derives from its one ``perf_counter_ns`` read
+#: — and the lint self-test in
 #: tests/test_check.py asserts it stays the only one.
 DEFAULT_ALLOWLIST: Set[Tuple[str, str]] = {
     ("obs/prof.py", "wall-clock"),

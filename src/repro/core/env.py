@@ -63,6 +63,15 @@ DATA = 1
 class KVEnv:
     """A B-epsilon-tree environment with a meta and a data index."""
 
+    #: Traced when the observability scope traces; ``checkpoints``
+    #: counts the one this call writes.
+    SPANS = {
+        "checkpoint": (
+            "env.checkpoint", "checkpoint",
+            lambda env: {"checkpoints": env.checkpoints + 1},
+        ),
+    }
+
     def __init__(
         self,
         storage: Southbound,
@@ -84,10 +93,10 @@ class KVEnv:
         self.config = config
         self.log_page_values = log_page_values
         self.obs = obs
-        self._tracer = obs.tracer if obs is not None else None
         self.cache = NodeCache(config.cache_bytes)
         if obs is not None:
             obs.register_object("tree.nodecache", self.cache, layer="cache")
+            obs.instrument(self, self.SPANS)
         self.san = None
         if config.sanitize:
             from repro.check.sanitize import SanitizerSuite  # arch: allow[opt-in observer: sanitizers watch core from above; lazy import so core never loads them unless config.sanitize]
@@ -246,15 +255,6 @@ class KVEnv:
 
     def checkpoint(self) -> None:
         """Write a consistent CoW checkpoint and truncate the log."""
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("env.checkpoint", "checkpoint") as sp:
-                self._checkpoint_impl()
-                sp.args["checkpoints"] = self.checkpoints
-        else:
-            self._checkpoint_impl()
-
-    def _checkpoint_impl(self) -> None:
         self.checkpoints += 1
         self.wal.flush(durable=False)
         for tree in self.trees:

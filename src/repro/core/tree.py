@@ -109,6 +109,23 @@ class TreeStats:
 class BeTree:
     """One B-epsilon-tree index stored in one southbound file."""
 
+    #: Methods traced when the observability scope traces (see
+    #: :meth:`repro.obs.MountScope.instrument`).
+    SPANS = {
+        "get": ("tree.query", "tree", lambda tree, key: {"tree": tree.file_name}),
+        "_flush_one_batch": (
+            "tree.flush_batch", "tree", lambda tree, node: {"tree": tree.file_name},
+        ),
+        "_load_node_miss": (
+            "tree.node_read", "tree",
+            lambda tree, node_id, span=None: {"tree": tree.file_name, "node": node_id},
+        ),
+        "write_node": (
+            "tree.node_write", "tree",
+            lambda tree, node: {"tree": tree.file_name, "node": node.node_id},
+        ),
+    }
+
     def __init__(
         self,
         env: "KVEnv",
@@ -129,13 +146,10 @@ class BeTree:
         self.stats = TreeStats()
         self.san = getattr(env, "san", None)
         obs = getattr(env, "obs", None)
-        self._tracer = env._tracer if obs is not None else None
-        self._lat_query = None
         if obs is not None:
             obs.register_object(f"tree.{file_name}", self.stats, layer="tree")
-            self._lat_query = obs.latency(
-                "tree.query_latency", layer="tree", tree=file_name
-            )
+            query = obs.latency("tree.query_latency", layer="tree", tree=file_name)
+            obs.instrument(self, self.SPANS, {"get": query})
         if blockman is not None:
             self.blockman = blockman
         else:
@@ -190,22 +204,9 @@ class BeTree:
     # Public read operations
     # ==================================================================
     def get(self, key: bytes) -> Optional[Value]:
-        """Point query (sequential reads are scans: :meth:`range_query`)."""
-        if self._lat_query is None:
-            return self._get_impl(key)
-        t0 = self.clock.now
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("tree.query", "tree") as sp:
-                value = self._get_impl(key)
-                sp.args["tree"] = self.file_name
-        else:
-            value = self._get_impl(key)
-        self._lat_query.observe(self.clock.now - t0)
-        return value
+        """Point query (sequential reads are scans: :meth:`range_query`).
 
-    def _get_impl(self, key: bytes) -> Optional[Value]:
-        """One pass from the root to the leaf.  Per level: the pivot
+        One pass from the root to the leaf.  Per level: the pivot
         search, the buffer probe (point and range messages sit in
         ordered structures, OMTs: a logarithmic search each plus one
         interval check per match) and the child's cache lookup, each
@@ -338,26 +339,18 @@ class BeTree:
             guard += 1
             if guard > 65536:  # pragma: no cover - safety valve
                 raise RuntimeError("flush did not converge")
-            if not self._flush_one_batch(node):
+            # Critical section (reentrancy audit, repro.sched): between
+            # the buffer drain and the child application/split the tree
+            # is inconsistent; no session switch may observe it.
+            self.env.enter_critical()
+            try:
+                flushed = self._flush_one_batch(node)
+            finally:
+                self.env.exit_critical()
+            if not flushed:
                 break  # nothing routable (single stuck message)
 
     def _flush_one_batch(self, node: InternalNode) -> bool:
-        # Critical section (reentrancy audit, repro.sched): between the
-        # buffer drain and the child application/split the tree is
-        # inconsistent; no session switch may observe it.
-        self.env.enter_critical()
-        try:
-            tracer = self._tracer
-            if tracer is not None and tracer.enabled:
-                with tracer.span("tree.flush_batch", "tree") as sp:
-                    flushed = self._flush_one_batch_impl(node)
-                    sp.args["tree"] = self.file_name
-                return flushed
-            return self._flush_one_batch_impl(node)
-        finally:
-            self.env.exit_critical()
-
-    def _flush_one_batch_impl(self, node: InternalNode) -> bool:
         """Flush the fattest child's batch; False if nothing routed."""
         self.stats.flushes += 1
         self.clock.cpu(self.costs.flush_overhead)
@@ -881,16 +874,6 @@ class BeTree:
         query tests the hit inline and calls this itself).  A caller
         that gives ``span`` knows the node for a leaf and needs of it
         only the basements that may hold a key of ``[lo, hi)``."""
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("tree.node_read", "tree") as sp:
-                node = self._read_node(node_id, span)
-                sp.args["tree"] = self.file_name
-                sp.args["node"] = node_id
-            return node
-        return self._read_node(node_id, span)
-
-    def _read_node(self, node_id: int, span: Optional[KeySpan]) -> Node:
         if not self.blockman.contains(node_id):
             raise KeyError(f"node {node_id} has no on-disk extent")
         signal = self.env.block_signal
@@ -1038,16 +1021,6 @@ class BeTree:
     # ------------------------------------------------------------------
     def write_node(self, node: Node) -> None:
         """Serialize and persist one node (CoW)."""
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("tree.node_write", "tree") as sp:
-                self._write_node_impl(node)
-                sp.args["tree"] = self.file_name
-                sp.args["node"] = node.node_id
-        else:
-            self._write_node_impl(node)
-
-    def _write_node_impl(self, node: Node) -> None:
         if isinstance(node, LeafNode):
             self._ensure_loaded(node)
         ser = serialize_node(

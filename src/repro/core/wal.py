@@ -107,6 +107,15 @@ def decode_payload(lsn: int, op: int, payload: bytes) -> LogEntry:
 class WriteAheadLog:
     """Circular redo log over a southbound ``log`` file."""
 
+    #: Traced when the observability scope traces; ``bytes`` is the
+    #: buffer the flush writes.
+    SPANS = {
+        "flush": (
+            "wal.flush", "log",
+            lambda wal, durable=True: {"bytes": wal._buffer_bytes, "durable": durable},
+        ),
+    }
+
     def __init__(
         self,
         storage: Southbound,
@@ -119,9 +128,9 @@ class WriteAheadLog:
         self.costs = costs
         self.clock = storage.clock
         self.section_size = section_size
-        self._tracer = obs.tracer if obs is not None else None
         if obs is not None:
             obs.register_object("log.wal", self, layer="log")
+            obs.instrument(self, self.SPANS)
         self.region_size = storage.file_size("log")
         #: Called when the circular buffer cannot advance (forces a
         #: checkpoint, which releases the tail).
@@ -195,17 +204,6 @@ class WriteAheadLog:
 
     def flush(self, durable: bool = True) -> None:
         """Write buffered entries to the device (one sequential I/O)."""
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("wal.flush", "log") as sp:
-                nbytes = self._buffer_bytes
-                self._flush_impl(durable)
-                sp.args["bytes"] = nbytes
-                sp.args["durable"] = durable
-        else:
-            self._flush_impl(durable)
-
-    def _flush_impl(self, durable: bool) -> None:
         self.flushes += 1
         if durable:
             self.durable_flushes += 1

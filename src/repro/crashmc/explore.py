@@ -326,8 +326,6 @@ class CrashExplorer:
             "mailserver_mt",
             "xshard_rename",
         ),
-        exhaustive_k: int = 6,
-        obs_clock: Optional[SimClock] = None,
         order_log=None,
     ) -> None:
         self.seed = seed
@@ -336,13 +334,12 @@ class CrashExplorer:
         #: live stack's device gets a pure-observer order recorder.
         self.order_log = order_log
         self.workload_names = list(workloads)
-        self.exhaustive_k = exhaustive_k
         for name in self.workload_names:
             if name not in WORKLOADS:
                 raise ValueError(
                     f"unknown workload {name!r} (have {sorted(WORKLOADS)})"
                 )
-        self.obs = scope_for_mount("crashmc", obs_clock or SimClock(), self)
+        self.obs = scope_for_mount("crashmc", SimClock(), self)
         reg = self.obs.registry
         self._c_cases = reg.counter("crashmc.cases", layer="crashmc")
         self._c_clean = reg.counter("crashmc.clean", layer="crashmc")
@@ -413,7 +410,6 @@ class CrashExplorer:
             epoch=epoch,
             sector=stack.device.profile.sector,
             rng=rng,
-            exhaustive_k=self.exhaustive_k,
         )
 
     def _crash_points(

@@ -332,7 +332,6 @@ class BlockDevice:
         self,
         clock: SimClock,
         profile: DeviceProfile,
-        charge_time: bool = True,
         obs=None,
         volatile_cache: bool = False,
     ) -> None:
@@ -375,7 +374,6 @@ class BlockDevice:
         #: sustained rate until the device has been idle long enough
         #: for internal garbage collection (hysteresis).
         self._cache_saturated = False
-        self.charge_time = charge_time
         #: The flush group scheduled sessions' barriers are joining
         #: (``None`` when none is pending).
         self._group: Optional[FlushGroup] = None
@@ -564,7 +562,7 @@ class BlockDevice:
         nbytes = self._round(length)
         sequential = self._note_stream(self._read_streams, offset, offset + length)
         dur = self._io_duration(nbytes, write=False, sequential=sequential)
-        done = self._schedule(dur) if self.charge_time else self.clock.now
+        done = self._schedule(dur)
         self.stats.record(False, nbytes, sequential, dur, raw_nbytes=length)
         if self._lat_read is not None:
             self._lat_read.observe(dur)
@@ -599,7 +597,7 @@ class BlockDevice:
             # copy + erase time (the steady-state tail-latency pause).
             gc_seconds = self.ftl.host_write(offset, length)
             dur += gc_seconds
-        done = self._schedule(dur) if self.charge_time else self.clock.now
+        done = self._schedule(dur)
         self.stats.record(True, nbytes, sequential, dur, raw_nbytes=length)
         if self._lat_write is not None:
             self._lat_write.observe(dur)
@@ -628,8 +626,7 @@ class BlockDevice:
 
     def wait(self, completion: Completion) -> Optional[Segments]:
         """Wait for an async I/O to complete; returns a read's segments."""
-        if self.charge_time:
-            self.clock.wait_until(completion.done_at)
+        self.clock.wait_until(completion.done_at)
         return completion.data
 
     def _read(self, offset: int, length: int) -> Segments:
@@ -661,14 +658,6 @@ class BlockDevice:
         A scheduled session's barrier joins the device's flush group
         instead (see the module docstring).
         """
-        if not self.charge_time:
-            self.stats.record_flush(0.0)
-            if self.san is not None:
-                self.san.on_device_op(self, "flush", 0.0)
-            if self.order is not None:
-                self.order.on_flush()
-            self._seal_epoch()
-            return
         clock = self.clock
         if clock.holds:
             self._join_group(clock)
@@ -733,10 +722,7 @@ class BlockDevice:
         if self.clock.hold is not None:
             self.clock.realize()
         dur = self.profile.cmd_overhead
-        if self.charge_time:
-            self._schedule(dur)
-        else:
-            dur = 0.0
+        self._schedule(dur)
         self.stats.record_discard(length, dur)
         if self.ftl is not None:
             self.ftl.trim(offset, length)
@@ -783,16 +769,16 @@ class BlockDevice:
         persisted ones — so planned images carry no FTL and the offline
         fsck skips its FTL leg.
 
-        Wiring: the twin inherits the profile and ``charge_time`` but
-        is born *unobserved* and *unsanitized* — its clock starts at
-        zero, so attaching the crashed mount's tracer or sanitizers
-        (which reference the old clock and environment) would corrupt
-        both timelines.  Pass ``obs`` (a :class:`repro.obs.MountScope`
-        built on the twin's clock) or call :meth:`attach_obs` to
-        observe the reboot; a recovering environment re-installs
-        sanitizers via its own ``config.sanitize``.
+        Wiring: the twin inherits the profile but is born *unobserved*
+        and *unsanitized* — its clock starts at zero, so attaching the
+        crashed mount's tracer or sanitizers (which reference the old
+        clock and environment) would corrupt both timelines.  Pass
+        ``obs`` (a :class:`repro.obs.MountScope` built on the twin's
+        clock) or call :meth:`attach_obs` to observe the reboot; a
+        recovering environment re-installs sanitizers via its own
+        ``config.sanitize``.
         """
-        twin = BlockDevice(SimClock(), self.profile, charge_time=self.charge_time)
+        twin = BlockDevice(SimClock(), self.profile)
         if plan is None:
             twin.store = ExtentStore.from_snapshot(self.store.snapshot())
             if self.ftl is not None:

@@ -172,12 +172,12 @@ def main(argv=None) -> int:
     return args.run(args)
 
 
-def _paper(produce, experiments_md: bool = False, wall: bool = False):
+def _paper(produce, experiments_md: bool = False, observed: bool = False):
     """The runner of a paper target: ``produce(args, scale, verbose) ->
     (tables, figures)``, then the exports and the ``--out`` files.
 
     An observability session exists only when an export asks for one,
-    or ``wall`` (dual-clock spans, which ``stats`` prints): a session
+    or ``observed`` (``stats`` prints the session's tables): a session
     keeps every mount it saw alive until the export, and observers are
     pure, so the results are the same without one.
     """
@@ -188,8 +188,8 @@ def _paper(produce, experiments_md: bool = False, wall: bool = False):
         watch = Stopwatch()
         scale = scale_by_name(args.scale)
         obs = None
-        if wall or args.metrics_out or args.trace_out:
-            obs = Observability(tracing=args.trace_out is not None, wall=wall)
+        if observed or args.metrics_out or args.trace_out:
+            obs = Observability(tracing=args.trace_out is not None)
         with session(obs):
             tables, figures = produce(args, scale, not args.quiet)
         _write_exports(obs, args)
@@ -278,12 +278,10 @@ def _ftl(args, scale, verbose):
 
 def _stats(args, scale, verbose):
     """Run a representative workload (default: the tar figure) and print
-    the session's per-layer tables plus the sim-vs-wall overhead map."""
+    the session's per-layer tables."""
     figures = args.figures or ["fig2a"]
     run_figures(figures=figures, systems=args.systems, scale=scale, verbose=verbose)
     print(current().render_stats())
-    print()
-    print(current().render_overhead())
     return {}, {}
 
 
@@ -477,10 +475,9 @@ TARGETS = {
         _paper(_ftl),
     ),
     "stats": (
-        "run a workload and print the per-layer observability tables "
-        "plus the sim-vs-wall overhead map",
+        "run a workload and print the per-layer observability tables",
         ("--scale", "--figures", "--systems") + _EXPORTS,
-        _paper(_stats, wall=True),
+        _paper(_stats, observed=True),
     ),
     "fsck": (
         "check a saved device image (see repro.check.fsck)",

@@ -14,9 +14,14 @@ Wiring model
 
 Every mount owns one :class:`MountScope` (registry + tracer + clock).
 By default a mount creates a standalone scope with tracing *disabled*
-(the :data:`~repro.obs.trace.NULL_TRACER` no-op), so observability
-costs nothing unless asked for.  The harness enables collection across
-many mounts by installing an :class:`Observability` session::
+(the :data:`~repro.obs.trace.NULL_TRACER`), so observability costs
+nothing unless asked for.  Each instrumented class names the methods
+it wants spanned in a ``SPANS`` table, and :meth:`MountScope.instrument`
+installs the wrappers on the instance: spans only when the scope
+traces, latency histograms whenever the class passes one.  Spans are
+on the simulated clock only; host time per layer is perfbench's
+``--trace 1`` ledger.  The harness enables collection across many
+mounts by installing an :class:`Observability` session::
 
     obs = Observability(tracing=True)
     with session(obs):
@@ -37,48 +42,59 @@ import json
 import os
 import weakref
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.device.clock import SimClock
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.prof import Stopwatch, wall_ns, wall_s
-from repro.obs.report import render_overhead, render_scope
+from repro.obs.prof import Stopwatch, wall_ns
+from repro.obs.report import render_scope
 from repro.obs.trace import NULL_TRACER, NullTracer, SpanTracer
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "MountScope", "Observability", "current", "session",
     "NullTracer", "SpanTracer", "NULL_TRACER",
-    "Stopwatch", "wall_ns", "wall_s",
+    "Stopwatch", "wall_ns",
 ]
+
+#: One ``SPANS`` table entry: span name, category (the stats layer),
+#: and a function of ``(instance, *call args)`` giving the span's args
+#: from the call (``None``: no args).  The args are read before the
+#: call and attached when the span ends.
+SpanSpec = Tuple[str, str, Optional[Callable[..., Dict[str, Any]]]]
 
 
 class MountScope:
-    """Observability context for one mounted file system.
-
-    ``wall=True`` (implies tracing) makes the span tracer dual-clock:
-    every span also records elapsed wall nanoseconds via
-    :func:`repro.obs.prof.wall_ns`, enabling the per-layer sim-vs-wall
-    overhead map.  Wall stamps are observation-only — simulated state
-    and timing are bit-identical either way.
-    """
+    """Observability context for one mounted file system."""
 
     def __init__(
-        self,
-        name: str,
-        clock: SimClock,
-        tracing: bool = False,
-        pid: int = 0,
-        wall: bool = False,
+        self, name: str, clock: SimClock, tracing: bool = False, pid: int = 0
     ) -> None:
         self.name = name
         self.clock = clock
         self.pid = pid
         self.registry = MetricsRegistry()
-        if tracing or wall:
-            self.tracer = SpanTracer(clock, wall_clock=wall_ns if wall else None)
-        else:
-            self.tracer = NULL_TRACER
+        self.tracer = SpanTracer(clock) if tracing else NULL_TRACER
+
+    def instrument(
+        self,
+        obj: Any,
+        spans: Mapping[str, SpanSpec],
+        latency: Optional[Mapping[str, Histogram]] = None,
+    ) -> None:
+        """Wrap ``obj``'s methods on the instance, never the class: each
+        method of ``spans`` in a span when this scope traces, each method
+        of ``latency`` in its histogram (simulated seconds per call, not
+        observed when the call raises).  A method this scope neither
+        traces nor times stays the class's, at no cost."""
+        latency = latency or {}
+        traced = spans if self.tracer.enabled else {}
+        for method in dict.fromkeys([*traced, *latency]):
+            wrapper = _wrap(
+                obj, getattr(obj, method), self.clock, self.tracer,
+                traced.get(method), latency.get(method),
+            )
+            setattr(obj, method, wrapper)
 
     # Convenience passthroughs used by instrumented components.
     def latency(self, name: str, layer: str = "", **labels: str) -> Histogram:
@@ -99,24 +115,41 @@ class MountScope:
         return render_scope(self)
 
 
+def _wrap(obj, inner, clock, tracer, spec, hist):
+    """``inner`` (a bound method of ``obj``) in a span if ``spec`` is
+    given, and timed into ``hist`` if that is given."""
+    if spec is None:
+
+        def timed(*a, **kw):
+            t0 = clock.now
+            out = inner(*a, **kw)
+            hist.observe(clock.now - t0)
+            return out
+
+        return timed
+    name, cat, args = spec
+
+    def traced(*a, **kw):
+        t0 = clock.now
+        with tracer.span(name, cat, **(args(obj, *a, **kw) if args else {})):
+            out = inner(*a, **kw)
+        if hist is not None:
+            hist.observe(clock.now - t0)
+        return out
+
+    return traced
+
+
 class Observability:
-    """A collection session: one scope per mount created under it.
+    """A collection session: one scope per mount created under it."""
 
-    ``wall=True`` turns on dual-clock spans (simulated + wall time per
-    span) for every mount in the session; see :class:`MountScope`.
-    """
-
-    def __init__(self, tracing: bool = False, wall: bool = False) -> None:
-        self.tracing = tracing or wall
-        self.wall = wall
+    def __init__(self, tracing: bool = False) -> None:
+        self.tracing = tracing
         self.scopes: List[MountScope] = []
 
     def mount(self, name: str, clock: SimClock, owner: object) -> MountScope:
         """A new scope for ``owner``; it freezes when ``owner`` dies."""
-        scope = MountScope(
-            name, clock, tracing=self.tracing, pid=len(self.scopes),
-            wall=self.wall,
-        )
+        scope = MountScope(name, clock, tracing=self.tracing, pid=len(self.scopes))
         self.scopes.append(scope)
         weakref.finalize(owner, scope.registry.freeze)
         return scope
@@ -169,10 +202,6 @@ class Observability:
 
     def render_stats(self) -> str:
         return "\n\n".join(scope.render_stats() for scope in self.scopes)
-
-    def render_overhead(self) -> str:
-        """Per-layer sim-vs-wall overhead map, one table per mount."""
-        return "\n\n".join(render_overhead(scope) for scope in self.scopes)
 
     def write_metrics(self, path: str) -> None:
         _ensure_parent(path)

@@ -4,11 +4,13 @@ This module is the **single sanctioned wall-clock reader** in the
 whole package: the simulation-purity lint
 (:mod:`repro.check.lint`) allowlists exactly one ``wall-clock``
 finding, and it lives here, in :func:`wall_ns` — the lint self-test in
-``tests/test_check.py`` pins it.  Everything that needs real elapsed
-time (the harness banner, dual-clock spans) imports this module
-instead of touching :mod:`time` directly, so a stray
-``time.perf_counter()`` anywhere else in ``src/repro`` is a lint
-error, not a silent determinism leak.
+``tests/test_check.py`` pins it.  The one thing in the package that
+needs real elapsed time, the harness's "total wall time" banner
+(:class:`Stopwatch`), reads it here instead of touching :mod:`time`
+directly, so a stray ``time.perf_counter()`` anywhere else in
+``src/repro`` is a lint error, not a silent determinism leak.  Host
+time per layer is not measured in the package: that is perfbench's
+``--trace 1`` ledger.
 
 ``perf_counter_ns`` is the right primitive: it is monotonic (immune to
 NTP steps and DST, unlike ``time.time()``), has the highest available
@@ -23,7 +25,6 @@ import time
 __all__ = [
     "Stopwatch",
     "wall_ns",
-    "wall_s",
 ]
 
 
@@ -34,11 +35,6 @@ def wall_ns() -> int:
     module docstring); every other wall-time consumer derives from it.
     """
     return time.perf_counter_ns()
-
-
-def wall_s() -> float:
-    """Monotonic wall-clock seconds (derived from :func:`wall_ns`)."""
-    return wall_ns() / 1e9
 
 
 class Stopwatch:

@@ -2,9 +2,7 @@
 
 Produces the table the ``python -m repro.harness stats`` subcommand
 prints: per-layer op counts, simulated-latency percentiles, device
-busy fraction, cache hit rates — and, when dual-clock spans were
-recorded, the per-layer sim-vs-wall *overhead map*
-(:func:`overhead_rows` / :func:`render_overhead`).
+busy fraction and cache hit rates.
 """
 
 from __future__ import annotations
@@ -137,79 +135,6 @@ def render_scope(scope) -> str:
         hit_lines.append(f"{label} {_rate(hits, misses)} hit ({hits}/{hits + misses})")
     if hit_lines:
         lines.append("cache hit rates: " + "; ".join(hit_lines))
-    return "\n".join(lines)
-
-
-def overhead_rows(tracer) -> List[Dict[str, Any]]:
-    """Per-layer sim-time vs wall-time attribution from dual-clock spans.
-
-    Aggregates span *self* time (duration minus direct children) by
-    span category — the instrumentation layer — on both clocks.  Rows:
-    ``{layer, spans, sim_self_s, wall_self_s, wall_per_sim}`` where
-    ``wall_per_sim`` is real seconds the simulator burned per simulated
-    second inside that layer (None when no sim time accrued).  Flat
-    device-occupancy events carry no wall clock and are excluded.
-
-    Self-time on both clocks sums (up to stack-unwind truncation) to
-    the top-level spans' totals, so the rows *partition* the traced
-    run: a layer with a large wall share and a small sim share is
-    simulator overhead, not simulated device time.
-    """
-    agg: Dict[str, Dict[str, float]] = {}
-    for span in tracer.spans:
-        if span.path.startswith("[") or span.wall_ns < 0:
-            continue
-        row = agg.setdefault(
-            span.cat, {"spans": 0, "sim_self_s": 0.0, "wall_self_ns": 0}
-        )
-        row["spans"] += 1
-        row["sim_self_s"] += max(span.duration - span.child_sim, 0.0)
-        row["wall_self_ns"] += max(span.wall_ns - span.child_wall, 0)
-    out: List[Dict[str, Any]] = []
-    for layer, vals in agg.items():
-        sim = vals["sim_self_s"]
-        wall = vals["wall_self_ns"] / 1e9
-        out.append(
-            {
-                "layer": layer,
-                "spans": int(vals["spans"]),
-                "sim_self_s": sim,
-                "wall_self_s": wall,
-                "wall_per_sim": (wall / sim) if sim > 0 else None,
-            }
-        )
-    out.sort(key=lambda r: (-r["wall_self_s"], r["layer"]))
-    return out
-
-
-def render_overhead(scope) -> str:
-    """The sim-vs-wall overhead map for one mount scope (text table)."""
-    tracer = scope.tracer
-    rows = overhead_rows(tracer) if getattr(tracer, "enabled", False) else []
-    lines = [f"=== {scope.name} — sim-vs-wall overhead map ==="]
-    if not rows:
-        lines.append("(no dual-clock spans recorded — run with wall profiling on)")
-        return "\n".join(lines)
-    lines.append(
-        f"{'layer':<12s}{'spans':>10s}{'sim self':>14s}{'wall self':>14s}"
-        f"{'wall/sim':>12s}"
-    )
-    total_sim = total_wall = 0.0
-    for r in rows:
-        total_sim += r["sim_self_s"]
-        total_wall += r["wall_self_s"]
-        ratio = f"{r['wall_per_sim']:.3f}" if r["wall_per_sim"] is not None else "-"
-        lines.append(
-            f"{r['layer']:<12s}{r['spans']:>10d}"
-            f"{_fmt_latency(r['sim_self_s']):>14s}"
-            f"{_fmt_latency(r['wall_self_s']):>14s}{ratio:>12s}"
-        )
-    ratio = f"{total_wall / total_sim:.3f}" if total_sim > 0 else "-"
-    lines.append(
-        f"{'total':<12s}{sum(r['spans'] for r in rows):>10d}"
-        f"{_fmt_latency(total_sim):>14s}{_fmt_latency(total_wall):>14s}"
-        f"{ratio:>12s}"
-    )
     return "\n".join(lines)
 
 

@@ -14,31 +14,17 @@ Exports:
   from ts/dur containment on each thread);
 * a plain-text flamegraph-style summary aggregated by span stack path.
 
-The default tracer everywhere is :data:`NULL_TRACER`: a singleton
-whose ``enabled`` flag is False.  Instrumented hot paths check that
-one attribute and skip all tracing work, so tracing is zero-cost when
-disabled.
-
-Dual-clock spans
-----------------
-
-A tracer constructed with a ``wall_clock`` callable (canonically
-:func:`repro.obs.prof.wall_ns`, the package's one sanctioned
-wall-clock reader) additionally stamps every span with *real* elapsed
-nanoseconds.  Each span then carries both durations — simulated
-seconds and wall nanoseconds — and accumulates its direct children's
-totals on both clocks, so self-time is computable per span on either
-timeline.  That is what the per-layer sim-vs-wall "overhead map"
-(:func:`repro.obs.report.overhead_rows`) is built from: layers whose
-wall share dwarfs their simulated share are where the *simulator*
-burns CPU.  The wall clock is only ever read and recorded — never fed
-back into the simulation — so spans stay pure observers (bit-identity
-tested in ``tests/test_obs.py``).
+The default tracer everywhere is :data:`NULL_TRACER`, whose
+``enabled`` flag is False: a scope that does not trace installs no span
+wrapper (:meth:`repro.obs.MountScope.instrument`), and the device tests
+that one flag before it records a timeline event, so tracing costs
+nothing when disabled.  Spans read only the simulated clock; host time
+per layer is perfbench's ``--trace 1`` ledger.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.device.clock import SimClock
 
@@ -53,7 +39,6 @@ class Span:
     __slots__ = (
         "name", "cat", "start", "end", "cpu0", "io0",
         "cpu", "io_wait", "depth", "path", "args",
-        "wall0", "wall_ns", "child_sim", "child_wall",
     )
 
     def __init__(
@@ -71,48 +56,16 @@ class Span:
         self.depth = depth
         self.path = path
         self.args: Dict[str, Any] = {}
-        # Dual-clock fields: wall_ns stays -1 unless the tracer was
-        # built with a wall_clock provider (see module docstring).
-        self.wall0 = 0
-        self.wall_ns = -1
-        # Direct children's totals on both clocks (for self-time).
-        self.child_sim = 0.0
-        self.child_wall = 0
 
     @property
     def duration(self) -> float:
         return self.end - self.start
 
 
-class _NullSpanCM:
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_CM = _NullSpanCM()
-
-
 class NullTracer:
-    """The zero-cost default: every operation is a no-op."""
+    """The default: a tracer that is not enabled records nothing."""
 
     enabled = False
-
-    def begin(self, name: str, cat: str) -> None:
-        return None
-
-    def end(self, span, **args) -> None:
-        return None
-
-    def span(self, name: str, cat: str, **args):
-        return _NULL_CM
-
-    def event(self, name: str, cat: str, ts: float, dur: float, tid: int = TID_DEVICE, **args) -> None:
-        return None
 
 
 #: Shared no-op tracer instance (safe: it holds no state).
@@ -140,17 +93,9 @@ class SpanTracer:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: SimClock,
-        max_events: int = 1_000_000,
-        wall_clock: Optional[Callable[[], int]] = None,
-    ) -> None:
+    def __init__(self, clock: SimClock, max_events: int = 1_000_000) -> None:
         self.clock = clock
         self.max_events = max_events
-        #: Optional ns-resolution wall-clock provider (dual-clock spans);
-        #: pass :func:`repro.obs.prof.wall_ns`, never time.* directly.
-        self.wall_clock = wall_clock
         self.spans: List[Span] = []
         self.dropped = 0
         self._stack: List[Span] = []
@@ -164,8 +109,6 @@ class SpanTracer:
             name, cat, clock.now, clock.cpu_time, clock.io_wait,
             depth=len(self._stack), path=path,
         )
-        if self.wall_clock is not None:
-            span.wall0 = self.wall_clock()
         self._stack.append(span)
         return span
 
@@ -174,8 +117,6 @@ class SpanTracer:
         span.end = clock.now
         span.cpu = clock.cpu_time - span.cpu0
         span.io_wait = clock.io_wait - span.io0
-        if self.wall_clock is not None:
-            span.wall_ns = self.wall_clock() - span.wall0
         if args:
             span.args.update(args)
         # Unwind to (and past) this span; tolerates a caller ending a
@@ -184,13 +125,6 @@ class SpanTracer:
             top = self._stack.pop()
             if top is span:
                 break
-        # Credit this span's totals to the surviving parent so per-span
-        # self-time is computable on both clocks.
-        if self._stack:
-            parent = self._stack[-1]
-            parent.child_sim += span.duration
-            if span.wall_ns >= 0:
-                parent.child_wall += span.wall_ns
         if len(self.spans) < self.max_events:
             self.spans.append(span)
         else:
@@ -228,8 +162,6 @@ class SpanTracer:
             else:
                 args.setdefault("cpu_us", round(span.cpu * 1e6, 3))
                 args.setdefault("io_wait_us", round(span.io_wait * 1e6, 3))
-                if span.wall_ns >= 0:
-                    args.setdefault("wall_us", round(span.wall_ns / 1e3, 3))
             events.append(
                 {
                     "name": span.name,

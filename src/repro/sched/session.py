@@ -38,6 +38,7 @@ policy, and the seed.
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple, TYPE_CHECKING
 
@@ -158,7 +159,7 @@ class Session:
         if not self.latencies:
             return 0.0
         ordered = sorted(self.latencies)
-        rank = max(0, min(len(ordered) - 1, int(round(q / 100.0 * len(ordered))) - 1))
+        rank = max(0, min(len(ordered) - 1, math.ceil(q * len(ordered) / 100.0) - 1))
         return ordered[rank]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

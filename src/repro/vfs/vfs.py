@@ -142,41 +142,29 @@ class VFS:
         if obs is not None:
             self._instrument(obs)
 
-    #: Syscalls wrapped with a latency histogram and trace span when an
-    #: observability scope is attached.
-    TRACED_OPS = (
-        "create", "mkdir", "unlink", "rmdir", "rename", "symlink",
-        "write", "read", "fsync", "sync", "readdir_plus", "stat",
-    )
+    #: Syscalls wrapped with a latency histogram, and in a trace span
+    #: when the observability scope traces.
+    SPANS = {
+        op: (f"vfs.{op}", "vfs", None)
+        for op in (
+            "create", "mkdir", "unlink", "rmdir", "rename", "symlink",
+            "write", "read", "fsync", "sync", "readdir_plus", "stat",
+        )
+    }
 
     def _instrument(self, obs) -> None:
-        """Wrap the syscall surface with latency/tracing hooks.
-
-        Instance-level wrappers mean an unobserved VFS pays nothing:
-        the class methods stay untouched.
-        """
+        """Register the caches and wrap the syscall surface (on the
+        instance: an unobserved VFS pays nothing)."""
         obs.register_object("vfs.pagecache", self.pages, layer="vfs")
         obs.register_object("vfs.dcache", self.dcache, layer="vfs")
         obs.registry.gauge(
             "vfs.syscalls", layer="vfs", fn=lambda: self.syscalls
         )
-        tracer = obs.tracer
-        clock = self.clock
-        for op in self.TRACED_OPS:
-            inner = getattr(self, op)
-            hist = obs.latency(f"vfs.{op}_latency", layer="vfs")
-
-            def wrapped(*a, _inner=inner, _hist=hist, _name=f"vfs.{op}", **kw):
-                t0 = clock.now
-                if tracer.enabled:
-                    with tracer.span(_name, "vfs"):
-                        out = _inner(*a, **kw)
-                else:
-                    out = _inner(*a, **kw)
-                _hist.observe(clock.now - t0)
-                return out
-
-            setattr(self, op, wrapped)
+        obs.instrument(
+            self,
+            self.SPANS,
+            {op: obs.latency(f"vfs.{op}_latency", layer="vfs") for op in self.SPANS},
+        )
 
     # ==================================================================
     # Path resolution

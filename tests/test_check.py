@@ -46,7 +46,7 @@ class TestLint:
     def test_prof_wallclock_is_the_only_allowlisted_finding(self):
         """Satellite: repro.obs.prof's single perf_counter_ns read is
         the ONE sanctioned wall-clock use in the whole package — the
-        harness banner, bench, and dual-clock spans all derive from it."""
+        harness banner, its one consumer, derives from it."""
         found = lint.lint_repo(use_allowlist=False)
         assert len(found) == 1, [v.render() for v in found]
         [violation] = found

@@ -185,11 +185,6 @@ def test_default_mount_tracer_is_noop():
     mount = make_mount("BetrFS v0.6", SMOKE_SCALE)
     assert mount.obs.tracer is NULL_TRACER
     assert mount.obs.tracer.enabled is False
-    # The no-op tracer records nothing through the full surface.
-    span = mount.obs.tracer.begin("x", "y")
-    mount.obs.tracer.end(span)
-    with mount.obs.tracer.span("x", "y") as sp:
-        assert sp is None
 
 
 def test_session_collects_mounts_and_traces():
@@ -278,7 +273,7 @@ def test_scope_stats_render():
 
 
 # ----------------------------------------------------------------------
-# Dual-clock spans + overhead map (PR 6)
+# The wall-clock provider (the harness banner's)
 # ----------------------------------------------------------------------
 def test_wall_ns_is_monotonic():
     a = wall_ns()
@@ -286,126 +281,94 @@ def test_wall_ns_is_monotonic():
     assert b >= a
 
 
-def _fake_wall():
-    """Deterministic wall-clock stub: +1000 ns per read."""
-    state = {"t": 0}
-
-    def read():
-        state["t"] += 1000
-        return state["t"]
-
-    return read
-
-
-def test_dual_clock_spans_record_wall_ns():
-    clock = SimClock()
-    tracer = SpanTracer(clock, wall_clock=_fake_wall())
-    outer = tracer.begin("vfs.write", "vfs")
-    clock.cpu(0.001)
-    inner = tracer.begin("tree.flush", "tree")
-    clock.cpu(0.002)
-    tracer.end(inner)
-    tracer.end(outer)
-    inner_s, outer_s = tracer.spans
-    # Fake clock: begin/end reads are 1000 ns apart per intervening read.
-    assert inner_s.wall_ns == 1000
-    assert outer_s.wall_ns == 3000
-    # The parent accumulated its child's totals on both clocks.
-    assert outer_s.child_wall == inner_s.wall_ns
-    assert math.isclose(outer_s.child_sim, inner_s.duration)
-    # Chrome export carries the wall duration alongside sim time.
-    args = {e["name"]: e["args"] for e in tracer.chrome_events()}
-    assert args["vfs.write"]["wall_us"] == 3.0
-
-
-def test_spans_without_wall_clock_have_no_wall_fields():
-    clock = SimClock()
-    tracer = SpanTracer(clock)
-    with tracer.span("op", "vfs"):
-        clock.cpu(0.001)
-    [span] = tracer.spans
-    assert span.wall_ns == -1
-    args = [e["args"] for e in tracer.chrome_events()]
-    assert "wall_us" not in args[0]
-
-
-def test_overhead_rows_partition_self_time_by_layer():
-    from repro.obs.report import overhead_rows
-
-    clock = SimClock()
-    tracer = SpanTracer(clock, wall_clock=_fake_wall())
-    for _ in range(3):
-        with tracer.span("vfs.write", "vfs"):
-            clock.cpu(0.010)
-            with tracer.span("tree.flush", "tree"):
-                clock.cpu(0.020)
-    rows = {r["layer"]: r for r in overhead_rows(tracer)}
-    assert set(rows) == {"vfs", "tree"}
-    assert rows["vfs"]["spans"] == 3 and rows["tree"]["spans"] == 3
-    # Self sim time: parent excludes the nested child's 20 ms.
-    assert math.isclose(rows["vfs"]["sim_self_s"], 0.030, abs_tol=1e-9)
-    assert math.isclose(rows["tree"]["sim_self_s"], 0.060, abs_tol=1e-9)
-    # Wall self time partitions the same way on the fake clock.
-    assert rows["vfs"]["wall_self_s"] > 0
-    assert rows["tree"]["wall_self_s"] > 0
-    assert rows["vfs"]["wall_per_sim"] is not None
-
-
-def test_overhead_map_renders_for_wall_session():
-    obs = Observability(wall=True)
-    with session(obs):
-        mount = make_mount("BetrFS v0.6", SMOKE_SCALE)
-        mount.vfs.create("/f")
-        mount.vfs.write("/f", 0, b"x" * 65536)
-        mount.vfs.sync()
-    assert obs.tracing  # wall implies tracing
-    text = obs.render_overhead()
-    assert "sim-vs-wall overhead map" in text
-    assert "vfs" in text
-    assert "total" in text
-    # Spans carry real wall stamps under a wall session.
-    tracer = obs.scopes[0].tracer
-    assert any(s.wall_ns >= 0 for s in tracer.spans)
-
-
-def test_overhead_map_empty_without_dual_clock():
-    scope = MountScope("m", SimClock())
-    from repro.obs.report import render_overhead
-
-    assert "no dual-clock spans" in render_overhead(scope)
-
-
 # ----------------------------------------------------------------------
-# Purity: dual-clock observation changes nothing simulated
+# Purity: tracing changes nothing simulated
 # ----------------------------------------------------------------------
-def _device_state_hash(mount):
+def _plain_tokubench():
+    """tokubench on a plain mount, then the syscalls it does not make:
+    device sha256 and simulated seconds."""
     from repro.harness.mt import device_sha256
-
-    return device_sha256(mount.device)
-
-
-def _observed_workload(wall: bool):
-    """tokubench, optionally under dual-clock tracing."""
     from repro.workloads.tokubench import tokubench
 
-    def run():
+    mount = make_mount("BetrFS v0.6", SMOKE_SCALE)
+    tokubench(mount, SMOKE_SCALE)
+    vfs = mount.vfs
+    vfs.mkdir("/spare")
+    vfs.symlink("/spare", "/link")
+    vfs.stat("/link")
+    vfs.readdir_plus("/")
+    vfs.unlink("/link")
+    vfs.rmdir("/spare")
+    mount.sync()
+    return json.dumps([device_sha256(mount.device), mount.clock.now])
+
+
+def _mt(shards: int):
+    """8 scheduled sessions, seed 7: the ``harness mt`` summary JSON."""
+    from repro.harness.mt import run_mt, to_json
+
+    return lambda: to_json(run_mt(SMOKE_SCALE, sessions=8, seed=7, shards=shards))
+
+
+def _spanned_names():
+    """Every span name a ``SPANS`` table declares."""
+    from repro.betrfs.northbound import BetrFSNorthbound
+    from repro.core.env import KVEnv
+    from repro.core.tree import BeTree
+    from repro.core.wal import WriteAheadLog
+    from repro.vfs.vfs import VFS
+
+    return {
+        spec[0]
+        for cls in (VFS, BetrFSNorthbound, KVEnv, WriteAheadLog, BeTree)
+        for spec in cls.SPANS.values()
+    }
+
+
+_PURITY_RUNS = {"plain": _plain_tokubench, "mt": _mt(0), "mt-shard4": _mt(4)}
+
+
+@pytest.fixture(scope="module")
+def purity_runs():
+    """Each run untraced and traced: both results and the span names
+    the traced one recorded."""
+    out = {}
+    for run, produce in _PURITY_RUNS.items():
+        base = produce()
+        obs = Observability(tracing=True)
+        with session(obs):
+            traced = produce()
+        names = {e["name"] for e in obs.chrome_trace()["traceEvents"] if e["ph"] == "X"}
+        out[run] = (base, traced, names)
+    return out
+
+
+@pytest.mark.parametrize("run", list(_PURITY_RUNS))
+def test_tracing_spans_are_pure_observers(purity_runs, run):
+    """Acceptance: tracing changes neither device bytes nor simulated
+    time, on a plain mount and under 8 scheduled sessions (unsharded
+    and on 4 shards)."""
+    base, traced, _names = purity_runs[run]
+    assert base == traced
+
+
+def test_every_spans_table_entry_is_traced(purity_runs):
+    """Every span a ``SPANS`` table declares (the VFS syscalls among
+    them) shows up in at least one of the purity runs' traces."""
+    traced = set().union(*(names for _base, _traced, names in purity_runs.values()))
+    assert _spanned_names() - traced == set()
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+def test_a_scope_wraps_spanned_methods_only_when_it_traces(tracing):
+    """A non-tracing scope installs only the latency wrappers (the VFS
+    syscalls and the point query); a tracing one wraps every method of
+    every ``SPANS`` table too."""
+    with session(Observability(tracing=tracing)):
         mount = make_mount("BetrFS v0.6", SMOKE_SCALE)
-        tokubench(mount, SMOKE_SCALE)
-        mount.sync()
-        return mount
-
-    if wall:
-        with session(Observability(wall=True)):
-            mount = run()
-    else:
-        mount = run()
-    return _device_state_hash(mount), mount.clock.now
-
-
-def test_dual_clock_spans_are_pure_observers():
-    """Acceptance: wall-profiled spans change neither device bytes nor
-    simulated time."""
-    base_hash, base_now = _observed_workload(wall=False)
-    wall_hash, wall_now = _observed_workload(wall=True)
-    assert base_hash == wall_hash
-    assert base_now == wall_now
+    env = mount.env
+    timed = {id(mount.vfs): set(mount.vfs.SPANS), id(env.meta): {"get"}}
+    for obj in (mount.vfs, mount.backend, env, env.wal, env.meta):
+        wrapped = set(vars(obj)) & set(obj.SPANS)
+        want = set(obj.SPANS) if tracing else timed.get(id(obj), set())
+        assert wrapped == want, type(obj).__name__

@@ -44,7 +44,7 @@ from repro.sched import (
 )
 from repro.sched.policy import FIFOPolicy, LotteryPolicy, RoundRobinPolicy
 from repro.sched.sched import Scheduler as SchedulerClass
-from repro.sched.session import SessionContext
+from repro.sched.session import Session, SessionContext
 from repro.workloads.mailserver import mailserver_mt
 from repro.workloads.scale import SMOKE_SCALE
 
@@ -107,6 +107,19 @@ class TestSessionLock:
 
 # ----------------------------------------------------------------------
 # Policies
+@pytest.mark.parametrize(
+    "n, q, want",
+    [(5, 50, 3), (150, 99, 149), (10, 25, 3)],
+    ids=["p50-of-5", "p99-of-150", "p25-of-10"],
+)
+def test_session_percentile_is_nearest_rank(n, q, want):
+    """Nearest rank is ceil(q*n/100): a half rank rounds up, never to
+    the even neighbour, and a fractional rank never rounds down."""
+    session = Session(0, "s", None)
+    session.latencies = [float(v) for v in range(n, 0, -1)]
+    assert session.percentile(q) == want
+
+
 # ----------------------------------------------------------------------
 class _FakeSession:
     def __init__(self, sid, runnable_since=0.0):

@@ -496,8 +496,8 @@ def _old_charge_buffer_probe(tree, node, matches):
     )
 
 
-def _old_get_impl(self, key):
-    """``BeTree._get_impl`` as it stood before the single-pass descent
+def _old_get(self, key):
+    """``BeTree.get`` as it stood before the single-pass descent
     (the oracle; lives here, not in ``src/``)."""
     self.stats.queries += 1
     self.clock.cpu(self.costs.query_overhead)
@@ -554,7 +554,7 @@ def test_descent_charges_what_the_old_helpers_charged(monkeypatch, lazy, seq_hin
     new, old = grown(), grown()
     for tree in old.trees:
         monkeypatch.setattr(
-            tree, "_get_impl", _old_get_impl.__get__(tree), raising=True
+            tree, "get", _old_get.__get__(tree), raising=True
         )
     rng = random.Random(17)
     for step in range(2500):
@@ -883,14 +883,14 @@ def test_a_cold_read_decodes_each_page_as_the_stored_segment(path):
     leaf, pages = _paged_leaf(env, 4)
     off, ln = tree.blockman.lookup(leaf.node_id)
     if path == "whole":
-        node = tree._read_node(leaf.node_id, None)
+        node = tree._load_node_miss(leaf.node_id)
     elif path == "basement":
         node = tree._load_leaf_partial(leaf.node_id, off, ln, *_one_key(b"k0002.0"))
         tree._ensure_loaded(node)
         assert stats.basement_loads == 4
     else:
         tree._prefetched[leaf.node_id] = tree.storage.prefetch(tree.file_name, off, ln)
-        node = tree._read_node(leaf.node_id, None)
+        node = tree._load_node_miss(leaf.node_id)
         assert stats.readahead_hits == 1
     values = [value.data for basement in node.basements for value in basement.values]
     assert values == pages
@@ -961,7 +961,9 @@ def test_partial_and_whole_leaf_reads_agree(monkeypatch, page_sharing):
     (partial, p_device), (whole, w_device) = grown(), grown()
     for tree in whole.trees:
         monkeypatch.setattr(
-            tree, "_read_node", lambda node_id, _span, real=tree._read_node: real(node_id, None)
+            tree,
+            "_load_node_miss",
+            lambda node_id, _span=None, real=tree._load_node_miss: real(node_id),
         )
     tree = partial.data
     met = set()  # what landed on a partially loaded leaf
