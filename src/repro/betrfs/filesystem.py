@@ -62,19 +62,20 @@ class BetrFS:
     """One mounted simulated BetrFS instance.
 
     The only mount assembler: ``volumes`` SFL slots are carved from
-    the device, each with its own southbound, Bε-tree environment and
-    northbound, and :meth:`_route` decides what the VFS sits on.  One
-    volume (every Table 3 variant) spans the whole device and is wired
-    straight into the VFS; ``repro.shard`` overrides :meth:`_route`
-    with its router over several.
+    the device, each with its own southbound and northbound over one
+    Bε-tree environment (one log, one cache, a tree pair per volume),
+    and :meth:`_route` decides what the VFS sits on.  One volume (every
+    Table 3 variant) spans the whole device and is wired straight into
+    the VFS; ``repro.shard`` overrides :meth:`_route` with its router
+    over several.
 
     Two entries, one carve: without ``image`` the mount builds a blank
-    device and *formats* it (fresh environments, root directory
-    entries); with ``image`` — a :meth:`BlockDevice.crash_image` of a
-    mount assembled from the same ``features``/``opts``/``volumes`` —
-    it takes the image's device and clock and *recovers* every volume
-    (superblock, log replay) instead.  All geometry comes from
-    ``opts`` either way; nothing is stored on the device but the
+    device and *formats* it (a fresh environment, a root directory
+    entry per volume); with ``image`` — a :meth:`BlockDevice.crash_image`
+    of a mount assembled from the same ``features``/``opts``/``volumes``
+    — it takes the image's device and clock and *recovers* the
+    environment (superblock, log replay) instead.  All geometry comes
+    from ``opts`` either way; nothing is stored on the device but the
     volumes themselves.
     """
 
@@ -136,9 +137,6 @@ class BetrFS:
                 )
             data_size = min(data_size, self.volume_bytes - fixed)
         self.storages: List[Southbound] = []
-        open_env = KVEnv.open if self.recovered else KVEnv
-        envs: List[KVEnv] = []
-        backends: List[BetrFSNorthbound] = []
         for i in range(volumes):
             if features.use_sfl:
                 storage: Southbound = SimpleFileLayer(
@@ -158,29 +156,30 @@ class BetrFS:
                 storage,
                 layer="storage",
             )
-            # Only volume 0 reports to obs: per-env instrumentation uses
-            # fixed metric names, and an unobserved env pays nothing.
-            env = open_env(
-                storage,
-                self.clock,
-                self.costs,
-                self.alloc,
-                self.config,
-                log_size=self.opts.log_size,
-                meta_size=self.opts.meta_size,
-                data_size=data_size,
-                # The v0.6 log engine (part of the SFL consolidation,
-                # §3.1) elides full data pages from the log; the v0.4
-                # engine logged everything.
-                log_page_values=not features.use_sfl,
-                obs=self.obs if i == 0 else None,
-            )
-            envs.append(env)
-            backend = BetrFSNorthbound(env, features)
+        open_env = KVEnv.open if self.recovered else KVEnv
+        env = open_env(
+            self.storages[0],
+            self.clock,
+            self.costs,
+            self.alloc,
+            self.config,
+            log_size=self.opts.log_size,
+            meta_size=self.opts.meta_size,
+            data_size=data_size,
+            # The v0.6 log engine (part of the SFL consolidation,
+            # §3.1) elides full data pages from the log; the v0.4
+            # engine logged everything.
+            log_page_values=not features.use_sfl,
+            obs=self.obs,
+            volumes=self.storages[1:],
+        )
+        backends: List[BetrFSNorthbound] = []
+        for i in range(volumes):
+            backend = BetrFSNorthbound(env, features, i)
             if not self.recovered:
                 backend.format()
             backends.append(backend)
-        self.env, self.backend = self._route(envs, backends)
+        self.env, self.backend = self._route(env, backends)
         self.vfs = VFS(
             self.backend,
             self.clock,
@@ -193,13 +192,13 @@ class BetrFS:
             # The VFS primes "/" as a known-empty directory, which only a
             # formatted root is; a recovered one resolves from its tree.
             self.vfs.dcache.clear_clean()
-        if envs[0].san is not None:
-            envs[0].san.watch_pagecache(self.vfs.pages)
+        if env.san is not None:
+            env.san.watch_pagecache(self.vfs.pages)
 
-    def _route(self, envs: List[KVEnv], backends: List[BetrFSNorthbound]):
+    def _route(self, env: KVEnv, backends: List[BetrFSNorthbound]):
         """Mount the lone volume directly, no router in between: returns
         the ``(env, backend)`` pair the VFS sits on."""
-        (env,), (backend,) = envs, backends
+        (backend,) = backends
         #: The one southbound (a multi-volume mount has only ``storages``).
         self.storage = env.storage
         return env, backend

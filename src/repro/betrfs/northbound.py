@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.betrfs.versions import BetrFSFeatures
-from repro.core.env import DATA, KVEnv, META
+from repro.core.env import DATA, META, TREE_FILES, KVEnv
 from repro.core.keys import (
     data_key,
     data_key_block,
@@ -38,7 +38,8 @@ PAGE_SIZE = 4096
 
 
 class BetrFSNorthbound(FileSystemBackend):
-    """FileSystemBackend over a :class:`~repro.core.env.KVEnv`."""
+    """FileSystemBackend over one volume's tree pair of a
+    :class:`~repro.core.env.KVEnv`."""
 
     supports_blind_patch = True
 
@@ -54,9 +55,14 @@ class BetrFSNorthbound(FileSystemBackend):
         ),
     }
 
-    def __init__(self, env: KVEnv, features: BetrFSFeatures) -> None:
+    def __init__(
+        self, env: KVEnv, features: BetrFSFeatures, volume: int = 0
+    ) -> None:
         self.env = env
         self.features = features
+        #: This volume's tree pair in ``env``.
+        self.meta = volume * len(TREE_FILES) + META
+        self.data = volume * len(TREE_FILES) + DATA
         self.readdir_fills_caches = features.dentry_cache
         self.trusts_nlink = features.range_coalesce
         self.page_sharing = features.page_sharing
@@ -75,13 +81,13 @@ class BetrFSNorthbound(FileSystemBackend):
         """Make a fresh volume a file system: the root directory's
         metadata entry (a recovered volume already holds one)."""
         root = Stat(kind=FileKind.DIR, nlink=2, mode=0o755)
-        self.env.insert(META, meta_key("/"), root.pack())
+        self.env.insert(self.meta, meta_key("/"), root.pack())
 
     # ------------------------------------------------------------------
     # Metadata
     # ------------------------------------------------------------------
     def lookup(self, path: str) -> Optional[Stat]:
-        value = self.env.get(META, meta_key(path))
+        value = self.env.get(self.meta, meta_key(path))
         if value is None:
             return None
         return Stat.unpack(value_bytes(value))
@@ -93,13 +99,13 @@ class BetrFSNorthbound(FileSystemBackend):
             # VFS hold the dirty inode; the tree insert happens at
             # inode write-back (set_stat), batching existence checks
             # away from the hot path.
-            self.env.wal.append(OP_INSERT, META, key, stat.pack())
+            self.env.wal.append(OP_INSERT, self.meta, key, stat.pack())
             section = self.env.wal.current_section()
             self.env.wal.pin_section(section)
             self.env.clock.cpu(self.env.costs.cl_pin)
             self.deferred_creates += 1
             return section
-        self.env.insert(META, key, stat.pack())
+        self.env.insert(self.meta, key, stat.pack())
         return None
 
     def set_stat(
@@ -108,15 +114,15 @@ class BetrFSNorthbound(FileSystemBackend):
         # Logged even after a conditionally logged create: the log
         # holds only the create-time stat, and an fsync makes this one
         # durable.
-        self.env.insert(META, meta_key(path), stat.pack())
+        self.env.insert(self.meta, meta_key(path), stat.pack())
         if pinned_section is not None:
             self.env.wal.unpin_section(pinned_section)
             self.deferred_creates -= 1
 
     def unlink(self, path: str, stat: Stat, delete_issued: bool) -> None:
-        self.env.delete(META, meta_key(path))
+        self.env.delete(self.meta, meta_key(path))
         if stat.kind is FileKind.FILE and stat.size > 0:
-            self.env.range_delete(DATA, *file_blocks_range(path))
+            self.env.range_delete(self.data, *file_blocks_range(path))
 
     def evict_inode(self, path: str, stat: Stat, delete_issued: bool) -> None:
         """The VFS inode-teardown hook.
@@ -128,22 +134,22 @@ class BetrFSNorthbound(FileSystemBackend):
         if self.features.range_coalesce:
             return
         if delete_issued and stat.kind is FileKind.FILE:
-            self.env.range_delete(DATA, *file_blocks_range(path))
+            self.env.range_delete(self.data, *file_blocks_range(path))
 
     def rmdir(self, path: str, known_empty: bool) -> None:
-        self.env.delete(META, meta_key(path))
+        self.env.delete(self.meta, meta_key(path))
         if self.features.range_coalesce:
             # §4: issue a directory-wide range delete.  The directory
             # is empty, so this deletes no live data — its purpose is
             # to let PacMan gobble the stale per-file range deletes
             # accumulated in the node buffers.
-            self.env.range_delete(META, *dir_subtree_range(path))
+            self.env.range_delete(self.meta, *dir_subtree_range(path))
             self.env.range_delete(
-                DATA, *prefix_range(dir_children_prefix(path))
+                self.data, *prefix_range(dir_children_prefix(path))
             )
 
     def is_dir_empty(self, path: str) -> bool:
-        return self.env.trees[META].empty_range(*dir_subtree_range(path))
+        return self.env.trees[self.meta].empty_range(*dir_subtree_range(path))
 
     # ------------------------------------------------------------------
     # Rename (FAST'16-style delete + reinsert range rename)
@@ -155,34 +161,34 @@ class BetrFSNorthbound(FileSystemBackend):
             self._rename_file(src, dst, stat)
 
     def _rename_file(self, src: str, dst: str, stat: Stat) -> None:
-        self.env.insert(META, meta_key(dst), stat.pack())
-        self.env.delete(META, meta_key(src))
+        self.env.insert(self.meta, meta_key(dst), stat.pack())
+        self.env.delete(self.meta, meta_key(src))
         if stat.size > 0:
             lo, hi = file_blocks_range(src)
-            blocks = self.env.range_query(DATA, lo, hi)
+            blocks = self.env.range_query(self.data, lo, hi)
             for key, value in blocks:
-                self.env.insert(DATA, rebase_data_key(key, dst), value)
-            self.env.range_delete(DATA, lo, hi)
+                self.env.insert(self.data, rebase_data_key(key, dst), value)
+            self.env.range_delete(self.data, lo, hi)
 
     def _rename_tree(self, src: str, dst: str) -> None:
         lo, hi = dir_subtree_range(src)
         src_stat = self.lookup(src)
-        rows = self.env.range_query(META, lo, hi)
+        rows = self.env.range_query(self.meta, lo, hi)
         prefix_len = len(src)
         for key, value in rows:
             child = key.decode("utf-8")
             new_path = dst + child[prefix_len:]
             child_stat = Stat.unpack(value_bytes(value))
-            self.env.insert(META, meta_key(new_path), value_bytes(value))
+            self.env.insert(self.meta, meta_key(new_path), value_bytes(value))
             if child_stat.kind is FileKind.FILE and child_stat.size > 0:
                 b_lo, b_hi = file_blocks_range(child)
-                for bkey, bval in self.env.range_query(DATA, b_lo, b_hi):
-                    self.env.insert(DATA, rebase_data_key(bkey, new_path), bval)
-                self.env.range_delete(DATA, b_lo, b_hi)
+                for bkey, bval in self.env.range_query(self.data, b_lo, b_hi):
+                    self.env.insert(self.data, rebase_data_key(bkey, new_path), bval)
+                self.env.range_delete(self.data, b_lo, b_hi)
         if src_stat is not None:
-            self.env.insert(META, meta_key(dst), src_stat.pack())
-        self.env.range_delete(META, lo, hi)
-        self.env.delete(META, meta_key(src))
+            self.env.insert(self.meta, meta_key(dst), src_stat.pack())
+        self.env.range_delete(self.meta, lo, hi)
+        self.env.delete(self.meta, meta_key(src))
 
     # ------------------------------------------------------------------
     # readdir: cursor-seek scan over the metadata index
@@ -198,7 +204,7 @@ class BetrFSNorthbound(FileSystemBackend):
         lo, hi = prefix_range(prefix)
         out: List[Tuple[str, Stat]] = []
         cursor = lo
-        tree = self.env.trees[META]
+        tree = self.env.trees[self.meta]
         # getdents-style chunked cursor: scan runs of direct children
         # in one range query, and skip a child's whole subtree with a
         # single seek when the scan enters it.
@@ -238,27 +244,27 @@ class BetrFSNorthbound(FileSystemBackend):
     ) -> bool:
         key = data_key(path, idx)
         if self.features.page_sharing:
-            self.env.insert(DATA, key, frame, by_ref=True)
+            self.env.insert(self.data, key, frame, by_ref=True)
             return True
-        self.env.insert(DATA, key, frame, by_ref=False)
+        self.env.insert(self.data, key, frame, by_ref=False)
         return False
 
     def write_patch(self, path: str, idx: int, offset: int, data: bytes) -> None:
-        self.env.patch(DATA, data_key(path, idx), offset, data)
+        self.env.patch(self.data, data_key(path, idx), offset, data)
 
     def read_pages(
         self, path: str, idx: int, count: int, seq_hint: bool
     ) -> List[PageFrame]:
         if count == 1 and not seq_hint:
             # A 4 KiB pread (Linux's readpage): one point query.
-            values = [self.env.get(DATA, data_key(path, idx))]
+            values = [self.env.get(self.data, data_key(path, idx))]
         else:
             # Anything larger is one range query, a cursor over the
             # file's blocks; the hint makes it read leaves whole and
             # prefetch the next (§3.2).  A block the tree lacks is a hole.
             values = [None] * count
             for key, value in self.env.range_query(
-                DATA, data_key(path, idx), data_key(path, idx + count), seq_hint=seq_hint
+                self.data, data_key(path, idx), data_key(path, idx + count), seq_hint=seq_hint
             ):
                 values[data_key_block(key) - idx] = value
         out: List[PageFrame] = []

@@ -13,8 +13,7 @@ silent corruption:
   import cycles), :mod:`~repro.check.costflow` (every byte moved is
   charged), :mod:`~repro.check.conc` (the scheduler's lock, yield,
   signal and purity discipline) and :mod:`~repro.check.durflow`
-  (write-ahead, barrier order, intent protocol, durable recovery
-  reads).  They state rules only: :mod:`~repro.check.flow` parses the
+  (write-ahead, barrier order, durable recovery reads).  They state rules only: :mod:`~repro.check.flow` parses the
   tree once into the typed ``Program`` they share, walks function
   bodies, and owns how an analysis finishes (waivers via
   :mod:`~repro.check.waivers`, reports, graph files, the CLI shell).

@@ -99,9 +99,8 @@ SOURCE_FUNCS: FrozenSet[str] = frozenset(
         "decode_basement",
         "encode_payload",
         "decode_payload",
-        # repro.shard cross-shard intent records (two-phase protocol).
-        "pack_intent",
-        "unpack_intent",
+        "encode_batch",
+        "decode_batch",
     }
 )
 

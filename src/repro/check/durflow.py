@@ -8,14 +8,14 @@ on *every* static path, and emits the happens-before graph the
 runtime backstop (``harness torture --verify-order-graph``) checks
 observed orderings against.
 
-Four rule families:
+Three rule families:
 
 * **write-ahead**: every path that mutates in-place Bε-tree state
   (``BeTree.put/delete/patch/range_delete``) must be dominated by the
   corresponding WAL append on that path, and no call site outside a
   recovery path may pass a constant ``log=False`` to a KV-env
-  mutator.  Recovery code (WAL replay, intent resolution, fsck) is
-  the sanctioned exception: it *re-applies* already-durable records.
+  mutator.  Recovery code (WAL replay, fsck) is the sanctioned
+  exception: it *re-applies* already-durable records.
 * **barrier-order**: an acknowledged durability point — any method
   named ``sync`` / ``fsync`` / ``checkpoint`` — must reach a device
   barrier (``storage.sync``, ``device.flush``, a durable
@@ -24,31 +24,24 @@ Four rule families:
   never happen while node writes are still unflushed (the ping-pong
   slot discipline: flush ``meta.db``/``data.db``, then commit the
   slot).
-* **intent-protocol**: the cross-shard rename coordinator (any
-  function building a ``pack_intent(...)`` record) must follow its
-  declared state machine — durable intent (coordinator insert + sync)
-  → apply → **sorted** per-shard sync fan-out → resolve (source
-  deletes) → sync of the volumes that took them → unsynced intent
-  retirement (delete) — checked as an interprocedural order over the
-  protocol's KV-env sink calls.
 * **recovery-reads-durable**: code reachable from the recovery entry
-  points (``resolve_intents``, ``_replay_log``, the ``fsck*``
-  functions) must not read volatile-epoch device state
+  points (``_replay_log``, the ``fsck*`` functions) must not read
+  volatile-epoch device state
   (``unflushed`` / ``epoch_records`` / ``sealed_epochs``) — recovery
   must observe only bytes that survive a crash.
 
 The analysis runs on :mod:`repro.check.flow`'s engine (shared with
 :mod:`repro.check.conc`): its typed call graph, its ``(family,
 method)`` call lookup, and its body walker and summary driver.  It
-types no call itself and states only its lattice, its call tables and
+types no call itself and states only its lattice, its call table and
 its rules.  The lattice is :class:`_State`, a small must/may state
-whose fields each join by a row of ``_State.JOIN``.  The tables are
+whose fields each join by a row of ``_State.JOIN``.  The table is
 :data:`CALLS`, the primitive durability events a (receiver family,
-method) call stands for, and :data:`PROTOCOL`, the coordinator's state
-machine.  Each function body is interpreted once; a callee contributes
-its memoized summary — the join of its exit states, the barrier kinds
-it reaches, and whether it exposes a superblock write.  Rule 4 is a
-filter over the recovery closure's typed call sites.
+method) call stands for.  Each function body is interpreted once; a
+callee contributes its memoized summary — the join of its exit states,
+the barrier kinds it reaches, and whether it exposes a superblock
+write.  Rule 3 is a filter over the recovery closure's typed call
+sites.
 
 Known idealizations (backstopped by ``--verify-order-graph``): loops
 are assumed to run at least one iteration (the canonical fan-out
@@ -69,17 +62,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.check import costflow, flow
 
 #: Every rule this analyzer can report.
-RULES = (
-    "write-ahead", "barrier-order", "intent-protocol", "recovery-reads-durable",
-    "unused-waiver",
-)
+RULES = ("write-ahead", "barrier-order", "recovery-reads-durable", "unused-waiver")
 
-#: Modules exempt from rules 1-3 (test harnesses, the checkers
+#: Modules exempt from rules 1-2 (test harnesses, the checkers
 #: themselves, deliberately-unsafe aging drivers) — shared with
 #: costflow, which drew the boundary for the same reason.
 EXEMPT_MODULES: Tuple[str, ...] = costflow.EXEMPT_MODULES
 
-#: Volatile-epoch accessors on the device (rule 4 sinks).
+#: Volatile-epoch accessors on the device (rule 3 sinks).
 VOLATILE_READS: FrozenSet[str] = frozenset({"unflushed", "epoch_records", "sealed_epochs"})
 
 #: The kind :data:`BY_FILE` gives the call's first argument.
@@ -95,16 +85,14 @@ BY_FILE: Dict[str, Dict[Optional[str], str]] = {
 }
 
 #: ``(family, method)`` -> the primitive events the call stands for, in
-#: order; family ``None`` is a call of a bare function name.  An event
-#: is ``(op, kind)``; a ``durable-barrier`` is a barrier only when the
-#: call's ``durable`` argument is absent or a constant ``True``.  A call
-#: in the table is not descended into — its events model what it does
-#: below — except the KV-env protocol ops and ``pack_intent`` (the
-#: families in :data:`_DESCEND`), whose summaries still carry barriers
-#: and pending effects.  Volatile reads have no event: rule 4 finds
-#: them among the call sites.
+#: order.  An event is ``(op, kind)``; a ``durable-barrier`` is a
+#: barrier only when the call's ``durable`` argument is absent or a
+#: constant ``True``.  A call in the table is not descended into — its
+#: events model what it does below — except the KV-env ops (the family
+#: in :data:`_DESCEND`), whose summaries still carry barriers and
+#: pending effects.  Volatile reads have no event: rule 3 finds them
+#: among the call sites.
 CALLS: Dict[Tuple[Optional[str], str], Tuple[Tuple[str, Optional[str]], ...]] = {
-    (None, "pack_intent"): (("coord", None),),
     **{
         ("env", m): (("env", None),)
         for m in ("insert", "delete", "patch", "range_delete", "sync")
@@ -130,64 +118,14 @@ CALLS: Dict[Tuple[Optional[str], str], Tuple[Tuple[str, Optional[str]], ...]] = 
     ("device", "discard"): (("effect", "trim"),),
     **{("device", m): () for m in VOLATILE_READS},
 }
-_DESCEND = (None, "env")
-
-#: The cross-shard coordinator's state machine, on a path that built an
-#: intent record (``pack_intent``).  Phase 0: no intent written; 1: the
-#: intent written; 2: the intent durable; 3: sources deleted, not yet
-#: synced; 4: the deletes synced.  A KV-env op is one step —
-#: ``insert``, ``delete`` (resolve), ``sync``, or ``apply`` (``patch``,
-#: ``range_delete``) — and ``(step, phase)`` gives ``(finding, next
-#: phase, apply_dirty)``, apply_dirty ``None`` leaving the flag alone.
-#: The step from phase 0 to 1 writes the intent record (``intent-put``).
-PROTOCOL: Dict[Tuple[str, int], Tuple[Optional[str], int, Optional[bool]]] = {
-    ("insert", 0): (None, 1, None),
-    ("insert", 1): ("early-insert", 2, True),
-    ("insert", 2): (None, 2, True),
-    ("delete", 0): ("early-resolve", 2, None),
-    ("delete", 1): ("early-resolve", 2, None),
-    ("delete", 2): ("unsynced-resolve", 3, False),
-    ("delete", 3): ("unsynced-retire", 3, None),
-    ("delete", 4): (None, 4, None),
-    ("insert", 3): (None, 3, True),
-    ("insert", 4): (None, 4, True),
-    ("apply", 0): (None, 0, None),
-    ("apply", 1): ("early-apply", 2, True),
-    ("apply", 2): (None, 2, True),
-    ("apply", 3): (None, 3, True),
-    ("apply", 4): (None, 4, True),
-    ("sync", 0): (None, 0, False),
-    ("sync", 1): ("unsorted-sync", 2, False),
-    ("sync", 2): ("unsorted-sync", 2, False),
-    ("sync", 3): ("unsorted-sync", 4, False),
-    ("sync", 4): ("unsorted-sync", 4, False),
-}
-
-#: The message of each :data:`PROTOCOL` finding.  ``unsynced-resolve``
-#: fires only with an applied batch unsynced, ``unsorted-sync`` only in
-#: a loop over an unsorted sequence.
-PROTOCOL_MESSAGES: Dict[str, str] = {
-    "early-insert": "apply insert before the intent record is durable — sync the "
-                    "coordinator volume first",
-    "early-resolve": "resolve (delete) before the intent record is durable — the "
-                     "crash window would lose the rename",
-    "unsynced-resolve": "resolve (delete) before the applied batch is synced — sync "
-                        "the destination volumes first",
-    "unsynced-retire": "retire (delete) the intent before the resolve deletes are "
-                       "synced — sync the volumes that took them first, or a crash "
-                       "keeps the retirement and loses a source delete",
-    "early-apply": "apply before the intent record is durable — sync the "
-                   "coordinator volume first",
-    "unsorted-sync": "shard fan-out sync iterates an unsorted sequence — iterate "
-                     "sorted(...) so the apply/sync order is deterministic",
-}
+_DESCEND = ("env",)
 
 #: Method names that acknowledge durability to a caller (rule 2a).
 DURABILITY_ENTRIES: FrozenSet[str] = frozenset({"sync", "fsync", "checkpoint"})
 
 #: Recovery entry points by bare name; ``fsck*`` functions in the
 #: fsck module are added by :func:`_recovery_set`.
-RECOVERY_ENTRY_NAMES: FrozenSet[str] = frozenset({"resolve_intents", "_replay_log"})
+RECOVERY_ENTRY_NAMES: FrozenSet[str] = frozenset({"_replay_log"})
 
 
 # ======================================================================
@@ -253,7 +191,6 @@ class DurflowReport(flow.Report):
     effect_sites: int = 0
     barrier_sites: int = 0
     entries_checked: int = 0
-    coordinators: int = 0
     recovery_reachable: int = 0
 
     def stats(self) -> Dict[str, int]:
@@ -262,7 +199,6 @@ class DurflowReport(flow.Report):
             "barrier_sites": self.barrier_sites,
             "order_edges": len(self.order_graph.edges),
             "entries_checked": self.entries_checked,
-            "coordinators": self.coordinators,
         }
 
     def to_dict(self) -> Dict[str, object]:
@@ -272,7 +208,6 @@ class DurflowReport(flow.Report):
             "effect_sites": self.effect_sites,
             "barrier_sites": self.barrier_sites,
             "entries_checked": self.entries_checked,
-            "coordinators": self.coordinators,
             "recovery_reachable": self.recovery_reachable,
             "order_graph": self.order_graph.to_dict(),
             **super().to_dict(),
@@ -283,8 +218,7 @@ class DurflowReport(flow.Report):
             f"{self.functions} functions, {self.effect_sites} durable-"
             f"effect site(s), {self.barrier_sites} barrier site(s), "
             f"{len(self.order_graph.edges)} order edge(s), "
-            f"{self.entries_checked} durability entr(y/ies), "
-            f"{self.coordinators} coordinator(s)"
+            f"{self.entries_checked} durability entr(y/ies)"
         )
 
 
@@ -295,23 +229,19 @@ class _State(flow.State):
     """Abstract durability state at one program point."""
 
     #: How each field joins where paths meet: a must-fact survives only
-    #: if both paths hold it, a may-fact if either does, and the
-    #: protocol phase is the least advanced.
+    #: if both paths hold it, a may-fact if either does.
     JOIN = {
         "logged": operator.and_,  # must: a WAL append dominates this point
         "barriered": operator.and_,  # must: a barrier dominates this point
         "nodes_dirty": operator.or_,  # may: node writes with no flush since
         "sb_dirty": operator.or_,  # may: a superblock write with no flush since
         "pending": operator.or_,  # may: effect kinds issued since the last barrier
-        "coord": operator.or_,  # may: this path built a cross-shard intent
-        "phase": min,  # the PROTOCOL phase
-        "apply_dirty": operator.or_,  # may: an applied batch not yet synced
     }
     __slots__ = tuple(JOIN)
-    DEFAULT = {**dict.fromkeys(JOIN, False), "pending": set(), "phase": 0}
-    #: The vacuous state (every must-fact, no may-fact, the last phase):
-    #: the exit of a body whose every path raises.
-    UNIT = {"logged": True, "barriered": True, "phase": 4}
+    DEFAULT = {**dict.fromkeys(JOIN, False), "pending": set()}
+    #: The vacuous state (every must-fact, no may-fact): the exit of a
+    #: body whose every path raises.
+    UNIT = {"logged": True, "barriered": True}
 
 
 class _FuncCtx(flow.Context):
@@ -324,9 +254,8 @@ class _FuncCtx(flow.Context):
     ) -> None:
         super().__init__(func, node, qual)
         self.exempt, self.recovery = exempt, recovery
-        self.loop_sorted: List[bool] = []
         self.barrier_kinds: Set[str] = set()
-        self.exposed_sb_write = self.is_coord = False
+        self.exposed_sb_write = False
 
 
 _ABSENT = object()
@@ -387,9 +316,7 @@ class _Analyzer(flow.Walker):
         ctx.exit = _State()  # neutral
 
     def exit_rules(self, ctx: _FuncCtx) -> None:
-        func, exits = ctx.func, [e for e, _line in ctx.exits]
-        if ctx.is_coord:
-            self.report.coordinators += 1
+        func = ctx.func
         # Rule 2a: an acknowledged durability entry must barrier.
         name = func.qualname.split(".")[-1]
         if (
@@ -404,19 +331,6 @@ class _Analyzer(flow.Walker):
                     "path returns without reaching a device barrier — order the "
                     "flush/sync before the acknowledgement",
                 )
-        # Rule 3: a coordinator's exit obligations.
-        if any(e.coord and e.phase < 2 for e in exits):
-            self._flag(
-                ctx, func.line, "intent-protocol",
-                f"{func.qualname} returns before the intent record is durable "
-                "— sync the coordinator volume after writing the intent",
-            )
-        if any(e.coord and e.apply_dirty for e in exits):
-            self._flag(
-                ctx, func.line, "intent-protocol",
-                f"{func.qualname} returns with the applied batch unsynced — "
-                "sync the destination volumes before resolving the intent",
-            )
 
     # -- statements ------------------------------------------------------
     def transfer(self, stmt: ast.stmt, state: _State, ctx: _FuncCtx) -> None:
@@ -456,25 +370,10 @@ class _Analyzer(flow.Walker):
         self, stmt, state: _State, ctx: _FuncCtx
     ) -> Optional[_State]:
         self._eval(stmt.iter, state, ctx)
-        is_sorted = (
-            isinstance(stmt.iter, ast.Call)
-            and isinstance(stmt.iter.func, ast.Name)
-            and stmt.iter.func.id == "sorted"
-        )
-        ctx.loop_sorted.append(is_sorted)
         out = self.exec_block(stmt.body, state.copy(), ctx)
-        ctx.loop_sorted.pop()
         if stmt.orelse and out is not None:
             out = self.exec_block(stmt.orelse, out, ctx)
         return self.loop_exit(state, out)
-
-    def exec_while(
-        self, stmt: ast.While, state: _State, ctx: _FuncCtx
-    ) -> Optional[_State]:
-        ctx.loop_sorted.append(True)  # whiles are not fan-out loops
-        out = super().exec_while(stmt, state, ctx)
-        ctx.loop_sorted.pop()
-        return out
 
     def loop_exit(self, entry: _State, out: Optional[_State]) -> _State:
         # loops are assumed to run >= 1 iteration (fan-out shape); a
@@ -524,11 +423,7 @@ class _Analyzer(flow.Walker):
             if durable is not True and durable is not _ABSENT:
                 return
             op = "barrier"
-        if op == "coord":
-            state.coord = True
-            state.phase = 0
-            ctx.is_coord = True
-        elif op == "logged":
+        if op == "logged":
             state.logged = True
         elif op == "mutate":
             if not state.logged and not ctx.recovery:
@@ -560,35 +455,13 @@ class _Analyzer(flow.Walker):
             self._reach_barrier(kind, state, ctx, line)
             self._flushed(state)
         elif op == "env":
-            self._env_step(method, call, state, ctx)
-
-    def _env_step(
-        self, method: str, call: ast.Call, state: _State, ctx: _FuncCtx
-    ) -> None:
-        """A KV-env op: the ``log=False`` rule, then one
-        :data:`PROTOCOL` step on a coordinator path."""
-        step = method if method in ("insert", "delete", "sync") else "apply"
-        if step != "sync" and _const_arg(call, 99, "log") is False and not ctx.recovery:
-            self._flag(
-                ctx, call.lineno, "write-ahead",
-                f"{method}(log=False) bypasses the write-ahead log outside a "
-                "recovery path — drop the override or route through recovery",
-            )
-        if not state.coord:
-            return
-        finding, phase, apply_dirty = PROTOCOL[step, state.phase]
-        if finding == "unsynced-resolve" and not state.apply_dirty:
-            finding = None
-        if finding == "unsorted-sync" and ctx.loop_sorted[-1:] != [False]:
-            finding = None
-        if finding is not None:
-            self._flag(ctx, call.lineno, "intent-protocol", PROTOCOL_MESSAGES[finding])
-        if state.phase == 0 and phase == 1:
-            state.pending.add("intent-put")
-            self.graph.effects.add("intent-put")
-        state.phase = phase
-        if apply_dirty is not None:
-            state.apply_dirty = apply_dirty
+            # A KV-env op outside recovery may not skip the log.
+            if method != "sync" and _const_arg(call, 99, "log") is False and not ctx.recovery:
+                self._flag(
+                    ctx, line, "write-ahead",
+                    f"{method}(log=False) bypasses the write-ahead log outside a "
+                    "recovery path — drop the override or route through recovery",
+                )
 
     def _reach_barrier(
         self, kind: str, state: _State, ctx: _FuncCtx, line: int
@@ -629,7 +502,7 @@ class _Analyzer(flow.Walker):
 
 
 # ======================================================================
-# Rule 4: recovery reachability
+# Rule 3: recovery reachability
 # ======================================================================
 def _recovery_set(program: flow.Program) -> Dict[str, Optional[str]]:
     """The call-graph closure of the recovery entry points, as a
@@ -666,7 +539,7 @@ def analyze(
     for func in program.functions_in_order():
         analyzer.summary(func)
 
-    # Rule 4: the device's volatile accessors among the recovery
+    # Rule 3: the device's volatile accessors among the recovery
     # closure's call sites.  The device layer itself (which implements
     # the volatile cache) and crashmc (which deliberately inspects it
     # to build crash images) are structural exceptions.

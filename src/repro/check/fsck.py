@@ -59,19 +59,17 @@ from repro.core.checkpoint import (
     Superblock,
     read_superblock,
 )
+from repro.core.env import TREE_FILES
 from repro.core.keys import intersect
 from repro.core.node import InternalNode
 from repro.core.serialize import ChecksumError, decode_node, unframe
 from repro.core.wal import WriteAheadLog
-from repro.device.block import BlockDevice, ExtentStore, Segments, cut
+from repro.device.block import BlockDevice, ExtentStore
 from repro.storage.sfl import ImageLayout
 
 #: On-disk image container magic + version.
 IMAGE_MAGIC = b"BFIM"
 IMAGE_VERSION = 1
-
-#: Tree files in superblock root_ids order, with their layout slot.
-_TREE_FILES = ("meta.db", "data.db")
 
 
 @dataclass
@@ -144,7 +142,6 @@ def fsck_device(
     ``meta_size`` are the SFL carve sizes the image was created with;
     ``aligned`` is the tree's ``page_sharing`` layout flag.
     """
-    report = FsckReport()
     if isinstance(device, BlockDevice):
         store = device.store
         ftl = device.ftl
@@ -160,15 +157,23 @@ def fsck_device(
                 default=0,
             )
     layout = _Layout(log_size=log_size, meta_size=meta_size, capacity=capacity)
+    return _walk(store, ftl, [layout], aligned)
 
+
+def _walk(
+    store: ExtentStore, ftl, layouts: List[_Layout], aligned: bool
+) -> FsckReport:
+    """The walk over an image whose volume ``i`` is carved as
+    ``layouts[i]``; the first holds the superblock and the log."""
+    report = FsckReport()
     sb = _check_superblock(store, report)
     if sb is not None:
-        _check_trees(store, layout, sb, report, aligned)
-        _check_wal(store, layout, sb, report)
+        _check_trees(store, layouts, sb, report, aligned)
+        _check_wal(store, layouts[0], sb, report)
     else:
         # Pre-first-checkpoint image: the only durable state is the
         # log, replayed from offset 0.
-        _check_wal(store, layout, Superblock(), report)
+        _check_wal(store, layouts[0], Superblock(), report)
     if ftl is not None:
         _check_ftl(store, ftl, report)
     return report
@@ -216,21 +221,30 @@ def _check_superblock(store: ExtentStore, report: FsckReport) -> Optional[Superb
 
 def _check_trees(
     store: ExtentStore,
-    layout: _Layout,
+    layouts: List[_Layout],
     sb: Superblock,
     report: FsckReport,
     aligned: bool,
 ) -> None:
+    if len(sb.root_ids) != len(TREE_FILES) * len(layouts):
+        report.error(
+            f"superblock: {len(sb.root_ids)} trees, but {len(layouts)} "
+            f"volume(s) of {len(TREE_FILES)} are carved"
+        )
+        return
     for index, (root_id, table_blob) in enumerate(
         zip(sb.root_ids, sb.block_tables)
     ):
-        name = _TREE_FILES[index] if index < len(_TREE_FILES) else f"tree{index}"
+        volume, tree = divmod(index, len(TREE_FILES))
+        name = TREE_FILES[tree]
+        if len(layouts) > 1:
+            name = f"vol{volume}: {name}"
         try:
             blockman = BlockManager.deserialize(table_blob)
         except (struct.error, ValueError) as exc:
             report.error(f"{name}: block table does not deserialize ({exc})")
             continue
-        base, size = layout.tree_region(index)
+        base, size = layouts[volume].tree_region(tree)
         _check_blockman(name, blockman, size, report)
         _walk_tree(
             store, name, base, blockman, root_id, sb, report, aligned
@@ -448,53 +462,19 @@ def load_image(path: str) -> DeviceImage:
 
 
 # ----------------------------------------------------------------------
-# fsck of a mount's image, volume by volume
+# fsck of a mount's image
 # ----------------------------------------------------------------------
-class VolumeStore:
-    """Base-shifted view of one volume slot in a shared extent store.
-
-    A mount carves one device into N SFL volume slots (N = 1 unless it
-    is sharded, ``repro.shard``).  This adapter presents volume *i*'s
-    ``[base, base + size)`` byte range as a standalone image starting
-    at offset 0, so the unmodified :func:`fsck_device` walk checks
-    each volume exactly as it would a single-volume device.
-    """
-
-    def __init__(self, store: ExtentStore, base: int, size: int) -> None:
-        self.store = store
-        self.base = base
-        self.size = size
-
-    def read(self, offset: int, length: int) -> bytes:
-        return self.store.read(self.base + offset, length)
-
-    def read_segments(self, offset: int, length: int) -> Segments:
-        return self.store.read_segments(self.base + offset, length)
-
-    def write(self, offset: int, data: bytes) -> None:
-        self.store.write(self.base + offset, data)
-
-    def snapshot(self) -> List[Tuple[int, Segments]]:
-        out: List[Tuple[int, Segments]] = []
-        for off, segments in self.store.snapshot():
-            lo = max(off, self.base)
-            hi = min(off + sum(map(len, segments)), self.base + self.size)
-            if lo < hi:
-                out.append((lo - self.base, cut(segments, lo - off, hi - off)))
-        return out
-
-
 def fsck_mount(mount, image: Optional[BlockDevice] = None) -> FsckReport:
-    """fsck every volume of a mount's crash image, one merged report
-    (errors and warnings prefixed ``volN:`` when there is more than one
-    volume; the shared device's FTL checked once).
+    """fsck a mount's crash image: its one superblock and log, and every
+    volume's tree pair (tree errors prefixed ``volN:`` when there is
+    more than one volume).
 
-    The carve is read off the mount that made it — ``opts.log_size`` /
-    ``meta_size``, ``volume_bytes``, ``config.page_sharing`` — so no
-    caller retypes geometry.  ``image`` defaults to a crash image of
-    the mount's device as it stands.  A mount stacked on ext4
-    (``features.use_sfl`` off) has no SFL layout to walk: refusing is
-    the only honest answer, the walk would read zeros and say CLEAN.
+    The carve is read off the mount that made it — each southbound's
+    layout and ``config.page_sharing`` — so no caller retypes
+    geometry.  ``image`` defaults to a crash image of the mount's
+    device as it stands.  A mount stacked on ext4 (``features.use_sfl``
+    off) has no SFL layout to walk: refusing is the only honest answer,
+    the walk would read zeros and say CLEAN.
     """
     if not mount.features.use_sfl:
         raise FsckError(
@@ -503,30 +483,9 @@ def fsck_mount(mount, image: Optional[BlockDevice] = None) -> FsckReport:
         )
     if image is None:
         image = mount.device.crash_image()
-    opts = mount.opts
-    volumes = len(mount.storages)
-    size = mount.volume_bytes
-    merged = FsckReport(clean_shutdown=True)
-    generations = set()
-    for i in range(volumes):
-        report = fsck_device(
-            VolumeStore(image.store, i * size, size),
-            opts.log_size,
-            opts.meta_size,
-            capacity=size,
-            aligned=mount.config.page_sharing,
-        )
-        prefix = f"vol{i}: " if volumes > 1 else ""
-        merged.errors += [prefix + e for e in report.errors]
-        merged.warnings += [prefix + w for w in report.warnings]
-        merged.nodes_checked += report.nodes_checked
-        merged.trees_checked += report.trees_checked
-        merged.wal_entries += report.wal_entries
-        merged.clean_shutdown &= report.clean_shutdown
-        generations.add(report.superblock_generation)
-    if len(generations) == 1:
-        merged.superblock_generation = generations.pop()
-    if image.ftl is not None:
-        # The FTL belongs to the shared device, not to any one slot.
-        _check_ftl(image.store, image.ftl, merged)
-    return merged
+    return _walk(
+        image.store,
+        image.ftl,
+        [storage.layout for storage in mount.storages],
+        mount.config.page_sharing,
+    )

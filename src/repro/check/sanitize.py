@@ -153,7 +153,7 @@ class SanitizerSuite:
         with ``node`` routed ``[lo, hi)``, plus the fanout slack, which
         needs the live config."""
         _raise_first(
-            (f"{tree.file_name}: {f}" for f in node_faults(node, lo, hi)),
+            (f"{tree.name}: {f}" for f in node_faults(node, lo, hi)),
             TreeInvariantError,
         )
         if isinstance(node, InternalNode):
@@ -299,7 +299,7 @@ class SanitizerSuite:
 
     def check_blockman(self, tree: "BeTree") -> None:
         _raise_first(
-            (f"{tree.file_name}: {f}" for f in blockman_faults(tree.blockman)),
+            (f"{tree.name}: {f}" for f in blockman_faults(tree.blockman)),
             AllocInvariantError,
         )
 

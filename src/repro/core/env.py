@@ -1,9 +1,16 @@
-"""The key-value environment: two trees, one log, one cache.
+"""The key-value environment: one log, one cache, a tree pair per volume.
 
 Mirrors the BetrFS arrangement (§2.2): a metadata index and a data
 index share one redo log, one node cache, and one checkpointing
 schedule.  The environment is the layer the BetrFS "northbound" code
 talks to.
+
+One environment serves a whole device.  Each volume (an SFL slot,
+``storages[i]``) holds one meta and one data tree, tree ids ``2i`` and
+``2i + 1``; the first volume also holds the superblock and the log.
+A device with one volume is the plain two-tree environment.  Since
+every tree is on the one log, ``apply_batch`` makes inserts and
+deletes on any trees atomic (one ``OP_BATCH`` record).
 
 Durability model
 ----------------
@@ -16,14 +23,15 @@ Durability model
   escalates to a checkpoint so the pages are durable in the tree.
 * Checkpoints are periodic (60 s of simulated time, §3.3) and
   copy-on-write: dirty nodes are written to fresh extents, then the
-  superblock flips, then old extents are reclaimed.
+  superblock flips, then old extents are reclaimed.  A checkpoint
+  covers every tree of the device.
 """
 
 from __future__ import annotations
 
 import zlib
 from functools import partial
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.cache import NodeCache
 from repro.core.checkpoint import BlockManager, Superblock, read_superblock
@@ -31,12 +39,16 @@ from repro.core.config import BeTreeConfig
 from repro.core.messages import PageFrame, Value, value_bytes, value_len
 from repro.core.tree import BeTree
 from repro.core.wal import (
+    MAX_TREES,
+    OP_BATCH,
     OP_DELETE,
     OP_INSERT,
     OP_INSERT_REF,
     OP_PATCH,
     OP_RANGE_DELETE,
     WriteAheadLog,
+    decode_batch,
+    encode_batch,
 )
 from repro.device.clock import SimClock
 from repro.kmem.allocator import KernelAllocator
@@ -59,9 +71,15 @@ LOG_FLUSH_THRESHOLD = 4 * MIB
 META = 0
 DATA = 1
 
+#: A volume's tree pair: its files, in tree-id order (META, DATA).
+TREE_FILES = ("meta.db", "data.db")
+
+#: Volumes one environment (one log) can name.
+MAX_VOLUMES = MAX_TREES // len(TREE_FILES)
+
 
 class KVEnv:
-    """A B-epsilon-tree environment with a meta and a data index."""
+    """A B-epsilon-tree environment: a meta and a data index per volume."""
 
     #: Traced when the observability scope traces; ``checkpoints``
     #: counts the one this call writes.
@@ -84,16 +102,20 @@ class KVEnv:
         data_size: int = 4096 * MIB,
         log_page_values: bool = True,
         obs=None,
+        volumes: Sequence[Southbound] = (),
         _recovering: bool = False,
     ) -> None:
+        #: One southbound per volume: ``storage`` (which also holds the
+        #: superblock and the log), then ``volumes``.
         self.storage = storage
+        self.storages: List[Southbound] = [storage, *volumes]
         self.clock = clock
         self.costs = costs
         self.alloc = alloc
         self.config = config
         self.log_page_values = log_page_values
         self.obs = obs
-        self.cache = NodeCache(config.cache_bytes)
+        self.cache = NodeCache(config.cache_bytes * len(self.storages))
         if obs is not None:
             obs.register_object("tree.nodecache", self.cache, layer="cache")
             obs.instrument(self, self.SPANS)
@@ -114,8 +136,9 @@ class KVEnv:
         self._next_msn = 1
         storage.create("superblock", 2 * Superblock.SLOT_SIZE)
         storage.create("log", log_size)
-        storage.create("meta.db", meta_size)
-        storage.create("data.db", data_size)
+        for volume in self.storages:
+            volume.create("meta.db", meta_size)
+            volume.create("data.db", data_size)
         self.wal = WriteAheadLog(
             storage, costs, config.log_section, on_full=self._on_log_full, obs=obs
         )
@@ -127,9 +150,24 @@ class KVEnv:
         self.recovered_entries = 0
         self.checkpoints = 0
         if not _recovering:
-            self.meta = BeTree(self, META, "meta.db")
-            self.data = BeTree(self, DATA, "data.db")
-            self.trees: List[BeTree] = [self.meta, self.data]
+            self._open_trees()
+
+    def _open_trees(self, sb: Optional[Superblock] = None) -> None:
+        """Every volume's tree pair: fresh, or as ``sb`` checkpointed
+        them."""
+        self.trees: List[BeTree] = []
+        for index, volume in enumerate(self.storages):
+            for file_name in TREE_FILES:
+                tree_id = len(self.trees)
+                # Trees past the first volume report under their volume.
+                name = file_name if index == 0 else f"{file_name}.{index}"
+                self.trees.append(BeTree(
+                    self, tree_id, volume, file_name, name,
+                    root_id=None if sb is None else sb.root_ids[tree_id],
+                    blockman=None if sb is None
+                    else BlockManager.deserialize(sb.block_tables[tree_id]),
+                ))
+        self.meta, self.data = self.trees[META], self.trees[DATA]
 
     # ------------------------------------------------------------------
     # Counters
@@ -224,6 +262,21 @@ class KVEnv:
         self.trees[tree_id].range_delete(start, end)
         self._post_op()
 
+    def apply_batch(self, ops: Sequence[Tuple[int, int, bytes, Value]]) -> None:
+        """Inserts and deletes, ``(OP_INSERT | OP_DELETE, tree_id, key,
+        value)`` on any trees, as one log record: recovery replays all
+        of them or none (a cross-volume rename, ``repro.shard``)."""
+        self.wal.append(
+            OP_BATCH, 0, b"",
+            encode_batch([(op, t, key, value_bytes(v)) for op, t, key, v in ops]),
+        )
+        for op, tree_id, key, value in ops:
+            if op == OP_INSERT:
+                self.trees[tree_id].put(key, value)
+            else:
+                self.trees[tree_id].delete(key)
+        self._post_op()
+
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -257,10 +310,7 @@ class KVEnv:
         """Write a consistent CoW checkpoint and truncate the log."""
         self.checkpoints += 1
         self.wal.flush(durable=False)
-        for tree in self.trees:
-            tree.write_dirty_nodes()
-        self.storage.sync("meta.db")
-        self.storage.sync("data.db")
+        self._flush_trees()
         lsn = self.wal.next_lsn - 1
         self._write_superblock(lsn, clean=False)
         self._reclaim_extents()
@@ -269,6 +319,13 @@ class KVEnv:
         self.last_checkpoint = self.clock.now
         if self.san is not None:
             self.san.on_checkpoint()
+
+    def _flush_trees(self) -> None:
+        """Every tree's dirty nodes to its file, then each file synced."""
+        for tree in self.trees:
+            tree.write_dirty_nodes()
+        for tree in self.trees:
+            tree.storage.sync(tree.file_name)
 
     def _write_superblock(self, lsn: int, clean: bool) -> None:
         self._sb_generation += 1
@@ -291,10 +348,7 @@ class KVEnv:
     def close(self) -> None:
         """Clean shutdown: checkpoint and mark the superblock clean."""
         self.wal.flush(durable=True)
-        for tree in self.trees:
-            tree.write_dirty_nodes()
-        self.storage.sync("meta.db")
-        self.storage.sync("data.db")
+        self._flush_trees()
         self._write_superblock(self.wal.next_lsn - 1, clean=True)
         self._reclaim_extents()
 
@@ -307,7 +361,7 @@ class KVEnv:
         """
         for tree in self.trees:
             for off, ln in tree.blockman.commit_checkpoint():
-                self.storage.discard(tree.file_name, off, ln)
+                tree.storage.discard(tree.file_name, off, ln)
 
     # ------------------------------------------------------------------
     # Housekeeping
@@ -349,6 +403,7 @@ class KVEnv:
         data_size: int = 4096 * MIB,
         log_page_values: bool = True,
         obs=None,
+        volumes: Sequence[Southbound] = (),
     ) -> "KVEnv":
         """Open an existing environment, replaying the log if needed."""
         env = cls(
@@ -362,16 +417,15 @@ class KVEnv:
             data_size=data_size,
             log_page_values=log_page_values,
             obs=obs,
+            volumes=volumes,
             _recovering=True,
         )
-        sb, _slots = read_superblock(partial(storage.read, "superblock"))
+        sb, _slots = read_superblock(partial(env.storage.read, "superblock"))
         if sb is None:
             # No checkpoint ever committed: the state is whatever the
             # log holds, replayed from the beginning of the region
             # against fresh trees.
-            env.meta = BeTree(env, META, "meta.db")
-            env.data = BeTree(env, DATA, "data.db")
-            env.trees = [env.meta, env.data]
+            env._open_trees()
             env._replay_log(Superblock())
             if env.recovered_entries:
                 env.checkpoint()
@@ -379,14 +433,12 @@ class KVEnv:
         env._sb_generation = sb.generation
         env._next_node_id = sb.next_node_id
         env._next_msn = sb.next_msn
-        blockmans = [BlockManager.deserialize(t) for t in sb.block_tables]
-        env.meta = BeTree(
-            env, META, "meta.db", root_id=sb.root_ids[0], blockman=blockmans[0]
-        )
-        env.data = BeTree(
-            env, DATA, "data.db", root_id=sb.root_ids[1], blockman=blockmans[1]
-        )
-        env.trees = [env.meta, env.data]
+        if len(sb.root_ids) != len(TREE_FILES) * len(env.storages):
+            raise ValueError(
+                f"the superblock names {len(sb.root_ids)} trees; "
+                f"{len(env.storages)} volume(s) hold {len(TREE_FILES)} each"
+            )
+        env._open_trees(sb)
         env.wal.head = sb.log_head
         env.wal.tail = sb.log_tail
         env.wal.checkpoint_lsn = sb.checkpoint_lsn
@@ -405,30 +457,35 @@ class KVEnv:
         )
         last_lsn = sb.checkpoint_lsn
         for entry in entries:
-            tree = self.trees[entry.tree_id]
-            if entry.op == OP_INSERT:
-                value: Value = entry.value
-                if len(entry.value) >= PAGE_VALUE_THRESHOLD:
-                    value = PageFrame(entry.value)
-                tree.put(entry.key, value)
-            elif entry.op == OP_INSERT_REF:
-                # Value was elided; it must already be in the tree (the
-                # sync path checkpoints before flushing such entries).
-                existing = tree.get(entry.key)
-                if existing is None or (
-                    (zlib.crc32(value_bytes(existing)) & 0xFFFFFFFF) != entry.aux
-                ):
-                    self.recovery_lost += 1
-            elif entry.op == OP_DELETE:
-                tree.delete(entry.key)
-            elif entry.op == OP_PATCH:
-                tree.patch(entry.key, entry.aux, entry.value)
-            elif entry.op == OP_RANGE_DELETE:
-                tree.range_delete(entry.key, entry.value)
+            for one in decode_batch(entry) if entry.op == OP_BATCH else (entry,):
+                self._redo(one)
             last_lsn = entry.lsn
             self.recovered_entries += 1
         self.wal.next_lsn = last_lsn + 1
         self.wal.head = end
+
+    def _redo(self, entry) -> None:
+        """Re-apply one replayed log entry to its tree."""
+        tree = self.trees[entry.tree_id]
+        if entry.op == OP_INSERT:
+            value: Value = entry.value
+            if len(entry.value) >= PAGE_VALUE_THRESHOLD:
+                value = PageFrame(entry.value)
+            tree.put(entry.key, value)
+        elif entry.op == OP_INSERT_REF:
+            # Value was elided; it must already be in the tree (the
+            # sync path checkpoints before flushing such entries).
+            existing = tree.get(entry.key)
+            if existing is None or (
+                (zlib.crc32(value_bytes(existing)) & 0xFFFFFFFF) != entry.aux
+            ):
+                self.recovery_lost += 1
+        elif entry.op == OP_DELETE:
+            tree.delete(entry.key)
+        elif entry.op == OP_PATCH:
+            tree.patch(entry.key, entry.aux, entry.value)
+        elif entry.op == OP_RANGE_DELETE:
+            tree.range_delete(entry.key, entry.value)
 
     def _on_log_full(self) -> None:
         self.checkpoint()

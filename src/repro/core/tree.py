@@ -63,6 +63,7 @@ from repro.core.checkpoint import BlockManager
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.env import KVEnv
     from repro.device.block import Payload, Segments
+    from repro.storage.filelayer import Southbound
 
 #: ``SEARCH_STEPS[n] == 1 + math.log2(n + 1)``: the comparisons an
 #: ordered search over ``n`` entries is charged, for the sizes a probe
@@ -112,17 +113,17 @@ class BeTree:
     #: Methods traced when the observability scope traces (see
     #: :meth:`repro.obs.MountScope.instrument`).
     SPANS = {
-        "get": ("tree.query", "tree", lambda tree, key: {"tree": tree.file_name}),
+        "get": ("tree.query", "tree", lambda tree, key: {"tree": tree.name}),
         "_flush_one_batch": (
-            "tree.flush_batch", "tree", lambda tree, node: {"tree": tree.file_name},
+            "tree.flush_batch", "tree", lambda tree, node: {"tree": tree.name},
         ),
         "_load_node_miss": (
             "tree.node_read", "tree",
-            lambda tree, node_id, span=None: {"tree": tree.file_name, "node": node_id},
+            lambda tree, node_id, span=None: {"tree": tree.name, "node": node_id},
         ),
         "write_node": (
             "tree.node_write", "tree",
-            lambda tree, node: {"tree": tree.file_name, "node": node.node_id},
+            lambda tree, node: {"tree": tree.name, "node": node.node_id},
         ),
     }
 
@@ -130,25 +131,30 @@ class BeTree:
         self,
         env: "KVEnv",
         tree_id: int,
+        storage: Southbound,
         file_name: str,
+        name: str,
         root_id: Optional[int] = None,
         blockman: Optional[BlockManager] = None,
     ) -> None:
         self.env = env
         self.tree_id = tree_id
+        #: The southbound file the nodes live in, and the name the
+        #: tree reports under (they differ past a device's first volume).
         self.file_name = file_name
+        self.name = name
         self.cfg = env.config
         self.clock = env.clock
         self.costs = env.costs
         self.alloc = env.alloc
-        self.storage = env.storage
+        self.storage = storage
         self.cache = env.cache
         self.stats = TreeStats()
         self.san = getattr(env, "san", None)
         obs = getattr(env, "obs", None)
         if obs is not None:
-            obs.register_object(f"tree.{file_name}", self.stats, layer="tree")
-            query = obs.latency("tree.query_latency", layer="tree", tree=file_name)
+            obs.register_object(f"tree.{name}", self.stats, layer="tree")
+            query = obs.latency("tree.query_latency", layer="tree", tree=name)
             obs.instrument(self, self.SPANS, {"get": query})
         if blockman is not None:
             self.blockman = blockman

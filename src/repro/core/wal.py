@@ -18,6 +18,14 @@ of BetrFS v0.6 (an 80 GiB sequential write sustains well above half
 the device bandwidth, so data cannot be flowing through the log
 twice); small values and all metadata are fully value-logged.
 
+Batch records
+-------------
+
+An ``OP_BATCH`` entry carries several inserts and deletes, on any of
+the environment's trees, under one LSN and one CRC: recovery replays
+all of them or none.  A cross-volume rename is one such record
+(``repro.shard``).
+
 Conditional logging (§3.3) support: the log is divided into fixed
 sections; a dirty inode that exists *only* in the log takes a
 reference on its section, delaying that section's reuse until the
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.model.costs import CostModel
 from repro.storage.filelayer import Southbound
@@ -40,11 +48,17 @@ OP_PATCH = 3
 OP_RANGE_DELETE = 4
 OP_INSERT_REF = 5  # value elided; payload holds key + crc of the page
 OP_CHECKPOINT = 6
+OP_BATCH = 7  # value holds sub-entries (decode_batch); key and tree unused
 
 _HEADER = struct.Struct("<qBI")  # lsn, op, payload_len
 _KEY_HEAD = struct.Struct("<BH")  # tree_id, key_len
 _AUX_HEAD = struct.Struct("<IH")  # aux, aux2_len
 _U32 = struct.Struct("<I")  # value_len; the entry's trailing crc
+_SUB_HEAD = struct.Struct("<BI")  # a batch sub-entry's op, payload_len
+
+#: Tree ids are one byte (``_KEY_HEAD``): one log names at most this
+#: many trees.
+MAX_TREES = 256
 
 #: What recovery reads of the log region at a time (``scan``).
 SCAN_CHUNK = 1 << 20
@@ -102,6 +116,29 @@ def decode_payload(lsn: int, op: int, payload: bytes) -> LogEntry:
     pos += 6
     aux2 = payload[pos : pos + a2len]
     return LogEntry(lsn, op, tree_id, key, value, aux, aux2)
+
+
+def encode_batch(ops: Sequence[Tuple[int, int, bytes, bytes]]) -> bytes:
+    """The value of an ``OP_BATCH`` entry: ``(op, tree_id, key, value)``
+    sub-entries, each an op tag and a length-prefixed payload."""
+    parts = []
+    for op, tree_id, key, value in ops:
+        payload = encode_payload(op, tree_id, key, value, 0, b"")
+        parts.append(_SUB_HEAD.pack(op, len(payload)))
+        parts.append(payload)
+    return b"".join(parts)
+
+
+def decode_batch(entry: LogEntry) -> List[LogEntry]:
+    """The sub-entries of an ``OP_BATCH`` entry, each with its LSN."""
+    out: List[LogEntry] = []
+    raw, pos = entry.value, 0
+    while pos < len(raw):
+        op, plen = _SUB_HEAD.unpack_from(raw, pos)
+        pos += _SUB_HEAD.size
+        out.append(decode_payload(entry.lsn, op, raw[pos : pos + plen]))
+        pos += plen
+    return out
 
 
 class WriteAheadLog:
@@ -310,7 +347,7 @@ class WriteAheadLog:
         expect: Optional[int] = None
         while have(pos + _HEADER.size):
             lsn, op, plen = _HEADER.unpack_from(window, 0)
-            if lsn <= 0 or op < OP_INSERT or op > OP_CHECKPOINT or plen > size:
+            if lsn <= 0 or op < OP_INSERT or op > OP_BATCH or plen > size:
                 break
             end = pos + _HEADER.size + plen + 4
             if not have(end):

@@ -14,8 +14,8 @@ Pieces:
 * :mod:`repro.crashmc.schedule` — bounded B3-style plan enumeration
   (exhaustive subsets up to k records, seeded sampling beyond);
 * :mod:`repro.crashmc.oracle` — the logical contract: synced data
-  must read back, unsynced ops only as an atomic prefix (per shard,
-  on a multi-volume stack);
+  must read back, unsynced ops only as an atomic prefix (of the one
+  log, on a multi-volume stack too);
 * :mod:`repro.crashmc.workload` — deterministic KV renditions of the
   paper's tokubench/mailserver shapes, with explicit WAL pushes to
   populate the at-risk epoch;

@@ -50,7 +50,6 @@ from repro.crashmc.workload import WORKLOADS, derive_rng
 from repro.device.block import BlockDevice
 from repro.device.clock import SimClock
 from repro.obs import scope_for_mount, session
-from repro.shard.map import ShardMap
 from repro.shard.mount import ShardedBetrFS
 from repro.storage.sfl import SUPERBLOCK_SIZE, ImageLayout
 
@@ -141,16 +140,15 @@ class _Stack:
                 "fanout": 4,
             },
         )
-        #: Key routing the oracle mirrors (one volume: all on shard 0).
-        self.map = ShardMap(carve.volumes)
         with session(None):
             if carve.volumes == 1:
                 self.fs = BetrFS(V0_6, opts)
-                self.envs = [self.fs.env]
             else:
                 self.fs = ShardedBetrFS(V0_6, opts, shards=carve.volumes)
-                self.envs = self.fs.env.envs
         self.env = self.fs.env
+        #: The device's one log (the backend's env is the ``KVEnv``,
+        #: below a sharded mount's router too).
+        self.wal = self.fs.backend.env.wal
         self.device = self.fs.device
         self.device.enable_volatile_cache()
         #: Every volume layout carved from ``self.device``; the order
@@ -173,40 +171,35 @@ class _Stack:
         elif op.kind == "checkpoint":
             env.checkpoint()
         elif op.kind == "wflush":
-            # Push the WAL buffers to the device with NO barrier: these
+            # Push the WAL buffer to the device with NO barrier: these
             # writes sit in the open epoch, at the mercy of the plan.
-            for volume in self.envs:
-                volume.wal.flush(durable=False)
+            self.wal.flush(durable=False)
         elif op.kind == "xrename":  # the router's primitive (volumes > 1)
             env.xrename(op.tree, op.key, op.end)
         else:  # pragma: no cover - workload bug
             raise ValueError(f"unknown op kind {op.kind!r}")
 
     def reboot(self, image: BlockDevice):
-        """Re-mount the image (per-volume log replay, then intent
-        resolution on a sharded mount); returns the ``get`` callable
+        """Re-mount the image (log replay); returns the ``get`` callable
         for the oracle to probe."""
         with session(None):
             return self.fs.remount(image).env.get
 
     def media_regions(self) -> List[tuple]:
-        """(base, size) regions the media-fault sweep may damage."""
-        return [
-            region
-            for layout in self.layouts
-            for region in (
-                (layout.base, SUPERBLOCK_SIZE),
-                (layout.log_base, layout.log_size),
-                (layout.meta_base, layout.meta_size),
-                (layout.data_base, self.carve.media_data),
-            )
-        ]
+        """(base, size) regions the media-fault sweep may damage: the
+        superblock and the log (the first volume's), then each volume's
+        trees."""
+        first = self.layout
+        regions = [(first.base, SUPERBLOCK_SIZE), (first.log_base, first.log_size)]
+        for layout in self.layouts:
+            regions.append((layout.meta_base, layout.meta_size))
+            regions.append((layout.data_base, self.carve.media_data))
+        return regions
 
 
 def stack_for(workload: str) -> Tuple[_Stack, Oracle]:
     """A fresh stack and its oracle, carved as ``workload`` requires."""
-    stack = _Stack(CARVES.get(workload))
-    return stack, Oracle(smap=stack.map)
+    return _Stack(CARVES.get(workload)), Oracle()
 
 
 def run_case(stack: _Stack, oracle: Oracle, plan: CrashPlan) -> CaseResult:
@@ -516,7 +509,7 @@ class CrashExplorer:
             self._h_epoch.observe(len(stack.device.epoch_records(epoch)))
 
         # Media sweep at the final state: seeded faults in every region
-        # of each volume (``stack.media_regions``); in the superblock,
+        # the mount uses (``stack.media_regions``); in the superblock,
         # read_superblock's completion stamp lets fsck tell a flipped
         # byte in the newest slot (valid-but-stale fallback, reported)
         # from a torn checkpoint write (legal, silent).

@@ -196,11 +196,10 @@ def xshard_rename_kv(seed: int) -> List[Op]:
 
     Two directory homes pinned to different volumes; the mix delivers
     into both, patches in place, and keeps moving messages across the
-    shard boundary with ``xrename`` — the two-phase intent protocol —
-    so crash points land before, inside, and after every phase.
-    Destinations use fresh uids, so no other pending op ever aliases
-    an in-flight move's keys (the per-shard prefix oracle relies on
-    this)."""
+    shard boundary with ``xrename`` — one log record over both
+    volumes' trees — so crash points land around, and torn writes
+    through, every move.  Destinations use fresh uids, so no other
+    pending op ever aliases an in-flight move's keys."""
     smap = ShardMap(2)
     homes = xshard_homes(smap)
     rng = derive_rng(seed, "xshard_rename")

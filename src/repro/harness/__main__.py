@@ -21,7 +21,9 @@ import json
 import os
 import sys
 import tempfile
+from typing import Optional
 
+from repro.core.env import MAX_VOLUMES
 from repro.harness.figures import FIGURES, render_figures, run_figures
 from repro.obs import Observability, current, session
 from repro.obs.prof import Stopwatch
@@ -41,14 +43,16 @@ from repro.harness.tables import render_vs_paper
 from repro.workloads.scale import DEFAULT_SCALE, SMOKE_SCALE, WorkloadScale
 
 
-def _at_least(low: int):
-    """An argparse ``type``: an integer no smaller than ``low``, so an
+def _count(low: int, high: Optional[int] = None):
+    """An argparse ``type``: an integer in ``[low, high]``, so an
     out-of-range count fails at parse time (exit 2), not mid-run."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -86,7 +90,7 @@ OPTIONS = {
         "same seed = bit-identical summary)",
     ),
     "--budget": dict(
-        type=_at_least(1),
+        type=_count(1),
         default=200,
         help="crash states to explore, split across the workloads",
     ),
@@ -101,22 +105,23 @@ OPTIONS = {
         "results/results.json and results/EXPERIMENTS.md, print each differing cell "
         "and exit non-zero on any difference",
     ),
-    "--sessions": dict(type=_at_least(1), default=8, help="number of concurrent client sessions"),
+    "--sessions": dict(type=_count(1), default=8, help="number of concurrent client sessions"),
     "--policy": dict(
         choices=["fifo", "rr", "lottery"],
         default="fifo",
         help="scheduling policy (see repro.sched.policy)",
     ),
     "--ops-per-session": dict(
-        type=_at_least(0),
+        type=_count(0),
         default=0,
         help="ops per session (0 = split the scale's sequential op count across the sessions)",
     ),
     "--shards": dict(
-        type=_at_least(0),
+        type=_count(0, MAX_VOLUMES),
         default=0,
         help="partition the namespace over N Bε-tree volumes (repro.shard); "
-        "0 = the plain unsharded mount",
+        f"0 = the plain unsharded mount; at most {MAX_VOLUMES}, the tree pairs "
+        "one log can name",
     ),
     "--workload": dict(
         choices=["mailserver_mt", "webserver_mt"],

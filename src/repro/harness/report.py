@@ -138,8 +138,10 @@ def render_experiments_md(
         out.append(f"### {_FIG_TITLES.get(fig, fig)}")
         out.append("")
         pairs = _PAPER_FIG_KEYS.get(fig, [])
+        # The measured unit is the title's; the paper's is its own.
         header = "| System | " + " | ".join(
-            f"{m} measured | {m} paper" for m, _ in pairs
+            f"{m} measured | {m} paper ({PAPER_FIG2[key]['unit']})"
+            for m, key in pairs
         ) + " |"
         out.append(header)
         out.append("|---" * (1 + 2 * len(pairs)) + "|")

@@ -6,10 +6,10 @@ and executed by that volume's own
 :class:`~repro.betrfs.northbound.BetrFSNorthbound`.  A directory's
 children all live on the one shard its path hashes to, so ``readdir``
 and ``is_dir_empty`` ask that shard alone.  Only a ``rename`` across
-shards genuinely spans volumes: it is delegated to the
-:meth:`~repro.shard.env.ShardedEnv.two_phase` intent protocol so a
-crash at any point leaves either the old name or the new one, never
-both halves.
+shards genuinely spans volumes: its inserts and deletes go to the
+device's one log as a single batch record
+(:meth:`~repro.core.env.KVEnv.apply_batch`), so a crash at any point
+leaves either the old name or the new one, never both halves.
 
 Routing decisions are counted per shard (``loads``) and exposed as
 ``repro.obs`` gauges by the mount, giving the load/imbalance view the
@@ -21,26 +21,28 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.betrfs.northbound import BetrFSNorthbound
-from repro.core.env import DATA, META
+from repro.core.env import KVEnv
 from repro.core.keys import (
     dir_subtree_range,
     file_blocks_range,
     meta_key,
     rebase_data_key,
 )
-from repro.core.messages import PageFrame, value_bytes
-from repro.shard.env import Delete, Insert, ShardedEnv
+from repro.core.messages import PageFrame, Value, value_bytes
+from repro.core.wal import OP_DELETE, OP_INSERT
+from repro.shard.map import ShardMap
 from repro.vfs.inode import FileKind, Stat
 from repro.vfs.vfs import FileSystemBackend
+
+#: One op of a cross-shard batch (:meth:`KVEnv.apply_batch`).
+Batched = Tuple[int, int, bytes, Value]
 
 
 class ShardedBackend(FileSystemBackend):
     """Route VFS operations to the shard owning each path."""
 
-    def __init__(
-        self, backends: List[BetrFSNorthbound], senv: ShardedEnv
-    ) -> None:
-        if len(backends) != senv.map.shards:
+    def __init__(self, backends: List[BetrFSNorthbound], smap: ShardMap) -> None:
+        if len(backends) != smap.shards:
             raise ValueError("one northbound per shard required")
         first = backends[0]
         self.readdir_fills_caches = first.readdir_fills_caches
@@ -48,11 +50,12 @@ class ShardedBackend(FileSystemBackend):
         self.page_sharing = first.page_sharing
         self.supports_blind_patch = first.supports_blind_patch
         self.backends = backends
-        self.senv = senv
-        self.map = senv.map
+        #: The device's one environment, every volume's trees in it.
+        self.env: KVEnv = first.env
+        self.map = smap
         #: Operations routed to each shard (the imbalance gauges).
         self.loads = [0] * self.map.shards
-        #: Renames that crossed a shard boundary (two-phase batches).
+        #: Renames that crossed a shard boundary (one batch record each).
         self.cross_renames = 0
 
     # ------------------------------------------------------------------
@@ -114,14 +117,14 @@ class ShardedBackend(FileSystemBackend):
         return self.backends[self.map.owner_of_children(path)].is_dir_empty(path)
 
     def sync(self) -> None:
-        self.senv.sync()
+        self.env.sync()
 
     def drop_caches(self) -> None:
-        for backend in self.backends:
-            backend.drop_caches()
+        # Every northbound drops the one environment's whole cache.
+        self.backends[0].drop_caches()
 
     # ------------------------------------------------------------------
-    # Rename: same-shard delegates; cross-shard runs the intent protocol.
+    # Rename: same-shard delegates; cross-shard is one log record.
     # ------------------------------------------------------------------
     def rename(self, src: str, dst: str, stat: Stat) -> None:
         source = self.map.owner_of_entry(src)
@@ -136,57 +139,44 @@ class ShardedBackend(FileSystemBackend):
             self.loads[source] += 1
             self.backends[source].rename(src, dst, stat)
         else:
-            self._rename_file_cross(src, dst, stat, source, dest)
-
-    def _rename_file_cross(
-        self, src: str, dst: str, stat: Stat, source: int, dest: int
-    ) -> None:
-        inserts: List[Insert] = [(dest, META, meta_key(dst), stat.pack())]
-        deletes: List[Delete] = [(source, META, meta_key(src))]
-        if stat.size > 0:
-            lo, hi = file_blocks_range(src)
-            for key, value in self.senv.envs[source].range_query(
-                DATA, lo, hi
-            ):
-                inserts.append(
-                    (dest, DATA, rebase_data_key(key, dst), value_bytes(value))
-                )
-                deletes.append((source, DATA, key))
-        self.senv.two_phase(source, inserts, deletes)
-        self.cross_renames += 1
+            ops: List[Batched] = []
+            self._move(ops, src, dst, stat, stat.pack(), self.backends[source])
+            self.env.apply_batch(ops)
+            self.cross_renames += 1
 
     def _rename_tree_sharded(
         self, src: str, dst: str, stat: Stat, source: int
     ) -> None:
         """Directory rename: the subtree may span every shard, and each
         child re-routes by its *new* path, so the whole move is one
-        multi-shard two-phase batch coordinated by the source entry's
-        shard."""
+        batch over every volume's trees."""
+        ops: List[Batched] = []
+        self._move(ops, src, dst, stat, stat.pack(), self.backends[source])
         lo, hi = dir_subtree_range(src)
-        dest = self.map.owner_of_entry(dst)
-        inserts: List[Insert] = [(dest, META, meta_key(dst), stat.pack())]
-        deletes: List[Delete] = [(source, META, meta_key(src))]
         prefix_len = len(src)
-        for shard, env in enumerate(self.senv.envs):
-            for key, value in env.range_query(META, lo, hi):
+        for nb in self.backends:
+            for key, value in self.env.range_query(nb.meta, lo, hi):
                 child = key.decode("utf-8")
-                new_path = dst + child[prefix_len:]
                 packed = value_bytes(value)
-                new_owner = self.map.owner_of_entry(new_path)
-                inserts.append((new_owner, META, meta_key(new_path), packed))
-                deletes.append((shard, META, key))
-                child_stat = Stat.unpack(packed)
-                if child_stat.kind is FileKind.FILE and child_stat.size > 0:
-                    b_lo, b_hi = file_blocks_range(child)
-                    for bkey, bval in env.range_query(DATA, b_lo, b_hi):
-                        inserts.append(
-                            (
-                                new_owner,
-                                DATA,
-                                rebase_data_key(bkey, new_path),
-                                value_bytes(bval),
-                            )
-                        )
-                        deletes.append((shard, DATA, bkey))
-        self.senv.two_phase(source, inserts, deletes)
+                self._move(
+                    ops, child, dst + child[prefix_len:], Stat.unpack(packed),
+                    packed, nb,
+                )
+        self.env.apply_batch(ops)
         self.cross_renames += 1
+
+    def _move(
+        self, ops: List[Batched], old: str, new: str, stat: Stat,
+        packed: bytes, source: BetrFSNorthbound,
+    ) -> None:
+        """Append the batch ops that move entry ``old`` (``stat``, stored
+        as ``packed`` on ``source``'s volume) and its blocks to ``new``
+        on the volume that owns it."""
+        dest = self.backends[self.map.owner_of_entry(new)]
+        ops.append((OP_INSERT, dest.meta, meta_key(new), packed))
+        ops.append((OP_DELETE, source.meta, meta_key(old), b""))
+        if stat.kind is FileKind.FILE and stat.size > 0:
+            lo, hi = file_blocks_range(old)
+            for key, value in self.env.range_query(source.data, lo, hi):
+                ops.append((OP_INSERT, dest.data, rebase_data_key(key, new), value))
+                ops.append((OP_DELETE, source.data, key, b""))

@@ -1,21 +1,23 @@
-"""A sharded BetrFS mount: N volumes, one namespace.
+"""A sharded BetrFS mount: N volumes, one namespace, one log.
 
 ``make_sharded_betrfs("BetrFS v0.6", shards=8)`` is the ordinary
 :class:`~repro.betrfs.filesystem.BetrFS` assembly asked for N volume
 slots instead of one, with the VFS mounted on the
 :class:`~repro.shard.backend.ShardedBackend` router over them.
 Everything the volumes share — the clock, the device, the allocator,
-the tree geometry — is shared deliberately: volume I/O from different
-sessions interleaves on one device timeline, which is exactly the
-overlap the scale-out benchmarks measure.
+the tree geometry, and the one Bε-tree environment (log, superblock,
+checkpoint, node cache) — is shared deliberately: volume I/O from
+different sessions interleaves on one device timeline, which is
+exactly the overlap the scale-out benchmarks measure.  The log names
+a tree in one byte, so a mount has at most
+:data:`~repro.core.env.MAX_VOLUMES` volumes.
 
 With ``shards=1`` this is the unsharded mount plus a router over its
 one volume (same charge sequence, same on-device layout), which the
 shard-invariant tests pin as bit-identical to the direct wiring.
-Re-mounting a crash image (:meth:`ShardedBetrFS.crash`) recovers every
-volume from its own log and then rolls surviving cross-shard intents
-forward.  Offline fsck of every volume lives with the walk itself:
-:func:`repro.check.fsck.fsck_mount`.
+Re-mounting a crash image (:meth:`ShardedBetrFS.crash`) is the plain
+recovery: one superblock, one log replay.  Offline fsck of the image
+lives with the walk itself: :func:`repro.check.fsck.fsck_mount`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Optional
 
 from repro.betrfs.filesystem import BetrFS, MountOptions, variant
 from repro.betrfs.versions import BetrFSFeatures
+from repro.core.env import MAX_VOLUMES
 from repro.device.block import BlockDevice
 from repro.shard.backend import ShardedBackend
 from repro.shard.env import ShardedEnv
@@ -31,7 +34,7 @@ from repro.shard.map import ShardMap
 
 
 class ShardedBetrFS(BetrFS):
-    """One mounted namespace over N independent Bε-tree volumes."""
+    """One mounted namespace over N Bε-tree volumes on one log."""
 
     def __init__(
         self,
@@ -44,6 +47,11 @@ class ShardedBetrFS(BetrFS):
             raise ValueError(
                 "sharding carves SFL volume slots; the ext4-backed "
                 "variants cannot be sharded"
+            )
+        if shards > MAX_VOLUMES:
+            raise ValueError(
+                f"one log names at most {MAX_VOLUMES} volumes' tree pairs, "
+                f"got {shards} shards"
             )
         self.shards = shards
         self.shard_map = ShardMap(shards)
@@ -64,13 +72,8 @@ class ShardedBetrFS(BetrFS):
             fn=lambda: backend.cross_renames,
         )
 
-    def _route(self, envs, backends):
-        env = ShardedEnv(envs, self.shard_map)
-        if self.recovered:
-            # Every volume has replayed its own log; a cross-shard move
-            # whose intent survived is now rolled forward.
-            env.resolve_intents()
-        return env, ShardedBackend(backends, env)
+    def _route(self, env, backends):
+        return ShardedEnv(env, self.shard_map), ShardedBackend(backends, self.shard_map)
 
     def remount(self, image: BlockDevice) -> "ShardedBetrFS":
         return ShardedBetrFS(self.features, self.opts, self.shards, image=image)

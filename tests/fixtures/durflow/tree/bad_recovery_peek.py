@@ -18,6 +18,6 @@ class RecoveringEnv:
         self.device = device
         self.tree = tree
 
-    def resolve_intents(self) -> None:
+    def _replay_log(self) -> None:
         for data in self.device.unflushed():  # line 22: volatile read
             self.tree.put(data, data)  # recovery re-apply: no write-ahead

@@ -1,8 +1,5 @@
 """Clean fixture: every discipline followed — zero findings."""
 
-from typing import List
-
-
 class BlockDevice:
     def flush(self) -> None:
         raise NotImplementedError
@@ -70,22 +67,3 @@ class KVEnv:
         self.storage.sync("data.db")
         self.storage.write("superblock", 0, b"")
         self.storage.sync("superblock")
-
-
-def pack_intent(key: bytes, value: bytes) -> bytes:
-    raise NotImplementedError
-
-
-class Coordinator:
-    def __init__(self, envs: List[KVEnv]) -> None:
-        self.envs = envs
-
-    def two_phase(self, key: bytes, value: bytes) -> None:
-        payload = pack_intent(key, value)
-        coord = self.envs[0]
-        coord.insert(key, payload)
-        coord.sync()
-        for i in sorted([0, 1]):
-            self.envs[i].insert(key, value)
-            self.envs[i].sync()
-        coord.delete(key)

@@ -447,11 +447,12 @@ class TestReproFiles:
         assert result.status == CLEAN, (result.stage, result.detail)
 
     def test_pinned_cross_shard_rename_recovers_clean(self):
-        """The shrunk plan `torture --seed 0 --budget 3000` found:
-        `xshard_rename` op 128, plan `subset`, epoch 80, commands 105
-        and 107 persisted and 106 lost.  Op 125's intent survives on
-        one volume and op 128's on another; recovery must apply them
-        in sequence order, not volume order."""
+        """`xshard_rename` (seed 0) crashed inside op 128, a move of
+        the name op 125 moved, with the open epoch's later log write
+        persisted (command 35, op 125's move) and the earlier one lost
+        (34): recovery stops at the gap, so neither move lands.  On
+        one log there is no replay order across volumes to get
+        wrong."""
         repro = load_repro(os.path.join(FIXTURES, "xshard_rename_op128.json"))
         result = replay_repro(repro)
         assert result.status == CLEAN, (result.stage, result.detail)

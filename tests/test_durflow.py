@@ -70,7 +70,6 @@ class TestDurflowFixtures:
         assert set(grouped) == {
             "write-ahead",
             "barrier-order",
-            "intent-protocol",
             "recovery-reads-durable",
             "unused-waiver",
         }, [v.render() for v in _fixture_report().violations]
@@ -95,24 +94,11 @@ class TestDurflowFixtures:
             ("bad_torn_checkpoint.py", 53),
         ], [v.render() for v in found]
 
-    def test_intent_protocol_anchors(self):
-        """Four coordinator mistakes: applying to a shard before the
-        intent is durable, fanning out over an unsorted shard iterator,
-        returning before phase 2 completes, and retiring the intent
-        while another volume's source delete is unsynced."""
-        found = _by_rule(_fixture_report())["intent-protocol"]
-        assert _anchors(found) == [
-            ("bad_intent_order.py", 63),
-            ("bad_intent_order.py", 64),
-            ("bad_intent_order.py", 67),
-            ("bad_intent_order.py", 81),
-        ], [v.render() for v in found]
-
     def test_recovery_reads_durable_anchor(self):
         [v] = _by_rule(_fixture_report())["recovery-reads-durable"]
         assert v.path.endswith("bad_recovery_peek.py") and v.line == 22
         # Evidence: the recovery call chain plus the volatile accessor.
-        assert "unflushed" in v.message and "resolve_intents" in v.message
+        assert "unflushed" in v.message and "_replay_log" in v.message
 
     def test_recovery_paths_exempt_from_write_ahead(self):
         """Log replay legitimately re-applies mutations without a new
@@ -123,8 +109,8 @@ class TestDurflowFixtures:
 
     def test_clean_fixture_stays_clean(self):
         """good.py exercises every *correct* idiom (gated WAL append,
-        node-flush-then-superblock checkpoint, sorted two-phase fanout)
-        and must produce nothing."""
+        node-flush-then-superblock checkpoint) and must produce
+        nothing."""
         for violation in _fixture_report().violations:
             assert not violation.path.endswith("good.py"), violation.render()
 
@@ -163,13 +149,12 @@ class TestRealTree:
     def test_real_tree_coverage(self):
         """The analyzer actually saw the tree: hundreds of functions,
         the WAL/tree/superblock effect sites, the sync/checkpoint
-        entries, the cross-shard coordinator, the recovery slice."""
+        entries, the recovery slice."""
         report = _real_report()
         assert report.functions > 500
         assert report.effect_sites >= 20
         assert report.barrier_sites >= 10
         assert report.entries_checked >= 10
-        assert report.coordinators >= 1
         assert report.recovery_reachable >= 50
 
     def test_real_graph_covers_every_runtime_kind(self):

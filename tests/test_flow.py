@@ -231,10 +231,7 @@ _durflow_states = st.builds(
     barriered=st.booleans(),
     nodes_dirty=st.booleans(),
     sb_dirty=st.booleans(),
-    pending=st.sets(st.sampled_from(["node-write", "sb-write", "wal-write", "intent-put"])),
-    coord=st.booleans(),
-    phase=st.integers(0, 4),
-    apply_dirty=st.booleans(),
+    pending=st.sets(st.sampled_from(["node-write", "sb-write", "wal-write", "trim"])),
 )
 
 

@@ -295,9 +295,10 @@ class TestWindowIsOneRangeQuery:
             fs.drop_caches()
         assert [f for f in frames if f.refs != 0] == []
         assert seen == {"short", "hole", "page"}
-        envs = getattr(scan.env, "envs", [scan.env])
-        assert sum(env.data.stats.range_queries for env in envs) > 30
-        assert sum(env.data.stats.partial_leaf_loads for env in envs)
+        # Every volume's data tree (a sharded mount has one env, N pairs).
+        data = [t.stats for t in scan.backend.env.trees if t.file_name == "data.db"]
+        assert sum(stats.range_queries for stats in data) > 30
+        assert sum(stats.partial_leaf_loads for stats in data)
 
 
 class TestPageSharingReachesTheDevice:

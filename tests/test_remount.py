@@ -8,6 +8,8 @@ lookup.  Covered: the 9 Table 3 rows and the sharded v0.6 mount with 1
 and 4 volumes.
 """
 
+import random
+
 import pytest
 
 from repro.betrfs.filesystem import MountOptions, make_betrfs
@@ -15,6 +17,7 @@ from repro.betrfs.versions import VERSIONS
 from repro.check.errors import FsckError
 from repro.check.fsck import fsck_mount
 from repro.crashmc.plan import CrashPlan
+from repro.crashmc.schedule import enumerate_plans
 from repro.shard.mount import make_sharded_betrfs
 from repro.vfs.inode import FileKind
 from repro.vfs.vfs import FSError
@@ -162,6 +165,45 @@ def test_second_crash_changes_nothing(mount):
     assert walk(second.vfs) == seen
 
 
+@pytest.mark.parametrize("shards", [0, 2], ids=["plain", "shards2"])
+def test_a_crash_during_recovery_recovers_the_same_state(shards):
+    """Recovery is log replay plus a checkpoint.  Crash it — at every
+    plan of every barrier epoch it seals and of its open epoch — and
+    recover again: the namespace and the file bytes equal the first
+    recovery's."""
+    mount = build(("BetrFS v0.6", shards), log_size=1 * MIB)
+    v = mount.vfs
+    populate(v)
+    # Unsynced ops that reach the image's log with no barrier.
+    v.mkdir("/f")
+    for i in range(12):
+        v.create(f"/f/g{i:02d}")
+        v.write(f"/f/g{i:02d}", 0, BODY)
+    v.rename("/d/kept", "/f/kept")
+    v.rename("/e", "/f/e")
+    v.writeback()
+    v.writeback_inodes(force=True)
+    mount.backend.env.wal.flush(durable=False)
+    image = mount.device.crash_image()
+    image.enable_volatile_cache()
+    first = mount.remount(image)
+    assert first.backend.env.recovered_entries > 0
+    want = walk(first.vfs)
+    assert "/f/e/new-name" in want and "/f/kept" in want
+    sealed = image.sealed_epochs()
+    assert sealed >= 3, "tree syncs, then the superblock's"
+    for epoch in [*range(sealed), None]:
+        plans = enumerate_plans(
+            image.epoch_records(epoch),
+            epoch=epoch,
+            sector=image.profile.sector,
+            rng=random.Random(0),
+        )
+        for plan in plans:
+            again = mount.remount(image.crash_image(plan))
+            assert walk(again.vfs) == want, plan.describe()
+
+
 def test_recovered_mount_takes_writes_that_survive_the_next_crash(mount):
     populate(mount.vfs)
     first = reboot(mount)
@@ -188,14 +230,15 @@ def test_recovered_root_is_not_assumed_empty(mount):
 
 
 # ----------------------------------------------------------------------
-# Cross-shard rename: the intent protocol seen from the syscall surface
+# Cross-shard rename: one log record, seen from the syscall surface
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shards", [pytest.param(4, id="hash")])
 def test_cross_shard_rename_is_atomic_across_every_barrier(shards):
-    """Cut a two-phase rename at every barrier it issues — before the
-    intent is durable, between the intent and the resolve phase, after
-    the destination sync — and re-mount: exactly one of src/dst exists,
-    and a survivor that moved carries the bytes."""
+    """Cut a cross-shard rename and the fsync after it at every crash
+    plan of every epoch they touch — torn writes included — and
+    re-mount: exactly one of src/dst exists, and a survivor that moved
+    carries the bytes.  The rename is one log record, so it issues no
+    barrier of its own."""
     mount = build(("BetrFS v0.6", shards))
     v = mount.vfs
     smap = mount.shard_map
@@ -211,23 +254,32 @@ def test_cross_shard_rename_is_atomic_across_every_barrier(shards):
     v.create(src)
     v.write(src, 0, BODY)
     v.sync()
-    mount.device.enable_volatile_cache()
+    device = mount.device
+    device.enable_volatile_cache()
     v.rename(src, dst)
     assert mount.backend.cross_renames == 1
-    sealed = mount.device.sealed_epochs()
-    assert sealed >= 2, "intent sync + destination sync"
-    outcomes = []
+    assert device.sealed_epochs() == 0, "the rename itself issues no barrier"
+    v.fsync(dst)
+    sealed = device.sealed_epochs()
+    assert sealed >= 1
+    outcomes = set()
     for epoch in [*range(sealed), None]:
-        rv = mount.crash(CrashPlan(selected=(), epoch=epoch)).vfs
-        survivors = [p for p in (src, dst) if rv.exists(p)]
-        assert len(survivors) == 1, (epoch, survivors)
-        if survivors == [dst]:
-            assert rv.stat(dst).size == len(BODY)
-            assert rv.read(dst, 0, len(BODY) + 1) == BODY
-        outcomes.append(survivors[0])
-    # Lost before the intent was durable; rolled forward ever after.
-    assert outcomes[0] == src
-    assert outcomes[1:] == [dst] * sealed
+        plans = enumerate_plans(
+            device.epoch_records(epoch),
+            epoch=epoch,
+            sector=device.profile.sector,
+            rng=random.Random(0),
+        )
+        for plan in plans:
+            rv = mount.crash(plan).vfs
+            survivors = [p for p in (src, dst) if rv.exists(p)]
+            assert len(survivors) == 1, (plan, survivors)
+            if survivors == [dst]:
+                assert rv.stat(dst).size == len(BODY)
+                assert rv.read(dst, 0, len(BODY) + 1) == BODY
+            outcomes.add(survivors[0])
+    # Some plan loses the log write, and the fsync makes it durable.
+    assert outcomes == {src, dst}
 
 
 @pytest.mark.parametrize("shards", [pytest.param(3, id="hash")])
@@ -265,16 +317,17 @@ def test_fsck_mount_walks_every_volume():
     assert report.ok, report.render()
     assert report.trees_checked == 2 * 4
     assert report.nodes_checked >= 2 * 4
-    # Damage volume 2's newest superblock slot: the merged report names it.
+    # Damage the root of volume 2's meta tree: the report names the volume.
     image = fs.device.crash_image()
-    base = fs.storages[2].layout.base
-    for slot in (0, 1):
-        raw = bytearray(image.store.read(base + slot * 4 * MIB, 64))
-        raw[20] ^= 0xFF
-        image.store.write(base + slot * 4 * MIB, bytes(raw))
+    meta = fs.env.env.trees[fs.backend.backends[2].meta]
+    off, _ln = meta.blockman.lookup(meta.root_id)
+    at = fs.storages[2].layout.meta_base + off
+    raw = bytearray(image.store.read(at, 64))
+    raw[20] ^= 0xFF
+    image.store.write(at, bytes(raw))
     damaged = fsck_mount(fs, image)
     assert not damaged.ok
-    assert all(e.startswith("vol2: ") for e in damaged.errors), damaged.errors
+    assert all(e.startswith("vol2: meta.db: ") for e in damaged.errors), damaged.errors
 
 
 def test_image_of_another_device_is_refused():

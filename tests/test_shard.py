@@ -7,10 +7,9 @@ The PR's shard invariants:
   properties;
 * an N=1 sharded run is **bit-identical** to the unsharded mount
   (device sha256 and simulated clock);
-* the two-phase cross-shard protocol leaves no intent behind on the
-  happy path, rolls forward idempotently on recovery, and survives a
-  bounded crashmc sweep with zero oracle violations;
-* per-shard volumes fsck clean and the load/imbalance gauges report.
+* a cross-shard move is one record on the device's one log, and
+  survives a bounded crashmc sweep with zero oracle violations;
+* the volumes fsck clean and the load/imbalance gauges report.
 """
 
 import json
@@ -21,18 +20,11 @@ from hypothesis import strategies as st
 
 from repro.betrfs.filesystem import MountOptions, make_betrfs
 from repro.check.fsck import fsck_mount
-from repro.core.env import DATA, META, KVEnv
+from repro.core.env import MAX_VOLUMES, META, KVEnv
+from repro.core.messages import value_bytes
 from repro.harness.mt import device_sha256, run_mt, to_json
 from repro.obs import Observability, session
-from repro.shard import (
-    INTENT_PREFIX,
-    ShardMap,
-    ShardedBetrFS,
-    make_sharded_betrfs,
-    pack_intent,
-    parent_dir,
-    unpack_intent,
-)
+from repro.shard import ShardMap, make_sharded_betrfs, parent_dir
 from repro.shard.map import _hash_owner
 from repro.workloads.mailserver import mailserver_mt
 from repro.workloads.scale import SMOKE_SCALE
@@ -122,20 +114,13 @@ class TestShardMap:
 
 
 # ----------------------------------------------------------------------
-# Two-phase protocol (KV level)
+# Cross-shard moves (KV level): one log record
 # ----------------------------------------------------------------------
-class TestTwoPhase:
-    def test_intent_record_round_trip(self):
-        inserts = [(2, META, b"/a/k", b"v1"), (0, DATA, b"/a/k", b"\x00" * 64)]
-        deletes = [(1, META, b"/b/old"), (1, DATA, b"/b/old")]
-        payload = pack_intent(inserts, deletes)
-        assert unpack_intent(payload) == (inserts, deletes)
-        assert unpack_intent(pack_intent([], [])) == ([], [])
-
+class TestCrossShardBatch:
     def _mount(self, shards=4):
         return make_sharded_betrfs("BetrFS v0.6", shards=shards)
 
-    def test_xrename_moves_and_retires_intent(self):
+    def test_xrename_moves_in_one_log_record(self):
         fs = self._mount()
         env, sm = fs.env, fs.shard_map
         src, dst = b"/dirA/x", b"/other/y"
@@ -146,39 +131,23 @@ class TestTwoPhase:
             i += 1
         env.insert(META, src, b"payload")
         env.sync()
+        wal = env.env.wal
+        appended = wal.entries_appended
         env.xrename(META, src, dst)
+        assert wal.entries_appended == appended + 1
         assert env.get(META, src) is None
-        assert env.get(META, dst) is not None
-        assert env.pending_intents() == 0
-        assert env.xshard_ops == 1
+        assert value_bytes(env.get(META, dst)) == b"payload"
+        env.sync()
+        after = fs.crash().env
+        assert after.get(META, src) is None
+        assert value_bytes(after.get(META, dst)) == b"payload"
 
     def test_xrename_missing_source_is_noop(self):
         fs = self._mount()
+        wal = fs.env.env.wal
+        appended = wal.entries_appended
         fs.env.xrename(META, b"/no/such", b"/else/where")
-        assert fs.env.xshard_ops == 0
-
-    def test_resolve_intents_rolls_forward_idempotently(self):
-        fs = self._mount()
-        env = fs.env
-        # Simulate a crash after phase 1: the intent record is durable
-        # but none of the batch has been applied.
-        src_shard = fs.shard_map.owner_of_key(b"/src/k")
-        dst_shard = fs.shard_map.owner_of_key(b"/dst/k")
-        inserts = [(dst_shard, META, b"/dst/k", b"moved")]
-        deletes = [(src_shard, META, b"/src/k")]
-        env.envs[src_shard].insert(META, b"/src/k", b"moved")
-        env.envs[src_shard].insert(
-            META, INTENT_PREFIX + b"\x00" * 8, pack_intent(inserts, deletes)
-        )
-        env.sync()
-        assert env.pending_intents() == 1
-        assert env.resolve_intents() == 1
-        assert env.get(META, b"/dst/k") is not None
-        assert env.get(META, b"/src/k") is None
-        assert env.pending_intents() == 0
-        assert env._intent_seq == 1  # new intents number past survivors
-        # A second recovery finds nothing and changes nothing.
-        assert env.resolve_intents() == 0
+        assert wal.entries_appended == appended
 
 
 # ----------------------------------------------------------------------
@@ -203,16 +172,15 @@ class TestShardedMount:
             vfs.fsync("/a/f")
             vfs.rename("/a/f", f"{dst_dir}/f")
             assert fs.backend.cross_renames == 1
-            assert fs.env.pending_intents() == 0
             assert vfs.read(f"{dst_dir}/f", 0, 11) == b"hello shard"
             assert not vfs.exists("/a/f")
             assert vfs.readdir(dst_dir) == ["f"]
 
     def test_directory_rename_survives_a_crash_without_orphans(self):
         """The children live on another volume than the directory's
-        entry.  An fsync on the coordinator's volume makes the intent's
-        retirement durable; the children's source deletes must be
-        durable by then too, or the old names outlive the rename."""
+        entry.  The whole move is one log record, so an fsync of any
+        file after it makes every half of it durable: no old name
+        outlives the rename."""
         fs = make_sharded_betrfs("BetrFS v0.6", MountOptions(scale=1 / 64), shards=4)
         vfs, sm = fs.vfs, fs.shard_map
         vfs.mkdir("/d0")
@@ -249,8 +217,8 @@ class TestShardedMount:
             vfs.sync()
             report = fsck_mount(fs)
             assert report.ok, report.errors
-            # Nothing is checkpointed yet: four log-only volumes.
-            assert len(report.warnings) == 4
+            # Nothing is checkpointed yet: one log-only image.
+            assert len(report.warnings) == 1
             assert sum(fs.backend.loads) > 0
             assert fs.load_imbalance() >= 1.0
             reg = fs.obs.registry
@@ -268,7 +236,8 @@ class TestShardedMount:
         assert not hasattr(plain, "shard_map")
 
         sharded = make_sharded_betrfs("BetrFS v0.6", shards=2)
-        assert len(sharded.env.envs) == 2
+        # One env, so each WAL is counted once.
+        assert sharded.env.envs == [sharded.backend.env]
         assert len(sharded.backend.backends) == 2
         assert len(sharded.storages) == 2
         assert sharded.backend.cross_renames == 0
@@ -278,6 +247,12 @@ class TestShardedMount:
     def test_sharding_requires_sfl(self):
         with pytest.raises(ValueError, match="SFL"):
             make_sharded_betrfs("BetrFS v0.4", shards=2)
+
+    def test_shard_count_is_bounded_by_what_one_log_can_name(self):
+        """The WAL names a tree in one byte: 128 volumes' tree pairs."""
+        assert MAX_VOLUMES == 128
+        with pytest.raises(ValueError, match="at most 128"):
+            make_sharded_betrfs("BetrFS v0.6", shards=MAX_VOLUMES + 1)
 
 
 # ----------------------------------------------------------------------
@@ -357,6 +332,7 @@ class TestShardCrashmc:
         stack.apply(Op("insert", META, b"dir00/a", b"v"))
         stack.apply(Op("sync"))
         stack.apply(Op("xrename", META, b"dir00/a", end=b"dir01/a"))
+        stack.apply(Op("sync"))
         get = stack.reboot(stack.device.crash_image())
         assert get(META, b"dir00/a") is None
         assert get(META, b"dir01/a") is not None

@@ -10,14 +10,17 @@ from repro.core.env import META
 from repro.core.wal import (
     _HEADER,
     _U32,
-    OP_CHECKPOINT,
+    OP_BATCH,
     OP_DELETE,
     OP_INSERT,
     OP_PATCH,
     OP_RANGE_DELETE,
     SCAN_CHUNK,
+    LogEntry,
     WriteAheadLog,
+    decode_batch,
     decode_payload,
+    encode_batch,
     encode_payload,
 )
 from repro.device.block import BlockDevice
@@ -52,7 +55,7 @@ def whole_image_scan(raw, start_offset, min_lsn):
     expect = None
     while pos + _HEADER.size <= limit:
         lsn, op, plen = _HEADER.unpack_from(doubled, pos)
-        if lsn <= 0 or op < OP_INSERT or op > OP_CHECKPOINT or plen > size:
+        if lsn <= 0 or op < OP_INSERT or op > OP_BATCH or plen > size:
             break
         end = pos + _HEADER.size + plen + 4
         if end > limit:
@@ -198,6 +201,41 @@ class TestAppendFlushScan:
         entries, end = scan(bytes(raw), head, 1)
         assert [e.key for e in entries] == [b"k0", b"k1", b"k2", b"k3"]
         assert end == whole
+
+
+class TestBatch:
+    OPS = [
+        (OP_INSERT, 3, b"/dst/f", b"v" * 5000),
+        (OP_DELETE, 0, b"/src/f", b""),
+        (OP_INSERT, 2, b"/dst/f\x00\x00\x00\x01", b"page"),
+    ]
+
+    def test_batch_roundtrip(self):
+        entry = LogEntry(9, OP_BATCH, value=encode_batch(self.OPS))
+        assert [
+            (e.lsn, e.op, e.tree_id, e.key, e.value) for e in decode_batch(entry)
+        ] == [(9, *op) for op in self.OPS]
+
+    def test_a_torn_batch_is_dropped_whole(self):
+        """A batch is one entry — one LSN, one CRC: the scan returns it
+        whole, and a tear anywhere inside it drops all of it."""
+        size = 64 * 1024
+        wal, storage, _ = make_wal(log_size=size, section=16 * 1024)
+        wal.append(OP_INSERT, 0, b"before", b"v")
+        wal.flush(durable=False)
+        whole = wal.head
+        wal.append(OP_BATCH, 0, b"", encode_batch(self.OPS))
+        wal.flush(durable=False)
+        raw = storage.read("log", 0, size)
+        entries, end = scan(raw, 0, 1)
+        assert [e.op for e in entries] == [OP_INSERT, OP_BATCH]
+        assert [e.key for e in decode_batch(entries[1])] == [op[2] for op in self.OPS]
+        assert end == wal.head
+        for cut in (whole + 1, (whole + wal.head) // 2, wal.head - 1):
+            torn = raw[:cut] + bytes(size - cut)
+            entries, end = scan(torn, 0, 1)
+            assert [e.key for e in entries] == [b"before"], cut
+            assert end == whole
 
 
 class TestRecoveryReadsTheTail:
