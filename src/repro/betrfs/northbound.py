@@ -10,31 +10,72 @@ Every paper optimization that lives at this boundary is implemented
 behind its feature flag: conditional logging (§3.3), directory-wide
 range deletes + redundant-delete elision (§4), readdir cache filling
 (§4 +DC), page sharing (§6), and the tree read-ahead hint (§3.2).
+
+Every rename, on a plain mount or across a sharded one's volumes, is
+one log record (:func:`rename_record`) that moves keys, not bytes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.betrfs.versions import BetrFSFeatures
-from repro.core.env import DATA, META, TREE_FILES, KVEnv
+from repro.core.env import DATA, META, TREE_FILES, BatchOp, KVEnv
 from repro.core.keys import (
     data_key,
     data_key_block,
     dir_children_prefix,
     dir_subtree_range,
+    file_blocks_prefix,
     file_blocks_range,
     meta_key,
     prefix_range,
     prefix_successor,
-    rebase_data_key,
 )
 from repro.core.messages import PageFrame, value_bytes
-from repro.core.wal import OP_INSERT
+from repro.core.wal import OP_DELETE, OP_INSERT, OP_MOVE, OP_RANGE_DELETE
 from repro.vfs.inode import FileKind, Stat
 from repro.vfs.vfs import FileSystemBackend
 
 PAGE_SIZE = 4096
+
+
+def rename_record(
+    src: str,
+    dst: str,
+    stat: Stat,
+    volumes: Sequence["BetrFSNorthbound"],
+    owner: Callable[[str], "BetrFSNorthbound"],
+) -> List[BatchOp]:
+    """The ops of one rename, for :meth:`KVEnv.apply_batch` to log as one
+    record: the entry on ``owner(dst)``'s volume, the delete of the old
+    one on ``owner(src)``'s, and an ``OP_MOVE`` of a file's blocks (keys,
+    never bytes).  A directory adds each child's entry where its new path
+    routes, a move of each child file's blocks, and one subtree range
+    delete on each of ``volumes`` that holds children."""
+    ops: List[BatchOp] = []
+
+    def move(old: str, new: str, moved: Stat, source: "BetrFSNorthbound") -> None:
+        dest = owner(new)
+        ops.append((OP_INSERT, dest.meta, meta_key(new), moved.pack(), 0))
+        if old == src:  # children go with their subtree's range delete
+            ops.append((OP_DELETE, source.meta, meta_key(old), b"", 0))
+        if moved.kind is FileKind.FILE and moved.size > 0:
+            ops.append((
+                OP_MOVE, source.data, file_blocks_prefix(old), file_blocks_prefix(new), dest.data
+            ))
+
+    move(src, dst, stat, owner(src))
+    if stat.kind is FileKind.DIR:
+        lo, hi = dir_subtree_range(src)
+        for nb in volumes:
+            rows = nb.env.range_query(nb.meta, lo, hi)
+            for key, value in rows:
+                child = key.decode("utf-8")
+                move(child, dst + child[len(src):], Stat.unpack(value_bytes(value)), nb)
+            if rows:
+                ops.append((OP_RANGE_DELETE, nb.meta, lo, hi, 0))
+    return ops
 
 
 class BetrFSNorthbound(FileSystemBackend):
@@ -151,44 +192,8 @@ class BetrFSNorthbound(FileSystemBackend):
     def is_dir_empty(self, path: str) -> bool:
         return self.env.trees[self.meta].empty_range(*dir_subtree_range(path))
 
-    # ------------------------------------------------------------------
-    # Rename (FAST'16-style delete + reinsert range rename)
-    # ------------------------------------------------------------------
     def rename(self, src: str, dst: str, stat: Stat) -> None:
-        if stat.kind is FileKind.DIR:
-            self._rename_tree(src, dst)
-        else:
-            self._rename_file(src, dst, stat)
-
-    def _rename_file(self, src: str, dst: str, stat: Stat) -> None:
-        self.env.insert(self.meta, meta_key(dst), stat.pack())
-        self.env.delete(self.meta, meta_key(src))
-        if stat.size > 0:
-            lo, hi = file_blocks_range(src)
-            blocks = self.env.range_query(self.data, lo, hi)
-            for key, value in blocks:
-                self.env.insert(self.data, rebase_data_key(key, dst), value)
-            self.env.range_delete(self.data, lo, hi)
-
-    def _rename_tree(self, src: str, dst: str) -> None:
-        lo, hi = dir_subtree_range(src)
-        src_stat = self.lookup(src)
-        rows = self.env.range_query(self.meta, lo, hi)
-        prefix_len = len(src)
-        for key, value in rows:
-            child = key.decode("utf-8")
-            new_path = dst + child[prefix_len:]
-            child_stat = Stat.unpack(value_bytes(value))
-            self.env.insert(self.meta, meta_key(new_path), value_bytes(value))
-            if child_stat.kind is FileKind.FILE and child_stat.size > 0:
-                b_lo, b_hi = file_blocks_range(child)
-                for bkey, bval in self.env.range_query(self.data, b_lo, b_hi):
-                    self.env.insert(self.data, rebase_data_key(bkey, new_path), bval)
-                self.env.range_delete(self.data, b_lo, b_hi)
-        if src_stat is not None:
-            self.env.insert(self.meta, meta_key(dst), src_stat.pack())
-        self.env.range_delete(self.meta, lo, hi)
-        self.env.delete(self.meta, meta_key(src))
+        self.env.apply_batch(rename_record(src, dst, stat, [self], lambda path: self))
 
     # ------------------------------------------------------------------
     # readdir: cursor-seek scan over the metadata index

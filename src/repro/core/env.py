@@ -9,8 +9,9 @@ One environment serves a whole device.  Each volume (an SFL slot,
 ``storages[i]``) holds one meta and one data tree, tree ids ``2i`` and
 ``2i + 1``; the first volume also holds the superblock and the log.
 A device with one volume is the plain two-tree environment.  Since
-every tree is on the one log, ``apply_batch`` makes inserts and
-deletes on any trees atomic (one ``OP_BATCH`` record).
+every tree is on the one log, ``apply_batch`` makes inserts, deletes,
+range deletes and key moves on any trees atomic (one ``OP_BATCH``
+record, every rename's); a move carries prefixes, never pages.
 
 Durability model
 ----------------
@@ -36,6 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.cache import NodeCache
 from repro.core.checkpoint import BlockManager, Superblock, read_superblock
 from repro.core.config import BeTreeConfig
+from repro.core.keys import prefix_range
 from repro.core.messages import PageFrame, Value, value_bytes, value_len
 from repro.core.tree import BeTree
 from repro.core.wal import (
@@ -44,6 +46,7 @@ from repro.core.wal import (
     OP_DELETE,
     OP_INSERT,
     OP_INSERT_REF,
+    OP_MOVE,
     OP_PATCH,
     OP_RANGE_DELETE,
     WriteAheadLog,
@@ -76,6 +79,9 @@ TREE_FILES = ("meta.db", "data.db")
 
 #: Volumes one environment (one log) can name.
 MAX_VOLUMES = MAX_TREES // len(TREE_FILES)
+
+#: ``(op, tree_id, key, value, aux)``: one op of :meth:`KVEnv.apply_batch`.
+BatchOp = Tuple[int, int, bytes, Value, int]
 
 
 class KVEnv:
@@ -262,19 +268,18 @@ class KVEnv:
         self.trees[tree_id].range_delete(start, end)
         self._post_op()
 
-    def apply_batch(self, ops: Sequence[Tuple[int, int, bytes, Value]]) -> None:
-        """Inserts and deletes, ``(OP_INSERT | OP_DELETE, tree_id, key,
-        value)`` on any trees, as one log record: recovery replays all
-        of them or none (a cross-volume rename, ``repro.shard``)."""
+    def apply_batch(self, ops: Sequence[BatchOp]) -> None:
+        """``ops`` on any trees as one log record: recovery replays all
+        of them or none.  An op is ``(OP_INSERT | OP_DELETE, tree, key,
+        value, 0)``, ``(OP_RANGE_DELETE, tree, start, end, 0)`` or
+        ``(OP_MOVE, tree, prefix, new_prefix, new_tree)``; a record
+        larger than the log raises before any is logged or applied."""
         self.wal.append(
             OP_BATCH, 0, b"",
-            encode_batch([(op, t, key, value_bytes(v)) for op, t, key, v in ops]),
+            encode_batch([(op, t, k, value_bytes(v), aux) for op, t, k, v, aux in ops]),
         )
-        for op, tree_id, key, value in ops:
-            if op == OP_INSERT:
-                self.trees[tree_id].put(key, value)
-            else:
-                self.trees[tree_id].delete(key)
+        for op in ops:
+            self._apply(*op)
         self._post_op()
 
     # ------------------------------------------------------------------
@@ -458,34 +463,42 @@ class KVEnv:
         last_lsn = sb.checkpoint_lsn
         for entry in entries:
             for one in decode_batch(entry) if entry.op == OP_BATCH else (entry,):
-                self._redo(one)
+                self._apply(one.op, one.tree_id, one.key, one.value, one.aux)
             last_lsn = entry.lsn
             self.recovered_entries += 1
         self.wal.next_lsn = last_lsn + 1
         self.wal.head = end
 
-    def _redo(self, entry) -> None:
-        """Re-apply one replayed log entry to its tree."""
-        tree = self.trees[entry.tree_id]
-        if entry.op == OP_INSERT:
-            value: Value = entry.value
-            if len(entry.value) >= PAGE_VALUE_THRESHOLD:
-                value = PageFrame(entry.value)
-            tree.put(entry.key, value)
-        elif entry.op == OP_INSERT_REF:
+    def _apply(self, op: int, tree_id: int, key: bytes, value: Value, aux: int) -> None:
+        """Apply one logged op to its tree: a batch's ops as they are
+        logged, and every entry recovery replays (a page as bytes)."""
+        tree = self.trees[tree_id]
+        if op == OP_INSERT:
+            if type(value) is bytes and len(value) >= PAGE_VALUE_THRESHOLD:
+                value = PageFrame(value)
+            tree.put(key, value)
+        elif op == OP_INSERT_REF:
             # Value was elided; it must already be in the tree (the
             # sync path checkpoints before flushing such entries).
-            existing = tree.get(entry.key)
+            existing = tree.get(key)
             if existing is None or (
-                (zlib.crc32(value_bytes(existing)) & 0xFFFFFFFF) != entry.aux
+                (zlib.crc32(value_bytes(existing)) & 0xFFFFFFFF) != aux
             ):
                 self.recovery_lost += 1
-        elif entry.op == OP_DELETE:
-            tree.delete(entry.key)
-        elif entry.op == OP_PATCH:
-            tree.patch(entry.key, entry.aux, entry.value)
-        elif entry.op == OP_RANGE_DELETE:
-            tree.range_delete(entry.key, entry.value)
+        elif op == OP_DELETE:
+            tree.delete(key)
+        elif op == OP_PATCH:
+            tree.patch(key, aux, value)
+        elif op == OP_RANGE_DELETE:
+            tree.range_delete(key, value)
+        elif op == OP_MOVE:
+            # Replay reaches the move with the tree as it was when the
+            # move was logged, so it re-keys the same keys.
+            lo, hi = prefix_range(key)
+            dest, cut = self.trees[aux], len(key)
+            for old_key, page in tree.range_query(lo, hi):
+                dest.put(value + old_key[cut:], page)
+            tree.range_delete(lo, hi)
 
     def _on_log_full(self) -> None:
         self.checkpoint()

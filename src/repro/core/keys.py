@@ -45,11 +45,6 @@ def data_key_path(key: bytes) -> str:
     return key[:-5].decode("utf-8")
 
 
-def rebase_data_key(key: bytes, path: str) -> bytes:
-    """The data-index key of the same block under ``path`` (rename)."""
-    return path.encode("utf-8") + key[-5:]
-
-
 def prefix_successor(prefix: bytes) -> bytes:
     """The smallest key greater than every key having ``prefix``.
 
@@ -95,9 +90,14 @@ def is_direct_child(parent: str, path: str) -> bool:
     return "/" not in path[len(prefix) :]
 
 
+def file_blocks_prefix(path: str) -> bytes:
+    """Prefix of every data-index key of ``path`` (a rename moves it)."""
+    return path.encode("utf-8") + BLOCK_SEP
+
+
 def file_blocks_range(path: str) -> Tuple[bytes, bytes]:
     """Data-index range covering every block of ``path``."""
-    return prefix_range(path.encode("utf-8") + BLOCK_SEP)
+    return prefix_range(file_blocks_prefix(path))
 
 
 def common_prefix(a: bytes, b: bytes) -> bytes:

@@ -21,10 +21,14 @@ twice); small values and all metadata are fully value-logged.
 Batch records
 -------------
 
-An ``OP_BATCH`` entry carries several inserts and deletes, on any of
-the environment's trees, under one LSN and one CRC: recovery replays
-all of them or none.  A cross-volume rename is one such record
-(``repro.shard``).
+An ``OP_BATCH`` entry carries inserts, deletes, range deletes and
+moves, on any of the environment's trees, under one LSN and one CRC:
+recovery replays all of them or none.  Every rename is one such record
+(``repro.betrfs.northbound``).  A move (``OP_MOVE``, a sub-entry only)
+names a source tree and key prefix and a destination tree (``aux``)
+and prefix (``value``), never the bytes it moves.  A record is at most
+the log region's size; ``append`` refuses a larger one before it takes
+an LSN, and no flush writes past the region.
 
 Conditional logging (§3.3) support: the log is divided into fixed
 sections; a dirty inode that exists *only* in the log takes a
@@ -49,6 +53,7 @@ OP_RANGE_DELETE = 4
 OP_INSERT_REF = 5  # value elided; payload holds key + crc of the page
 OP_CHECKPOINT = 6
 OP_BATCH = 7  # value holds sub-entries (decode_batch); key and tree unused
+OP_MOVE = 8  # batch sub-entry only: prefix key of tree_id -> prefix value of tree aux
 
 _HEADER = struct.Struct("<qBI")  # lsn, op, payload_len
 _KEY_HEAD = struct.Struct("<BH")  # tree_id, key_len
@@ -62,6 +67,10 @@ MAX_TREES = 256
 
 #: What recovery reads of the log region at a time (``scan``).
 SCAN_CHUNK = 1 << 20
+
+
+class LogRecordTooLarge(ValueError):
+    """A log record larger than the whole log region (never written)."""
 
 
 class LogEntry:
@@ -118,12 +127,12 @@ def decode_payload(lsn: int, op: int, payload: bytes) -> LogEntry:
     return LogEntry(lsn, op, tree_id, key, value, aux, aux2)
 
 
-def encode_batch(ops: Sequence[Tuple[int, int, bytes, bytes]]) -> bytes:
-    """The value of an ``OP_BATCH`` entry: ``(op, tree_id, key, value)``
-    sub-entries, each an op tag and a length-prefixed payload."""
+def encode_batch(ops: Sequence[Tuple[int, int, bytes, bytes, int]]) -> bytes:
+    """The value of an ``OP_BATCH`` entry: ``(op, tree_id, key, value,
+    aux)`` sub-entries, each an op tag and a length-prefixed payload."""
     parts = []
-    for op, tree_id, key, value in ops:
-        payload = encode_payload(op, tree_id, key, value, 0, b"")
+    for op, tree_id, key, value, aux in ops:
+        payload = encode_payload(op, tree_id, key, value, aux, b"")
         parts.append(_SUB_HEAD.pack(op, len(payload)))
         parts.append(payload)
     return b"".join(parts)
@@ -201,10 +210,17 @@ class WriteAheadLog:
         aux: int = 0,
         aux2: bytes = b"",
     ) -> int:
-        """Append one entry; returns its LSN (not yet durable)."""
+        """Append one entry; returns its LSN (not yet durable).  An
+        entry larger than the region raises, logging nothing; one that
+        does not fit beside the buffer flushes the buffer first."""
+        payload = encode_payload(op, tree_id, key, value, aux, aux2)
+        size = _HEADER.size + len(payload) + _U32.size
+        if size > self.region_size:
+            raise LogRecordTooLarge(f"{size} B does not fit a {self.region_size} B log")
+        if self._buffer_bytes + size > self.region_size:
+            self.flush(durable=False)
         lsn = self.next_lsn
         self.next_lsn += 1
-        payload = encode_payload(op, tree_id, key, value, aux, aux2)
         crc = zlib.crc32(payload) & 0xFFFFFFFF
         blob = b"".join(
             (_HEADER.pack(lsn, op, len(payload)), payload, _U32.pack(crc))

@@ -5,11 +5,11 @@ volume that owns the path (per the :class:`~repro.shard.map.ShardMap`)
 and executed by that volume's own
 :class:`~repro.betrfs.northbound.BetrFSNorthbound`.  A directory's
 children all live on the one shard its path hashes to, so ``readdir``
-and ``is_dir_empty`` ask that shard alone.  Only a ``rename`` across
-shards genuinely spans volumes: its inserts and deletes go to the
-device's one log as a single batch record
-(:meth:`~repro.core.env.KVEnv.apply_batch`), so a crash at any point
-leaves either the old name or the new one, never both halves.
+and ``is_dir_empty`` ask that shard alone.  Only a ``rename`` spans
+volumes: the one rename record of every BetrFS mount
+(:func:`~repro.betrfs.northbound.rename_record`) moves entries and
+block keys to the volumes their new paths route to, so a crash at any
+point leaves either the old name or the new one, never both halves.
 
 Routing decisions are counted per shard (``loads``) and exposed as
 ``repro.obs`` gauges by the mount, giving the load/imbalance view the
@@ -20,22 +20,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.betrfs.northbound import BetrFSNorthbound
+from repro.betrfs.northbound import BetrFSNorthbound, rename_record
 from repro.core.env import KVEnv
-from repro.core.keys import (
-    dir_subtree_range,
-    file_blocks_range,
-    meta_key,
-    rebase_data_key,
-)
-from repro.core.messages import PageFrame, Value, value_bytes
-from repro.core.wal import OP_DELETE, OP_INSERT
+from repro.core.messages import PageFrame
 from repro.shard.map import ShardMap
 from repro.vfs.inode import FileKind, Stat
 from repro.vfs.vfs import FileSystemBackend
-
-#: One op of a cross-shard batch (:meth:`KVEnv.apply_batch`).
-Batched = Tuple[int, int, bytes, Value]
 
 
 class ShardedBackend(FileSystemBackend):
@@ -55,7 +45,7 @@ class ShardedBackend(FileSystemBackend):
         self.map = smap
         #: Operations routed to each shard (the imbalance gauges).
         self.loads = [0] * self.map.shards
-        #: Renames that crossed a shard boundary (one batch record each).
+        #: Renames that crossed a shard boundary.
         self.cross_renames = 0
 
     # ------------------------------------------------------------------
@@ -124,59 +114,20 @@ class ShardedBackend(FileSystemBackend):
         self.backends[0].drop_caches()
 
     # ------------------------------------------------------------------
-    # Rename: same-shard delegates; cross-shard is one log record.
+    # Rename: one log record whichever volumes it spans
     # ------------------------------------------------------------------
     def rename(self, src: str, dst: str, stat: Stat) -> None:
         source = self.map.owner_of_entry(src)
-        dest = self.map.owner_of_entry(dst)
+        # Each child of a directory re-routes by its new path.
         if stat.kind is FileKind.DIR:
-            if self.map.shards == 1:
-                self.loads[source] += 1
-                self.backends[source].rename(src, dst, stat)
-            else:
-                self._rename_tree_sharded(src, dst, stat, source)
-        elif source == dest:
-            self.loads[source] += 1
-            self.backends[source].rename(src, dst, stat)
+            cross = self.map.shards > 1
         else:
-            ops: List[Batched] = []
-            self._move(ops, src, dst, stat, stat.pack(), self.backends[source])
-            self.env.apply_batch(ops)
+            cross = source != self.map.owner_of_entry(dst)
+        self.env.apply_batch(rename_record(src, dst, stat, self.backends, self._owner))
+        if cross:
             self.cross_renames += 1
+        else:
+            self.loads[source] += 1
 
-    def _rename_tree_sharded(
-        self, src: str, dst: str, stat: Stat, source: int
-    ) -> None:
-        """Directory rename: the subtree may span every shard, and each
-        child re-routes by its *new* path, so the whole move is one
-        batch over every volume's trees."""
-        ops: List[Batched] = []
-        self._move(ops, src, dst, stat, stat.pack(), self.backends[source])
-        lo, hi = dir_subtree_range(src)
-        prefix_len = len(src)
-        for nb in self.backends:
-            for key, value in self.env.range_query(nb.meta, lo, hi):
-                child = key.decode("utf-8")
-                packed = value_bytes(value)
-                self._move(
-                    ops, child, dst + child[prefix_len:], Stat.unpack(packed),
-                    packed, nb,
-                )
-        self.env.apply_batch(ops)
-        self.cross_renames += 1
-
-    def _move(
-        self, ops: List[Batched], old: str, new: str, stat: Stat,
-        packed: bytes, source: BetrFSNorthbound,
-    ) -> None:
-        """Append the batch ops that move entry ``old`` (``stat``, stored
-        as ``packed`` on ``source``'s volume) and its blocks to ``new``
-        on the volume that owns it."""
-        dest = self.backends[self.map.owner_of_entry(new)]
-        ops.append((OP_INSERT, dest.meta, meta_key(new), packed))
-        ops.append((OP_DELETE, source.meta, meta_key(old), b""))
-        if stat.kind is FileKind.FILE and stat.size > 0:
-            lo, hi = file_blocks_range(old)
-            for key, value in self.env.range_query(source.data, lo, hi):
-                ops.append((OP_INSERT, dest.data, rebase_data_key(key, new), value))
-                ops.append((OP_DELETE, source.data, key, b""))
+    def _owner(self, path: str) -> BetrFSNorthbound:
+        return self.backends[self.map.owner_of_entry(path)]

@@ -113,7 +113,7 @@ class ShardedEnv:
             return
         self.env.apply_batch(
             [
-                (OP_INSERT, self._tree_of(tree_id, dst), dst, value),
-                (OP_DELETE, source, src, b""),
+                (OP_INSERT, self._tree_of(tree_id, dst), dst, value, 0),
+                (OP_DELETE, source, src, b"", 0),
             ]
         )

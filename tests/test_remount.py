@@ -16,6 +16,7 @@ from repro.betrfs.filesystem import MountOptions, make_betrfs
 from repro.betrfs.versions import VERSIONS
 from repro.check.errors import FsckError
 from repro.check.fsck import fsck_mount
+from repro.core.wal import LogRecordTooLarge
 from repro.crashmc.plan import CrashPlan
 from repro.crashmc.schedule import enumerate_plans
 from repro.shard.mount import make_sharded_betrfs
@@ -280,6 +281,231 @@ def test_cross_shard_rename_is_atomic_across_every_barrier(shards):
             outcomes.add(survivors[0])
     # Some plan loses the log write, and the fsync makes it durable.
     assert outcomes == {src, dst}
+
+
+# ----------------------------------------------------------------------
+# Every rename is one log record: a crash inside one leaves one name
+# ----------------------------------------------------------------------
+#: Five pages, the last one partial.
+FSYNCED = (bytes(range(256)) * 79)[:20_000]
+
+RENAMES = [
+    pytest.param(shards, kind, id=f"{mount}-{kind}")
+    for shards, mount in ((0, "plain"), (2, "shards2"))
+    for kind in ("file", "dir")
+]
+
+
+def fsynced_rename(shards, kind):
+    """A v0.6 mount holding ``/a/f`` (:data:`FSYNCED`), the file and
+    its directories fsynced, and the rename to make: of that file, or
+    of its directory ``/a``, to a name under which the file routes to
+    the other volume on a sharded mount.  Returns the mount, ``{src:
+    file before, dst: file after}`` and ``(src, dst)``."""
+    mount = build(("BetrFS v0.6", shards))
+    v = mount.vfs
+    smap = getattr(mount, "shard_map", None)
+    target = next(
+        d
+        for d in (f"/{c}{i}" for c in "bz" for i in range(16))
+        if smap is None or smap.owner_of_entry(d + "/f") != smap.owner_of_entry("/a/f")
+    )
+    v.mkdir("/a")
+    v.create("/a/f")
+    if kind == "file":
+        v.mkdir(target)
+        src, dst = "/a/f", target + "/f"
+    else:
+        src, dst = "/a", target
+    v.write("/a/f", 0, FSYNCED)
+    for path in ("/a/f", "/a", target)[: 3 if kind == "file" else 2]:
+        v.fsync(path)
+    return mount, {src: "/a/f", dst: target + "/f"}, (src, dst)
+
+
+def one_name(v, files):
+    """Exactly one of the two names exists, and its file reads the
+    fsynced bytes; returns that name."""
+    names = [name for name in files if v.exists(name)]
+    assert len(names) == 1, names
+    assert [f for f in files.values() if v.exists(f)] == [files[names[0]]]
+    assert v.read(files[names[0]], 0, len(FSYNCED) + 1) == FSYNCED
+    return names[0]
+
+
+@pytest.mark.parametrize("shards,kind", RENAMES)
+def test_a_checkpoint_inside_a_rename_leaves_one_name(shards, kind):
+    """Land the periodic checkpoint at every point of a rename where it
+    can fire (each ``_post_op`` the rename reaches, found by a probe
+    run; ``last_checkpoint`` is offset to the midpoint before it), then
+    crash before the log's next flush: one name survives, with the
+    fsynced bytes.  A rename logged as several records loses this
+    whenever the checkpoint lands between two of them."""
+    probe, files, (src, dst) = fsynced_rename(shards, kind)
+    env = probe.backend.env
+    times = [env.clock.now]
+    post_op = env._post_op
+
+    def timed():
+        times.append(env.clock.now)
+        post_op()
+
+    env._post_op = timed
+    probe.vfs.rename(src, dst)
+    fire_at = sorted(set(times))
+    assert len(fire_at) >= 2
+    outcomes = set()
+    for before, at in zip(fire_at, fire_at[1:]):
+        mount, _files, _names = fsynced_rename(shards, kind)
+        env = mount.backend.env
+        assert env.clock.now == times[0]
+        checkpoints = env.checkpoints
+        env.last_checkpoint = (before + at) / 2 - env.config.checkpoint_period
+        mount.vfs.rename(src, dst)
+        assert env.checkpoints == checkpoints + 1, at
+        outcomes.add(one_name(mount.crash().vfs, files))
+    assert outcomes == {src, dst}
+
+
+@pytest.mark.parametrize("shards,kind", RENAMES)
+def test_a_rename_is_atomic_at_every_crash_plan(shards, kind):
+    """Cut a rename and the fsync after it at every crash plan of each
+    epoch they seal, torn writes included, and re-mount: one name
+    survives, with the fsynced bytes."""
+    mount, files, (src, dst) = fsynced_rename(shards, kind)
+    device = mount.device
+    device.enable_volatile_cache()
+    mount.vfs.rename(src, dst)
+    mount.vfs.fsync(files[dst])
+    sealed = device.sealed_epochs()
+    assert sealed >= 1
+    outcomes = set()
+    for epoch in range(sealed):
+        plans = enumerate_plans(
+            device.epoch_records(epoch),
+            epoch=epoch,
+            sector=device.profile.sector,
+            rng=random.Random(0),
+        )
+        for plan in plans:
+            outcomes.add(one_name(mount.crash(plan).vfs, files))
+    assert outcomes == {src, dst}
+
+
+@pytest.mark.parametrize(
+    "version", [*VERSIONS, "shards2"], ids=[*VERSIONS, "v0.6-shards2"]
+)
+def test_an_8_mib_file_renames_on_a_4_mib_log(version):
+    """The record moves the blocks' keys, not their bytes, so a file
+    larger than the whole log renames — across volumes too — and the
+    moved file survives a crash."""
+    mount = build(("BetrFS v0.6", 2) if version == "shards2" else (version, 0))
+    v = mount.vfs
+    body = bytes(range(256)) * (8 * MIB // 256)
+    v.mkdir("/a")
+    v.create("/a/big")
+    v.write("/a/big", 0, body)
+    v.fsync("/a/big")
+    smap = getattr(mount, "shard_map", None)
+    dst = next(
+        f"/b{i}/big"
+        for i in range(16)
+        if smap is None or smap.owner_of_entry(f"/b{i}/big") != smap.owner_of_entry("/a/big")
+    )
+    v.mkdir(dst[:-4])
+    v.rename("/a/big", dst)
+    if smap is not None:
+        assert mount.backend.cross_renames == 1
+    v.fsync(dst)
+    rv = reboot(mount).vfs
+    assert not rv.exists("/a/big")
+    assert rv.read(dst, 0, len(body) + 1) == body
+
+
+def test_a_rename_record_larger_than_the_log_is_refused_untouched():
+    """A directory with enough children makes a rename record larger
+    than the whole log: it is refused with a typed error before anything
+    is logged or any tree changes, and the namespace stays as it was."""
+    mount = build(("BetrFS v0.6", 0), log_size=64 * 1024)
+    v = mount.vfs
+    v.mkdir("/d")
+    for i in range(800):
+        v.mkdir(f"/d/child-directory-{i:04d}")
+    v.sync()
+    env = mount.backend.env
+    before = (
+        env.wal.next_lsn,
+        env.wal.entries_appended,
+        env.wal._buffer_bytes,
+        [(t.stats.inserts, t.stats.deletes, t.stats.range_deletes) for t in env.trees],
+    )
+    with pytest.raises(LogRecordTooLarge, match="does not fit"):
+        v.rename("/d", "/e")
+    assert before == (
+        env.wal.next_lsn,
+        env.wal.entries_appended,
+        env.wal._buffer_bytes,
+        [(t.stats.inserts, t.stats.deletes, t.stats.range_deletes) for t in env.trees],
+    )
+    assert v.exists("/d") and not v.exists("/e")
+    assert len(v.readdir("/d")) == 800
+    rv = reboot(mount).vfs
+    assert len(rv.readdir("/d")) == 800 and not rv.exists("/e")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 2(b): the VFS unlinks a rename's destination as a "
+    "record of its own, so a checkpoint between it and the rename, then "
+    "a crash, leaves the source name and no destination",
+)
+def test_a_rename_onto_an_existing_name_keeps_the_destination():
+    """Rename onto an existing file, a checkpoint landing after the
+    destination's unlink and before the rename record, then a crash
+    before the log's next flush: POSIX keeps the destination name
+    through any crash."""
+    mount = build(("BetrFS v0.6", 0))
+    v = mount.vfs
+    for name, body in (("/src", FSYNCED), ("/dst", FSYNCED[::-1])):
+        v.create(name)
+        v.write(name, 0, body)
+        v.fsync(name)
+    unlink = mount.backend.unlink
+
+    def unlink_then_checkpoint(*args):
+        unlink(*args)
+        # Where the periodic checkpoint lands at the unlink's last op.
+        mount.backend.env.checkpoint()
+
+    mount.backend.unlink = unlink_then_checkpoint
+    v.rename("/src", "/dst")
+    assert v.read("/dst", 0, len(FSYNCED)) == FSYNCED
+    assert mount.crash().vfs.exists("/dst")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 2(b): a checkpoint passes the log record of a "
+    "conditionally logged create that is not in the tree yet, and "
+    "recovery replays only past the checkpoint",
+)
+def test_a_checkpoint_keeps_a_create_the_log_made_durable():
+    """``fsync`` of a file makes the log durable, its directory's
+    deferred (conditionally logged, §3.3) create included; a checkpoint
+    before that inode is written back must not drop the directory while
+    its fsynced child survives."""
+    mount = build(("BetrFS v0.6", 0))
+    v = mount.vfs
+    v.mkdir("/a")
+    v.create("/a/f")
+    v.write("/a/f", 0, FSYNCED)
+    v.fsync("/a/f")
+    mount.backend.env.checkpoint()
+    rv = mount.crash().vfs
+    assert rv.exists("/a/f")
+    assert rv.exists("/a")
 
 
 @pytest.mark.parametrize("shards", [pytest.param(3, id="hash")])

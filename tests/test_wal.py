@@ -1,22 +1,25 @@
 """Unit tests for the write-ahead log."""
 
+import struct
 import zlib
 from unittest import mock
 
 import pytest
 
 from repro.core import wal as wal_module
-from repro.core.env import META
+from repro.core.env import DATA, META
 from repro.core.wal import (
     _HEADER,
     _U32,
     OP_BATCH,
     OP_DELETE,
     OP_INSERT,
+    OP_MOVE,
     OP_PATCH,
     OP_RANGE_DELETE,
     SCAN_CHUNK,
     LogEntry,
+    LogRecordTooLarge,
     WriteAheadLog,
     decode_batch,
     decode_payload,
@@ -205,15 +208,16 @@ class TestAppendFlushScan:
 
 class TestBatch:
     OPS = [
-        (OP_INSERT, 3, b"/dst/f", b"v" * 5000),
-        (OP_DELETE, 0, b"/src/f", b""),
-        (OP_INSERT, 2, b"/dst/f\x00\x00\x00\x01", b"page"),
+        (OP_INSERT, 3, b"/dst/f", b"v" * 5000, 0),
+        (OP_DELETE, 0, b"/src/f", b"", 0),
+        (OP_MOVE, 1, b"/src/f\x00", b"/dst/f\x00", 3),
+        (OP_RANGE_DELETE, 0, b"/src/d/", b"/src/d0", 0),
     ]
 
     def test_batch_roundtrip(self):
         entry = LogEntry(9, OP_BATCH, value=encode_batch(self.OPS))
         assert [
-            (e.lsn, e.op, e.tree_id, e.key, e.value) for e in decode_batch(entry)
+            (e.lsn, e.op, e.tree_id, e.key, e.value, e.aux) for e in decode_batch(entry)
         ] == [(9, *op) for op in self.OPS]
 
     def test_a_torn_batch_is_dropped_whole(self):
@@ -236,6 +240,54 @@ class TestBatch:
             entries, end = scan(torn, 0, 1)
             assert [e.key for e in entries] == [b"before"], cut
             assert end == whole
+
+
+    def test_a_move_replays_to_the_state_it_left_live(self):
+        """``OP_MOVE`` and ``OP_RANGE_DELETE`` in a batch: the live
+        apply and recovery's replay of the record (no checkpoint since)
+        leave the same keys — the record names prefixes, and replay
+        re-keys what the tree holds at that point of the log."""
+        env, device = make_env()
+        for i in range(3):
+            env.insert(DATA, b"/src\x00" + struct.pack(">I", i), b"page%d" % i)
+            env.insert(META, b"/d/c%d" % i, b"stat%d" % i)
+        env.insert(DATA, b"/src2\x00\x00\x00\x00\x00", b"not under the prefix")
+        env.checkpoint()
+        env.apply_batch([
+            (OP_INSERT, META, b"/e", b"stat", 0),
+            (OP_MOVE, DATA, b"/src\x00", b"/dst\x00", DATA),
+            (OP_RANGE_DELETE, META, b"/d/", b"/d0", 0),
+        ])
+        everything = (b"", b"\xff")
+        live = [env.range_query(t, *everything) for t in (META, DATA)]
+        assert [k for k, _v in live[1]] == [
+            *(b"/dst\x00" + struct.pack(">I", i) for i in range(3)),
+            b"/src2\x00\x00\x00\x00\x00",
+        ]
+        assert [k for k, _v in live[0]] == [b"/e"]
+        env.sync()
+        recovered = reopen(device)
+        assert recovered.recovered_entries == 1
+        assert [recovered.range_query(t, *everything) for t in (META, DATA)] == live
+
+    def test_a_record_larger_than_the_region_is_refused(self):
+        wal, _, _ = make_wal(log_size=64 * 1024, section=16 * 1024)
+        with pytest.raises(LogRecordTooLarge, match="does not fit"):
+            wal.append(OP_BATCH, 0, b"", b"v" * 64 * 1024)
+        assert (wal.next_lsn, wal.entries_appended, wal._buffer_bytes) == (1, 0, 0)
+
+    def test_a_flush_never_writes_past_the_region(self):
+        """Records that fit the region one by one but not together: each
+        append flushes what is buffered first, so no flush is larger
+        than the region (one used to write past its end)."""
+        size = 64 * 1024
+        wal, storage, _ = make_wal(log_size=size, section=16 * 1024)
+        wal.on_full = lambda: wal.truncate(wal.next_lsn - 1, wal.head)
+        for i in range(4):
+            wal.append(OP_INSERT, 0, b"k%d" % i, b"v" * 40_000)
+        wal.flush()
+        entries, _end = scan(storage.read("log", 0, size), wal.tail, 1)
+        assert [e.key for e in entries] == [b"k3"]
 
 
 class TestRecoveryReadsTheTail:
