@@ -7,6 +7,11 @@ returns a :class:`BetrFS` handle whose ``vfs`` attribute is the
 syscall interface workloads drive.  The same assembly mounts a crash
 image: :meth:`BetrFS.crash` pulls the plug and returns the mount
 recovered from what reached the device.
+
+A mount of N volumes (:mod:`repro.shard`) is the same assembly: one
+environment holds every volume's tree pair, and one
+:class:`~repro.betrfs.northbound.BetrFSNorthbound` routes each path's
+keys to the pair its :class:`~repro.core.shardmap.ShardMap` names.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from repro.betrfs.northbound import BetrFSNorthbound
 from repro.betrfs.versions import VERSIONS, BetrFSFeatures
 from repro.core.config import BeTreeConfig
 from repro.core.env import KVEnv
+from repro.core.shardmap import ShardMap
 from repro.device.block import BlockDevice
 from repro.device.clock import SimClock
 from repro.kmem.allocator import KernelAllocator
@@ -62,12 +68,12 @@ class BetrFS:
     """One mounted simulated BetrFS instance.
 
     The only mount assembler: ``volumes`` SFL slots are carved from
-    the device, each with its own southbound and northbound over one
-    Bε-tree environment (one log, one cache, a tree pair per volume),
-    and :meth:`_route` decides what the VFS sits on.  One volume (every
-    Table 3 variant) spans the whole device and is wired straight into
-    the VFS; ``repro.shard`` overrides :meth:`_route` with its router
-    over several.
+    the device, each with its own southbound, under one Bε-tree
+    environment (one log, one cache, a tree pair per volume) and one
+    northbound that routes each path to its volume's pair
+    (:class:`~repro.core.shardmap.ShardMap`), wired straight into the VFS.
+    One volume (every Table 3 variant) spans the whole device;
+    ``repro.shard`` asks for several.
 
     Two entries, one carve: without ``image`` the mount builds a blank
     device and *formats* it (a fresh environment, a root directory
@@ -173,13 +179,12 @@ class BetrFS:
             obs=self.obs,
             volumes=self.storages[1:],
         )
-        backends: List[BetrFSNorthbound] = []
-        for i in range(volumes):
-            backend = BetrFSNorthbound(env, features, i)
-            if not self.recovered:
-                backend.format()
-            backends.append(backend)
-        self.env, self.backend = self._route(env, backends)
+        self.env = env
+        #: Volume 0's southbound, the one that holds the log.
+        self.storage = self.storages[0]
+        self.backend = BetrFSNorthbound(env, features, ShardMap(volumes))
+        if not self.recovered:
+            self.backend.format()
         self.vfs = VFS(
             self.backend,
             self.clock,
@@ -194,14 +199,6 @@ class BetrFS:
             self.vfs.dcache.clear_clean()
         if env.san is not None:
             env.san.watch_pagecache(self.vfs.pages)
-
-    def _route(self, env: KVEnv, backends: List[BetrFSNorthbound]):
-        """Mount the lone volume directly, no router in between: returns
-        the ``(env, backend)`` pair the VFS sits on."""
-        (backend,) = backends
-        #: The one southbound (a multi-volume mount has only ``storages``).
-        self.storage = env.storage
-        return env, backend
 
     # ------------------------------------------------------------------
     def remount(self, image: BlockDevice) -> "BetrFS":

@@ -216,7 +216,7 @@ _WRAPPER_NAMES = {"Optional", "Final", "ClassVar", "Annotated"}
 #: *named* like these.  An analysis' call table is keyed by
 #: :meth:`Program.call_key`'s ``(family, method)``.
 FAMILIES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("env", ("KVEnv", "ShardedEnv")),
+    ("env", ("KVEnv",)),
     ("wal", ("WriteAheadLog",)),
     ("tree", ("BeTree",)),
     ("south", ("Southbound",)),

@@ -1,6 +1,6 @@
-"""Namespace partitioning over full-path keys (``repro.shard``).
+"""Namespace partitioning over full-path keys.
 
-The :class:`ShardMap` decides, for every full path, which of the N
+The :class:`ShardMap` (re-exported by :mod:`repro.shard`) decides, for every full path, which of the N
 Bε-tree volumes owns its metadata entry and data blocks: a path is
 owned by ``mix(crc32(parent_dir(path))) % N``.  Hashing the *parent*
 (not the path itself) colocates all entries of one directory on one
@@ -11,6 +11,8 @@ crc deltas that can cancel in the low bits — ``crc32 % 4`` puts all of
 ``/mail/folder00..03/cur`` on one shard.  Avalanching first breaks the
 linearity.
 
+It sits below the northbound, which routes every operation of every
+mount through it: with one volume it answers 0 before it hashes.
 Routing is a pure function of ``shards`` — no clock charges, no hidden
 state — which is what makes an N=1 sharded mount bit-identical to an
 unsharded one and lets a re-mount rebuild the map from its shard

@@ -43,6 +43,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.betrfs.filesystem import BetrFS, MountOptions
 from repro.betrfs.versions import V0_6
 from repro.check.fsck import fsck_mount
+from repro.core.env import TREE_FILES
+from repro.core.wal import OP_DELETE, OP_INSERT
 from repro.crashmc.oracle import Op, Oracle
 from repro.crashmc.plan import CrashPlan
 from repro.crashmc.schedule import enumerate_plans, media_plans
@@ -120,9 +122,11 @@ class _Stack:
     one assembler, :class:`~repro.shard.mount.ShardedBetrFS` when the
     carve has several volumes — at a geometry small enough that the
     torture workloads actually exercise node splits, checkpoint I/O
-    and log replay.  Ops drive its ``env``; a case fscks and reboots a
-    crash image through the mount.  No mount built here registers
-    with an installed obs session: a sweep makes hundreds of them.
+    and log replay.  Ops drive its ``env``, each key in the tree of the
+    volume its path routes to (a range delete spans every volume); a
+    case fscks and reboots a crash image through the mount.  No mount
+    built here registers with an installed obs session: a sweep makes
+    hundreds of them.
     """
 
     def __init__(self, carve: Optional[Carve] = None) -> None:
@@ -146,9 +150,10 @@ class _Stack:
             else:
                 self.fs = ShardedBetrFS(V0_6, opts, shards=carve.volumes)
         self.env = self.fs.env
-        #: The device's one log (the backend's env is the ``KVEnv``,
-        #: below a sharded mount's router too).
-        self.wal = self.fs.backend.env.wal
+        #: The device's one log.
+        self.wal = self.env.wal
+        #: Routes each op's key as the mount's northbound routes paths.
+        self.map = self.fs.backend.map
         self.device = self.fs.device
         self.device.enable_volatile_cache()
         #: Every volume layout carved from ``self.device``; the order
@@ -156,16 +161,21 @@ class _Stack:
         self.layouts: List[ImageLayout] = [s.layout for s in self.fs.storages]
         self.layout: ImageLayout = self.layouts[0]
 
+    def _tree(self, tree: int, key: bytes) -> int:
+        """The environment tree holding ``key`` of logical tree ``tree``."""
+        return self.map.owner_of_key(key) * len(TREE_FILES) + tree
+
     def apply(self, op: Op) -> None:
         env = self.env
         if op.kind == "insert":
-            env.insert(op.tree, op.key, op.value)
+            env.insert(self._tree(op.tree, op.key), op.key, op.value)
         elif op.kind == "delete":
-            env.delete(op.tree, op.key)
+            env.delete(self._tree(op.tree, op.key), op.key)
         elif op.kind == "range_delete":
-            env.range_delete(op.tree, op.key, op.end)
+            for tree in range(op.tree, len(env.trees), len(TREE_FILES)):
+                env.range_delete(tree, op.key, op.end)
         elif op.kind == "patch":
-            env.patch(op.tree, op.key, op.offset, op.value)
+            env.patch(self._tree(op.tree, op.key), op.key, op.offset, op.value)
         elif op.kind == "sync":
             env.sync()
         elif op.kind == "checkpoint":
@@ -174,8 +184,16 @@ class _Stack:
             # Push the WAL buffer to the device with NO barrier: these
             # writes sit in the open epoch, at the mercy of the plan.
             self.wal.flush(durable=False)
-        elif op.kind == "xrename":  # the router's primitive (volumes > 1)
-            env.xrename(op.tree, op.key, op.end)
+        elif op.kind == "xrename":
+            # A key move between volumes: one log record, or nothing
+            # when the source is missing.
+            source = self._tree(op.tree, op.key)
+            value = env.get(source, op.key)
+            if value is not None:
+                env.apply_batch([
+                    (OP_INSERT, self._tree(op.tree, op.end), op.end, value, 0),
+                    (OP_DELETE, source, op.key, b"", 0),
+                ])
         else:  # pragma: no cover - workload bug
             raise ValueError(f"unknown op kind {op.kind!r}")
 
@@ -183,7 +201,8 @@ class _Stack:
         """Re-mount the image (log replay); returns the ``get`` callable
         for the oracle to probe."""
         with session(None):
-            return self.fs.remount(image).env.get
+            env = self.fs.remount(image).env
+        return lambda tree, key: env.get(self._tree(tree, key), key)
 
     def media_regions(self) -> List[tuple]:
         """(base, size) regions the media-fault sweep may damage: the

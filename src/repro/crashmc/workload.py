@@ -32,7 +32,7 @@ from typing import Callable, Dict, List
 from repro.core.env import DATA, META
 from repro.core.messages import PageFrame
 from repro.crashmc.oracle import Op
-from repro.shard.map import ShardMap
+from repro.core.shardmap import ShardMap
 
 
 def derive_rng(seed: int, label: str) -> random.Random:

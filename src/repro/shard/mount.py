@@ -2,22 +2,22 @@
 
 ``make_sharded_betrfs("BetrFS v0.6", shards=8)`` is the ordinary
 :class:`~repro.betrfs.filesystem.BetrFS` assembly asked for N volume
-slots instead of one, with the VFS mounted on the
-:class:`~repro.shard.backend.ShardedBackend` router over them.
-Everything the volumes share — the clock, the device, the allocator,
-the tree geometry, and the one Bε-tree environment (log, superblock,
-checkpoint, node cache) — is shared deliberately: volume I/O from
-different sessions interleaves on one device timeline, which is
-exactly the overlap the scale-out benchmarks measure.  The log names
-a tree in one byte, so a mount has at most
+slots instead of one: the mount's one
+:class:`~repro.betrfs.northbound.BetrFSNorthbound` routes each path to
+its volume's tree pair.  Everything the volumes share — the clock, the
+device, the allocator, the tree geometry, and the one Bε-tree
+environment (log, superblock, checkpoint, node cache) — is shared
+deliberately: volume I/O from different sessions interleaves on one
+device timeline, which is exactly the overlap the scale-out benchmarks
+measure.  The log names a tree in one byte, so a mount has at most
 :data:`~repro.core.env.MAX_VOLUMES` volumes.
 
-With ``shards=1`` this is the unsharded mount plus a router over its
-one volume (same charge sequence, same on-device layout), which the
-shard-invariant tests pin as bit-identical to the direct wiring.
-Re-mounting a crash image (:meth:`ShardedBetrFS.crash`) is the plain
-recovery: one superblock, one log replay.  Offline fsck of the image
-lives with the walk itself: :func:`repro.check.fsck.fsck_mount`.
+With ``shards=1`` this is the unsharded mount (same charge sequence,
+same on-device layout), which the shard-invariant tests pin as
+bit-identical.  Re-mounting a crash image (:meth:`ShardedBetrFS.crash`)
+is the plain recovery: one superblock, one log replay.  Offline fsck
+of the image lives with the walk itself:
+:func:`repro.check.fsck.fsck_mount`.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from repro.betrfs.filesystem import BetrFS, MountOptions, variant
 from repro.betrfs.versions import BetrFSFeatures
 from repro.core.env import MAX_VOLUMES
 from repro.device.block import BlockDevice
-from repro.shard.backend import ShardedBackend
-from repro.shard.env import ShardedEnv
-from repro.shard.map import ShardMap
 
 
 class ShardedBetrFS(BetrFS):
@@ -54,10 +51,10 @@ class ShardedBetrFS(BetrFS):
                 f"got {shards} shards"
             )
         self.shards = shards
-        self.shard_map = ShardMap(shards)
         super().__init__(features, opts, volumes=shards, image=image)
-        # The gauges read the router, not the mount: a session's scope
-        # must not keep the mount alive.
+        self.shard_map = self.backend.map
+        # The gauges read the northbound, not the mount: a session's
+        # scope must not keep the mount alive.
         gauge, backend = self.obs.registry.gauge, self.backend
         for i in range(shards):
             gauge(
@@ -71,9 +68,6 @@ class ShardedBetrFS(BetrFS):
             layer="shard",
             fn=lambda: backend.cross_renames,
         )
-
-    def _route(self, env, backends):
-        return ShardedEnv(env, self.shard_map), ShardedBackend(backends, self.shard_map)
 
     def remount(self, image: BlockDevice) -> "ShardedBetrFS":
         return ShardedBetrFS(self.features, self.opts, self.shards, image=image)

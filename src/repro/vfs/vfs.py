@@ -309,9 +309,10 @@ class VFS:
         self._charge_syscall(src)
         self._charge_syscall(dst)
         inode = self._require(src)
-        if src == dst:
+        if src == dst or dst.startswith(src + "/"):
             # Renaming a file onto itself would unlink the destination
-            # (== the source) before the backend rename, destroying it.
+            # (== the source) before the backend rename, destroying it;
+            # a directory cannot become its own descendant.
             raise FSError(errno.EINVAL, src)
         dst_inode = self._resolve(dst)
         if dst_inode is not None:

@@ -130,7 +130,9 @@ class TestParseOnce:
         monkeypatch.setattr(ast, "parse", counting_parse)
         assert lint.main([]) == 0
         capsys.readouterr()
-        assert len(parsed) > 100  # the wrapper really saw the tree
+        # The wrapper really saw the tree (100 files; a fixture tree
+        # has a dozen).
+        assert len(parsed) > 50
         assert parsed == expected
 
 

@@ -545,7 +545,7 @@ def test_fsck_mount_walks_every_volume():
     assert report.nodes_checked >= 2 * 4
     # Damage the root of volume 2's meta tree: the report names the volume.
     image = fs.device.crash_image()
-    meta = fs.env.env.trees[fs.backend.backends[2].meta]
+    meta = fs.env.trees[fs.backend.pairs[2][0]]
     off, _ln = meta.blockman.lookup(meta.root_id)
     at = fs.storages[2].layout.meta_base + off
     raw = bytearray(image.store.read(at, 64))

@@ -9,7 +9,8 @@ The PR's shard invariants:
   (device sha256 and simulated clock);
 * a cross-shard move is one record on the device's one log, and
   survives a bounded crashmc sweep with zero oracle violations;
-* the volumes fsck clean and the load/imbalance gauges report.
+* the volumes fsck clean, the load/imbalance gauges report, and each
+  operation reaches the volume its path routes to.
 """
 
 import json
@@ -19,13 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.betrfs.filesystem import MountOptions, make_betrfs
+from repro.betrfs.northbound import BetrFSNorthbound
 from repro.check.fsck import fsck_mount
 from repro.core.env import MAX_VOLUMES, META, KVEnv
 from repro.core.messages import value_bytes
+from repro.crashmc.explore import stack_for
+from repro.crashmc.oracle import Op
+from repro.crashmc.workload import xshard_homes
 from repro.harness.mt import device_sha256, run_mt, to_json
 from repro.obs import Observability, session
 from repro.shard import ShardMap, make_sharded_betrfs, parent_dir
-from repro.shard.map import _hash_owner
+from repro.core.shardmap import _hash_owner
 from repro.workloads.mailserver import mailserver_mt
 from repro.workloads.scale import SMOKE_SCALE
 from repro.workloads.webserver_mt import webserver_mt
@@ -114,40 +119,34 @@ class TestShardMap:
 
 
 # ----------------------------------------------------------------------
-# Cross-shard moves (KV level): one log record
+# Cross-shard moves (KV level, the crash explorer's): one log record
 # ----------------------------------------------------------------------
 class TestCrossShardBatch:
-    def _mount(self, shards=4):
-        return make_sharded_betrfs("BetrFS v0.6", shards=shards)
+    def _stack(self):
+        stack, _oracle = stack_for("xshard_rename")
+        homes = xshard_homes(stack.map)
+        assert stack.map.owner_of_key(homes[0]) != stack.map.owner_of_key(homes[1] + b"/y")
+        return stack, homes[0] + b"/x", homes[1] + b"/y"
 
     def test_xrename_moves_in_one_log_record(self):
-        fs = self._mount()
-        env, sm = fs.env, fs.shard_map
-        src, dst = b"/dirA/x", b"/other/y"
-        # Pick paths on different shards (probe a few suffixes).
-        i = 0
-        while sm.owner_of_key(src) == sm.owner_of_key(dst):
-            dst = b"/other%d/y" % i
-            i += 1
-        env.insert(META, src, b"payload")
-        env.sync()
-        wal = env.env.wal
-        appended = wal.entries_appended
-        env.xrename(META, src, dst)
-        assert wal.entries_appended == appended + 1
-        assert env.get(META, src) is None
-        assert value_bytes(env.get(META, dst)) == b"payload"
-        env.sync()
-        after = fs.crash().env
-        assert after.get(META, src) is None
-        assert value_bytes(after.get(META, dst)) == b"payload"
+        stack, src, dst = self._stack()
+        stack.apply(Op("insert", META, src, b"payload"))
+        stack.apply(Op("sync"))
+        appended = stack.wal.entries_appended
+        stack.apply(Op("xrename", META, src, end=dst))
+        assert stack.wal.entries_appended == appended + 1
+        assert stack.env.get(stack._tree(META, src), src) is None
+        assert value_bytes(stack.env.get(stack._tree(META, dst), dst)) == b"payload"
+        stack.apply(Op("sync"))
+        get = stack.reboot(stack.device.crash_image())
+        assert get(META, src) is None
+        assert value_bytes(get(META, dst)) == b"payload"
 
     def test_xrename_missing_source_is_noop(self):
-        fs = self._mount()
-        wal = fs.env.env.wal
-        appended = wal.entries_appended
-        fs.env.xrename(META, b"/no/such", b"/else/where")
-        assert wal.entries_appended == appended
+        stack, src, dst = self._stack()
+        appended = stack.wal.entries_appended
+        stack.apply(Op("xrename", META, src, end=dst))
+        assert stack.wal.entries_appended == appended
 
 
 # ----------------------------------------------------------------------
@@ -226,23 +225,65 @@ class TestShardedMount:
             assert reg.find("shard.load.00", layer="shard") is not None
 
     def test_mount_surface_duck_typed_by_perfbench(self):
-        """What ``perfbench/`` reads off a mount to tell the two apart
-        (it may not be edited, so the attribute surface is pinned)."""
+        """What ``perfbench/`` reads off a mount (it may not be edited,
+        so the attribute surface is pinned): every mount is one
+        northbound over one ``KVEnv``; only a sharded one has a map."""
         plain = make_betrfs("BetrFS v0.6")
-        assert isinstance(plain.env, KVEnv) and not hasattr(plain.env, "envs")
-        assert plain.backend.env is plain.env  # the northbound, no router
-        for attr in ("storage", "alloc", "opts", "config"):
-            assert hasattr(plain, attr), attr
-        assert not hasattr(plain, "shard_map")
-
         sharded = make_sharded_betrfs("BetrFS v0.6", shards=2)
-        # One env, so each WAL is counted once.
-        assert sharded.env.envs == [sharded.backend.env]
-        assert len(sharded.backend.backends) == 2
-        assert len(sharded.storages) == 2
-        assert sharded.backend.cross_renames == 0
+        for mount, volumes in ((plain, 1), (sharded, 2)):
+            assert isinstance(mount.env, KVEnv) and not hasattr(mount.env, "envs")
+            assert isinstance(mount.backend, BetrFSNorthbound)
+            assert mount.backend.env is mount.env
+            # Volume 0's southbound holds the log.
+            assert mount.storage is mount.storages[0] is mount.env.storage
+            assert len(mount.storages) == volumes
+            assert len(mount.backend.loads) == volumes
+            assert mount.backend.cross_renames == 0
+            for attr in ("alloc", "opts", "config"):
+                assert hasattr(mount, attr), attr
+        assert not hasattr(plain, "shard_map")
         assert sharded.shard_map.shards == 2
         assert sharded.load_imbalance() == 1.0
+
+    def test_deferred_creates_gauge_counts_every_volume(self):
+        with session(Observability()):
+            fs = make_sharded_betrfs("BetrFS v0.6", shards=4)
+        vfs, sm = fs.vfs, fs.shard_map
+        dirs = [f"/d{i}" for i in range(8)]
+        for d in dirs:
+            vfs.mkdir(d)
+        vfs.sync()
+        for i in range(16):
+            vfs.create(f"{dirs[i % 8]}/f{i}")
+        assert len({sm.owner_of_children(d) for d in dirs}) > 1
+        gauge = fs.obs.registry.find("northbound.deferred_creates", layer="northbound")
+        assert fs.backend.deferred_creates == gauge.value == 16
+
+    def test_rmdir_range_deletes_land_where_the_children_live(self):
+        """§4's directory-wide range deletes exist to meet the stale
+        per-file range deletes, which sit on the children's volume; the
+        directory's own entry delete stays on the entry's volume."""
+        fs = make_sharded_betrfs("BetrFS v0.6", MountOptions(scale=1 / 32), shards=4)
+        vfs, sm, nb = fs.vfs, fs.shard_map, fs.backend
+        d = next(
+            f"/e{i}" for i in range(100)
+            if sm.owner_of_entry(f"/e{i}") != sm.owner_of_children(f"/e{i}")
+        )
+        vfs.mkdir(d)
+        for i in range(3):
+            vfs.create(f"{d}/f{i}")
+            vfs.write(f"{d}/f{i}", 0, b"x" * 4096)
+            vfs.unlink(f"{d}/f{i}")
+        trees = fs.env.trees
+
+        def range_deletes():
+            return [tree.stats.range_deletes for tree in trees]
+
+        before = range_deletes()
+        vfs.rmdir(d)
+        grew = [i for i, (b, a) in enumerate(zip(before, range_deletes())) if a != b]
+        assert grew == sorted(nb.pairs[sm.owner_of_children(d)])
+        assert not vfs.exists(d)
 
     def test_sharding_requires_sfl(self):
         with pytest.raises(ValueError, match="SFL"):
@@ -325,9 +366,6 @@ class TestShardCrashmc:
         assert summary.violations == 0
 
     def test_sharded_stack_apply_and_reboot(self):
-        from repro.crashmc.explore import stack_for
-        from repro.crashmc.oracle import Op
-
         stack, _ = stack_for("xshard_rename")
         stack.apply(Op("insert", META, b"dir00/a", b"v"))
         stack.apply(Op("sync"))

@@ -1,5 +1,6 @@
 """VFS-layer tests: namespace semantics, page cache, write-back."""
 
+import errno
 import random
 
 import pytest
@@ -89,10 +90,11 @@ def model_write(model, offset, data):
 
 
 def system_mount(system):
-    """One of the 13 Table 3 mounts at smoke scale, or ``shards4``: v0.6
-    on four hash-partitioned volumes."""
-    if system == "shards4":
-        return make_sharded_betrfs("BetrFS v0.6", MountOptions(scale=1 / 32), shards=4)
+    """One of the 13 Table 3 mounts at smoke scale, or ``shardsN``: v0.6
+    on N hash-partitioned volumes."""
+    if system.startswith("shards"):
+        shards = int(system[len("shards"):])
+        return make_sharded_betrfs("BetrFS v0.6", MountOptions(scale=1 / 32), shards=shards)
     return make_mount(system, SMOKE_SCALE)
 
 
@@ -193,6 +195,25 @@ class TestNamespace:
             v.rename("/d", dst)
             assert v.exists(dst + "/x")
             assert not v.exists("/d/x")
+
+    @pytest.mark.parametrize("system", TABLE3_SYSTEMS + ["shards2"])
+    def test_rename_of_a_directory_into_its_own_subtree_is_einval(self, system):
+        """rename(2): a directory cannot become its own descendant, and
+        the refused rename leaves the namespace as it was."""
+        v = system_mount(system).vfs
+        v.mkdir("/a")
+        v.create("/a/f")
+        v.write("/a/f", 0, b"kept")
+        for dst in ("/a/b", "/a/f/g"):
+            with pytest.raises(FSError) as err:
+                v.rename("/a", dst)
+            assert err.value.code == errno.EINVAL
+        assert v.readdir("/") == ["a"]
+        assert v.readdir("/a") == ["f"]
+        assert v.read("/a/f", 0, 4) == b"kept"
+        v.rename("/a", "/ab")  # a sibling sharing the name's prefix
+        assert v.readdir("/") == ["ab"]
+        assert v.read("/ab/f", 0, 4) == b"kept"
 
     def test_rename_of_a_file_scans_no_other_file(self, fs, v, monkeypatch):
         """A regular file has nothing cached below it: its rename reads
