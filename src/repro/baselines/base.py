@@ -136,7 +136,7 @@ class BaselineFS(FileSystemBackend):
     def _name(path: str) -> str:
         return path.rsplit("/", 1)[1]
 
-    def create(self, path: str, stat: Stat) -> Optional[int]:
+    def create(self, path: str, stat: Stat) -> bool:
         self.clock.cpu(self.params.create_cost)
         self._meta[path] = stat.copy()
         parent = self._parent(path)
@@ -147,11 +147,9 @@ class BaselineFS(FileSystemBackend):
         self._cached_meta.add(f"dir:{parent}")
         for i in range(self.params.lookup_cold_reads):
             self._cached_meta.add(f"inode:{path}:{i}")
-        return None
+        return False
 
-    def set_stat(
-        self, path: str, stat: Stat, pinned_section: Optional[int]
-    ) -> None:
+    def set_stat(self, path: str, stat: Stat) -> None:
         if path in self._meta:
             self._meta[path] = stat.copy()
             self._journal_meta(1)

@@ -81,14 +81,13 @@ class BetrFSNorthbound(FileSystemBackend):
         self.readdir_fills_caches = features.dentry_cache
         self.trusts_nlink = features.range_coalesce
         self.page_sharing = features.page_sharing
-        #: Deferred (conditionally logged) creates not yet in the tree.
-        self.deferred_creates = 0
         obs = getattr(env, "obs", None)
         if obs is not None:
+            # Conditionally logged creates not yet in a tree, on every volume.
             obs.registry.gauge(
                 "northbound.deferred_creates",
                 layer="northbound",
-                fn=lambda: self.deferred_creates,
+                fn=lambda: env.deferred_count,
             )
             obs.instrument(self, self.SPANS)
 
@@ -116,34 +115,26 @@ class BetrFSNorthbound(FileSystemBackend):
             return None
         return Stat.unpack(value_bytes(value))
 
-    def create(self, path: str, stat: Stat) -> Optional[int]:
+    def create(self, path: str, stat: Stat) -> bool:
         meta, _data = self._entry(path)
         key = meta_key(path)
         if self.features.conditional_logging:
-            # §3.3: log the create, pin the WAL section, and let the
-            # VFS hold the dirty inode; the tree insert happens at
-            # inode write-back (set_stat), batching existence checks
-            # away from the hot path.
-            self.env.wal.append(OP_INSERT, meta, key, stat.pack())
-            section = self.env.wal.current_section()
-            self.env.wal.pin_section(section)
+            # §3.3: log the create and let the VFS hold the dirty inode;
+            # the tree insert waits for inode write-back (set_stat) or
+            # the next checkpoint, batching existence checks away from
+            # the hot path.
+            self.env.defer(meta, key, stat.pack())
             self.env.clock.cpu(self.env.costs.cl_pin)
-            self.deferred_creates += 1
-            return section
+            return True
         self.env.insert(meta, key, stat.pack())
-        return None
+        return False
 
-    def set_stat(
-        self, path: str, stat: Stat, pinned_section: Optional[int]
-    ) -> None:
+    def set_stat(self, path: str, stat: Stat) -> None:
         meta, _data = self._entry(path)
         # Logged even after a conditionally logged create: the log
         # holds only the create-time stat, and an fsync makes this one
         # durable.
         self.env.insert(meta, meta_key(path), stat.pack())
-        if pinned_section is not None:
-            self.env.wal.unpin_section(pinned_section)
-            self.deferred_creates -= 1
 
     def unlink(self, path: str, stat: Stat, delete_issued: bool) -> None:
         meta, data = self._entry(path)
@@ -179,7 +170,10 @@ class BetrFSNorthbound(FileSystemBackend):
 
     def is_dir_empty(self, path: str) -> bool:
         meta, _data = self.pairs[self.map.owner_of_children(path)]
-        return self.env.trees[meta].empty_range(*dir_subtree_range(path))
+        lo, hi = dir_subtree_range(path)
+        return self.env.trees[meta].empty_range(lo, hi) and not self.env.deferred_in(
+            meta, lo, hi
+        )
 
     # ------------------------------------------------------------------
     # Rename: one log record whichever volumes it spans
@@ -233,7 +227,8 @@ class BetrFSNorthbound(FileSystemBackend):
     # readdir: cursor-seek scan over the metadata index
     # ------------------------------------------------------------------
     def readdir(self, path: str) -> List[Tuple[str, Stat]]:
-        """Direct children of ``path``.
+        """Direct children of ``path``: those in the tree, then those
+        whose create is still deferred (§3.3).
 
         Full-path keys place a directory's subtree contiguously, with
         each child's own subtree immediately after the child.  The scan
@@ -245,7 +240,8 @@ class BetrFSNorthbound(FileSystemBackend):
         cursor = lo
         volume = self.map.owner_of_children(path)
         self.loads[volume] += 1
-        tree = self.env.trees[self.pairs[volume][0]]
+        meta = self.pairs[volume][0]
+        tree = self.env.trees[meta]
         # getdents-style chunked cursor: scan runs of direct children
         # in one range query, and skip a child's whole subtree with a
         # single seek when the scan enters it.
@@ -275,6 +271,10 @@ class BetrFSNorthbound(FileSystemBackend):
                 if len(rows) < CHUNK:
                     break
                 cursor = rows[-1][0] + b"\x00"
+        for key, value in self.env.deferred_in(meta, lo, hi):
+            name = key[len(prefix) :].decode("utf-8")
+            if name and "/" not in name:
+                out.append((name, Stat.unpack(value)))
         return out
 
     # ------------------------------------------------------------------

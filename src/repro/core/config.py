@@ -41,8 +41,6 @@ class BeTreeConfig:
     # ------------------------------------------------------------------
     #: Seconds of simulated time between checkpoints (paper: 60 s).
     checkpoint_period: float = 60.0
-    #: WAL section size used for conditional-logging pinning (§3.3).
-    log_section: int = 1 * MIB
 
     # ------------------------------------------------------------------
     # Feature flags (paper optimizations)
@@ -82,5 +80,4 @@ class BeTreeConfig:
             basement_size=basement,
             buffer_size=max(48 * KIB, int(self.buffer_size * factor)),
             cache_bytes=max(512 * KIB, int(self.cache_bytes * factor)),
-            log_section=max(64 * KIB, int(self.log_section * factor)),
         )

@@ -18,6 +18,10 @@ Durability model
 
 * Every mutating operation is appended to the WAL before entering the
   tree.  ``sync`` flushes the WAL with a barrier.
+* A deferred insert (``defer``, §3.3 conditional logging) is logged
+  now and enters its tree at the next checkpoint, unless a later logged
+  op on its key comes first: every record up to a checkpoint's LSN is
+  in the trees, which is all recovery assumes.
 * Full data-page values are *elided* from the log when
   ``log_page_values`` is False (the v0.6 log engine, see
   ``repro/core/wal.py``); a ``sync`` while elided pages are volatile
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import zlib
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import NodeCache
 from repro.core.checkpoint import BlockManager, Superblock, read_superblock
@@ -145,9 +149,12 @@ class KVEnv:
         for volume in self.storages:
             volume.create("meta.db", meta_size)
             volume.create("data.db", data_size)
-        self.wal = WriteAheadLog(
-            storage, costs, config.log_section, on_full=self._on_log_full, obs=obs
-        )
+        self.wal = WriteAheadLog(storage, costs, on_full=self._on_log_full, obs=obs)
+        #: Per tree id: key -> value of each logged insert not yet in
+        #: the tree (``defer``).
+        self._deferred: List[Dict[bytes, Value]] = [
+            {} for _ in range(len(TREE_FILES) * len(self.storages))
+        ]
         self._sb_generation = 0
         self.last_checkpoint = clock.now
         self._elided_volatile = False
@@ -216,6 +223,7 @@ class KVEnv:
         by_ref: bool = False,
         log: bool = True,
     ) -> None:
+        self._forget(OP_INSERT, tree_id, key)
         if log:
             raw_len = value_len(value)
             is_page = raw_len >= PAGE_VALUE_THRESHOLD
@@ -245,6 +253,7 @@ class KVEnv:
         self._post_op()
 
     def delete(self, tree_id: int, key: bytes, log: bool = True) -> None:
+        self._forget(OP_DELETE, tree_id, key)
         if log:
             self.wal.append(OP_DELETE, tree_id, key)
         self.trees[tree_id].delete(key)
@@ -263,6 +272,7 @@ class KVEnv:
     ) -> None:
         if start >= end:
             return
+        self._forget(OP_RANGE_DELETE, tree_id, start, end)
         if log:
             self.wal.append(OP_RANGE_DELETE, tree_id, start, end)
         self.trees[tree_id].range_delete(start, end)
@@ -279,8 +289,51 @@ class KVEnv:
             encode_batch([(op, t, k, value_bytes(v), aux) for op, t, k, v, aux in ops]),
         )
         for op in ops:
+            self._forget(*op)
             self._apply(*op)
         self._post_op()
+
+    # ------------------------------------------------------------------
+    # Deferred inserts (conditional logging, §3.3)
+    # ------------------------------------------------------------------
+    def defer(self, tree_id: int, key: bytes, value: bytes) -> None:
+        """Log an insert of ``key`` now; it enters the tree at the next
+        checkpoint, unless a later logged op on ``key`` comes first."""
+        self.wal.append(OP_INSERT, tree_id, key, value)
+        self._deferred[tree_id][key] = value
+
+    @property
+    def deferred_count(self) -> int:
+        """Deferred inserts not yet in their tree, over every tree."""
+        return sum(map(len, self._deferred))
+
+    def deferred_in(self, tree_id: int, lo: bytes, hi: bytes) -> List[Tuple[bytes, Value]]:
+        """The deferred inserts on ``tree_id`` with keys in ``[lo, hi)``."""
+        return [(k, v) for k, v in self._deferred[tree_id].items() if lo <= k < hi]
+
+    def _forget(
+        self, op: int, tree_id: int, key: bytes, value: Value = b"", _aux: int = 0
+    ) -> None:
+        """A logged ``op`` supersedes the deferred inserts it covers: an
+        insert or delete of their key, a range delete or a move over it
+        (which first puts them in the tree, to carry them as replay would)."""
+        deferred = self._deferred[tree_id]
+        if op == OP_INSERT or op == OP_DELETE:
+            deferred.pop(key, None)
+        elif deferred:
+            lo, hi = (key, value) if op == OP_RANGE_DELETE else prefix_range(key)
+            for k, v in self.deferred_in(tree_id, lo, hi):
+                del deferred[k]
+                if op == OP_MOVE:
+                    self._apply(OP_INSERT, tree_id, k, v, 0)
+
+    def _fold_deferred(self) -> None:
+        """Put every deferred insert in its tree, as logged: the log that
+        holds its record is about to stop being replayed."""
+        for tree_id, deferred in enumerate(self._deferred):
+            for key, value in deferred.items():
+                self._apply(OP_INSERT, tree_id, key, value, 0)
+            deferred.clear()
 
     # ------------------------------------------------------------------
     # Reads
@@ -315,6 +368,7 @@ class KVEnv:
         """Write a consistent CoW checkpoint and truncate the log."""
         self.checkpoints += 1
         self.wal.flush(durable=False)
+        self._fold_deferred()
         self._flush_trees()
         lsn = self.wal.next_lsn - 1
         self._write_superblock(lsn, clean=False)
@@ -353,6 +407,7 @@ class KVEnv:
     def close(self) -> None:
         """Clean shutdown: checkpoint and mark the superblock clean."""
         self.wal.flush(durable=True)
+        self._fold_deferred()
         self._flush_trees()
         self._write_superblock(self.wal.next_lsn - 1, clean=True)
         self._reclaim_extents()

@@ -29,18 +29,13 @@ names a source tree and key prefix and a destination tree (``aux``)
 and prefix (``value``), never the bytes it moves.  A record is at most
 the log region's size; ``append`` refuses a larger one before it takes
 an LSN, and no flush writes past the region.
-
-Conditional logging (§3.3) support: the log is divided into fixed
-sections; a dirty inode that exists *only* in the log takes a
-reference on its section, delaying that section's reuse until the
-inode is written into the tree.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.model.costs import CostModel
 from repro.storage.filelayer import Southbound
@@ -166,14 +161,12 @@ class WriteAheadLog:
         self,
         storage: Southbound,
         costs: CostModel,
-        section_size: int,
         on_full: Optional[Callable[[], None]] = None,
         obs=None,
     ) -> None:
         self.storage = storage
         self.costs = costs
         self.clock = storage.clock
-        self.section_size = section_size
         if obs is not None:
             obs.register_object("log.wal", self, layer="log")
             obs.instrument(self, self.SPANS)
@@ -193,8 +186,6 @@ class WriteAheadLog:
         self.flushed_lsn = 0
         #: LSN up to which a checkpoint has made the log replayable-from.
         self.checkpoint_lsn = 0
-        #: Conditional-logging pins: section index -> refcount.
-        self._section_pins: Dict[int, int] = {}
         self.entries_appended = 0
         self.bytes_flushed = 0
         self.flushes = 0
@@ -232,23 +223,6 @@ class WriteAheadLog:
         self.clock.cpu(self.costs.checksum(len(payload)))
         return lsn
 
-    def section_of(self, offset: int) -> int:
-        return offset // self.section_size
-
-    def current_section(self) -> int:
-        """Section the next flushed byte will land in (for pinning)."""
-        return self.section_of((self.head + self._buffer_bytes) % self.region_size)
-
-    def pin_section(self, section: int) -> None:
-        self._section_pins[section] = self._section_pins.get(section, 0) + 1
-
-    def unpin_section(self, section: int) -> None:
-        count = self._section_pins.get(section, 0) - 1
-        if count <= 0:
-            self._section_pins.pop(section, None)
-        else:
-            self._section_pins[section] = count
-
     def _space_ahead(self) -> int:
         """Free bytes between head and tail in the circular region."""
         if self.head >= self.tail:
@@ -283,17 +257,11 @@ class WriteAheadLog:
     def truncate(self, lsn: int, new_tail_offset: int) -> None:
         """A checkpoint at ``lsn`` no longer needs the log before it.
 
-        Pinned sections (conditional logging) hold the tail back.  The
-        released region is TRIMmed: the log is circular, so telling the
-        device the tail moved is what keeps an FTL from relocating dead
-        log pages during garbage collection.
+        The released region is TRIMmed: the log is circular, so telling
+        the device the tail moved is what keeps an FTL from relocating
+        dead log pages during garbage collection.
         """
         self.checkpoint_lsn = lsn
-        if self._section_pins:
-            oldest_pinned = min(self._section_pins) * self.section_size
-            # Only advance the tail up to the oldest pinned section.
-            if self._between(self.tail, oldest_pinned, new_tail_offset):
-                new_tail_offset = oldest_pinned
         old_tail = self.tail
         self.tail = new_tail_offset
         if new_tail_offset >= old_tail:
@@ -306,13 +274,6 @@ class WriteAheadLog:
         for off, ln in spans:
             if ln > 0:
                 self.storage.discard("log", off, ln)
-
-    def _between(self, tail: int, x: int, head: int) -> bool:
-        """True if circular position x lies in [tail, head] — i.e. the
-        tail may not advance past x without releasing it."""
-        if tail <= head:
-            return tail <= x <= head
-        return x >= tail or x <= head
 
     # ------------------------------------------------------------------
     # Recovery

@@ -26,7 +26,8 @@ Pieces:
   two-volume :class:`~repro.shard.mount.ShardedBetrFS`);
 * :mod:`repro.crashmc.shrink` — 1-minimal reduction of failing plans
   and JSON repro files (``python -m repro.crashmc.shrink repro.json``
-  replays one).
+  replays one; the package does not import it, so ``-m`` runs it
+  fresh).
 
 Entry point: ``python -m repro.harness torture --seed N --budget M``.
 """
@@ -35,13 +36,6 @@ from repro.crashmc.explore import CrashExplorer, TortureSummary, run_case
 from repro.crashmc.oracle import Op, Oracle
 from repro.crashmc.plan import CrashPlan
 from repro.crashmc.schedule import enumerate_plans, media_plans
-from repro.crashmc.shrink import (
-    load_repro,
-    replay_repro,
-    repro_dict,
-    save_repro,
-    shrink_plan,
-)
 from repro.crashmc.workload import WORKLOADS
 
 __all__ = [
@@ -52,11 +46,6 @@ __all__ = [
     "TortureSummary",
     "WORKLOADS",
     "enumerate_plans",
-    "load_repro",
     "media_plans",
-    "replay_repro",
-    "repro_dict",
     "run_case",
-    "save_repro",
-    "shrink_plan",
 ]

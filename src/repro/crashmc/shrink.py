@@ -141,7 +141,8 @@ def replay_repro(repro: Dict[str, Any]):
 
 
 def main(argv: Optional[list] = None) -> int:
-    """``python -m repro.crashmc.shrink repro.json`` — replay a repro."""
+    """``python -m repro.crashmc.shrink repro.json`` — replay a repro;
+    exit 1 if it is a crash-consistency violation, as ``torture`` does."""
     import argparse
 
     parser = argparse.ArgumentParser(description="replay a crashmc repro file")
@@ -154,7 +155,7 @@ def main(argv: Optional[list] = None) -> int:
         f"{result.status}"
         + (f" ({result.stage}: {result.detail})" if result.stage else "")
     )
-    return 0 if result.status == "violation" else 1
+    return 1 if result.status == "violation" else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

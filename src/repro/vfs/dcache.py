@@ -38,6 +38,11 @@ class DentryCache:
         self.misses += 1
         return None
 
+    def peek(self, path: str) -> Optional[VInode]:
+        """The cached inode at ``path``, if any, leaving the LRU order
+        and the hit counters as they are."""
+        return self._entries.get(path)
+
     def contains(self, path: str) -> bool:
         return path in self._entries
 
@@ -65,11 +70,17 @@ class DentryCache:
         return [e for e in self._entries.values() if e is not None and e.dirty]
 
     def _evict(self) -> None:
-        while len(self._entries) > self.capacity:
-            path, entry = self._entries.popitem(last=False)
-            if entry is not None and entry.dirty:
-                # Never silently drop a dirty inode; re-insert at MRU.
+        """Drop LRU clean entries down to capacity.  A dirty inode is
+        never dropped but moves to MRU, so the cache exceeds its
+        capacity by as many dirty inodes as it finds no clean entry for."""
+        for _ in range(len(self._entries) - self.capacity):
+            for _ in range(len(self._entries)):
+                path, entry = self._entries.popitem(last=False)
+                if entry is None or not entry.dirty:
+                    break
                 self._entries[path] = entry
+            else:
+                return
 
     def clear_clean(self) -> None:
         """Drop clean entries (cold-cache experiments)."""

@@ -86,9 +86,6 @@ class VInode:
     dirty: bool = False
     #: Simulated time the inode was first dirtied (30 s write-back).
     dirtied_at: float = 0.0
-    #: Conditional logging (§3.3): the WAL section that must survive
-    #: until this inode reaches the B-epsilon-tree.
-    pinned_log_section: Optional[int] = None
     #: §4: a delete message has already been issued for this inode
     #: (suppresses the redundant evict_inode message).
     delete_issued: bool = False

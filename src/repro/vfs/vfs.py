@@ -56,13 +56,14 @@ class FileSystemBackend:
         """Blind sub-page write (only if supports_blind_patch)."""
         raise NotImplementedError
 
-    def create(self, path: str, stat: Stat) -> Optional[int]:
-        """Create an object.  Returns a pinned WAL section id when the
-        backend defers the insert (conditional logging, §3.3)."""
+    def create(self, path: str, stat: Stat) -> bool:
+        """Create an object.  Returns True when the inode stays dirty
+        until write-back: the backend logged the create but defers its
+        index insert (conditional logging, §3.3)."""
         raise NotImplementedError
 
-    def set_stat(self, path: str, stat: Stat, pinned_section: Optional[int]) -> None:
-        """Write back a dirty inode (releases any conditional-logging pin)."""
+    def set_stat(self, path: str, stat: Stat) -> None:
+        """Write back a dirty inode."""
         raise NotImplementedError
 
     def unlink(self, path: str, stat: Stat, delete_issued: bool) -> None:
@@ -232,12 +233,10 @@ class VFS:
             mtime=self.clock.now,
             ctime=self.clock.now,
         )
-        pinned = self.backend.create(path, stat)
         inode = VInode(path, stat)
-        if pinned is not None:
+        if self.backend.create(path, stat):
             inode.dirty = True
             inode.dirtied_at = self.clock.now
-            inode.pinned_log_section = pinned
         self.dcache.invalidate(path)  # drop the negative entry
         self.dcache.insert(inode)
         self._bump_children(self._parent_of(path), +1)
@@ -257,13 +256,11 @@ class VFS:
             mtime=self.clock.now,
             ctime=self.clock.now,
         )
-        pinned = self.backend.create(path, stat)
         inode = VInode(path, stat)
         inode.children_count = 0
-        if pinned is not None:
+        if self.backend.create(path, stat):
             inode.dirty = True
             inode.dirtied_at = self.clock.now
-            inode.pinned_log_section = pinned
         self.dcache.invalidate(path)
         self.dcache.insert(inode)
         self._bump_children(self._parent_of(path), +1)
@@ -334,11 +331,8 @@ class VFS:
             if dirty.dirty and (
                 dirty.path == src or dirty.path.startswith(src_prefix)
             ):
-                self.backend.set_stat(
-                    dirty.path, dirty.stat, dirty.pinned_log_section
-                )
+                self.backend.set_stat(dirty.path, dirty.stat)
                 dirty.dirty = False
-                dirty.pinned_log_section = None
         if is_dir and any(
             page.dirty and p.startswith(src_prefix) for (p, _i), page in self.pages
         ):
@@ -377,12 +371,10 @@ class VFS:
             ctime=self.clock.now,
             symlink_target=target,
         )
-        pinned = self.backend.create(path, stat)
         inode = VInode(path, stat)
-        if pinned is not None:
+        if self.backend.create(path, stat):
             inode.dirty = True
             inode.dirtied_at = self.clock.now
-            inode.pinned_log_section = pinned
         self.dcache.invalidate(path)
         self.dcache.insert(inode)
         self._bump_children(self._parent_of(path), +1)
@@ -426,30 +418,21 @@ class VFS:
         dir_inode = self._require_dir(path)
         entries = self.backend.readdir(path)
         self.clock.cpu(self.costs.dcache_hit * len(entries))
-        # Merge in children whose creation is still deferred in the log
-        # (conditional logging, §3.3): their dentries live only in the
-        # VFS until inode write-back.
-        listed = {name for name, _ in entries}
-        prefix_cl = path if path.endswith("/") else path + "/"
-        for inode in self.dcache.dirty_inodes():
-            if inode.pinned_log_section is None:
-                continue
-            if not inode.path.startswith(prefix_cl):
-                continue
-            name = inode.path[len(prefix_cl) :]
-            if "/" not in name and name not in listed:
-                entries.append((name, inode.stat))
-                listed.add(name)
         entries.sort(key=lambda e: e[0])
-        if self.backend.readdir_fills_caches:
-            # §4 +DC: opportunistically instantiate child inodes from
-            # the same range query that produced the listing.
-            prefix = path if path.endswith("/") else path + "/"
-            for name, stat in entries:
-                child_path = prefix + name
-                if not self.dcache.contains(child_path):
-                    self.clock.cpu(self.costs.inode_instantiate)
-                    self.dcache.insert(VInode(child_path, stat))
+        prefix = path if path.endswith("/") else path + "/"
+        for i, (name, stat) in enumerate(entries):
+            child_path = prefix + name
+            cached = self.dcache.peek(child_path)
+            if cached is not None:
+                if cached.dirty:
+                    # Newer than the backend's (a deferred create's
+                    # stat is the one it was logged with).
+                    entries[i] = (name, cached.stat)
+            elif self.backend.readdir_fills_caches and not self.dcache.contains(child_path):
+                # §4 +DC: opportunistically instantiate child inodes
+                # from the same range query that produced the listing.
+                self.clock.cpu(self.costs.inode_instantiate)
+                self.dcache.insert(VInode(child_path, stat))
         dir_inode.children_count = len(entries)
         return entries
 
@@ -618,9 +601,8 @@ class VFS:
                 self.clock.now - inode.dirtied_at < INODE_DIRTY_EXPIRE
             ):
                 continue
-            self.backend.set_stat(inode.path, inode.stat, inode.pinned_log_section)
+            self.backend.set_stat(inode.path, inode.stat)
             inode.dirty = False
-            inode.pinned_log_section = None
             count += 1
         return count
 
@@ -631,9 +613,8 @@ class VFS:
             self.block_signal.note("fsync")
         self.writeback(path=path)
         if inode.dirty:
-            self.backend.set_stat(path, inode.stat, inode.pinned_log_section)
+            self.backend.set_stat(path, inode.stat)
             inode.dirty = False
-            inode.pinned_log_section = None
         self.backend.fsync(path)
 
     def sync(self) -> None:

@@ -1,6 +1,7 @@
 """Tests for the node cache, page cache and dentry cache."""
 
 import random
+import signal
 from collections import OrderedDict
 
 import pytest
@@ -366,6 +367,28 @@ class TestDentryCache:
         for i in range(10):
             dc.insert(VInode(f"/clean{i}", Stat()))
         assert dc.contains("/dirty")
+
+    def test_a_cache_of_dirty_inodes_grows_past_its_capacity(self):
+        """With no clean entry to drop, an insert keeps every dirty
+        inode and returns (bounded by an alarm: it must not spin)."""
+
+        def expired(signum, frame):
+            raise TimeoutError("DentryCache.insert did not return")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(5)
+        try:
+            dc = DentryCache(capacity=2)
+            for name in ("/a", "/b", "/c"):
+                dc.insert(VInode(name, Stat(), dirty=True))
+            dc.insert(VInode("/clean", Stat()))
+            dc.insert_negative("/missing")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [e.path for e in dc.dirty_inodes()] == ["/a", "/b", "/c"]
+        # Every slot is dirty: a clean or negative entry goes at once.
+        assert not dc.contains("/clean") and not dc.contains("/missing")
 
     def test_clear_clean_keeps_dirty(self):
         dc = DentryCache()

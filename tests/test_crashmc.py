@@ -4,6 +4,8 @@ crash-state exploration engine."""
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -14,13 +16,8 @@ from repro.crashmc import (
     Op,
     Oracle,
     enumerate_plans,
-    load_repro,
     media_plans,
-    replay_repro,
-    repro_dict,
     run_case,
-    save_repro,
-    shrink_plan,
 )
 from repro.crashmc.explore import (
     CLEAN,
@@ -30,6 +27,13 @@ from repro.crashmc.explore import (
     _Stack,
 )
 from repro.crashmc.oracle import KINDS
+from repro.crashmc.shrink import (
+    load_repro,
+    replay_repro,
+    repro_dict,
+    save_repro,
+    shrink_plan,
+)
 from repro.crashmc.workload import WORKLOADS
 from repro.betrfs import make_betrfs
 from repro.betrfs.filesystem import MountOptions
@@ -456,6 +460,20 @@ class TestReproFiles:
         repro = load_repro(os.path.join(FIXTURES, "xshard_rename_op128.json"))
         result = replay_repro(repro)
         assert result.status == CLEAN, (result.stage, result.detail)
+
+    def test_the_documented_replay_command_runs_clean(self):
+        """``python -m repro.crashmc.shrink REPRO.json`` replays with no
+        warning: the package does not import the module ``-m`` runs."""
+        path = os.path.join(FIXTURES, "xshard_rename_op128.json")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.crashmc.shrink", path],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[xshard_rename seed=0 op=128] clean\n"
+        assert done.stderr == ""
 
     def test_load_rejects_unknown_version(self, tmp_path):
         path = str(tmp_path / "repro.json")

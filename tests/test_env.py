@@ -5,6 +5,7 @@ import pytest
 from repro.core.checkpoint import SLOT_HEAD
 from repro.core.env import DATA, META
 from repro.core.messages import PageFrame, value_bytes
+from repro.core.wal import OP_DELETE, OP_MOVE
 from repro.device.block import BlockDevice
 from repro.device.clock import SimClock
 from repro.model.profiles import COMMODITY_SSD
@@ -153,6 +154,49 @@ class TestElidedValueLogging:
         before = env.checkpoints
         env.sync()
         assert env.checkpoints == before  # no escalation for small values
+
+
+class TestDeferredInserts:
+    """``defer`` logs an insert now; a checkpoint puts it in the tree
+    unless a later logged op on its key came first."""
+
+    def test_a_checkpoint_folds_what_no_later_op_superseded(self):
+        env, device = make_env()
+        for key in (b"kept", b"inserted", b"deleted", b"r-ranged", b"batched", b"m/x"):
+            env.defer(META, key, b"deferred")
+        env.insert(META, b"inserted", b"newer")
+        env.delete(META, b"deleted")
+        env.range_delete(META, b"r", b"s")
+        env.apply_batch([
+            (OP_DELETE, META, b"batched", b"", 0),
+            (OP_MOVE, META, b"m/", b"n/", META),
+        ])
+        assert env.deferred_in(META, b"", b"z") == [(b"kept", b"deferred")]
+        assert env.get(META, b"kept") is None
+        env.checkpoint()
+        assert env.deferred_count == 0
+        env.insert(META, b"after", b"logged")
+        env.sync()
+        for state in (env, reopen(device)):
+            assert state.get(META, b"kept") == b"deferred"
+            assert state.get(META, b"inserted") == b"newer"
+            # The move carries a deferred insert, as replay would.
+            assert state.get(META, b"n/x") == b"deferred"
+            for gone in (b"deleted", b"r-ranged", b"batched", b"m/x"):
+                assert state.get(META, gone) is None, gone
+
+    def test_replay_matches_the_live_state_without_a_checkpoint(self):
+        env, device = make_env()
+        env.defer(META, b"m/x", b"deferred")
+        env.defer(META, b"gone", b"deferred")
+        env.apply_batch([(OP_MOVE, META, b"m/", b"n/", META)])
+        env.range_delete(META, b"gone", b"gonf")
+        env.sync()
+        state = reopen(device)
+        assert state.recovered_entries == 4
+        assert state.get(META, b"n/x") == env.get(META, b"n/x") == b"deferred"
+        assert state.get(META, b"gone") is None
+        assert env.deferred_count == 0
 
 
 class TestHousekeeping:

@@ -38,7 +38,8 @@ def build(spec, **opts):
     name, shards = spec
     # Recovery reads each volume's whole log region: keep it small.
     opts.setdefault("log_size", 4 * MIB)
-    options = MountOptions(scale=1 / 32, **opts)
+    opts.setdefault("scale", 1 / 32)
+    options = MountOptions(**opts)
     if shards:
         return make_sharded_betrfs(name, options, shards=shards)
     return make_betrfs(name, options)
@@ -484,13 +485,6 @@ def test_a_rename_onto_an_existing_name_keeps_the_destination():
     assert mount.crash().vfs.exists("/dst")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP 2(b): a checkpoint passes the log record of a "
-    "conditionally logged create that is not in the tree yet, and "
-    "recovery replays only past the checkpoint",
-)
 def test_a_checkpoint_keeps_a_create_the_log_made_durable():
     """``fsync`` of a file makes the log durable, its directory's
     deferred (conditionally logged, §3.3) create included; a checkpoint
@@ -506,6 +500,103 @@ def test_a_checkpoint_keeps_a_create_the_log_made_durable():
     rv = mount.crash().vfs
     assert rv.exists("/a/f")
     assert rv.exists("/a")
+
+
+# ----------------------------------------------------------------------
+# Conditional logging (§3.3): a checkpoint folds deferred creates into
+# the tree, so every record before the checkpoint LSN is in a tree
+# ----------------------------------------------------------------------
+SHARDINGS = [pytest.param(0, id="plain"), pytest.param(2, id="shards2")]
+
+
+@pytest.mark.parametrize("shards", SHARDINGS)
+def test_a_periodic_checkpoint_keeps_a_create_the_log_made_durable(shards):
+    """The checkpoint above, landed by the 60 s timer (``last_checkpoint``
+    offset so that the next operation's housekeeping fires it) at a
+    lookup that writes no inode back."""
+    mount = build(("BetrFS v0.6", shards))
+    v = mount.vfs
+    v.mkdir("/a")
+    v.create("/a/f")
+    v.write("/a/f", 0, FSYNCED)
+    v.fsync("/a/f")
+    env = mount.backend.env
+    checkpoints = env.checkpoints
+    env.last_checkpoint = env.clock.now - env.config.checkpoint_period
+    assert not v.exists("/a/g")
+    assert env.checkpoints == checkpoints + 1
+    assert v.dcache.peek("/a").dirty
+    rv = mount.crash().vfs
+    assert rv.readdir("/") == ["a"] and rv.readdir("/a") == ["f"]
+    assert rv.read("/a/f", 0, len(FSYNCED) + 1) == FSYNCED
+
+
+@pytest.mark.parametrize("shards", SHARDINGS)
+def test_rmdir_refuses_a_directory_whose_child_is_deferred(shards):
+    """A recovered directory's child count is unknown, so rmdir asks
+    the backend, which must count a create not yet in the tree."""
+    mount = build(("BetrFS v0.6", shards))
+    mount.vfs.mkdir("/d")
+    mount.vfs.sync()
+    recovered = mount.crash()
+    v = recovered.vfs
+    v.create("/d/f")
+    with pytest.raises(FSError, match="ENOTEMPTY"):
+        v.rmdir("/d")
+    v.sync()
+    assert recovered.crash().vfs.readdir("/d") == ["f"]
+
+
+@pytest.mark.parametrize("shards", SHARDINGS)
+def test_an_unlinked_deferred_create_holds_no_log(shards):
+    """Creates unlinked before their inodes are written back leave
+    nothing deferred, and the next checkpoint releases the whole log."""
+    mount = build(("BetrFS v0.6", shards), scale=1 / 16)
+    v = mount.vfs
+    v.mkdir("/d")
+    for i in range(50):
+        v.create(f"/d/f{i:02d}")
+        v.write(f"/d/f{i:02d}", 0, b"x" * 100)
+        v.unlink(f"/d/f{i:02d}")
+    v.sync()
+    env = mount.backend.env
+    env.checkpoint()
+    assert env.deferred_count == 0
+    assert env.wal.head > 0 and env.wal.tail == env.wal.head
+    rv = mount.crash().vfs
+    assert rv.readdir("/") == ["d"] and rv.readdir("/d") == []
+
+
+@pytest.mark.parametrize("shards", SHARDINGS)
+def test_a_create_the_log_wrapped_past_survives(shards):
+    """A create made durable by a later fsync, then 3,000 fsynced
+    creates that wrap a 1 MiB log many times over while its inode stays
+    deferred: a crash keeps it beside the later create it was logged
+    before."""
+    mount = build(("BetrFS v0.6", shards), scale=1 / 16, log_size=1 * MIB)
+    v = mount.vfs
+    env = mount.backend.env
+    v.mkdir("/d")
+    v.sync()
+
+    def rounds(start, count):
+        for i in range(start, start + count):
+            v.create(f"/d/n{i:04d}")
+            v.write(f"/d/n{i:04d}", 0, b"y" * 300)
+            v.fsync(f"/d/n{i:04d}")
+
+    rounds(0, 300)
+    v.create("/d/kept")
+    v.create("/d/x")
+    v.fsync("/d/x")
+    checkpoints = env.checkpoints
+    rounds(300, 3000)
+    assert env.checkpoints >= checkpoints + 10
+    assert v.dcache.peek("/d/kept").dirty
+    rv = mount.crash().vfs
+    assert rv.exists("/d/x")
+    assert rv.exists("/d/kept")
+    assert len(rv.readdir("/d")) == 3302
 
 
 @pytest.mark.parametrize("shards", [pytest.param(3, id="hash")])

@@ -257,7 +257,7 @@ class TestShardedMount:
             vfs.create(f"{dirs[i % 8]}/f{i}")
         assert len({sm.owner_of_children(d) for d in dirs}) > 1
         gauge = fs.obs.registry.find("northbound.deferred_creates", layer="northbound")
-        assert fs.backend.deferred_creates == gauge.value == 16
+        assert fs.env.deferred_count == gauge.value == 16
 
     def test_rmdir_range_deletes_land_where_the_children_live(self):
         """§4's directory-wide range deletes exist to meet the stale

@@ -812,10 +812,10 @@ class TestDirtyInodes:
         before = fs.env.meta.stats.inserts
         v.create("/deferred")
         assert fs.env.meta.stats.inserts == before  # not in the tree yet
-        assert fs.backend.deferred_creates == 1
+        assert fs.env.deferred_count == 1
         assert v.exists("/deferred")  # served from the dirty inode
         v.sync()
-        assert fs.backend.deferred_creates == 0
+        assert fs.env.deferred_count == 0
         assert fs.env.meta.stats.inserts > before
 
     def test_deferred_create_survives_crash_after_sync(self, fs, v):
@@ -834,7 +834,7 @@ class TestDirtyInodes:
         v.create("/sibling")
         v.write("/a", 0, b"x" * 5000)
         a, sibling = v.dcache.get("/a"), v.dcache.get("/sibling")
-        assert a.dirty and sibling.dirty
+        assert a.dirty and sibling.dirty and fs.env.deferred_count == 2
         written = []
         set_stat = fs.backend.set_stat
         monkeypatch.setattr(
@@ -845,8 +845,8 @@ class TestDirtyInodes:
         monkeypatch.delattr(type(v.dcache), "dirty_inodes")
         v.rename("/a", "/b")
         assert written == ["/a"]
-        assert not a.dirty and a.pinned_log_section is None
-        assert sibling.dirty and sibling.pinned_log_section is not None
+        assert not a.dirty
+        assert sibling.dirty and fs.env.deferred_count == 1
         v.fsync("/b")
         v2 = reboot(fs).vfs
         assert v2.stat("/b").size == 5000

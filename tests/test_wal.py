@@ -36,12 +36,12 @@ from tests.conftest import LAYOUT, make_env, reopen
 MIB = 1 << 20
 
 
-def make_wal(log_size=4 * MIB, section=1 * MIB):
+def make_wal(log_size=4 * MIB):
     clock = SimClock()
     device = BlockDevice(clock, NULL_DEVICE)
     costs = CostModel()
     storage = SimpleFileLayer(device, costs, log_size=log_size, meta_size=16 * MIB)
-    return WriteAheadLog(storage, costs, section), storage, device
+    return WriteAheadLog(storage, costs), storage, device
 
 
 def whole_image_scan(raw, start_offset, min_lsn):
@@ -150,7 +150,7 @@ class TestAppendFlushScan:
         assert 0 < len(survivors) < 6
 
     def test_wraparound_scan(self):
-        wal, storage, _ = make_wal(log_size=64 * 1024, section=16 * 1024)
+        wal, storage, _ = make_wal(log_size=64 * 1024)
         checkpoints = []
         wal.on_full = lambda: checkpoints.append(True)
         big = b"x" * 1000
@@ -169,7 +169,7 @@ class TestAppendFlushScan:
 
     def test_entries_straddling_wrap_are_recovered(self):
         size = 64 * 1024
-        wal, storage, _ = make_wal(log_size=size, section=16 * 1024)
+        wal, storage, _ = make_wal(log_size=size)
         # Position the head near the end, then write entries across it.
         wal.head = size - 700
         wal.tail = wal.head
@@ -187,7 +187,7 @@ class TestAppendFlushScan:
         keeps every whole entry and ends where the torn one begins —
         also when the torn entry straddles the wrap point."""
         size = 64 * 1024
-        wal, storage, _ = make_wal(log_size=size, section=16 * 1024)
+        wal, storage, _ = make_wal(log_size=size)
         wal.head = wal.tail = head
         for i in range(4):
             wal.append(OP_INSERT, 0, b"k%d" % i, b"v" * 150)
@@ -224,7 +224,7 @@ class TestBatch:
         """A batch is one entry — one LSN, one CRC: the scan returns it
         whole, and a tear anywhere inside it drops all of it."""
         size = 64 * 1024
-        wal, storage, _ = make_wal(log_size=size, section=16 * 1024)
+        wal, storage, _ = make_wal(log_size=size)
         wal.append(OP_INSERT, 0, b"before", b"v")
         wal.flush(durable=False)
         whole = wal.head
@@ -271,7 +271,7 @@ class TestBatch:
         assert [recovered.range_query(t, *everything) for t in (META, DATA)] == live
 
     def test_a_record_larger_than_the_region_is_refused(self):
-        wal, _, _ = make_wal(log_size=64 * 1024, section=16 * 1024)
+        wal, _, _ = make_wal(log_size=64 * 1024)
         with pytest.raises(LogRecordTooLarge, match="does not fit"):
             wal.append(OP_BATCH, 0, b"", b"v" * 64 * 1024)
         assert (wal.next_lsn, wal.entries_appended, wal._buffer_bytes) == (1, 0, 0)
@@ -281,7 +281,7 @@ class TestBatch:
         append flushes what is buffered first, so no flush is larger
         than the region (one used to write past its end)."""
         size = 64 * 1024
-        wal, storage, _ = make_wal(log_size=size, section=16 * 1024)
+        wal, storage, _ = make_wal(log_size=size)
         wal.on_full = lambda: wal.truncate(wal.next_lsn - 1, wal.head)
         for i in range(4):
             wal.append(OP_INSERT, 0, b"k%d" % i, b"v" * 40_000)
@@ -314,24 +314,26 @@ class TestRecoveryReadsTheTail:
         assert recovered.get(META, b"key049") == b"v" * 100
 
 
-class TestSectionsAndPinning:
-    def test_pin_blocks_tail_advance(self):
-        wal, _, _ = make_wal(log_size=4 * MIB, section=64 * 1024)
-        wal.append(OP_INSERT, 0, b"a", b"v")
-        section = wal.current_section()
-        wal.pin_section(section)
-        wal.flush(durable=False)
-        head_after = wal.head
-        wal.truncate(wal.next_lsn - 1, head_after)
-        # The pinned section holds the tail at (or before) its start.
-        assert wal.tail <= section * wal.section_size
-        wal.unpin_section(section)
-        wal.truncate(wal.next_lsn - 1, head_after)
-        assert wal.tail == head_after
+class TestTail:
+    def test_a_checkpoint_moves_the_tail_to_its_head(self):
+        """A deferred insert does not hold the log back: the checkpoint
+        puts it in the tree, then releases the whole log before it."""
+        env, device = make_env()
+        env.defer(META, b"deferred", b"v" * 100)
+        for i in range(20):
+            env.insert(META, b"key%02d" % i, b"w" * 100)
+        assert env.wal.head == 0 and env.deferred_count == 1
+        env.checkpoint()
+        assert env.wal.head > 0
+        assert env.wal.tail == env.wal.head
+        assert env.wal.checkpoint_lsn == env.wal.next_lsn - 1 == 21
+        assert env.deferred_count == 0
+        assert env.get(META, b"deferred") == b"v" * 100
+        assert reopen(device).get(META, b"deferred") == b"v" * 100
 
     def test_on_full_invoked(self):
         calls = []
-        wal, _, _ = make_wal(log_size=32 * 1024, section=8 * 1024)
+        wal, _, _ = make_wal(log_size=32 * 1024)
         wal.on_full = lambda: calls.append(1) or wal.truncate(
             wal.next_lsn - 1, wal.head
         )
