@@ -306,16 +306,30 @@ class VFS:
         self._charge_syscall(src)
         self._charge_syscall(dst)
         inode = self._require(src)
-        if src == dst or dst.startswith(src + "/"):
-            # Renaming a file onto itself would unlink the destination
-            # (== the source) before the backend rename, destroying it;
-            # a directory cannot become its own descendant.
+        if dst.startswith(src + "/"):
+            # A directory cannot become its own descendant.
             raise FSError(errno.EINVAL, src)
+        if src == dst:
+            return  # POSIX: renaming a name onto itself does nothing
+        dst_dir = self._parent_of(dst)
+        if dst_dir != self._parent_of(src):
+            # Another directory than the one holding src: the dentry the
+            # rename bumps below, or, when none is cached, a lookup (the
+            # path walk of a cold directory).
+            parent = self.dcache.peek(dst_dir)
+            if parent is None:
+                parent = self._require(dst_dir)
+            if parent.stat.kind is not FileKind.DIR:
+                raise FSError(errno.ENOTDIR, dst)
+        is_dir = inode.stat.kind is FileKind.DIR
         dst_inode = self._resolve(dst)
         if dst_inode is not None:
-            if dst_inode.stat.kind is FileKind.DIR:
-                raise FSError(errno.EEXIST, dst)
-            self.unlink(dst)
+            if (dst_inode.stat.kind is FileKind.DIR) is not is_dir:
+                raise FSError(errno.ENOTDIR if is_dir else errno.EISDIR, dst)
+            if is_dir:
+                self.rmdir(dst)  # ENOTEMPTY unless empty
+            else:
+                self.unlink(dst)
         # Flush src's dirty pages and any deferred (dirty) inodes in
         # the moved subtree under the old names first — the backend's
         # rename operates on its own index.
@@ -326,7 +340,6 @@ class VFS:
         # the only inode at or below its name is the one in hand), and
         # only a directory brings children to names below ``dst``,
         # where lookups may have cached their absence.
-        is_dir = inode.stat.kind is FileKind.DIR
         for dirty in self.dcache.dirty_inodes() if is_dir else [inode]:
             if dirty.dirty and (
                 dirty.path == src or dirty.path.startswith(src_prefix)

@@ -98,6 +98,27 @@ def system_mount(system):
     return make_mount(system, SMOKE_SCALE)
 
 
+#: rename(2) as Linux answers it: case -> (files and directories made
+#: first, a trailing "/" for a directory; source; destination; the
+#: errno, or None when the rename succeeds; the names in "/" after; a
+#: file that must still read b"hello").
+RENAME_CASES = {
+    "into a missing parent": (["/f"], "/f", "/nope/g", errno.ENOENT, ["f"], "/f"),
+    "under a file": (["/g", "/h"], "/h", "/g/x", errno.ENOTDIR, ["g", "h"], "/h"),
+    "directory onto a file": (
+        ["/d/", "/d/x", "/f"], "/d", "/f", errno.ENOTDIR, ["d", "f"], "/d/x"
+    ),
+    "file onto a directory": (["/f", "/d/"], "/f", "/d", errno.EISDIR, ["d", "f"], "/f"),
+    "directory onto a non-empty directory": (
+        ["/a/", "/a/x", "/b/", "/b/y"], "/a", "/b", errno.ENOTEMPTY, ["a", "b"], "/b/y"
+    ),
+    "directory onto an empty directory": (
+        ["/a/", "/a/x", "/b/"], "/a", "/b", None, ["b"], "/b/x"
+    ),
+    "a name onto itself": (["/f"], "/f", "/f", None, ["f"], "/f"),
+}
+
+
 def cold_file(mount, path, size):
     """``size`` patterned bytes at ``path``, on the device only."""
     body = (bytes(range(251)) * (size // 251 + 1))[:size]
@@ -214,6 +235,28 @@ class TestNamespace:
         v.rename("/a", "/ab")  # a sibling sharing the name's prefix
         assert v.readdir("/") == ["ab"]
         assert v.read("/ab/f", 0, 4) == b"kept"
+
+    @pytest.mark.parametrize("case", sorted(RENAME_CASES))
+    @pytest.mark.parametrize("system", TABLE3_SYSTEMS + ["shards4"])
+    def test_rename_answers_as_linux_does(self, system, case):
+        """rename(2)'s checks of the destination, made before anything
+        moves: a refused rename leaves the namespace as it was."""
+        v = system_mount(system).vfs
+        setup, src, dst, code, names, kept = RENAME_CASES[case]
+        for path in setup:
+            if path.endswith("/"):
+                v.mkdir(path.rstrip("/"))
+            else:
+                v.create(path)
+                v.write(path, 0, b"hello")
+        if code is None:
+            v.rename(src, dst)
+        else:
+            with pytest.raises(FSError) as err:
+                v.rename(src, dst)
+            assert err.value.code == code
+        assert v.readdir("/") == names
+        assert v.read(kept, 0, 5) == b"hello"
 
     def test_rename_of_a_file_scans_no_other_file(self, fs, v, monkeypatch):
         """A regular file has nothing cached below it: its rename reads
