@@ -59,7 +59,9 @@ def _internal_faults(
         yield "duplicate child id"
     # Kept values are recounted, never trusted: each message's size
     # from its fields, the byte total from those, the point and range
-    # indexes (and each key's arrival order) from the buffer.
+    # indexes (and each key's arrival order) and the per-child
+    # partitions (and each child's arrival order and byte total) from
+    # the buffer.
     measured = [m.measure() for m in node.buffer]
     resized = [m for m, size in zip(node.buffer, measured) if m.size != size]
     if resized:
@@ -82,6 +84,24 @@ def _internal_faults(
             f"buffer index out of sync with the buffer: {len(node.point_index)} "
             f"keys, {len(node.range_msgs)} ranges, {len(node.buffer)} messages"
         )
+    if len(node.pivots) == len(node.children) - 1:
+        parts: List[list] = [[] for _ in node.children]
+        totals = [0] * len(node.children)
+        for msg, size in zip(node.buffer, measured):
+            for i in msg.route(node.pivots):
+                parts[i].append(msg)
+                totals[i] += size
+        if node.child_buffers != parts:
+            yield (
+                f"child partitions out of sync with the buffer: "
+                f"{list(map(len, node.child_buffers))} messages per child, "
+                f"{list(map(len, parts))} routed"
+            )
+        elif node.child_bytes != totals:
+            yield (
+                f"child byte totals drifted from the partitions' summed "
+                f"sizes: {node.child_bytes} != {totals}"
+            )
     newer = [m.msn for m in node.buffer if m.msn > node.msn_max]
     if newer:
         yield f"buffered message newer than msn_max {node.msn_max}: {newer[:4]}"

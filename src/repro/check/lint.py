@@ -115,15 +115,18 @@ SERIALIZATION_PATHS = {
     "core/wal.py",
 }
 
-#: Methods that take ``bytes`` keys (the ``core.keys`` API boundary).
+#: Methods that take ``bytes`` keys (the ``core.keys`` API boundary),
+#: each with the receiver names it is checked on (``None``: any).
+#: ``get`` is every mapping's too, so only ``env.get`` / ``tree.get``.
 _BYTES_KEY_METHODS = {
-    "put",
-    "delete",
-    "patch",
-    "insert",
-    "range_delete",
-    "range_query",
-    "empty_range",
+    "put": None,
+    "delete": None,
+    "patch": None,
+    "insert": None,
+    "range_delete": None,
+    "range_query": None,
+    "empty_range": None,
+    "get": {"env", "tree"},
 }
 #: Free functions from ``repro.core.keys`` that take ``bytes``.
 _BYTES_KEY_FUNCS = {
@@ -164,6 +167,15 @@ _DEVICE_LAYER_FILES = {"workloads/aging.py", "harness/ftl.py"}
 DEFAULT_ALLOWLIST: Set[Tuple[str, str]] = {
     ("obs/prof.py", "wall-clock"),
 }
+
+
+def _receiver_name(recv: ast.expr) -> Optional[str]:
+    """``device`` for ``device.write(...)`` and ``self.device.write(...)``."""
+    if isinstance(recv, ast.Attribute):
+        return recv.attr
+    if isinstance(recv, ast.Name):
+        return recv.id
+    return None
 
 
 class _Linter(ast.NodeVisitor):
@@ -253,7 +265,9 @@ class _Linter(ast.NodeVisitor):
         func = node.func
         target: Optional[str] = None
         if isinstance(func, ast.Attribute) and func.attr in _BYTES_KEY_METHODS:
-            target = func.attr
+            receivers = _BYTES_KEY_METHODS[func.attr]
+            if receivers is None or _receiver_name(func.value) in receivers:
+                target = func.attr
         elif isinstance(func, ast.Name) and func.id in _BYTES_KEY_FUNCS:
             target = func.id
         if target is None:
@@ -275,12 +289,7 @@ class _Linter(ast.NodeVisitor):
         func = node.func
         if not isinstance(func, ast.Attribute):
             return
-        recv = func.value
-        recv_name: Optional[str] = None
-        if isinstance(recv, ast.Attribute):
-            recv_name = recv.attr
-        elif isinstance(recv, ast.Name):
-            recv_name = recv.id
+        recv_name = _receiver_name(func.value)
         if recv_name == "device" and func.attr in _DEVICE_IO_METHODS:
             self._flag(
                 node,

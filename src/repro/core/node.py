@@ -360,6 +360,10 @@ class InternalNode(Node):
     ``pivots[i]`` separates ``children[i]`` (keys < pivot) from
     ``children[i+1]`` (keys >= pivot); ``len(pivots) ==
     len(children) - 1``.
+
+    The buffer is kept twice: once flat, in arrival order (what the
+    codec writes), and once split by child (what a flush moves), so a
+    flush pays for the batch it takes, not for the whole buffer.
     """
 
     __slots__ = (
@@ -368,6 +372,8 @@ class InternalNode(Node):
         "pivot_bytes",
         "buffer",
         "buffer_bytes",
+        "child_buffers",
+        "child_bytes",
         "point_index",
         "range_msgs",
         "mem_buf",
@@ -394,6 +400,12 @@ class InternalNode(Node):
         #: Messages in arrival (MSN) order.
         self.buffer: List[Message] = []
         self.buffer_bytes = 0
+        #: The buffer split by child: ``child_buffers[i]`` holds, in
+        #: arrival order, the messages :meth:`Message.route` sends to
+        #: ``children[i]`` (a range message sits in every child it
+        #: touches), and ``child_bytes[i]`` sums their sizes.
+        self.child_buffers: List[List[Message]] = [[] for _ in self.children]
+        self.child_bytes: List[int] = [0] * len(self.children)
         #: key -> list of point messages for that key (query fast path,
         #: modeling TokuDB's per-buffer ordered index).
         self.point_index: dict = {}
@@ -418,27 +430,46 @@ class InternalNode(Node):
         return lo, hi
 
     def enqueue(self, msg: Message) -> None:
+        """Buffer ``msg``, filed under its child(ren) and its key.  For
+        a point message the partition costs one ``bisect_right``, one
+        append and one add."""
         self.buffer.append(msg)
-        self.buffer_bytes += msg.size
-        self._index_add(msg)
-        if msg.msn > self.msn_max:
-            self.msn_max = msg.msn
-
-    def _index_add(self, msg: Message) -> None:
+        size = msg.size
+        self.buffer_bytes += size
+        msn = msg.msn
+        if msn > self.msn_max:
+            self.msn_max = msn
         if msg.is_range:
             self.range_msgs.append(msg)
+            for i in msg.route(self.pivots):
+                self.child_buffers[i].append(msg)
+                self.child_bytes[i] += size
+            return
+        key = msg.key
+        i = bisect.bisect_right(self.pivots, key)
+        self.child_buffers[i].append(msg)
+        self.child_bytes[i] += size
+        same_key = self.point_index.get(key)
+        if same_key is None:
+            self.point_index[key] = [msg]
+            self._sorted_keys = None
         else:
-            key = msg.key
-            if key not in self.point_index:
-                self._sorted_keys = None
-            self.point_index.setdefault(key, []).append(msg)
+            same_key.append(msg)
 
     def _reindex(self) -> None:
+        """Rebuild everything kept beside the buffer by filing the
+        buffer again (the MSN high-water mark is not the buffer's)."""
+        msgs, msn_max = self.buffer, self.msn_max
+        self.buffer = []
+        self.buffer_bytes = 0
+        self.child_buffers = [[] for _ in self.children]
+        self.child_bytes = [0] * len(self.children)
         self.point_index = {}
         self.range_msgs = []
         self._sorted_keys = None
-        for msg in self.buffer:
-            self._index_add(msg)
+        for msg in msgs:
+            self.enqueue(msg)
+        self.msn_max = msn_max
 
     def point_keys_in_range(self, lo: Optional[bytes], hi: Optional[bytes]) -> List[bytes]:
         """Buffered point-message keys within [lo, hi) (ordered-index
@@ -452,39 +483,41 @@ class InternalNode(Node):
 
     def set_buffer(self, msgs: List[Message]) -> None:
         self.buffer = msgs
-        self.buffer_bytes = sum(m.size for m in msgs)
         self._reindex()
 
     def remove_messages(self, doomed: List[Message], release: bool = True) -> None:
-        doomed_ids = {id(m) for m in doomed}
-        kept = []
-        keys = set()
-        ranges = False
-        for m in self.buffer:
-            if id(m) in doomed_ids:
-                self.buffer_bytes -= m.size
-                if m.is_range:
-                    ranges = True
-                else:
-                    keys.add(m.key)
-                if release:
-                    release_message(m)
-            else:
-                kept.append(m)
-        self.buffer = kept
-        # Unindex what left, in place; every other entry (and each
-        # key's arrival order) stands as :meth:`_reindex` would build it.
-        for key in keys:
-            left = [m for m in self.point_index[key] if id(m) not in doomed_ids]
-            if left:
-                self.point_index[key] = left
-            else:
-                del self.point_index[key]
+        """Take ``doomed`` (buffered messages) out of the buffer.
+
+        What stays keeps its place: in the flat buffer, in each child's
+        partition and under each key, the order stands as
+        :meth:`_reindex` would build it.  Only the batch and the
+        partitions and keys it leaves are walked message by message
+        (for a flush: one partition, emptied); the flat buffer is
+        refiltered in one comprehension and the other partitions are
+        passed over by ``isdisjoint``.
+        """
+        gone = set(doomed)  # messages hash by identity
+        self.buffer = [m for m in self.buffer if m not in gone]
+        self.buffer_bytes -= sum([m.size for m in doomed])
+        parts = self.child_buffers
+        for i, part in enumerate(parts):
+            if not gone.isdisjoint(part):
+                left = [m for m in part if m not in gone]
+                parts[i] = left
+                self.child_bytes[i] = sum([m.size for m in left])
+        index = self.point_index
+        for key in {m.key for m in doomed if not m.is_range}:
+            same_key = index[key]
+            if gone.issuperset(same_key):
+                del index[key]
                 self._sorted_keys = None
-        if ranges:
-            self.range_msgs = [
-                r for r in self.range_msgs if id(r) not in doomed_ids
-            ]
+            else:
+                index[key] = [m for m in same_key if m not in gone]
+        if self.range_msgs and not gone.isdisjoint(self.range_msgs):
+            self.range_msgs = [r for r in self.range_msgs if r not in gone]
+        if release:
+            for m in doomed:
+                release_message(m)
 
     def pending_for_key(self, key: bytes) -> List[Message]:
         """Buffered messages affecting ``key`` (point + covering ranges)."""
@@ -495,23 +528,28 @@ class InternalNode(Node):
         return out
 
     def messages_for_child(self, idx: int) -> List[Message]:
-        lo, hi = self.child_range(idx)
-        return [m for m in self.buffer if m.touches(lo, hi)]
+        """The messages buffered for child ``idx``, in arrival order."""
+        return list(self.child_buffers[idx])
 
     def fattest_child(self) -> int:
-        """Child with the most pending buffered bytes (one pass)."""
-        totals = [0] * len(self.children)
-        for msg in self.buffer:
-            share = msg.size
-            for i in msg.route(self.pivots):
-                totals[i] += share
-        return max(range(len(totals)), key=totals.__getitem__)
+        """Child with the most pending buffered bytes (first on a tie)."""
+        return self.child_bytes.index(max(self.child_bytes))
 
     def add_child(self, pivot: bytes, child_id: int, after_idx: int) -> None:
-        """Insert a new child to the right of ``after_idx``."""
+        """Insert a new child to the right of ``after_idx``, which
+        ``pivot`` splits: its buffered messages go to the side(s) they
+        touch."""
         self.pivots.insert(after_idx, pivot)
         self.children.insert(after_idx + 1, child_id)
         self.pivot_bytes += len(pivot) + 16
+        part = self.child_buffers[after_idx]
+        left = [m for m in part if m.touches(None, pivot)]
+        right = [m for m in part if m.touches(pivot, None)]
+        self.child_buffers[after_idx : after_idx + 1] = [left, right]
+        self.child_bytes[after_idx : after_idx + 1] = [
+            sum(m.size for m in left),
+            sum(m.size for m in right),
+        ]
 
     def split(self, new_node_id: int) -> Tuple["InternalNode", bytes]:
         """Split in half; returns (right_sibling, pivot)."""

@@ -308,16 +308,18 @@ class BeTree:
         self.alloc.note_message(msg.size)
         self.env.note_write()
         root = self._load_node(self.root_id)
-        if isinstance(root, LeafNode):
+        # The common case tests once; the check's message is built only
+        # for a root that is not internal.
+        if not isinstance(root, InternalNode):
+            require(
+                isinstance(root, LeafNode),
+                "root is neither leaf nor internal",
+                TreeInvariantError,
+                type(root).__name__,
+            )
             self._apply_to_leaf(root, [msg], None)
             self._maybe_split_root_leaf(root)
             return
-        require(
-            isinstance(root, InternalNode),
-            "root has height > 0 but is not internal",
-            TreeInvariantError,
-            type(root).__name__,
-        )
         self._enqueue_internal(root, msg)
         if root.buffer_bytes > self.cfg.buffer_size:
             self._flush_node(root)
@@ -366,7 +368,7 @@ class BeTree:
         msgs = node.messages_for_child(idx)
         if not msgs:
             return False
-        original = list(msgs)
+        original = msgs  # compact leaves its input list as it was
         if self.cfg.pacman:
             # PacMan runs over the flushed child's buffer partition
             # (TokuDB buffers are partitioned per child).  A recursive

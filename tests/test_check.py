@@ -73,6 +73,19 @@ class TestLint:
         assert found, f"{fixture} produced no violations"
         assert {v.rule for v in found} == {rule}
 
+    def test_str_key_checks_get_on_env_and_tree_only(self, tmp_path):
+        """``env.get`` / ``tree.get`` take bytes keys; every other
+        ``get`` is a mapping's, whose str keys are fine."""
+        path = tmp_path / "northbound.py"
+        path.write_text(
+            "def lookup(self, meta, tree, fields):\n"
+            '    self.env.get(meta, "/")\n'
+            '    tree.get("k")\n'
+            '    return fields.get("_layer", "")\n'
+        )
+        found = lint.lint_file(str(path))
+        assert [(v.rule, v.line) for v in found] == [("str-key", 2), ("str-key", 3)]
+
     def test_clean_fixture_has_no_false_positives(self):
         assert lint.lint_file(_fixture("clean_module.py")) == []
 
@@ -200,6 +213,24 @@ class TestSanitizers:
         root.buffer[1].size += 8
         root.buffer_bytes += 8  # even a total that agrees with the drift
         with pytest.raises(TreeInvariantError, match="message size drifted"):
+            env.san.check_node(env.meta, root)
+
+    @pytest.mark.parametrize("stale", ["moved", "reordered", "total"])
+    def test_tree_sanitizer_rebuilds_the_child_partitions(self, stale):
+        """A flush takes its batch from the per-child partitions and
+        picks the child by the kept totals: both are held to what
+        routing the buffer from nothing gives."""
+        env, root = self._root_with_a_buffer()
+        part = max(root.child_buffers, key=len)
+        assert len(root.children) > 1 and len(part) > 1
+        if stale == "moved":  # a message filed under the wrong child
+            root.child_buffers[root.child_buffers.index(part) - 1].append(part.pop())
+        elif stale == "reordered":
+            part.reverse()
+        else:
+            root.child_bytes[0] += 8
+        match = "child byte totals" if stale == "total" else "child partitions"
+        with pytest.raises(TreeInvariantError, match=match):
             env.san.check_node(env.meta, root)
 
     @pytest.mark.parametrize("stale", ["gone", "extra", "order", "range", "sorted"])

@@ -258,7 +258,7 @@ class TestInternalNode:
         assert snapshot == keys
         adds = []
         monkeypatch.setattr(
-            InternalNode, "_index_add", lambda self, msg: adds.append(msg)
+            InternalNode, "enqueue", lambda self, msg: adds.append(msg)
         )
         node.remove_messages([msgs[2], msgs[43]], release=False)  # both "k02"
         assert adds == []
@@ -344,7 +344,8 @@ def test_basement_matches_model(op_list):
 # ----------------------------------------------------------------------
 # Property: whatever sequence of buffer mutations an internal node sees,
 # everything it keeps beside the buffer (byte total, point index with
-# per-key arrival order, range list, sorted-key snapshot) equals a
+# per-key arrival order, range list, sorted-key snapshot, per-child
+# partitions with their arrival order and byte totals) equals a
 # from-scratch rebuild, and the derived answers agree.
 # ----------------------------------------------------------------------
 def rebuilt(node):
@@ -361,8 +362,19 @@ def assert_kept_equals_rebuilt(node):
     assert node.range_msgs == oracle.range_msgs
     for lo, hi in ((None, None), (b"k03", b"k11"), (b"k07", None), (None, b"k02")):
         assert node.point_keys_in_range(lo, hi) == oracle.point_keys_in_range(lo, hi)
-    assert node.fattest_child() == oracle.fattest_child()
     assert node.nbytes() == oracle.nbytes()
+    # Each child's partition is the buffer's messages routed to it, in
+    # buffer order, and its total their summed sizes.
+    totals = []
+    for idx in range(len(node.children)):
+        lo, hi = node.child_range(idx)
+        routed = [m for m in node.buffer if m.touches(lo, hi)]
+        for got in (node.messages_for_child(idx), oracle.messages_for_child(idx)):
+            assert len(got) == len(routed)
+            assert all(g is m for g, m in zip(got, routed))
+        totals.append(sum(m.measure() for m in routed))
+    assert node.child_bytes == oracle.child_bytes == totals
+    assert node.fattest_child() == totals.index(max(totals))
 
 
 def _key(x):
@@ -386,7 +398,9 @@ KINDS = ["insert", "insert_by_ref", "delete", "patch", "range_delete"]
 node_ops = st.lists(
     st.tuples(
         st.sampled_from(
-            KINDS + ["remove", "remove_keep_refs", "set_buffer", "split", "add_child"]
+            KINDS
+            + ["remove", "remove_keep_refs", "remove_spread"]
+            + ["set_buffer", "split", "add_child"]
         ),
         st.integers(0, 14),  # few keys: duplicates are the norm
         st.integers(0, 14),
@@ -412,6 +426,11 @@ def test_internal_node_keeps_what_a_rebuild_would_build(op_list):
             node.remove_messages(doomed, release=op == "remove")
             drop = 1 if op == "remove" else 0
             assert [f.refs for f in frames] == [r - drop for r in refs]
+        elif op == "remove_spread":
+            # Messages of several children leave at once (a flush or an
+            # apply-on-query takes one child's; this is the general case).
+            doomed = node.buffer[y % 3 :: 1 + x % 3]
+            node.remove_messages(doomed, release=False)
         elif op == "set_buffer":
             # What owed range-delete parts do: re-sort into MSN order.
             node.set_buffer(sorted(node.buffer[y:] + node.buffer[:y], key=lambda m: m.msn))

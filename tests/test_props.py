@@ -183,7 +183,7 @@ def test_vfs_matches_model_filesystem(op_list, version):
             elif op == "rename":
                 dst = f"/f{y:02d}"
                 v.rename(fpath, dst)
-                assert fpath in files and fpath != dst
+                assert fpath in files  # onto itself: a no-op, as on Linux
                 files[dst] = files.pop(fpath)
             elif op == "mkdir":
                 v.mkdir(dpath)
@@ -204,7 +204,7 @@ def test_vfs_matches_model_filesystem(op_list, version):
             elif op == "unlink":
                 assert fpath not in files
             elif op == "rename":
-                assert fpath not in files or fpath == f"/f{y:02d}"
+                assert fpath not in files
             elif op == "mkdir":
                 assert dpath in dirs
             elif op == "rmdir":
